@@ -57,6 +57,10 @@ CERT_INFEASIBILITY = "infeasibility"
 # the final exact revalidation.
 EPS_ROUND = 1e-6
 
+# Singular values at or below NULL_RANK_CUT·max(σ_max, 1) count as zero
+# when a null-space basis is taken.
+NULL_RANK_CUT = 1e-12
+
 
 class NumericalRankAmbiguityError(RuntimeError):
     """An eigenvalue fell inside the (eps, 100·eps)·scale band; the rank
@@ -210,21 +214,26 @@ def is_rr_form(
     return res <= eps * (1.0 + float(np.linalg.norm(inst.b)) + x_witness.norm())
 
 
+def _null_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the nullspace of rows."""
+    if rows.shape[0] == 0:
+        return np.eye(rows.shape[1])
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
+    return vt[rank:].T
+
+
 def _affine_solutions(
     rows: np.ndarray, rhs: np.ndarray, tol: float = 1e-10
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Minimum-norm particular solution and nullspace basis of rows·y = rhs."""
-    m = rows.shape[1]
     if rows.shape[0] == 0:
-        return np.zeros(m), np.eye(m)
+        return np.zeros(rows.shape[1]), _null_basis(rows)
     y0, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     res = float(np.linalg.norm(rows @ y0 - rhs))
     if res > tol * (1.0 + float(np.linalg.norm(rhs))):
         return None
-    u, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > max(s[0], 1.0) * 1e-12)) if s.size else 0
-    null = vt[rank:].T
-    return y0, null
+    return y0, _null_basis(rows)
 
 
 # Accepted certificates are canonicalized to a well-separated spectrum:
@@ -576,13 +585,9 @@ def _interior_of_reduced(
     stack = constraint_stack(red)
     if red.m:
         x0_vec, *_ = np.linalg.lstsq(stack, red.b, rcond=None)
-        u, sv, vt = np.linalg.svd(stack)
-        rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-12)) if sv.size else 0
-        null = vt[rank:].T
     else:
-        nn = red.n * (red.n + 1) // 2
-        x0_vec = np.zeros(nn)
-        null = np.eye(nn)
+        x0_vec = np.zeros(stack.shape[1])
+    null = _null_basis(stack)
     s0 = smat(x0_vec, red.n).a
     fam = [smat(null[:, j], red.n).a for j in range(null.shape[1])]
     w = subsolver.interior_point(s0, fam, max_iter=max_iter)
@@ -756,6 +761,7 @@ def _pd_combination(
         total = lam * mats[0].a + g
         if classify_psd(SymMat(total), eps).is_positive_definite:
             return np.concatenate([[lam], v])
+        lam *= 2.0
     raise SubsolverFailureError("merge: Schur bound escalation failed")
 
 
@@ -831,13 +837,7 @@ def sample_feasible(
     if p == n or count <= 1:
         return out[:count]
     red = _reduced_instance(cur, p, rr.k)
-    stack = constraint_stack(red)
-    if red.m:
-        u, sv, vt = np.linalg.svd(stack)
-        rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-12)) if sv.size else 0
-        null = vt[rank:].T
-    else:
-        null = np.eye(red.n * (red.n + 1) // 2)
+    null = _null_basis(constraint_stack(red))
     x_red = center.a[p:, p:]
     lam_min = float(np.linalg.eigvalsh(x_red)[0])
     rng = np.random.default_rng(seed)
@@ -880,13 +880,7 @@ def primal_optimal_value(
     if p == n:
         return 0.0
     red = _reduced_instance(cur, p, rr.k)
-    stack = constraint_stack(red)
-    if red.m:
-        u, sv, vt = np.linalg.svd(stack)
-        rank = int(np.sum(sv > max(sv[0], 1.0) * 1e-12)) if sv.size else 0
-        null = vt[rank:].T
-    else:
-        null = np.eye(red.n * (red.n + 1) // 2)
+    null = _null_basis(constraint_stack(red))
     witness = rr.maxrank_x
     if witness is None:
         witness = _interior_of_reduced(cur, p, rr.k, eps, max_iter)

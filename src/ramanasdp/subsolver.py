@@ -1,18 +1,20 @@
-"""Small dense feasibility kernel used by the facial-reduction loop.
+"""Small dense barrier kernel used by the facial-reduction loop.
 
 Everything here optimizes over an affine family of symmetric matrices
 
     S(w) = S0 + w_1 S_1 + ... + w_d S_d,   w in R^d,
 
-at desk scale (matrix order and d both small).  Three entry points:
+at desk scale (matrix order and d both small).  One damped-Newton path
+minimizes lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w) for a decreasing
+sequence of mu; the entry points differ only in the linear term, ridge,
+mu schedule and stopping tolerance they give it:
 
-  * maximize_lambda_min  — max over w of lambda_min(S(w)), solved by
-    damped Newton on the log-det barrier of the hypograph
-    {(w, t) : S(w) - tI ≻ 0}, with a decreasing centering parameter.
-    A tiny quadratic regularization keeps the iteration bounded when
-    the supremum is +infinity.
-  * interior_point       — a strictly positive definite S(w), pushed to
-    the regularized analytic center (damped Newton on -log det + ridge).
+  * maximize_lambda_min       — max lambda_min(S(w)): the path over (w, t)
+    with the extra matrix -I (so S(w) - tI ≻ 0) and lin = (0, ..., 0, -1).
+    A tiny ridge on w keeps it bounded when the supremum is +infinity.
+  * interior_point            — phase 1 by maximize_lambda_min, then one
+    centering at mu = 1, lin = 0 toward the regularized analytic center.
+  * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
 
 All iterations are deterministic: fixed starting points, fixed step
 rules, no randomization.
@@ -37,10 +39,6 @@ def _chol_or_none(g: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
-def _lambda_min(g: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(g)[0])
-
-
 @dataclass
 class LambdaMinResult:
     w: np.ndarray
@@ -48,12 +46,86 @@ class LambdaMinResult:
     newton_steps: int
 
 
-def _assemble(s0: np.ndarray, mats: Sequence[np.ndarray], w: np.ndarray) -> np.ndarray:
-    s = s0.copy()
-    for wi, si in zip(w, mats):
-        if wi != 0.0:
-            s += wi * si
-    return s
+def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
+    """The family as one (d + extra, n, n) array; trailing slots are zero."""
+    fam = np.zeros((len(mats) + extra, n, n))
+    for i, m in enumerate(mats):
+        fam[i] = m
+    return fam
+
+
+def _barrier_path(
+    s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
+    w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
+    tol: float, max_iter: int, c0: float = 0.0, floor: Optional[float] = None,
+) -> tuple[np.ndarray, int]:
+    """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
+    S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
+
+    Each mu gets at most ``inner`` steps and ends once the Newton
+    decrement is at most tol·(1 + |c0 + lin·w|) or the line search fails.
+    ``floor`` ends the whole path as soon as lin·w drops below it.
+    Returns (w, Newton steps taken).
+    """
+    k = fam.shape[0]
+    flat = fam.reshape(k, s0.size)
+    diag = np.diag_indices(k)
+
+    def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        g = s0 + (v @ flat).reshape(s0.shape)
+        return g, _chol_or_none(g)
+
+    def merit(v: np.ndarray, l: np.ndarray) -> float:
+        return float(lin @ v + 0.5 * (reg * v) @ v) - 2.0 * mu * float(
+            np.sum(np.log(np.diag(l)))
+        )
+
+    g, l = factor(w)
+    if l is None:
+        raise IterationLimitError("barrier iterate left the PSD cone")
+    steps = 0
+    hess = np.empty((k, k))
+    while True:
+        for _ in range(inner):
+            if steps >= max_iter:
+                raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
+            steps += 1
+            if not np.all(np.isfinite(g)):
+                raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
+            # The accepted step's Cholesky factor gives G^{-1}, and
+            # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled one column at a
+            # time so no (k, n, n) temporary is allocated.
+            linv = np.linalg.inv(l)
+            ginv = linv.T @ linv
+            grad = lin + reg * w - mu * (flat @ ginv.ravel())
+            for j in range(k):
+                hess[:, j] = flat @ (ginv @ fam[j] @ ginv).ravel()
+            hess *= mu
+            hess[diag] += reg + 1e-14
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                break
+            decrement = float(-grad @ step)
+            if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))):
+                break
+            # Backtracking line search keeping the iterate interior.
+            f0 = merit(w, l)
+            alpha = 1.0
+            for _ in range(50):
+                w_new = w + alpha * step
+                g_new, l_new = factor(w_new)
+                if l_new is not None and merit(w_new, l_new) <= f0 - 0.25 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            w, g, l = w_new, g_new, l_new
+            if floor is not None and float(lin @ w) < floor:
+                return w, steps
+        if mu <= mu_final:
+            return w, steps
+        mu = max(mu * shrink, mu_final)
 
 
 def maximize_lambda_min(
@@ -72,77 +144,17 @@ def maximize_lambda_min(
     early once lambda_min exceeds the given level (phase-1 use).
     """
     d = len(mats)
-    n = s0.shape[0]
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    w = np.zeros(d)
-    s = _assemble(s0, mats, w)
-    t = _lambda_min(s) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
-    mu = 1.0
-    steps = 0
-    eye = np.eye(n)
-    while True:
-        # Inner damped Newton on f(w,t) = -t + (reg/2)|w|^2 - mu log det(S(w) - tI).
-        for _ in range(60):
-            if steps >= max_iter:
-                raise IterationLimitError(
-                    f"lambda_min maximization exceeded {max_iter} Newton steps"
-                )
-            steps += 1
-            g = _assemble(s0, mats, w) - t * eye
-            l = _chol_or_none(g)
-            if l is None:
-                raise IterationLimitError("barrier iterate left the PSD cone")
-            ginv = np.linalg.inv(g)
-            # Gradient.
-            grad = np.empty(d + 1)
-            for i in range(d):
-                grad[i] = -mu * float(np.sum(ginv * mats[i])) + reg * w[i]
-            grad[d] = -1.0 + mu * float(np.trace(ginv))
-            # Hessian via G^{-1} S_i G^{-1} products.
-            gim = [ginv @ mats[i] for i in range(d)]
-            hess = np.empty((d + 1, d + 1))
-            for i in range(d):
-                for j in range(i, d):
-                    hess[i, j] = hess[j, i] = mu * float(np.sum(gim[i] * gim[j].T))
-                hess[i, i] += reg
-                hti = -mu * float(np.sum(ginv * gim[i].T))
-                hess[i, d] = hess[d, i] = hti
-            hess[d, d] = mu * float(np.sum(ginv * ginv))
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(d + 1), -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            decrement = float(-grad @ step)
-            if decrement <= 1e-13 * (1.0 + abs(t)):
-                break
-            # Backtracking line search keeping the iterate interior.
-            alpha = 1.0
-            f0 = -t + 0.5 * reg * float(w @ w) - mu * 2.0 * float(
-                np.sum(np.log(np.diag(l)))
-            )
-            accepted = False
-            for _ in range(50):
-                w_new = w + alpha * step[:d]
-                t_new = t + alpha * step[d]
-                g_new = _assemble(s0, mats, w_new) - t_new * eye
-                l_new = _chol_or_none(g_new)
-                if l_new is not None:
-                    f_new = -t_new + 0.5 * reg * float(w_new @ w_new) - mu * 2.0 * float(
-                        np.sum(np.log(np.diag(l_new)))
-                    )
-                    if f_new <= f0 - 0.25 * alpha * decrement:
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                break
-            w, t = w_new, t_new
-            if stop_above is not None and t > stop_above:
-                return LambdaMinResult(w=w, value=_lambda_min(_assemble(s0, mats, w)), newton_steps=steps)
-        if mu <= mu_final:
-            break
-        mu = max(mu * 0.2, mu_final) if mu > mu_final else mu_final
-    value = _lambda_min(_assemble(s0, mats, w))
+    fam = _stack(mats, s0.shape[0], extra=1)
+    np.fill_diagonal(fam[d], -1.0)
+    t0 = float(np.linalg.eigvalsh(s0)[0]) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
+    wt, steps = _barrier_path(
+        s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
+        np.append(np.zeros(d), t0),
+        mu=1.0, mu_final=mu_final, shrink=0.2, inner=60, tol=1e-13,
+        max_iter=max_iter, floor=None if stop_above is None else -stop_above,
+    )
+    w = wt[:d]
+    value = float(np.linalg.eigvalsh(s0 + np.tensordot(w, fam[:d], 1))[0])
     return LambdaMinResult(w=w, value=value, newton_steps=steps)
 
 
@@ -159,56 +171,16 @@ def interior_point(
     Phase 1 maximizes lambda_min; on success the point is polished toward
     the regularized analytic center: min -log det S(w) + (reg/2)‖w‖².
     """
-    d = len(mats)
-    mats = [np.asarray(m, dtype=float) for m in mats]
     scale = 1.0 + float(np.linalg.norm(s0)) + sum(float(np.linalg.norm(m)) for m in mats)
     phase1 = maximize_lambda_min(
         s0, mats, reg=1e-10, max_iter=max_iter, stop_above=0.05 * scale
     )
-    w = phase1.w
-    if _lambda_min(_assemble(s0, mats, w)) <= 1e-10 * scale:
+    if phase1.value <= 1e-10 * scale:
         return None
-    if d == 0:
-        return w
-    for _ in range(120):
-        s = _assemble(s0, mats, w)
-        l = _chol_or_none(s)
-        if l is None:
-            break
-        sinv = np.linalg.inv(s)
-        grad = np.array(
-            [-float(np.sum(sinv * m)) + reg * wi for m, wi in zip(mats, w)]
-        )
-        sim = [sinv @ m for m in mats]
-        hess = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                hess[i, j] = hess[j, i] = float(np.sum(sim[i] * sim[j].T))
-            hess[i, i] += reg
-        try:
-            step = np.linalg.solve(hess + 1e-14 * np.eye(d), -grad)
-        except np.linalg.LinAlgError:
-            break
-        decrement = float(-grad @ step)
-        if decrement <= tol * tol:
-            break
-        alpha = 1.0
-        f0 = -2.0 * float(np.sum(np.log(np.diag(l)))) + 0.5 * reg * float(w @ w)
-        improved = False
-        for _ in range(50):
-            w_new = w + alpha * step
-            l_new = _chol_or_none(_assemble(s0, mats, w_new))
-            if l_new is not None:
-                f_new = -2.0 * float(np.sum(np.log(np.diag(l_new)))) + 0.5 * reg * float(
-                    w_new @ w_new
-                )
-                if f_new <= f0 - 0.25 * alpha * decrement:
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-        w = w_new
+    w, _ = _barrier_path(
+        s0, _stack(mats, s0.shape[0]), np.zeros(len(mats)), reg, phase1.w,
+        mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=tol * tol, max_iter=120,
+    )
     return w
 
 
@@ -229,64 +201,16 @@ def minimize_linear_over_face(
     O(n·mu_final + reg·‖w*‖²), enough for the 1e-6 value tolerances used
     by the golden checks.  Returns (w, objective value).
     """
-    d = len(mats)
     obj = np.asarray(obj, dtype=float)
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    lin = np.array([float(np.sum(obj * m)) for m in mats])
+    fam = _stack(mats, s0.shape[0])
     const = float(np.sum(obj * s0))
     w = np.asarray(w_start, dtype=float).copy()
-    if _chol_or_none(_assemble(s0, mats, w)) is None:
+    if _chol_or_none(s0 + np.tensordot(w, fam, 1)) is None:
         raise ValueError("minimize_linear_over_face requires a strictly feasible start")
-    if d == 0:
-        return w, const
-    mu = max(1.0, float(np.abs(lin).sum()))
-    steps = 0
-    while True:
-        for _ in range(80):
-            if steps >= max_iter:
-                raise IterationLimitError("linear minimization exceeded iteration budget")
-            steps += 1
-            s = _assemble(s0, mats, w)
-            if not np.all(np.isfinite(s)):
-                raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
-            l = _chol_or_none(s)
-            if l is None:
-                raise IterationLimitError("barrier iterate left the PSD cone")
-            sinv = np.linalg.inv(s)
-            grad = lin + reg * w - mu * np.array([float(np.sum(sinv * m)) for m in mats])
-            sim = [sinv @ m for m in mats]
-            hess = np.empty((d, d))
-            for i in range(d):
-                for j in range(i, d):
-                    hess[i, j] = hess[j, i] = mu * float(np.sum(sim[i] * sim[j].T))
-                hess[i, i] += reg
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(max(d, 1))[:d, :d], -grad)
-            except np.linalg.LinAlgError:
-                break
-            decrement = float(-grad @ step)
-            if decrement <= 1e-12 * (1.0 + abs(const)):
-                break
-            alpha = 1.0
-            f0 = lin @ w + 0.5 * reg * float(w @ w) - mu * 2.0 * float(
-                np.sum(np.log(np.diag(l)))
-            )
-            ok = False
-            for _ in range(50):
-                w_new = w + alpha * step
-                l_new = _chol_or_none(_assemble(s0, mats, w_new))
-                if l_new is not None:
-                    f_new = lin @ w_new + 0.5 * reg * float(w_new @ w_new) - mu * 2.0 * float(
-                        np.sum(np.log(np.diag(l_new)))
-                    )
-                    if f_new <= f0 - 0.25 * alpha * decrement:
-                        ok = True
-                        break
-                alpha *= 0.5
-            if not ok:
-                break
-            w = w_new
-        if mu <= mu_final:
-            break
-        mu = max(mu * 0.15, mu_final)
+    lin = fam.reshape(len(mats), s0.size) @ obj.ravel()
+    w, _ = _barrier_path(
+        s0, fam, lin, reg, w,
+        mu=max(1.0, float(np.abs(lin).sum())), mu_final=mu_final, shrink=0.15,
+        inner=80, tol=1e-12, max_iter=max_iter, c0=const,
+    )
     return w, const + float(lin @ w)

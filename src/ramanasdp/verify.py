@@ -353,26 +353,13 @@ def normalize_ladder(
     )
 
 
-def lift_from_strong(
-    inst: SdpInstance, y: Sequence[float], rr: RrForm, eps: float = EPS_PSD
-) -> RamanaCertificate:
-    """Lift a strong-dual-feasible y to a full exact-dual certificate.
-
-    The k certifying equations of the RR form are linear combinations of
-    the original equations (rows of M); each becomes a rung with the
-    identity-padded U split and V := 𝒜*y^i - U_i, then the ladder is
-    zero-padded at the front to n-1 rungs.
-    """
-    n, m = inst.n, inst.m
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (m,):
-        raise ShapeMismatchError("y must be an m-vector")
-    if rr.status == STATUS_INFEASIBLE:
-        raise ValueError("lift_from_strong needs a feasible RR form")
+def _rungs_from_rr(inst: SdpInstance, rr: RrForm, count: int) -> tuple[LadderRung, ...]:
+    """Rungs from the first ``count`` certifying equations of the RR form."""
+    n = inst.n
     q = rr.ref.q
     rungs: list[LadderRung] = []
     prefix = 0
-    for j in range(rr.k):
+    for j in range(count):
         r_j = rr.r[j]
         a_ref = rr.reformulated.a[j]
         u_ref = np.zeros((n, n))
@@ -385,7 +372,27 @@ def lift_from_strong(
         v = apply_at(inst, y_j) - u
         rungs.append(LadderRung(y=y_j, u=u, v=v))
         prefix += r_j
-    cert = RamanaCertificate(system=SYSTEM_DRAM, y=y.copy(), ladder=tuple(rungs))
+    return tuple(rungs)
+
+
+def lift_from_strong(
+    inst: SdpInstance, y: Sequence[float], rr: RrForm, eps: float = EPS_PSD
+) -> RamanaCertificate:
+    """Lift a strong-dual-feasible y to a full exact-dual certificate.
+
+    The k certifying equations of the RR form are linear combinations of
+    the original equations (rows of M); each becomes a rung with the
+    identity-padded U split and V := 𝒜*y^i - U_i, then the ladder is
+    zero-padded at the front to n-1 rungs.
+    """
+    m = inst.m
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape != (m,):
+        raise ShapeMismatchError("y must be an m-vector")
+    if rr.status == STATUS_INFEASIBLE:
+        raise ValueError("lift_from_strong needs a feasible RR form")
+    rungs = _rungs_from_rr(inst, rr, rr.k)
+    cert = RamanaCertificate(system=SYSTEM_DRAM, y=y.copy(), ladder=rungs)
     return pad_ladder(cert, inst)
 
 
@@ -397,23 +404,7 @@ def alt_ram_from_rr(inst: SdpInstance, rr: RrForm, eps: float = EPS_PSD) -> Rama
     """
     if rr.status != STATUS_INFEASIBLE:
         raise ValueError("alt_ram_from_rr needs an infeasible RR form")
-    n, m = inst.n, inst.m
-    q = rr.ref.q
-    rungs: list[LadderRung] = []
-    prefix = 0
-    for j in range(rr.k - 1):
-        r_j = rr.r[j]
-        a_ref = rr.reformulated.a[j]
-        u_ref = np.zeros((n, n))
-        u_ref[:prefix, :prefix] = np.eye(prefix)
-        u_ref[prefix : prefix + r_j, prefix : prefix + r_j] = a_ref.a[
-            prefix : prefix + r_j, prefix : prefix + r_j
-        ]
-        u = SymMat(q @ u_ref @ q.T)
-        y_j = rr.ref.m_rows[j].copy()
-        v = apply_at(inst, y_j) - u
-        rungs.append(LadderRung(y=y_j, u=u, v=v))
-        prefix += r_j
+    rungs = _rungs_from_rr(inst, rr, rr.k - 1)
     y_head = rr.ref.m_rows[rr.k - 1].copy()
-    cert = RamanaCertificate(system=SYSTEM_ALTRAM, y=y_head, ladder=tuple(rungs))
+    cert = RamanaCertificate(system=SYSTEM_ALTRAM, y=y_head, ladder=rungs)
     return pad_ladder(cert, inst)

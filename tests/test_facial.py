@@ -237,6 +237,18 @@ class TestMergeToBound:
         assert classify_psd(merged.mats[0]).is_positive_definite
         assert coeffs[0, 0] > 1.0  # exceeds the hand-computed bound
 
+    def test_escalates_past_tight_schur_bound(self):
+        # The bound 4 - 1e-7 rounds up to lam = 4, where 4·Y1 + Y2 has
+        # determinant 1e-7 and is not PD to tolerance; doubling to 8 is.
+        e = np.sqrt(4.0 - 1e-7)
+        seq = FrSequence(
+            mats=(SymMat([[1, 0], [0, 0]]), SymMat([[0, e], [e, 1]])), r=(1, 1)
+        )
+        merged, coeffs = merge_to_bound(seq)
+        assert merged.k == 1 and merged.r == (2,)
+        assert classify_psd(merged.mats[0]).is_positive_definite
+        assert coeffs.tolist() == [[8.0, 1.0]]
+
     def test_empty_sequence_unchanged(self):
         merged, rows = merge_to_bound(FrSequence(mats=(), r=()))
         assert merged.k == 0
