@@ -9,9 +9,17 @@ the exact dual an explicit SDP: the existential witness pair (W, R) of
 
 becomes a single PSD block variable T of order 2n whose upper-left corner
 is tied entrywise to U; W and R are addressed as sub-blocks of T, and V
-is the derived expression W + Wᵀ.  Constraint counts and block orders are
-polynomial: the exact dual of an order-n instance with m equalities has
-2n-1 PSD blocks (n of order n, n-1 of order 2n) and m·n free scalars.
+is the derived expression W + Wᵀ.
+
+The exact dual, the exact alternative system and the exact primal share
+one ladder, assembled once: rungs i = 1..n-1 with PSD blocks U_i and
+V_i ∈ tan(U_{i-1}) carried by a coupling block T_i (none for i = 1, as
+U_0 = 0), under a head Z = P + V_n with P PSD and V_n ∈ tan(U_{n-1})
+carried by T_n, named Thead.  The three systems differ only in Z
+(C - 𝒜*y, 𝒜*y or X) and in the rung equations.  Order 1 is the
+zero-rung ladder: one block P with Z = P.  For every n the ladder has
+2n-1 PSD blocks (n of order n, n-1 of order 2n); the exact dual with m
+equalities has m·n free scalars.
 
 Systems built:
 
@@ -40,16 +48,18 @@ is produced upstream by the RR-form construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .model import (
+    INDEP_TOL,
     DependentConstraintsError,
     DualComplement,
     SdpInstance,
     complement_basis,
     constraint_stack,
+    svec_index,
     svec_order,
 )
 from .symmat import EPS_PSD, SymMat, check_orthonormal, classify_psd, eig
@@ -188,109 +198,173 @@ def _e_sym(n: int, p: int, q: int) -> np.ndarray:
     return e
 
 
-def _tan_entry_coupler(n: int, p: int, q: int) -> np.ndarray:
-    """Coefficient matrix with <K, T> = (W + Wᵀ)[p, q] for W = T[:n, n:]."""
-    k = np.zeros((2 * n, 2 * n))
-    k[p, n + q] += 0.5
-    k[n + q, p] += 0.5
-    k[q, n + p] += 0.5
-    k[n + p, q] += 0.5
-    return k
-
-
-def _tan_inner_coupler(n: int, a: np.ndarray) -> np.ndarray:
-    """Coefficient matrix with <K, T> = <A, W + Wᵀ> for W = T[:n, n:]."""
-    k = np.zeros((2 * n, 2 * n))
-    k[:n, n:] = a
-    k[n:, :n] = a.T
-    return k
-
-
 def _free_sym_coeffs(a: np.ndarray) -> np.ndarray:
-    """Coefficients c with c·x_utri = <A, X> for upper-triangle layout."""
+    """Coefficients c with c·x_utri = <A, X> for upper-triangle layout and
+    symmetric X; A itself need not be symmetric."""
     n = a.shape[0]
-    return np.array([a[i, i] if i == j else 2.0 * a[i, j] for i, j in svec_order(n)])
+    i, j = svec_index(n)
+    c = a[i, j]
+    c[n:] += a[j[n:], i[n:]]
+    return c
 
 
 def dram_size(n: int, m: int) -> tuple[int, int]:
-    """(PSD block count, free scalar count) of the exact dual."""
-    if n == 1:
-        return 1, m
+    """(PSD block count, free scalar count) of the exact dual: n-1 rungs
+    U_i, n-1 coupling blocks T_2..T_n and the head P, with y, y^1..y^{n-1}
+    free.  Order 1 is the zero-rung ladder: one block P, m scalars."""
     return 2 * n - 1, m * n
 
 
-def _ladder_blocks(n: int) -> list[PsdBlock]:
+def _plus_tangent(
+    psd: str, t: Optional[str], k: np.ndarray, sign: float
+) -> dict[str, np.ndarray]:
+    """Coefficient mats of sign·<K, S + V> for the PSD block S named psd and
+    V = W + Wᵀ, W = T[:n, n:] of the coupling block named t.  Without a
+    coupling block V = 0, as for V_1 ∈ tan(U_0) = {0}."""
+    n = k.shape[0]
+    mats = {psd: sign * k}
+    if t is not None:
+        c = np.zeros((2 * n, 2 * n))
+        c[:n, n:] = k
+        c[n:, :n] = k.T
+        mats[t] = sign * c
+    return mats
+
+
+def _ladder_system(
+    inst: SdpInstance,
+    system: str,
+    sense: str,
+    *,
+    rungs: Iterable[Iterable[tuple]],
+    rung_sign: float,
+    head_sign: float,
+    head_free: np.ndarray,
+    head_rhs: np.ndarray,
+    objective_free: np.ndarray,
+    slots: dict[str, VarSlot],
+    first: Sequence[Constraint] = (),
+    last: Sequence[Constraint] = (),
+) -> StandardFormSdp:
+    """The one ladder assembly behind dram, altram and pram.
+
+    Rows, in order: first; for each rung i = 1..n-1 its rows (suffix, K,
+    free) from rungs, read as rung_sign·<K, U_i + V_i> + free·u = 0 (no
+    mats when K is None); the corner ties T_i[:n, :n] = U_{i-1} for i = 2..n;
+    the head rows head_sign·(P + Vhead) + head_free[idx]·u = head_rhs
+    entrywise in svec order; last.  With n = 1 there are no rungs, no
+    coupling blocks and no ties, and the head reads head_sign·P.
+    """
+    n = inst.n
+    n_free = objective_free.size
     blocks = [PsdBlock(f"U{i}", n) for i in range(1, n)]
-    blocks += [PsdBlock(f"T{i}", 2 * n) for i in range(2, n)]
-    blocks.append(PsdBlock("Thead", 2 * n))
-    blocks.append(PsdBlock("P", n))
-    return blocks
-
-
-def _ladder_var_map(n: int) -> dict[str, VarSlot]:
-    vm: dict[str, VarSlot] = {}
-    for i in range(1, n):
-        vm[f"U{i}"] = VarSlot(kind="block", block=f"U{i}", order=n)
-    for i in range(2, n):
-        vm[f"W{i}"] = VarSlot(
-            kind="sub_block", block=f"T{i}", row0=0, col0=n, rows=n, cols=n, order=n
+    vm = {f"U{i}": VarSlot(kind="block", block=f"U{i}", order=n) for i in range(1, n)}
+    coupling = {}  # rung i -> its coupling block T_i; rung n is the head
+    ties = []
+    for i in range(2, n + 1):
+        tag = "head" if i == n else str(i)
+        t = coupling[i] = f"T{tag}"
+        blocks.append(PsdBlock(t, 2 * n))
+        vm[f"W{tag}"] = VarSlot(
+            kind="sub_block", block=t, row0=0, col0=n, rows=n, cols=n, order=n
         )
-        vm[f"R{i}"] = VarSlot(
-            kind="sub_block", block=f"T{i}", row0=n, col0=n, rows=n, cols=n, order=n
+        vm[f"R{tag}"] = VarSlot(
+            kind="sub_block", block=t, row0=n, col0=n, rows=n, cols=n, order=n
         )
-        vm[f"V{i}"] = VarSlot(kind="tan_sum", block=f"T{i}", order=n)
-    vm["Whead"] = VarSlot(
-        kind="sub_block", block="Thead", row0=0, col0=n, rows=n, cols=n, order=n
-    )
-    vm["Rhead"] = VarSlot(
-        kind="sub_block", block="Thead", row0=n, col0=n, rows=n, cols=n, order=n
-    )
-    vm["Vhead"] = VarSlot(kind="tan_sum", block="Thead", order=n)
-    vm["P"] = VarSlot(kind="block", block="P", order=n)
-    return vm
-
-
-def _ladder_constraints(inst: SdpInstance, free_offset_of_rung) -> list[Constraint]:
-    """Ladder constraints shared by the dual and the alternative system:
-    𝒜*y^i = U_i + V_i entrywise, <b, y^i> = 0, corner ties."""
-    n, m = inst.n, inst.m
-    n_free = m * n
-    cons: list[Constraint] = []
-    for i in range(1, n):
-        off = free_offset_of_rung(i)
+        vm[f"V{tag}"] = VarSlot(kind="tan_sum", block=t, order=n)
         for p, q in svec_order(n):
-            free = np.zeros(n_free)
-            for j in range(m):
-                free[off + j] = inst.a[j].a[p, q]
-            mats = {f"U{i}": -_e_sym(n, p, q)}
-            if i >= 2:
-                mats[f"T{i}"] = -_tan_entry_coupler(n, p, q)
-            cons.append(
-                Constraint(name=f"rung{i}_decomp[{p},{q}]", mats=mats, free=free, rhs=0.0)
-            )
-        free = np.zeros(n_free)
-        free[off : off + m] = inst.b
-        cons.append(Constraint(name=f"rung{i}_rhs", mats={}, free=free, rhs=0.0))
-    for i in range(2, n):
-        for p, q in svec_order(n):
-            cons.append(
+            ties.append(
                 Constraint(
-                    name=f"tie{i}[{p},{q}]",
-                    mats={f"T{i}": _e_sym(2 * n, p, q), f"U{i - 1}": -_e_sym(n, p, q)},
+                    name=f"tie{tag}[{p},{q}]",
+                    mats={t: _e_sym(2 * n, p, q), f"U{i - 1}": -_e_sym(n, p, q)},
                     free=np.zeros(n_free),
                     rhs=0.0,
                 )
             )
-    for p, q in svec_order(n):
+    blocks.append(PsdBlock("P", n))
+    vm["P"] = VarSlot(kind="block", block="P", order=n)
+    vm.update(slots)
+    cons = list(first)
+    for i, rows in enumerate(rungs, start=1):
+        for suffix, k, free in rows:
+            mats = {} if k is None else _plus_tangent(f"U{i}", coupling.get(i), k, rung_sign)
+            cons.append(Constraint(name=f"rung{i}_{suffix}", mats=mats, free=free, rhs=0.0))
+    cons += ties
+    for idx, (p, q) in enumerate(svec_order(n)):
         cons.append(
             Constraint(
-                name=f"tiehead[{p},{q}]",
-                mats={"Thead": _e_sym(2 * n, p, q), f"U{n - 1}": -_e_sym(n, p, q)},
-                free=np.zeros(n_free),
-                rhs=0.0,
+                name=f"head_decomp[{p},{q}]",
+                mats=_plus_tangent("P", coupling.get(n), _e_sym(n, p, q), head_sign),
+                free=head_free[idx],
+                rhs=float(head_rhs[p, q]),
             )
         )
-    return cons
+    cons += last
+    return StandardFormSdp(
+        system=system,
+        sense=sense,
+        blocks=tuple(blocks),
+        n_free=n_free,
+        objective_mats={},
+        objective_free=objective_free,
+        constraints=tuple(cons),
+        var_map=vm,
+        meta={"n": n, "m": inst.m},
+    )
+
+
+def _at_rows(inst: SdpInstance, n_free: int, off: int) -> np.ndarray:
+    """Row idx holds the coefficients of (𝒜*y)[p, q], (p, q) the idx-th
+    svec pair, for y stored at free offset off."""
+    i, j = svec_index(inst.n)
+    rows = np.zeros((i.size, n_free))
+    for t, a in enumerate(inst.a):
+        rows[:, off + t] = a.a[i, j]
+    return rows
+
+
+def _b_row(inst: SdpInstance, n_free: int, off: int) -> np.ndarray:
+    """Coefficients of <b, y> for y stored at free offset off."""
+    row = np.zeros(n_free)
+    row[off : off + inst.m] = inst.b
+    return row
+
+
+def _dual_ladder(
+    inst: SdpInstance,
+    system: str,
+    head_sign: float,
+    head_rhs: np.ndarray,
+    objective_free: np.ndarray,
+    last: Sequence[Constraint] = (),
+) -> StandardFormSdp:
+    """dram and altram: free y, y^1..y^{n-1} (y^i at offset m·i); rung i
+    reads 𝒜*y^i = U_i + V_i entrywise and <b, y^i> = 0."""
+    n, m = inst.n, inst.m
+    n_free = m * n
+
+    def rung(i):  # a generator, so one rung's rows are alive at a time
+        at = _at_rows(inst, n_free, m * i)
+        for idx, (p, q) in enumerate(svec_order(n)):
+            yield f"decomp[{p},{q}]", _e_sym(n, p, q), at[idx]
+        yield "rhs", None, _b_row(inst, n_free, m * i)
+
+    slots = {"y": VarSlot(kind="free_vec", offset=0, length=m)}
+    for i in range(1, n):
+        slots[f"y{i}"] = VarSlot(kind="free_vec", offset=m * i, length=m)
+    return _ladder_system(
+        inst,
+        system,
+        SENSE_MAX,
+        rungs=(rung(i) for i in range(1, n)),
+        rung_sign=-1.0,
+        head_sign=head_sign,
+        head_free=_at_rows(inst, n_free, 0),
+        head_rhs=head_rhs,
+        last=last,
+        objective_free=objective_free,
+        slots=slots,
+    )
 
 
 def build_dram(inst: SdpInstance) -> StandardFormSdp:
@@ -298,70 +372,11 @@ def build_dram(inst: SdpInstance) -> StandardFormSdp:
 
     Free variables are y followed by y^1..y^{n-1}; the head constraint
     C - 𝒜*y = P + (Whead + Wheadᵀ) encodes membership in S₊ + tan(U_{n-1}).
-    The degenerate order-1 instance has no ladder and reduces to the
+    The order-1 instance is the zero-rung ladder C - 𝒜*y = P, the
     classical dual.
     """
-    n, m = inst.n, inst.m
-    if n == 1:
-        blocks = (PsdBlock("P", 1),)
-        n_free = m
-        cons = []
-        free = np.array([inst.a[j].a[0, 0] for j in range(m)])
-        cons.append(
-            Constraint(
-                name="head_decomp[0,0]",
-                mats={"P": np.array([[1.0]])},
-                free=free,
-                rhs=float(inst.c.a[0, 0]),
-            )
-        )
-        vm = {
-            "y": VarSlot(kind="free_vec", offset=0, length=m),
-            "P": VarSlot(kind="block", block="P", order=1),
-        }
-        return StandardFormSdp(
-            system="dram",
-            sense=SENSE_MAX,
-            blocks=blocks,
-            n_free=n_free,
-            objective_mats={},
-            objective_free=inst.b.copy(),
-            constraints=tuple(cons),
-            var_map=vm,
-            meta={"n": n, "m": m},
-        )
-    n_free = m * n
-    off = lambda i: m * i  # y at 0, y^i at m*i
-    cons = _ladder_constraints(inst, off)
-    for p, q in svec_order(n):
-        free = np.zeros(n_free)
-        for j in range(m):
-            free[j] = inst.a[j].a[p, q]
-        cons.append(
-            Constraint(
-                name=f"head_decomp[{p},{q}]",
-                mats={"P": _e_sym(n, p, q), "Thead": _tan_entry_coupler(n, p, q)},
-                free=free,
-                rhs=float(inst.c.a[p, q]),
-            )
-        )
-    obj_free = np.zeros(n_free)
-    obj_free[:m] = inst.b
-    vm = _ladder_var_map(n)
-    vm["y"] = VarSlot(kind="free_vec", offset=0, length=m)
-    for i in range(1, n):
-        vm[f"y{i}"] = VarSlot(kind="free_vec", offset=m * i, length=m)
-    return StandardFormSdp(
-        system="dram",
-        sense=SENSE_MAX,
-        blocks=tuple(_ladder_blocks(n)),
-        n_free=n_free,
-        objective_mats={},
-        objective_free=obj_free,
-        constraints=tuple(cons),
-        var_map=vm,
-        meta={"n": n, "m": m},
-    )
+    n_free = inst.m * inst.n
+    return _dual_ladder(inst, "dram", 1.0, inst.c.a, _b_row(inst, n_free, 0))
 
 
 def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
@@ -370,67 +385,20 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
     Same ladder as the exact dual; the head becomes 𝒜*y = P + V with
     <b, y> = -1 and there is no objective.
     """
-    n, m = inst.n, inst.m
-    if n == 1:
-        blocks = (PsdBlock("P", 1),)
-        free = np.array([inst.a[j].a[0, 0] for j in range(m)])
-        cons = [
-            Constraint(
-                name="head_decomp[0,0]",
-                mats={"P": np.array([[-1.0]])},
-                free=free,
-                rhs=0.0,
-            ),
-            Constraint(name="head_rhs", mats={}, free=inst.b.copy(), rhs=-1.0),
-        ]
-        vm = {
-            "y": VarSlot(kind="free_vec", offset=0, length=m),
-            "P": VarSlot(kind="block", block="P", order=1),
-        }
-        return StandardFormSdp(
-            system="altram",
-            sense=SENSE_MAX,
-            blocks=blocks,
-            n_free=m,
-            objective_mats={},
-            objective_free=np.zeros(m),
-            constraints=tuple(cons),
-            var_map=vm,
-            meta={"n": n, "m": m},
-        )
-    n_free = m * n
-    off = lambda i: m * i
-    cons = _ladder_constraints(inst, off)
-    for p, q in svec_order(n):
+    n, n_free = inst.n, inst.m * inst.n
+    head_rhs = Constraint(name="head_rhs", mats={}, free=_b_row(inst, n_free, 0), rhs=-1.0)
+    return _dual_ladder(inst, "altram", -1.0, np.zeros((n, n)), np.zeros(n_free), (head_rhs,))
+
+
+def _primal_eq(inst: SdpInstance, n_free: int) -> list[Constraint]:
+    """𝒜X = b over the utri layout of X at free offset 0."""
+    cons = []
+    for t, a in enumerate(inst.a):
         free = np.zeros(n_free)
-        for j in range(m):
-            free[j] = inst.a[j].a[p, q]
-        cons.append(
-            Constraint(
-                name=f"head_decomp[{p},{q}]",
-                mats={"P": -_e_sym(n, p, q), "Thead": -_tan_entry_coupler(n, p, q)},
-                free=free,
-                rhs=0.0,
-            )
-        )
-    free = np.zeros(n_free)
-    free[:m] = inst.b
-    cons.append(Constraint(name="head_rhs", mats={}, free=free, rhs=-1.0))
-    vm = _ladder_var_map(n)
-    vm["y"] = VarSlot(kind="free_vec", offset=0, length=m)
-    for i in range(1, n):
-        vm[f"y{i}"] = VarSlot(kind="free_vec", offset=m * i, length=m)
-    return StandardFormSdp(
-        system="altram",
-        sense=SENSE_MAX,
-        blocks=tuple(_ladder_blocks(n)),
-        n_free=n_free,
-        objective_mats={},
-        objective_free=np.zeros(n_free),
-        constraints=tuple(cons),
-        var_map=vm,
-        meta={"n": n, "m": m},
-    )
+        coeffs = _free_sym_coeffs(a.a)
+        free[: coeffs.size] = coeffs
+        cons.append(Constraint(name=f"primal_eq{t + 1}", mats={}, free=free, rhs=float(inst.b[t])))
+    return cons
 
 
 def build_pram(inst: SdpInstance) -> StandardFormSdp:
@@ -441,115 +409,28 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
     <C, U_i + V_i> = 0.  Requires linearly independent A_i.
     """
     n, m = inst.n, inst.m
-    stack = constraint_stack(inst)
     if m:
-        s = np.linalg.svd(stack, compute_uv=False)
-        if int(np.sum(s > max(s[0], 1.0) * 1e-8)) < m:
+        s = np.linalg.svd(constraint_stack(inst), compute_uv=False)
+        if int(np.sum(s > max(s[0], 1.0) * INDEP_TOL)) < m:
             raise DependentConstraintsError("A_i are linearly dependent")
     nn = n * (n + 1) // 2
-    x_coeff = {  # coefficients of <A, X> on the utri layout
-        t: _free_sym_coeffs(inst.a[t].a) for t in range(m)
-    }
-    if n == 1:
-        blocks = (PsdBlock("P", 1),)
-        cons = []
-        for t in range(m):
-            cons.append(
-                Constraint(
-                    name=f"primal_eq{t + 1}",
-                    mats={},
-                    free=x_coeff[t],
-                    rhs=float(inst.b[t]),
-                )
-            )
-        cons.append(
-            Constraint(
-                name="head_decomp[0,0]",
-                mats={"P": np.array([[-1.0]])},
-                free=np.ones(1),
-                rhs=0.0,
-            )
-        )
-        vm = {
-            "X": VarSlot(kind="free_sym", offset=0, length=1, order=1),
-            "P": VarSlot(kind="block", block="P", order=1),
-        }
-        return StandardFormSdp(
-            system="pram",
-            sense=SENSE_MIN,
-            blocks=blocks,
-            n_free=1,
-            objective_mats={},
-            objective_free=_free_sym_coeffs(inst.c.a),
-            constraints=tuple(cons),
-            var_map=vm,
-            meta={"n": n, "m": m},
-        )
-    n_free = nn  # X only
-    cons: list[Constraint] = []
-    for t in range(m):
-        cons.append(
-            Constraint(
-                name=f"primal_eq{t + 1}", mats={}, free=x_coeff[t], rhs=float(inst.b[t])
-            )
-        )
-    for i in range(1, n):
-        for t in range(m):
-            mats = {f"U{i}": inst.a[t].a.copy()}
-            if i >= 2:
-                mats[f"T{i}"] = _tan_inner_coupler(n, inst.a[t].a)
-            cons.append(
-                Constraint(name=f"rung{i}_a{t + 1}", mats=mats, free=np.zeros(n_free), rhs=0.0)
-            )
-        mats = {f"U{i}": inst.c.a.copy()}
-        if i >= 2:
-            mats[f"T{i}"] = _tan_inner_coupler(n, inst.c.a)
-        cons.append(
-            Constraint(name=f"rung{i}_c", mats=mats, free=np.zeros(n_free), rhs=0.0)
-        )
-    for i in range(2, n):
-        for p, q in svec_order(n):
-            cons.append(
-                Constraint(
-                    name=f"tie{i}[{p},{q}]",
-                    mats={f"T{i}": _e_sym(2 * n, p, q), f"U{i - 1}": -_e_sym(n, p, q)},
-                    free=np.zeros(n_free),
-                    rhs=0.0,
-                )
-            )
-    for p, q in svec_order(n):
-        cons.append(
-            Constraint(
-                name=f"tiehead[{p},{q}]",
-                mats={"Thead": _e_sym(2 * n, p, q), f"U{n - 1}": -_e_sym(n, p, q)},
-                free=np.zeros(n_free),
-                rhs=0.0,
-            )
-        )
-    # Head: X - P - (Whead + Wheadᵀ) = 0 entrywise.
-    for idx, (p, q) in enumerate(svec_order(n)):
-        free = np.zeros(n_free)
-        free[idx] = 1.0
-        cons.append(
-            Constraint(
-                name=f"head_decomp[{p},{q}]",
-                mats={"P": -_e_sym(n, p, q), "Thead": -_tan_entry_coupler(n, p, q)},
-                free=free,
-                rhs=0.0,
-            )
-        )
-    vm = _ladder_var_map(n)
-    vm["X"] = VarSlot(kind="free_sym", offset=0, length=nn, order=n)
-    return StandardFormSdp(
-        system="pram",
-        sense=SENSE_MIN,
-        blocks=tuple(_ladder_blocks(n)),
-        n_free=n_free,
-        objective_mats={},
+    rungs = [
+        [(f"a{t + 1}", a.a, np.zeros(nn)) for t, a in enumerate(inst.a)]
+        + [("c", inst.c.a, np.zeros(nn))]
+        for _ in range(1, n)
+    ]
+    return _ladder_system(
+        inst,
+        "pram",
+        SENSE_MIN,
+        rungs=rungs,
+        rung_sign=1.0,
+        head_sign=-1.0,
+        head_free=np.eye(nn),
+        head_rhs=np.zeros((n, n)),
         objective_free=_free_sym_coeffs(inst.c.a),
-        constraints=tuple(cons),
-        var_map=vm,
-        meta={"n": n, "m": m},
+        slots={"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
+        first=_primal_eq(inst, nn),
     )
 
 
@@ -596,6 +477,18 @@ def pstrong_spec_from_slack(slack: SymMat, eps: float = EPS_PSD) -> StrongDualSp
     return StrongDualSpec(q=dec.q.copy(), r=cls.rank)
 
 
+def _rotated_entry(q: np.ndarray, p: int, qq: int, s: int, sign: float):
+    """sign·(Q V Qᵀ)[p, qq] as coefficients on a symmetric V split at s.
+
+    Returns the leading s×s and the trailing diagonal blocks of
+    sign·outer(Q[p], Q[qq]) and the row-major coefficients of V[:s, s:],
+    into which both off-diagonal blocks fold.  Adding 0.0 turns the
+    products' -0.0 into 0.0.
+    """
+    c = sign * np.outer(q[p], q[qq]) + 0.0
+    return c[:s, :s], c[s:, s:], (c[:s, s:] + c[s:, :s].T).reshape(-1)
+
+
 def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     """The strong dual: C - 𝒜*y = QVQᵀ with only V₂₂ (trailing r) PSD."""
     n, m = inst.n, inst.m
@@ -607,39 +500,17 @@ def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     n11 = f * (f + 1) // 2
     n_free = m + n11 + f * r
     blocks = (PsdBlock("V22", r),) if r else ()
-    ord11 = svec_order(f)
     cons: list[Constraint] = []
     for p, qq in svec_order(n):
-        free = np.zeros(n_free)
-        for j in range(m):
-            free[j] = inst.a[j].a[p, qq]
-        # (Q V Qᵀ)[p,qq] = Σ_{a,b} Q[p,a] Q[qq,b] V[a,b]
-        k22 = np.zeros((r, r)) if r else None
-        for a in range(n):
-            for b in range(n):
-                coef = q[p, a] * q[qq, b]
-                if coef == 0.0:
-                    continue
-                if a < f and b < f:
-                    i, j = min(a, b), max(a, b)
-                    idx = m + ord11.index((i, j))
-                    free[idx] += coef
-                elif a < f <= b:
-                    free[m + n11 + a * r + (b - f)] += coef
-                elif b < f <= a:
-                    free[m + n11 + b * r + (a - f)] += coef
-                else:
-                    k22[a - f, b - f] += coef
-        mats = {}
-        if r and np.any(k22):
-            mats["V22"] = (k22 + k22.T) / 2.0
+        k11, k22, k12 = _rotated_entry(q, p, qq, f, 1.0)
+        free = np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11), k12])
+        mats = {"V22": (k22 + k22.T) / 2.0} if np.any(k22) else {}
         cons.append(
             Constraint(
                 name=f"slack_eq[{p},{qq}]", mats=mats, free=free, rhs=float(inst.c.a[p, qq])
             )
         )
-    obj = np.zeros(n_free)
-    obj[:m] = inst.b
+    obj = _b_row(inst, n_free, 0)
     vm = {
         "y": VarSlot(kind="free_vec", offset=0, length=m),
         "V11": VarSlot(kind="free_sym", offset=m, length=n11, order=f),
@@ -672,34 +543,12 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     n22 = f * (f + 1) // 2
     n_free = nn + n22 + r * f
     blocks = (PsdBlock("V11", r),) if r else ()
-    ordx = svec_order(n)
-    ord22 = svec_order(f)
-    cons: list[Constraint] = []
-    for t in range(m):
-        free = np.zeros(n_free)
-        free[:nn] = _free_sym_coeffs(inst.a[t].a)
-        cons.append(Constraint(name=f"primal_eq{t + 1}", mats={}, free=free, rhs=float(inst.b[t])))
-    for p, qq in svec_order(n):
-        free = np.zeros(n_free)
-        free[ordx.index((p, qq))] = 1.0
-        k11 = np.zeros((r, r)) if r else None
-        for a in range(n):
-            for b in range(n):
-                coef = -q[p, a] * q[qq, b]
-                if coef == 0.0:
-                    continue
-                if a < r and b < r:
-                    k11[a, b] += coef
-                elif a < r <= b:
-                    free[nn + n22 + a * f + (b - r)] += coef
-                elif b < r <= a:
-                    free[nn + n22 + b * f + (a - r)] += coef
-                else:
-                    i, j = min(a, b) - r, max(a, b) - r
-                    free[nn + ord22.index((i, j))] += coef
-        mats = {}
-        if r and np.any(k11):
-            mats["V11"] = (k11 + k11.T) / 2.0
+    cons = _primal_eq(inst, n_free)
+    x_unit = np.eye(nn)
+    for idx, (p, qq) in enumerate(svec_order(n)):
+        k11, k22, k12 = _rotated_entry(q, p, qq, r, -1.0)
+        free = np.concatenate([x_unit[idx], _free_sym_coeffs(k22), k12])
+        mats = {"V11": (k11 + k11.T) / 2.0} if np.any(k11) else {}
         cons.append(
             Constraint(name=f"shape_eq[{p},{qq}]", mats=mats, free=free, rhs=0.0)
         )
@@ -761,8 +610,7 @@ def red_to_instance(sdp: StandardFormSdp, comp: DualComplement) -> SdpInstance:
 
 
 def _utri_values(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return np.array([a[i, j] for i, j in svec_order(n)])
+    return a[svec_index(a.shape[0])]
 
 
 def _coupling_block(u: SymMat, v: SymMat, eps: float) -> np.ndarray:
@@ -787,7 +635,7 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     from .verify import SYSTEM_DRAM, SYSTEM_PRAM, pad_ladder
 
     cert = pad_ladder(cert, inst)
-    n, m = inst.n, inst.m
+    n = inst.n
     if sdp.system != cert.system:
         raise ValueError(f"certificate is for {cert.system}, SDP is {sdp.system}")
     if sdp.system == SYSTEM_PRAM:
@@ -796,16 +644,13 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     else:
         parts = [np.asarray(cert.y, dtype=float)]
         parts += [np.asarray(r.y, dtype=float) for r in cert.ladder]
-        free = np.concatenate(parts) if parts else np.zeros(0)
+        free = np.concatenate(parts)
         head_z = (
             dual_slack(inst, cert.y)
             if sdp.system == SYSTEM_DRAM
             else apply_at(inst, cert.y)
         )
     blocks: dict[str, np.ndarray] = {}
-    if n == 1:
-        blocks["P"] = head_z.a.copy()
-        return Assignment(blocks=blocks, free=free)
     prev_u = SymMat.zero(n)
     for i, rung in enumerate(cert.ladder, start=1):
         blocks[f"U{i}"] = rung.u.a.copy()
@@ -814,7 +659,8 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
         prev_u = rung.u
     p_head, v_head = split_psd_plus_tan(prev_u, head_z, eps)
     blocks["P"] = p_head.a.copy()
-    blocks["Thead"] = _coupling_block(prev_u, v_head, eps)
+    if n > 1:
+        blocks["Thead"] = _coupling_block(prev_u, v_head, eps)
     return Assignment(blocks=blocks, free=free)
 
 

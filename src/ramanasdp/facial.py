@@ -61,6 +61,14 @@ EPS_ROUND = 1e-6
 # when a null-space basis is taken.
 NULL_RANK_CUT = 1e-12
 
+# rows·y = rhs counts as solvable when the least-squares residual is at most
+# AFFINE_RESIDUAL_TOL·(1 + |rhs|).
+AFFINE_RESIDUAL_TOL = 1e-10
+
+# Eigenvalues of the Gram matrix of the A_i below
+# GRAM_NULL_CUT·max(λ_max, 1) count as zero (branch B's linear certificates).
+GRAM_NULL_CUT = 1e-12
+
 
 class NumericalRankAmbiguityError(RuntimeError):
     """An eigenvalue fell inside the (eps, 100·eps)·scale band; the rank
@@ -224,7 +232,7 @@ def _null_basis(rows: np.ndarray) -> np.ndarray:
 
 
 def _affine_solutions(
-    rows: np.ndarray, rhs: np.ndarray, tol: float = 1e-10
+    rows: np.ndarray, rhs: np.ndarray, tol: float = AFFINE_RESIDUAL_TOL
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Minimum-norm particular solution and nullspace basis of rows·y = rhs."""
     if rows.shape[0] == 0:
@@ -491,7 +499,7 @@ def solve_alternative(
     # otherwise smuggle in a large matrix.
     gram = stack @ stack.T
     w_eig, w_vec = np.linalg.eigh(gram)
-    null_mask = w_eig < max(1.0, float(w_eig[-1])) * 1e-12
+    null_mask = w_eig < max(1.0, float(w_eig[-1])) * GRAM_NULL_CUT
     null_basis = w_vec[:, null_mask]
     if null_basis.shape[1]:
         coeff = null_basis.T @ inst.b

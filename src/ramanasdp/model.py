@@ -53,36 +53,36 @@ class InfeasibleInputError(ValueError):
     """A point required to be primal-feasible is not, beyond tolerance."""
 
 
+def svec_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the fixed coordinate order on S^n:
+    diagonal first, then off-diagonal pairs (i, j), i < j, lexicographic."""
+    iu, ju = np.triu_indices(n, 1)
+    d = np.arange(n)
+    return np.concatenate([d, iu]), np.concatenate([d, ju])
+
+
 def svec_order(n: int) -> list[tuple[int, int]]:
-    """Fixed coordinate order on S^n: diagonal first, then off-diagonal
-    pairs (i, j), i < j, lexicographic."""
-    return [(i, i) for i in range(n)] + [
-        (i, j) for i in range(n) for j in range(i + 1, n)
-    ]
+    """The coordinate order of svec_index as a list of (i, j) pairs."""
+    i, j = svec_index(n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def svec(a: SymMat) -> np.ndarray:
     """Isometric vectorization of S^n (off-diagonals scaled by sqrt 2)."""
-    n = a.n
-    out = np.empty(n * (n + 1) // 2)
-    m = a.a
-    k = 0
-    for i, j in svec_order(n):
-        out[k] = m[i, j] if i == j else m[i, j] * np.sqrt(2.0)
-        k += 1
+    i, j = svec_index(a.n)
+    out = a.a[i, j]
+    out[a.n :] *= np.sqrt(2.0)
     return out
 
 
 def smat(v: np.ndarray, n: int) -> SymMat:
     """Inverse of svec."""
+    i, j = svec_index(n)
+    vals = np.array(v, dtype=float)
+    vals[n:] /= np.sqrt(2.0)
     out = np.zeros((n, n))
-    k = 0
-    for i, j in svec_order(n):
-        if i == j:
-            out[i, i] = v[k]
-        else:
-            out[i, j] = out[j, i] = v[k] / np.sqrt(2.0)
-        k += 1
+    out[i, j] = vals
+    out[j, i] = vals
     return SymMat(out)
 
 

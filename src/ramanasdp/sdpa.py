@@ -45,12 +45,9 @@ def _fmt(x: float) -> str:
 
 
 def _entry_lines(matno: int, blkno: int, mat: np.ndarray, out: list[str]) -> None:
-    n = mat.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            v = mat[i, j]
-            if v != 0.0:
-                out.append(f"{matno} {blkno} {i + 1} {j + 1} {_fmt(v)}")
+    rows, cols = np.nonzero(np.triu(mat))  # row-major upper triangle
+    for i, j, v in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
+        out.append(f"{matno} {blkno} {i + 1} {j + 1} {_fmt(v)}")
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
@@ -64,11 +61,10 @@ def instance_to_sdpa_text(inst: SdpInstance) -> str:
 def _free_split_entries(
     matno: int, blkno: int, n_free: int, coeffs: np.ndarray, out: list[str]
 ) -> None:
-    for j in range(n_free):
+    for j in np.flatnonzero(coeffs).tolist():
         c = coeffs[j]
-        if c != 0.0:
-            out.append(f"{matno} {blkno} {j + 1} {j + 1} {_fmt(c)}")
-            out.append(f"{matno} {blkno} {n_free + j + 1} {n_free + j + 1} {_fmt(-c)}")
+        out.append(f"{matno} {blkno} {j + 1} {j + 1} {_fmt(c)}")
+        out.append(f"{matno} {blkno} {n_free + j + 1} {n_free + j + 1} {_fmt(-c)}")
 
 
 def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:
@@ -197,6 +193,8 @@ def read_sdpa_text(text: str) -> SdpInstance:
     # The rhs vector may span several lines.
     b_vals: list[float] = []
     while len(b_vals) < m:
+        if pos == len(lines):
+            raise ParseError(f"expected {m} rhs values, got {len(b_vals)}", lineno)
         lineno, toks = take()
         try:
             b_vals.extend(float(t) for t in toks)
@@ -229,7 +227,7 @@ def read_sdpa_text(text: str) -> SdpInstance:
             gi = offsets[blkno - 1] + i - 1
             mats[matno][gi, gi] = value
         else:
-            if not 1 <= j <= n:
+            if not 1 <= i <= j <= n:
                 raise ParseError(f"index ({i},{j}) outside block of order {n}", lineno)
             mats[matno][i - 1, j - 1] = value
             mats[matno][j - 1, i - 1] = value

@@ -1,5 +1,7 @@
 """Emission of the exact duals / alternative systems as explicit SDPs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from ramanasdp.builders import (
     min_block_eigenvalue,
     objective_value,
 )
+from ramanasdp.registry import all_ids, get
+from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text
 from ramanasdp.verify import LadderRung, RamanaCertificate
 
 from helpers import inst_gap_rr, inst_infeasible, inst_unattained
@@ -94,6 +98,14 @@ class TestDram:
         asg = Assignment(blocks={"P": np.array([[1.0]])}, free=np.array([1.0]))
         assert max_violation(sdp, asg) <= 1e-12
         assert objective_value(sdp, asg) == pytest.approx(1.0)
+
+    def test_order1_head_outside_psd_refused(self):
+        # Order 1 splits its head like any other order: y = 3 gives the
+        # slack 2 - 3 = -1, outside S₊ + tan(U_0) = S₊.
+        inst = SdpInstance.from_arrays([[[1.0]]], [1.0], [[2.0]])
+        cert = RamanaCertificate(system="dram", y=np.array([3.0]), ladder=())
+        with pytest.raises(ValueError):
+            embed_certificate(build_dram(inst), inst, cert)
 
 
 class TestAltRam:
@@ -358,3 +370,102 @@ class TestStrictExactDualRemark:
         assert rr.status == "feasible"
         for x in sample_feasible(inst, rr, count=5, seed=7):
             assert x.norm() <= 1e-8
+
+
+def _golden_systems():
+    """Every registry instance's dram, altram and pram (all registry A_i are
+    independent), each registry strong certificate's system, and one
+    order-1 instance per ladder system."""
+    for eid in all_ids():
+        entry = get(eid)
+        inst = entry.instance
+        yield f"{eid}/dram", build_dram(inst)
+        yield f"{eid}/altram", build_alt_ram(inst)
+        yield f"{eid}/pram", build_pram(inst)
+        for rc in entry.certificates:
+            if rc.system == "dstrong":
+                yield f"{eid}/{rc.name}", build_dstrong(inst, rc.spec)
+            elif rc.system == "pstrong":
+                yield f"{eid}/{rc.name}", build_pstrong(inst, rc.spec)
+    order1 = SdpInstance.from_arrays([[[1.0]], [[-2.0]]], [1.0, 0.5], [[2.0]])
+    yield "order1/dram", build_dram(order1)
+    yield "order1/altram", build_alt_ram(order1)
+    yield "order1/pram", build_pram(SdpInstance.from_arrays([[[1.0]]], [2.0], [[3.0]]))
+
+
+# SHA-256 of the SDPA text followed by the .varmap text of each system.
+GOLDEN_EMISSION = {
+    "example-1.1-unattained/dram": (
+        "8d416a0df17e90a81e61493115dd20a9e49b8a89df1468fd51bd341b6ee5a548"
+    ),
+    "example-1.1-unattained/altram": (
+        "a9c4f86072224e7fdcf474640d9ba258a969064089f30df35424ff02138f9d04"
+    ),
+    "example-1.1-unattained/pram": (
+        "c14cbd75673459d97083ebd253176b70599e2877bdeee9f584f2a7bac0ed29d6"
+    ),
+    "example-1.1-unattained/strong-dual-origin": (
+        "cd6a5c7f413fe0116af04dcb23527d7486847455f51fac0b2b9da0dc572aef5a"
+    ),
+    "example-2.15-infeasible/dram": (
+        "f63c0c26cbb3de50d1a054624fcf7aa56fb36898734fb6669add48863164a699"
+    ),
+    "example-2.15-infeasible/altram": (
+        "34eb8cc8934bd302bd69cbbaf2a03b57aa8375bf727027640fac5d1444ae7505"
+    ),
+    "example-2.15-infeasible/pram": (
+        "cef3989b6850a89037d9b05fa9017861858d04200335a6179298aa4640b6d021"
+    ),
+    "example-2.3-gap/dram": (
+        "69be4b5a78285cfff399f94c79df0c9f6938ba69a6ad07c4322f213697fe4583"
+    ),
+    "example-2.3-gap/altram": (
+        "52e206ca3e9065227b69ba18629208571ad2f2b3df048ac9ec10bdbb93f0690b"
+    ),
+    "example-2.3-gap/pram": (
+        "d1364a0e95368b80f8ef49619920cdeb47693570f5bca62ccba193eea9111628"
+    ),
+    "example-2.5-rr/dram": (
+        "4c9a3892027afa1cbec077fb87b4fd7d64bdfc67f64a9db42f08dec48a999b06"
+    ),
+    "example-2.5-rr/altram": (
+        "821e3ca4be7164dddab2dd4e00ca708405fbfcd7a9fa494fe8a3c5fa5397ff38"
+    ),
+    "example-2.5-rr/pram": (
+        "77c96cc5e372965736d481ccebcfd7321f10063c37ebc1847a457ca92818dcdf"
+    ),
+    "example-2.5-rr/strong-dual-trailing2": (
+        "f1c0b3cc4efd47140aa3e45ac7f599552f34f4e14824bc7b7df2f7cce7523750"
+    ),
+    "example-2.5-rr/strong-primal-leading3": (
+        "bc7497303295bf30a2ff7a1b1c9433ecc180c468219417df79b1745d90efe38d"
+    ),
+    "example-identity-strict/dram": (
+        "877f84ba07cf6ebc2042325f9d21b95ffddd40c70541af02a4179b5b04328021"
+    ),
+    "example-identity-strict/altram": (
+        "0081d2de3dc0e83b337d63f2a649324b2df9edbb6c6492fa7e43536ef483306c"
+    ),
+    "example-identity-strict/pram": (
+        "527f725e60868e9f9b77a221b86b176cc5f1968b44872c066f2a42021a2d1e19"
+    ),
+    "order1/dram": (
+        "ba22cb37af8c771ba5b83a392132210c4cdf5de4ea793e7f7270ee3d97be0506"
+    ),
+    "order1/altram": (
+        "ea06912ae3a440489b58036e9c5cc1bc6575a908f44279f946fe53f439ef2c9f"
+    ),
+    "order1/pram": (
+        "b1b831c835fa92be36c7337d239d14b8a35cdba93f7b51d498e89aa0bfa878a2"
+    ),
+}
+
+
+def test_golden_emission_is_byte_identical():
+    digests = {
+        key: hashlib.sha256(
+            (standard_form_to_sdpa_text(sdp) + varmap_sidecar_text(sdp)).encode()
+        ).hexdigest()
+        for key, sdp in _golden_systems()
+    }
+    assert digests == GOLDEN_EMISSION

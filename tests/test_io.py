@@ -79,6 +79,19 @@ class TestSdpaParse:
             read_sdpa_text(text)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1\n1\n2\n1.0\n1 1 0 1 5.0\n", 5),  # row index 0 would wrap to -1
+            ("3\n1\n2\n1.0 2.0\n", 4),  # right-hand side runs out
+        ],
+        ids=["row-index-zero", "truncated-rhs"],
+    )
+    def test_malformed_input_rejected(self, text, line):
+        with pytest.raises(ParseError) as err:
+            read_sdpa_text(text)
+        assert err.value.line == line
+
     def test_comments_skipped(self):
         text = '* comment\n"another\n1\n1\n1\n0.0\n1 1 1 1 1.0\n'
         inst = read_sdpa_text(text)
