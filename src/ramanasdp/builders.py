@@ -117,12 +117,6 @@ class StandardFormSdp:
     var_map: dict[str, VarSlot]
     meta: dict = field(default_factory=dict)
 
-    def block_order(self, name: str) -> int:
-        for b in self.blocks:
-            if b.name == name:
-                return b.order
-        raise KeyError(name)
-
 
 @dataclass
 class Assignment:

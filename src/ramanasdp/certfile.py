@@ -18,6 +18,7 @@ n, m and the system tag), followed by named records:
 
 Ladder records are named y1..y{n-1}, U1..U{n-1}, V1..V{n-1}; a missing
 record is zero (certificates are front-padded on verification anyway).
+A non-finite number or a repeated record makes the file malformed.
 The primal system stores X; strong systems store the point plus the
 rotation Q and the block order r.
 """
@@ -25,6 +26,7 @@ rotation Q and the block order r.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -136,6 +138,13 @@ def write_certificate(path: str, inst: SdpInstance, system: str, **kw) -> None:
         fh.write(certificate_to_text(inst, system, **kw))
 
 
+def _floats(toks: list[str], what: str) -> list[float]:
+    vals = [float(t) for t in toks]
+    if not all(math.isfinite(v) for v in vals):
+        raise CertificateFormatError(f"{what} has a non-finite entry")
+    return vals
+
+
 def parse_certificate_text(text: str) -> CertificateFile:
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     idx = 0
@@ -157,6 +166,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
     scalars: dict[str, float] = {}
     vectors: dict[str, np.ndarray] = {}
     matrices: dict[str, np.ndarray] = {}
+    seen: set[tuple[str, ...]] = set()
     while idx < len(lines):
         try:
             ln = next_line()
@@ -166,15 +176,19 @@ def parse_certificate_text(text: str) -> CertificateFile:
         if not toks:
             continue
         kind = toks[0]
+        record = tuple(toks[:2]) if kind in ("scalar", "vector", "matrix") else (kind,)
+        if record in seen:
+            raise CertificateFormatError(f"repeated record {' '.join(record)!r}")
+        seen.add(record)
         if kind in ("system", "instance-hash", "n", "m", "value"):
             if len(toks) != 2:
                 raise CertificateFormatError(f"malformed header line {ln!r}")
             fields[kind] = toks[1]
         elif kind == "scalar":
-            scalars[toks[1]] = float(toks[2])
+            scalars[toks[1]] = _floats(toks[2:3], f"scalar {toks[1]}")[0]
         elif kind == "vector":
             name, length = toks[1], int(toks[2])
-            vals = np.array([float(t) for t in next_line().split()])
+            vals = np.array(_floats(next_line().split(), f"vector {name}"))
             if vals.shape != (length,):
                 raise CertificateFormatError(f"vector {name}: expected {length} values")
             vectors[name] = vals
@@ -182,7 +196,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
             name, order = toks[1], int(toks[2])
             rows = []
             for _ in range(order):
-                row = [float(t) for t in next_line().split()]
+                row = _floats(next_line().split(), f"matrix {name}")
                 if len(row) != order:
                     raise CertificateFormatError(f"matrix {name}: ragged row")
                 rows.append(row)
@@ -200,7 +214,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
         instance_hash=fields["instance-hash"],
         n=int(fields["n"]),
         m=int(fields["m"]),
-        claimed_value=float(fields["value"]) if "value" in fields else None,
+        claimed_value=_floats([fields["value"]], "value")[0] if "value" in fields else None,
         scalars=scalars,
         vectors=vectors,
         matrices=matrices,

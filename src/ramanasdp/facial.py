@@ -19,9 +19,15 @@ build_rr_form constructs the reformulation by the classical loop: find y
 with 𝒜*y PSD and nonzero and <b, y> ≤ 0 (solve_alternative), swap that
 combination into the next row, rotate by its eigenvectors, delete the
 newly-zeroed rows and columns, and recurse; a strictly negative <b, y>
-ends the loop on the infeasibility branch.  The embedded subsolver is a
-small dense barrier method; its certificates are polished onto the
-active face, thresholded, and revalidated before use.
+ends the loop on the infeasibility branch.  When the certifying rows
+fill the whole order they are merged into one positive definite row, so
+k ≤ n - 1 wherever the construction allows it.
+
+Each certificate comes from one path: solve_alternative maximizes
+λ_min(𝒜*y) over an affine slice with the embedded barrier method
+(branches A and C) unless a linear certificate 𝒜*y = 0 exists (branch
+B); the optimum is polished onto its face at one tolerance, thresholded,
+re-polished on its support and revalidated exactly, or refused.
 """
 
 from __future__ import annotations
@@ -275,8 +281,7 @@ def _revalidate_candidate(
     never have to guess, and so are badly cancelling candidates (huge y
     against a small 𝒜*y), whose zero pattern is numerically meaningless."""
     z = apply_at(inst, y)
-    cls = classify_psd(z, eps)
-    if not cls.is_psd or not _spectrum_is_clean(z, eps):
+    if not _spectrum_is_clean(z, eps):
         return None
     tr = float(np.trace(z.a))
     if tr <= eps * z.scale_factor():
@@ -314,8 +319,7 @@ def _face_residual(
         return float("inf")
     order = np.argsort(np.abs(lam))
     res = float(np.sum(lam[order[:n_active]] ** 2))
-    if rows.shape[0]:
-        res += float(np.sum((rows @ y - rhs) ** 2))
+    res += float(np.sum((rows @ y - rhs) ** 2))
     return res
 
 
@@ -358,10 +362,9 @@ def _polish_on_face(
                 vb = vecs[:, active[bi_idx]]
                 sys_rows.append([float(va @ mats[j] @ vb) for j in cols])
                 sys_rhs.append(-float(va @ z @ vb))
-        if rows.shape[0]:
-            for ci in range(rows.shape[0]):
-                sys_rows.append([rows[ci, j] for j in cols])
-                sys_rhs.append(float(rhs[ci]) - float(rows[ci] @ y))
+        for ci in range(rows.shape[0]):
+            sys_rows.append([rows[ci, j] for j in cols])
+            sys_rhs.append(float(rhs[ci]) - float(rows[ci] @ y))
         if not sys_rows:
             return best
         a_sys = np.asarray(sys_rows)
@@ -389,25 +392,6 @@ def _polish_on_face(
     return best
 
 
-def _face_tolerance_ladder(z: SymMat, eps: float) -> list[float]:
-    """Face tolerances to try, most aggressive first.
-
-    Beyond the base level, one tolerance is added just above every group
-    of small positive eigenvalues (below CLEAN_SPECTRUM_RATIO of the top):
-    when the optimizer lands in the interior of a degenerate optimal face,
-    flattening those groups polishes the candidate onto a clean lower-rank
-    vertex instead of keeping ill-conditioned near-zero eigenvalues.
-    """
-    scale = z.scale_factor()
-    lam = np.linalg.eigvalsh(z.a)
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    tols = {1e-5 * scale}
-    for x in lam:
-        if eps * scale < x < CLEAN_SPECTRUM_RATIO * max(lam_max, 1.0):
-            tols.add(min(2.0 * float(x), 0.5 * lam_max))
-    return sorted(tols, reverse=True)
-
-
 def _clean_and_validate(
     inst: SdpInstance,
     y: np.ndarray,
@@ -416,27 +400,60 @@ def _clean_and_validate(
     target: Optional[float],
     eps: float,
 ) -> Optional[AltCertificateRaw]:
-    """Face polish, entry thresholding, support re-polish, revalidation."""
-    z0 = apply_at(inst, y)
-    candidates = []
-    for face_tol in _face_tolerance_ladder(z0, eps):
-        y_pol = _polish_on_face(inst, y, rows, rhs, face_tol)
-        y_thr = y_pol.copy()
-        # The rounding scale is the candidate's own magnitude: an absolute
-        # floor would zero meaningful entries of small-norm certificates.
-        y_thr[np.abs(y_thr) < EPS_ROUND * float(np.max(np.abs(y_pol)))] = 0.0
-        support = np.nonzero(y_thr)[0]
-        if support.size:
-            candidates.append(
-                _polish_on_face(inst, y_thr, rows, rhs, face_tol, support)
-            )
-        candidates.extend([y_thr, y_pol])
-    candidates.append(y)
-    for cand in candidates:
-        cert = _revalidate_candidate(inst, cand, target, eps)
-        if cert is not None:
-            return cert
-    return None
+    """Turn a subsolver optimum into a certificate, or None.
+
+    One path at one face tolerance: polish y onto the face of z = 𝒜*y,
+    zero the entries below EPS_ROUND of the largest, polish again on the
+    remaining support, then revalidate exactly.  The face tolerance is
+    1e-5·scale, raised to just above the largest small positive eigenvalue
+    of z (one below CLEAN_SPECTRUM_RATIO of the top): when the optimizer
+    lands in the interior of a degenerate optimal face, flattening those
+    eigenvalues polishes the candidate onto a clean lower-rank vertex
+    instead of keeping ill-conditioned near-zero ones.
+    """
+    z = apply_at(inst, y)
+    scale = z.scale_factor()
+    lam = np.linalg.eigvalsh(z.a)
+    small = lam[(lam > eps * scale) & (lam < CLEAN_SPECTRUM_RATIO * max(lam[-1], 1.0))]
+    face_tol = 1e-5 * scale
+    if small.size:
+        face_tol = max(face_tol, min(2.0 * float(small[-1]), 0.5 * float(lam[-1])))
+    y_thr = _polish_on_face(inst, y, rows, rhs, face_tol)
+    # The rounding scale is the candidate's own magnitude: an absolute
+    # floor would zero meaningful entries of small-norm certificates.
+    y_thr[np.abs(y_thr) < EPS_ROUND * float(np.max(np.abs(y_thr)))] = 0.0
+    support = np.nonzero(y_thr)[0]
+    y_sup = _polish_on_face(inst, y_thr, rows, rhs, face_tol, support)
+    return _revalidate_candidate(inst, y_sup, target, eps)
+
+
+def _lambda_min_search(
+    inst: SdpInstance,
+    rows: np.ndarray,
+    rhs: np.ndarray,
+    target: float,
+    reg: float,
+    eps: float,
+    max_iter: int,
+) -> tuple[Optional[AltCertificateRaw], Optional[float], bool]:
+    """Maximize λ_min(𝒜*y) over the slice rows·y = rhs and clean the optimum.
+
+    Returns (certificate, λ_min reached, ambiguous).  λ_min is None when
+    the slice is empty; ambiguous marks an optimum inside the tolerance
+    band that cleanup could not turn into a certificate.
+    """
+    sol = _affine_solutions(rows, rhs)
+    if sol is None:
+        return None, None, False
+    y0, null = sol
+    s0 = apply_at(inst, y0).a
+    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
+    res = subsolver.maximize_lambda_min(s0, fam, reg=reg, max_iter=max_iter)
+    y_opt = y0 + null @ res.w
+    if res.value < -100.0 * eps * max(1.0, apply_at(inst, y_opt).norm()):
+        return None, res.value, False
+    cert = _clean_and_validate(inst, y_opt, rows, rhs, target, eps)
+    return cert, res.value, cert is None
 
 
 def solve_alternative(
@@ -462,36 +479,16 @@ def solve_alternative(
     stack = constraint_stack(inst)
     trace_row = np.array([float(np.trace(a.a)) for a in inst.a])
 
-    ambiguous = False
-
     # Branch A: <b, y> = 0 with trace(𝒜*y) = 1.
-    rows = np.vstack([inst.b, trace_row])
-    rhs = np.array([0.0, 1.0])
-    sol = _affine_solutions(rows, rhs)
-    best_t = None
-    if sol is not None:
-        y0, null = sol
-        s0 = apply_at(inst, y0).a
-        fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-        res = subsolver.maximize_lambda_min(
-            s0, fam, reg=1e-12, max_iter=max_iter
-        )
-        y_opt = y0 + null @ res.w
-        z_norm = float(np.linalg.norm(s0 + sum(w * f for w, f in zip(res.w, fam)))) if fam else float(np.linalg.norm(s0))
-        band = 100.0 * eps * max(1.0, z_norm)
-        best_t = res.value
-        if res.value >= -band:
-            cert = _clean_and_validate(inst, y_opt, rows, rhs, 0.0, eps)
-            if cert is not None:
-                return AltResult(found=True, certificate=cert, max_lambda_min=res.value)
-            ambiguous = True
+    cert, best_t, ambiguous = _lambda_min_search(
+        inst, np.vstack([inst.b, trace_row]), np.array([0.0, 1.0]), 0.0, 1e-12,
+        eps, max_iter,
+    )
+    if cert is not None:
+        return AltResult(found=True, certificate=cert, max_lambda_min=best_t)
+
     if mode == MODE_EQ_ZERO:
-        if ambiguous:
-            raise IterationLimitError(
-                "alternative-system optimum is inside the tolerance band and "
-                "could not be cleaned into a valid certificate"
-            )
-        return AltResult(found=False, max_lambda_min=best_t)
+        return _not_found(best_t, ambiguous)
 
     # Branch B (leq_zero): linear degenerate certificate 𝒜*y = 0, <b,y> = -1.
     # The combination is rescaled, so its matrix must be revalidated at the
@@ -520,23 +517,18 @@ def solve_alternative(
                 )
 
     # Branch C: <b, y> = -1 with a ridge to bound the search.
-    rows_c = inst.b.reshape(1, -1)
-    rhs_c = np.array([-1.0])
-    sol = _affine_solutions(rows_c, rhs_c)
-    if sol is not None:
-        y0, null = sol
-        s0 = apply_at(inst, y0).a
-        fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-        res = subsolver.maximize_lambda_min(s0, fam, reg=1e-8, max_iter=max_iter)
-        y_opt = y0 + null @ res.w
-        z_opt = apply_at(inst, y_opt)
-        band = 100.0 * eps * max(1.0, z_opt.norm())
-        if res.value >= -band:
-            cert = _clean_and_validate(inst, y_opt, rows_c, rhs_c, -1.0, eps)
-            if cert is not None:
-                return AltResult(found=True, certificate=cert, max_lambda_min=res.value)
-            ambiguous = True
-        best_t = res.value if best_t is None else max(best_t, res.value)
+    cert, t_c, ambiguous_c = _lambda_min_search(
+        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, max_iter
+    )
+    if cert is not None:
+        return AltResult(found=True, certificate=cert, max_lambda_min=t_c)
+    if t_c is not None:
+        best_t = t_c if best_t is None else max(best_t, t_c)
+    return _not_found(best_t, ambiguous or ambiguous_c)
+
+
+def _not_found(best_t: Optional[float], ambiguous: bool) -> AltResult:
+    """NotFound, or a refusal when an optimum inside the band resisted cleanup."""
     if ambiguous:
         raise IterationLimitError(
             "alternative-system optimum is inside the tolerance band and "
@@ -607,12 +599,6 @@ def _interior_of_reduced(
     return SymMat(x_red).embed(n, p)
 
 
-def _block_rotation(n: int, p: int, q_small: np.ndarray) -> np.ndarray:
-    q = np.eye(n)
-    q[p:, p:] = q_small
-    return q
-
-
 def build_rr_form(
     inst: SdpInstance, eps: float = EPS_PSD, max_iter: int = 2000
 ) -> RrForm:
@@ -681,7 +667,9 @@ def build_rr_form(
             raise SubsolverFailureError("certificate matrix vanished on the active block")
         m_total = _replace_and_swap(m_total, s, y_red)
         if r_i > 0:
-            q_total = q_total @ _block_rotation(n, p, dec.q)
+            step = np.eye(n)
+            step[p:, p:] = dec.q
+            q_total = q_total @ step
         cur = reformulate(inst, Reformulation(m_total, q_total))
         ranks.append(r_i)
         s += 1
@@ -690,28 +678,20 @@ def build_rr_form(
             status = STATUS_INFEASIBLE
             break
     k = s
-    # Enforce the k ≤ n-1 bound where the construction allows it.
-    if status == STATUS_FEASIBLE and k >= 2 and sum(ranks) == n:
-        coeffs = _pd_combination([cur.a[i] for i in range(k)], ranks, eps)
+    # Enforce the k ≤ n-1 bound where the construction allows it: when the
+    # leading certifying rows (all of them when feasible, all but the
+    # terminal one when infeasible) fill the order, they merge into one
+    # positive definite row 0.  The terminal row, if any, moves up to row 1.
+    lead = k if status == STATUS_FEASIBLE else k - 1
+    if lead >= 2 and sum(ranks[:lead]) == n:
+        coeffs = _pd_combination(cur.a[:lead], ranks[:lead], eps)
         e = np.eye(m)
-        e[0, :k] = coeffs
-        m_total = e @ m_total
+        e[0, :lead] = coeffs
+        order = [0] + list(range(lead, k)) + [i for i in range(1, m) if not lead <= i < k]
+        m_total = (e @ m_total)[order]
         cur = reformulate(inst, Reformulation(m_total, q_total))
-        ranks = [n]
-        k = 1
-    elif status == STATUS_INFEASIBLE and k >= 3 and sum(ranks[: k - 1]) == n:
-        coeffs = _pd_combination([cur.a[i] for i in range(k - 1)], ranks[: k - 1], eps)
-        e = np.eye(m)
-        e[0, : k - 1] = coeffs
-        # The merged PD equation takes row 0; the terminal stays row k-1 and
-        # moves up to row 1.
-        perm = np.eye(m)
-        order = [0, k - 1] + [i for i in range(1, m) if i != k - 1]
-        perm = perm[order]
-        m_total = perm @ e @ m_total
-        cur = reformulate(inst, Reformulation(m_total, q_total))
-        ranks = [n, 0]
-        k = 2
+        ranks = [n] + ranks[lead:]
+        k = 1 + k - lead
     ref = Reformulation(m_total, q_total)
     maxrank = None
     if status == STATUS_FEASIBLE:

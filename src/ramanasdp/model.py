@@ -227,10 +227,6 @@ class Reformulation:
         m_inv = np.linalg.inv(self.m_rows) if self.m_rows.size else self.m_rows.copy()
         return Reformulation(m_inv, self.q.T)
 
-    def compose(self, later: "Reformulation") -> "Reformulation":
-        """Reformulation equivalent to applying self first, then ``later``."""
-        return Reformulation(later.m_rows @ self.m_rows, self.q @ later.q)
-
     def transport_dual(self, y: np.ndarray) -> np.ndarray:
         """Map a dual vector y of the original instance to the reformulated one (M⁻ᵀ y)."""
         return np.linalg.solve(self.m_rows.T, np.asarray(y, dtype=float))

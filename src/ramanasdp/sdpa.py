@@ -5,6 +5,7 @@ block sizes (negative = diagonal), the rhs vector, then one entry line
 "matno blkno i j value" per nonzero of the upper triangle, with matno 0
 the objective matrix.  Reading accepts single-dense-block and
 all-diagonal layouts; anything else raises UnsupportedBlockStructure.
+A non-finite value or a repeated entry raises ParseError with its line.
 
 Emitted standard-form SDPs use the same container.  The file encodes the
 equality-standard-form data the usual way around: matno t holds the
@@ -21,6 +22,7 @@ two writes of the same object are byte-identical.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -200,9 +202,12 @@ def read_sdpa_text(text: str) -> SdpInstance:
             b_vals.extend(float(t) for t in toks)
         except ValueError:
             raise ParseError("right-hand side must be numeric", lineno)
+        if not all(math.isfinite(v) for v in b_vals):
+            raise ParseError("right-hand side value is not finite", lineno)
     if len(b_vals) != m:
         raise ParseError(f"expected {m} rhs values, got {len(b_vals)}", lineno)
     mats = [np.zeros((n, n)) for _ in range(m + 1)]
+    seen: set[tuple[int, int, int, int]] = set()
     while pos < len(lines):
         lineno, toks = take()
         if len(toks) != 5:
@@ -212,6 +217,11 @@ def read_sdpa_text(text: str) -> SdpInstance:
             value = float(toks[4])
         except ValueError:
             raise ParseError("malformed entry line", lineno)
+        if not math.isfinite(value):
+            raise ParseError(f"entry value {toks[4]!r} is not finite", lineno)
+        if (matno, blkno, i, j) in seen:
+            raise ParseError(f"repeated entry ({matno}, {blkno}, {i}, {j})", lineno)
+        seen.add((matno, blkno, i, j))
         if not 0 <= matno <= m:
             raise ParseError(f"matrix index {matno} outside 0..{m}", lineno)
         if not 1 <= blkno <= nblocks:

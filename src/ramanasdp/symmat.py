@@ -337,22 +337,31 @@ def _tangent_witness_from_eigbasis(
     return TangentWitness(w=w, r=SymMat(np.eye(n) * t))
 
 
+def _psd_eigbasis(u: SymMat, eps: float) -> tuple[SpectralDecomp, int]:
+    """Eigenbasis and rank of a PSD U from its one decomposition."""
+    if eps <= 0:
+        raise ValueError("eps_psd must be positive")
+    dec = eig(u)
+    scale = u.scale_factor()
+    if dec.lam[-1] < -eps * scale:
+        raise NotPsdInputError(f"U is not PSD (λ_min = {float(dec.lam[-1]):.3e})")
+    return dec, dec.rank(eps, scale)
+
+
 def tan_contains(u: SymMat, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
     """Test V ∈ tan(U) for PSD U and synthesize a witness on membership.
 
     Rotation to U's eigenbasis reduces the test to a zero-pattern check:
     with r = rank(U), every entry of QᵀVQ outside the leading r rows and
-    columns must vanish below eps·(1+‖V‖).  U = 0 is handled without an
-    eigendecomposition: tan(0) = {0}.
+    columns must vanish below eps·(1+‖V‖).  U = 0 needs no rotation:
+    tan(0) = {0}.
     """
     if u.n != v.n:
         raise ValueError("U and V must have the same order")
-    cls = classify_psd(u, eps)
-    if not cls.is_psd:
-        raise NotPsdInputError(f"U is not PSD (λ_min = {cls.evidence:.3e})")
+    dec, r = _psd_eigbasis(u, eps)
     n = u.n
     v_scale = 1.0 + v.norm()
-    if cls.rank == 0:
+    if r == 0:
         # Degenerate U ≈ 0: membership iff V ≈ 0.
         mags = np.abs(v.a)
         i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -362,8 +371,6 @@ def tan_contains(u: SymMat, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
                 witness=TangentWitness(w=np.zeros((n, n)), r=SymMat.identity(n)),
             )
         return TangentResult(member=False, violation=(int(i), int(j), float(mags[i, j])))
-    dec = eig(u)
-    r = dec.rank(eps, u.scale_factor())
     v_rot = dec.q.T @ v.a @ dec.q
     trailing = np.abs(v_rot[r:, r:])
     if trailing.size:
@@ -378,6 +385,17 @@ def tan_contains(u: SymMat, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
     return TangentResult(member=True, witness=witness)
 
 
+def _trailing_block_psd(
+    dec: SpectralDecomp, r: int, z: SymMat, eps: float
+) -> tuple[bool, float]:
+    """PSD verdict and λ_min of Z's trailing (n-r)-block in U's eigenbasis."""
+    if r == z.n:
+        return True, 0.0
+    block = z if r == 0 else SymMat(dec.q[:, r:].T @ z.a @ dec.q[:, r:])
+    cls = classify_psd(block, eps)
+    return cls.is_psd, cls.evidence
+
+
 def psd_plus_tan_contains(
     u: SymMat, z: SymMat, eps: float = EPS_PSD
 ) -> tuple[bool, float]:
@@ -387,19 +405,7 @@ def psd_plus_tan_contains(
     trailing (n-r)×(n-r) block of the rotated Z is PSD.  Returns the
     verdict and the minimum eigenvalue of that block (0.0 when empty).
     """
-    cls = classify_psd(u, eps)
-    if not cls.is_psd:
-        raise NotPsdInputError(f"U is not PSD (λ_min = {cls.evidence:.3e})")
-    r = cls.rank
-    if r == 0:
-        block = z
-    else:
-        dec = eig(u)
-        block = SymMat(dec.q[:, r:].T @ z.a @ dec.q[:, r:]) if r < z.n else None
-    if block is None:
-        return True, 0.0
-    bcls = classify_psd(block, eps)
-    return bcls.is_psd, bcls.evidence
+    return _trailing_block_psd(*_psd_eigbasis(u, eps), z, eps)
 
 
 def split_psd_plus_tan(u: SymMat, z: SymMat, eps: float = EPS_PSD) -> tuple[SymMat, SymMat]:
@@ -407,17 +413,15 @@ def split_psd_plus_tan(u: SymMat, z: SymMat, eps: float = EPS_PSD) -> tuple[SymM
 
     P carries the trailing block of Z in U's eigenbasis, V the rest.
     """
-    ok, lam_min = psd_plus_tan_contains(u, z, eps)
+    dec, r = _psd_eigbasis(u, eps)
+    ok, lam_min = _trailing_block_psd(dec, r, z, eps)
     if not ok:
         raise ValueError(f"Z is not in S₊ + tan(U): trailing block λ_min = {lam_min:.3e}")
-    cls = classify_psd(u, eps)
-    r = cls.rank
     n = z.n
     if r == 0:
         return z, SymMat.zero(n)
     if r == n:
         return SymMat.zero(n), z
-    dec = eig(u)
     z_rot = dec.q.T @ z.a @ dec.q
     p_rot = np.zeros((n, n))
     p_rot[r:, r:] = z_rot[r:, r:]

@@ -114,20 +114,31 @@ def pad_ladder(cert: RamanaCertificate, inst: SdpInstance) -> RamanaCertificate:
     return replace(cert, ladder=pad + tuple(cert.ladder))
 
 
+def _require_finite(what: str, values) -> None:
+    """Refuse NaN and ±inf: every check compares with '>', which a NaN passes."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate) -> None:
     n, m = inst.n, inst.m
     if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
         if cert.y is None or np.asarray(cert.y).shape != (m,):
             raise ShapeMismatchError("certificate y must be an m-vector")
+        _require_finite("certificate y", cert.y)
     if cert.system == SYSTEM_PRAM:
         if cert.x is None or cert.x.n != n:
             raise ShapeMismatchError("certificate X must be an order-n matrix")
-    for idx, rung in enumerate(cert.ladder):
+        _require_finite("certificate X", cert.x.a)
+    for idx, rung in enumerate(cert.ladder, start=1):
         if rung.u.n != n or rung.v.n != n:
-            raise ShapeMismatchError(f"rung {idx + 1} matrices must have order {n}")
+            raise ShapeMismatchError(f"rung {idx} matrices must have order {n}")
         if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
             if rung.y is None or np.asarray(rung.y).shape != (m,):
-                raise ShapeMismatchError(f"rung {idx + 1} y must be an m-vector")
+                raise ShapeMismatchError(f"rung {idx} y must be an m-vector")
+            _require_finite(f"rung {idx} y", rung.y)
+        _require_finite(f"rung {idx} U", rung.u.a)
+        _require_finite(f"rung {idx} V", rung.v.a)
 
 
 def _fail(name: str, residual: float, warnings=()) -> VerifyOutcome:
@@ -261,6 +272,7 @@ def verify_strong(
     side: 𝒜X = b and the leading r-block of QᵀXQ must be PSD (the block
     where the max-rank slack is positive definite).
     """
+    _require_finite("rotation Q", spec.q)
     spec.validate(inst.n)
     n = inst.n
     r = spec.r
@@ -268,6 +280,7 @@ def verify_strong(
         y = np.asarray(point, dtype=float).reshape(-1)
         if y.shape != (inst.m,):
             raise ShapeMismatchError("y must be an m-vector")
+        _require_finite("y", y)
         slack = dual_slack(inst, y)
         rot = spec.q.T @ slack.a @ spec.q
         if r:
@@ -279,6 +292,7 @@ def verify_strong(
         x = point if isinstance(point, SymMat) else SymMat(point)
         if x.n != n:
             raise ShapeMismatchError("X must have order n")
+        _require_finite("X", x.a)
         ares = float(np.max(np.abs(apply_a(inst, x) - inst.b))) if inst.m else 0.0
         if ares > eps * inst.scale_factor() * (1.0 + x.norm()):
             return _fail("𝒜X != b", ares)

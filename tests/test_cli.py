@@ -159,3 +159,36 @@ class TestEpsFlag:
 
         args = build_parser().parse_args(["inspect", inst_file])
         assert args.eps == 1e-6
+
+
+class TestVerifyNonFinite:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_certificate_entry_refused(self, tmp_path, capsys, bad):
+        # One numeric entry of each registry certificate file is replaced.
+        # A NaN passes every residual check (they compare with '>'), so the
+        # file must be refused before any check runs.
+        from ramanasdp import registry
+        from ramanasdp.certfile import certificate_to_text
+
+        count = 0
+        for eid in registry.all_ids():
+            entry = registry.get(eid)
+            inst_path = tmp_path / f"{eid}.dat-s"
+            write_sdpa(entry.instance, str(inst_path))
+            for rc in entry.certificates:
+                lines = certificate_to_text(
+                    entry.instance, rc.system, cert=rc.cert, spec=rc.spec, point=rc.point
+                ).splitlines()
+                assert main(["verify", str(inst_path), "--cert", _cert_file(tmp_path, lines)]) == 0
+                at = next(i for i, ln in enumerate(lines) if ln.startswith(("vector", "matrix")))
+                lines[at + 1] = " ".join(lines[at + 1].split()[:-1] + [bad])
+                assert main(["verify", str(inst_path), "--cert", _cert_file(tmp_path, lines)]) == 1
+                assert "non-finite" in capsys.readouterr().err
+                count += 1
+        assert count >= 5
+
+
+def _cert_file(tmp_path, lines) -> str:
+    path = tmp_path / "c.cert"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)

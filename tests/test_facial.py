@@ -36,6 +36,7 @@ from helpers import (
     inst_infeasible,
     inst_strict,
     inst_unattained,
+    random_degenerate_instance,
     random_feasible_instance,
     random_orthonormal,
 )
@@ -351,6 +352,21 @@ class TestEdgeCases:
         assert primal_optimal_value(inst, rr) == pytest.approx(0.0, abs=1e-6)
 
 
+class TestFaceTolerance:
+    @pytest.mark.parametrize("seed", [9, 37])
+    def test_raised_face_tolerance_certifies_deep_cascade(self, seed):
+        # Deep cascades (n = 7, blocks (2, 1, 1, 2), two generic rows) whose
+        # alternative-system optimum keeps small positive eigenvalues: the
+        # face tolerance raised just above them polishes the optimum onto a
+        # clean certificate, while the base 1e-5·scale alone makes the
+        # construction refuse.
+        rng = np.random.default_rng(seed)
+        inst, _, planted = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
+        rr = build_rr_form(inst)
+        assert rr.status == STATUS_FEASIBLE
+        assert sum(rr.r) == planted
+
+
 class TestDeepCascadeSoundness:
     def test_deep_reductions_never_lie(self):
         # Beyond one or two rungs the face alignment error (~sqrt machine
@@ -359,8 +375,6 @@ class TestDeepCascadeSoundness:
         # exactly the planted one, or it refuses with a diagnostic error —
         # never a false feasibility status, never silent under-reduction.
         from ramanasdp import NumericalRankAmbiguityError, SubsolverFailureError
-
-        from helpers import random_degenerate_instance
 
         rng = np.random.default_rng(777)
         correct = refused = 0

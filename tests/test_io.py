@@ -84,8 +84,21 @@ class TestSdpaParse:
         [
             ("1\n1\n2\n1.0\n1 1 0 1 5.0\n", 5),  # row index 0 would wrap to -1
             ("3\n1\n2\n1.0 2.0\n", 4),  # right-hand side runs out
+            ("1\n1\n1\nnan\n1 1 1 1 1.0\n", 4),
+            ("2\n1\n1\n1.0\n-inf\n1 1 1 1 1.0\n", 5),
+            ("1\n1\n1\n1.0\n1 1 1 1 inf\n", 5),
+            ("1\n1\n1\n1.0\n0 1 1 1 1e400\n", 5),  # overflows to inf
+            ("1\n1\n2\n1.0\n0 1 1 2 1.0\n1 1 1 1 2.0\n0 1 1 2 2.0\n", 7),
         ],
-        ids=["row-index-zero", "truncated-rhs"],
+        ids=[
+            "row-index-zero",
+            "truncated-rhs",
+            "nan-rhs",
+            "inf-rhs-second-line",
+            "inf-entry",
+            "overflowing-entry",
+            "repeated-entry",
+        ],
     )
     def test_malformed_input_rejected(self, text, line):
         with pytest.raises(ParseError) as err:
@@ -203,6 +216,31 @@ class TestCertificateFiles:
     def test_malformed_header(self):
         with pytest.raises(CertificateFormatError):
             parse_certificate_text("not a certificate\n")
+
+    @pytest.mark.parametrize("record", ["value", "scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, record, bad):
+        lines = certificate_to_text(
+            inst_gap_rr(), "dstrong", spec=StrongDualSpec(q=np.eye(4), r=2),
+            point=np.array([0.0, 0.0, 1.0]), claimed_value=1.0,
+        ).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(record))
+        if record in ("value", "scalar"):
+            toks = lines[at].split()
+            lines[at] = " ".join(toks[:-1] + [bad])
+        else:
+            toks = lines[at + 1].split()
+            lines[at + 1] = " ".join([bad] + toks[1:])
+        with pytest.raises(CertificateFormatError, match="non-finite"):
+            parse_certificate_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("record", ["n 3", "vector y1 3"])
+    def test_repeated_record_rejected(self, record):
+        lines = certificate_to_text(inst_unattained(), "dram", cert=_ladder_cert()).splitlines()
+        at = lines.index(record)
+        copy = lines[at : at + (2 if record.startswith("vector") else 1)]
+        with pytest.raises(CertificateFormatError, match="repeated record"):
+            parse_certificate_text("\n".join(lines + copy) + "\n")
 
     def test_missing_rung_is_zero(self):
         inst = inst_unattained()

@@ -1,5 +1,7 @@
 """Certificate verification, ladder normalization, and the strong-system lift."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -357,3 +359,68 @@ class TestOrthogonalityIdentity:
             for rung in cert.ladder:
                 s = rung.u + rung.v
                 assert abs(x.inner(s)) <= 1e-6 * (1 + x.norm() * s.norm())
+
+
+def _registry_certificates():
+    from ramanasdp import registry
+
+    return [
+        (registry.get(eid).instance, rc)
+        for eid in registry.all_ids()
+        for rc in registry.get(eid).certificates
+    ]
+
+
+def _check(inst, system, cert=None, spec=None, point=None):
+    if system in ("dstrong", "pstrong"):
+        return verify_strong(inst, spec, point, "dual" if system == "dstrong" else "primal")
+    fn = {"dram": verify_dram, "altram": verify_alt_ram, "pram": verify_pram}[system]
+    return fn(inst, cert)
+
+
+def _last_entry_set(values, bad):
+    out = np.array(values, dtype=float)
+    out.flat[-1] = bad
+    return out
+
+
+def _non_finite_variants(rc, bad):
+    """Copies of a registry certificate with one entry of one record set to bad."""
+    if rc.cert is None:
+        point = rc.point.a if isinstance(rc.point, SymMat) else rc.point
+        bad_point = _last_entry_set(point, bad)
+        if isinstance(rc.point, SymMat):
+            bad_point = SymMat(bad_point)
+        bad_spec = StrongDualSpec(q=_last_entry_set(rc.spec.q, bad), r=rc.spec.r)
+        return [dict(spec=bad_spec, point=rc.point), dict(spec=rc.spec, point=bad_point)]
+    cert = rc.cert
+    out = []
+    if cert.y is not None:
+        out.append(replace(cert, y=_last_entry_set(cert.y, bad)))
+    if cert.x is not None:
+        out.append(replace(cert, x=SymMat(_last_entry_set(cert.x.a, bad))))
+    for i, rung in enumerate(cert.ladder):
+        fields = {"u": SymMat(_last_entry_set(rung.u.a, bad)),
+                  "v": SymMat(_last_entry_set(rung.v.a, bad))}
+        if rung.y is not None:
+            fields["y"] = _last_entry_set(rung.y, bad)
+        for name, value in fields.items():
+            ladder = list(cert.ladder)
+            ladder[i] = replace(rung, **{name: value})
+            out.append(replace(cert, ladder=tuple(ladder)))
+    return [dict(cert=c) for c in out]
+
+
+class TestNonFiniteRefused:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_every_verify_refuses_one_non_finite_entry(self, bad):
+        systems = set()
+        for inst, rc in _registry_certificates():
+            assert _check(inst, rc.system, cert=rc.cert, spec=rc.spec, point=rc.point).ok
+            variants = _non_finite_variants(rc, bad)
+            assert variants
+            for kw in variants:
+                with pytest.raises(ValueError, match="non-finite"):
+                    _check(inst, rc.system, **kw)
+            systems.add(rc.system)
+        assert systems == {"dram", "altram", "pram", "dstrong", "pstrong"}
