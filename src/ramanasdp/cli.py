@@ -121,7 +121,7 @@ def cmd_rr_form(args) -> int:
         f"report written to {report_path}",
     ]
     if rr.status == facial.STATUS_FEASIBLE and rr.maxrank_x is not None:
-        rank = int(sum(1 for v in np.linalg.eigvalsh(rr.maxrank_x.a) if v > 1e-8))
+        rank = classify_psd(rr.maxrank_x, args.eps).rank
         lines.insert(2, f"maximum feasible rank: {rank}")
     else:
         lines.insert(2, f"terminal right-hand side: {float(rr.reformulated.b[rr.k - 1]):.9g}")
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps", type=float, default=default_eps,
         help="relative tolerance for all PSD/rank decisions (env RAMANA_EPS)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="subsolver sampling seed")
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     parser.add_argument("--max-iter", type=int, default=4000, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -102,10 +102,16 @@ class SdpInstance:
         object.__setattr__(self, "a", tuple(self.a))
         if len(self.a) != b.shape[0]:
             raise DimensionMismatchError("len(A) must equal len(b)")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b has a non-finite entry")
+        if not np.all(np.isfinite(self.c.a)):
+            raise ValueError("C has a non-finite entry")
         n = self.c.n
         for i, ai in enumerate(self.a):
             if ai.n != n:
                 raise DimensionMismatchError(f"A_{i + 1} has order {ai.n}, expected {n}")
+            if not np.all(np.isfinite(ai.a)):
+                raise ValueError(f"A_{i + 1} has a non-finite entry")
 
     @property
     def n(self) -> int:

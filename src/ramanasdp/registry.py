@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import builders, facial, verify
-from .model import SdpInstance
+from . import builders, facial, subsolver, verify
+from .model import SdpInstance, apply_at
 from .symmat import EPS_PSD, SymMat
 
 VALUE_TOL = 1e-6
@@ -362,9 +362,6 @@ def classical_alternative_feasible(
     inst: SdpInstance, eps: float = EPS_PSD, max_iter: int = 2000
 ) -> bool:
     """Feasibility of the classical alternative system 𝒜*y ⪰ 0, <b,y> = -1."""
-    from . import subsolver
-    from .model import apply_at
-
     stack_rows = inst.b.reshape(1, -1)
     sol = facial._affine_solutions(stack_rows, np.array([-1.0]))
     if sol is None:

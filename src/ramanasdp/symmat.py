@@ -3,7 +3,8 @@
 Everything downstream (instances, facial reduction, certificate checks)
 reduces to four operations on real symmetric matrices:
 
-  * a deterministic spectral decomposition (cyclic Jacobi sweeps),
+  * a deterministic spectral decomposition (LAPACK ``eigh``, with a
+    canonical basis for each eigenspace of a repeated eigenvalue),
   * classification against the PSD cone at a relative tolerance,
   * congruence by an orthonormal matrix, which preserves the trace inner
     product and eigenvalues,
@@ -22,7 +23,6 @@ public operation and scales with 1 + Frobenius norm of the input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,8 +33,9 @@ import numpy as np
 EPS_PSD = 1e-8
 RECON_TOL = 1e-10
 ORTH_TOL = 1e-10
-
-_JACOBI_MAX_SWEEPS = 64
+# Eigenvalues closer than EIG_CLUSTER_TOL·(1+‖A‖) share one eigenspace in eig;
+# also the tie tolerance of the pivot that picks that eigenspace's basis.
+EIG_CLUSTER_TOL = 1e-12
 
 
 class NonOrthonormalError(ValueError):
@@ -158,67 +159,44 @@ class SpectralDecomp:
         return int(np.sum(self.lam > eps * scale))
 
 
-def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi iteration; returns (eigenvalues, eigenvector columns).
+def _canonical_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(V) that depends only on the span.
 
-    Deterministic: fixed sweep order over the strict upper triangle,
-    rotations applied until the off-diagonal mass is at machine level.
+    Column-pivoted Gram-Schmidt on the projector P = VVᵀ: take the column
+    of largest remaining norm (ties to EIG_CLUSTER_TOL go to the lowest
+    index), normalize it and deflate P.  A coordinate subspace gives its
+    unit vectors in index order.
     """
-    n = a.shape[0]
-    m = a.copy()
-    v = np.eye(n)
-    if n == 1:
-        return m.diagonal().copy(), v
-    norm = np.linalg.norm(m)
-    stop = 1e-15 * max(norm, 1e-300)
-    offdiag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Summed directly over the off-diagonal entries: the subtraction
-        # ‖M‖² - ‖diag‖² cancels catastrophically near convergence.
-        off = math.sqrt(float(np.sum(m[offdiag_mask] ** 2)))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-18 * max(norm, 1e-300):
-                    m[p, q] = m[q, p] = 0.0
-                    continue
-                # Classic stable rotation: tan(2θ) from the 2x2 pivot block.
-                theta = 0.5 * (m[q, q] - m[p, p]) / apq
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = m[:, p].copy()
-                rq = m[:, q].copy()
-                m[:, p] = c * rp - s * rq
-                m[:, q] = s * rp + c * rq
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                m[p, q] = m[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return m.diagonal().copy(), v
+    p = v @ v.T
+    out = np.empty_like(v)
+    for j in range(v.shape[1]):
+        norms_sq = p.diagonal()  # ‖P e_i‖² = P_ii for a projector
+        k = int(np.argmax(norms_sq >= norms_sq.max() - EIG_CLUSTER_TOL))
+        out[:, j] = p[:, k] / np.sqrt(norms_sq[k])
+        p = p - np.outer(out[:, j], out[:, j])
+    return out
 
 
 def eig(a: SymMat) -> SpectralDecomp:
-    """Deterministic spectral decomposition by cyclic Jacobi sweeps.
+    """Deterministic spectral decomposition by LAPACK ``eigh``.
 
-    Eigenvalues are returned in descending order (stable among exact
-    ties), and each eigenvector is sign-fixed so that its first
-    coordinate of non-negligible magnitude is positive.  Two calls on
-    bit-identical input return bit-identical output.
+    Eigenvalues are returned in descending order.  Adjacent eigenvalues
+    closer than EIG_CLUSTER_TOL·(1+‖A‖) form one cluster, and each cluster
+    of two or more gets the canonical basis of its eigenspace, so the
+    basis does not depend on the solver's path and diagonal input gives
+    Q = I.  Each eigenvector is then sign-fixed so that its first
+    coordinate of non-negligible magnitude is positive.  Raises
+    ValueError on a non-finite entry.
     """
-    lam, v = _jacobi_sweeps(a.a)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    q = v[:, order]
+    if not np.all(np.isfinite(a.a)):
+        raise ValueError("eig: matrix has a non-finite entry")
+    lam, v = np.linalg.eigh(a.a)
+    lam, q = lam[::-1].copy(), v[:, ::-1].copy()
+    gaps = lam[:-1] - lam[1:]
+    cuts = [0, *(np.flatnonzero(gaps >= EIG_CLUSTER_TOL * a.scale_factor()) + 1), a.n]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo > 1:
+            q[:, lo:hi] = _canonical_basis(q[:, lo:hi])
     for j in range(q.shape[1]):
         col = q[:, j]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .builders import StrongDualSpec
-from .facial import STATUS_INFEASIBLE, RrForm
+from .facial import STATUS_INFEASIBLE, RrForm, validate_frs
 from .model import SdpInstance, apply_a, apply_at, dual_slack
 from .symmat import (
     EPS_PSD,
@@ -346,8 +346,6 @@ def normalize_ladder(
             q_total = q_total @ step
         ranks.append(r_i)
         p += r_i
-    from .facial import validate_frs  # deferred to avoid import cycle at load
-
     rotated = [SymMat(q_total.T @ y.a @ q_total) for y in ys]
     val = validate_frs(rotated, eps)
     membership: list[bool] = []

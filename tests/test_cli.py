@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ramanasdp import SymMat, write_sdpa
+from ramanasdp import SymMat, build_rr_form, classify_psd, write_sdpa
 from ramanasdp.certfile import write_certificate
 from ramanasdp.cli import main
 from ramanasdp.verify import LadderRung, RamanaCertificate
@@ -48,6 +48,16 @@ class TestInspect:
 
 
 class TestRrFormAndEmit:
+    def test_max_rank_counted_at_eps(self, tmp_path, capsys):
+        # The maximum-rank point has eigenvalues 1 and about 3.2e4, so at
+        # --eps 1e-4 the relative cut eps·(1+‖X‖) ≈ 3.2 lies between them.
+        path = tmp_path / "gap.dat-s"
+        write_sdpa(inst_gap_raw(), str(path))
+        assert main(["--eps", "1e-4", "rr-form", str(path)]) == 0
+        rr = build_rr_form(inst_gap_raw(), eps=1e-4)
+        rank = classify_psd(rr.maxrank_x, 1e-4).rank
+        assert f"maximum feasible rank: {rank}" in capsys.readouterr().out
+
     def test_rr_then_emit_strong(self, tmp_path, capsys):
         path = tmp_path / "gap.dat-s"
         write_sdpa(inst_gap_raw(), str(path))
@@ -144,9 +154,9 @@ class TestExamples:
         assert main(["examples", "run", "nope"]) == 1
 
     def test_json_schema_stable(self, capsys):
-        assert main(["--json", "--seed", "0", "examples", "run", "example-2.15-infeasible"]) == 0
+        assert main(["--json", "examples", "run", "example-2.15-infeasible"]) == 0
         first = capsys.readouterr().out
-        assert main(["--json", "--seed", "0", "examples", "run", "example-2.15-infeasible"]) == 0
+        assert main(["--json", "examples", "run", "example-2.15-infeasible"]) == 0
         second = capsys.readouterr().out
         assert first == second
         json.loads(first)

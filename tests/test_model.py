@@ -229,3 +229,16 @@ class TestIngestion:
     def test_exact_input_not_flagged(self):
         inst = inst_unattained()
         assert not inst.symmetrized
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b", "C"])
+    def test_non_finite_data_refused(self, where, bad):
+        a, b, c = [[[1.0, 0.0], [0.0, 0.0]]], [1.0], [[0.0, 0.0], [0.0, 1.0]]
+        if where == "A":
+            a[0][1][1] = bad
+        elif where == "b":
+            b[0] = bad
+        else:
+            c[0][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SdpInstance.from_arrays(a, b, c)

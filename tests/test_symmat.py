@@ -74,6 +74,49 @@ class TestEig:
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert col[nz[0]] > 0
 
+    def test_canonical_basis_of_coordinate_eigenspace(self):
+        # A zero cluster on coordinates 4..6 gets e4, e5, e6 in order, and so
+        # does a repeated eigenvalue between B's largest and smallest.
+        rng = np.random.default_rng(5)
+        b = random_sym(rng, 3).a
+        b = b @ b.T + np.eye(3)
+        a = np.zeros((6, 6))
+        a[:3, :3] = b
+        dec = eig(SymMat(a))
+        assert np.allclose(dec.lam[3:], 0.0, atol=1e-12)
+        assert np.allclose(dec.q[:, 3:], np.eye(6)[:, 3:], rtol=0, atol=1e-14)
+        lam_b = np.linalg.eigvalsh(b)
+        mid = float(lam_b[2] + lam_b[1]) / 2.0
+        a[3:5, 3:5] = mid * np.eye(2)
+        dec = eig(SymMat(a))
+        assert np.allclose(dec.lam[1:3], mid, atol=1e-12)
+        assert np.allclose(dec.q[:, 1:3], np.eye(6)[:, 3:5], rtol=0, atol=1e-14)
+        assert np.allclose(dec.q[:, 5], np.eye(6)[:, 5], rtol=0, atol=1e-14)
+
+    def test_canonical_basis_depends_only_on_eigenspace(self):
+        # The same matrix assembled from two bases of its repeated
+        # eigenspace: eig returns one basis for both.
+        rng = np.random.default_rng(17)
+        u = random_orthonormal(rng, 5)
+        t = 0.7
+        u2 = u.copy()
+        u2[:, 1:3] = u[:, 1:3] @ np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        lam = np.diag([4.0, 1.5, 1.5, 1.5, -2.0])
+        d1, d2 = eig(SymMat(u @ lam @ u.T)), eig(SymMat(u2 @ lam @ u2.T))
+        assert np.allclose(d1.q, d2.q, atol=1e-10)
+        cluster = d1.q[:, 1:4]
+        assert np.allclose(cluster @ cluster.T, u[:, 1:4] @ u[:, 1:4].T, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        for a in (SymMat([[bad]]), SymMat([[bad, 0], [0, 1]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                eig(a)
+            with pytest.raises(ValueError, match="non-finite"):
+                classify_psd(a)
+            with pytest.raises(ValueError, match="non-finite"):
+                tan_contains(a, SymMat.zero(a.n))
+
 
 class TestClassify:
     def test_rank_deficient(self):
