@@ -57,12 +57,15 @@ from .model import (
     DependentConstraintsError,
     DualComplement,
     SdpInstance,
+    apply_at,
     complement_basis,
     constraint_stack,
+    dual_slack,
     svec_index,
     svec_order,
 )
-from .symmat import EPS_PSD, SymMat, check_orthonormal, classify_psd, eig
+from .symmat import EPS_PSD, SymMat, TangentResult, check_orthonormal, classify_psd, tan_contains
+from .symmat import _psd_class, _split_psd_plus_tan, _tan_contains
 
 SENSE_MIN = "min"
 SENSE_MAX = "max"
@@ -467,8 +470,7 @@ def pstrong_spec_from_slack(slack: SymMat, eps: float = EPS_PSD) -> StrongDualSp
     cls = classify_psd(slack, eps)
     if not cls.is_psd:
         raise ValueError("max-rank slack must be PSD")
-    dec = eig(slack)
-    return StrongDualSpec(q=dec.q.copy(), r=cls.rank)
+    return StrongDualSpec(q=cls.dec.q.copy(), r=cls.rank)
 
 
 def _rotated_entry(q: np.ndarray, p: int, qq: int, s: int, sign: float):
@@ -607,11 +609,8 @@ def _utri_values(a: np.ndarray) -> np.ndarray:
     return a[svec_index(a.shape[0])]
 
 
-def _coupling_block(u: SymMat, v: SymMat, eps: float) -> np.ndarray:
-    """[[U, W],[Wᵀ, R]] from a synthesized tangent witness for V ∈ tan(U)."""
-    from .symmat import tan_contains
-
-    res = tan_contains(u, v, eps)
+def _coupling_block(u: SymMat, res: TangentResult) -> np.ndarray:
+    """[[U, W],[Wᵀ, R]] from the synthesized witness of a tan(U) test."""
     if not res.member:
         raise ValueError("certificate rung fails tangent membership; cannot embed")
     return res.witness.block_matrix(u).a
@@ -624,9 +623,7 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     witnesses; the head matrix is split into its PSD part and a tangent
     part in the eigenbasis of the last U.
     """
-    from .model import apply_at, dual_slack
-    from .symmat import split_psd_plus_tan
-    from .verify import SYSTEM_DRAM, SYSTEM_PRAM, pad_ladder
+    from .verify import SYSTEM_DRAM, SYSTEM_PRAM, pad_ladder  # verify imports builders
 
     cert = pad_ladder(cert, inst)
     n = inst.n
@@ -649,19 +646,19 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     for i, rung in enumerate(cert.ladder, start=1):
         blocks[f"U{i}"] = rung.u.a.copy()
         if i >= 2:
-            blocks[f"T{i}"] = _coupling_block(prev_u, rung.v, eps)
+            blocks[f"T{i}"] = _coupling_block(prev_u, tan_contains(prev_u, rung.v, eps))
         prev_u = rung.u
-    p_head, v_head = split_psd_plus_tan(prev_u, head_z, eps)
+    # One decomposition of the last U serves both the split and its witness.
+    ucls = _psd_class(prev_u, eps)
+    p_head, v_head = _split_psd_plus_tan(ucls, head_z, eps)
     blocks["P"] = p_head.a.copy()
     if n > 1:
-        blocks["Thead"] = _coupling_block(prev_u, v_head, eps)
+        blocks["Thead"] = _coupling_block(prev_u, _tan_contains(ucls, v_head, eps))
     return Assignment(blocks=blocks, free=free)
 
 
 def embed_strong_point(sdp: StandardFormSdp, inst: SdpInstance, spec: StrongDualSpec, point) -> Assignment:
     """Map a strong-system point onto the emitted SDP's variables."""
-    from .model import dual_slack
-
     n = inst.n
     r = spec.r
     f = n - r

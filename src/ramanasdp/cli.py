@@ -104,7 +104,12 @@ def cmd_rr_form(args) -> int:
                 q_red = rr_red.ref.q
                 slack = q_red @ rr_red.maxrank_x.a @ q_red.T
                 pstrong_spec = builders.pstrong_spec_from_slack(SymMat(slack), args.eps)
-        except Exception:
+        except (
+            ValueError,
+            facial.SubsolverFailureError,
+            facial.NumericalRankAmbiguityError,
+            facial.IterationLimitError,
+        ):
             pstrong_spec = None  # dual side may be infeasible; report without it
     stem = args.out if args.out else os.path.splitext(args.file)[0]
     inst_path = stem + ".rr.dat-s"

@@ -189,9 +189,8 @@ def validate_frs(mats: Sequence[SymMat], eps: float = EPS_PSD) -> FrsValidation:
                     valid=False,
                     reason=f"member {idx + 1}: nonzero beyond the order-{r_i} block",
                 )
-            dec = eig(lead)
             q_norm_step = np.eye(n)
-            q_norm_step[p : p + r_i, p : p + r_i] = dec.q
+            q_norm_step[p : p + r_i, p : p + r_i] = cls.dec.q
             q_norm = q_norm @ q_norm_step
         ranks.append(r_i)
         p += r_i
@@ -875,6 +874,6 @@ def primal_optimal_value(
     x_start = witness.a[p:, p:]
     fam = [smat(null[:, j], red.n).a for j in range(null.shape[1])]
     _, value = subsolver.minimize_linear_over_face(
-        red.c.a, x_start, fam, np.zeros(null.shape[1]), mu_final=1e-9, max_iter=max_iter
+        red.c.a, x_start, fam, np.zeros(null.shape[1]), max_iter=max_iter
     )
     return value

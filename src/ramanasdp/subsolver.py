@@ -28,6 +28,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 
+# Fixed accuracies: the last mu of the λ_min path, the ridge and tolerance of
+# interior_point's centering, the ridge and last mu of the face minimization.
+_LAMBDA_MIN_MU_FINAL = 1e-11
+_CENTER_REG, _CENTER_TOL = 1e-9, 1e-8
+_FACE_REG, _FACE_MU_FINAL = 1e-10, 1e-9
+
+
 class IterationLimitError(RuntimeError):
     """The kernel exhausted its iteration budget without a verdict."""
 
@@ -134,10 +141,9 @@ def maximize_lambda_min(
     *,
     reg: float = 0.0,
     max_iter: int = 2000,
-    mu_final: float = 1e-11,
     stop_above: Optional[float] = None,
 ) -> LambdaMinResult:
-    """Maximize lambda_min(S(w)) over w, to roughly n·mu_final accuracy.
+    """Maximize lambda_min(S(w)) over w, to roughly n·_LAMBDA_MIN_MU_FINAL accuracy.
 
     ``reg`` adds (reg/2)·‖w‖² to the barrier objective; use a tiny value
     whenever the supremum may be unbounded.  ``stop_above`` ends the run
@@ -150,7 +156,7 @@ def maximize_lambda_min(
     wt, steps = _barrier_path(
         s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
         np.append(np.zeros(d), t0),
-        mu=1.0, mu_final=mu_final, shrink=0.2, inner=60, tol=1e-13,
+        mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.2, inner=60, tol=1e-13,
         max_iter=max_iter, floor=None if stop_above is None else -stop_above,
     )
     w = wt[:d]
@@ -162,14 +168,12 @@ def interior_point(
     s0: np.ndarray,
     mats: Sequence[np.ndarray],
     *,
-    reg: float = 1e-9,
     max_iter: int = 2000,
-    tol: float = 1e-8,
 ) -> Optional[np.ndarray]:
     """A strictly PD point of {S(w) ≻ 0}, or None if none exists to tolerance.
 
     Phase 1 maximizes lambda_min; on success the point is polished toward
-    the regularized analytic center: min -log det S(w) + (reg/2)‖w‖².
+    the regularized analytic center: min -log det S(w) + (_CENTER_REG/2)‖w‖².
     """
     scale = 1.0 + float(np.linalg.norm(s0)) + sum(float(np.linalg.norm(m)) for m in mats)
     phase1 = maximize_lambda_min(
@@ -178,8 +182,8 @@ def interior_point(
     if phase1.value <= 1e-10 * scale:
         return None
     w, _ = _barrier_path(
-        s0, _stack(mats, s0.shape[0]), np.zeros(len(mats)), reg, phase1.w,
-        mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=tol * tol, max_iter=120,
+        s0, _stack(mats, s0.shape[0]), np.zeros(len(mats)), _CENTER_REG, phase1.w,
+        mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=_CENTER_TOL * _CENTER_TOL, max_iter=120,
     )
     return w
 
@@ -190,16 +194,14 @@ def minimize_linear_over_face(
     mats: Sequence[np.ndarray],
     w_start: np.ndarray,
     *,
-    reg: float = 1e-10,
-    mu_final: float = 1e-9,
     max_iter: int = 4000,
 ) -> tuple[np.ndarray, float]:
     """min <obj, S(w)> over {w : S(w) ⪰ 0} by a short barrier path.
 
-    Requires S(w_start) ≻ 0.  The ridge term (reg/2)‖w‖² bounds the path
-    when the feasible set or objective is unbounded; accuracy is
-    O(n·mu_final + reg·‖w*‖²), enough for the 1e-6 value tolerances used
-    by the golden checks.  Returns (w, objective value).
+    Requires S(w_start) ≻ 0.  The ridge term (_FACE_REG/2)‖w‖² bounds the
+    path when the feasible set or objective is unbounded; accuracy is
+    O(n·_FACE_MU_FINAL + _FACE_REG·‖w*‖²), enough for the 1e-6 value
+    tolerances used by the golden checks.  Returns (w, objective value).
     """
     obj = np.asarray(obj, dtype=float)
     fam = _stack(mats, s0.shape[0])
@@ -209,8 +211,8 @@ def minimize_linear_over_face(
         raise ValueError("minimize_linear_over_face requires a strictly feasible start")
     lin = fam.reshape(len(mats), s0.size) @ obj.ravel()
     w, _ = _barrier_path(
-        s0, fam, lin, reg, w,
-        mu=max(1.0, float(np.abs(lin).sum())), mu_final=mu_final, shrink=0.15,
+        s0, fam, lin, _FACE_REG, w,
+        mu=max(1.0, float(np.abs(lin).sum())), mu_final=_FACE_MU_FINAL, shrink=0.15,
         inner=80, tol=1e-12, max_iter=max_iter, c0=const,
     )
     return w, const + float(lin @ w)

@@ -17,13 +17,17 @@ QᵀVQ has no entries outside its leading r rows and columns.  Membership
 therefore reduces to one rotation and a zero-pattern test, and a witness
 (W, R) can be synthesized explicitly when the test passes.
 
+A classification keeps its decomposition.  Each tangent-space test
+classifies U, then runs a private core on that classification; a caller
+that has classified U already (a verifier's last rung) runs the core alone.
+
 All decisions are tolerance-based; the tolerance is a parameter on every
 public operation and scales with 1 + Frobenius norm of the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,10 +115,6 @@ class SymMat:
         """Relative-tolerance scale 1 + Frobenius norm."""
         return 1.0 + self.norm()
 
-    def submatrix(self, lo: int, hi: int) -> "SymMat":
-        """Principal submatrix on indices lo..hi-1."""
-        return SymMat(self._a[lo:hi, lo:hi])
-
     def embed(self, n: int, offset: int) -> "SymMat":
         """Place this matrix as a principal block of an order-n zero matrix."""
         out = np.zeros((n, n))
@@ -151,13 +151,6 @@ class SpectralDecomp:
     q: np.ndarray
     lam: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.lam.shape[0]
-
-    def rank(self, eps: float, scale: float) -> int:
-        return int(np.sum(self.lam > eps * scale))
-
 
 def _canonical_basis(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(V) that depends only on the span.
@@ -185,8 +178,8 @@ def eig(a: SymMat) -> SpectralDecomp:
     of two or more gets the canonical basis of its eigenspace, so the
     basis does not depend on the solver's path and diagonal input gives
     Q = I.  Each eigenvector is then sign-fixed so that its first
-    coordinate of non-negligible magnitude is positive.  Raises
-    ValueError on a non-finite entry.
+    coordinate above 1e-12 in magnitude is positive (a unit vector always
+    has one).  Raises ValueError on a non-finite entry.
     """
     if not np.all(np.isfinite(a.a)):
         raise ValueError("eig: matrix has a non-finite entry")
@@ -197,11 +190,8 @@ def eig(a: SymMat) -> SpectralDecomp:
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo > 1:
             q[:, lo:hi] = _canonical_basis(q[:, lo:hi])
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            q[:, j] = -col
+    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+    q[:, q[lead, np.arange(a.n)] < 0] *= -1.0
     lam.flags.writeable = False
     q.flags.writeable = False
     return SpectralDecomp(q=q, lam=lam)
@@ -218,12 +208,15 @@ class PsdClass:
     """Classification of a symmetric matrix against the PSD cone.
 
     ``evidence`` is the minimum eigenvalue; ``rank`` is the count of
-    eigenvalues above the tolerance (meaningful unless NOT_PSD).
+    eigenvalues above the tolerance (meaningful unless NOT_PSD).  ``dec``
+    is the decomposition the class was read from, kept so the tangent-space
+    tests need not decompose the matrix again; it takes no part in ``==``.
     """
 
     tag: str
     rank: int
     evidence: float
+    dec: SpectralDecomp = field(compare=False, repr=False)
 
     @property
     def is_psd(self) -> bool:
@@ -243,10 +236,10 @@ def classify_psd(a: SymMat, eps_psd: float = EPS_PSD) -> PsdClass:
     lam_min = float(dec.lam[-1])
     thresh = eps_psd * scale
     if lam_min > thresh:
-        return PsdClass(PsdTag.POSITIVE_DEFINITE, a.n, lam_min)
+        return PsdClass(PsdTag.POSITIVE_DEFINITE, a.n, lam_min, dec)
     if lam_min < -thresh:
-        return PsdClass(PsdTag.NOT_PSD, int(np.sum(dec.lam > thresh)), lam_min)
-    return PsdClass(PsdTag.PSD_RANK_DEFICIENT, int(np.sum(dec.lam > thresh)), lam_min)
+        return PsdClass(PsdTag.NOT_PSD, int(np.sum(dec.lam > thresh)), lam_min, dec)
+    return PsdClass(PsdTag.PSD_RANK_DEFICIENT, int(np.sum(dec.lam > thresh)), lam_min, dec)
 
 
 def check_orthonormal(q: np.ndarray, orth_tol: float = ORTH_TOL) -> None:
@@ -315,15 +308,41 @@ def _tangent_witness_from_eigbasis(
     return TangentWitness(w=w, r=SymMat(np.eye(n) * t))
 
 
-def _psd_eigbasis(u: SymMat, eps: float) -> tuple[SpectralDecomp, int]:
-    """Eigenbasis and rank of a PSD U from its one decomposition."""
-    if eps <= 0:
-        raise ValueError("eps_psd must be positive")
-    dec = eig(u)
-    scale = u.scale_factor()
-    if dec.lam[-1] < -eps * scale:
-        raise NotPsdInputError(f"U is not PSD (λ_min = {float(dec.lam[-1]):.3e})")
-    return dec, dec.rank(eps, scale)
+def _psd_class(u: SymMat, eps: float) -> PsdClass:
+    """Classification of U, refusing a U that is not PSD."""
+    cls = classify_psd(u, eps)
+    if not cls.is_psd:
+        raise NotPsdInputError(f"U is not PSD (λ_min = {cls.evidence:.3e})")
+    return cls
+
+
+def _tan_contains(ucls: PsdClass, v: SymMat, eps: float) -> TangentResult:
+    """tan_contains for a PSD U given by its classification."""
+    r, q = ucls.rank, ucls.dec.q
+    n = v.n
+    v_scale = 1.0 + v.norm()
+    if r == 0:
+        # Degenerate U ≈ 0: membership iff V ≈ 0.
+        mags = np.abs(v.a)
+        i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
+        if mags[i, j] <= eps * v_scale:
+            return TangentResult(
+                member=True,
+                witness=TangentWitness(w=np.zeros((n, n)), r=SymMat.identity(n)),
+            )
+        return TangentResult(member=False, violation=(int(i), int(j), float(mags[i, j])))
+    v_rot = q.T @ v.a @ q
+    trailing = np.abs(v_rot[r:, r:])
+    if trailing.size:
+        i, j = np.unravel_index(int(np.argmax(trailing)), trailing.shape)
+        if trailing[i, j] > eps * v_scale:
+            return TangentResult(
+                member=False, violation=(int(i + r), int(j + r), float(trailing[i, j]))
+            )
+    witness = _tangent_witness_from_eigbasis(
+        q, float(ucls.dec.lam[r - 1]), v_rot, r, v.norm()
+    )
+    return TangentResult(member=True, witness=witness)
 
 
 def tan_contains(u: SymMat, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
@@ -336,40 +355,15 @@ def tan_contains(u: SymMat, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
     """
     if u.n != v.n:
         raise ValueError("U and V must have the same order")
-    dec, r = _psd_eigbasis(u, eps)
-    n = u.n
-    v_scale = 1.0 + v.norm()
-    if r == 0:
-        # Degenerate U ≈ 0: membership iff V ≈ 0.
-        mags = np.abs(v.a)
-        i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
-        if mags[i, j] <= eps * v_scale:
-            return TangentResult(
-                member=True,
-                witness=TangentWitness(w=np.zeros((n, n)), r=SymMat.identity(n)),
-            )
-        return TangentResult(member=False, violation=(int(i), int(j), float(mags[i, j])))
-    v_rot = dec.q.T @ v.a @ dec.q
-    trailing = np.abs(v_rot[r:, r:])
-    if trailing.size:
-        i, j = np.unravel_index(int(np.argmax(trailing)), trailing.shape)
-        if trailing[i, j] > eps * v_scale:
-            return TangentResult(
-                member=False, violation=(int(i + r), int(j + r), float(trailing[i, j]))
-            )
-    witness = _tangent_witness_from_eigbasis(
-        dec.q, float(dec.lam[r - 1]), v_rot, r, v.norm()
-    )
-    return TangentResult(member=True, witness=witness)
+    return _tan_contains(_psd_class(u, eps), v, eps)
 
 
-def _trailing_block_psd(
-    dec: SpectralDecomp, r: int, z: SymMat, eps: float
-) -> tuple[bool, float]:
-    """PSD verdict and λ_min of Z's trailing (n-r)-block in U's eigenbasis."""
+def _psd_plus_tan_contains(ucls: PsdClass, z: SymMat, eps: float) -> tuple[bool, float]:
+    """psd_plus_tan_contains for a PSD U given by its classification."""
+    r, q = ucls.rank, ucls.dec.q
     if r == z.n:
         return True, 0.0
-    block = z if r == 0 else SymMat(dec.q[:, r:].T @ z.a @ dec.q[:, r:])
+    block = z if r == 0 else SymMat(q[:, r:].T @ z.a @ q[:, r:])
     cls = classify_psd(block, eps)
     return cls.is_psd, cls.evidence
 
@@ -383,7 +377,25 @@ def psd_plus_tan_contains(
     trailing (n-r)×(n-r) block of the rotated Z is PSD.  Returns the
     verdict and the minimum eigenvalue of that block (0.0 when empty).
     """
-    return _trailing_block_psd(*_psd_eigbasis(u, eps), z, eps)
+    return _psd_plus_tan_contains(_psd_class(u, eps), z, eps)
+
+
+def _split_psd_plus_tan(ucls: PsdClass, z: SymMat, eps: float) -> tuple[SymMat, SymMat]:
+    """split_psd_plus_tan for a PSD U given by its classification."""
+    ok, lam_min = _psd_plus_tan_contains(ucls, z, eps)
+    if not ok:
+        raise ValueError(f"Z is not in S₊ + tan(U): trailing block λ_min = {lam_min:.3e}")
+    r, q = ucls.rank, ucls.dec.q
+    n = z.n
+    if r == 0:
+        return z, SymMat.zero(n)
+    if r == n:
+        return SymMat.zero(n), z
+    z_rot = q.T @ z.a @ q
+    p_rot = np.zeros((n, n))
+    p_rot[r:, r:] = z_rot[r:, r:]
+    p = SymMat(q @ p_rot @ q.T)
+    return p, z - p
 
 
 def split_psd_plus_tan(u: SymMat, z: SymMat, eps: float = EPS_PSD) -> tuple[SymMat, SymMat]:
@@ -391,17 +403,4 @@ def split_psd_plus_tan(u: SymMat, z: SymMat, eps: float = EPS_PSD) -> tuple[SymM
 
     P carries the trailing block of Z in U's eigenbasis, V the rest.
     """
-    dec, r = _psd_eigbasis(u, eps)
-    ok, lam_min = _trailing_block_psd(dec, r, z, eps)
-    if not ok:
-        raise ValueError(f"Z is not in S₊ + tan(U): trailing block λ_min = {lam_min:.3e}")
-    n = z.n
-    if r == 0:
-        return z, SymMat.zero(n)
-    if r == n:
-        return SymMat.zero(n), z
-    z_rot = dec.q.T @ z.a @ dec.q
-    p_rot = np.zeros((n, n))
-    p_rot[r:, r:] = z_rot[r:, r:]
-    p = SymMat(dec.q @ p_rot @ dec.q.T)
-    return p, z - p
+    return _split_psd_plus_tan(_psd_class(u, eps), z, eps)

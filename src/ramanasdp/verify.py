@@ -12,7 +12,9 @@ variable is X.  Verification walks the fixed check order
 
 and reports the first violated constraint with its residual.  Membership
 in S₊ + tan(U) is decided by one trailing-block PSD test in U's
-eigenbasis, which is exact for this set.
+eigenbasis, which is exact for this set.  The head reuses the
+classification of U_{n-1} made at the last rung, so a ladder of L rungs
+costs 2L + 1 decompositions: U_i and U_{i-1} per rung, then the head block.
 
 normalize_ladder implements the inductive rotation that puts the matrices
 𝒜*y^1, ..., 𝒜*y^{n-1} of any feasible certificate into regular facial
@@ -31,14 +33,7 @@ import numpy as np
 from .builders import StrongDualSpec
 from .facial import STATUS_INFEASIBLE, RrForm, validate_frs
 from .model import SdpInstance, apply_a, apply_at, dual_slack
-from .symmat import (
-    EPS_PSD,
-    SymMat,
-    classify_psd,
-    eig,
-    psd_plus_tan_contains,
-    tan_contains,
-)
+from .symmat import EPS_PSD, PsdClass, SymMat, _psd_plus_tan_contains, classify_psd, tan_contains
 
 SYSTEM_DRAM = "dram"
 SYSTEM_ALTRAM = "altram"
@@ -149,11 +144,13 @@ def _fail(name: str, residual: float, warnings=()) -> VerifyOutcome:
 
 def _check_ladder(
     inst: SdpInstance, cert: RamanaCertificate, eps: float
-) -> Optional[VerifyOutcome]:
-    """Shared rung checks; returns a failure outcome or None."""
+) -> VerifyOutcome | PsdClass:
+    """Shared rung checks: the first failure, or else the classification of
+    the last U (U_0 = 0 for an empty ladder) for the head test."""
     n = inst.n
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
     prev_u = SymMat.zero(n)
+    ucls = None
     for idx, rung in enumerate(cert.ladder, start=1):
         if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
             lhs = apply_at(inst, rung.y)
@@ -187,11 +184,7 @@ def _check_ladder(
                 mag,
             )
         prev_u = rung.u
-    return None
-
-
-def _last_u(cert: RamanaCertificate, n: int) -> SymMat:
-    return cert.ladder[-1].u if cert.ladder else SymMat.zero(n)
+    return ucls if ucls is not None else classify_psd(prev_u, eps)
 
 
 def _value_warnings(cert: RamanaCertificate, value: float, eps: float) -> tuple[str, ...]:
@@ -208,11 +201,11 @@ def verify_dram(
     """Check a certificate of the exact dual; Feasible reports <b, y>."""
     _check_cert_shape(inst, cert)
     cert = pad_ladder(cert, inst)
-    bad = _check_ladder(inst, cert, eps)
-    if bad is not None:
-        return bad
+    last_u = _check_ladder(inst, cert, eps)
+    if isinstance(last_u, VerifyOutcome):
+        return last_u
     slack = dual_slack(inst, cert.y)
-    ok, lam_min = psd_plus_tan_contains(_last_u(cert, inst.n), slack, eps)
+    ok, lam_min = _psd_plus_tan_contains(last_u, slack, eps)
     if not ok:
         return _fail("head: C - 𝒜*y not in S₊ + tan(U_{n-1})", -lam_min)
     value = float(inst.b @ cert.y)
@@ -225,11 +218,11 @@ def verify_alt_ram(
     """Check a certificate of the exact alternative system (Valid/Invalid)."""
     _check_cert_shape(inst, cert)
     cert = pad_ladder(cert, inst)
-    bad = _check_ladder(inst, cert, eps)
-    if bad is not None:
-        return bad
+    last_u = _check_ladder(inst, cert, eps)
+    if isinstance(last_u, VerifyOutcome):
+        return last_u
     z = apply_at(inst, cert.y)
-    ok, lam_min = psd_plus_tan_contains(_last_u(cert, inst.n), z, eps)
+    ok, lam_min = _psd_plus_tan_contains(last_u, z, eps)
     if not ok:
         return _fail("head: 𝒜*y not in S₊ + tan(U_{n-1})", -lam_min)
     bval = float(inst.b @ cert.y)
@@ -245,14 +238,14 @@ def verify_pram(
     """Check a certificate of the exact primal; Feasible reports <C, X>."""
     _check_cert_shape(inst, cert)
     cert = pad_ladder(cert, inst)
-    bad = _check_ladder(inst, cert, eps)
-    if bad is not None:
-        return bad
+    last_u = _check_ladder(inst, cert, eps)
+    if isinstance(last_u, VerifyOutcome):
+        return last_u
     ares = float(np.max(np.abs(apply_a(inst, cert.x) - inst.b))) if inst.m else 0.0
     scale = inst.scale_factor() * (1.0 + cert.x.norm())
     if ares > eps * scale:
         return _fail("head: 𝒜X != b", ares)
-    ok, lam_min = psd_plus_tan_contains(_last_u(cert, inst.n), cert.x, eps)
+    ok, lam_min = _psd_plus_tan_contains(last_u, cert.x, eps)
     if not ok:
         return _fail("head: X not in S₊ + tan(U_{n-1})", -lam_min)
     value = inst.c.inner(cert.x)
@@ -340,9 +333,8 @@ def normalize_ladder(
             )
         r_i = cls.rank
         if r_i:
-            dec = eig(block)
             step = np.eye(n)
-            step[p:, p:] = dec.q
+            step[p:, p:] = cls.dec.q
             q_total = q_total @ step
         ranks.append(r_i)
         p += r_i

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ramanasdp import SymMat, build_rr_form, classify_psd, write_sdpa
+from ramanasdp import SymMat, build_rr_form, builders, classify_psd, write_sdpa
 from ramanasdp.certfile import write_certificate
 from ramanasdp.cli import main
 from ramanasdp.verify import LadderRung, RamanaCertificate
@@ -57,6 +57,17 @@ class TestRrFormAndEmit:
         rr = build_rr_form(inst_gap_raw(), eps=1e-4)
         rank = classify_psd(rr.maxrank_x, 1e-4).rank
         assert f"maximum feasible rank: {rank}" in capsys.readouterr().out
+
+    def test_rr_form_lets_unexpected_errors_through(self, tmp_path, monkeypatch):
+        # Only the dual side's refusals drop the pstrong spec; a bug raises.
+        def broken(inst):
+            raise TypeError("broken")
+
+        path = tmp_path / "gap.dat-s"
+        write_sdpa(inst_gap_raw(), str(path))
+        monkeypatch.setattr(builders, "build_red", broken)
+        with pytest.raises(TypeError, match="broken"):
+            main(["rr-form", str(path)])
 
     def test_rr_then_emit_strong(self, tmp_path, capsys):
         path = tmp_path / "gap.dat-s"

@@ -74,6 +74,32 @@ class TestEig:
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert col[nz[0]] > 0
 
+    def test_sign_convention_random(self):
+        # Each column's first entry above 1e-12 in magnitude is positive,
+        # also when the leading entries are nonzero but below 1e-12: a
+        # rotation by 1e-13 radians in the (0, k) plane puts entries of
+        # that size in row 0 of the eigenvectors of a block-diagonal matrix.
+        rng = np.random.default_rng(11)
+        tiny_leads = 0
+        for n in range(1, 10):
+            for _ in range(4):
+                basis = np.eye(n)
+                if n > 1:
+                    basis[1:, 1:] = random_orthonormal(rng, n - 1)
+                    k = int(rng.integers(1, n))
+                    givens = np.eye(n)
+                    c, s = np.cos(1e-13), np.sin(1e-13)
+                    givens[[0, 0, k, k], [0, k, 0, k]] = c, -s, s, c
+                    basis = givens @ basis
+                lam = rng.permutation(np.arange(1.0, n + 1.0)) * rng.choice([-1.0, 1.0], n)
+                dec = eig(SymMat(basis @ np.diag(lam) @ basis.T))
+                for j in range(n):
+                    col = dec.q[:, j]
+                    nz = np.nonzero(np.abs(col) > 1e-12)[0]
+                    assert col[nz[0]] > 0
+                    tiny_leads += bool(0 < abs(col[0]) <= 1e-12)
+        assert tiny_leads > 0
+
     def test_canonical_basis_of_coordinate_eigenspace(self):
         # A zero cluster on coordinates 4..6 gets e4, e5, e6 in order, and so
         # does a repeated eigenvalue between B's largest and smallest.

@@ -8,20 +8,29 @@ import pytest
 from ramanasdp import (
     InductionBreakError,
     Reformulation,
+    SdpInstance,
     ShapeMismatchError,
     StrongDualSpec,
     SymMat,
     alt_ram_from_rr,
+    build_dram,
     build_rr_form,
+    builders,
+    embed_certificate,
+    facial,
     lift_from_strong,
     normalize_ladder,
     pad_ladder,
+    pstrong_spec_from_slack,
     reformulate,
+    symmat,
+    validate_frs,
     verify_alt_ram,
     verify_dram,
     verify_pram,
     verify_strong,
 )
+from ramanasdp import verify as verify_module
 from ramanasdp.verify import LadderRung, RamanaCertificate
 
 from helpers import (
@@ -424,3 +433,94 @@ class TestNonFiniteRefused:
                     _check(inst, rc.system, **kw)
             systems.add(rc.system)
         assert systems == {"dram", "altram", "pram", "dstrong", "pstrong"}
+
+
+def _staircase_instance(b4: float) -> SdpInstance:
+    """Order 9: A_j = E_jj for j = 1..3, A_4 = E_12 + E_21, C = diag(1,1,1,0,...)."""
+    n = 9
+    a = [np.diag(np.eye(n)[j]) for j in range(3)]
+    a4 = np.zeros((n, n))
+    a4[0, 1] = a4[1, 0] = 1.0
+    return SdpInstance.from_arrays(a + [a4], [0, 0, 0, b4], np.diag([1.0] * 3 + [0.0] * 6))
+
+
+def _staircase_ladder(with_y: bool, first: int) -> tuple[LadderRung, ...]:
+    """8 rungs, the last 3 nonzero: U_i = E_ff + ... + E_gg and V_i = -U_{i-1}
+    on the coordinates first, first+1, first+2, so U_i + V_i = E_gg."""
+    n = 9
+    rungs = [LadderRung(y=np.zeros(4) if with_y else None, u=_z(n), v=_z(n))] * 5
+    prev = np.zeros(n)
+    for j in range(3):
+        cur = prev.copy()
+        cur[first + j] = 1.0
+        y = np.eye(4)[j] if with_y else None
+        rungs.append(LadderRung(y=y, u=SymMat.diag(cur), v=SymMat.diag(-prev)))
+        prev = cur
+    return tuple(rungs)
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Orders of the matrices symmat.eig decomposes, counted through every
+    module that binds eig by name."""
+    calls = []
+    real = symmat.eig
+
+    def counted(a):
+        calls.append(a.n)
+        return real(a)
+
+    for mod in (symmat, facial, verify_module, builders):
+        if hasattr(mod, "eig"):
+            monkeypatch.setattr(mod, "eig", counted)
+    return calls
+
+
+class TestDecompositionCounts:
+    # L = 8 rungs, R = 3 of them nonzero.
+    L, R = 8, 3
+
+    def _dram(self):
+        return RamanaCertificate(system="dram", y=np.zeros(4), ladder=_staircase_ladder(True, 0))
+
+    def test_verifiers_decompose_2l_plus_1(self, eig_calls):
+        inst = _staircase_instance(1.0)
+        alt = RamanaCertificate(
+            system="altram", y=np.array([0.0, 0, 0, -1]), ladder=_staircase_ladder(True, 0)
+        )
+        pram = RamanaCertificate(
+            system="pram", x=SymMat.diag([0.0] * 6 + [1, 0, 0]), ladder=_staircase_ladder(False, 3)
+        )
+        cases = [
+            (verify_dram, inst, self._dram()),
+            (verify_alt_ram, inst, alt),
+            (verify_pram, _staircase_instance(0.0), pram),
+        ]
+        for check, case_inst, cert in cases:
+            eig_calls.clear()
+            assert check(case_inst, cert).ok
+            assert len(eig_calls) <= 2 * self.L + 1
+
+    def test_normalize_ladder(self, eig_calls):
+        report = normalize_ladder(_staircase_instance(1.0), self._dram())
+        assert report.r == (0,) * 5 + (1, 1, 1) and report.frs_valid
+        # One classification per rung and per U, and one per nonzero member
+        # inside validate_frs.
+        assert len(eig_calls) == 2 * self.L + self.R
+
+    def test_validate_frs(self, eig_calls):
+        mats = [_z(9)] * 5 + [SymMat.diag(np.eye(9)[j]) for j in range(3)]
+        assert validate_frs(mats).valid
+        assert len(eig_calls) == self.R
+
+    def test_pstrong_spec_from_slack(self, eig_calls):
+        spec = pstrong_spec_from_slack(SymMat.diag([2.0, 1.0, 0.0]))
+        assert spec.r == 2
+        assert len(eig_calls) == 1
+
+    def test_embed_certificate(self, eig_calls):
+        inst = _staircase_instance(1.0)
+        sdp = build_dram(inst)
+        eig_calls.clear()
+        embed_certificate(sdp, inst, self._dram())
+        assert len(eig_calls) == self.L + 1
