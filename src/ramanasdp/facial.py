@@ -120,6 +120,13 @@ class AltCertificateRaw:
 
 @dataclass(frozen=True)
 class AltResult:
+    """Outcome of solve_alternative.
+
+    ``max_lambda_min`` is the λ_min the search reached.  A search that
+    ended early because λ_min was certified below the band reports a
+    level below the optimum, not the optimum itself.
+    """
+
     found: bool
     certificate: Optional[AltCertificateRaw] = None
     max_lambda_min: Optional[float] = None
@@ -439,17 +446,23 @@ def _lambda_min_search(
 
     Returns (certificate, λ_min reached, ambiguous).  λ_min is None when
     the slice is empty; ambiguous marks an optimum inside the tolerance
-    band that cleanup could not turn into a certificate.
+    band that cleanup could not turn into a certificate.  The search ends
+    early, as NotFound, once the subsolver certifies λ_min below the band.
     """
     sol = _affine_solutions(rows, rhs)
     if sol is None:
         return None, None, False
     y0, null = sol
-    s0 = apply_at(inst, y0).a
+    a0 = apply_at(inst, y0)
     fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    res = subsolver.maximize_lambda_min(s0, fam, reg=reg, max_iter=max_iter)
+    stop_below = -100.0 * eps * max(1.0, a0.norm())
+    res = subsolver.maximize_lambda_min(
+        a0.a, fam, reg=reg, max_iter=max_iter, stop_below=stop_below
+    )
     y_opt = y0 + null @ res.w
-    if res.value < -100.0 * eps * max(1.0, apply_at(inst, y_opt).norm()):
+    if res.upper < stop_below or res.value < -100.0 * eps * max(
+        1.0, apply_at(inst, y_opt).norm()
+    ):
         return None, res.value, False
     cert = _clean_and_validate(inst, y_opt, rows, rhs, target, eps)
     return cert, res.value, cert is None

@@ -12,18 +12,23 @@ mu schedule and stopping tolerance they give it:
   * maximize_lambda_min       — max lambda_min(S(w)): the path over (w, t)
     with the extra matrix -I (so S(w) - tI ≻ 0) and lin = (0, ..., 0, -1).
     A tiny ridge on w keeps it bounded when the supremum is +infinity.
+    After each centering round the dual point X = G⁻¹/tr(G⁻¹) gives a
+    certified upper bound on the (ridged) optimum, so a caller that only
+    needs the optimum's sign can end the path once the bound is below 0.
   * interior_point            — phase 1 by maximize_lambda_min, then one
     centering at mu = 1, lin = 0 toward the regularized analytic center.
   * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
 
-All iterations are deterministic: fixed starting points, fixed step
-rules, no randomization.
+Each Newton step reuses the Cholesky factor and merit value of the last
+accepted line-search point, and assembles the Hessian a few columns per
+matrix product.  All iterations are deterministic: fixed starting points,
+fixed step rules, no randomization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +38,9 @@ import numpy as np
 _LAMBDA_MIN_MU_FINAL = 1e-11
 _CENTER_REG, _CENTER_TOL = 1e-9, 1e-8
 _FACE_REG, _FACE_MU_FINAL = 1e-10, 1e-9
+# Hessian columns per matrix product: a larger block means fewer products
+# but a larger (block, n, n) temporary.
+_HESS_BLOCK = 4
 
 
 class IterationLimitError(RuntimeError):
@@ -48,8 +56,18 @@ def _chol_or_none(g: np.ndarray) -> Optional[np.ndarray]:
 
 @dataclass
 class LambdaMinResult:
+    """Outcome of maximize_lambda_min.
+
+    ``value`` is lambda_min(S(w)) at the returned w, the level the path
+    reached: within ~n·mu of the optimum after a full run, lower after an
+    early exit.  ``upper`` is a certified bound: every w' has
+    lambda_min(S(w')) - (reg/2)‖w'‖² ≤ upper (+inf when reg = 0 and the
+    family is not empty, or when no centering round finished).
+    """
+
     w: np.ndarray
-    value: float  # reached max of lambda_min(S(w)) (within ~mu of optimum)
+    value: float
+    upper: float
     newton_steps: int
 
 
@@ -65,14 +83,16 @@ def _barrier_path(
     s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
     w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
     tol: float, max_iter: int, c0: float = 0.0, floor: Optional[float] = None,
+    stop: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
     S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
 
     Each mu gets at most ``inner`` steps and ends once the Newton
     decrement is at most tol·(1 + |c0 + lin·w|) or the line search fails.
-    ``floor`` ends the whole path as soon as lin·w drops below it.
-    Returns (w, Newton steps taken).
+    ``floor`` ends the whole path as soon as lin·w drops below it; ``stop``
+    is called after each round with the Cholesky factor of S(w), and ends
+    the path when it returns True.  Returns (w, Newton steps taken).
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
@@ -93,6 +113,9 @@ def _barrier_path(
     steps = 0
     hess = np.empty((k, k))
     while True:
+        # The merit of each accepted point is the next step's f0; only a
+        # new mu needs it recomputed.
+        f0 = merit(w, l)
         for _ in range(inner):
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
@@ -100,13 +123,14 @@ def _barrier_path(
             if not np.all(np.isfinite(g)):
                 raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
             # The accepted step's Cholesky factor gives G^{-1}, and
-            # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled one column at a
-            # time so no (k, n, n) temporary is allocated.
+            # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK columns
+            # at a time: a (_HESS_BLOCK, n, n) temporary, not a (k, n, n) one.
             linv = np.linalg.inv(l)
             ginv = linv.T @ linv
             grad = lin + reg * w - mu * (flat @ ginv.ravel())
-            for j in range(k):
-                hess[:, j] = flat @ (ginv @ fam[j] @ ginv).ravel()
+            for j in range(0, k, _HESS_BLOCK):
+                blk = ginv @ fam[j:j + _HESS_BLOCK] @ ginv
+                hess[:, j:j + _HESS_BLOCK] = flat @ blk.reshape(len(blk), -1).T
             hess *= mu
             hess[diag] += reg + 1e-14
             try:
@@ -117,19 +141,22 @@ def _barrier_path(
             if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))):
                 break
             # Backtracking line search keeping the iterate interior.
-            f0 = merit(w, l)
             alpha = 1.0
             for _ in range(50):
                 w_new = w + alpha * step
                 g_new, l_new = factor(w_new)
-                if l_new is not None and merit(w_new, l_new) <= f0 - 0.25 * alpha * decrement:
-                    break
+                if l_new is not None:
+                    f_new = merit(w_new, l_new)
+                    if f_new <= f0 - 0.25 * alpha * decrement:
+                        break
                 alpha *= 0.5
             else:
                 break
-            w, g, l = w_new, g_new, l_new
+            w, g, l, f0 = w_new, g_new, l_new, f_new
             if floor is not None and float(lin @ w) < floor:
                 return w, steps
+        if stop is not None and stop(l):
+            return w, steps
         if mu <= mu_final:
             return w, steps
         mu = max(mu * shrink, mu_final)
@@ -142,26 +169,51 @@ def maximize_lambda_min(
     reg: float = 0.0,
     max_iter: int = 2000,
     stop_above: Optional[float] = None,
+    stop_below: Optional[float] = None,
 ) -> LambdaMinResult:
     """Maximize lambda_min(S(w)) over w, to roughly n·_LAMBDA_MIN_MU_FINAL accuracy.
 
     ``reg`` adds (reg/2)·‖w‖² to the barrier objective; use a tiny value
     whenever the supremum may be unbounded.  ``stop_above`` ends the run
-    early once lambda_min exceeds the given level (phase-1 use).
+    early once lambda_min exceeds the given level (phase-1 use);
+    ``stop_below`` ends it once the certified ``upper`` drops below the
+    given level, so an exited run's ``value`` is less accurate.
+
+    After each centering round, X = G⁻¹/tr(G⁻¹) with G = S(w) - tI is
+    PSD of unit trace, so lambda_min(S(w')) ≤ <S(w'), X> for every w'.
+    Maximizing <S(w'), X> - (reg/2)‖w'‖² over w' gives
+    upper = <S0, X> + Σ a_i²/(2·reg) with a_i = <S_i, X>.  On the central
+    path this is t + n·mu - (reg/2)‖w‖².
     """
     d = len(mats)
     fam = _stack(mats, s0.shape[0], extra=1)
     np.fill_diagonal(fam[d], -1.0)
+    flat = fam[:d].reshape(d, s0.size)
+    upper = np.inf
+
+    def certify(l: np.ndarray) -> bool:
+        nonlocal upper
+        if d and reg <= 0.0:
+            return False
+        linv = np.linalg.inv(l)
+        x = linv.T @ linv
+        x /= np.trace(x)
+        a = flat @ x.ravel()
+        ridge = float(a @ a) / (2.0 * reg) if d else 0.0
+        upper = min(upper, float(np.sum(s0 * x)) + ridge)
+        return stop_below is not None and upper < stop_below
+
     t0 = float(np.linalg.eigvalsh(s0)[0]) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
     wt, steps = _barrier_path(
         s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
         np.append(np.zeros(d), t0),
         mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.2, inner=60, tol=1e-13,
         max_iter=max_iter, floor=None if stop_above is None else -stop_above,
+        stop=certify,
     )
     w = wt[:d]
     value = float(np.linalg.eigvalsh(s0 + np.tensordot(w, fam[:d], 1))[0])
-    return LambdaMinResult(w=w, value=value, newton_steps=steps)
+    return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps)
 
 
 def interior_point(

@@ -180,18 +180,25 @@ def eig(a: SymMat) -> SpectralDecomp:
     Q = I.  Each eigenvector is then sign-fixed so that its first
     coordinate above 1e-12 in magnitude is positive (a unit vector always
     has one).  Raises ValueError on a non-finite entry.
+
+    The zero matrix (every entry +0.0, as in the zero rungs of a padded
+    ladder) is one cluster filling the whole space, so it gives (0, I)
+    directly, bit for bit what the general path returns.
     """
     if not np.all(np.isfinite(a.a)):
         raise ValueError("eig: matrix has a non-finite entry")
-    lam, v = np.linalg.eigh(a.a)
-    lam, q = lam[::-1].copy(), v[:, ::-1].copy()
-    gaps = lam[:-1] - lam[1:]
-    cuts = [0, *(np.flatnonzero(gaps >= EIG_CLUSTER_TOL * a.scale_factor()) + 1), a.n]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo > 1:
-            q[:, lo:hi] = _canonical_basis(q[:, lo:hi])
-    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
-    q[:, q[lead, np.arange(a.n)] < 0] *= -1.0
+    if not a.a.view(np.uint64).any():  # all bits clear: +0.0 everywhere
+        lam, q = np.zeros(a.n), np.eye(a.n)
+    else:
+        lam, v = np.linalg.eigh(a.a)
+        lam, q = lam[::-1].copy(), v[:, ::-1].copy()
+        gaps = lam[:-1] - lam[1:]
+        cuts = [0, *(np.flatnonzero(gaps >= EIG_CLUSTER_TOL * a.scale_factor()) + 1), a.n]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi - lo > 1:
+                q[:, lo:hi] = _canonical_basis(q[:, lo:hi])
+        lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+        q[:, q[lead, np.arange(a.n)] < 0] *= -1.0
     lam.flags.writeable = False
     q.flags.writeable = False
     return SpectralDecomp(q=q, lam=lam)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ramanasdp import subsolver
 from ramanasdp.subsolver import (
     IterationLimitError,
     interior_point,
@@ -34,6 +35,48 @@ class TestMaximizeLambdaMin:
         full = maximize_lambda_min(S0, FAMILY)
         early = maximize_lambda_min(S0, FAMILY, stop_above=0.1)
         assert early.value > 0.1
+        assert 0 < early.newton_steps < full.newton_steps
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_simplex_diagonal_optimum(self, d, monkeypatch):
+        # diag(w_1, ..., w_d, 1 - Σ w_i): optimum 1/(d + 1) at w_i = 1/(d + 1).
+        # With the t column the Hessian has d + 1 = 5 or 9 columns, so its
+        # column blocks end short.  One column per block is the reference.
+        mats = [np.zeros((d + 1, d + 1)) for _ in range(d)]
+        for i, m in enumerate(mats):
+            m[i, i], m[d, d] = 1.0, -1.0
+        s0 = np.zeros((d + 1, d + 1))
+        s0[d, d] = 1.0
+        res = maximize_lambda_min(s0, mats)
+        assert res.value == pytest.approx(1.0 / (d + 1), abs=1e-8)
+        assert res.w == pytest.approx(np.full(d, 1.0 / (d + 1)), abs=1e-6)
+        monkeypatch.setattr(subsolver, "_HESS_BLOCK", 1)
+        ref = maximize_lambda_min(s0, mats)
+        assert res.newton_steps == ref.newton_steps
+        assert res.w == pytest.approx(ref.w, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "s0, mats, optimum",
+        [
+            (S0, FAMILY, 0.5),
+            (np.diag([0.0, 0.0, 1.0]), [np.diag([1.0, 0, -1]), np.diag([0, 1.0, -1])], 1.0 / 3),
+        ],
+    )
+    def test_upper_bounds_the_ridged_optimum(self, s0, mats, optimum):
+        reg = 1e-10
+        res = maximize_lambda_min(s0, mats, reg=reg)
+        assert res.upper >= res.value - 0.5 * reg * float(res.w @ res.w)
+        assert res.upper == pytest.approx(optimum, abs=1e-8)
+        assert maximize_lambda_min(s0, mats).upper == np.inf  # no ridge, no bound
+
+    def test_stop_below_exits_early(self):
+        # S(w) - 3I: lambda_min peaks at 0.5 - 3 = -2.5 for w = 2.5.
+        s0 = S0 - 3.0 * np.eye(3)
+        full = maximize_lambda_min(s0, FAMILY, reg=1e-10)
+        early = maximize_lambda_min(s0, FAMILY, reg=1e-10, stop_below=-1.0)
+        assert full.value == pytest.approx(-2.5, abs=1e-8)
+        assert early.upper < -1.0
+        assert early.value <= full.value
         assert 0 < early.newton_steps < full.newton_steps
 
     def test_iteration_budget(self):

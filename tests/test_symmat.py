@@ -11,6 +11,7 @@ from ramanasdp import (
     classify_psd,
     eig,
     rotate,
+    symmat,
     tan_contains,
 )
 
@@ -132,6 +133,21 @@ class TestEig:
         assert np.allclose(d1.q, d2.q, atol=1e-10)
         cluster = d1.q[:, 1:4]
         assert np.allclose(cluster @ cluster.T, u[:, 1:4] @ u[:, 1:4].T, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 24])
+    def test_zero_matrix_short_cut(self, n, monkeypatch):
+        # The zero matrix gives (0, I) without building a canonical basis,
+        # bit for bit what the general path gives; -0.0 entries take that path.
+        def refuse(v):
+            raise AssertionError("canonical basis built for the zero matrix")
+
+        general = eig(SymMat(np.full((n, n), -0.0)))
+        monkeypatch.setattr(symmat, "_canonical_basis", refuse)
+        dec = eig(SymMat.zero(n))
+        assert dec.lam.tobytes() == np.zeros(n).tobytes()
+        assert dec.q.tobytes() == np.eye(n).tobytes() == general.q.tobytes()
+        assert np.array_equal(dec.lam, general.lam)
+        assert not dec.lam.flags.writeable and not dec.q.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, bad):
