@@ -447,22 +447,20 @@ def _lambda_min_search(
     Returns (certificate, λ_min reached, ambiguous).  λ_min is None when
     the slice is empty; ambiguous marks an optimum inside the tolerance
     band that cleanup could not turn into a certificate.  The search ends
-    early, as NotFound, once the subsolver certifies λ_min below the band.
+    early, as NotFound, once the subsolver certifies that λ_min at the
+    ridged optimum is below the band at that optimum's own scale.
     """
     sol = _affine_solutions(rows, rhs)
     if sol is None:
         return None, None, False
     y0, null = sol
-    a0 = apply_at(inst, y0)
+    s0 = apply_at(inst, y0).a
     fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    stop_below = -100.0 * eps * max(1.0, a0.norm())
     res = subsolver.maximize_lambda_min(
-        a0.a, fam, reg=reg, max_iter=max_iter, stop_below=stop_below
+        s0, fam, reg=reg, max_iter=max_iter, stop_below=-100.0 * eps
     )
     y_opt = y0 + null @ res.w
-    if res.upper < stop_below or res.value < -100.0 * eps * max(
-        1.0, apply_at(inst, y_opt).norm()
-    ):
+    if res.below or res.value < -100.0 * eps * max(1.0, apply_at(inst, y_opt).norm()):
         return None, res.value, False
     cert = _clean_and_validate(inst, y_opt, rows, rhs, target, eps)
     return cert, res.value, cert is None

@@ -12,9 +12,10 @@ mu schedule and stopping tolerance they give it:
   * maximize_lambda_min       — max lambda_min(S(w)): the path over (w, t)
     with the extra matrix -I (so S(w) - tI ≻ 0) and lin = (0, ..., 0, -1).
     A tiny ridge on w keeps it bounded when the supremum is +infinity.
-    After each centering round the dual point X = G⁻¹/tr(G⁻¹) gives a
-    certified upper bound on the (ridged) optimum, so a caller that only
-    needs the optimum's sign can end the path once the bound is below 0.
+    On request, each Newton step's dual point X = G⁻¹/tr(G⁻¹) certifies
+    bounds on lambda_min and on ‖S‖ at the ridged optimum, so a caller
+    that only needs to know the optimum is below a relative tolerance
+    band can end the path as soon as the bounds say so.
   * interior_point            — phase 1 by maximize_lambda_min, then one
     centering at mu = 1, lin = 0 toward the regularized analytic center.
   * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
@@ -27,6 +28,7 @@ fixed step rules, no randomization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -60,15 +62,17 @@ class LambdaMinResult:
 
     ``value`` is lambda_min(S(w)) at the returned w, the level the path
     reached: within ~n·mu of the optimum after a full run, lower after an
-    early exit.  ``upper`` is a certified bound: every w' has
-    lambda_min(S(w')) - (reg/2)‖w'‖² ≤ upper (+inf when reg = 0 and the
-    family is not empty, or when no centering round finished).
+    early exit.  ``upper`` is a certified bound on lambda_min at the ridged
+    optimum (see maximize_lambda_min); it is +inf unless ``stop_below``
+    was given and reg > 0 (or the family is empty).  ``below`` is True
+    when the run ended on ``stop_below``.
     """
 
     w: np.ndarray
     value: float
     upper: float
     newton_steps: int
+    below: bool = False
 
 
 def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
@@ -82,17 +86,16 @@ def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
 def _barrier_path(
     s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
     w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
-    tol: float, max_iter: int, c0: float = 0.0, floor: Optional[float] = None,
-    stop: Optional[Callable[[np.ndarray], bool]] = None,
+    tol: float, max_iter: int, c0: float = 0.0,
+    stop: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
     S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
 
     Each mu gets at most ``inner`` steps and ends once the Newton
     decrement is at most tol·(1 + |c0 + lin·w|) or the line search fails.
-    ``floor`` ends the whole path as soon as lin·w drops below it; ``stop``
-    is called after each round with the Cholesky factor of S(w), and ends
-    the path when it returns True.  Returns (w, Newton steps taken).
+    ``stop`` is called with w and S(w)⁻¹ before each step, and ends the
+    path when it returns True.  Returns (w, Newton steps taken).
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
@@ -117,16 +120,19 @@ def _barrier_path(
         # new mu needs it recomputed.
         f0 = merit(w, l)
         for _ in range(inner):
+            if not np.all(np.isfinite(g)):
+                raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
+            # The accepted step's Cholesky factor gives G^{-1} for the stop
+            # test and the step; H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled
+            # _HESS_BLOCK columns at a time: a (_HESS_BLOCK, n, n) temporary,
+            # not a (k, n, n) one.
+            linv = np.linalg.inv(l)
+            ginv = linv.T @ linv
+            if stop is not None and stop(w, ginv):
+                return w, steps
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
-            if not np.all(np.isfinite(g)):
-                raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
-            # The accepted step's Cholesky factor gives G^{-1}, and
-            # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK columns
-            # at a time: a (_HESS_BLOCK, n, n) temporary, not a (k, n, n) one.
-            linv = np.linalg.inv(l)
-            ginv = linv.T @ linv
             grad = lin + reg * w - mu * (flat @ ginv.ravel())
             for j in range(0, k, _HESS_BLOCK):
                 blk = ginv @ fam[j:j + _HESS_BLOCK] @ ginv
@@ -153,10 +159,6 @@ def _barrier_path(
             else:
                 break
             w, g, l, f0 = w_new, g_new, l_new, f_new
-            if floor is not None and float(lin @ w) < floor:
-                return w, steps
-        if stop is not None and stop(l):
-            return w, steps
         if mu <= mu_final:
             return w, steps
         mu = max(mu * shrink, mu_final)
@@ -175,45 +177,77 @@ def maximize_lambda_min(
 
     ``reg`` adds (reg/2)·‖w‖² to the barrier objective; use a tiny value
     whenever the supremum may be unbounded.  ``stop_above`` ends the run
-    early once lambda_min exceeds the given level (phase-1 use);
-    ``stop_below`` ends it once the certified ``upper`` drops below the
-    given level, so an exited run's ``value`` is less accurate.
+    early once lambda_min exceeds the given level (phase-1 use).
+    ``stop_below`` is a relative level, the scale of a tolerance band: the
+    run ends once lambda_min(S(w*)) < stop_below·max(1, ‖S(w*)‖_F) is
+    certified at the ridged optimum w* = argmax f, with
+    f(w) = lambda_min(S(w)) - (reg/2)‖w‖².  An exited run's ``value`` is
+    then less accurate, and ``below`` is set.
 
-    After each centering round, X = G⁻¹/tr(G⁻¹) with G = S(w) - tI is
-    PSD of unit trace, so lambda_min(S(w')) ≤ <S(w'), X> for every w'.
-    Maximizing <S(w'), X> - (reg/2)‖w'‖² over w' gives
-    upper = <S0, X> + Σ a_i²/(2·reg) with a_i = <S_i, X>.  On the central
-    path this is t + n·mu - (reg/2)‖w‖².
+    The certificate, at an iterate (w, t) with G = S(w) - tI ≻ 0:
+      * X = G⁻¹/tr(G⁻¹) is PSD of unit trace, so lambda_min(S(w')) ≤
+        <S(w'), X> for every w', and f* ≤ f_up = <S0, X> + ‖a‖²/(2·reg)
+        with a_i = <S_i, X>.  Also f(w) ≥ f_lo = t + 1/tr(G⁻¹) - (reg/2)‖w‖².
+      * f is reg-strongly concave, so ‖w* - w‖ ≤ rho = (2(f_up - f_lo)/reg)^½
+        and lambda_min(S(w*)) ≤ upper = f_up + (reg/2)(‖w‖ + rho)².
+      * -log det G is an n-self-concordant barrier in (w, t), and (w, t)
+        is on the central path of the ridged problem up to the residual
+        a - reg·w.  So (w*, t*), t* just below lambda_min(S(w*)), lies
+        within local distance r = n + 2√n + 1 + ‖a - reg·w‖·rho·tr(G⁻¹) of
+        (w, t): the ν + 2√ν bound for self-concordant barriers (Nesterov,
+        Introductory Lectures on Convex Optimization, 2004, §4.2), widened
+        by 1 and by the residual because the centering is not exact.  In
+        the Frobenius norm that is ‖G(w*, t*) - G‖_F ≤ r·‖G‖_F, so
+        ‖S(w*)‖_F ≤ (1 + r)‖G‖_F + √n·max(|f_lo|, |upper|).
+    On the central path f_up - f_lo ≈ (n - 1)·mu, so the certificate
+    closes as mu falls; a clearly negative optimum exits long before
+    mu_final.  Only w* is certified: a run that has not exited ends near
+    w*, not at it.
     """
     d = len(mats)
-    fam = _stack(mats, s0.shape[0], extra=1)
+    n = s0.shape[0]
+    fam = _stack(mats, n, extra=1)
     np.fill_diagonal(fam[d], -1.0)
     flat = fam[:d].reshape(d, s0.size)
-    upper = np.inf
+    certify = stop_below is not None and (reg > 0.0 or d == 0)
+    upper, below = np.inf, False
 
-    def certify(l: np.ndarray) -> bool:
-        nonlocal upper
-        if d and reg <= 0.0:
+    def stop(wt: np.ndarray, ginv: np.ndarray) -> bool:
+        nonlocal upper, below
+        if stop_above is not None and wt[d] > stop_above:
+            return True
+        if not certify:
             return False
-        linv = np.linalg.inv(l)
-        x = linv.T @ linv
-        x /= np.trace(x)
+        w, t, tr = wt[:d], float(wt[d]), float(np.trace(ginv))
+        x = ginv / tr
         a = flat @ x.ravel()
-        ridge = float(a @ a) / (2.0 * reg) if d else 0.0
-        upper = min(upper, float(np.sum(s0 * x)) + ridge)
-        return stop_below is not None and upper < stop_below
+        ww = float(w @ w)
+        f_up = float(np.sum(s0 * x))
+        f_lo = t + 1.0 / tr - 0.5 * reg * ww
+        rho = off_path = 0.0
+        if d:
+            f_up += float(a @ a) / (2.0 * reg)
+            rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
+            off_path = float(np.linalg.norm(a - reg * w)) * rho * tr
+        bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
+        g = s0 + (w @ flat).reshape(n, n) - t * np.eye(n)
+        r = n + 2.0 * math.sqrt(n) + 1.0 + off_path
+        scale = (1.0 + r) * float(np.linalg.norm(g)) + math.sqrt(n) * max(abs(f_lo), abs(bound))
+        upper = min(upper, bound)
+        below = bound < stop_below * max(1.0, scale)
+        return below
 
     t0 = float(np.linalg.eigvalsh(s0)[0]) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
     wt, steps = _barrier_path(
         s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
         np.append(np.zeros(d), t0),
         mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.2, inner=60, tol=1e-13,
-        max_iter=max_iter, floor=None if stop_above is None else -stop_above,
-        stop=certify,
+        max_iter=max_iter,
+        stop=None if stop_above is None and not certify else stop,
     )
     w = wt[:d]
     value = float(np.linalg.eigvalsh(s0 + np.tensordot(w, fam[:d], 1))[0])
-    return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps)
+    return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps, below=below)
 
 
 def interior_point(

@@ -183,11 +183,14 @@ def eig(a: SymMat) -> SpectralDecomp:
 
     The zero matrix (every entry +0.0, as in the zero rungs of a padded
     ladder) is one cluster filling the whole space, so it gives (0, I)
-    directly, bit for bit what the general path returns.
+    directly, bit for bit what the general path returns; a matrix with a
+    -0.0 entry takes the general path.
     """
     if not np.all(np.isfinite(a.a)):
         raise ValueError("eig: matrix has a non-finite entry")
-    if not a.a.view(np.uint64).any():  # all bits clear: +0.0 everywhere
+    # A bit test, not a.a.any(): eigh gives -0.0 eigenvalues for a matrix
+    # of -0.0 entries, and those bits must reach the caller unchanged.
+    if not a.a.view(np.uint64).any():
         lam, q = np.zeros(a.n), np.eye(a.n)
     else:
         lam, v = np.linalg.eigh(a.a)

@@ -145,6 +145,21 @@ class TestSolveAlternative:
         assert res.certificate.mode == CERT_INFEASIBILITY
         assert float(red.b @ res.certificate.y) < 0
 
+    def test_far_certificate_found(self):
+        # y = (-1, 50) has <b, y> = -1 and A*y = diag(0, 0, 1) ⪰ 0.  In the
+        # <b, y> = -1 search this optimum, lambda_min = 0, sits at ‖w‖ = 50,
+        # where the ridge (1e-8/2)·50² is larger than the band: an early
+        # exit on the ridged objective alone would call it NotFound.
+        a2 = SymMat(np.diag([1.0, -1.0, 1.0]) / 50.0)
+        inst = SdpInstance(
+            a=(SymMat.diag([1, -1, 0]), a2), b=np.array([1.0, 0.0]), c=SymMat.zero(3)
+        )
+        res = solve_alternative(inst, MODE_LEQ_ZERO)
+        assert res.found
+        assert res.certificate.mode == CERT_INFEASIBILITY
+        assert res.certificate.y == pytest.approx([-1.0, 50.0], abs=1e-6)
+        assert build_rr_form(inst).status == STATUS_INFEASIBLE
+
 
 class TestBuildRrForm:
     def test_gap_instance(self):

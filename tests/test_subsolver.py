@@ -63,21 +63,56 @@ class TestMaximizeLambdaMin:
         ],
     )
     def test_upper_bounds_the_ridged_optimum(self, s0, mats, optimum):
-        reg = 1e-10
-        res = maximize_lambda_min(s0, mats, reg=reg)
-        assert res.upper >= res.value - 0.5 * reg * float(res.w @ res.w)
+        # stop_below = -inf asks for the bound but never exits.
+        full = maximize_lambda_min(s0, mats, reg=1e-10)
+        res = maximize_lambda_min(s0, mats, reg=1e-10, stop_below=-np.inf)
+        assert full.upper == np.inf and not res.below
+        assert res.upper >= full.value
         assert res.upper == pytest.approx(optimum, abs=1e-8)
-        assert maximize_lambda_min(s0, mats).upper == np.inf  # no ridge, no bound
+        # No ridge, no bound.
+        assert maximize_lambda_min(s0, mats, stop_below=-np.inf).upper == np.inf
 
     def test_stop_below_exits_early(self):
         # S(w) - 3I: lambda_min peaks at 0.5 - 3 = -2.5 for w = 2.5.
         s0 = S0 - 3.0 * np.eye(3)
         full = maximize_lambda_min(s0, FAMILY, reg=1e-10)
-        early = maximize_lambda_min(s0, FAMILY, reg=1e-10, stop_below=-1.0)
+        early = maximize_lambda_min(s0, FAMILY, reg=1e-10, stop_below=-0.1)
         assert full.value == pytest.approx(-2.5, abs=1e-8)
-        assert early.upper < -1.0
+        assert early.below and not full.below
+        assert full.value <= early.upper < 0.0
         assert early.value <= full.value
         assert 0 < early.newton_steps < full.newton_steps
+
+    def test_stop_below_keeps_a_far_optimum(self):
+        # diag(w/50 - 1, 1 - w/50, w/50): lambda_min peaks at 0 for w = 50,
+        # where the ridge costs (1e-8/2)·50² = 1.25e-5.  The ridged optimum
+        # is below the level, lambda_min there is not, so the run goes on.
+        s0 = np.diag([-1.0, 1.0, 0.0])
+        mats = [np.diag([1.0, -1.0, 1.0]) / 50.0]
+        res = maximize_lambda_min(s0, mats, reg=1e-8, stop_below=-1e-6)
+        assert not res.below
+        assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert res.w == pytest.approx([50.0], abs=1e-6)
+        assert res.upper >= res.value
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stop_below_agrees_with_a_full_run(self, seed):
+        # Random families with optima on both sides of the level: an exit
+        # happens only where the full run ends below the level at its own
+        # scale, and the bound holds at the full run's end.
+        rng = np.random.default_rng(seed)
+        n, d, level = 4, 2, -1e-2
+        sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
+        s0 = sym[0] + rng.uniform(-1.5, 1.5) * np.eye(n)
+        full = maximize_lambda_min(s0, sym[1:], reg=1e-8)
+        early = maximize_lambda_min(s0, sym[1:], reg=1e-8, stop_below=level)
+        s_full = s0 + np.tensordot(full.w, np.array(sym[1:]), 1)
+        assert early.upper >= full.value - 1e-9
+        if early.below:
+            assert full.value < level * max(1.0, float(np.linalg.norm(s_full)))
+            assert early.newton_steps < full.newton_steps
+        else:
+            assert early.newton_steps == full.newton_steps
 
     def test_iteration_budget(self):
         with pytest.raises(IterationLimitError):
