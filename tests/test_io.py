@@ -252,3 +252,32 @@ class TestCertificateFiles:
         cf = parse_certificate_text("\n".join(lines) + "\n")
         cert = to_ramana_certificate(cf, inst)
         assert cert.ladder[1].v.allclose(SymMat.zero(3), tol=0.0)
+
+
+# SHA-256 of instance_to_sdpa_text for every registry instance.  Certificate
+# files bind to these digests, so any change to the instance bytes breaks
+# every certificate written before it.
+GOLDEN_INSTANCE_DIGEST = {
+    "example-1.1-unattained": (
+        "2bd7ed59b78ac61cbaeb1aaea169b8f7c9569679b8334b9e6821ecb724fae161"
+    ),
+    "example-2.15-infeasible": (
+        "389681d3d15314ac43f6f5c5159ce5892bc38f0292ff00214636e287b8facffa"
+    ),
+    "example-2.3-gap": (
+        "7328c46d5ed2712411a89879272eccc7bf385a050d312f35c6770e428b55430a"
+    ),
+    "example-2.5-rr": (
+        "87d0f9d17bc824c851482d3fdd328c0544d4add2bafb02025d1a87d175c6089f"
+    ),
+    "example-identity-strict": (
+        "e50b7773b78a10f13bf9cf87c7ad9be88f6366640dde487b83da869edfcab4f2"
+    ),
+}
+
+
+def test_instance_digest_golden():
+    from ramanasdp.registry import all_ids, get
+
+    digests = {eid: instance_digest(get(eid).instance) for eid in all_ids()}
+    assert digests == GOLDEN_INSTANCE_DIGEST
