@@ -17,13 +17,19 @@ documented in a sidecar file next to the output.
 
 Output is deterministic: fixed entry order (matno, then block, then
 row-major upper triangle) and shortest round-trip float formatting, so
-two writes of the same object are byte-identical.
+two writes of the same object are byte-identical.  One private core
+formats a bounded chunk of matrices at a time, with numpy doing the
+per-entry work, and write_sdpa writes each chunk as it is produced, so
+the whole text is never held; the *_text functions join the same chunks.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from typing import Union
+import os
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -46,49 +52,139 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _entry_lines(matno: int, blkno: int, mat: np.ndarray, out: list[str]) -> None:
-    rows, cols = np.nonzero(np.triu(mat))  # row-major upper triangle
-    for i, j, v in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
-        out.append(f"{matno} {blkno} {i + 1} {j + 1} {_fmt(v)}")
+# One matrix of the file: (matno, {blkno: dense matrix}, free vector), with
+# matno 0 the objective.
+_Row = tuple[int, dict[int, np.ndarray], np.ndarray]
+
+# What one chunk holds grows with its rows (their stacked upper triangles)
+# and with its entries (their index arrays and text).  A chunk takes the
+# rows that, at the previous chunk's entries per row, give about
+# _CHUNK_ENTRIES entries, and never more than _CHUNK_ROWS rows.  Sparse
+# emitted systems get chunks of about 100 rows; the text of an instance of
+# nine dense order-24 matrices peaks at 0.29 MB, where one chunk of all
+# nine (a bound on rows alone) peaked at 0.74 MB and the per-matrix writer
+# this core replaced at 0.34 MB.
+_CHUNK_ROWS = 256
+_CHUNK_ENTRIES = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _triu_texts(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the row-major upper triangle of an order-n matrix,
+    and the text "i j " (1-based) of each of its entries."""
+    rows, cols = np.triu_indices(order)
+    flat = rows * order + cols
+    ij = np.array([f"{i + 1} {j + 1} " for i, j in zip(rows.tolist(), cols.tolist())], dtype=object)
+    for arr in (flat, ij):
+        arr.setflags(write=False)
+    return flat, ij
+
+
+@functools.lru_cache(maxsize=64)
+def _diag_texts(size: int) -> np.ndarray:
+    """The text "j j " of each entry of a diagonal block, from j = 1."""
+    ij = np.array([f"{j} {j} " for j in range(1, size + 1)], dtype=object)
+    ij.setflags(write=False)
+    return ij
+
+
+def _sdpa_chunks(
+    header: list[str],
+    rows: Iterable[_Row],
+    free_blk: int = 0,
+    n_free: int = 0,
+) -> Iterator[str]:
+    """The header lines, then one "matno blkno i j value" line per nonzero
+    of each row's upper triangles, ordered by (matno, blkno) and row-major
+    within a block.  A free vector c becomes the pairs (j, c_j) and
+    (n_free + j, -c_j) of block free_blk."""
+    yield "\n".join(header) + "\n"
+    rows, size = iter(rows), 1
+    while run := list(itertools.islice(rows, size)):
+        by_block: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+        for matno, mats, _ in run:
+            for blkno, mat in mats.items():
+                entry = by_block.setdefault(blkno, ([], []))
+                entry[0].append(matno)
+                entry[1].append(mat)
+        parts = []  # (matno, blkno, "i j " text, value) of each entry, per block
+        for blkno, (matnos, mats) in by_block.items():
+            flat, ij = _triu_texts(mats[0].shape[0])
+            tri = np.empty((len(mats), flat.size))
+            for out, mat in zip(tri, mats):
+                out[:] = mat.take(flat)
+            r, k = np.nonzero(tri)
+            parts.append((np.asarray(matnos)[r], np.full(r.size, blkno), ij[k], tri[r, k]))
+        frees = [(matno, free) for matno, _, free in run if free.size] if n_free else []
+        if frees:
+            coeffs = np.array([free for _, free in frees], dtype=float)
+            r, j = np.nonzero(coeffs)
+            c = coeffs[r, j]
+            pos = np.stack([j, n_free + j], axis=1).ravel()
+            parts.append((
+                np.repeat(np.asarray([matno for matno, _ in frees])[r], 2),
+                np.full(pos.size, free_blk),
+                _diag_texts(2 * n_free)[pos],
+                np.stack([c, -c], axis=1).ravel(),
+            ))
+        entries = sum(part[0].size for part in parts)
+        size = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES * len(run) // max(entries, 1)))
+        if not entries:
+            continue
+        matno, blkno, ij, vals = (np.concatenate(col) for col in zip(*parts))
+        # Stable: keeps the row-major and pair order inside each group.
+        perm = np.lexsort((blkno, matno))
+        uniq, inv = np.unique(vals[perm], return_inverse=True)
+        # Each line is four shared strings, joined once: no string per line.
+        pieces = np.empty((entries, 4), dtype=object)
+        pieces[:, 0] = _int_texts(matno[perm])
+        pieces[:, 1] = _int_texts(blkno[perm])
+        pieces[:, 2] = ij[perm]
+        pieces[:, 3] = np.array([repr(v) + "\n" for v in uniq.tolist()], dtype=object)[inv]
+        yield "".join(pieces.ravel().tolist())
+
+
+def _int_texts(values: np.ndarray) -> np.ndarray:
+    """Object array of "k " for each k of values: a chunk's matrix or block
+    numbers, whose range is at most the chunk's rows or the blocks."""
+    lo = int(values.min())
+    table = np.array([f"{k} " for k in range(lo, int(values.max()) + 1)], dtype=object)
+    return table[values - lo]
+
+
+def _instance_chunks(inst: SdpInstance) -> Iterator[str]:
+    header = [str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]
+    mats, no_free = (inst.c,) + tuple(inst.a), np.zeros(0)
+    return _sdpa_chunks(header, ((t, {1: mat.a}, no_free) for t, mat in enumerate(mats)))
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
-    out = [str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]
-    _entry_lines(0, 1, inst.c.a, out)
-    for t in range(inst.m):
-        _entry_lines(t + 1, 1, inst.a[t].a, out)
-    return "\n".join(out) + "\n"
+    return "".join(_instance_chunks(inst))
 
 
-def _free_split_entries(
-    matno: int, blkno: int, n_free: int, coeffs: np.ndarray, out: list[str]
-) -> None:
-    for j in np.flatnonzero(coeffs).tolist():
-        c = coeffs[j]
-        out.append(f"{matno} {blkno} {j + 1} {j + 1} {_fmt(c)}")
-        out.append(f"{matno} {blkno} {n_free + j + 1} {n_free + j + 1} {_fmt(-c)}")
-
-
-def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:
+def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     nblocks = len(sdp.blocks) + (1 if sdp.n_free else 0)
     sizes = [str(b.order) for b in sdp.blocks]
     if sdp.n_free:
         sizes.append(str(-2 * sdp.n_free))
-    out = [str(len(sdp.constraints)), str(nblocks), " ".join(sizes)]
-    out.append(" ".join(_fmt(c.rhs) for c in sdp.constraints))
+    header = [str(len(sdp.constraints)), str(nblocks), " ".join(sizes)]
+    header.append(" ".join(_fmt(c.rhs) for c in sdp.constraints))
     sign = 1.0 if sdp.sense == "max" else -1.0
     block_index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    free_blk = len(sdp.blocks) + 1
-    for name, k in sdp.objective_mats.items():
-        _entry_lines(0, block_index[name], sign * k, out)
-    if sdp.n_free and np.any(sdp.objective_free):
-        _free_split_entries(0, free_blk, sdp.n_free, sign * sdp.objective_free, out)
-    for t, con in enumerate(sdp.constraints, start=1):
-        for name in sorted(con.mats, key=lambda nm: block_index[nm]):
-            _entry_lines(t, block_index[name], con.mats[name], out)
-        if sdp.n_free and con.free.size and np.any(con.free):
-            _free_split_entries(t, free_blk, sdp.n_free, con.free, out)
-    return "\n".join(out) + "\n"
+    objective = (
+        0,
+        {block_index[name]: sign * k for name, k in sdp.objective_mats.items()},
+        sign * sdp.objective_free,
+    )
+    rows = (
+        (t, {block_index[name]: k for name, k in con.mats.items()}, con.free)
+        for t, con in enumerate(sdp.constraints, start=1)
+    )
+    return _sdpa_chunks(header, itertools.chain([objective], rows), len(sdp.blocks) + 1, sdp.n_free)
+
+
+def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:
+    return "".join(_standard_form_chunks(sdp))
 
 
 def varmap_sidecar_text(sdp: StandardFormSdp) -> str:
@@ -118,18 +214,26 @@ def varmap_sidecar_text(sdp: StandardFormSdp) -> str:
 
 
 def write_sdpa(obj: Union[SdpInstance, StandardFormSdp], path: str) -> None:
-    """Write an instance or an emitted system; systems get a .varmap sidecar."""
+    """Write an instance or an emitted system; systems get a .varmap sidecar.
+    The text is written chunk by chunk as it is formatted; if formatting
+    fails part way, the partial file is removed."""
     if isinstance(obj, SdpInstance):
-        text = instance_to_sdpa_text(obj)
+        chunks = _instance_chunks(obj)
         sidecar = None
     elif isinstance(obj, StandardFormSdp):
-        text = standard_form_to_sdpa_text(obj)
+        chunks = _standard_form_chunks(obj)
         sidecar = varmap_sidecar_text(obj)
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as SDPA")
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            try:
+                fh.writelines(chunks)
+            except BaseException:
+                # A truncated file would read as a system with entries missing.
+                fh.close()
+                os.remove(path)
+                raise
         if sidecar is not None:
             with open(str(path) + ".varmap", "w") as fh:
                 fh.write(sidecar)

@@ -1,5 +1,7 @@
 """SDPA sparse files and certificate files."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,31 @@ from ramanasdp.certfile import (
     to_strong_point,
     write_certificate,
 )
-from ramanasdp.sdpa import read_sdpa_text
+from ramanasdp import sdpa
+from ramanasdp.builders import (
+    Constraint,
+    PsdBlock,
+    StandardFormSdp,
+    build_alt_ram,
+    build_dstrong,
+    build_pram,
+)
+from ramanasdp.sdpa import (
+    instance_to_sdpa_text,
+    read_sdpa_text,
+    standard_form_to_sdpa_text,
+    varmap_sidecar_text,
+)
 from ramanasdp import StrongDualSpec
 from ramanasdp.verify import LadderRung, RamanaCertificate
 
-from helpers import inst_gap_raw, inst_gap_rr, inst_unattained
+from helpers import (
+    inst_gap_raw,
+    inst_gap_rr,
+    inst_unattained,
+    random_degenerate_instance,
+    random_orthonormal,
+)
 
 
 class TestSdpaRoundTrip:
@@ -156,6 +178,160 @@ class TestEmittedSdpa:
         assert (tmp_path / "a.dat-s.varmap").read_bytes() == (
             tmp_path / "b.dat-s.varmap"
         ).read_bytes()
+
+
+def _reference_entries(matno, blkno, mat, out):
+    rows, cols = np.nonzero(np.triu(mat))
+    for i, j, v in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
+        out.append(f"{matno} {blkno} {i + 1} {j + 1} {v!r}")
+
+
+def _reference_instance_text(inst):
+    """The per-matrix writer that the chunked core replaced."""
+    out = [str(inst.m), "1", str(inst.n), " ".join(repr(float(v)) for v in inst.b)]
+    for t, mat in enumerate((inst.c,) + tuple(inst.a)):
+        _reference_entries(t, 1, mat.a, out)
+    return "\n".join(out) + "\n"
+
+
+def _reference_system_text(sdp):
+    """The same writer for emitted systems, with the objective's blocks in
+    block order as the module docstring promises."""
+    sizes = [str(b.order) for b in sdp.blocks] + ([str(-2 * sdp.n_free)] if sdp.n_free else [])
+    out = [str(len(sdp.constraints)), str(len(sizes)), " ".join(sizes)]
+    out.append(" ".join(repr(float(c.rhs)) for c in sdp.constraints))
+    sign = 1.0 if sdp.sense == "max" else -1.0
+    index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
+    rows = [({nm: sign * k for nm, k in sdp.objective_mats.items()}, sign * sdp.objective_free)]
+    rows += [(con.mats, con.free) for con in sdp.constraints]
+    for t, (mats, free) in enumerate(rows):
+        for name in sorted(mats, key=index.get):
+            _reference_entries(t, index[name], mats[name], out)
+        if sdp.n_free and free.size:
+            for j in np.flatnonzero(free).tolist():
+                c, blk, jj = float(free[j]), len(sdp.blocks) + 1, sdp.n_free + j + 1
+                out += [f"{t} {blk} {j + 1} {j + 1} {c!r}", f"{t} {blk} {jj} {jj} {-c!r}"]
+    return "\n".join(out) + "\n"
+
+
+# Repeated values, signed zeros and values without a short decimal form.
+_VALUES = np.array([0.0, -0.0, 0.0, 1.0, -2.5, 0.1, 1 / 3, -1e-17, 7.0])
+
+
+def _value_matrix(rng, order):
+    a = rng.choice(_VALUES, (order, order))
+    lower = np.tril_indices(order, -1)
+    a[lower] = a.T[lower]  # copying keeps the signed zeros of the upper triangle
+    return a
+
+
+def _hand_system(rng, n_cons, n_free, sense, objective_free):
+    """Constraints whose first half is all zero, so that a chunk of the
+    writer reaches its row bound, and whose second half cycles through an
+    all-zero row, a row with an empty free vector, blocks listed out of
+    order, and a row with no blocks."""
+    blocks = (PsdBlock("A", 3), PsdBlock("B", 1), PsdBlock("C", 4))
+    cons = []
+    for t in range(n_cons):
+        kind = t % 4 if 2 * t >= n_cons else 0
+        if kind == 0:
+            mats, free = {"A": np.zeros((3, 3)), "C": -np.zeros((4, 4))}, -np.zeros(n_free)
+        elif kind == 1:
+            mats, free = {"C": _value_matrix(rng, 4)}, np.zeros(0)
+        elif kind == 2:
+            mats = {nm: _value_matrix(rng, k) for nm, k in (("C", 4), ("B", 1), ("A", 3))}
+            free = rng.choice(_VALUES, n_free)
+        else:
+            mats, free = {}, rng.choice(_VALUES, n_free)
+        cons.append(Constraint(name=f"c{t}", mats=mats, free=free, rhs=float(rng.choice(_VALUES))))
+    return StandardFormSdp(
+        system="hand",
+        sense=sense,
+        blocks=blocks,
+        n_free=n_free,
+        objective_mats={"C": _value_matrix(rng, 4), "A": _value_matrix(rng, 3)},
+        objective_free=objective_free,
+        constraints=tuple(cons),
+        var_map={},
+    )
+
+
+_BUILDERS = {
+    "dram": build_dram,
+    "altram": build_alt_ram,
+    "pram": build_pram,
+    "dstrong": lambda inst: build_dstrong(
+        inst, StrongDualSpec(q=random_orthonormal(np.random.default_rng(1), inst.n), r=2)
+    ),
+}
+
+
+class TestChunkedWriter:
+    @pytest.mark.parametrize("builder", sorted(_BUILDERS))
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_builder_output_matches_reference(self, builder, n):
+        inst = random_degenerate_instance(np.random.default_rng(n), n, n, (1, 1))[0]
+        sdp = _BUILDERS[builder](inst)
+        assert standard_form_to_sdpa_text(sdp) == _reference_system_text(sdp)
+        assert instance_to_sdpa_text(inst) == _reference_instance_text(inst)
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    @pytest.mark.parametrize("objective_free", ["zero", "nonzero"])
+    def test_hand_built_system_matches_reference(self, sense, objective_free):
+        rng = np.random.default_rng(7)
+        n_free = 5
+        free = rng.choice(_VALUES, n_free) if objective_free == "nonzero" else np.zeros(n_free)
+        sdp = _hand_system(rng, 2 * sdpa._CHUNK_ROWS + 3, n_free, sense, free)
+        text = standard_form_to_sdpa_text(sdp)
+        assert text == _reference_system_text(sdp)
+        written = {line.rsplit(" ", 1)[1] for line in text.splitlines()[4:]}
+        assert not written & {"0.0", "-0.0"}
+
+    @pytest.mark.parametrize("kind", ["several-chunks", "all-zero"])
+    def test_instance_matches_reference(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "all-zero":
+            inst = SdpInstance.from_arrays([-np.zeros((2, 2))] * 3, np.zeros(3), np.zeros((2, 2)))
+        else:
+            mats = [_value_matrix(rng, 3) for _ in range(sdpa._CHUNK_ROWS + 1)]
+            mats.append(-np.zeros((3, 3)))
+            inst = SdpInstance.from_arrays(
+                mats, rng.choice(_VALUES, len(mats)), _value_matrix(rng, 3)
+            )
+        assert instance_to_sdpa_text(inst) == _reference_instance_text(inst)
+
+    def test_objective_entries_follow_block_order(self):
+        one = np.ones((1, 1))
+        sdp = StandardFormSdp(
+            system="hand",
+            sense="max",
+            blocks=(PsdBlock("A", 1), PsdBlock("B", 1)),
+            n_free=0,
+            objective_mats={"B": 2.0 * one, "A": one},
+            objective_free=np.zeros(0),
+            constraints=(Constraint(name="c", mats={"A": one}, free=np.zeros(0), rhs=1.0),),
+            var_map={},
+        )
+        entries = standard_form_to_sdpa_text(sdp).splitlines()[4:]
+        assert entries == ["0 1 1 1 1.0", "0 2 1 1 2.0", "1 1 1 1 1.0"]
+
+    def test_streamed_file_equals_text(self, tmp_path):
+        inst = random_degenerate_instance(np.random.default_rng(5), 8, 8, (2, 1))[0]
+        sdp = build_dram(inst)
+        write_sdpa(sdp, str(tmp_path / "s.dat-s"))
+        assert (tmp_path / "s.dat-s").read_bytes() == standard_form_to_sdpa_text(sdp).encode()
+        assert (tmp_path / "s.dat-s.varmap").read_bytes() == varmap_sidecar_text(sdp).encode()
+        write_sdpa(inst, str(tmp_path / "i.dat-s"))
+        assert (tmp_path / "i.dat-s").read_bytes() == instance_to_sdpa_text(inst).encode()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        sdp = _hand_system(np.random.default_rng(2), 2 * sdpa._CHUNK_ROWS, 3, "max", np.ones(3))
+        bad = Constraint(name="bad", mats={"Z": np.eye(2)}, free=np.zeros(3), rhs=0.0)
+        sdp = dataclasses.replace(sdp, constraints=sdp.constraints + (bad,))
+        path = tmp_path / "bad.dat-s"
+        with pytest.raises(KeyError):
+            write_sdpa(sdp, str(path))
+        assert not path.exists()
 
 
 def _ladder_cert():
