@@ -10,7 +10,7 @@ the system it writes).
     python3 tools/emit_probe.py [--n N ...] [--seed S]
 
 n defaults to 18 and 24.  The system stores Θ(n⁴) dense floats: n = 24
-holds about 0.3 GB and n = 30 about 1 GB, so n = 30 runs only when asked
+holds about 0.4 GB and n = 30 about 1 GB, so n = 30 runs only when asked
 for with ``--n 30``.  The file is written to a temporary directory and
 removed.  Not a test: pytest collects only ``tests`` and ``bench``.
 """
