@@ -1,5 +1,7 @@
 """The barrier subsolver's entry points on closed-form families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,123 @@ class TestMinimizeLinearOverFace:
             minimize_linear_over_face(
                 np.eye(2), np.eye(2), [np.diag([1.0, -1.0])], np.array([2.0])
             )
+
+
+def _family(seed, n, d, shift, traceless):
+    """s0 + shift·I and d random symmetric matrices (traceless on request)."""
+    rng = np.random.default_rng(seed)
+    sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
+    if traceless:
+        sym[1:] = [m - np.trace(m) / n * np.eye(n) for m in sym[1:]]
+    return sym[0] + shift * np.eye(n), sym[1:]
+
+
+# id: (entry point, _family arguments, keyword arguments).  The "big" cases
+# have n = 10 and k = 53 Hessian columns on the λ_min path.
+BARRIER_CASES = {
+    "lmin-below-exits": ("lmin", (2, 4, 2, -1.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
+    "lmin-below-exits-9": ("lmin", (9, 4, 2, -1.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
+    "lmin-below-full": ("lmin", (0, 4, 2, 1.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
+    "lmin-below-full-5": ("lmin", (5, 5, 3, 2.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
+    "lmin-above-exits": ("lmin", (0, 5, 3, 2.0, False), {"reg": 1e-10, "stop_above": 0.1}),
+    "lmin-above-full": ("lmin", (1, 5, 3, 2.0, False), {"reg": 1e-10, "stop_above": 0.1}),
+    "interior": ("interior", (0, 6, 4, 3.0, True), {}),
+    "interior-2": ("interior", (2, 6, 4, 3.0, True), {}),
+    "face": ("face", (0, 5, 3, 4.0, True), {}),
+    "face-2": ("face", (2, 5, 3, 4.0, True), {}),
+    "big-lmin-below-exits": ("lmin", (0, 10, 52, -1.0, True), {"reg": 1e-8, "stop_below": -1e-2}),
+    "big-lmin-below-full": ("lmin", (0, 10, 52, 3.0, True), {"reg": 1e-8, "stop_below": -1e-2}),
+    "big-interior": ("interior", (1, 10, 52, 3.0, True), {}),
+}
+
+# SHA-256 of every barrier path's (w, steps) and of the entry point's
+# outputs (w, value, newton_steps, below), and LambdaMinResult.upper.
+BARRIER_GOLDEN = {
+    "big-interior": (
+        "559723165594d2074d14fb254ec25c31d212b9948bbbf42f793b42513f013199",
+        None,
+    ),
+    "big-lmin-below-exits": (
+        "49f37313faebbdfafbbfcd19e77221b8ed358e0d45c49bfab10653510330d873",
+        -0.5443757979462114,
+    ),
+    "big-lmin-below-full": (
+        "e77926c73cce848c0e196d74b820b0558295c8abb1bb7ce2b2fc50e16bdc4929",
+        3.0547431027654186,
+    ),
+    "face": (
+        "cdd0909cbfdb1f1306967b2694f93dec051842e33e2932d25cdf5aed8fabdaa5",
+        None,
+    ),
+    "face-2": (
+        "2110e3ae9e27422079e9a06d7e2c8f1799476118cb6bef12265b8dee4831cf3b",
+        None,
+    ),
+    "interior": (
+        "ebec1fd352332fecef3d251f72308a6fc674ba02cdcef163464f808bce388478",
+        None,
+    ),
+    "interior-2": (
+        "d6ee606b4ceb0bfcb1a9ad76807aac70269a460d798463322a4a6bc950c96646",
+        None,
+    ),
+    "lmin-above-exits": (
+        "1dae66d94a688d5fad6cfbcf5d32d3417b9ea8d434da8cd3bf6dd67a2350fa29",
+        np.inf,
+    ),
+    "lmin-above-full": (
+        "120cc6d2444ab58742023e37d8071b25841c3182d84849e0c44736ce36ff5a91",
+        np.inf,
+    ),
+    "lmin-below-exits": (
+        "a929dc2a6c7a094c08c5f5cc03b09459252c2dba606fd76ce576aac81201f8f0",
+        -1.2304401435690904,
+    ),
+    "lmin-below-exits-9": (
+        "16c352f7cf4d0e33b0397aa5e63bfc64c20212840404ba4eae769a04320909ba",
+        -2.6775826770106077,
+    ),
+    "lmin-below-full": (
+        "610fb18b350c1ba3fe29b2f84af472d12b4bfdc545929045a44f067c040d3e78",
+        0.2930010301084823,
+    ),
+    "lmin-below-full-5": (
+        "0adc3804331bc263fd899322f061b4bd7168f5be3bc5fb9d528adf484bb7ebff",
+        0.6534013460466802,
+    ),
+}
+
+
+def _barrier_outputs(monkeypatch, entry, family, kwargs):
+    h = hashlib.sha256()
+    path = subsolver._barrier_path
+
+    def recorded(*args, **kw):
+        w, steps = path(*args, **kw)
+        h.update(w.tobytes() + repr(steps).encode())
+        return w, steps
+
+    monkeypatch.setattr(subsolver, "_barrier_path", recorded)
+    s0, mats = _family(*family)
+    upper = None
+    if entry == "lmin":
+        res = maximize_lambda_min(s0, mats, **kwargs)
+        out, upper = (res.w, res.value, res.newton_steps, res.below), res.upper
+    elif entry == "interior":
+        out = (interior_point(s0, mats),)
+    else:
+        obj = np.diag(np.arange(1.0, s0.shape[0] + 1))
+        out = minimize_linear_over_face(obj, s0, mats, np.zeros(len(mats)))
+    for x in out:
+        h.update(x.tobytes() if isinstance(x, np.ndarray) else repr(x).encode())
+    return h.hexdigest(), upper
+
+
+@pytest.mark.parametrize("case", sorted(BARRIER_CASES))
+def test_barrier_outputs_golden(case, monkeypatch):
+    # Pins the iterates bit for bit: a change to how a step is computed
+    # must leave every w, value, step count and exit decision unchanged.
+    digest, upper = _barrier_outputs(monkeypatch, *BARRIER_CASES[case])
+    want_digest, want_upper = BARRIER_GOLDEN[case]
+    assert digest == want_digest
+    assert upper == pytest.approx(want_upper, rel=1e-12)
