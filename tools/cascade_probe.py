@@ -6,13 +6,17 @@ for seeds 0..N-1 and prints the number of refusals, the refused seeds, any
 seed whose answer contradicts the planted face, and a SHA-256 of the
 per-seed (status, r, k).  Two versions of the library give the same digest
 exactly when they make the same decision on every seed, so a change to the
-subsolver or to cleanup can be gated on this set.
+subsolver or to cleanup can be gated on this set.  With ``--infeasible``
+the instances are ``bench/gen.planted(default_rng(seed), 7, (2, 1, 1, 2),
+2, infeasible=True)`` instead, and an answer other than "infeasible" is
+wrong.
 
-    python3 tools/cascade_probe.py [--seeds N] [--out FILE]
+    python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--out FILE]
 
-N defaults to 1,000 (about 80 s on a 2-core Xeon).  ``--out`` writes the
-per-seed answers as JSON, so two runs can be compared seed by seed.  Not a
-test: pytest collects only ``tests`` and ``bench``.
+N defaults to 1,000 (about 80 s feasible, 110 s infeasible, on a 2-core
+Xeon).  ``--out`` writes the per-seed answers as JSON, so two runs can be
+compared seed by seed.  Not a test: pytest collects only ``tests`` and
+``bench``.
 """
 
 from __future__ import annotations
@@ -24,35 +28,45 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
 import ramanasdp as rs  # noqa: E402
+from gen import planted  # noqa: E402
 from helpers import random_degenerate_instance  # noqa: E402
 
 REFUSALS = (rs.NumericalRankAmbiguityError, rs.SubsolverFailureError, rs.IterationLimitError)
 SHAPE = (7, 6, (2, 1, 1, 2))
 
 
-def probe(seed: int) -> tuple[list, bool]:
+def probe(seed: int, infeasible: bool) -> tuple[list, bool]:
     """(status, r, k) or ("refused", error name), and whether it is wrong."""
-    inst, _, rank_sum = random_degenerate_instance(np.random.default_rng(seed), *SHAPE)
+    rng = np.random.default_rng(seed)
+    if infeasible:
+        inst, rank_sum = planted(rng, SHAPE[0], SHAPE[2], 2, infeasible=True).inst, None
+    else:
+        inst, _, rank_sum = random_degenerate_instance(rng, *SHAPE)
     try:
         rr = rs.build_rr_form(inst)
     except REFUSALS as exc:
         return ["refused", type(exc).__name__], False
-    return [rr.status, list(rr.r), rr.k], rr.status != "feasible" or sum(rr.r) != rank_sum
+    answer = [rr.status, list(rr.r), rr.k]
+    if infeasible:
+        return answer, rr.status != "infeasible"
+    return answer, rr.status != "feasible" or sum(rr.r) != rank_sum
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=1000, help="probe seeds 0..N-1")
+    ap.add_argument("--infeasible", action="store_true",
+                    help="probe planted infeasible instances of the same shape")
     ap.add_argument("--out", help="write the per-seed answers to this JSON file")
     args = ap.parse_args(argv)
     answers, refused, wrong = [], [], []
     for seed in range(args.seeds):
-        answer, bad = probe(seed)
+        answer, bad = probe(seed, args.infeasible)
         answers.append(answer)
         if answer[0] == "refused":
             refused.append(seed)
