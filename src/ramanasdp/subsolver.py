@@ -12,7 +12,7 @@ mu schedule and stopping tolerance they give it:
   * maximize_lambda_min       — max lambda_min(S(w)): the path over (w, t)
     with the extra matrix -I (so S(w) - tI ≻ 0) and lin = (0, ..., 0, -1).
     A tiny ridge on w keeps it bounded when the supremum is +infinity.
-    On request, each Newton step's dual point X = G⁻¹/tr(G⁻¹) certifies
+    On request, each iterate's dual point X = G⁻¹/tr(G⁻¹) certifies
     bounds on lambda_min and on ‖S‖ at the ridged optimum, so a caller
     that only needs to know the optimum is below a relative tolerance
     band can end the path as soon as the bounds say so.
@@ -20,10 +20,13 @@ mu schedule and stopping tolerance they give it:
     centering at mu = 1, lin = 0 toward the regularized analytic center.
   * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
 
-Each Newton step reuses the Cholesky factor and merit value of the last
-accepted line-search point, and assembles the Hessian a few columns per
-matrix product.  All iterations are deterministic: fixed starting points,
-fixed step rules, no randomization.
+The path does its per-iterate work once per accepted iterate, not once
+per Newton step: the line search's Cholesky factor gives the merit value,
+and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that the
+stop test and every step at that iterate share, also when a new mu round
+starts there.  The Hessian is assembled a few columns per matrix
+product.  All iterations are deterministic: fixed starting points, fixed
+step rules, no randomization.
 """
 
 from __future__ import annotations
@@ -87,53 +90,58 @@ def _barrier_path(
     s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
     w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
     tol: float, max_iter: int, c0: float = 0.0,
-    stop: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
+    stop: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], bool]] = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
     S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
 
     Each mu gets at most ``inner`` steps and ends once the Newton
     decrement is at most tol·(1 + |c0 + lin·w|) or the line search fails.
-    ``stop`` is called with w and S(w)⁻¹ before each step, and ends the
-    path when it returns True.  Returns (w, Newton steps taken).
+    ``stop`` is called once per iterate, before its first step, with w,
+    G = S(w), G⁻¹ and trs = (<fam[i], G⁻¹>)_i, and ends the path when it
+    returns True.  Returns (w, Newton steps taken).
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
     diag = np.diag_indices(k)
 
-    def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], float]:
+        """S(v), its Cholesky factor (None outside the cone), log det S(v) / 2."""
         g = s0 + (v @ flat).reshape(s0.shape)
-        return g, _chol_or_none(g)
+        l = _chol_or_none(g)
+        return g, l, np.nan if l is None else float(np.sum(np.log(np.diag(l))))
 
-    def merit(v: np.ndarray, l: np.ndarray) -> float:
-        return float(lin @ v + 0.5 * (reg * v) @ v) - 2.0 * mu * float(
-            np.sum(np.log(np.diag(l)))
-        )
+    def merit(v: np.ndarray, half_logdet: float) -> float:
+        return float(lin @ v + 0.5 * (reg * v) @ v) - 2.0 * mu * half_logdet
 
-    g, l = factor(w)
+    g, l, half_logdet = factor(w)
     if l is None:
         raise IterationLimitError("barrier iterate left the PSD cone")
-    steps = 0
+    steps, ginv = 0, None
     hess = np.empty((k, k))
     while True:
         # The merit of each accepted point is the next step's f0; only a
         # new mu needs it recomputed.
-        f0 = merit(w, l)
+        f0 = merit(w, half_logdet)
         for _ in range(inner):
-            if not np.all(np.isfinite(g)):
-                raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
-            # The accepted step's Cholesky factor gives G^{-1} for the stop
-            # test and the step; H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled
-            # _HESS_BLOCK columns at a time: a (_HESS_BLOCK, n, n) temporary,
-            # not a (k, n, n) one.
-            linv = np.linalg.inv(l)
-            ginv = linv.T @ linv
-            if stop is not None and stop(w, ginv):
-                return w, steps
+            # Once per iterate, however many mu rounds start at it: the
+            # finite check, G^{-1} from the Cholesky factor, the traces
+            # <fam[i], G^{-1}> and the stop test.
+            if ginv is None:
+                if not np.all(np.isfinite(g)):
+                    raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
+                linv = np.linalg.inv(l)
+                ginv = linv.T @ linv
+                trs = flat @ ginv.ravel()
+                if stop is not None and stop(w, g, ginv, trs):
+                    return w, steps
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
-            grad = lin + reg * w - mu * (flat @ ginv.ravel())
+            # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK
+            # columns at a time: a (_HESS_BLOCK, n, n) temporary, not a
+            # (k, n, n) one.
+            grad = lin + reg * w - mu * trs
             for j in range(0, k, _HESS_BLOCK):
                 blk = ginv @ fam[j:j + _HESS_BLOCK] @ ginv
                 hess[:, j:j + _HESS_BLOCK] = flat @ blk.reshape(len(blk), -1).T
@@ -150,15 +158,15 @@ def _barrier_path(
             alpha = 1.0
             for _ in range(50):
                 w_new = w + alpha * step
-                g_new, l_new = factor(w_new)
+                g_new, l_new, hld_new = factor(w_new)
                 if l_new is not None:
-                    f_new = merit(w_new, l_new)
+                    f_new = merit(w_new, hld_new)
                     if f_new <= f0 - 0.25 * alpha * decrement:
                         break
                 alpha *= 0.5
             else:
                 break
-            w, g, l, f0 = w_new, g_new, l_new, f_new
+            w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, hld_new, f_new, None
         if mu <= mu_final:
             return w, steps
         mu = max(mu * shrink, mu_final)
@@ -208,31 +216,30 @@ def maximize_lambda_min(
     n = s0.shape[0]
     fam = _stack(mats, n, extra=1)
     np.fill_diagonal(fam[d], -1.0)
-    flat = fam[:d].reshape(d, s0.size)
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False
 
-    def stop(wt: np.ndarray, ginv: np.ndarray) -> bool:
+    def stop(wt: np.ndarray, g: np.ndarray, ginv: np.ndarray, trs: np.ndarray) -> bool:
         nonlocal upper, below
         if stop_above is not None and wt[d] > stop_above:
             return True
         if not certify:
             return False
-        w, t, tr = wt[:d], float(wt[d]), float(np.trace(ginv))
-        x = ginv / tr
-        a = flat @ x.ravel()
+        # fam[d] = -I, so trs[d] = -tr(G⁻¹), and trs[:d] = tr(G⁻¹)·a.
+        w, t, tr = wt[:d], float(wt[d]), -float(trs[d])
+        a = trs[:d] / tr
         ww = float(w @ w)
-        f_up = float(np.sum(s0 * x))
+        f_up = float(s0.ravel() @ ginv.ravel()) / tr
         f_lo = t + 1.0 / tr - 0.5 * reg * ww
         rho = off_path = 0.0
         if d:
             f_up += float(a @ a) / (2.0 * reg)
             rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
-            off_path = float(np.linalg.norm(a - reg * w)) * rho * tr
+            resid = a - reg * w
+            off_path = math.sqrt(float(resid @ resid)) * rho * tr
         bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
-        g = s0 + (w @ flat).reshape(n, n) - t * np.eye(n)
         r = n + 2.0 * math.sqrt(n) + 1.0 + off_path
-        scale = (1.0 + r) * float(np.linalg.norm(g)) + math.sqrt(n) * max(abs(f_lo), abs(bound))
+        scale = (1.0 + r) * math.sqrt(float(np.vdot(g, g))) + math.sqrt(n) * max(abs(f_lo), abs(bound))
         upper = min(upper, bound)
         below = bound < stop_below * max(1.0, scale)
         return below

@@ -277,3 +277,28 @@ def test_barrier_outputs_golden(case, monkeypatch):
     want_digest, want_upper = BARRIER_GOLDEN[case]
     assert digest == want_digest
     assert upper == pytest.approx(want_upper, rel=1e-12)
+
+
+def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
+    # min w - mu·log det diag(1, w - 2, 3 - w) for mu = 1, 0.2, ..., 1e-4:
+    # seven mu rounds, each starting at the point where the last one
+    # stopped.  G⁻¹ and the stop test are computed once per iterate.
+    inv, seen = np.linalg.inv, []
+
+    def counted_inv(a):
+        seen.append("inv")
+        return inv(a)
+
+    def stop(w, g, ginv, trs):
+        seen.append(w.tobytes())
+        assert trs == pytest.approx([float(np.sum(FAMILY[0] * ginv))], rel=1e-12)
+        return False
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    w, steps = subsolver._barrier_path(
+        S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([2.5]),
+        mu=1.0, mu_final=1e-4, shrink=0.2, inner=50, tol=1e-12, max_iter=500, stop=stop,
+    )
+    iterates = [x for x in seen if x != "inv"]
+    assert w == pytest.approx([2.0], abs=1e-3)
+    assert seen.count("inv") == len(iterates) == len(set(iterates)) < steps
