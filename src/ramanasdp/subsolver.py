@@ -158,15 +158,15 @@ def _barrier_path(
             alpha = 1.0
             for _ in range(50):
                 w_new = w + alpha * step
-                g_new, l_new, hld_new = factor(w_new)
+                g_new, l_new, half_logdet_new = factor(w_new)
                 if l_new is not None:
-                    f_new = merit(w_new, hld_new)
+                    f_new = merit(w_new, half_logdet_new)
                     if f_new <= f0 - 0.25 * alpha * decrement:
                         break
                 alpha *= 0.5
             else:
                 break
-            w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, hld_new, f_new, None
+            w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, half_logdet_new, f_new, None
         if mu <= mu_final:
             return w, steps
         mu = max(mu * shrink, mu_final)
@@ -239,7 +239,7 @@ def maximize_lambda_min(
             off_path = math.sqrt(float(resid @ resid)) * rho * tr
         bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
         r = n + 2.0 * math.sqrt(n) + 1.0 + off_path
-        scale = (1.0 + r) * math.sqrt(float(np.vdot(g, g))) + math.sqrt(n) * max(abs(f_lo), abs(bound))
+        scale = (1.0 + r) * math.sqrt(np.vdot(g, g)) + math.sqrt(n) * max(abs(f_lo), abs(bound))
         upper = min(upper, bound)
         below = bound < stop_below * max(1.0, scale)
         return below

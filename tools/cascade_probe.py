@@ -13,10 +13,9 @@ wrong.
 
     python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--out FILE]
 
-N defaults to 1,000 (about 80 s feasible, 110 s infeasible, on a 2-core
-Xeon).  ``--out`` writes the per-seed answers as JSON, so two runs can be
-compared seed by seed.  Not a test: pytest collects only ``tests`` and
-``bench``.
+N defaults to 1,000 (about 90 s in either mode on a 2-core Xeon).
+``--out`` writes the per-seed answers as JSON, so two runs can be compared
+seed by seed.  Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def probe(seed: int, infeasible: bool) -> tuple[list, bool]:
     """(status, r, k) or ("refused", error name), and whether it is wrong."""
     rng = np.random.default_rng(seed)
     if infeasible:
-        inst, rank_sum = planted(rng, SHAPE[0], SHAPE[2], 2, infeasible=True).inst, None
+        inst = planted(rng, SHAPE[0], SHAPE[2], 2, infeasible=True).inst
     else:
         inst, _, rank_sum = random_degenerate_instance(rng, *SHAPE)
     try:
