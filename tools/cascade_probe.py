@@ -1,4 +1,4 @@
-"""Refusal probe on one deep-cascade shape: n = 7, blocks (2, 1, 1, 2).
+"""Refusal probe on a deep-cascade shape, by default n = 7, blocks (2, 1, 1, 2).
 
 Runs ``build_rr_form`` on
 ``helpers.random_degenerate_instance(default_rng(seed), 7, 6, (2, 1, 1, 2))``
@@ -9,9 +9,13 @@ exactly when they make the same decision on every seed, so a change to the
 subsolver or to cleanup can be gated on this set.  With ``--infeasible``
 the instances are ``bench/gen.planted(default_rng(seed), 7, (2, 1, 1, 2),
 2, infeasible=True)`` instead, and an answer other than "infeasible" is
-wrong.
+wrong.  ``--shape N,M,B1,B2,...`` probes
+``random_degenerate_instance(rng, N, M, (B1, B2, ...))`` instead (with
+``--infeasible``: ``planted(rng, N, (B1, B2, ...), 2, infeasible=True)``,
+which has no M), for example the thin-face shapes 7,5,2,2,2 /
+12,7,2,2,2,2,3 / 5,4,2,2 / 8,8,1,1,1,1,1,1.
 
-    python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--out FILE]
+    python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--shape N,M,B1,...] [--out FILE]
 
 N defaults to 1,000 (about 90 s in either mode on a 2-core Xeon).
 ``--out`` writes the per-seed answers as JSON, so two runs can be compared
@@ -39,13 +43,20 @@ REFUSALS = (rs.NumericalRankAmbiguityError, rs.SubsolverFailureError, rs.Iterati
 SHAPE = (7, 6, (2, 1, 1, 2))
 
 
-def probe(seed: int, infeasible: bool) -> tuple[list, bool]:
+def parse_shape(text: str) -> tuple[int, int, tuple[int, ...]]:
+    n, m, *blocks = (int(x) for x in text.split(","))
+    if not blocks:
+        raise argparse.ArgumentTypeError("--shape needs N,M and at least one block")
+    return n, m, tuple(blocks)
+
+
+def probe(seed: int, infeasible: bool, shape=SHAPE) -> tuple[list, bool]:
     """(status, r, k) or ("refused", error name), and whether it is wrong."""
     rng = np.random.default_rng(seed)
     if infeasible:
-        inst = planted(rng, SHAPE[0], SHAPE[2], 2, infeasible=True).inst
+        inst = planted(rng, shape[0], shape[2], 2, infeasible=True).inst
     else:
-        inst, _, rank_sum = random_degenerate_instance(rng, *SHAPE)
+        inst, _, rank_sum = random_degenerate_instance(rng, *shape)
     try:
         rr = rs.build_rr_form(inst)
     except REFUSALS as exc:
@@ -61,11 +72,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=1000, help="probe seeds 0..N-1")
     ap.add_argument("--infeasible", action="store_true",
                     help="probe planted infeasible instances of the same shape")
+    ap.add_argument("--shape", type=parse_shape, default=SHAPE, metavar="N,M,B1,B2,...",
+                    help="order, rows and planted blocks (default 7,6,2,1,1,2)")
     ap.add_argument("--out", help="write the per-seed answers to this JSON file")
     args = ap.parse_args(argv)
     answers, refused, wrong = [], [], []
     for seed in range(args.seeds):
-        answer, bad = probe(seed, args.infeasible)
+        answer, bad = probe(seed, args.infeasible, args.shape)
         answers.append(answer)
         if answer[0] == "refused":
             refused.append(seed)
