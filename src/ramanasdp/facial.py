@@ -75,6 +75,12 @@ AFFINE_RESIDUAL_TOL = 1e-10
 # GRAM_NULL_CUT·max(λ_max, 1) count as zero (branch B's linear certificates).
 GRAM_NULL_CUT = 1e-12
 
+# The strength of a certificate y is ‖𝒜*y‖_F / (‖y‖·max_i ‖A_i‖_F).  One
+# below eps**CERT_STRENGTH_POWER is taken for rounding noise, not for a
+# certificate: after a few rounds the data is consistent only to about
+# √(machine precision), and on a thin face such noise admits a phantom y.
+CERT_STRENGTH_POWER = 0.5
+
 
 class NumericalRankAmbiguityError(RuntimeError):
     """An eigenvalue fell inside the (eps, 100·eps)·scale band; the rank
@@ -448,7 +454,8 @@ def _lambda_min_search(
     the slice is empty; ambiguous marks an optimum inside the tolerance
     band that cleanup could not turn into a certificate.  The search ends
     early, as NotFound, once the subsolver certifies that λ_min at the
-    ridged optimum is below the band at that optimum's own scale.
+    ridged optimum is below the band at that optimum's own scale.  An
+    optimum of strength below eps**CERT_STRENGTH_POWER is NotFound too.
     """
     sol = _affine_solutions(rows, rhs)
     if sol is None:
@@ -460,7 +467,11 @@ def _lambda_min_search(
         s0, fam, reg=reg, max_iter=max_iter, stop_below=-100.0 * eps
     )
     y_opt = y0 + null @ res.w
-    if res.below or res.value < -100.0 * eps * max(1.0, apply_at(inst, y_opt).norm()):
+    z_norm = apply_at(inst, y_opt).norm()
+    if res.below or res.value < -100.0 * eps * max(1.0, z_norm):
+        return None, res.value, False
+    a_max = max(a.norm() for a in inst.a)
+    if z_norm < eps**CERT_STRENGTH_POWER * float(np.linalg.norm(y_opt)) * a_max:
         return None, res.value, False
     cert = _clean_and_validate(inst, y_opt, rows, rhs, target, eps)
     return cert, res.value, cert is None

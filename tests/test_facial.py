@@ -415,3 +415,17 @@ class TestDeepCascadeSoundness:
             assert sum(rr.r) == planted
             correct += 1
         assert correct >= 50  # refusals stay rare
+
+
+class TestCertificateStrength:
+    def test_thin_face_phantom_is_not_a_certificate(self):
+        # The last round of this cascade sees an order-1 block on which the
+        # two generic rows are parallel only to rounding.  The slice then
+        # holds a y of norm ~1e7 with λ_min(𝒜*y) = 1: far from the band,
+        # but weaker than √eps against ‖y‖·max‖A_i‖.  It is NotFound, so
+        # the planted face is certified instead of a failed merge.
+        rng = np.random.default_rng(0)
+        inst, _, planted = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
+        rr = build_rr_form(inst)
+        assert rr.status == STATUS_FEASIBLE
+        assert rr.r == (2, 1, 1, 2) and sum(rr.r) == planted
