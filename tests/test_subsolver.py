@@ -302,3 +302,51 @@ def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
     iterates = [x for x in seen if x != "inv"]
     assert w == pytest.approx([2.0], abs=1e-3)
     assert seen.count("inv") == len(iterates) == len(set(iterates)) < steps
+
+
+# The same families by value, recorded with full centering at every mu:
+# lmin cases (value, below, upper, value of the run without a stop level),
+# face cases the minimum, interior cases None.
+BARRIER_VALUES = {
+    "big-interior": None,
+    "big-lmin-below-exits": (-1.0135138981083667, True, -0.5443757979462114, -0.9452573510872844),
+    "big-lmin-below-full": (3.054742648912715, False, 3.0547431027654186, 3.054742648912715),
+    "face": 56.79660423514087,
+    "face-2": 48.337302351725675,
+    "interior": None,
+    "interior-2": None,
+    "lmin-above-exits": (1.8275572369251913, False, np.inf, 1.9597434199261252),
+    "lmin-above-full": (-0.5112598757049011, False, np.inf, -0.5112598757049011),
+    "lmin-below-exits": (-1.4585937801522988, True, -1.2304401435690904, -1.425028116210471),
+    "lmin-below-exits-9": (-4.01324242057408, True, -2.6775826770106077, -4.011105321380441),
+    "lmin-below-full": (0.29300102946432344, False, 0.2930010301084823, 0.29300102946432344),
+    "lmin-below-full-5": (0.6534013100878788, False, 0.6534013460466812, 0.6534013100878788),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BARRIER_CASES))
+def test_barrier_outputs_within_tolerance(case):
+    # The golden digests above pin one way of stepping; these bounds hold
+    # for any path to the same optima: the exit decisions, the values of
+    # runs that do not exit, a certified upper no looser than before, and
+    # strictly feasible interior points.
+    entry, family, kwargs = BARRIER_CASES[case]
+    s0, mats = _family(*family)
+    want = BARRIER_VALUES[case]
+    if entry == "interior":
+        w = interior_point(s0, mats)
+        assert np.linalg.eigvalsh(s0 + np.tensordot(w, np.array(mats), 1))[0] > 0.0
+    elif entry == "face":
+        obj = np.diag(np.arange(1.0, s0.shape[0] + 1))
+        _, value = minimize_linear_over_face(obj, s0, mats, np.zeros(len(mats)))
+        assert value == pytest.approx(want, rel=1e-8)
+    else:
+        value, below, upper, full_value = want
+        res = maximize_lambda_min(s0, mats, **kwargs)
+        assert res.below == below
+        if "stop_above" in kwargs and value > kwargs["stop_above"]:
+            assert res.value > kwargs["stop_above"]
+        elif not below:
+            assert res.value == pytest.approx(value, abs=1e-9)
+        if "stop_below" in kwargs:
+            assert full_value <= res.upper <= upper + 1e-9
