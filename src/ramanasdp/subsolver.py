@@ -43,6 +43,9 @@ import numpy as np
 _LAMBDA_MIN_MU_FINAL = 1e-11
 _CENTER_REG, _CENTER_TOL = 1e-9, 1e-8
 _FACE_REG, _FACE_MU_FINAL = 1e-10, 1e-9
+# Inexact centering: every mu round but the last ends once the Newton
+# decrement is at most _ROUND_DECREMENT·mu.
+_ROUND_DECREMENT = 0.25
 # Hessian columns per matrix product: a larger block means fewer products
 # but a larger (block, n, n) temporary.
 _HESS_BLOCK = 4
@@ -89,17 +92,19 @@ def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
 def _barrier_path(
     s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
     w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
-    tol: float, max_iter: int, c0: float = 0.0,
-    stop: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], bool]] = None,
+    tol: float, max_iter: int, c0: float = 0.0, stop: Optional[Callable[..., bool]] = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
     S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
 
-    Each mu gets at most ``inner`` steps and ends once the Newton
-    decrement is at most tol·(1 + |c0 + lin·w|) or the line search fails.
-    ``stop`` is called once per iterate, before its first step, with w,
-    G = S(w), G⁻¹ and trs = (<fam[i], G⁻¹>)_i, and ends the path when it
-    returns True.  Returns (w, Newton steps taken).
+    Each mu gets at most ``inner`` steps and ends once the Newton decrement
+    is at most tol·(1 + |c0 + lin·w|), or at most _ROUND_DECREMENT·mu while
+    mu > mu_final, or when the line search fails.  So only the last mu is
+    centered to tol; an earlier one ends once (decrement/mu)^½ ≤ 1/2.
+    ``stop`` is called once per iterate, after the first step solve there,
+    as stop(w, G, G⁻¹, trs, step, decrement, mu) with G = S(w) and
+    trs = (<fam[i], G⁻¹>)_i, and ends the path when it returns True.
+    Returns (w, Newton steps taken).
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
@@ -126,15 +131,14 @@ def _barrier_path(
         for _ in range(inner):
             # Once per iterate, however many mu rounds start at it: the
             # finite check, G^{-1} from the Cholesky factor, the traces
-            # <fam[i], G^{-1}> and the stop test.
-            if ginv is None:
+            # <fam[i], G^{-1}> and, after the step solve, the stop test.
+            fresh = ginv is None
+            if fresh:
                 if not np.all(np.isfinite(g)):
                     raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
                 linv = np.linalg.inv(l)
                 ginv = linv.T @ linv
                 trs = flat @ ginv.ravel()
-                if stop is not None and stop(w, g, ginv, trs):
-                    return w, steps
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
@@ -152,7 +156,10 @@ def _barrier_path(
             except np.linalg.LinAlgError:
                 break
             decrement = float(-grad @ step)
-            if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))):
+            if fresh and stop is not None and stop(w, g, ginv, trs, step, decrement, mu):
+                return w, steps
+            if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))) or (
+                    mu > mu_final and decrement <= _ROUND_DECREMENT * mu):
                 break
             # Backtracking line search keeping the iterate interior.
             alpha = 1.0
@@ -192,21 +199,40 @@ def maximize_lambda_min(
     f(w) = lambda_min(S(w)) - (reg/2)‖w‖².  An exited run's ``value`` is
     then less accurate, and ``below`` is set.
 
-    The certificate, at an iterate (w, t) with G = S(w) - tI ≻ 0:
-      * X = G⁻¹/tr(G⁻¹) is PSD of unit trace, so lambda_min(S(w')) ≤
-        <S(w'), X> for every w', and f* ≤ f_up = <S0, X> + ‖a‖²/(2·reg)
-        with a_i = <S_i, X>.  Also f(w) ≥ f_lo = t + 1/tr(G⁻¹) - (reg/2)‖w‖².
+    The certificate, at an iterate x = (w, t) with G = S(w) - tI ≻ 0 and
+    the Newton step (Δw, Δt) of the path at mu, ΔG = Σ Δw_i S_i - Δt·I:
+      * X = mu(G⁻¹ - G⁻¹ ΔG G⁻¹) is the step's dual point (Boyd &
+        Vandenberghe, Convex Optimization, 2004, §11.2.2).  The Newton
+        equations give tr X = 1 and <S_i, X> = reg·(w + Δw)_i, up to the
+        Hessian's 1e-14 diagonal shift.  X = mu·G^{-½}(I - M)G^{-½} with
+        M = G^{-½} ΔG G^{-½}, so X ⪰ 0 when ‖M‖_F < 1; the certificate is
+        used only when ‖M‖_F² = tr((G⁻¹ΔG)²) ≤ 1/4, and tr X and
+        a_i = <S_i, X>/tr X are read from X itself, so rounding cannot
+        break weak duality.
+      * X/tr X is PSD of unit trace, so lambda_min(S(w')) ≤ <S(w'), X>/tr X
+        for every w', and f* ≤ f_up = <S0, X>/tr X + ‖a‖²/(2·reg).  Also
+        f(w) ≥ f_lo = t + 1/tr(G⁻¹) - (reg/2)‖w‖².  Off the central path
+        a stays near reg·(w + Δw), so the ‖a‖² term stays small, where
+        G⁻¹/tr(G⁻¹) would inflate it to order 1/reg.
       * f is reg-strongly concave, so ‖w* - w‖ ≤ rho = (2(f_up - f_lo)/reg)^½
         and lambda_min(S(w*)) ≤ upper = f_up + (reg/2)(‖w‖ + rho)².
-      * -log det G is an n-self-concordant barrier in (w, t), and (w, t)
-        is on the central path of the ridged problem up to the residual
-        a - reg·w.  So (w*, t*), t* just below lambda_min(S(w*)), lies
-        within local distance r = n + 2√n + 1 + ‖a - reg·w‖·rho·tr(G⁻¹) of
-        (w, t): the ν + 2√ν bound for self-concordant barriers (Nesterov,
-        Introductory Lectures on Convex Optimization, 2004, §4.2), widened
-        by 1 and by the residual because the centering is not exact.  In
-        the Frobenius norm that is ‖G(w*, t*) - G‖_F ≤ r·‖G‖_F, so
-        ‖S(w*)‖_F ≤ (1 + r)‖G‖_F + √n·max(|f_lo|, |upper|).
+      * The radius (Nesterov, Introductory Lectures on Convex Optimization,
+        2004, §4.1–4.2).  F = -log det G is an n-self-concordant barrier in
+        x, and the path minimizes the self-concordant phi = q/mu + F, with
+        q = -t + (reg/2)‖w‖².  Its Newton decrement at x is
+        lam = (decrement/mu)^½.  For lam < 1 the mu-center x_mu lies within
+        delta = lam/(1 - lam) of x in phi's local norm at x (§4.1), hence
+        in F's, which is smaller.  The optimum y = (w*, t*), t* =
+        lambda_min(S(w*)), has <F'(x_mu), y - x_mu> = -<q'(x_mu), y - x_mu>/mu
+        ≥ (q(x_mu) - q(y))/mu ≥ 0, so ‖y - x_mu‖ ≤ n + 2√n in F's local norm
+        at x_mu, the ν + 2√ν bound of §4.2 with ν = n.  For delta < 1,
+        F''(x_mu) ⪰ (1 - delta)²F''(x) (§4.1), so y lies within
+        r = (n + 2√n)/(1 - delta) + delta of x in F's local norm at x,
+        which is ‖G^{-½}(G(y) - G)G^{-½}‖_F.
+        Hence ‖G(y) - G‖_F ≤ r·‖G‖_F and ‖S(w*)‖_F ≤ (1 + r)‖G‖_F +
+        √n·max(|f_lo|, |upper|).  delta < 1 needs lam < 1/2, which the
+        certificate checks next to ‖M‖_F ≤ 1/2 (‖M‖_F² ≤ lam², up to the
+        1e-14 shift and rounding).
     On the central path f_up - f_lo ≈ (n - 1)·mu, so the certificate
     closes as mu falls; a clearly negative optimum exits long before
     mu_final.  Only w* is certified: a run that has not exited ends near
@@ -216,29 +242,36 @@ def maximize_lambda_min(
     n = s0.shape[0]
     fam = _stack(mats, n, extra=1)
     np.fill_diagonal(fam[d], -1.0)
+    flat = fam.reshape(d + 1, n * n)
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False
 
-    def stop(wt: np.ndarray, g: np.ndarray, ginv: np.ndarray, trs: np.ndarray) -> bool:
+    def stop(wt, g, ginv, trs, step, decrement, mu) -> bool:
         nonlocal upper, below
         if stop_above is not None and wt[d] > stop_above:
             return True
         if not certify:
             return False
-        # fam[d] = -I, so trs[d] = -tr(G⁻¹), and trs[:d] = tr(G⁻¹)·a.
-        w, t, tr = wt[:d], float(wt[d]), -float(trs[d])
-        a = trs[:d] / tr
+        lam2 = decrement / mu
+        gdg = ginv @ (step @ flat).reshape(n, n)
+        if lam2 >= 0.25 or float(np.vdot(gdg, gdg.T)) > 0.25:
+            return False
+        x = mu * (ginv - gdg @ ginv)
+        x /= np.trace(x)
+        a = flat[:d] @ x.ravel()
+        w, t = wt[:d], float(wt[d])
         ww = float(w @ w)
-        f_up = float(s0.ravel() @ ginv.ravel()) / tr
-        f_lo = t + 1.0 / tr - 0.5 * reg * ww
-        rho = off_path = 0.0
+        f_up = float(s0.ravel() @ x.ravel())
+        # fam[d] = -I, so trs[d] = -tr(G⁻¹).
+        f_lo = t - 1.0 / float(trs[d]) - 0.5 * reg * ww
+        rho = 0.0
         if d:
             f_up += float(a @ a) / (2.0 * reg)
             rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
-            resid = a - reg * w
-            off_path = math.sqrt(float(resid @ resid)) * rho * tr
         bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
-        r = n + 2.0 * math.sqrt(n) + 1.0 + off_path
+        lam = math.sqrt(lam2)
+        delta = lam / (1.0 - lam)
+        r = (n + 2.0 * math.sqrt(n)) / (1.0 - delta) + delta
         scale = (1.0 + r) * math.sqrt(np.vdot(g, g)) + math.sqrt(n) * max(abs(f_lo), abs(bound))
         upper = min(upper, bound)
         below = bound < stop_below * max(1.0, scale)
@@ -248,7 +281,7 @@ def maximize_lambda_min(
     wt, steps = _barrier_path(
         s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
         np.append(np.zeros(d), t0),
-        mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.2, inner=60, tol=1e-13,
+        mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.05, inner=60, tol=1e-13,
         max_iter=max_iter,
         stop=None if stop_above is None and not certify else stop,
     )

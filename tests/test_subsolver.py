@@ -98,6 +98,41 @@ class TestMaximizeLambdaMin:
         assert res.upper >= res.value
 
     @pytest.mark.parametrize("seed", range(12))
+    def test_newton_dual_point_is_a_unit_trace_psd_certificate(self, seed, monkeypatch):
+        # The families of test_stop_below_agrees_with_a_full_run.  At every
+        # iterate where the certificate is used, X_N = mu(G⁻¹ - G⁻¹ ΔG G⁻¹),
+        # recomputed here through the Cholesky factor, is PSD and of unit
+        # trace, and no bound falls below the full run's value.  Seed 3 is
+        # unbounded: its ridged optimum has ‖w‖ ~ 1e7, no iterate there is
+        # centered enough to certify, and the run claims no bound.
+        rng = np.random.default_rng(seed)
+        n, d = 4, 2
+        sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
+        s0 = sym[0] + rng.uniform(-1.5, 1.5) * np.eye(n)
+        fam = np.array(sym[1:] + [-np.eye(n)])
+        full = maximize_lambda_min(s0, sym[1:], reg=1e-8)
+        path, used = subsolver._barrier_path, []
+
+        def observed(*args, stop, **kw):
+            def checked(w, g, ginv, trs, step, decrement, mu):
+                l = np.linalg.cholesky(g)
+                dg = np.tensordot(step, fam, 1)
+                m = np.linalg.solve(l, np.linalg.solve(l, dg).T)
+                if decrement / mu < 0.25 and np.linalg.norm(m) <= 0.5:
+                    x = mu * (ginv - ginv @ dg @ ginv)
+                    used.append((np.linalg.eigvalsh((x + x.T) / 2)[0], np.trace(x)))
+                return stop(w, g, ginv, trs, step, decrement, mu)
+            return path(*args, stop=checked, **kw)
+
+        monkeypatch.setattr(subsolver, "_barrier_path", observed)
+        res = maximize_lambda_min(s0, sym[1:], reg=1e-8, stop_below=-np.inf)
+        assert not res.below and (used or res.upper == np.inf)
+        for lam_min, tr in used:
+            assert lam_min >= -1e-12 and abs(tr - 1.0) <= 1e-12
+        # upper is the least bound over all of them.
+        assert res.upper >= full.value - 1e-9
+
+    @pytest.mark.parametrize("seed", range(12))
     def test_stop_below_agrees_with_a_full_run(self, seed):
         # Random families with optima on both sides of the level: an exit
         # happens only where the full run ends below the level at its own
@@ -187,59 +222,61 @@ BARRIER_CASES = {
 }
 
 # SHA-256 of every barrier path's (w, steps) and of the entry point's
-# outputs (w, value, newton_steps, below), and LambdaMinResult.upper.
+# outputs (w, value, newton_steps, below), and LambdaMinResult.upper, with
+# inexact centering: each mu round above the last ends at a Newton
+# decrement of _ROUND_DECREMENT·mu, and the λ_min path shrinks mu by 0.05.
 BARRIER_GOLDEN = {
     "big-interior": (
-        "559723165594d2074d14fb254ec25c31d212b9948bbbf42f793b42513f013199",
+        "1909e4cde69da25f97ac0c64700e0bb7c37fa5d6051abb63a661cbe80931ddc7",
         None,
     ),
     "big-lmin-below-exits": (
-        "49f37313faebbdfafbbfcd19e77221b8ed358e0d45c49bfab10653510330d873",
-        -0.5443757979462114,
+        "1d9c5513070b6874f9e9885dc727c72f36aeab9569b8a701ad2cf853267bdde5",
+        -0.9213814446567994,
     ),
     "big-lmin-below-full": (
-        "e77926c73cce848c0e196d74b820b0558295c8abb1bb7ce2b2fc50e16bdc4929",
-        3.0547431027654186,
+        "3cfb48a6c87fe2d8c6e9f6b7e2b26333bc1f91e9cc17ff36c063ee0be82acd4d",
+        3.0547426536518527,
     ),
     "face": (
-        "cdd0909cbfdb1f1306967b2694f93dec051842e33e2932d25cdf5aed8fabdaa5",
+        "f694d71d09f64de2cec4904be2c51fd11f15b23ed8b9e00d5594b64bd1eb0783",
         None,
     ),
     "face-2": (
-        "2110e3ae9e27422079e9a06d7e2c8f1799476118cb6bef12265b8dee4831cf3b",
+        "3072335c834d4b5f6f4f28ea45ab2b4a705cdc281c04be31a71792eeca82a07c",
         None,
     ),
     "interior": (
-        "ebec1fd352332fecef3d251f72308a6fc674ba02cdcef163464f808bce388478",
+        "d93092aed96cb48f227a113ba1749ea1a56819e39b2bed78a13d3774530f7cde",
         None,
     ),
     "interior-2": (
-        "d6ee606b4ceb0bfcb1a9ad76807aac70269a460d798463322a4a6bc950c96646",
+        "14605b91027f9c253058ce8b02947bda24a6b332e3ca0f43786665feb0c09a7d",
         None,
     ),
     "lmin-above-exits": (
-        "1dae66d94a688d5fad6cfbcf5d32d3417b9ea8d434da8cd3bf6dd67a2350fa29",
+        "e6f7524b7c287ff9fd18e45b8a42ba8fd117553b1c257a01ee208bcbada50e72",
         np.inf,
     ),
     "lmin-above-full": (
-        "120cc6d2444ab58742023e37d8071b25841c3182d84849e0c44736ce36ff5a91",
+        "31a26f53eabf6b5b178fa92f497801ba92f817551ed4d44a8401913ffe543b3b",
         np.inf,
     ),
     "lmin-below-exits": (
-        "a929dc2a6c7a094c08c5f5cc03b09459252c2dba606fd76ce576aac81201f8f0",
-        -1.2304401435690904,
+        "63f6908593b97635fa60c91c92e8bfe7fb60c2fcdf17d9aba5191074a4a37e00",
+        -1.424418997611973,
     ),
     "lmin-below-exits-9": (
-        "16c352f7cf4d0e33b0397aa5e63bfc64c20212840404ba4eae769a04320909ba",
-        -2.6775826770106077,
+        "49885ce543145be0d6e7186e7e0c27aa374c20619a8a553003b32d34cdac19b1",
+        -3.9961110942162756,
     ),
     "lmin-below-full": (
-        "610fb18b350c1ba3fe29b2f84af472d12b4bfdc545929045a44f067c040d3e78",
-        0.2930010301084823,
+        "0dfe752abc7a3eca3e43915b8b9d0e8477c7406c0dc4b49a6abb38a0728d67fd",
+        0.2930010305075382,
     ),
     "lmin-below-full-5": (
-        "0adc3804331bc263fd899322f061b4bd7168f5be3bc5fb9d528adf484bb7ebff",
-        0.6534013460466802,
+        "dbe78445abf4daa0f4b064a1d2ea95f07c61a9767c696c7d26d9e903e2fd3898",
+        0.6534013114836241,
     ),
 }
 
@@ -289,7 +326,7 @@ def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
         seen.append("inv")
         return inv(a)
 
-    def stop(w, g, ginv, trs):
+    def stop(w, g, ginv, trs, step, decrement, mu):
         seen.append(w.tobytes())
         assert trs == pytest.approx([float(np.sum(FAMILY[0] * ginv))], rel=1e-12)
         return False
@@ -350,3 +387,12 @@ def test_barrier_outputs_within_tolerance(case):
             assert res.value == pytest.approx(value, abs=1e-9)
         if "stop_below" in kwargs:
             assert full_value <= res.upper <= upper + 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BARRIER_CASES if "lmin-" in c and "-full" in c))
+def test_full_lambda_min_runs_take_few_steps(case):
+    # Inexact centering: a full λ_min path takes at most 50 Newton steps on
+    # these families (110 to 113 with every mu centered to tol).
+    _, family, kwargs = BARRIER_CASES[case]
+    s0, mats = _family(*family)
+    assert maximize_lambda_min(s0, mats, reg=kwargs["reg"]).newton_steps <= 50
