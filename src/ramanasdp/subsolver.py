@@ -12,21 +12,25 @@ mu schedule and stopping tolerance they give it:
   * maximize_lambda_min       — max lambda_min(S(w)): the path over (w, t)
     with the extra matrix -I (so S(w) - tI ≻ 0) and lin = (0, ..., 0, -1).
     A tiny ridge on w keeps it bounded when the supremum is +infinity.
-    On request, each iterate's dual point X = G⁻¹/tr(G⁻¹) certifies
-    bounds on lambda_min and on ‖S‖ at the ridged optimum, so a caller
-    that only needs to know the optimum is below a relative tolerance
-    band can end the path as soon as the bounds say so.
+    On request, the dual point of each iterate's Newton step,
+    X = mu(G⁻¹ - G⁻¹ ΔG G⁻¹), certifies bounds on lambda_min and on ‖S‖
+    at the ridged optimum, also off the central path, so a caller that
+    only needs to know the optimum is below a relative tolerance band can
+    end the path as soon as the bounds say so.
   * interior_point            — phase 1 by maximize_lambda_min, then one
     centering at mu = 1, lin = 0 toward the regularized analytic center.
   * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
 
-The path does its per-iterate work once per accepted iterate, not once
-per Newton step: the line search's Cholesky factor gives the merit value,
-and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that the
-stop test and every step at that iterate share, also when a new mu round
-starts there.  The Hessian is assembled a few columns per matrix
-product.  All iterations are deterministic: fixed starting points, fixed
-step rules, no randomization.
+Every mu but the last is centered only inexactly, to a Newton decrement
+of at most 0.25·mu; the last is centered to the caller's tolerance.  The
+path does its per-iterate work once per accepted iterate, not once per
+Newton step: the line search's Cholesky factor gives the merit value,
+and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that every
+step at that iterate shares, also when a new mu round starts there; the
+stop test runs once per iterate, after its first step solve.  The
+Hessian is assembled a few columns per matrix product.  All iterations
+are deterministic: fixed starting points, fixed step rules, no
+randomization.
 """
 
 from __future__ import annotations
@@ -252,9 +256,10 @@ def maximize_lambda_min(
             return True
         if not certify:
             return False
+        # A negative decrement is a step solve lost to rounding.
         lam2 = decrement / mu
         gdg = ginv @ (step @ flat).reshape(n, n)
-        if lam2 >= 0.25 or float(np.vdot(gdg, gdg.T)) > 0.25:
+        if not 0.0 <= lam2 < 0.25 or float(np.vdot(gdg, gdg.T)) > 0.25:
             return False
         x = mu * (ginv - gdg @ ginv)
         x /= np.trace(x)

@@ -85,6 +85,20 @@ class TestMaximizeLambdaMin:
         assert early.value <= full.value
         assert 0 < early.newton_steps < full.newton_steps
 
+    def test_a_step_lost_to_rounding_certifies_nothing(self, monkeypatch):
+        # On an ill-conditioned Hessian the computed decrement -grad·step
+        # can come out negative; such a step gives no certificate.
+        path = subsolver._barrier_path
+
+        def lossy(*args, stop, **kw):
+            def negated(w, g, ginv, trs, step, decrement, mu):
+                return stop(w, g, ginv, trs, step, -abs(decrement), mu)
+            return path(*args, stop=negated, **kw)
+
+        monkeypatch.setattr(subsolver, "_barrier_path", lossy)
+        res = maximize_lambda_min(S0 - 3.0 * np.eye(3), FAMILY, reg=1e-10, stop_below=-0.1)
+        assert not res.below and res.upper == np.inf
+
     def test_stop_below_keeps_a_far_optimum(self):
         # diag(w/50 - 1, 1 - w/50, w/50): lambda_min peaks at 0 for w = 50,
         # where the ridge costs (1e-8/2)·50² = 1.25e-5.  The ridged optimum
