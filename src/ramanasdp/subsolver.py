@@ -258,8 +258,10 @@ def maximize_lambda_min(
             return False
         # A negative decrement is a step solve lost to rounding.
         lam2 = decrement / mu
+        if not 0.0 <= lam2 < 0.25:
+            return False
         gdg = ginv @ (step @ flat).reshape(n, n)
-        if not 0.0 <= lam2 < 0.25 or float(np.vdot(gdg, gdg.T)) > 0.25:
+        if float(np.vdot(gdg, gdg.T)) > 0.25:
             return False
         x = mu * (ginv - gdg @ ginv)
         x /= np.trace(x)

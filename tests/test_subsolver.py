@@ -132,7 +132,7 @@ class TestMaximizeLambdaMin:
                 l = np.linalg.cholesky(g)
                 dg = np.tensordot(step, fam, 1)
                 m = np.linalg.solve(l, np.linalg.solve(l, dg).T)
-                if decrement / mu < 0.25 and np.linalg.norm(m) <= 0.5:
+                if 0.0 <= decrement / mu < 0.25 and np.linalg.norm(m) <= 0.5:
                     x = mu * (ginv - ginv @ dg @ ginv)
                     used.append((np.linalg.eigvalsh((x + x.T) / 2)[0], np.trace(x)))
                 return stop(w, g, ginv, trs, step, decrement, mu)
