@@ -140,8 +140,9 @@ def _barrier_path(
             if fresh:
                 if not np.all(np.isfinite(g)):
                     raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
-                linv = np.linalg.inv(l)
-                ginv = linv.T @ linv
+                # G^{-1} = L^{-T} L^{-1}, without holding L^{-1} after.
+                ginv = np.linalg.inv(l)
+                ginv = ginv.T @ ginv
                 trs = flat @ ginv.ravel()
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
