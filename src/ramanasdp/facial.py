@@ -75,11 +75,12 @@ AFFINE_RESIDUAL_TOL = 1e-10
 # GRAM_NULL_CUT·max(λ_max, 1) count as zero (branch B's linear certificates).
 GRAM_NULL_CUT = 1e-12
 
-# The strength of a certificate y is ‖𝒜*y‖_F / (‖y‖·max_i ‖A_i‖_F).  One
-# below eps**CERT_STRENGTH_POWER is taken for rounding noise, not for a
-# certificate: after a few rounds the data is consistent only to about
-# √(machine precision), and on a thin face such noise admits a phantom y.
-CERT_STRENGTH_POWER = 0.5
+# After a few elimination rounds the data is consistent only to about
+# eps**NOISE_POWER (√ of machine precision: subspace alignment error).  A
+# certificate whose strength ‖𝒜*y‖_F / ‖(|y_i|·‖A_i‖_F)_i‖ is below that
+# is rounding noise, and on a thin face such noise admits a phantom y; so
+# is a b-component of branch B's linear certificate below it.
+NOISE_POWER = 0.5
 
 
 class NumericalRankAmbiguityError(RuntimeError):
@@ -455,7 +456,7 @@ def _lambda_min_search(
     band that cleanup could not turn into a certificate.  The search ends
     early, as NotFound, once the subsolver certifies that λ_min at the
     ridged optimum is below the band at that optimum's own scale.  An
-    optimum of strength below eps**CERT_STRENGTH_POWER is NotFound too.
+    optimum of strength below eps**NOISE_POWER is NotFound too.
     """
     sol = _affine_solutions(rows, rhs)
     if sol is None:
@@ -470,8 +471,10 @@ def _lambda_min_search(
     z_norm = apply_at(inst, y_opt).norm()
     if res.below or res.value < -100.0 * eps * max(1.0, z_norm):
         return None, res.value, False
-    a_max = max(a.norm() for a in inst.a)
-    if z_norm < eps**CERT_STRENGTH_POWER * float(np.linalg.norm(y_opt)) * a_max:
+    # Each term is weighed by its own row's norm, so rescaling a row
+    # rescales its y_i and leaves the strength unchanged.
+    terms = np.abs(y_opt) * np.array([a.norm() for a in inst.a])
+    if z_norm < eps**NOISE_POWER * float(np.linalg.norm(terms)):
         return None, res.value, False
     cert = _clean_and_validate(inst, y_opt, rows, rhs, target, eps)
     return cert, res.value, cert is None
@@ -523,11 +526,9 @@ def solve_alternative(
         coeff = null_basis.T @ inst.b
         nc = float(np.linalg.norm(coeff))
         b_scale = 1.0 + float(np.linalg.norm(inst.b))
-        # sqrt(eps) guard: after earlier elimination rounds the data is only
-        # consistent to about the square root of machine precision (subspace
-        # alignment error), so a smaller b-component is indistinguishable
-        # from reduction noise and must not be read as infeasibility.
-        if nc > np.sqrt(eps) * b_scale:
+        # A smaller b-component is reduction noise (see NOISE_POWER) and
+        # must not be read as infeasibility.
+        if nc > eps**NOISE_POWER * b_scale:
             y_lin = -null_basis @ coeff / nc**2  # min-norm <b,y> = -1 in the null space
             z_lin = apply_at(inst, y_lin)
             if z_lin.norm() <= 100.0 * eps * b_scale:

@@ -422,10 +422,27 @@ class TestCertificateStrength:
         # The last round of this cascade sees an order-1 block on which the
         # two generic rows are parallel only to rounding.  The slice then
         # holds a y of norm ~1e7 with λ_min(𝒜*y) = 1: far from the band,
-        # but weaker than √eps against ‖y‖·max‖A_i‖.  It is NotFound, so
-        # the planted face is certified instead of a failed merge.
+        # but weaker than √eps against ‖(|y_i|·‖A_i‖)_i‖.  It is NotFound,
+        # so the planted face is certified instead of a failed merge.
         rng = np.random.default_rng(0)
         inst, _, planted = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
         rr = build_rr_form(inst)
         assert rr.status == STATUS_FEASIBLE
         assert rr.r == (2, 1, 1, 2) and sum(rr.r) == planted
+
+    def test_strength_does_not_depend_on_row_scale(self):
+        # Scaling one row by 1e5 rescales its y_i by 1e-5: the certificates
+        # are the same, and so is the RR form.
+        rng = np.random.default_rng(0)
+        inst, _, _ = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
+        a = [x.a for x in inst.a]
+        a[0], b = 1e5 * a[0], inst.b * np.r_[1e5, np.ones(inst.m - 1)]
+        rr = build_rr_form(SdpInstance.from_arrays(a, b, inst.c.a))
+        assert (rr.status, rr.r, rr.k) == (STATUS_FEASIBLE, (2, 1, 1, 2), 4)
+        # diag(1, 0) with b = 0 is a rank-one certificate, whatever the
+        # scale of the other row.
+        tiny = SdpInstance.from_arrays(
+            [np.diag([1.0, 0.0]), 1e5 * np.array([[0.0, 1.0], [1.0, 0.0]])], [0.0, 0.0], np.eye(2)
+        )
+        rr = build_rr_form(tiny)
+        assert (rr.status, rr.r) == (STATUS_FEASIBLE, (1,))
