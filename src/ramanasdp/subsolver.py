@@ -27,10 +27,10 @@ path does its per-iterate work once per accepted iterate, not once per
 Newton step: the line search's Cholesky factor gives the merit value,
 and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that every
 step at that iterate shares, also when a new mu round starts there; the
-stop test runs once per iterate, after its first step solve.  The
-Hessian is assembled a few columns per matrix product.  All iterations
-are deterministic: fixed starting points, fixed step rules, no
-randomization.
+stop test runs once per iterate, before its first step, and has that
+step solved only if it needs it.  The Hessian is assembled a few columns
+per matrix product.  All iterations are deterministic: fixed starting
+points, fixed step rules, no randomization.
 """
 
 from __future__ import annotations
@@ -105,9 +105,11 @@ def _barrier_path(
     is at most tol·(1 + |c0 + lin·w|), or at most _ROUND_DECREMENT·mu while
     mu > mu_final, or when the line search fails.  So only the last mu is
     centered to tol; an earlier one ends once (decrement/mu)^½ ≤ 1/2.
-    ``stop`` is called once per iterate, after the first step solve there,
-    as stop(w, G, G⁻¹, trs, step, decrement, mu) with G = S(w) and
-    trs = (<fam[i], G⁻¹>)_i, and ends the path when it returns True.
+    ``stop`` is called once per iterate, before its first step, as
+    stop(w, G, G⁻¹, trs, mu, newton) with G = S(w), trs = (<fam[i], G⁻¹>)_i
+    and newton() the (step, decrement) of that first step, or None when its
+    solve fails; newton() solves on its first call only, so a stop test
+    that needs no step costs none.  It ends the path when it returns True.
     Returns (w, Newton steps taken).
     """
     k = fam.shape[0]
@@ -126,27 +128,17 @@ def _barrier_path(
     g, l, half_logdet = factor(w)
     if l is None:
         raise IterationLimitError("barrier iterate left the PSD cone")
-    steps, ginv = 0, None
-    hess = np.empty((k, k))
-    while True:
-        # The merit of each accepted point is the next step's f0; only a
-        # new mu needs it recomputed.
-        f0 = merit(w, half_logdet)
-        for _ in range(inner):
-            # Once per iterate, however many mu rounds start at it: the
-            # finite check, G^{-1} from the Cholesky factor, the traces
-            # <fam[i], G^{-1}> and, after the step solve, the stop test.
-            fresh = ginv is None
-            if fresh:
-                if not np.all(np.isfinite(g)):
-                    raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
-                # G^{-1} = L^{-T} L^{-1}, without holding L^{-1} after.
-                ginv = np.linalg.inv(l)
-                ginv = ginv.T @ ginv
-                trs = flat @ ginv.ravel()
+    steps, ginv, memo = 0, None, []
+
+    def newton() -> Optional[tuple[np.ndarray, float]]:
+        """The Newton step at w for this mu and its decrement, solved at
+        most once per step; None when the solve fails."""
+        nonlocal steps
+        if not memo:
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
+            hess = np.empty((k, k))
             # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK
             # columns at a time: a (_HESS_BLOCK, n, n) temporary, not a
             # (k, n, n) one.
@@ -158,11 +150,33 @@ def _barrier_path(
             hess[diag] += reg + 1e-14
             try:
                 step = np.linalg.solve(hess, -grad)
+                memo.append((step, float(-grad @ step)))
             except np.linalg.LinAlgError:
+                memo.append(None)
+        return memo[0]
+
+    while True:
+        # The merit of each accepted point is the next step's f0; only a
+        # new mu needs it recomputed.
+        f0 = merit(w, half_logdet)
+        for _ in range(inner):
+            memo.clear()
+            # Once per iterate, however many mu rounds start at it: the
+            # finite check, G^{-1} from the Cholesky factor, the traces
+            # <fam[i], G^{-1}> and the stop test.
+            if ginv is None:
+                if not np.all(np.isfinite(g)):
+                    raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
+                # G^{-1} = L^{-T} L^{-1}, without holding L^{-1} after.
+                ginv = np.linalg.inv(l)
+                ginv = ginv.T @ ginv
+                trs = flat @ ginv.ravel()
+                if stop is not None and stop(w, g, ginv, trs, mu, newton):
+                    return w, steps
+            solved = newton()
+            if solved is None:
                 break
-            decrement = float(-grad @ step)
-            if fresh and stop is not None and stop(w, g, ginv, trs, step, decrement, mu):
-                return w, steps
+            step, decrement = solved
             if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))) or (
                     mu > mu_final and decrement <= _ROUND_DECREMENT * mu):
                 break
@@ -251,12 +265,16 @@ def maximize_lambda_min(
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False
 
-    def stop(wt, g, ginv, trs, step, decrement, mu) -> bool:
+    def stop(wt, g, ginv, trs, mu, newton) -> bool:
         nonlocal upper, below
         if stop_above is not None and wt[d] > stop_above:
             return True
         if not certify:
             return False
+        solved = newton()
+        if solved is None:
+            return False
+        step, decrement = solved
         # A negative decrement is a step solve lost to rounding.
         lam2 = decrement / mu
         if not 0.0 <= lam2 < 0.25:

@@ -74,6 +74,15 @@ class TestMaximizeLambdaMin:
         # No ridge, no bound.
         assert maximize_lambda_min(s0, mats, stop_below=-np.inf).upper == np.inf
 
+    def test_stop_above_exit_solves_no_step(self):
+        # The level is tested before the iterate's step is solved: this
+        # family reaches it after 8 steps, so a budget of 8 still exits.
+        s0, mats = _family(0, 5, 3, 2.0, False)
+        res = maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.1, max_iter=8)
+        assert res.newton_steps == 8 and res.value > 0.1
+        with pytest.raises(IterationLimitError):
+            maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.1, max_iter=7)
+
     def test_stop_below_exits_early(self):
         # S(w) - 3I: lambda_min peaks at 0.5 - 3 = -2.5 for w = 2.5.
         s0 = S0 - 3.0 * np.eye(3)
@@ -91,8 +100,11 @@ class TestMaximizeLambdaMin:
         path = subsolver._barrier_path
 
         def lossy(*args, stop, **kw):
-            def negated(w, g, ginv, trs, step, decrement, mu):
-                return stop(w, g, ginv, trs, step, -abs(decrement), mu)
+            def negated(w, g, ginv, trs, mu, newton):
+                def lossy_newton():
+                    solved = newton()
+                    return solved and (solved[0], -abs(solved[1]))
+                return stop(w, g, ginv, trs, mu, lossy_newton)
             return path(*args, stop=negated, **kw)
 
         monkeypatch.setattr(subsolver, "_barrier_path", lossy)
@@ -128,14 +140,16 @@ class TestMaximizeLambdaMin:
         path, used = subsolver._barrier_path, []
 
         def observed(*args, stop, **kw):
-            def checked(w, g, ginv, trs, step, decrement, mu):
-                l = np.linalg.cholesky(g)
-                dg = np.tensordot(step, fam, 1)
-                m = np.linalg.solve(l, np.linalg.solve(l, dg).T)
-                if 0.0 <= decrement / mu < 0.25 and np.linalg.norm(m) <= 0.5:
-                    x = mu * (ginv - ginv @ dg @ ginv)
-                    used.append((np.linalg.eigvalsh((x + x.T) / 2)[0], np.trace(x)))
-                return stop(w, g, ginv, trs, step, decrement, mu)
+            def checked(w, g, ginv, trs, mu, newton):
+                solved = newton()
+                if solved is not None and 0.0 <= solved[1] / mu < 0.25:
+                    l = np.linalg.cholesky(g)
+                    dg = np.tensordot(solved[0], fam, 1)
+                    m = np.linalg.solve(l, np.linalg.solve(l, dg).T)
+                    if np.linalg.norm(m) <= 0.5:
+                        x = mu * (ginv - ginv @ dg @ ginv)
+                        used.append((np.linalg.eigvalsh((x + x.T) / 2)[0], np.trace(x)))
+                return stop(w, g, ginv, trs, mu, newton)
             return path(*args, stop=checked, **kw)
 
         monkeypatch.setattr(subsolver, "_barrier_path", observed)
@@ -239,6 +253,7 @@ BARRIER_CASES = {
 # outputs (w, value, newton_steps, below), and LambdaMinResult.upper, with
 # inexact centering: each mu round above the last ends at a Newton
 # decrement of _ROUND_DECREMENT·mu, and the λ_min path shrinks mu by 0.05.
+# A stop_above exit solves no step at its iterate.
 BARRIER_GOLDEN = {
     "big-interior": (
         "1909e4cde69da25f97ac0c64700e0bb7c37fa5d6051abb63a661cbe80931ddc7",
@@ -261,7 +276,7 @@ BARRIER_GOLDEN = {
         None,
     ),
     "interior": (
-        "d93092aed96cb48f227a113ba1749ea1a56819e39b2bed78a13d3774530f7cde",
+        "98ca00c72538b3a4f7c7a49fb4b1bfcae0f17f7d2002e8e14392204e8f921948",
         None,
     ),
     "interior-2": (
@@ -269,7 +284,7 @@ BARRIER_GOLDEN = {
         None,
     ),
     "lmin-above-exits": (
-        "e6f7524b7c287ff9fd18e45b8a42ba8fd117553b1c257a01ee208bcbada50e72",
+        "b10843662e42b234eabc4dd86f1e5695cb137471443a69e3bfada04d6a139b15",
         np.inf,
     ),
     "lmin-above-full": (
@@ -340,7 +355,7 @@ def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
         seen.append("inv")
         return inv(a)
 
-    def stop(w, g, ginv, trs, step, decrement, mu):
+    def stop(w, g, ginv, trs, mu, newton):
         seen.append(w.tobytes())
         assert trs == pytest.approx([float(np.sum(FAMILY[0] * ginv))], rel=1e-12)
         return False
