@@ -76,10 +76,11 @@ AFFINE_RESIDUAL_TOL = 1e-10
 GRAM_NULL_CUT = 1e-12
 
 # After a few elimination rounds the data is consistent only to about
-# eps**NOISE_POWER (√ of machine precision: subspace alignment error).  A
-# certificate whose strength ‖𝒜*y‖_F / ‖(|y_i|·‖A_i‖_F)_i‖ is below that
-# is rounding noise, and on a thin face such noise admits a phantom y; so
-# is a b-component of branch B's linear certificate below it.
+# eps**NOISE_POWER (√ of machine precision: subspace alignment error) of
+# each row's full-order norm.  A certificate whose strength
+# ‖𝒜*y‖_F / ‖(|y_i|·s_i)_i‖, with s_i that norm, is below it is rounding
+# noise, and on a thin face such noise admits a phantom y; so is a
+# b-component of branch B's linear certificate below it.
 NOISE_POWER = 0.5
 
 
@@ -448,6 +449,7 @@ def _lambda_min_search(
     reg: float,
     eps: float,
     max_iter: int,
+    row_scale: np.ndarray,
 ) -> tuple[Optional[AltCertificateRaw], Optional[float], bool]:
     """Maximize λ_min(𝒜*y) over the slice rows·y = rhs and clean the optimum.
 
@@ -456,7 +458,8 @@ def _lambda_min_search(
     band that cleanup could not turn into a certificate.  The search ends
     early, as NotFound, once the subsolver certifies that λ_min at the
     ridged optimum is below the band at that optimum's own scale.  An
-    optimum of strength below eps**NOISE_POWER is NotFound too.
+    optimum of strength below eps**NOISE_POWER, with each |y_i| weighed
+    by row_scale[i], is NotFound too.
     """
     sol = _affine_solutions(rows, rhs)
     if sol is None:
@@ -471,10 +474,7 @@ def _lambda_min_search(
     z_norm = apply_at(inst, y_opt).norm()
     if res.below or res.value < -100.0 * eps * max(1.0, z_norm):
         return None, res.value, False
-    # Each term is weighed by its own row's norm, so rescaling a row
-    # rescales its y_i and leaves the strength unchanged.
-    terms = np.abs(y_opt) * np.array([a.norm() for a in inst.a])
-    if z_norm < eps**NOISE_POWER * float(np.linalg.norm(terms)):
+    if z_norm < eps**NOISE_POWER * float(np.linalg.norm(np.abs(y_opt) * row_scale)):
         return None, res.value, False
     cert = _clean_and_validate(inst, y_opt, rows, rhs, target, eps)
     return cert, res.value, cert is None
@@ -485,6 +485,8 @@ def solve_alternative(
     mode: str = MODE_EQ_ZERO,
     eps: float = EPS_PSD,
     max_iter: int = 2000,
+    *,
+    _row_scale: Optional[np.ndarray] = None,
 ) -> AltResult:
     """Search for y with 𝒜*y PSD and nonzero and <b, y> = 0 (eq_zero) or
     <b, y> ≤ 0 (leq_zero).
@@ -493,7 +495,10 @@ def solve_alternative(
     slice; NotFound certifies (to tolerance) that no certificate exists,
     which for a feasible instance means strict feasibility.  Raises
     IterationLimitError when the optimum lands inside the undecidable
-    band and cleanup fails.
+    band and cleanup fails.  ``_row_scale`` is internal: build_rr_form
+    passes the full-order norms of the rows it cut to the trailing block,
+    which the certificate-strength rule weighs y by in place of the rows'
+    own norms.
     """
     if mode not in (MODE_EQ_ZERO, MODE_LEQ_ZERO):
         raise ValueError(f"unknown mode {mode!r}")
@@ -501,12 +506,14 @@ def solve_alternative(
     if m == 0:
         return AltResult(found=False, max_lambda_min=None)
     stack = constraint_stack(inst)
+    if _row_scale is None:
+        _row_scale = np.array([a.norm() for a in inst.a])
     trace_row = np.array([float(np.trace(a.a)) for a in inst.a])
 
     # Branch A: <b, y> = 0 with trace(𝒜*y) = 1.
     cert, best_t, ambiguous = _lambda_min_search(
         inst, np.vstack([inst.b, trace_row]), np.array([0.0, 1.0]), 0.0, 1e-12,
-        eps, max_iter,
+        eps, max_iter, _row_scale,
     )
     if cert is not None:
         return AltResult(found=True, certificate=cert, max_lambda_min=best_t)
@@ -540,7 +547,8 @@ def solve_alternative(
 
     # Branch C: <b, y> = -1 with a ridge to bound the search.
     cert, t_c, ambiguous_c = _lambda_min_search(
-        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, max_iter
+        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, max_iter,
+        _row_scale,
     )
     if cert is not None:
         return AltResult(found=True, certificate=cert, max_lambda_min=t_c)
@@ -662,8 +670,11 @@ def build_rr_form(
             status = STATUS_FEASIBLE
             break
         red = _reduced_instance(cur, p, s)
+        # The rows' norms at full order: cutting a row to the trailing
+        # block can shrink it far below the scale of its rounding noise.
+        row_scale = np.array([ai.norm() for ai in cur.a[s:]])
         try:
-            alt = solve_alternative(red, MODE_LEQ_ZERO, eps, max_iter)
+            alt = solve_alternative(red, MODE_LEQ_ZERO, eps, max_iter, _row_scale=row_scale)
         except IterationLimitError as exc:
             raise SubsolverFailureError(str(exc)) from exc
         if not alt.found:

@@ -418,13 +418,17 @@ class TestDeepCascadeSoundness:
 
 
 class TestCertificateStrength:
-    def test_thin_face_phantom_is_not_a_certificate(self):
-        # The last round of this cascade sees an order-1 block on which the
-        # two generic rows are parallel only to rounding.  The slice then
-        # holds a y of norm ~1e7 with λ_min(𝒜*y) = 1: far from the band,
-        # but weaker than √eps against ‖(|y_i|·‖A_i‖)_i‖.  It is NotFound,
-        # so the planted face is certified instead of a failed merge.
-        rng = np.random.default_rng(0)
+    @pytest.mark.parametrize("seed", [0, 299])
+    def test_thin_face_phantom_is_not_a_certificate(self, seed):
+        # The last round of these cascades sees an order-1 block on which
+        # the two generic rows are parallel only to rounding.  The slice
+        # then holds a y of norm ~1e5 to 1e7 with λ_min(𝒜*y) = 1: far from
+        # the band, but weaker than √eps against ‖(|y_i|·s_i)_i‖, s_i the
+        # rows' full-order norms.  It is NotFound, so the planted face is
+        # certified instead of a failed merge.  At seed 299 one of the two
+        # rows is cut to a trailing block of norm 0.01 from a full-order
+        # norm above 10: weighed by that 0.01, the phantom would pass.
+        rng = np.random.default_rng(seed)
         inst, _, planted = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
         rr = build_rr_form(inst)
         assert rr.status == STATUS_FEASIBLE
