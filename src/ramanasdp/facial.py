@@ -26,8 +26,10 @@ k ≤ n - 1 wherever the construction allows it.
 Each certificate comes from one path: solve_alternative maximizes
 λ_min(𝒜*y) over an affine slice with the embedded barrier method
 (branches A and C) unless a linear certificate 𝒜*y = 0 exists (branch
-B); the optimum is polished onto its face at one tolerance, thresholded,
-re-polished on its support and revalidated exactly, or refused.
+B); an optimum too weak to tell from rounding noise (NOISE_POWER) is
+NotFound, any other is polished onto its face at one tolerance,
+thresholded, re-polished on its support and revalidated exactly, or
+refused.
 """
 
 from __future__ import annotations
