@@ -339,6 +339,14 @@ def _face_residual(
     return res
 
 
+def _face_rows(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The face equations' coefficients: one row per pair a ≤ b of the
+    columns of v (in np.triu_indices order), one column per matrix,
+    entry v_aᵀ·mats[j]·v_b."""
+    ia, ib = np.triu_indices(v.shape[1])
+    return (v.T @ mats @ v)[:, ia, ib].T
+
+
 def _polish_on_face(
     inst: SdpInstance,
     y: np.ndarray,
@@ -360,31 +368,20 @@ def _polish_on_face(
     can be linearly unreachable, in which case polishing must not make
     the candidate worse).
     """
-    mats = [ai.a for ai in inst.a]
     y = np.asarray(y, dtype=float).copy()
     cols = np.arange(inst.m) if support is None else support
+    mats = np.array([inst.a[j].a for j in cols]).reshape(len(cols), inst.n, inst.n)
     n_active = int(np.sum(np.abs(np.linalg.eigvalsh(apply_at(inst, y).a)) <= face_tol))
     best = y.copy()
     best_res = _face_residual(inst, y, rows, rhs, face_tol, n_active)
     for _ in range(rounds):
         z = apply_at(inst, y).a
         lam, vecs = np.linalg.eigh(z)
-        active = np.argsort(np.abs(lam))[:n_active]
-        sys_rows = []
-        sys_rhs = []
-        for ai_idx in range(active.size):
-            for bi_idx in range(ai_idx, active.size):
-                va = vecs[:, active[ai_idx]]
-                vb = vecs[:, active[bi_idx]]
-                sys_rows.append([float(va @ mats[j] @ vb) for j in cols])
-                sys_rhs.append(-float(va @ z @ vb))
-        for ci in range(rows.shape[0]):
-            sys_rows.append([rows[ci, j] for j in cols])
-            sys_rhs.append(float(rhs[ci]) - float(rows[ci] @ y))
-        if not sys_rows:
+        v = vecs[:, np.argsort(np.abs(lam))[:n_active]]
+        a_sys = np.vstack([_face_rows(mats, v), rows[:, cols]])
+        b_sys = np.concatenate([-_face_rows(z[None], v)[:, 0], rhs - rows @ y])
+        if not a_sys.size:
             return best
-        a_sys = np.asarray(sys_rows)
-        b_sys = np.asarray(sys_rhs)
         delta, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
         if not np.all(np.isfinite(delta)):
             return best

@@ -28,6 +28,7 @@ from ramanasdp.facial import (
     STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     FrSequence,
+    _face_rows,
 )
 
 from helpers import (
@@ -450,3 +451,17 @@ class TestCertificateStrength:
         )
         rr = build_rr_form(tiny)
         assert (rr.status, rr.r) == (STATUS_FEASIBLE, (1,))
+
+
+class TestFaceSystem:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_face_rows_match_the_pairwise_definition(self, seed):
+        # Row (a, b), a ≤ b in np.triu_indices order, column j: v_aᵀ A_j v_b.
+        rng = np.random.default_rng(seed)
+        n, m, p = 6, 5, 3
+        mats = np.array([(x + x.T) / 2 for x in rng.standard_normal((m, n, n))])
+        v = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        pairwise = [[v[:, a] @ mats[j] @ v[:, b] for j in range(m)]
+                    for a in range(p) for b in range(a, p)]
+        assert _face_rows(mats, v) == pytest.approx(np.array(pairwise), abs=1e-12)
+        assert _face_rows(mats, v[:, :0]).shape == (0, m)
