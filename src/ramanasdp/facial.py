@@ -48,6 +48,7 @@ from .model import (
     constraint_stack,
     reformulate,
     smat,
+    svec_index,
 )
 from .subsolver import IterationLimitError
 from .symmat import EPS_PSD, SymMat, classify_psd, eig
@@ -251,6 +252,17 @@ def _null_basis(rows: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(rows)
     rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
     return vt[rank:].T
+
+
+def _smat_family(cols: np.ndarray, n: int) -> np.ndarray:
+    """smat of every column of cols, as one (d, n, n) array."""
+    i, j = svec_index(n)
+    vals = cols.T.astype(float)
+    vals[:, n:] /= np.sqrt(2.0)
+    out = np.zeros((vals.shape[0], n, n))
+    out[:, i, j] = vals
+    out[:, j, i] = vals
+    return out
 
 
 def _affine_solutions(
@@ -618,7 +630,7 @@ def _interior_of_reduced(
         x0_vec = np.zeros(stack.shape[1])
     null = _null_basis(stack)
     s0 = smat(x0_vec, red.n).a
-    fam = [smat(null[:, j], red.n).a for j in range(null.shape[1])]
+    fam = _smat_family(null, red.n)
     w = subsolver.interior_point(s0, fam, max_iter=max_iter)
     if w is None:
         raise SubsolverFailureError(
@@ -905,7 +917,7 @@ def primal_optimal_value(
     if witness is None:
         witness = _interior_of_reduced(cur, p, rr.k, eps, max_iter)
     x_start = witness.a[p:, p:]
-    fam = [smat(null[:, j], red.n).a for j in range(null.shape[1])]
+    fam = _smat_family(null, red.n)
     _, value = subsolver.minimize_linear_over_face(
         red.c.a, x_start, fam, np.zeros(null.shape[1]), max_iter=max_iter
     )

@@ -29,7 +29,9 @@ from ramanasdp.facial import (
     STATUS_INFEASIBLE,
     FrSequence,
     _face_rows,
+    _smat_family,
 )
+from ramanasdp.model import smat
 
 from helpers import (
     inst_gap_raw,
@@ -453,7 +455,7 @@ class TestCertificateStrength:
         assert (rr.status, rr.r) == (STATUS_FEASIBLE, (1,))
 
 
-class TestFaceSystem:
+class TestStackedFamilies:
     @pytest.mark.parametrize("seed", range(3))
     def test_face_rows_match_the_pairwise_definition(self, seed):
         # Row (a, b), a ≤ b in np.triu_indices order, column j: v_aᵀ A_j v_b.
@@ -465,3 +467,12 @@ class TestFaceSystem:
                     for a in range(p) for b in range(a, p)]
         assert _face_rows(mats, v) == pytest.approx(np.array(pairwise), abs=1e-12)
         assert _face_rows(mats, v[:, :0]).shape == (0, m)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_smat_family_is_smat_per_column(self, n):
+        cols = np.random.default_rng(n).standard_normal((n * (n + 1) // 2, 3))
+        fam = _smat_family(cols, n)
+        assert fam.shape == (3, n, n)
+        for j in range(3):
+            assert np.array_equal(fam[j], smat(cols[:, j], n).a)
+        assert _smat_family(cols[:, :0], n).shape == (0, n, n)
