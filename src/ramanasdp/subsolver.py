@@ -22,7 +22,18 @@ mu schedule and stopping tolerance they give it:
   * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
 
 Every mu but the last is centered only inexactly, to a Newton decrement
-of at most 0.25·mu; the last is centered to the caller's tolerance.  The
+of at most 0.25·mu; the last is centered to the caller's tolerance.
+Between two mu the path predicts the next center (Nesterov & Nemirovski,
+Interior-Point Polynomial Algorithms in Convex Programming, 1994; the
+predictor–corrector idea of Mehrotra, SIAM J. Optim. 1992): on the path
+lin + reg·w - mu·trs(w) = 0, so the tangent is dw/dmu = H⁻¹·trs, and the
+solve that gives each Newton step gives it too.  The round's last, untaken
+Newton step corrects w, and the tangent, carried to the corrected point
+by one more solve with the same Hessian, moves it to the new mu.  The
+correction matters: without it the directions in which S(w) is only weakly
+curved stay off center by up to (mu/curvature)^½, which the 0.25·mu
+decrement allows, and the Newton steps along them at small mu are too
+long for the certificate's dual point to be computed accurately.  The
 path does its per-iterate work once per accepted iterate, not once per
 Newton step: the line search's Cholesky factor gives the merit value,
 and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that every
@@ -103,14 +114,23 @@ def _barrier_path(
 
     Each mu gets at most ``inner`` steps and ends once the Newton decrement
     is at most tol·(1 + |c0 + lin·w|), or at most _ROUND_DECREMENT·mu while
-    mu > mu_final, or when the line search fails.  So only the last mu is
-    centered to tol; an earlier one ends once (decrement/mu)^½ ≤ 1/2.
+    mu > mu_final, or when the line search fails or its step rounds to w.
+    So only the last mu is centered to tol; an earlier one ends once
+    (decrement/mu)^½ ≤ 1/2.  A round that ends so at a point the path has
+    reached (not the caller's start) moves w to the predicted center at
+    the next mu, w + Δw + (mu_new - mu)·(tau + Δtau): Δw the Newton step
+    just solved, tau = H⁻¹·trs the tangent from the same solve and Δtau
+    its first-order change along Δw.  The move is halved until S(w) ≻ 0;
+    one that rounds to w leaves w, G⁻¹ and the stop test's verdict as they
+    are, so the next round solves again at the same iterate.
     ``stop`` is called once per iterate, before its first step, as
     stop(w, G, G⁻¹, trs, mu, newton) with G = S(w), trs = (<fam[i], G⁻¹>)_i
     and newton() the (step, decrement) of that first step, or None when its
     solve fails; newton() solves on its first call only, so a stop test
     that needs no step costs none.  It ends the path when it returns True.
-    Returns (w, Newton steps taken).
+    A predicted point is an iterate like any other: stop sees it at the new
+    mu, before the round's first step.  Returns (w, Newton steps taken),
+    counting one per Hessian assembled.
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
@@ -128,17 +148,18 @@ def _barrier_path(
     g, l, half_logdet = factor(w)
     if l is None:
         raise IterationLimitError("barrier iterate left the PSD cone")
-    steps, ginv, memo = 0, None, []
+    steps, ginv, memo, tangent, start = 0, None, [], None, w
 
     def newton() -> Optional[tuple[np.ndarray, float]]:
         """The Newton step at w for this mu and its decrement, solved at
-        most once per step; None when the solve fails."""
-        nonlocal steps
+        most once per step; None when the solve fails.  The same solve
+        leaves the path tangent H⁻¹·trs and the Hessian in ``tangent``."""
+        nonlocal steps, tangent
         if not memo:
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
-            hess = np.empty((k, k))
+            tangent, hess = None, np.empty((k, k))
             # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK
             # columns at a time: a (_HESS_BLOCK, n, n) temporary, not a
             # (k, n, n) one.
@@ -149,16 +170,32 @@ def _barrier_path(
             hess *= mu
             hess[diag] += reg + 1e-14
             try:
-                step = np.linalg.solve(hess, -grad)
-                memo.append((step, float(-grad @ step)))
+                sol = np.linalg.solve(hess, np.column_stack([-grad, trs]))
             except np.linalg.LinAlgError:
                 memo.append(None)
+            else:
+                memo.append((sol[:, 0], float(-grad @ sol[:, 0])))
+                tangent = sol[:, 1], hess
         return memo[0]
+
+    def predicted(step: np.ndarray, mu_new: float) -> np.ndarray:
+        """The center at mu_new predicted from w: w + step, then
+        (mu_new - mu) along the tangent there, tau + Δtau to first order."""
+        tau, hess = tangent
+        # tau = H⁻¹·trs with trs = -∇F, H = mu·∇²F + reg, F = -log det S(w),
+        # so Δtau = -H⁻¹(∇²F·step + mu·∇³F[step]·tau).  With ΔG = Σ step_i S_i,
+        # U = G⁻¹ ΔG G⁻¹ and V = U·(Σ tau_i S_i)·G⁻¹, those two terms are
+        # (<S_i, U>)_i and -(<S_i, V + Vᵀ>)_i.
+        u = ginv @ (step @ flat).reshape(s0.shape) @ ginv
+        v = u @ (tau @ flat).reshape(s0.shape) @ ginv
+        dtau = np.linalg.solve(hess, flat @ (mu * (v + v.T) - u).ravel())
+        return w + step + (mu_new - mu) * (tau + dtau)
 
     while True:
         # The merit of each accepted point is the next step's f0; only a
         # new mu needs it recomputed.
         f0 = merit(w, half_logdet)
+        centered = None
         for _ in range(inner):
             memo.clear()
             # Once per iterate, however many mu rounds start at it: the
@@ -179,6 +216,7 @@ def _barrier_path(
             step, decrement = solved
             if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))) or (
                     mu > mu_final and decrement <= _ROUND_DECREMENT * mu):
+                centered = step
                 break
             # Backtracking line search keeping the iterate interior.
             alpha = 1.0
@@ -192,10 +230,28 @@ def _barrier_path(
                 alpha *= 0.5
             else:
                 break
+            # A step that rounds to w makes no progress (and w keeps G⁻¹).
+            if np.array_equal(w_new, w):
+                break
             w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, half_logdet_new, f_new, None
         if mu <= mu_final:
             return w, steps
-        mu = max(mu * shrink, mu_final)
+        mu_new = max(mu * shrink, mu_final)
+        # Predictor: a round that ended centered, at a point the path has
+        # reached, moves to the predicted center at mu_new, halving the
+        # move until S(w) ≻ 0.  A move that rounds to w keeps w and G⁻¹;
+        # so does a first round that ended at the caller's start.
+        if centered is not None and w is not start:
+            w_new = predicted(centered, mu_new)
+            for _ in range(50):
+                if np.array_equal(w_new, w):
+                    break
+                g_new, l_new, half_logdet_new = factor(w_new)
+                if l_new is not None:
+                    w, g, l, half_logdet, ginv = w_new, g_new, l_new, half_logdet_new, None
+                    break
+                w_new = 0.5 * (w + w_new)
+        mu = mu_new
 
 
 def maximize_lambda_min(
@@ -230,9 +286,12 @@ def maximize_lambda_min(
         break weak duality.
       * X/tr X is PSD of unit trace, so lambda_min(S(w')) ≤ <S(w'), X>/tr X
         for every w', and f* ≤ f_up = <S0, X>/tr X + ‖a‖²/(2·reg).  Also
-        f(w) ≥ f_lo = t + 1/tr(G⁻¹) - (reg/2)‖w‖².  Off the central path
-        a stays near reg·(w + Δw), so the ‖a‖² term stays small, where
-        G⁻¹/tr(G⁻¹) would inflate it to order 1/reg.
+        f* ≥ f_lo = f(w) = t + lambda_min(G) - (reg/2)‖w‖², up to the
+        rounding of eigvalsh (t + 1/tr(G⁻¹) is looser by up to (n - 1)·mu
+        where G has several small eigenvalues, as at the well-centered
+        iterates of a large mu).  Off the central path a stays near
+        reg·(w + Δw), so the ‖a‖² term stays small, where G⁻¹/tr(G⁻¹)
+        would inflate it to order 1/reg.
       * f is reg-strongly concave, so ‖w* - w‖ ≤ rho = (2(f_up - f_lo)/reg)^½
         and lambda_min(S(w*)) ≤ upper = f_up + (reg/2)(‖w‖ + rho)².
       * The radius (Nesterov, Introductory Lectures on Convex Optimization,
@@ -252,7 +311,7 @@ def maximize_lambda_min(
         √n·max(|f_lo|, |upper|).  delta < 1 needs lam < 1/2, which the
         certificate checks next to ‖M‖_F ≤ 1/2 (‖M‖_F² ≤ lam², up to the
         1e-14 shift and rounding).
-    On the central path f_up - f_lo ≈ (n - 1)·mu, so the certificate
+    On the central path f_up - f_lo ≤ (n - 1)·mu or so, so the certificate
     closes as mu falls; a clearly negative optimum exits long before
     mu_final.  Only w* is certified: a run that has not exited ends near
     w*, not at it.
@@ -288,8 +347,8 @@ def maximize_lambda_min(
         w, t = wt[:d], float(wt[d])
         ww = float(w @ w)
         f_up = float(s0.ravel() @ x.ravel())
-        # fam[d] = -I, so trs[d] = -tr(G⁻¹).
-        f_lo = t - 1.0 / float(trs[d]) - 0.5 * reg * ww
+        # f(w) exactly: lambda_min(S(w)) = t + lambda_min(G).
+        f_lo = t + float(np.linalg.eigvalsh(g)[0]) - 0.5 * reg * ww
         rho = 0.0
         if d:
             f_up += float(a @ a) / (2.0 * reg)

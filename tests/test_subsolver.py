@@ -253,59 +253,62 @@ BARRIER_CASES = {
 # outputs (w, value, newton_steps, below), and LambdaMinResult.upper, with
 # inexact centering: each mu round above the last ends at a Newton
 # decrement of _ROUND_DECREMENT·mu, and the λ_min path shrinks mu by 0.05.
-# A stop_above exit solves no step at its iterate.
+# Between rounds the path moves to its predicted next center (Newton step,
+# then the tangent carried to the stepped point), and the certificate's
+# lower bound is lambda_min(S(w)) itself.  A stop_above exit solves no
+# step at its iterate.
 BARRIER_GOLDEN = {
     "big-interior": (
-        "1909e4cde69da25f97ac0c64700e0bb7c37fa5d6051abb63a661cbe80931ddc7",
+        "39a4755f3782530941b675723f6e38ca6f16d233ab1f5a462517268a9a2d71e4",
         None,
     ),
     "big-lmin-below-exits": (
-        "1d9c5513070b6874f9e9885dc727c72f36aeab9569b8a701ad2cf853267bdde5",
-        -0.9213814446567994,
+        "7fc58d5c2b6649f1f69a8eb6eba1f78fad220b4cd2b92209558c191b9b4c5cfa",
+        -0.7790658084340188,
     ),
     "big-lmin-below-full": (
-        "3cfb48a6c87fe2d8c6e9f6b7e2b26333bc1f91e9cc17ff36c063ee0be82acd4d",
-        3.0547426536518527,
+        "8ea63f29236b091c9b71654e34321954b15fb5c57af54dc0d870e75515470c77",
+        3.0547426525928936,
     ),
     "face": (
-        "f694d71d09f64de2cec4904be2c51fd11f15b23ed8b9e00d5594b64bd1eb0783",
+        "038ab283ac078bb072377f6cea2a2b1d84d38e9e853318eacb6184ed3b6d568e",
         None,
     ),
     "face-2": (
-        "3072335c834d4b5f6f4f28ea45ab2b4a705cdc281c04be31a71792eeca82a07c",
+        "a11bedee6226bc3891f8ad7d550d4725f1a651ff1bb697106a8a537cfe9f6eaa",
         None,
     ),
     "interior": (
-        "98ca00c72538b3a4f7c7a49fb4b1bfcae0f17f7d2002e8e14392204e8f921948",
+        "c5b5a25f4e71a749d938c59c506bc0be299ba1cb9e1691d5ee06535a0220643e",
         None,
     ),
     "interior-2": (
-        "14605b91027f9c253058ce8b02947bda24a6b332e3ca0f43786665feb0c09a7d",
+        "1b8eacba8919deb2ac9f0655d10379e9cd07248fb94046ba3e0f8da10e275c46",
         None,
     ),
     "lmin-above-exits": (
-        "b10843662e42b234eabc4dd86f1e5695cb137471443a69e3bfada04d6a139b15",
+        "6126ec3c1e8676d6448a36810fa1a0e2c8c6c411cab0f02a723cc9839c7dd40c",
         np.inf,
     ),
     "lmin-above-full": (
-        "31a26f53eabf6b5b178fa92f497801ba92f817551ed4d44a8401913ffe543b3b",
+        "27647d1689a08b6d55f9b011b5e6b654c781f2a95a27f9adeae15f77d5fbf038",
         np.inf,
     ),
     "lmin-below-exits": (
-        "63f6908593b97635fa60c91c92e8bfe7fb60c2fcdf17d9aba5191074a4a37e00",
-        -1.424418997611973,
+        "dea459bea94d44a7a0c1d79dc6f13faa1fe522e8f5f18ed62b7f3ab1343c2b40",
+        -1.424452312213677,
     ),
     "lmin-below-exits-9": (
-        "49885ce543145be0d6e7186e7e0c27aa374c20619a8a553003b32d34cdac19b1",
-        -3.9961110942162756,
+        "b515821d46ca68abf8872c523d2bd333c195e4e292e17c9ba782f42fce1725a0",
+        -3.716145248011147,
     ),
     "lmin-below-full": (
-        "0dfe752abc7a3eca3e43915b8b9d0e8477c7406c0dc4b49a6abb38a0728d67fd",
-        0.2930010305075382,
+        "61255b5a95b7de6f81d0f01126196635b3ec8c546edda6870ab12cc2af6d6348",
+        0.29300103050754045,
     ),
     "lmin-below-full-5": (
-        "dbe78445abf4daa0f4b064a1d2ea95f07c61a9767c696c7d26d9e903e2fd3898",
-        0.6534013114836241,
+        "95acb81f6cde0bf6f6919a7161acd47e03257b5cdf7fd98879f440887e1de24c",
+        0.6534013114393146,
     ),
 }
 
@@ -420,8 +423,8 @@ def test_barrier_outputs_within_tolerance(case):
 
 @pytest.mark.parametrize("case", sorted(c for c in BARRIER_CASES if "lmin-" in c and "-full" in c))
 def test_full_lambda_min_runs_take_few_steps(case):
-    # Inexact centering: a full λ_min path takes at most 50 Newton steps on
-    # these families (110 to 113 with every mu centered to tol).
+    # Inexact centering and the predictor: a full λ_min path takes at most
+    # 32 Newton steps on these families (18 to 21).
     _, family, kwargs = BARRIER_CASES[case]
     s0, mats = _family(*family)
-    assert maximize_lambda_min(s0, mats, reg=kwargs["reg"]).newton_steps <= 50
+    assert maximize_lambda_min(s0, mats, reg=kwargs["reg"]).newton_steps <= 32
