@@ -159,6 +159,7 @@ def _barrier_path(
             if steps >= max_iter:
                 raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
+            # Drop the last step's Hessian before assembling this one.
             tangent, hess = None, np.empty((k, k))
             # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK
             # columns at a time: a (_HESS_BLOCK, n, n) temporary, not a

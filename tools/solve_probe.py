@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -75,9 +74,10 @@ def compare(new: list[dict], old: list[dict]) -> tuple[list[str], float]:
             differ.append(f"{key[0]}/{key[1]}: missing from the other file")
         elif decision(rec) != decision(ref):
             differ.append(f"{key[0]}/{key[1]}: {decision(ref)} -> {decision(rec)}")
-        elif rec["value"] is not None and ref["value"] is not None and rec["value"] != ref["value"]:
-            change = abs(rec["value"] - ref["value"]) / (1.0 + abs(ref["value"]))
-            worst = max(worst, change if math.isfinite(change) else math.inf)
+        elif rec["value"] is not None and rec["value"] != ref["value"]:
+            # Equal decisions give both values or neither, and equal
+            # infinities are skipped here (inf - inf is nan).
+            worst = max(worst, abs(rec["value"] - ref["value"]) / (1.0 + abs(ref["value"])))
     return differ, worst
 
 
