@@ -116,9 +116,8 @@ def _barrier_path(
     is at most tol·(1 + |c0 + lin·w|), or at most _ROUND_DECREMENT·mu while
     mu > mu_final, or when the line search fails or its step rounds to w.
     So only the last mu is centered to tol; an earlier one ends once
-    (decrement/mu)^½ ≤ 1/2.  A round that ends so at a point the path has
-    reached (not the caller's start) moves w to the predicted center at
-    the next mu, w + Δw + (mu_new - mu)·(tau + Δtau): Δw the Newton step
+    (decrement/mu)^½ ≤ 1/2.  A round that ends so moves w to the
+    predicted center at the next mu, w + Δw + (mu_new - mu)·(tau + Δtau): Δw the Newton step
     just solved, tau = H⁻¹·trs the tangent from the same solve and Δtau
     its first-order change along Δw.  The move is halved until S(w) ≻ 0;
     one that rounds to w leaves w, G⁻¹ and the stop test's verdict as they
@@ -148,7 +147,7 @@ def _barrier_path(
     g, l, half_logdet = factor(w)
     if l is None:
         raise IterationLimitError("barrier iterate left the PSD cone")
-    steps, ginv, memo, tangent, start = 0, None, [], None, w
+    steps, ginv, memo, tangent = 0, None, [], None
 
     def newton() -> Optional[tuple[np.ndarray, float]]:
         """The Newton step at w for this mu and its decrement, solved at
@@ -238,11 +237,10 @@ def _barrier_path(
         if mu <= mu_final:
             return w, steps
         mu_new = max(mu * shrink, mu_final)
-        # Predictor: a round that ended centered, at a point the path has
-        # reached, moves to the predicted center at mu_new, halving the
-        # move until S(w) ≻ 0.  A move that rounds to w keeps w and G⁻¹;
-        # so does a first round that ended at the caller's start.
-        if centered is not None and w is not start:
+        # Predictor: a round that ended centered moves to the predicted
+        # center at mu_new, halving the move until S(w) ≻ 0.  A move that
+        # rounds to w keeps w and G⁻¹.
+        if centered is not None:
             w_new = predicted(centered, mu_new)
             for _ in range(50):
                 if np.array_equal(w_new, w):
