@@ -363,6 +363,7 @@ def _polish_on_face(
     face_tol: float,
     support: Optional[np.ndarray] = None,
     rounds: int = 8,
+    in_cone: bool = False,
 ) -> np.ndarray:
     """Newton polish of y so the near-null eigenblock of 𝒜*y vanishes while
     the affine normalization rows·y = rhs is maintained exactly.
@@ -374,7 +375,10 @@ def _polish_on_face(
     Steps are damped when the full update does not reduce the face
     residual, and the best iterate seen is returned (the face equations
     can be linearly unreachable, in which case polishing must not make
-    the candidate worse).
+    the candidate worse).  With ``in_cone``, a step from a positive
+    definite 𝒜*y is first cut to the longest one that keeps it PSD: with
+    Z = 𝒜*y and D the step's matrix, that is 1/λ_max(-Z^{-1/2} D Z^{-1/2})
+    of the full step when this is below 1.
     """
     y = np.asarray(y, dtype=float).copy()
     cols = np.arange(inst.m) if support is None else support
@@ -395,6 +399,11 @@ def _polish_on_face(
             return best
         stepped = False
         alpha = 1.0
+        if in_cone and lam[0] > 0.0:
+            half = vecs / np.sqrt(lam)
+            grow = float(np.linalg.eigvalsh(-half.T @ np.tensordot(delta, mats, 1) @ half)[-1])
+            if grow > 1.0:
+                alpha = 1.0 / grow
         for _ in range(8):
             cand = y.copy()
             cand[cols] = cand[cols] + alpha * delta
@@ -431,6 +440,14 @@ def _clean_and_validate(
     lands in the interior of a degenerate optimal face, flattening those
     eigenvalues polishes the candidate onto a clean lower-rank vertex
     instead of keeping ill-conditioned near-zero ones.
+
+    An infeasibility certificate that fails gets a second try whose steps
+    stay in the PSD cone.  Branch C's optimum can lie far out on the slice
+    (‖y‖ ~ 1e4 and more, its small eigenvalues ~1e-4 of the top), where
+    the face row and the b row are nearly parallel and the first step is
+    about as long as y: the damped steps can then trade the flattened
+    eigenvalue for a negative one inside the near-PSD slack of
+    10·face_tol, and never recover.
     """
     z = apply_at(inst, y)
     scale = z.scale_factor()
@@ -439,13 +456,17 @@ def _clean_and_validate(
     face_tol = 1e-5 * scale
     if small.size:
         face_tol = max(face_tol, min(2.0 * float(small[-1]), 0.5 * float(lam[-1])))
-    y_thr = _polish_on_face(inst, y, rows, rhs, face_tol)
-    # The rounding scale is the candidate's own magnitude: an absolute
-    # floor would zero meaningful entries of small-norm certificates.
-    y_thr[np.abs(y_thr) < EPS_ROUND * float(np.max(np.abs(y_thr)))] = 0.0
-    support = np.nonzero(y_thr)[0]
-    y_sup = _polish_on_face(inst, y_thr, rows, rhs, face_tol, support)
-    return _revalidate_candidate(inst, y_sup, target, eps)
+    for in_cone in (False, True) if target != 0.0 else (False,):
+        y_thr = _polish_on_face(inst, y, rows, rhs, face_tol, in_cone=in_cone)
+        # The rounding scale is the candidate's own magnitude: an absolute
+        # floor would zero meaningful entries of small-norm certificates.
+        y_thr[np.abs(y_thr) < EPS_ROUND * float(np.max(np.abs(y_thr)))] = 0.0
+        support = np.nonzero(y_thr)[0]
+        y_sup = _polish_on_face(inst, y_thr, rows, rhs, face_tol, support, in_cone=in_cone)
+        cert = _revalidate_candidate(inst, y_sup, target, eps)
+        if cert is not None:
+            return cert
+    return None
 
 
 def _lambda_min_search(

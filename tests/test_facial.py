@@ -29,6 +29,7 @@ from ramanasdp.facial import (
     STATUS_INFEASIBLE,
     FrSequence,
     _face_rows,
+    _polish_on_face,
     _smat_family,
 )
 from ramanasdp.model import smat
@@ -383,6 +384,32 @@ class TestFaceTolerance:
         rr = build_rr_form(inst)
         assert rr.status == STATUS_FEASIBLE
         assert sum(rr.r) == planted
+
+
+class TestPolishInCone:
+    @pytest.mark.parametrize("seed", [6, 7, 15])
+    def test_steps_stop_at_the_cone_boundary(self, seed):
+        # 𝒜*y has eigenvalues 0.01, 0.03, 1, 2 and the one row b·y = b·y0
+        # is nearly parallel to the face row of the 0.01, so flattening it
+        # takes a long step.  The plain polish trades it for a negative
+        # eigenvalue inside its near-PSD slack; the in-cone polish cuts each
+        # step where λ_min reaches zero and ends on the cone's boundary.
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        mats = [q @ np.diag([0.01, 0.03, 1.0, 2.0]) @ q.T]
+        mats += [(x + x.T) / 2 for x in rng.standard_normal((3, 4, 4))]
+        face_row = np.array([q[:, 0] @ a @ q[:, 0] for a in mats])
+        b = face_row + 1e-2 * rng.standard_normal(4)
+        inst = SdpInstance.from_arrays(mats, b, np.eye(4))
+        y0, rows = np.eye(4)[0], b.reshape(1, -1)
+        lam = {}
+        for in_cone in (False, True):
+            y = _polish_on_face(inst, y0, rows, rows @ y0, 0.02, in_cone=in_cone)
+            assert rows @ y == pytest.approx(rows @ y0, abs=1e-12)
+            lam[in_cone] = np.linalg.eigvalsh(apply_at(inst, y).a)
+        assert lam[False][0] < -0.02
+        assert lam[True][0] == pytest.approx(0.0, abs=1e-12)
+        assert lam[True][1] > 0.01
 
 
 class TestDeepCascadeSoundness:
