@@ -29,7 +29,8 @@ Each certificate comes from one path: solve_alternative maximizes
 B); an optimum too weak to tell from rounding noise (NOISE_POWER) is
 NotFound, any other is polished onto its face at one tolerance,
 thresholded, re-polished on its support and revalidated exactly, or
-refused.
+refused.  An infeasibility certificate that fails so gets one more try,
+with every polish step kept in the PSD cone.
 """
 
 from __future__ import annotations
@@ -447,7 +448,10 @@ def _clean_and_validate(
     the face row and the b row are nearly parallel and the first step is
     about as long as y: the damped steps can then trade the flattened
     eigenvalue for a negative one inside the near-PSD slack of
-    10·face_tol, and never recover.
+    10·face_tol, and never recover.  A strict-only certificate gets no
+    retry: when branch A fails, branch C can still end the construction,
+    and a rescued branch A certificate leads on the infeasible probe into
+    more failed merges than it saves.
     """
     z = apply_at(inst, y)
     scale = z.scale_factor()
