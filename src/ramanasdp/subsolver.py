@@ -117,9 +117,9 @@ def _barrier_path(
     mu > mu_final, or when the line search fails or its step rounds to w.
     So only the last mu is centered to tol; an earlier one ends once
     (decrement/mu)^½ ≤ 1/2.  A round that ends so moves w to the
-    predicted center at the next mu, w + Δw + (mu_new - mu)·(tau + Δtau): Δw the Newton step
-    just solved, tau = H⁻¹·trs the tangent from the same solve and Δtau
-    its first-order change along Δw.  The move is halved until S(w) ≻ 0;
+    predicted center at the next mu, w + Δw + (mu_new - mu)·(tau + Δtau):
+    Δw the Newton step just solved, tau = H⁻¹·trs the tangent from the
+    same solve and Δtau its first-order change along Δw.  The move is halved until S(w) ≻ 0;
     one that rounds to w leaves w, G⁻¹ and the stop test's verdict as they
     are, so the next round solves again at the same iterate.
     ``stop`` is called once per iterate, before its first step, as
