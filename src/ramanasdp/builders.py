@@ -600,7 +600,7 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
     return sdp, comp
 
 
-def red_to_instance(sdp: StandardFormSdp, comp: DualComplement) -> SdpInstance:
+def red_to_instance(comp: DualComplement) -> SdpInstance:
     """View the equality-form rewrite as a plain instance over Z."""
     return SdpInstance(a=comp.d, b=comp.d_vals.copy(), c=comp.x0)
 

@@ -18,7 +18,8 @@ n, m and the system tag), followed by named records:
 
 Ladder records are named y1..y{n-1}, U1..U{n-1}, V1..V{n-1}; a missing
 record is zero (certificates are front-padded on verification anyway).
-A non-finite number or a repeated record makes the file malformed.
+A non-finite number, a repeated record or a record line without its
+name and value or length makes the file malformed.
 The primal system stores X; strong systems store the point plus the
 rotation Q and the block order r.
 """
@@ -184,25 +185,35 @@ def parse_certificate_text(text: str) -> CertificateFile:
             if len(toks) != 2:
                 raise CertificateFormatError(f"malformed header line {ln!r}")
             fields[kind] = toks[1]
-        elif kind == "scalar":
-            scalars[toks[1]] = _floats(toks[2:3], f"scalar {toks[1]}")[0]
-        elif kind == "vector":
-            name, length = toks[1], int(toks[2])
+            continue
+        if kind not in ("scalar", "vector", "matrix"):
+            raise CertificateFormatError(f"unknown record kind {kind!r}")
+        if len(toks) != 3:
+            what = "value" if kind == "scalar" else "length"
+            raise CertificateFormatError(f"record {ln!r} is not '{kind} <name> <{what}>'")
+        name = toks[1]
+        if kind == "scalar":
+            scalars[name] = _floats(toks[2:], f"scalar {name}")[0]
+            continue
+        try:
+            length = int(toks[2])
+        except ValueError:
+            raise CertificateFormatError(
+                f"{kind} {name}: length {toks[2]!r} is not an integer"
+            )
+        if kind == "vector":
             vals = np.array(_floats(next_line().split(), f"vector {name}"))
             if vals.shape != (length,):
                 raise CertificateFormatError(f"vector {name}: expected {length} values")
             vectors[name] = vals
-        elif kind == "matrix":
-            name, order = toks[1], int(toks[2])
+        else:
             rows = []
-            for _ in range(order):
+            for _ in range(length):
                 row = _floats(next_line().split(), f"matrix {name}")
-                if len(row) != order:
+                if len(row) != length:
                     raise CertificateFormatError(f"matrix {name}: ragged row")
                 rows.append(row)
             matrices[name] = np.array(rows)
-        else:
-            raise CertificateFormatError(f"unknown record kind {kind!r}")
     for req in ("system", "instance-hash", "n", "m"):
         if req not in fields:
             raise CertificateFormatError(f"missing header field {req}")

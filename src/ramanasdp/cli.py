@@ -51,7 +51,7 @@ def _mat_list(a) -> list:
 def cmd_inspect(args) -> int:
     inst = sdpa.read_sdpa(args.file)
     ccls = classify_psd(inst.c, args.eps)
-    alt = facial.solve_alternative(inst, facial.MODE_EQ_ZERO, args.eps, args.max_iter)
+    alt = facial.solve_alternative(inst, facial.MODE_EQ_ZERO, args.eps)
     strict = "strictly-feasible" if not alt.found else "not-strictly-feasible"
     payload = {
         "n": inst.n,
@@ -93,13 +93,12 @@ def _rr_report_payload(inst, rr, pstrong_spec) -> dict:
 
 def cmd_rr_form(args) -> int:
     inst = sdpa.read_sdpa(args.file)
-    rr = facial.build_rr_form(inst, eps=args.eps, max_iter=args.max_iter)
+    rr = facial.build_rr_form(inst, eps=args.eps)
     pstrong_spec = None
     if rr.status == facial.STATUS_FEASIBLE:
         try:
-            sdp_red, comp = builders.build_red(inst)
-            red_inst = builders.red_to_instance(sdp_red, comp)
-            rr_red = facial.build_rr_form(red_inst, eps=args.eps, max_iter=args.max_iter)
+            _, comp = builders.build_red(inst)
+            rr_red = facial.build_rr_form(builders.red_to_instance(comp), eps=args.eps)
             if rr_red.status == facial.STATUS_FEASIBLE and rr_red.maxrank_x is not None:
                 q_red = rr_red.ref.q
                 slack = q_red @ rr_red.maxrank_x.a @ q_red.T
@@ -262,7 +261,7 @@ def cmd_examples(args) -> int:
     payload = {}
     lines = []
     for eid in ids:
-        rep = registry.run_entry(eid, eps=args.eps, max_iter=args.max_iter)
+        rep = registry.run_entry(eid, eps=args.eps)
         all_ok = all_ok and rep.passed
         payload[eid] = {
             "passed": rep.passed,
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance for all PSD/rank decisions (env RAMANA_EPS)",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
-    parser.add_argument("--max-iter", type=int, default=4000, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect", help="dimensions, PSD class of C, strict-feasibility probe")

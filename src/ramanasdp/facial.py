@@ -44,6 +44,7 @@ from . import subsolver
 from .model import (
     Reformulation,
     SdpInstance,
+    SingularMError,
     apply_a,
     apply_at,
     constraint_stack,
@@ -267,14 +268,14 @@ def _smat_family(cols: np.ndarray, n: int) -> np.ndarray:
 
 
 def _affine_solutions(
-    rows: np.ndarray, rhs: np.ndarray, tol: float = AFFINE_RESIDUAL_TOL
+    rows: np.ndarray, rhs: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Minimum-norm particular solution and nullspace basis of rows·y = rhs."""
     if rows.shape[0] == 0:
         return np.zeros(rows.shape[1]), _null_basis(rows)
     y0, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     res = float(np.linalg.norm(rows @ y0 - rhs))
-    if res > tol * (1.0 + float(np.linalg.norm(rhs))):
+    if res > AFFINE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs))):
         return None
     return y0, _null_basis(rows)
 
@@ -363,16 +364,16 @@ def _polish_on_face(
     rhs: np.ndarray,
     face_tol: float,
     support: Optional[np.ndarray] = None,
-    rounds: int = 8,
     in_cone: bool = False,
 ) -> np.ndarray:
     """Newton polish of y so the near-null eigenblock of 𝒜*y vanishes while
     the affine normalization rows·y = rhs is maintained exactly.
 
-    Each round linearizes in the current eigenbasis: eigenvectors with
-    |eigenvalue| ≤ face_tol span the active face, and the least-squares
-    step solves v_aᵀ(𝒜*y)v_b = 0 on that face together with the affine
-    rows, minimally perturbing y (restricted to ``support`` if given).
+    Each of at most 8 rounds linearizes in the current eigenbasis:
+    eigenvectors with |eigenvalue| ≤ face_tol span the active face, and
+    the least-squares step solves v_aᵀ(𝒜*y)v_b = 0 on that face together
+    with the affine rows, minimally perturbing y (restricted to
+    ``support`` if given).
     Steps are damped when the full update does not reduce the face
     residual, and the best iterate seen is returned (the face equations
     can be linearly unreachable, in which case polishing must not make
@@ -387,7 +388,7 @@ def _polish_on_face(
     n_active = int(np.sum(np.abs(np.linalg.eigvalsh(apply_at(inst, y).a)) <= face_tol))
     best = y.copy()
     best_res = _face_residual(inst, y, rows, rhs, face_tol, n_active)
-    for _ in range(rounds):
+    for _ in range(8):
         z = apply_at(inst, y).a
         lam, vecs = np.linalg.eigh(z)
         v = vecs[:, np.argsort(np.abs(lam))[:n_active]]
@@ -480,7 +481,6 @@ def _lambda_min_search(
     target: float,
     reg: float,
     eps: float,
-    max_iter: int,
     row_scale: np.ndarray,
 ) -> tuple[Optional[AltCertificateRaw], Optional[float], bool]:
     """Maximize λ_min(𝒜*y) over the slice rows·y = rhs and clean the optimum.
@@ -499,9 +499,7 @@ def _lambda_min_search(
     y0, null = sol
     s0 = apply_at(inst, y0).a
     fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    res = subsolver.maximize_lambda_min(
-        s0, fam, reg=reg, max_iter=max_iter, stop_below=-100.0 * eps
-    )
+    res = subsolver.maximize_lambda_min(s0, fam, reg=reg, stop_below=-100.0 * eps)
     y_opt = y0 + null @ res.w
     z_norm = apply_at(inst, y_opt).norm()
     if res.below or res.value < -100.0 * eps * max(1.0, z_norm):
@@ -516,7 +514,6 @@ def solve_alternative(
     inst: SdpInstance,
     mode: str = MODE_EQ_ZERO,
     eps: float = EPS_PSD,
-    max_iter: int = 2000,
     *,
     _row_scale: Optional[np.ndarray] = None,
 ) -> AltResult:
@@ -544,8 +541,7 @@ def solve_alternative(
 
     # Branch A: <b, y> = 0 with trace(𝒜*y) = 1.
     cert, best_t, ambiguous = _lambda_min_search(
-        inst, np.vstack([inst.b, trace_row]), np.array([0.0, 1.0]), 0.0, 1e-12,
-        eps, max_iter, _row_scale,
+        inst, np.vstack([inst.b, trace_row]), np.array([0.0, 1.0]), 0.0, 1e-12, eps, _row_scale
     )
     if cert is not None:
         return AltResult(found=True, certificate=cert, max_lambda_min=best_t)
@@ -579,8 +575,7 @@ def solve_alternative(
 
     # Branch C: <b, y> = -1 with a ridge to bound the search.
     cert, t_c, ambiguous_c = _lambda_min_search(
-        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, max_iter,
-        _row_scale,
+        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, _row_scale
     )
     if cert is not None:
         return AltResult(found=True, certificate=cert, max_lambda_min=t_c)
@@ -636,9 +631,7 @@ def _replace_and_swap(m_total: np.ndarray, s: int, y_red: np.ndarray) -> np.ndar
     return perm @ e @ m_total
 
 
-def _interior_of_reduced(
-    cur: SdpInstance, p: int, s: int, eps: float, max_iter: int
-) -> SymMat:
+def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
     """Strictly feasible point of the reduced instance, embedded at order n."""
     n = cur.n
     if p == n:
@@ -652,7 +645,7 @@ def _interior_of_reduced(
     null = _null_basis(stack)
     s0 = smat(x0_vec, red.n).a
     fam = _smat_family(null, red.n)
-    w = subsolver.interior_point(s0, fam, max_iter=max_iter)
+    w = subsolver.interior_point(s0, fam)
     if w is None:
         raise SubsolverFailureError(
             "reduced instance reported strictly feasible but no interior point was found"
@@ -661,9 +654,16 @@ def _interior_of_reduced(
     return SymMat(x_red).embed(n, p)
 
 
-def build_rr_form(
-    inst: SdpInstance, eps: float = EPS_PSD, max_iter: int = 2000
-) -> RrForm:
+def _reformulate(inst: SdpInstance, m_total: np.ndarray, q_total: np.ndarray) -> SdpInstance:
+    """build_rr_form's reformulation.  Its M is built from certificates, so
+    an M singular to tolerance is a refusal, not bad input."""
+    try:
+        return reformulate(inst, Reformulation(m_total, q_total))
+    except SingularMError as exc:
+        raise SubsolverFailureError(str(exc)) from exc
+
+
+def build_rr_form(inst: SdpInstance, eps: float = EPS_PSD) -> RrForm:
     """Reformulate the instance into RR form (or its infeasibility form).
 
     Each round solves the alternative system on the shrunken instance;
@@ -694,7 +694,7 @@ def build_rr_form(
                 y_red = np.zeros(m - s)
                 y_red[j] = -1.0 / tail[j]
                 m_total = _replace_and_swap(m_total, s, y_red)
-                cur = reformulate(inst, Reformulation(m_total, q_total))
+                cur = _reformulate(inst, m_total, q_total)
                 ranks.append(0)
                 s += 1
                 status = STATUS_INFEASIBLE
@@ -706,7 +706,7 @@ def build_rr_form(
         # block can shrink it far below the scale of its rounding noise.
         row_scale = np.array([ai.norm() for ai in cur.a[s:]])
         try:
-            alt = solve_alternative(red, MODE_LEQ_ZERO, eps, max_iter, _row_scale=row_scale)
+            alt = solve_alternative(red, MODE_LEQ_ZERO, eps, _row_scale=row_scale)
         except IterationLimitError as exc:
             raise SubsolverFailureError(str(exc)) from exc
         if not alt.found:
@@ -735,7 +735,7 @@ def build_rr_form(
             step = np.eye(n)
             step[p:, p:] = dec.q
             q_total = q_total @ step
-        cur = reformulate(inst, Reformulation(m_total, q_total))
+        cur = _reformulate(inst, m_total, q_total)
         ranks.append(r_i)
         s += 1
         p += r_i
@@ -754,13 +754,13 @@ def build_rr_form(
         e[0, :lead] = coeffs
         order = [0] + list(range(lead, k)) + [i for i in range(1, m) if not lead <= i < k]
         m_total = (e @ m_total)[order]
-        cur = reformulate(inst, Reformulation(m_total, q_total))
+        cur = _reformulate(inst, m_total, q_total)
         ranks = [n] + ranks[lead:]
         k = 1 + k - lead
     ref = Reformulation(m_total, q_total)
     maxrank = None
     if status == STATUS_FEASIBLE:
-        maxrank = _interior_of_reduced(cur, sum(ranks), k, eps, max_iter)
+        maxrank = _interior_of_reduced(cur, sum(ranks), k)
     return RrForm(
         ref=ref,
         k=k,
@@ -868,8 +868,6 @@ def sample_feasible(
     rr: RrForm,
     count: int,
     seed: int = 0,
-    eps: float = EPS_PSD,
-    max_iter: int = 2000,
 ) -> list[SymMat]:
     """Feasible points of the original instance, sampled on the reduced face.
 
@@ -882,9 +880,7 @@ def sample_feasible(
     n = inst.n
     p = sum(rr.r)
     cur = rr.reformulated
-    center = rr.maxrank_x if rr.maxrank_x is not None else _interior_of_reduced(
-        cur, p, rr.k, eps, max_iter
-    )
+    center = rr.maxrank_x if rr.maxrank_x is not None else _interior_of_reduced(cur, p, rr.k)
     q = rr.ref.q
     out = [SymMat(q @ center.a @ q.T)]
     if p == n or count <= 1:
@@ -912,8 +908,7 @@ def sample_feasible(
 
 
 def primal_optimal_value(
-    inst: SdpInstance, rr: Optional[RrForm] = None, eps: float = EPS_PSD,
-    max_iter: int = 4000,
+    inst: SdpInstance, rr: Optional[RrForm] = None, eps: float = EPS_PSD
 ) -> float:
     """Optimal value of the instance via its RR form.
 
@@ -924,7 +919,7 @@ def primal_optimal_value(
     value rather than -inf.)
     """
     if rr is None:
-        rr = build_rr_form(inst, eps=eps, max_iter=max_iter)
+        rr = build_rr_form(inst, eps=eps)
     if rr.status == STATUS_INFEASIBLE:
         return float("inf")
     cur = rr.reformulated
@@ -936,10 +931,8 @@ def primal_optimal_value(
     null = _null_basis(constraint_stack(red))
     witness = rr.maxrank_x
     if witness is None:
-        witness = _interior_of_reduced(cur, p, rr.k, eps, max_iter)
+        witness = _interior_of_reduced(cur, p, rr.k)
     x_start = witness.a[p:, p:]
     fam = _smat_family(null, red.n)
-    _, value = subsolver.minimize_linear_over_face(
-        red.c.a, x_start, fam, np.zeros(null.shape[1]), max_iter=max_iter
-    )
+    _, value = subsolver.minimize_linear_over_face(red.c.a, x_start, fam, np.zeros(null.shape[1]))
     return value

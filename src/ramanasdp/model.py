@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symmat import ORTH_TOL, RECON_TOL, SymMat, check_orthonormal
+from .symmat import RECON_TOL, SymMat, check_orthonormal
 
 # Relative threshold on singular values for invertibility / independence checks.
 COND_TOL = 1e-10
@@ -175,22 +175,20 @@ def primal_residual(inst: SdpInstance, x: SymMat) -> float:
     return float(np.linalg.norm(apply_a(inst, x) - inst.b)) / b_scale
 
 
-def weak_duality_gap(
-    inst: SdpInstance, x: SymMat, y: Sequence[float], tol: float = RECON_TOL
-) -> float:
+def weak_duality_gap(inst: SdpInstance, x: SymMat, y: Sequence[float]) -> float:
     """<C,X> - <b,y> for primal-feasible X; checks the slack identity.
 
     The identity <C,X> - <b,y> = <C - 𝒜*y, X> holds for every feasible X
     and every y; a violation beyond tolerance indicates corrupted input.
     """
     res = primal_residual(inst, x)
-    if res > max(tol, 1e3 * RECON_TOL):
+    if res > 1e3 * RECON_TOL:
         raise InfeasibleInputError(f"𝒜X - b relative residual {res:.3e} beyond tolerance")
     y = np.asarray(y, dtype=float).reshape(-1)
     gap = inst.c.inner(x) - float(inst.b @ y)
     via_slack = dual_slack(inst, y).inner(x)
     scale = 1.0 + abs(inst.c.inner(x)) + abs(float(inst.b @ y)) + x.norm()
-    if abs(gap - via_slack) > max(tol, 1e3 * RECON_TOL) * scale:
+    if abs(gap - via_slack) > 1e3 * RECON_TOL * scale:
         raise ArithmeticError(
             f"duality identity violated: {gap!r} vs {via_slack!r} at scale {scale:.3e}"
         )
@@ -220,11 +218,11 @@ class Reformulation:
     def identity(m: int, n: int) -> "Reformulation":
         return Reformulation(np.eye(m), np.eye(n))
 
-    def validate(self, orth_tol: float = ORTH_TOL, cond_tol: float = COND_TOL) -> None:
-        check_orthonormal(self.q, orth_tol)
+    def validate(self) -> None:
+        check_orthonormal(self.q)
         if self.m_rows.size:
             s = np.linalg.svd(self.m_rows, compute_uv=False)
-            if s[-1] <= cond_tol * max(1.0, s[0]):
+            if s[-1] <= COND_TOL * max(1.0, s[0]):
                 raise SingularMError(
                     f"M is singular to tolerance (σ_min = {s[-1]:.3e}, σ_max = {s[0]:.3e})"
                 )
@@ -290,9 +288,7 @@ class DualComplement:
     ell: int
 
 
-def complement_basis(
-    inst: SdpInstance, tol: float = INDEP_TOL, recon_tol: float = RECON_TOL
-) -> DualComplement:
+def complement_basis(inst: SdpInstance) -> DualComplement:
     """Compute D_1..D_ℓ ⟂ span{A_i}, d_j = <D_j, C>, and minimum-norm X0.
 
     The D_j are produced by Gram–Schmidt over the standard basis of S^n in
@@ -304,7 +300,7 @@ def complement_basis(
     stack = constraint_stack(inst)
     if inst.m:
         s = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(s > tol * max(s[0], 1.0)))
+        rank = int(np.sum(s > INDEP_TOL * max(s[0], 1.0)))
         if rank < inst.m:
             raise DependentConstraintsError(
                 f"A_i have numerical rank {rank} < m = {inst.m}"
@@ -339,7 +335,7 @@ def complement_basis(
     if inst.m:
         x0_vec, residual, *_ = np.linalg.lstsq(stack, inst.b, rcond=None)
         res = float(np.linalg.norm(stack @ x0_vec - inst.b))
-        if res > max(recon_tol, 1e3 * RECON_TOL) * (1.0 + float(np.linalg.norm(inst.b))):
+        if res > 1e3 * RECON_TOL * (1.0 + float(np.linalg.norm(inst.b))):
             raise InconsistentRhsError(f"b is not in range(𝒜): residual {res:.3e}")
         x0 = smat(x0_vec, n)
     else:

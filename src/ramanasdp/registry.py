@@ -348,19 +348,16 @@ def get(entry_id: str) -> ExampleRegistryEntry:
         raise KeyError(f"unknown example id {entry_id!r}; known: {', '.join(all_ids())}")
 
 
-def classical_dual_value(inst: SdpInstance, eps: float = EPS_PSD, max_iter: int = 4000) -> float:
+def classical_dual_value(inst: SdpInstance, eps: float = EPS_PSD) -> float:
     """Optimal value of the classical dual via its equality-form rewrite."""
-    sdp_red, comp = builders.build_red(inst)
-    red_inst = builders.red_to_instance(sdp_red, comp)
-    red_val = facial.primal_optimal_value(red_inst, eps=eps, max_iter=max_iter)
+    _, comp = builders.build_red(inst)
+    red_val = facial.primal_optimal_value(builders.red_to_instance(comp), eps=eps)
     if red_val == float("inf"):
         return float("-inf")
     return comp.x0.inner(inst.c) - red_val
 
 
-def classical_alternative_feasible(
-    inst: SdpInstance, eps: float = EPS_PSD, max_iter: int = 2000
-) -> bool:
+def classical_alternative_feasible(inst: SdpInstance, eps: float = EPS_PSD) -> bool:
     """Feasibility of the classical alternative system 𝒜*y ⪰ 0, <b,y> = -1."""
     stack_rows = inst.b.reshape(1, -1)
     sol = facial._affine_solutions(stack_rows, np.array([-1.0]))
@@ -369,7 +366,7 @@ def classical_alternative_feasible(
     y0, null = sol
     s0 = apply_at(inst, y0).a
     fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    res = subsolver.maximize_lambda_min(s0, fam, reg=1e-8, max_iter=max_iter)
+    res = subsolver.maximize_lambda_min(s0, fam, reg=1e-8)
     scale = 1.0 + float(np.linalg.norm(s0))
     return res.value >= -100.0 * eps * scale
 
@@ -378,7 +375,7 @@ def _close(a: float, b: float, tol: float = VALUE_TOL) -> bool:
     return abs(a - b) <= tol * (1.0 + abs(b))
 
 
-def run_entry(entry_id: str, eps: float = EPS_PSD, max_iter: int = 4000) -> EntryReport:
+def run_entry(entry_id: str, eps: float = EPS_PSD) -> EntryReport:
     """Recompute an entry's known facts with the library pipeline."""
     entry = get(entry_id)
     inst = entry.instance
@@ -388,7 +385,7 @@ def run_entry(entry_id: str, eps: float = EPS_PSD, max_iter: int = 4000) -> Entr
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append(CheckResult(name=name, ok=bool(ok), detail=detail))
 
-    rr = facial.build_rr_form(inst, eps=eps, max_iter=max_iter)
+    rr = facial.build_rr_form(inst, eps=eps)
     want_status = facial.STATUS_FEASIBLE if facts.feasible else facial.STATUS_INFEASIBLE
     check("rr-status", rr.status == want_status, f"{rr.status} (expected {want_status})")
     if facts.rr_k is not None:
@@ -407,14 +404,14 @@ def run_entry(entry_id: str, eps: float = EPS_PSD, max_iter: int = 4000) -> Entr
             "reformulated instance passes the RR definition",
         )
         if facts.primal_value is not None:
-            val = facial.primal_optimal_value(inst, rr, eps=eps, max_iter=max_iter)
+            val = facial.primal_optimal_value(inst, rr, eps=eps)
             check(
                 "primal-value",
                 _close(val, facts.primal_value),
                 f"computed {val:.9g} (expected {facts.primal_value})",
             )
         if facts.dual_value is not None:
-            dval = classical_dual_value(inst, eps=eps, max_iter=max_iter)
+            dval = classical_dual_value(inst, eps=eps)
             check(
                 "dual-value",
                 _close(dval, facts.dual_value),
@@ -426,11 +423,11 @@ def run_entry(entry_id: str, eps: float = EPS_PSD, max_iter: int = 4000) -> Entr
             abs(float(rr.reformulated.b[rr.k - 1]) + 1.0) <= VALUE_TOL,
             f"terminal rhs {float(rr.reformulated.b[rr.k - 1]):.9g} (expected -1)",
         )
-        alt = verify.alt_ram_from_rr(inst, rr, eps)
+        alt = verify.alt_ram_from_rr(inst, rr)
         out = verify.verify_alt_ram(inst, alt, eps)
         check("alt-from-rr", out.ok, out.violation or "constructed certificate valid")
         if facts.classical_alt_feasible is not None:
-            got = classical_alternative_feasible(inst, eps, max_iter)
+            got = classical_alternative_feasible(inst, eps)
             check(
                 "classical-alternative",
                 got == facts.classical_alt_feasible,
@@ -438,7 +435,7 @@ def run_entry(entry_id: str, eps: float = EPS_PSD, max_iter: int = 4000) -> Entr
                 f"(expected {facts.classical_alt_feasible})",
             )
     if facts.strictly_feasible is not None:
-        alt = facial.solve_alternative(inst, facial.MODE_EQ_ZERO, eps, max_iter)
+        alt = facial.solve_alternative(inst, facial.MODE_EQ_ZERO, eps)
         check(
             "strict-feasibility-probe",
             (not alt.found) == facts.strictly_feasible,

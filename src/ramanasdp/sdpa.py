@@ -266,16 +266,17 @@ def read_sdpa_text(text: str) -> SdpInstance:
         pos += 1
         return ln
 
-    lineno, toks = take()
-    try:
-        m = int(toks[0])
-    except ValueError:
-        raise ParseError(f"expected constraint count, got {toks[0]!r}", lineno)
-    lineno, toks = take()
-    try:
-        nblocks = int(toks[0])
-    except ValueError:
-        raise ParseError(f"expected block count, got {toks[0]!r}", lineno)
+    def take_count(what: str) -> int:
+        lineno, toks = take()
+        if not toks:
+            raise ParseError(f"expected {what}, got an empty line", lineno)
+        try:
+            return int(toks[0])
+        except ValueError:
+            raise ParseError(f"expected {what}, got {toks[0]!r}", lineno)
+
+    m = take_count("constraint count")
+    nblocks = take_count("block count")
     lineno, toks = take()
     if len(toks) != nblocks:
         raise ParseError(f"expected {nblocks} block sizes, got {len(toks)}", lineno)

@@ -40,8 +40,10 @@ and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that every
 step at that iterate shares, also when a new mu round starts there; the
 stop test runs once per iterate, before its first step, and has that
 step solved only if it needs it.  The Hessian is assembled a few columns
-per matrix product.  All iterations are deterministic: fixed starting
-points, fixed step rules, no randomization.
+per matrix product.  Each mu round takes at most ``inner`` Newton steps,
+so a run is bounded by its mu rounds × ``inner`` (the λ_min path: 10
+rounds × 60) and needs no separate step budget.  All iterations are
+deterministic: fixed starting points, fixed step rules, no randomization.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ _HESS_BLOCK = 4
 
 
 class IterationLimitError(RuntimeError):
-    """The kernel exhausted its iteration budget without a verdict."""
+    """No verdict: an iterate left the PSD cone, the iterates diverged, or
+    an optimum lies inside the tolerance band (facial.solve_alternative).
+    No step budget raises it: every run is bounded by its mu rounds ×
+    ``inner`` steps."""
 
 
 def _chol_or_none(g: np.ndarray) -> Optional[np.ndarray]:
@@ -107,7 +112,7 @@ def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
 def _barrier_path(
     s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
     w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
-    tol: float, max_iter: int, c0: float = 0.0, stop: Optional[Callable[..., bool]] = None,
+    tol: float, c0: float = 0.0, stop: Optional[Callable[..., bool]] = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
     S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
@@ -155,8 +160,6 @@ def _barrier_path(
         leaves the path tangent H⁻¹·trs and the Hessian in ``tangent``."""
         nonlocal steps, tangent
         if not memo:
-            if steps >= max_iter:
-                raise IterationLimitError(f"barrier path exceeded {max_iter} Newton steps")
             steps += 1
             # Drop the last step's Hessian before assembling this one.
             tangent, hess = None, np.empty((k, k))
@@ -258,7 +261,6 @@ def maximize_lambda_min(
     mats: Sequence[np.ndarray],
     *,
     reg: float = 0.0,
-    max_iter: int = 2000,
     stop_above: Optional[float] = None,
     stop_below: Optional[float] = None,
 ) -> LambdaMinResult:
@@ -366,7 +368,6 @@ def maximize_lambda_min(
         s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
         np.append(np.zeros(d), t0),
         mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.05, inner=60, tol=1e-13,
-        max_iter=max_iter,
         stop=None if stop_above is None and not certify else stop,
     )
     w = wt[:d]
@@ -374,26 +375,19 @@ def maximize_lambda_min(
     return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps, below=below)
 
 
-def interior_point(
-    s0: np.ndarray,
-    mats: Sequence[np.ndarray],
-    *,
-    max_iter: int = 2000,
-) -> Optional[np.ndarray]:
+def interior_point(s0: np.ndarray, mats: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     """A strictly PD point of {S(w) ≻ 0}, or None if none exists to tolerance.
 
     Phase 1 maximizes lambda_min; on success the point is polished toward
     the regularized analytic center: min -log det S(w) + (_CENTER_REG/2)‖w‖².
     """
     scale = 1.0 + float(np.linalg.norm(s0)) + sum(float(np.linalg.norm(m)) for m in mats)
-    phase1 = maximize_lambda_min(
-        s0, mats, reg=1e-10, max_iter=max_iter, stop_above=0.05 * scale
-    )
+    phase1 = maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.05 * scale)
     if phase1.value <= 1e-10 * scale:
         return None
     w, _ = _barrier_path(
         s0, _stack(mats, s0.shape[0]), np.zeros(len(mats)), _CENTER_REG, phase1.w,
-        mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=_CENTER_TOL * _CENTER_TOL, max_iter=120,
+        mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=_CENTER_TOL * _CENTER_TOL,
     )
     return w
 
@@ -403,8 +397,6 @@ def minimize_linear_over_face(
     s0: np.ndarray,
     mats: Sequence[np.ndarray],
     w_start: np.ndarray,
-    *,
-    max_iter: int = 4000,
 ) -> tuple[np.ndarray, float]:
     """min <obj, S(w)> over {w : S(w) ⪰ 0} by a short barrier path.
 
@@ -423,6 +415,6 @@ def minimize_linear_over_face(
     w, _ = _barrier_path(
         s0, fam, lin, _FACE_REG, w,
         mu=max(1.0, float(np.abs(lin).sum())), mu_final=_FACE_MU_FINAL, shrink=0.15,
-        inner=80, tol=1e-12, max_iter=max_iter, c0=const,
+        inner=80, tol=1e-12, c0=const,
     )
     return w, const + float(lin @ w)

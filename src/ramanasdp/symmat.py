@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Relative tolerance defaults: eps_psd for rank/PSD decisions, recon_tol for
-# reconstruction identities, orth_tol for orthonormality checks.
+# Relative tolerances: EPS_PSD, the default eps of rank/PSD decisions;
+# RECON_TOL for reconstruction identities; ORTH_TOL for orthonormality checks.
 EPS_PSD = 1e-8
 RECON_TOL = 1e-10
 ORTH_TOL = 1e-10
@@ -252,18 +252,18 @@ def classify_psd(a: SymMat, eps_psd: float = EPS_PSD) -> PsdClass:
     return PsdClass(PsdTag.PSD_RANK_DEFICIENT, int(np.sum(dec.lam > thresh)), lam_min, dec)
 
 
-def check_orthonormal(q: np.ndarray, orth_tol: float = ORTH_TOL) -> None:
+def check_orthonormal(q: np.ndarray) -> None:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise NonOrthonormalError(f"rotation must be square, got shape {q.shape}")
     dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
-    if dev > orth_tol:
-        raise NonOrthonormalError(f"‖QᵀQ - I‖_max = {dev:.3e} exceeds {orth_tol:.1e}")
+    if dev > ORTH_TOL:
+        raise NonOrthonormalError(f"‖QᵀQ - I‖_max = {dev:.3e} exceeds {ORTH_TOL:.1e}")
 
 
-def rotate(a: SymMat, q: np.ndarray, orth_tol: float = ORTH_TOL) -> SymMat:
+def rotate(a: SymMat, q: np.ndarray) -> SymMat:
     """Congruence QᵀAQ by an orthonormal Q; preserves eigenvalues and ⟨·,·⟩."""
-    check_orthonormal(q, orth_tol)
+    check_orthonormal(q)
     if q.shape[0] != a.n:
         raise ValueError("rotation order does not match matrix order")
     return SymMat(q.T @ a.a @ q)

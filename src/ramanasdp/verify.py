@@ -379,9 +379,7 @@ def _rungs_from_rr(inst: SdpInstance, rr: RrForm, count: int) -> tuple[LadderRun
     return tuple(rungs)
 
 
-def lift_from_strong(
-    inst: SdpInstance, y: Sequence[float], rr: RrForm, eps: float = EPS_PSD
-) -> RamanaCertificate:
+def lift_from_strong(inst: SdpInstance, y: Sequence[float], rr: RrForm) -> RamanaCertificate:
     """Lift a strong-dual-feasible y to a full exact-dual certificate.
 
     The k certifying equations of the RR form are linear combinations of
@@ -400,7 +398,7 @@ def lift_from_strong(
     return pad_ladder(cert, inst)
 
 
-def alt_ram_from_rr(inst: SdpInstance, rr: RrForm, eps: float = EPS_PSD) -> RamanaCertificate:
+def alt_ram_from_rr(inst: SdpInstance, rr: RrForm) -> RamanaCertificate:
     """Build an alternative-system certificate from an infeasible RR form.
 
     Rows 1..k-1 of the RR form become the ladder; the terminal row (rhs

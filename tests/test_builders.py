@@ -267,10 +267,10 @@ class TestStrong:
             rr = build_rr_form(inst)
             if rr.status != "feasible":
                 continue
-            sdp_red, comp = build_red(inst)
+            _, comp = build_red(inst)
             from ramanasdp.builders import red_to_instance
 
-            red_inst = red_to_instance(sdp_red, comp)
+            red_inst = red_to_instance(comp)
             rr_red = build_rr_form(red_inst)
             if rr_red.status != "feasible":
                 continue

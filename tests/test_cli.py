@@ -139,6 +139,15 @@ class TestVerifyCommand:
         assert main(["verify", str(other), "--cert", str(cert_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_truncated_record_exit_one(self, tmp_path, inst_file, capsys):
+        cert_path = tmp_path / "bad.cert"
+        write_certificate(str(cert_path), inst_unattained(), "dram", cert=_reference_cert())
+        text = cert_path.read_text()
+        cert_path.write_text(text.replace("vector y 3\n", "vector y\n", 1))
+        assert main(["verify", inst_file, "--cert", str(cert_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "vector y" in err and "Traceback" not in err
+
 
 class TestNormalizeCommand:
     def test_normalize(self, tmp_path, inst_file, capsys):
@@ -163,6 +172,14 @@ class TestExamples:
 
     def test_unknown_id_errors(self, capsys):
         assert main(["examples", "run", "nope"]) == 1
+
+    def test_no_step_budget_option(self, capsys):
+        # Every barrier run is bounded by its mu rounds, so there is no
+        # --max-iter to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-iter=5", "examples"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-iter=5" in capsys.readouterr().err
 
     def test_json_schema_stable(self, capsys):
         assert main(["--json", "examples", "run", "example-2.15-infeasible"]) == 0

@@ -350,6 +350,30 @@ class TestEdgeCases:
         assert float(rr.reformulated.b[0]) == pytest.approx(0.0, abs=1e-9)
         assert float(rr.reformulated.b[1]) == pytest.approx(-1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("call", [0, 1], ids=["round", "tail"])
+    def test_singular_m_is_a_refusal(self, monkeypatch, call):
+        # The collapse corner reformulates twice: after its one round and
+        # in the tail branch.  An M singular to tolerance at either is a
+        # refusal with the reason, not a ValueError for bad input.
+        from ramanasdp import SingularMError, SubsolverFailureError, facial
+
+        real, calls = facial.reformulate, []
+
+        def singular_once(inst, ref):
+            calls.append(ref)
+            if len(calls) == call + 1:
+                raise SingularMError("M is singular to tolerance (planted)")
+            return real(inst, ref)
+
+        a1 = SymMat.diag([1, 0])
+        a2 = SymMat([[0, 1], [1, 1]])
+        inst = SdpInstance(
+            a=(a1, a2, SymMat.zero(2)), b=np.array([0.0, 0.0, -1.0]), c=SymMat.zero(2)
+        )
+        monkeypatch.setattr(facial, "reformulate", singular_once)
+        with pytest.raises(SubsolverFailureError, match="singular to tolerance"):
+            build_rr_form(inst)
+
     def test_rank_ambiguity_refused(self):
         # An eigenvalue ratio of ~3e-7 lands inside the (eps, 100·eps) band;
         # the subsolver refuses to decide rather than guessing a rank.

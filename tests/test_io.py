@@ -111,6 +111,8 @@ class TestSdpaParse:
             ("1\n1\n1\n1.0\n1 1 1 1 inf\n", 5),
             ("1\n1\n1\n1.0\n0 1 1 1 1e400\n", 5),  # overflows to inf
             ("1\n1\n2\n1.0\n0 1 1 2 1.0\n1 1 1 1 2.0\n0 1 1 2 2.0\n", 7),
+            (",\n1\n1\n1.0\n1 1 1 1 1.0\n", 1),  # nothing left once "," is removed
+            ("1\n,\n1\n1.0\n1 1 1 1 1.0\n", 2),
         ],
         ids=[
             "row-index-zero",
@@ -120,6 +122,8 @@ class TestSdpaParse:
             "inf-entry",
             "overflowing-entry",
             "repeated-entry",
+            "empty-constraint-count",
+            "empty-block-count",
         ],
     )
     def test_malformed_input_rejected(self, text, line):
@@ -417,6 +421,29 @@ class TestCertificateFiles:
         copy = lines[at : at + (2 if record.startswith("vector") else 1)]
         with pytest.raises(CertificateFormatError, match="repeated record"):
             parse_certificate_text("\n".join(lines + copy) + "\n")
+
+    @pytest.mark.parametrize(
+        "system, record, line, match",
+        [
+            ("dstrong", "vector y", "vector y", "not 'vector <name> <length>'"),
+            ("dstrong", "scalar r", "scalar r", "not 'scalar <name> <value>'"),
+            ("pstrong", "matrix X", "matrix X", "not 'matrix <name> <length>'"),
+            ("dstrong", "vector y", "vector y three", "vector y: length 'three' is not an integer"),
+            ("pstrong", "matrix X", "matrix X 4.5", "matrix X: length '4.5' is not an integer"),
+        ],
+        ids=[
+            "vector-no-length", "scalar-no-value", "matrix-no-length", "word-length", "float-length",
+        ],
+    )
+    def test_truncated_record_rejected(self, system, record, line, match):
+        point = np.array([0.0, 0.0, 1.0]) if system == "dstrong" else SymMat.identity(4)
+        lines = certificate_to_text(
+            inst_gap_rr(), system, spec=StrongDualSpec(q=np.eye(4), r=2), point=point
+        ).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(record + " "))
+        lines[at] = line
+        with pytest.raises(CertificateFormatError, match=match):
+            parse_certificate_text("\n".join(lines) + "\n")
 
     def test_missing_rung_is_zero(self):
         inst = inst_unattained()

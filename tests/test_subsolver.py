@@ -76,12 +76,11 @@ class TestMaximizeLambdaMin:
 
     def test_stop_above_exit_solves_no_step(self):
         # The level is tested before the iterate's step is solved: this
-        # family reaches it after 8 steps, so a budget of 8 still exits.
+        # family reaches it after 8 steps, and the exit iterate solves no
+        # ninth.
         s0, mats = _family(0, 5, 3, 2.0, False)
-        res = maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.1, max_iter=8)
+        res = maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.1)
         assert res.newton_steps == 8 and res.value > 0.1
-        with pytest.raises(IterationLimitError):
-            maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.1, max_iter=7)
 
     def test_stop_below_exits_early(self):
         # S(w) - 3I: lambda_min peaks at 0.5 - 3 = -2.5 for w = 2.5.
@@ -179,9 +178,17 @@ class TestMaximizeLambdaMin:
         else:
             assert early.newton_steps == full.newton_steps
 
-    def test_iteration_budget(self):
-        with pytest.raises(IterationLimitError):
-            maximize_lambda_min(S0, FAMILY, max_iter=2)
+    def test_unbounded_family_ends_within_its_rounds(self):
+        # Seed 3 of test_stop_below_agrees_with_a_full_run: the ridged
+        # optimum has ‖w‖ ~ 1e7 and most steps fail their line search, yet
+        # the run ends on its own, within 10 mu rounds × 60 steps.
+        rng = np.random.default_rng(3)
+        n, d = 4, 2
+        sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
+        s0 = sym[0] + rng.uniform(-1.5, 1.5) * np.eye(n)
+        res = maximize_lambda_min(s0, sym[1:], reg=1e-8)
+        assert 0 < res.newton_steps <= 600
+        assert np.linalg.norm(res.w) > 1e5
 
 
 class TestInteriorPoint:
@@ -367,11 +374,39 @@ def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     w, steps = subsolver._barrier_path(
         S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([2.5]),
-        mu=1.0, mu_final=1e-4, shrink=0.2, inner=50, tol=1e-12, max_iter=500, stop=stop,
+        mu=1.0, mu_final=1e-4, shrink=0.2, inner=50, tol=1e-12, stop=stop,
     )
     iterates = [x for x in seen if x != "inv"]
     assert w == pytest.approx([2.0], abs=1e-3)
     assert seen.count("inv") == len(iterates) == len(set(iterates)) <= steps
+
+
+@pytest.mark.parametrize("inner", [2, 50])
+def test_path_that_cannot_center_ends_within_its_rounds(inner):
+    # tol = 0 is never met, so the last of the seven mu rounds (1, 0.2,
+    # ..., 1e-4) ends on its inner cap or on a step that makes no
+    # progress: the path returns within rounds × inner steps.
+    last = []
+
+    def stop(w, g, ginv, trs, mu, newton):
+        last.append(mu == 1e-4)
+        return False
+
+    w, steps = subsolver._barrier_path(
+        S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([2.5]),
+        mu=1.0, mu_final=1e-4, shrink=0.2, inner=inner, tol=0.0, stop=stop,
+    )
+    assert 0 < steps <= 7 * inner and 0 < sum(last) <= inner
+    assert w == pytest.approx([2.0], abs=1e-3)
+
+
+def test_start_outside_the_cone_is_refused():
+    # diag(1, w - 2, 3 - w) at w = 1 is not positive definite.
+    with pytest.raises(IterationLimitError, match="left the PSD cone"):
+        subsolver._barrier_path(
+            S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([1.0]),
+            mu=1.0, mu_final=1.0, shrink=1.0, inner=5, tol=1e-12,
+        )
 
 
 # The same families by value, recorded with full centering at every mu:
