@@ -1,6 +1,7 @@
 """SDPA sparse files and certificate files."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -336,6 +337,29 @@ class TestChunkedWriter:
         with pytest.raises(KeyError):
             write_sdpa(sdp, str(path))
         assert not path.exists()
+
+
+# SHA-256 of the SDPA text followed by the .varmap text of each builder's
+# system for random_degenerate_instance(default_rng(n), n, 4, (2, 1, 1)).
+# Each text spans dozens of writer chunks, and its values repeat across them.
+GOLDEN_RANDOM_EMISSION = {
+    ("altram", 12): "0aa2f8e137dbc804065eb57ff343268873a7d76ec83d65c41b22625fede17867",
+    ("dram", 12): "25542e8393a26a3373ecba2d103a7168f69a6889a6a62afbc71d4fb2ce35b972",
+    ("dstrong", 12): "980f97043c4fcf09c62f2f5024d1bca083f97ae54e29ce100f4197571dad3337",
+    ("pram", 12): "78ed0cccb3a82f27b974cd9b0634b165a640c5b5fc4281fca02ecec12b9246c1",
+    ("altram", 18): "d6f50dfb4606eeedb4dab619e71168561bf1302785252080ff7bdf4d41864597",
+    ("dram", 18): "665eda1140609093601ef615f45aff289435c0ff08c6f1bdf43d458e778eb742",
+    ("dstrong", 18): "20bd921ef10724e02e259a93d4cccfd33a138ea398e577e197439c4d360a5067",
+    ("pram", 18): "4cafca9bb076a657dcdcfdddd42328f2cdfa28d8aa9b7380e5b83189991332ba",
+}
+
+
+@pytest.mark.parametrize("builder, n", sorted(GOLDEN_RANDOM_EMISSION))
+def test_random_emission_is_byte_identical(builder, n):
+    inst = random_degenerate_instance(np.random.default_rng(n), n, 4, (2, 1, 1))[0]
+    sdp = _BUILDERS[builder](inst)
+    text = standard_form_to_sdpa_text(sdp) + varmap_sidecar_text(sdp)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RANDOM_EMISSION[builder, n]
 
 
 def _ladder_cert():
