@@ -43,6 +43,13 @@ Systems built:
 
 The builders never solve anything; rotation data for the strong systems
 is produced upstream by the RR-form construction.
+
+Every array a system holds is read-only.  No ladder coefficient matrix
+depends on the rung index, so each distinct one (a rung's or the head's
+sign·E_pq or sign·A_t, its order-2n coupling matrix, the corner ties'
+matrices) is made once per build and shared by every constraint that
+uses it: a ladder system references O(n³) matrices but holds O(n²).
+The SDPA writer formats each shared matrix once per write.
 """
 
 from __future__ import annotations
@@ -212,20 +219,28 @@ def dram_size(n: int, m: int) -> tuple[int, int]:
     return 2 * n - 1, m * n
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _plus_tangent(
-    psd: str, t: Optional[str], k: np.ndarray, sign: float
+    psd: str, t: Optional[str], k: np.ndarray, sign: float, shared: dict
 ) -> dict[str, np.ndarray]:
     """Coefficient mats of sign·<K, S + V> for the PSD block S named psd and
     V = W + Wᵀ, W = T[:n, n:] of the coupling block named t.  Without a
-    coupling block V = 0, as for V_1 ∈ tan(U_0) = {0}."""
-    n = k.shape[0]
-    mats = {psd: sign * k}
-    if t is not None:
+    coupling block V = 0, as for V_1 ∈ tan(U_0) = {0}.  The frozen sign·K
+    and its coupling matrix are made once per (K, sign) and kept in shared
+    by id(K), next to K itself so that the id is not reused."""
+    key = (id(k), sign)
+    if key not in shared:
+        n = k.shape[0]
         c = np.zeros((2 * n, 2 * n))
         c[:n, n:] = k
         c[n:, :n] = k.T
-        mats[t] = sign * c
-    return mats
+        shared[key] = (k, _frozen(sign * k), _frozen(sign * c))
+    _, psd_mat, t_mat = shared[key]
+    return {psd: psd_mat} if t is None else {psd: psd_mat, t: t_mat}
 
 
 def _ladder_system(
@@ -250,10 +265,15 @@ def _ladder_system(
     mats when K is None); the corner ties T_i[:n, :n] = U_{i-1} for i = 2..n;
     the head rows head_sign·(P + Vhead) + head_free[idx]·u = head_rhs
     entrywise in svec order; last.  With n = 1 there are no rungs, no
-    coupling blocks and no ties, and the head reads head_sign·P.
+    coupling blocks and no ties, and the head reads head_sign·P.  No
+    coefficient matrix depends on the rung: each distinct one is made once,
+    frozen, and shared by every row that uses it.
     """
     n = inst.n
     n_free = objective_free.size
+    shared: dict = {}  # _plus_tangent's matrices
+    tie_mats = [(_frozen(_e_sym(2 * n, p, q)), _frozen(-_e_sym(n, p, q))) for p, q in svec_order(n)]
+    no_free = _frozen(np.zeros(n_free))
     blocks = [PsdBlock(f"U{i}", n) for i in range(1, n)]
     vm = {f"U{i}": VarSlot(kind="block", block=f"U{i}", order=n) for i in range(1, n)}
     coupling = {}  # rung i -> its coupling block T_i; rung n is the head
@@ -269,12 +289,12 @@ def _ladder_system(
             kind="sub_block", block=t, row0=n, col0=n, rows=n, cols=n, order=n
         )
         vm[f"V{tag}"] = VarSlot(kind="tan_sum", block=t, order=n)
-        for p, q in svec_order(n):
+        for (p, q), (corner, prev_u) in zip(svec_order(n), tie_mats):
             ties.append(
                 Constraint(
                     name=f"tie{tag}[{p},{q}]",
-                    mats={t: _e_sym(2 * n, p, q), f"U{i - 1}": -_e_sym(n, p, q)},
-                    free=np.zeros(n_free),
+                    mats={t: corner, f"U{i - 1}": prev_u},
+                    free=no_free,
                     rhs=0.0,
                 )
             )
@@ -284,14 +304,16 @@ def _ladder_system(
     cons = list(first)
     for i, rows in enumerate(rungs, start=1):
         for suffix, k, free in rows:
-            mats = {} if k is None else _plus_tangent(f"U{i}", coupling.get(i), k, rung_sign)
+            mats = (
+                {} if k is None else _plus_tangent(f"U{i}", coupling.get(i), k, rung_sign, shared)
+            )
             cons.append(Constraint(name=f"rung{i}_{suffix}", mats=mats, free=free, rhs=0.0))
     cons += ties
     for idx, (p, q) in enumerate(svec_order(n)):
         cons.append(
             Constraint(
                 name=f"head_decomp[{p},{q}]",
-                mats=_plus_tangent("P", coupling.get(n), _e_sym(n, p, q), head_sign),
+                mats=_plus_tangent("P", coupling.get(n), _e_sym(n, p, q), head_sign, shared),
                 free=head_free[idx],
                 rhs=float(head_rhs[p, q]),
             )
@@ -317,14 +339,14 @@ def _at_rows(inst: SdpInstance, n_free: int, off: int) -> np.ndarray:
     rows = np.zeros((i.size, n_free))
     for t, a in enumerate(inst.a):
         rows[:, off + t] = a.a[i, j]
-    return rows
+    return _frozen(rows)
 
 
 def _b_row(inst: SdpInstance, n_free: int, off: int) -> np.ndarray:
     """Coefficients of <b, y> for y stored at free offset off."""
     row = np.zeros(n_free)
     row[off : off + inst.m] = inst.b
-    return row
+    return _frozen(row)
 
 
 def _dual_ladder(
@@ -339,11 +361,12 @@ def _dual_ladder(
     reads 𝒜*y^i = U_i + V_i entrywise and <b, y^i> = 0."""
     n, m = inst.n, inst.m
     n_free = m * n
+    units = [_e_sym(n, p, q) for p, q in svec_order(n)]  # one K per entry, for every rung
 
     def rung(i):  # a generator, so one rung's rows are alive at a time
         at = _at_rows(inst, n_free, m * i)
         for idx, (p, q) in enumerate(svec_order(n)):
-            yield f"decomp[{p},{q}]", _e_sym(n, p, q), at[idx]
+            yield f"decomp[{p},{q}]", units[idx], at[idx]
         yield "rhs", None, _b_row(inst, n_free, m * i)
 
     slots = {"y": VarSlot(kind="free_vec", offset=0, length=m)}
@@ -384,7 +407,9 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
     """
     n, n_free = inst.n, inst.m * inst.n
     head_rhs = Constraint(name="head_rhs", mats={}, free=_b_row(inst, n_free, 0), rhs=-1.0)
-    return _dual_ladder(inst, "altram", -1.0, np.zeros((n, n)), np.zeros(n_free), (head_rhs,))
+    return _dual_ladder(
+        inst, "altram", -1.0, np.zeros((n, n)), _frozen(np.zeros(n_free)), (head_rhs,)
+    )
 
 
 def _primal_eq(inst: SdpInstance, n_free: int) -> list[Constraint]:
@@ -394,7 +419,9 @@ def _primal_eq(inst: SdpInstance, n_free: int) -> list[Constraint]:
         free = np.zeros(n_free)
         coeffs = _free_sym_coeffs(a.a)
         free[: coeffs.size] = coeffs
-        cons.append(Constraint(name=f"primal_eq{t + 1}", mats={}, free=free, rhs=float(inst.b[t])))
+        cons.append(
+            Constraint(name=f"primal_eq{t + 1}", mats={}, free=_frozen(free), rhs=float(inst.b[t]))
+        )
     return cons
 
 
@@ -411,21 +438,18 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
         if int(np.sum(s > max(s[0], 1.0) * INDEP_TOL)) < m:
             raise DependentConstraintsError("A_i are linearly dependent")
     nn = n * (n + 1) // 2
-    rungs = [
-        [(f"a{t + 1}", a.a, np.zeros(nn)) for t, a in enumerate(inst.a)]
-        + [("c", inst.c.a, np.zeros(nn))]
-        for _ in range(1, n)
-    ]
+    no_free = _frozen(np.zeros(nn))
+    rows = [(f"a{t + 1}", a.a, no_free) for t, a in enumerate(inst.a)] + [("c", inst.c.a, no_free)]
     return _ladder_system(
         inst,
         "pram",
         SENSE_MIN,
-        rungs=rungs,
+        rungs=[rows] * (n - 1),
         rung_sign=1.0,
         head_sign=-1.0,
-        head_free=np.eye(nn),
+        head_free=_frozen(np.eye(nn)),
         head_rhs=np.zeros((n, n)),
-        objective_free=_free_sym_coeffs(inst.c.a),
+        objective_free=_frozen(_free_sym_coeffs(inst.c.a)),
         slots={"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
         first=_primal_eq(inst, nn),
     )
@@ -499,8 +523,8 @@ def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     cons: list[Constraint] = []
     for p, qq in svec_order(n):
         k11, k22, k12 = _rotated_entry(q, p, qq, f, 1.0)
-        free = np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11), k12])
-        mats = {"V22": (k22 + k22.T) / 2.0} if np.any(k22) else {}
+        free = _frozen(np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11), k12]))
+        mats = {"V22": _frozen((k22 + k22.T) / 2.0)} if np.any(k22) else {}
         cons.append(
             Constraint(
                 name=f"slack_eq[{p},{qq}]", mats=mats, free=free, rhs=float(inst.c.a[p, qq])
@@ -543,8 +567,8 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     x_unit = np.eye(nn)
     for idx, (p, qq) in enumerate(svec_order(n)):
         k11, k22, k12 = _rotated_entry(q, p, qq, r, -1.0)
-        free = np.concatenate([x_unit[idx], _free_sym_coeffs(k22), k12])
-        mats = {"V11": (k11 + k11.T) / 2.0} if np.any(k11) else {}
+        free = _frozen(np.concatenate([x_unit[idx], _free_sym_coeffs(k22), k12]))
+        mats = {"V11": _frozen((k11 + k11.T) / 2.0)} if np.any(k11) else {}
         cons.append(
             Constraint(name=f"shape_eq[{p},{qq}]", mats=mats, free=free, rhs=0.0)
         )
@@ -562,7 +586,7 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
         blocks=blocks,
         n_free=n_free,
         objective_mats={},
-        objective_free=obj,
+        objective_free=_frozen(obj),
         constraints=tuple(cons),
         var_map=vm,
         meta={"n": n, "m": m, "q": q.copy(), "r": r},
@@ -577,11 +601,12 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
     """
     comp = complement_basis(inst)
     n = inst.n
+    no_free = _frozen(np.zeros(0))
     cons = [
         Constraint(
             name=f"red_eq{j + 1}",
-            mats={"Z": comp.d[j].a.copy()},
-            free=np.zeros(0),
+            mats={"Z": comp.d[j].a},
+            free=no_free,
             rhs=float(comp.d_vals[j]),
         )
         for j in range(comp.ell)
@@ -591,8 +616,8 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
         sense=SENSE_MIN,
         blocks=(PsdBlock("Z", n),),
         n_free=0,
-        objective_mats={"Z": comp.x0.a.copy()},
-        objective_free=np.zeros(0),
+        objective_mats={"Z": comp.x0.a},
+        objective_free=no_free,
         constraints=tuple(cons),
         var_map={"Z": VarSlot(kind="block", block="Z", order=n)},
         meta={"n": n, "m": inst.m, "ell": comp.ell},

@@ -21,6 +21,12 @@ two writes of the same object are byte-identical.  One private core
 formats a bounded chunk of matrices at a time, with numpy doing the
 per-entry work, and write_sdpa writes each chunk as it is produced, so
 the whole text is never held; the *_text functions join the same chunks.
+An emitted system's write keeps one memo for all its chunks: each
+distinct matrix object's upper-triangle nonzeros (the builders share a
+matrix among every constraint that uses it) and each distinct value's
+text, so each is found or formatted once per write.  Instance text takes
+no memo: its matrices do not repeat, and its chunks allocate only what
+they format, which keeps the certificate hash (instance_digest) small.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import functools
 import itertools
 import math
 import os
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -88,16 +94,42 @@ def _diag_texts(size: int) -> np.ndarray:
     return ij
 
 
+class _WriteMemo:
+    """What one write has formatted, for the matrices and values that its
+    rows share: the "i j " texts and values of each distinct matrix
+    object's upper-triangle nonzeros, keyed by id and kept next to the
+    matrix so that the id is not reused, and the text of each distinct
+    value."""
+
+    def __init__(self):
+        self.mats: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.texts: dict[float, str] = {}
+
+    def entries(self, mat: np.ndarray, flat: np.ndarray, ij: np.ndarray):
+        hit = self.mats.get(id(mat))
+        if hit is None:
+            tri = mat.take(flat)
+            k = np.flatnonzero(tri)
+            hit = self.mats[id(mat)] = (mat, ij[k], tri[k])
+        return hit[1], hit[2]
+
+    def text(self, value: float) -> str:
+        return self.texts.get(value) or self.texts.setdefault(value, repr(value) + "\n")
+
+
 def _sdpa_chunks(
     header: list[str],
     rows: Iterable[_Row],
     free_blk: int = 0,
     n_free: int = 0,
+    memo: Optional[_WriteMemo] = None,
 ) -> Iterator[str]:
     """The header lines, then one "matno blkno i j value" line per nonzero
     of each row's upper triangles, ordered by (matno, blkno) and row-major
     within a block.  A free vector c becomes the pairs (j, c_j) and
-    (n_free + j, -c_j) of block free_blk."""
+    (n_free + j, -c_j) of block free_blk.  With a memo, a matrix or value
+    that repeats across rows is scanned or formatted once per write;
+    without one, each chunk stacks its matrices and scans them together."""
     yield "\n".join(header) + "\n"
     rows, size = iter(rows), 1
     while run := list(itertools.islice(rows, size)):
@@ -110,6 +142,16 @@ def _sdpa_chunks(
         parts = []  # (matno, blkno, "i j " text, value) of each entry, per block
         for blkno, (matnos, mats) in by_block.items():
             flat, ij = _triu_texts(mats[0].shape[0])
+            if memo is not None:
+                ijs, vals = zip(*(memo.entries(mat, flat, ij) for mat in mats))
+                counts = [v.size for v in vals]
+                parts.append((
+                    np.repeat(matnos, counts),
+                    np.full(sum(counts), blkno),
+                    np.concatenate(ijs),
+                    np.concatenate(vals),
+                ))
+                continue
             tri = np.empty((len(mats), flat.size))
             for out, mat in zip(tri, mats):
                 out[:] = mat.take(flat)
@@ -140,7 +182,10 @@ def _sdpa_chunks(
         pieces[:, 0] = _int_texts(matno[perm])
         pieces[:, 1] = _int_texts(blkno[perm])
         pieces[:, 2] = ij[perm]
-        pieces[:, 3] = np.array([repr(v) + "\n" for v in uniq.tolist()], dtype=object)[inv]
+        if memo is None:
+            pieces[:, 3] = np.array([repr(v) + "\n" for v in uniq.tolist()], dtype=object)[inv]
+        else:
+            pieces[:, 3] = np.array([memo.text(v) for v in uniq.tolist()], dtype=object)[inv]
         yield "".join(pieces.ravel().tolist())
 
 
@@ -180,7 +225,9 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
         (t, {block_index[name]: k for name, k in con.mats.items()}, con.free)
         for t, con in enumerate(sdp.constraints, start=1)
     )
-    return _sdpa_chunks(header, itertools.chain([objective], rows), len(sdp.blocks) + 1, sdp.n_free)
+    return _sdpa_chunks(
+        header, itertools.chain([objective], rows), len(sdp.blocks) + 1, sdp.n_free, _WriteMemo()
+    )
 
 
 def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:

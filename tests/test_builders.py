@@ -1,5 +1,6 @@
 """Emission of the exact duals / alternative systems as explicit SDPs."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -17,10 +18,12 @@ from ramanasdp import (
     build_pram,
     build_pstrong,
     build_red,
+    build_rr_form,
     complement_basis,
     dram_size,
     embed_certificate,
     embed_strong_point,
+    lift_from_strong,
     pstrong_spec_from_slack,
     verify_alt_ram,
     verify_dram,
@@ -31,12 +34,13 @@ from ramanasdp.builders import (
     max_violation,
     min_block_eigenvalue,
     objective_value,
+    residuals,
 )
 from ramanasdp.registry import all_ids, get
 from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text
 from ramanasdp.verify import LadderRung, RamanaCertificate
 
-from helpers import inst_gap_rr, inst_infeasible, inst_unattained
+from helpers import inst_gap_rr, inst_infeasible, inst_unattained, random_degenerate_instance
 
 
 def _dram_cert_order3():
@@ -106,6 +110,63 @@ class TestDram:
         cert = RamanaCertificate(system="dram", y=np.array([3.0]), ladder=())
         with pytest.raises(ValueError):
             embed_certificate(build_dram(inst), inst, cert)
+
+
+class TestSharedCoefficients:
+    """Coefficient matrices are made once per build, frozen, and shared."""
+
+    N = 6
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        inst, y0, _ = random_degenerate_instance(np.random.default_rng(6), self.N, 4, (2, 1, 1))
+        return inst, y0, build_dram(inst)
+
+    def test_every_array_is_read_only(self, system):
+        sdp = system[2]
+        arrays = [con.free for con in sdp.constraints]
+        arrays += [k for con in sdp.constraints for k in con.mats.values()]
+        assert not any(a.flags.writeable for a in arrays)
+        ties = [con for con in sdp.constraints if con.name.startswith("tie")]
+        assert len({id(con.free) for con in ties}) == 1  # one zero vector for every tie
+        for a in (ties[0].free, ties[0].mats["U1"]):
+            with pytest.raises(ValueError):
+                a[0] += 1.0
+
+    def test_rungs_share_their_matrices(self, system):
+        cons = {con.name: con for con in system[2].constraints}
+        for p, q in [(0, 0), (1, 4), (5, 5)]:
+            rung1, rung2, rung3 = (cons[f"rung{i}_decomp[{p},{q}]"] for i in (1, 2, 3))
+            assert rung1.mats["U1"] is rung2.mats["U2"] is rung3.mats["U3"]
+            assert rung2.mats["T2"] is rung3.mats["T3"]
+            assert cons[f"tie2[{p},{q}]"].mats["T2"] is cons[f"tie3[{p},{q}]"].mats["T3"]
+
+    def test_distinct_matrices_grow_as_n_squared(self, system):
+        sdp, n = system[2], self.N
+        refs = [k for con in sdp.constraints for k in con.mats.values()]
+        # Per svec entry: the rung and head matrices, their coupling
+        # matrices, and the two corner-tie matrices.
+        assert len({id(k) for k in refs}) <= 6 * n * (n + 1) // 2
+        assert len(refs) >= 3 * (n - 2) * n * (n + 1) // 2
+
+    def test_embedded_certificate_residuals_unchanged(self, system):
+        inst, y0, sdp = system
+        cert = lift_from_strong(inst, y0, build_rr_form(inst))
+        asg = embed_certificate(sdp, inst, cert)
+        # The same system with its own writable copy of every array, as each
+        # constraint held before the builders shared them.
+        dense = dataclasses.replace(
+            sdp,
+            constraints=tuple(
+                dataclasses.replace(
+                    con, mats={b: k.copy() for b, k in con.mats.items()}, free=con.free.copy()
+                )
+                for con in sdp.constraints
+            ),
+        )
+        assert np.array_equal(residuals(sdp, asg), residuals(dense, asg))
+        assert max_violation(sdp, asg) == max_violation(dense, asg) <= 1e-10
+        assert min_block_eigenvalue(sdp, asg) >= -1e-10
 
 
 class TestAltRam:
