@@ -18,8 +18,10 @@ n, m and the system tag), followed by named records:
 
 Ladder records are named y1..y{n-1}, U1..U{n-1}, V1..V{n-1}; a missing
 record is zero (certificates are front-padded on verification anyway).
-A non-finite number, a repeated record or a record line without its
-name and value or length makes the file malformed.
+A number that is not finite or not a number at all, a repeated record, a
+record line without its name and value or length, a negative length and
+a header n or m that is not an integer make the file malformed; the
+error names the record or field.
 The primal system stores X; strong systems store the point plus the
 rotation Q and the block order r.
 """
@@ -140,10 +142,22 @@ def write_certificate(path: str, inst: SdpInstance, system: str, **kw) -> None:
 
 
 def _floats(toks: list[str], what: str) -> list[float]:
-    vals = [float(t) for t in toks]
+    try:
+        vals = [float(t) for t in toks]
+    except ValueError as exc:  # names the token: could not convert string to float: 'abc'
+        raise CertificateFormatError(f"{what}: {exc}") from None
     if not all(math.isfinite(v) for v in vals):
         raise CertificateFormatError(f"{what} has a non-finite entry")
     return vals
+
+
+def _header_int(fields: dict[str, str], name: str) -> int:
+    try:
+        return int(fields[name])
+    except ValueError:
+        raise CertificateFormatError(
+            f"header field {name}: {fields[name]!r} is not an integer"
+        ) from None
 
 
 def parse_certificate_text(text: str) -> CertificateFile:
@@ -201,6 +215,8 @@ def parse_certificate_text(text: str) -> CertificateFile:
             raise CertificateFormatError(
                 f"{kind} {name}: length {toks[2]!r} is not an integer"
             )
+        if length < 0:
+            raise CertificateFormatError(f"{kind} {name}: length {length} is negative")
         if kind == "vector":
             vals = np.array(_floats(next_line().split(), f"vector {name}"))
             if vals.shape != (length,):
@@ -223,8 +239,8 @@ def parse_certificate_text(text: str) -> CertificateFile:
     return CertificateFile(
         system=system,
         instance_hash=fields["instance-hash"],
-        n=int(fields["n"]),
-        m=int(fields["m"]),
+        n=_header_int(fields, "n"),
+        m=_header_int(fields, "m"),
         claimed_value=_floats([fields["value"]], "value")[0] if "value" in fields else None,
         scalars=scalars,
         vectors=vectors,

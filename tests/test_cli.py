@@ -148,6 +148,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "vector y" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [("n 3\n", "n x\n", "header field n"), ("matrix U1 3\n", "matrix U1 -1\n", "matrix U1")],
+        ids=["word-header", "negative-length"],
+    )
+    def test_unreadable_field_exit_one(self, tmp_path, inst_file, capsys, old, new, named):
+        cert_path = tmp_path / "bad.cert"
+        write_certificate(str(cert_path), inst_unattained(), "dram", cert=_reference_cert())
+        cert_path.write_text(cert_path.read_text().replace(old, new, 1))
+        assert main(["verify", inst_file, "--cert", str(cert_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err and "Traceback" not in err
+
 
 class TestNormalizeCommand:
     def test_normalize(self, tmp_path, inst_file, capsys):

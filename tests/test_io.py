@@ -469,6 +469,27 @@ class TestCertificateFiles:
         with pytest.raises(CertificateFormatError, match=match):
             parse_certificate_text("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "system, line, at, new, match",
+        [
+            ("dstrong", "n 4", 0, "n x", "header field n: 'x' is not an integer"),
+            ("dstrong", "m 3", 0, "m 3.0", "header field m: '3.0' is not an integer"),
+            ("dstrong", "vector y 3", 1, "0.0 abc 1.0", "vector y: .*'abc'"),
+            ("dstrong", "scalar r 2", 0, "scalar r two", "scalar r: .*'two'"),
+            ("pstrong", "matrix X 4", 0, "matrix X -1", "matrix X: length -1 is negative"),
+            ("pstrong", "matrix Q 4", 0, "matrix Q -4", "matrix Q: length -4 is negative"),
+        ],
+        ids=["word-n", "float-m", "word-entry", "word-scalar", "negative-length", "negative-q"],
+    )
+    def test_unreadable_field_rejected(self, system, line, at, new, match):
+        point = np.array([0.0, 0.0, 1.0]) if system == "dstrong" else SymMat.identity(4)
+        lines = certificate_to_text(
+            inst_gap_rr(), system, spec=StrongDualSpec(q=np.eye(4), r=2), point=point
+        ).splitlines()
+        lines[lines.index(line) + at] = new
+        with pytest.raises(CertificateFormatError, match=match):
+            parse_certificate_text("\n".join(lines) + "\n")
+
     def test_missing_rung_is_zero(self):
         inst = inst_unattained()
         text = certificate_to_text(inst, "dram", cert=_ladder_cert())
