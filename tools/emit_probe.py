@@ -3,16 +3,20 @@
 For each n, builds the exact dual of
 ``helpers.random_degenerate_instance(default_rng(seed), n, n, (2, 1, 1))``
 and prints the build seconds, the median seconds of three writes, the
-floats the emitted system stores against its nonzeros, and the
-tracemalloc peak of the write alone (allocations made by the writer, not
-the system it writes).
+memory the built system holds (tracemalloc of a second build alone), its
+count of distinct arrays, the floats its constraints reference against
+their nonzeros, and the tracemalloc peak of the write alone (allocations
+made by the writer, not the system it writes).
 
     python3 tools/emit_probe.py [--n N ...] [--seed S]
 
-n defaults to 18 and 24.  The system stores Θ(n⁴) dense floats: n = 24
-holds about 0.4 GB and n = 30 about 1 GB, so n = 30 runs only when asked
-for with ``--n 30``.  The file is written to a temporary directory and
-removed.  Not a test: pytest collects only ``tests`` and ``bench``.
+n defaults to 18, 24 and 30.  The builders share each coefficient matrix
+among the constraints that use it, so "stored floats" counts references
+(as the benchmark's ``builders.stored_floats`` does), not memory: at
+n = 30 they come to 1.2 GB of floats, while the system holds 0.16 GB,
+most of it the dense free vectors.  The file is written to a
+temporary directory and removed.  Not a test: pytest collects only
+``tests`` and ``bench``.
 """
 
 from __future__ import annotations
@@ -37,19 +41,27 @@ from helpers import random_degenerate_instance  # noqa: E402
 RANKS = (2, 1, 1)
 
 
-def stored_and_nonzeros(sdp) -> tuple[int, int]:
-    """Floats held by the constraints' matrices and free vectors, and how
-    many of them are nonzero."""
+def stored_and_nonzeros(sdp) -> tuple[int, int, int]:
+    """Floats referenced by the constraints' matrices and free vectors, how
+    many of them are nonzero, and how many distinct arrays they are."""
     arrays = [con.free for con in sdp.constraints]
     arrays += [mat for con in sdp.constraints for mat in con.mats.values()]
-    return sum(a.size for a in arrays), sum(int(np.count_nonzero(a)) for a in arrays)
+    stored = sum(a.size for a in arrays)
+    return stored, sum(int(np.count_nonzero(a)) for a in arrays), len({id(a) for a in arrays})
 
 
 def probe(n: int, seed: int, path: str) -> dict:
     inst = random_degenerate_instance(np.random.default_rng(seed), n, n, RANKS)[0]
     t0 = time.perf_counter()
-    sdp = rs.build_dram(inst)
+    rs.build_dram(inst)
     build_s = time.perf_counter() - t0
+    # The held memory in a build of its own: tracemalloc slows the builder.
+    tracemalloc.start()
+    try:
+        sdp = rs.build_dram(inst)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     write_s = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -62,13 +74,15 @@ def probe(n: int, seed: int, path: str) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stored, nonzeros = stored_and_nonzeros(sdp)
+    stored, nonzeros, distinct = stored_and_nonzeros(sdp)
     return {
         "n": n,
         "constraints": len(sdp.constraints),
         "build_s": build_s,
         "write_s": statistics.median(write_s),
         "file_mb": os.path.getsize(path) / 1e6,
+        "held_mb": held / 1e6,
+        "distinct_arrays": distinct,
         "stored_floats": stored,
         "nonzeros": nonzeros,
         "write_peak_mb": peak / 1e6,
@@ -77,7 +91,7 @@ def probe(n: int, seed: int, path: str) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, nargs="+", default=[18, 24], help="instance orders")
+    ap.add_argument("--n", type=int, nargs="+", default=[18, 24, 30], help="instance orders")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,8 +100,9 @@ def main(argv=None) -> int:
             print(
                 f"n {row['n']}: {row['constraints']} constraints, "
                 f"build {row['build_s']:.2f} s, write {row['write_s']:.2f} s "
-                f"({row['file_mb']:.1f} MB), stored floats {row['stored_floats']:,}, "
-                f"nonzeros {row['nonzeros']:,} "
+                f"({row['file_mb']:.1f} MB), holds {row['held_mb']:.1f} MB in "
+                f"{row['distinct_arrays']:,} distinct arrays, "
+                f"stored floats {row['stored_floats']:,}, nonzeros {row['nonzeros']:,} "
                 f"({row['nonzeros'] / row['stored_floats']:.2%}), "
                 f"write peak {row['write_peak_mb']:.1f} MB",
                 flush=True,
