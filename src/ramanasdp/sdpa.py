@@ -25,8 +25,9 @@ An emitted system's write keeps one memo for all its chunks: each
 distinct matrix object's upper-triangle nonzeros (the builders share a
 matrix among every constraint that uses it) and each distinct value's
 text, so each is found or formatted once per write.  Instance text takes
-no memo: its matrices do not repeat, and its chunks allocate only what
-they format, which keeps the certificate hash (instance_digest) small.
+no memo: its matrices do not repeat, and a memo would hold what it found
+until the write ends, where instance_digest, which hashes this text while
+a certificate is checked, needs each chunk's memory freed with the chunk.
 """
 
 from __future__ import annotations
@@ -142,7 +143,13 @@ def _sdpa_chunks(
         parts = []  # (matno, blkno, "i j " text, value) of each entry, per block
         for blkno, (matnos, mats) in by_block.items():
             flat, ij = _triu_texts(mats[0].shape[0])
-            if memo is not None:
+            if memo is None:
+                tri = np.empty((len(mats), flat.size))
+                for out, mat in zip(tri, mats):
+                    out[:] = mat.take(flat)
+                r, k = np.nonzero(tri)
+                parts.append((np.asarray(matnos)[r], np.full(r.size, blkno), ij[k], tri[r, k]))
+            else:
                 ijs, vals = zip(*(memo.entries(mat, flat, ij) for mat in mats))
                 counts = [v.size for v in vals]
                 parts.append((
@@ -151,12 +158,6 @@ def _sdpa_chunks(
                     np.concatenate(ijs),
                     np.concatenate(vals),
                 ))
-                continue
-            tri = np.empty((len(mats), flat.size))
-            for out, mat in zip(tri, mats):
-                out[:] = mat.take(flat)
-            r, k = np.nonzero(tri)
-            parts.append((np.asarray(matnos)[r], np.full(r.size, blkno), ij[k], tri[r, k]))
         frees = [(matno, free) for matno, _, free in run if free.size] if n_free else []
         if frees:
             coeffs = np.array([free for _, free in frees], dtype=float)

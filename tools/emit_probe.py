@@ -41,7 +41,7 @@ from helpers import random_degenerate_instance  # noqa: E402
 RANKS = (2, 1, 1)
 
 
-def stored_and_nonzeros(sdp) -> tuple[int, int, int]:
+def array_counts(sdp) -> tuple[int, int, int]:
     """Floats referenced by the constraints' matrices and free vectors, how
     many of them are nonzero, and how many distinct arrays they are."""
     arrays = [con.free for con in sdp.constraints]
@@ -74,7 +74,7 @@ def probe(n: int, seed: int, path: str) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stored, nonzeros, distinct = stored_and_nonzeros(sdp)
+    stored, nonzeros, distinct = array_counts(sdp)
     return {
         "n": n,
         "constraints": len(sdp.constraints),
