@@ -71,8 +71,8 @@ from .model import (
     svec_index,
     svec_order,
 )
-from .symmat import EPS_PSD, SymMat, TangentResult, check_orthonormal, classify_psd, tan_contains
-from .symmat import _psd_class, _split_psd_plus_tan, _tan_contains
+from .symmat import EPS_PSD, SymMat, TangentResult, check_orthonormal, classify_psd
+from .symmat import split_psd_plus_tan, tan_contains
 
 SENSE_MIN = "min"
 SENSE_MAX = "max"
@@ -674,11 +674,11 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
             blocks[f"T{i}"] = _coupling_block(prev_u, tan_contains(prev_u, rung.v, eps))
         prev_u = rung.u
     # One decomposition of the last U serves both the split and its witness.
-    ucls = _psd_class(prev_u, eps)
-    p_head, v_head = _split_psd_plus_tan(ucls, head_z, eps)
+    ucls = classify_psd(prev_u, eps)
+    p_head, v_head = split_psd_plus_tan(ucls, head_z, eps)
     blocks["P"] = p_head.a.copy()
     if n > 1:
-        blocks["Thead"] = _coupling_block(prev_u, _tan_contains(ucls, v_head, eps))
+        blocks["Thead"] = _coupling_block(prev_u, tan_contains(ucls, v_head, eps))
     return Assignment(blocks=blocks, free=free)
 
 

@@ -311,7 +311,10 @@ def to_strong_point(cf: CertificateFile):
         raise CertificateFormatError(f"{cf.system} is not a strong system")
     if "Q" not in cf.matrices or "r" not in cf.scalars:
         raise CertificateFormatError("strong certificate needs Q and r records")
-    spec = StrongDualSpec(q=cf.matrices["Q"], r=int(cf.scalars["r"]))
+    r = cf.scalars["r"]
+    if not r.is_integer():
+        raise CertificateFormatError(f"scalar r: {r!r} is not an integer")
+    spec = StrongDualSpec(q=cf.matrices["Q"], r=int(r))
     if cf.system == SYSTEM_DSTRONG:
         if "y" not in cf.vectors:
             raise CertificateFormatError("dstrong certificate needs a y record")

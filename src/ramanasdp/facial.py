@@ -594,6 +594,20 @@ def _not_found(best_t: Optional[float], ambiguous: bool) -> AltResult:
     return AltResult(found=False, max_lambda_min=best_t)
 
 
+def classical_alternative_feasible(inst: SdpInstance, eps: float = EPS_PSD) -> bool:
+    """Feasibility of the classical alternative system 𝒜*y ⪰ 0, <b,y> = -1."""
+    stack_rows = inst.b.reshape(1, -1)
+    sol = _affine_solutions(stack_rows, np.array([-1.0]))
+    if sol is None:
+        return False
+    y0, null = sol
+    s0 = apply_at(inst, y0).a
+    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
+    res = subsolver.maximize_lambda_min(s0, fam, reg=1e-8)
+    scale = 1.0 + float(np.linalg.norm(s0))
+    return res.value >= -100.0 * eps * scale
+
+
 def _rank_split(lam: np.ndarray, eps: float, scale: float) -> int:
     """Positive count of an eigenvalue vector, refusing in-band decisions."""
     pos = int(np.sum(lam > 100.0 * eps * scale))

@@ -21,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import builders, facial, subsolver, verify
-from .model import SdpInstance, apply_at
+from . import builders, facial, verify
+from .facial import classical_alternative_feasible
+from .model import SdpInstance
 from .symmat import EPS_PSD, SymMat
 
 VALUE_TOL = 1e-6
@@ -355,20 +356,6 @@ def classical_dual_value(inst: SdpInstance, eps: float = EPS_PSD) -> float:
     if red_val == float("inf"):
         return float("-inf")
     return comp.x0.inner(inst.c) - red_val
-
-
-def classical_alternative_feasible(inst: SdpInstance, eps: float = EPS_PSD) -> bool:
-    """Feasibility of the classical alternative system 𝒜*y ⪰ 0, <b,y> = -1."""
-    stack_rows = inst.b.reshape(1, -1)
-    sol = facial._affine_solutions(stack_rows, np.array([-1.0]))
-    if sol is None:
-        return False
-    y0, null = sol
-    s0 = apply_at(inst, y0).a
-    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    res = subsolver.maximize_lambda_min(s0, fam, reg=1e-8)
-    scale = 1.0 + float(np.linalg.norm(s0))
-    return res.value >= -100.0 * eps * scale
 
 
 def _close(a: float, b: float, tol: float = VALUE_TOL) -> bool:

@@ -17,9 +17,10 @@ QᵀVQ has no entries outside its leading r rows and columns.  Membership
 therefore reduces to one rotation and a zero-pattern test, and a witness
 (W, R) can be synthesized explicitly when the test passes.
 
-A classification keeps its decomposition.  Each tangent-space test
-classifies U, then runs a private core on that classification; a caller
-that has classified U already (a verifier's last rung) runs the core alone.
+A classification keeps its decomposition, and each tangent-space test
+takes U either as a matrix or as its PsdClass: a caller that has classified
+U already (a verifier's rungs and head) passes the class, made at the same
+eps, and U is not decomposed again.
 
 All decisions are tolerance-based; the tolerance is a parameter on every
 public operation and scales with 1 + Frobenius norm of the input.
@@ -318,18 +319,21 @@ def _tangent_witness_from_eigbasis(
     return TangentWitness(w=w, r=SymMat(np.eye(n) * t))
 
 
-def _psd_class(u: SymMat, eps: float) -> PsdClass:
-    """Classification of U, refusing a U that is not PSD."""
-    cls = classify_psd(u, eps)
-    if not cls.is_psd:
-        raise NotPsdInputError(f"U is not PSD (λ_min = {cls.evidence:.3e})")
-    return cls
+def tan_contains(u: SymMat | PsdClass, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
+    """Test V ∈ tan(U) for PSD U and synthesize a witness on membership.
 
-
-def _tan_contains(ucls: PsdClass, v: SymMat, eps: float) -> TangentResult:
-    """tan_contains for a PSD U given by its classification."""
+    Rotation to U's eigenbasis reduces the test to a zero-pattern check:
+    with r = rank(U), every entry of QᵀVQ outside the leading r rows and
+    columns must vanish below eps·(1+‖V‖).  U = 0 needs no rotation:
+    tan(0) = {0}.  U may be given as its PsdClass, made at the same eps.
+    """
+    ucls = u if isinstance(u, PsdClass) else classify_psd(u, eps)
+    if not ucls.is_psd:
+        raise NotPsdInputError(f"U is not PSD (λ_min = {ucls.evidence:.3e})")
     r, q = ucls.rank, ucls.dec.q
     n = v.n
+    if q.shape[0] != n:
+        raise ValueError("U and V must have the same order")
     v_scale = 1.0 + v.norm()
     if r == 0:
         # Degenerate U ≈ 0: membership iff V ≈ 0.
@@ -355,22 +359,22 @@ def _tan_contains(ucls: PsdClass, v: SymMat, eps: float) -> TangentResult:
     return TangentResult(member=True, witness=witness)
 
 
-def tan_contains(u: SymMat, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
-    """Test V ∈ tan(U) for PSD U and synthesize a witness on membership.
+def psd_plus_tan_contains(
+    u: SymMat | PsdClass, z: SymMat, eps: float = EPS_PSD
+) -> tuple[bool, float]:
+    """Test Z ∈ S₊ + tan(U) for PSD U.
 
-    Rotation to U's eigenbasis reduces the test to a zero-pattern check:
-    with r = rank(U), every entry of QᵀVQ outside the leading r rows and
-    columns must vanish below eps·(1+‖V‖).  U = 0 needs no rotation:
-    tan(0) = {0}.
+    In U's eigenbasis with rank r, membership holds exactly when the
+    trailing (n-r)×(n-r) block of the rotated Z is PSD.  Returns the
+    verdict and the minimum eigenvalue of that block (0.0 when empty).
+    U may be given as its PsdClass, made at the same eps.
     """
-    if u.n != v.n:
-        raise ValueError("U and V must have the same order")
-    return _tan_contains(_psd_class(u, eps), v, eps)
-
-
-def _psd_plus_tan_contains(ucls: PsdClass, z: SymMat, eps: float) -> tuple[bool, float]:
-    """psd_plus_tan_contains for a PSD U given by its classification."""
+    ucls = u if isinstance(u, PsdClass) else classify_psd(u, eps)
+    if not ucls.is_psd:
+        raise NotPsdInputError(f"U is not PSD (λ_min = {ucls.evidence:.3e})")
     r, q = ucls.rank, ucls.dec.q
+    if q.shape[0] != z.n:
+        raise ValueError("U and Z must have the same order")
     if r == z.n:
         return True, 0.0
     block = z if r == 0 else SymMat(q[:, r:].T @ z.a @ q[:, r:])
@@ -378,21 +382,16 @@ def _psd_plus_tan_contains(ucls: PsdClass, z: SymMat, eps: float) -> tuple[bool,
     return cls.is_psd, cls.evidence
 
 
-def psd_plus_tan_contains(
-    u: SymMat, z: SymMat, eps: float = EPS_PSD
-) -> tuple[bool, float]:
-    """Test Z ∈ S₊ + tan(U) for PSD U.
+def split_psd_plus_tan(
+    u: SymMat | PsdClass, z: SymMat, eps: float = EPS_PSD
+) -> tuple[SymMat, SymMat]:
+    """Decompose Z = P + V with P PSD and V ∈ tan(U); requires membership.
 
-    In U's eigenbasis with rank r, membership holds exactly when the
-    trailing (n-r)×(n-r) block of the rotated Z is PSD.  Returns the
-    verdict and the minimum eigenvalue of that block (0.0 when empty).
+    P carries the trailing block of Z in U's eigenbasis, V the rest.  U may
+    be given as its PsdClass, made at the same eps.
     """
-    return _psd_plus_tan_contains(_psd_class(u, eps), z, eps)
-
-
-def _split_psd_plus_tan(ucls: PsdClass, z: SymMat, eps: float) -> tuple[SymMat, SymMat]:
-    """split_psd_plus_tan for a PSD U given by its classification."""
-    ok, lam_min = _psd_plus_tan_contains(ucls, z, eps)
+    ucls = u if isinstance(u, PsdClass) else classify_psd(u, eps)
+    ok, lam_min = psd_plus_tan_contains(ucls, z, eps)
     if not ok:
         raise ValueError(f"Z is not in S₊ + tan(U): trailing block λ_min = {lam_min:.3e}")
     r, q = ucls.rank, ucls.dec.q
@@ -406,11 +405,3 @@ def _split_psd_plus_tan(ucls: PsdClass, z: SymMat, eps: float) -> tuple[SymMat, 
     p_rot[r:, r:] = z_rot[r:, r:]
     p = SymMat(q @ p_rot @ q.T)
     return p, z - p
-
-
-def split_psd_plus_tan(u: SymMat, z: SymMat, eps: float = EPS_PSD) -> tuple[SymMat, SymMat]:
-    """Decompose Z = P + V with P PSD and V ∈ tan(U); requires membership.
-
-    P carries the trailing block of Z in U's eigenbasis, V the rest.
-    """
-    return _split_psd_plus_tan(_psd_class(u, eps), z, eps)

@@ -13,8 +13,9 @@ variable is X.  Verification walks the fixed check order
 and reports the first violated constraint with its residual.  Membership
 in S₊ + tan(U) is decided by one trailing-block PSD test in U's
 eigenbasis, which is exact for this set.  The head reuses the
-classification of U_{n-1} made at the last rung, so a ladder of L rungs
-costs 2L + 1 decompositions: U_i and U_{i-1} per rung, then the head block.
+classification of U_{n-1} made at the last rung, and each rung's tangent
+test reuses the class of U_{i-1} made at the rung before, so a ladder of L
+rungs costs L + 2 decompositions: U_0 = 0, each U_i, then the head block.
 
 normalize_ladder implements the inductive rotation that puts the matrices
 𝒜*y^1, ..., 𝒜*y^{n-1} of any feasible certificate into regular facial
@@ -33,7 +34,7 @@ import numpy as np
 from .builders import StrongDualSpec
 from .facial import STATUS_INFEASIBLE, RrForm, validate_frs
 from .model import SdpInstance, apply_a, apply_at, dual_slack
-from .symmat import EPS_PSD, PsdClass, SymMat, _psd_plus_tan_contains, classify_psd, tan_contains
+from .symmat import EPS_PSD, PsdClass, SymMat, classify_psd, psd_plus_tan_contains, tan_contains
 
 SYSTEM_DRAM = "dram"
 SYSTEM_ALTRAM = "altram"
@@ -115,7 +116,10 @@ def _require_finite(what: str, values) -> None:
         raise ValueError(f"{what} has a non-finite entry")
 
 
-def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate) -> None:
+def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate, *systems: str) -> None:
+    """Refuse a certificate of another system than ``systems`` or of the wrong shape."""
+    if cert.system not in systems:
+        raise ShapeMismatchError(f"certificate is for {cert.system}, not {' or '.join(systems)}")
     n, m = inst.n, inst.m
     if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
         if cert.y is None or np.asarray(cert.y).shape != (m,):
@@ -146,11 +150,10 @@ def _check_ladder(
     inst: SdpInstance, cert: RamanaCertificate, eps: float
 ) -> VerifyOutcome | PsdClass:
     """Shared rung checks: the first failure, or else the classification of
-    the last U (U_0 = 0 for an empty ladder) for the head test."""
-    n = inst.n
+    the last U (U_0 = 0 for an empty ladder) for the head test.  Each U is
+    classified once, and its class serves the next rung's tangent test."""
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
-    prev_u = SymMat.zero(n)
-    ucls = None
+    prev_cls = classify_psd(SymMat.zero(inst.n), eps)
     for idx, rung in enumerate(cert.ladder, start=1):
         if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
             lhs = apply_at(inst, rung.y)
@@ -175,7 +178,7 @@ def _check_ladder(
         ucls = classify_psd(rung.u, eps)
         if not ucls.is_psd:
             return _fail(f"rung {idx}: U_{idx} not PSD", -ucls.evidence)
-        tan = tan_contains(prev_u, rung.v, eps)
+        tan = tan_contains(prev_cls, rung.v, eps)
         if not tan.member:
             i, j, mag = tan.violation
             return _fail(
@@ -183,8 +186,8 @@ def _check_ladder(
                 f"(entry ({i},{j}) in the eigenbasis)",
                 mag,
             )
-        prev_u = rung.u
-    return ucls if ucls is not None else classify_psd(prev_u, eps)
+        prev_cls = ucls
+    return prev_cls
 
 
 def _value_warnings(cert: RamanaCertificate, value: float, eps: float) -> tuple[str, ...]:
@@ -199,13 +202,13 @@ def verify_dram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact dual; Feasible reports <b, y>."""
-    _check_cert_shape(inst, cert)
+    _check_cert_shape(inst, cert, SYSTEM_DRAM)
     cert = pad_ladder(cert, inst)
     last_u = _check_ladder(inst, cert, eps)
     if isinstance(last_u, VerifyOutcome):
         return last_u
     slack = dual_slack(inst, cert.y)
-    ok, lam_min = _psd_plus_tan_contains(last_u, slack, eps)
+    ok, lam_min = psd_plus_tan_contains(last_u, slack, eps)
     if not ok:
         return _fail("head: C - 𝒜*y not in S₊ + tan(U_{n-1})", -lam_min)
     value = float(inst.b @ cert.y)
@@ -216,13 +219,13 @@ def verify_alt_ram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact alternative system (Valid/Invalid)."""
-    _check_cert_shape(inst, cert)
+    _check_cert_shape(inst, cert, SYSTEM_ALTRAM)
     cert = pad_ladder(cert, inst)
     last_u = _check_ladder(inst, cert, eps)
     if isinstance(last_u, VerifyOutcome):
         return last_u
     z = apply_at(inst, cert.y)
-    ok, lam_min = _psd_plus_tan_contains(last_u, z, eps)
+    ok, lam_min = psd_plus_tan_contains(last_u, z, eps)
     if not ok:
         return _fail("head: 𝒜*y not in S₊ + tan(U_{n-1})", -lam_min)
     bval = float(inst.b @ cert.y)
@@ -236,7 +239,7 @@ def verify_pram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact primal; Feasible reports <C, X>."""
-    _check_cert_shape(inst, cert)
+    _check_cert_shape(inst, cert, SYSTEM_PRAM)
     cert = pad_ladder(cert, inst)
     last_u = _check_ladder(inst, cert, eps)
     if isinstance(last_u, VerifyOutcome):
@@ -245,7 +248,7 @@ def verify_pram(
     scale = inst.scale_factor() * (1.0 + cert.x.norm())
     if ares > eps * scale:
         return _fail("head: 𝒜X != b", ares)
-    ok, lam_min = _psd_plus_tan_contains(last_u, cert.x, eps)
+    ok, lam_min = psd_plus_tan_contains(last_u, cert.x, eps)
     if not ok:
         return _fail("head: X not in S₊ + tan(U_{n-1})", -lam_min)
     value = inst.c.inner(cert.x)
@@ -309,9 +312,7 @@ def normalize_ladder(
     Reports the inferred block sizes, staircase validity, and the per-rung
     membership U_i ∈ S₊^{n, r_{1:i}} after rotation.
     """
-    if cert.system not in (SYSTEM_DRAM, SYSTEM_ALTRAM):
-        raise ShapeMismatchError("normalize_ladder needs a ladder with y^i vectors")
-    _check_cert_shape(inst, cert)
+    _check_cert_shape(inst, cert, SYSTEM_DRAM, SYSTEM_ALTRAM)
     cert = pad_ladder(cert, inst)
     n = inst.n
     ys = [apply_at(inst, rung.y) for rung in cert.ladder]

@@ -162,6 +162,17 @@ class TestVerifyCommand:
         assert "error:" in err and named in err and "Traceback" not in err
 
 
+    def test_fractional_rank_exit_one(self, tmp_path, inst_file, capsys):
+        cert_path = tmp_path / "s.cert"
+        write_certificate(
+            str(cert_path), inst_unattained(), "dstrong",
+            spec=builders.StrongDualSpec(q=np.eye(3), r=1), point=np.zeros(3),
+        )
+        cert_path.write_text(cert_path.read_text().replace("scalar r 1\n", "scalar r -0.5\n", 1))
+        assert main(["verify", inst_file, "--cert", str(cert_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "scalar r" in err and "Traceback" not in err
+
 class TestNormalizeCommand:
     def test_normalize(self, tmp_path, inst_file, capsys):
         cert_path = tmp_path / "c.cert"

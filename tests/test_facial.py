@@ -1,5 +1,8 @@
 """Facial reduction sequences, RR-form recognition and construction."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,9 @@ from helpers import (
     random_feasible_instance,
     random_orthonormal,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from gen import planted  # noqa: E402
 
 
 class TestValidateFrs:
@@ -292,6 +298,41 @@ class TestMergeToBound:
         merged, _ = merge_to_bound(seq)
         assert merged.prefix_rank() == seq.prefix_rank()
 
+
+
+class TestMergeInBuildRrForm:
+    """build_rr_form's merge, on the deep infeasible cascade (n = 7, blocks
+    (2, 1, 1, 2)) that tools/cascade_probe.py --infeasible probes."""
+
+    @staticmethod
+    def _inst(seed):
+        return planted(np.random.default_rng(seed), 7, (2, 1, 1, 2), 2, infeasible=True).inst
+
+    def test_merges_into_one_pd_row(self, monkeypatch):
+        from ramanasdp import alt_ram_from_rr, facial, verify_alt_ram
+
+        calls = []
+        real = facial._pd_combination
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(facial, "_pd_combination", spy)
+        inst = self._inst(0)
+        rr = build_rr_form(inst)
+        assert calls
+        assert (rr.status, rr.k, rr.r) == (STATUS_INFEASIBLE, 2, (7, 0))
+        lead = classify_psd(rr.reformulated.a[0])
+        assert lead.is_positive_definite
+        assert lead.evidence == pytest.approx(2.5e-3, rel=0.05)
+        assert verify_alt_ram(inst, alt_ram_from_rr(inst, rr)).ok
+
+    def test_failed_escalation_is_a_refusal(self):
+        from ramanasdp import SubsolverFailureError
+
+        with pytest.raises(SubsolverFailureError, match="merge: Schur bound escalation failed"):
+            build_rr_form(self._inst(2))
 
 class TestMaxRankZeroPattern:
     def test_trivial_self(self):

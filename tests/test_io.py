@@ -490,6 +490,18 @@ class TestCertificateFiles:
         with pytest.raises(CertificateFormatError, match=match):
             parse_certificate_text("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("value", ["2.9999", "-0.5"])
+    def test_fractional_rank_rejected(self, value):
+        # int() would read 2.9999 as r = 2 and -0.5 as r = 0, which drops
+        # the PSD block check.
+        text = certificate_to_text(
+            inst_gap_rr(), "dstrong", spec=StrongDualSpec(q=np.eye(4), r=2),
+            point=np.array([0.0, 0.0, 1.0]),
+        )
+        cf = parse_certificate_text(text.replace("scalar r 2\n", f"scalar r {value}\n", 1))
+        with pytest.raises(CertificateFormatError, match=f"scalar r: {value} is not an integer"):
+            to_strong_point(cf)
+
     def test_missing_rung_is_zero(self):
         inst = inst_unattained()
         text = certificate_to_text(inst, "dram", cert=_ladder_cert())

@@ -10,7 +10,9 @@ from ramanasdp import (
     SymMat,
     classify_psd,
     eig,
+    psd_plus_tan_contains,
     rotate,
+    split_psd_plus_tan,
     symmat,
     tan_contains,
 )
@@ -295,3 +297,36 @@ class TestTangent:
             v[:k, :] = rng.standard_normal((k, n))
             v = SymMat(v + v.T)
             assert tan_contains(u, v).member
+
+    @pytest.mark.parametrize("rank", ["full", "partial", "zero"])
+    def test_class_stands_for_its_matrix(self, rank):
+        # Each tangent-space test gives the same result for U and for
+        # classify_psd(U): members and non-members of tan(U) and of S₊ + tan(U).
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            r = {"full": n, "partial": int(rng.integers(1, n)), "zero": 0}[rank]
+            u = random_psd(rng, n, rank=r)
+            ucls = classify_psd(u)
+            m = rng.standard_normal((n, n))
+            member = SymMat(u.a @ m + m.T @ u.a)  # Qₙᵀ(UM + MᵀU)Qₙ = 0
+            for v in (member, random_sym(rng, n)):
+                got, want = tan_contains(ucls, v), tan_contains(u, v)
+                assert got.member == want.member and got.violation == want.violation
+                if want.member:
+                    assert np.array_equal(got.witness.w, want.witness.w)
+                    assert np.array_equal(got.witness.r.a, want.witness.r.a)
+            z = random_psd(rng, n) + member
+            for cand in (z, random_sym(rng, n)):
+                assert psd_plus_tan_contains(ucls, cand) == psd_plus_tan_contains(u, cand)
+            (p1, v1), (p2, v2) = split_psd_plus_tan(ucls, z), split_psd_plus_tan(u, z)
+            assert np.array_equal(p1.a, p2.a) and np.array_equal(v1.a, v2.a)
+
+    def test_class_refusals(self):
+        not_psd = classify_psd(SymMat.diag([1, -1]))
+        order3 = classify_psd(SymMat.diag([1, 0, 0]))
+        for op in (tan_contains, psd_plus_tan_contains, split_psd_plus_tan):
+            with pytest.raises(NotPsdInputError):
+                op(not_psd, SymMat.zero(2))
+            with pytest.raises(ValueError, match="same order"):
+                op(order3, SymMat.zero(2))

@@ -435,6 +435,22 @@ class TestNonFiniteRefused:
         assert systems == {"dram", "altram", "pram", "dstrong", "pstrong"}
 
 
+@pytest.mark.parametrize(
+    "tag, check",
+    [(t, c) for t in ("dram", "altram", "pram") for c in ("dram", "altram", "pram") if t != c],
+)
+def test_certificate_for_another_system_refused(tag, check):
+    # example-2.5-rr is feasible, so its altram-tagged certificate is a
+    # relabelled copy of its dram one.
+    from ramanasdp import registry
+
+    entry = registry.get("example-2.5-rr")
+    certs = {rc.system: rc.cert for rc in entry.certificates if rc.cert is not None}
+    cert = replace(certs["pram" if tag == "pram" else "dram"], system=tag)
+    with pytest.raises(ShapeMismatchError, match=f"certificate is for {tag}, not {check}"):
+        _check(entry.instance, check, cert=cert)
+
+
 def _staircase_instance(b4: float) -> SdpInstance:
     """Order 9: A_j = E_jj for j = 1..3, A_4 = E_12 + E_21, C = diag(1,1,1,0,...)."""
     n = 9
@@ -483,7 +499,7 @@ class TestDecompositionCounts:
     def _dram(self):
         return RamanaCertificate(system="dram", y=np.zeros(4), ladder=_staircase_ladder(True, 0))
 
-    def test_verifiers_decompose_2l_plus_1(self, eig_calls):
+    def test_verifiers_decompose_l_plus_2(self, eig_calls):
         inst = _staircase_instance(1.0)
         alt = RamanaCertificate(
             system="altram", y=np.array([0.0, 0, 0, -1]), ladder=_staircase_ladder(True, 0)
@@ -499,7 +515,8 @@ class TestDecompositionCounts:
         for check, case_inst, cert in cases:
             eig_calls.clear()
             assert check(case_inst, cert).ok
-            assert len(eig_calls) <= 2 * self.L + 1
+            # U_0 = 0, each U_i once, then the head block.
+            assert len(eig_calls) == self.L + 2
 
     def test_normalize_ladder(self, eig_calls):
         report = normalize_ladder(_staircase_instance(1.0), self._dram())
