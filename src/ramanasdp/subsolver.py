@@ -138,13 +138,12 @@ def _barrier_path(
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
-    diag = np.diag_indices(k)
 
     def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], float]:
         """S(v), its Cholesky factor (None outside the cone), log det S(v) / 2."""
         g = s0 + (v @ flat).reshape(s0.shape)
         l = _chol_or_none(g)
-        return g, l, np.nan if l is None else float(np.sum(np.log(np.diag(l))))
+        return g, l, np.nan if l is None else float(np.log(l.diagonal()).sum())
 
     def merit(v: np.ndarray, half_logdet: float) -> float:
         return float(lin @ v + 0.5 * (reg * v) @ v) - 2.0 * mu * half_logdet
@@ -171,9 +170,9 @@ def _barrier_path(
                 blk = ginv @ fam[j:j + _HESS_BLOCK] @ ginv
                 hess[:, j:j + _HESS_BLOCK] = flat @ blk.reshape(len(blk), -1).T
             hess *= mu
-            hess[diag] += reg + 1e-14
+            hess.flat[::k + 1] += reg + 1e-14
             try:
-                sol = np.linalg.solve(hess, np.column_stack([-grad, trs]))
+                sol = np.linalg.solve(hess, np.stack([-grad, trs], axis=1))
             except np.linalg.LinAlgError:
                 memo.append(None)
             else:
@@ -205,7 +204,9 @@ def _barrier_path(
             # finite check, G^{-1} from the Cholesky factor, the traces
             # <fam[i], G^{-1}> and the stop test.
             if ginv is None:
-                if not np.all(np.isfinite(g)):
+                # For symmetric G, Cholesky fails on a non-finite entry or
+                # leaves a non-finite diagonal.
+                if not math.isfinite(half_logdet):
                     raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
                 # G^{-1} = L^{-T} L^{-1}, without holding L^{-1} after.
                 ginv = np.linalg.inv(l)
@@ -234,7 +235,7 @@ def _barrier_path(
             else:
                 break
             # A step that rounds to w makes no progress (and w keeps G⁻¹).
-            if np.array_equal(w_new, w):
+            if (w_new == w).all():
                 break
             w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, half_logdet_new, f_new, None
         if mu <= mu_final:
@@ -246,7 +247,7 @@ def _barrier_path(
         if centered is not None:
             w_new = predicted(centered, mu_new)
             for _ in range(50):
-                if np.array_equal(w_new, w):
+                if (w_new == w).all():
                     break
                 g_new, l_new, half_logdet_new = factor(w_new)
                 if l_new is not None:

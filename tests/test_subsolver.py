@@ -409,6 +409,21 @@ def test_start_outside_the_cone_is_refused():
         )
 
 
+@pytest.mark.parametrize("s0, match", [
+    (np.diag([np.inf, 1.0]), "diverged"),
+    (np.diag([1e309, 1e309]), "diverged"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "left the PSD cone"),
+])
+def test_non_finite_start_is_refused(s0, match):
+    # Cholesky gives diag(inf, 1) an infinite diagonal and fails on an
+    # infinite off-diagonal pair.
+    with pytest.raises(IterationLimitError, match=match):
+        subsolver._barrier_path(
+            s0, np.eye(2)[None], np.ones(1), 0.0, np.zeros(1),
+            mu=1.0, mu_final=1.0, shrink=1.0, inner=5, tol=1e-12,
+        )
+
+
 # The same families by value, recorded with full centering at every mu:
 # lmin cases (value, below, upper, value of the run without a stop level),
 # face cases the minimum, interior cases None.
