@@ -17,17 +17,18 @@ documented in a sidecar file next to the output.
 
 Output is deterministic: fixed entry order (matno, then block, then
 row-major upper triangle) and shortest round-trip float formatting, so
-two writes of the same object are byte-identical.  One private core
-formats a bounded chunk of matrices at a time, with numpy doing the
-per-entry work, and write_sdpa writes each chunk as it is produced, so
-the whole text is never held; the *_text functions join the same chunks.
-An emitted system's write keeps one memo for all its chunks: each
-distinct matrix object's upper-triangle nonzeros (the builders share a
-matrix among every constraint that uses it) and each distinct value's
-text, so each is found or formatted once per write.  Instance text takes
-no memo: its matrices do not repeat, and a memo would hold what it found
-until the write ends, where instance_digest, which hashes this text while
-a certificate is checked, needs each chunk's memory freed with the chunk.
+two writes of the same object are byte-identical.  write_sdpa writes the
+text chunk by chunk as it is formatted, so the whole text is never held;
+the *_text functions join the same chunks.  An emitted system's write
+turns each distinct matrix object into its text once, a template of its
+upper-triangle nonzero lines with the "matno blkno " prefix left open (the
+builders share a matrix among every constraint that uses it), and splices
+each row's prefix into the templates of its blocks.  Free vectors, mostly
+distinct, are stacked and scanned _CHUNK_ROWS rows at a time, with one
+memo of each distinct value's text for the whole write.  Instance text
+keeps no memo and formats one matrix per chunk: its matrices do not
+repeat, so instance_digest, which hashes this text while a certificate is
+checked, holds one matrix's lines beside the text at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import functools
 import itertools
 import math
 import os
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -59,20 +60,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# One matrix of the file: (matno, {blkno: dense matrix}, free vector), with
-# matno 0 the objective.
-_Row = tuple[int, dict[int, np.ndarray], np.ndarray]
+# One matrix of an emitted system: (matno, {block name: dense matrix},
+# free vector), with matno 0 the objective.
+_Row = tuple[int, dict[str, np.ndarray], np.ndarray]
 
-# What one chunk holds grows with its rows (their stacked upper triangles)
-# and with its entries (their index arrays and text).  A chunk takes the
-# rows that, at the previous chunk's entries per row, give about
-# _CHUNK_ENTRIES entries, and never more than _CHUNK_ROWS rows.  Sparse
-# emitted systems get chunks of about 100 rows; the text of an instance of
-# nine dense order-24 matrices peaks at 0.29 MB, where one chunk of all
-# nine (a bound on rows alone) peaked at 0.74 MB and the per-matrix writer
-# this core replaced at 0.34 MB.
+# Rows per chunk of an emitted system; a chunk's free vectors are stacked
+# and scanned together.
 _CHUNK_ROWS = 256
-_CHUNK_ENTRIES = 1024
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,120 +82,72 @@ def _triu_texts(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _diag_texts(size: int) -> np.ndarray:
+def _diag_texts(size: int) -> tuple[str, ...]:
     """The text "j j " of each entry of a diagonal block, from j = 1."""
-    ij = np.array([f"{j} {j} " for j in range(1, size + 1)], dtype=object)
-    ij.setflags(write=False)
-    return ij
+    return tuple(f"{j} {j} " for j in range(1, size + 1))
 
 
-class _WriteMemo:
-    """What one write has formatted, for the matrices and values that its
-    rows share: the "i j " texts and values of each distinct matrix
-    object's upper-triangle nonzeros, keyed by id and kept next to the
-    matrix so that the id is not reused, and the text of each distinct
-    value."""
-
-    def __init__(self):
-        self.mats: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.texts: dict[float, str] = {}
-
-    def entries(self, mat: np.ndarray, flat: np.ndarray, ij: np.ndarray):
-        hit = self.mats.get(id(mat))
-        if hit is None:
-            tri = mat.take(flat)
-            k = np.flatnonzero(tri)
-            hit = self.mats[id(mat)] = (mat, ij[k], tri[k])
-        return hit[1], hit[2]
-
-    def text(self, value: float) -> str:
-        return self.texts.get(value) or self.texts.setdefault(value, repr(value) + "\n")
+def _template(mat: np.ndarray) -> str:
+    r"""The line "\0i j value\n" of each nonzero of mat's upper triangle,
+    row-major; replacing "\0" by "matno blkno " gives a row's lines."""
+    flat, ij = _triu_texts(mat.shape[0])
+    tri = mat.take(flat)
+    k = tri.nonzero()[0]
+    return "".join([f"\0{t}{v!r}\n" for t, v in zip(ij[k].tolist(), tri[k].tolist())])
 
 
 def _sdpa_chunks(
-    header: list[str],
-    rows: Iterable[_Row],
-    free_blk: int = 0,
-    n_free: int = 0,
-    memo: Optional[_WriteMemo] = None,
+    header: list[str], rows: Iterable[_Row], block_index: dict[str, int], n_free: int
 ) -> Iterator[str]:
     """The header lines, then one "matno blkno i j value" line per nonzero
-    of each row's upper triangles, ordered by (matno, blkno) and row-major
-    within a block.  A free vector c becomes the pairs (j, c_j) and
-    (n_free + j, -c_j) of block free_blk.  With a memo, a matrix or value
-    that repeats across rows is scanned or formatted once per write;
-    without one, each chunk stacks its matrices and scans them together."""
+    of each row's upper triangles, in row order, then block order, and
+    row-major within a block.  A free vector c becomes the pairs (j, c_j)
+    and (n_free + j, -c_j) of the free block, numbered after the blocks of
+    block_index, after the row's other blocks.  Each distinct matrix object
+    is formatted once per write, and each distinct free-vector value once."""
     yield "\n".join(header) + "\n"
-    rows, size = iter(rows), 1
-    while run := list(itertools.islice(rows, size)):
-        by_block: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-        for matno, mats, _ in run:
-            for blkno, mat in mats.items():
-                entry = by_block.setdefault(blkno, ([], []))
-                entry[0].append(matno)
-                entry[1].append(mat)
-        parts = []  # (matno, blkno, "i j " text, value) of each entry, per block
-        for blkno, (matnos, mats) in by_block.items():
-            flat, ij = _triu_texts(mats[0].shape[0])
-            if memo is None:
-                tri = np.empty((len(mats), flat.size))
-                for out, mat in zip(tri, mats):
-                    out[:] = mat.take(flat)
-                r, k = np.nonzero(tri)
-                parts.append((np.asarray(matnos)[r], np.full(r.size, blkno), ij[k], tri[r, k]))
-            else:
-                ijs, vals = zip(*(memo.entries(mat, flat, ij) for mat in mats))
-                counts = [v.size for v in vals]
-                parts.append((
-                    np.repeat(matnos, counts),
-                    np.full(sum(counts), blkno),
-                    np.concatenate(ijs),
-                    np.concatenate(vals),
-                ))
-        frees = [(matno, free) for matno, _, free in run if free.size] if n_free else []
+    # Keyed by id, next to the matrix so that the id is not reused.
+    templates: dict[int, tuple[np.ndarray, str]] = {}
+    pos: dict[float, str] = {}
+    neg: dict[float, str] = {}
+    diag, free_blk = _diag_texts(2 * n_free), len(block_index) + 1
+    rows = iter(rows)
+    while run := list(itertools.islice(rows, _CHUNK_ROWS)):
+        pairs, bounds = [], [0] * (len(run) + 1)
+        frees = [t for t, (_, _, free) in enumerate(run) if free.size] if n_free else []
         if frees:
-            coeffs = np.array([free for _, free in frees], dtype=float)
+            coeffs = np.array([run[t][2] for t in frees], dtype=float)
             r, j = np.nonzero(coeffs)
-            c = coeffs[r, j]
-            pos = np.stack([j, n_free + j], axis=1).ravel()
-            parts.append((
-                np.repeat(np.asarray([matno for matno, _ in frees])[r], 2),
-                np.full(pos.size, free_blk),
-                _diag_texts(2 * n_free)[pos],
-                np.stack([c, -c], axis=1).ravel(),
-            ))
-        entries = sum(part[0].size for part in parts)
-        size = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES * len(run) // max(entries, 1)))
-        if not entries:
-            continue
-        matno, blkno, ij, vals = (np.concatenate(col) for col in zip(*parts))
-        # Stable: keeps the row-major and pair order inside each group.
-        perm = np.lexsort((blkno, matno))
-        uniq, inv = np.unique(vals[perm], return_inverse=True)
-        # Each line is four shared strings, joined once: no string per line.
-        pieces = np.empty((entries, 4), dtype=object)
-        pieces[:, 0] = _int_texts(matno[perm])
-        pieces[:, 1] = _int_texts(blkno[perm])
-        pieces[:, 2] = ij[perm]
-        if memo is None:
-            pieces[:, 3] = np.array([repr(v) + "\n" for v in uniq.tolist()], dtype=object)[inv]
-        else:
-            pieces[:, 3] = np.array([memo.text(v) for v in uniq.tolist()], dtype=object)[inv]
-        yield "".join(pieces.ravel().tolist())
-
-
-def _int_texts(values: np.ndarray) -> np.ndarray:
-    """Object array of "k " for each k of values: a chunk's matrix or block
-    numbers, whose range is at most the chunk's rows or the blocks."""
-    lo = int(values.min())
-    table = np.array([f"{k} " for k in range(lo, int(values.max()) + 1)], dtype=object)
-    return table[values - lo]
+            c = coeffs[r, j].tolist()
+            for v in set(c).difference(pos):
+                # The text of -v is that of v with its sign flipped; nan has none.
+                text = repr(v)
+                flip = text[1:] if text[0] == "-" else "-" + text if v == v else text
+                pos[v], neg[v] = text + "\n", flip + "\n"
+            pre = [f"{run[t][0]} {free_blk} " for t in frees]
+            pairs = [
+                f"{pre[a]}{diag[b]}{pos[v]}{pre[a]}{diag[n_free + b]}{neg[v]}"
+                for a, b, v in zip(r.tolist(), j.tolist(), c)
+            ]
+            bounds = np.searchsorted(np.asarray(frees)[r], np.arange(len(run) + 1)).tolist()
+        pieces = []
+        for t, (matno, mats, _) in enumerate(run):
+            for name in sorted(mats, key=block_index.__getitem__):
+                mat = mats[name]
+                hit = templates.get(id(mat))
+                if hit is None:
+                    hit = templates[id(mat)] = (mat, _template(mat))
+                pieces.append(hit[1].replace("\0", f"{matno} {block_index[name]} "))
+            pieces += pairs[bounds[t]:bounds[t + 1]]
+        yield "".join(pieces)
 
 
 def _instance_chunks(inst: SdpInstance) -> Iterator[str]:
-    header = [str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]
-    mats, no_free = (inst.c,) + tuple(inst.a), np.zeros(0)
-    return _sdpa_chunks(header, ((t, {1: mat.a}, no_free) for t, mat in enumerate(mats)))
+    """The header, then one chunk per matrix: an instance's matrices do not
+    repeat, so nothing is kept from one matrix to the next."""
+    yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]) + "\n"
+    for t, mat in enumerate((inst.c,) + tuple(inst.a)):
+        yield _template(mat.a).replace("\0", f"{t} 1 ")
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
@@ -217,18 +163,10 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     header.append(" ".join(_fmt(c.rhs) for c in sdp.constraints))
     sign = 1.0 if sdp.sense == "max" else -1.0
     block_index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    objective = (
-        0,
-        {block_index[name]: sign * k for name, k in sdp.objective_mats.items()},
-        sign * sdp.objective_free,
-    )
-    rows = (
-        (t, {block_index[name]: k for name, k in con.mats.items()}, con.free)
-        for t, con in enumerate(sdp.constraints, start=1)
-    )
-    return _sdpa_chunks(
-        header, itertools.chain([objective], rows), len(sdp.blocks) + 1, sdp.n_free, _WriteMemo()
-    )
+    objective_mats = {name: sign * k for name, k in sdp.objective_mats.items()}
+    objective = (0, objective_mats, sign * sdp.objective_free)
+    rows = ((t, con.mats, con.free) for t, con in enumerate(sdp.constraints, start=1))
+    return _sdpa_chunks(header, itertools.chain([objective], rows), block_index, sdp.n_free)
 
 
 def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:

@@ -292,6 +292,56 @@ class TestChunkedWriter:
         written = {line.rsplit(" ", 1)[1] for line in text.splitlines()[4:]}
         assert not written & {"0.0", "-0.0"}
 
+    def test_rows_sharing_arrays_across_chunks(self):
+        # One read-only matrix and one read-only free vector, each used by
+        # more than 2·_CHUNK_ROWS constraints (in either block) and, negated,
+        # by the objective, between all-zero and -0.0 rows: text formatted
+        # for one row or chunk must not leak into another.
+        rng = np.random.default_rng(11)
+        mat, free = _value_matrix(rng, 3), np.array([0.1, -2.5, 0.0, 1 / 3, 0.1, -1e-17])
+        for arr in (mat, free):
+            arr.setflags(write=False)
+        cycle = [
+            ({"A": mat, "B": np.zeros((3, 3))}, free),
+            ({"A": -np.zeros((3, 3))}, -np.zeros(free.size)),
+            ({"B": mat, "A": -np.zeros((3, 3))}, free),
+            ({}, np.zeros(free.size)),
+        ]
+        cons = tuple(
+            Constraint(name=f"c{t}", mats=cycle[t % 4][0], free=cycle[t % 4][1], rhs=1.0)
+            for t in range(5 * sdpa._CHUNK_ROWS)
+        )
+        sdp = StandardFormSdp(
+            system="hand",
+            sense="min",
+            blocks=(PsdBlock("A", 3), PsdBlock("B", 3)),
+            n_free=free.size,
+            objective_mats={"B": mat, "A": mat},
+            objective_free=free,
+            constraints=cons,
+            var_map={},
+        )
+        uses = sum(any(m is mat for m in con.mats.values()) for con in cons)
+        assert uses > 2 * sdpa._CHUNK_ROWS and sum(con.free is free for con in cons) == uses
+        assert standard_form_to_sdpa_text(sdp) == _reference_system_text(sdp)
+
+    def test_free_values_at_the_float_edges(self):
+        # The writer flips the sign of a value's text for its -c_j line; the
+        # reference formats -c_j itself.
+        free = np.array([np.nan, np.inf, -np.inf, 5e-324, -1e-320, 1e308, -0.1, 1 / 3, 0.0])
+        one = np.ones((1, 1))
+        sdp = StandardFormSdp(
+            system="hand",
+            sense="min",
+            blocks=(PsdBlock("A", 1),),
+            n_free=free.size,
+            objective_mats={"A": one},
+            objective_free=free,
+            constraints=(Constraint(name="c", mats={"A": one}, free=free, rhs=1.0),),
+            var_map={},
+        )
+        assert standard_form_to_sdpa_text(sdp) == _reference_system_text(sdp)
+
     @pytest.mark.parametrize("kind", ["several-chunks", "all-zero"])
     def test_instance_matches_reference(self, kind):
         rng = np.random.default_rng(3)
