@@ -1,14 +1,18 @@
-"""Size and cost probe of emission: ``build_dram`` plus ``write_sdpa``.
+"""Size and cost probe of emission: ``build_*`` plus ``write_sdpa``.
 
-For each n, builds the exact dual of
+For each n, builds one system (``--builder``, default the exact dual
+``dram``) of
 ``helpers.random_degenerate_instance(default_rng(seed), n, n, (2, 1, 1))``
-and prints the build seconds, the median seconds of three writes, the
-memory the built system holds (tracemalloc of a second build alone), its
-count of distinct arrays, the floats its constraints reference against
-their nonzeros, and the tracemalloc peak of the write alone (allocations
-made by the writer, not the system it writes).
+and prints the build seconds, the median seconds of three writes and the
+entry lines they write per second, the memory the built system holds
+(tracemalloc of a second build alone), its count of distinct arrays, the
+floats its constraints reference against their nonzeros, and the
+tracemalloc peak of the write alone (allocations made by the writer, not
+the system it writes).  ``dstrong`` takes the face spec
+``StrongDualSpec(q, r=2)`` with q a random orthonormal basis from the same
+seed.
 
-    python3 tools/emit_probe.py [--n N ...] [--seed S]
+    python3 tools/emit_probe.py [--n N ...] [--seed S] [--builder B]
 
 n defaults to 18, 24 and 30.  The builders share each coefficient matrix
 among the constraints that use it, so "stored floats" counts references
@@ -36,9 +40,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 import ramanasdp as rs  # noqa: E402
-from helpers import random_degenerate_instance  # noqa: E402
+from helpers import random_degenerate_instance, random_orthonormal  # noqa: E402
 
 RANKS = (2, 1, 1)
+BUILDERS = {
+    "dram": lambda inst, seed: rs.build_dram(inst),
+    "altram": lambda inst, seed: rs.build_alt_ram(inst),
+    "pram": lambda inst, seed: rs.build_pram(inst),
+    "dstrong": lambda inst, seed: rs.build_dstrong(
+        inst, rs.StrongDualSpec(q=random_orthonormal(np.random.default_rng(seed), inst.n), r=2)
+    ),
+}
 
 
 def array_counts(sdp) -> tuple[int, int, int]:
@@ -50,15 +62,16 @@ def array_counts(sdp) -> tuple[int, int, int]:
     return stored, sum(int(np.count_nonzero(a)) for a in arrays), len({id(a) for a in arrays})
 
 
-def probe(n: int, seed: int, path: str) -> dict:
+def probe(n: int, seed: int, builder: str, path: str) -> dict:
     inst = random_degenerate_instance(np.random.default_rng(seed), n, n, RANKS)[0]
+    build = BUILDERS[builder]
     t0 = time.perf_counter()
-    rs.build_dram(inst)
+    build(inst, seed)
     build_s = time.perf_counter() - t0
     # The held memory in a build of its own: tracemalloc slows the builder.
     tracemalloc.start()
     try:
-        sdp = rs.build_dram(inst)
+        sdp = build(inst, seed)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -75,11 +88,14 @@ def probe(n: int, seed: int, path: str) -> dict:
     finally:
         tracemalloc.stop()
     stored, nonzeros, distinct = array_counts(sdp)
+    with open(path, "rb") as fh:
+        lines = sum(1 for _ in fh) - 4  # the header takes four lines
     return {
         "n": n,
         "constraints": len(sdp.constraints),
         "build_s": build_s,
         "write_s": statistics.median(write_s),
+        "lines": lines,
         "file_mb": os.path.getsize(path) / 1e6,
         "held_mb": held / 1e6,
         "distinct_arrays": distinct,
@@ -93,14 +109,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, nargs="+", default=[18, 24, 30], help="instance orders")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--builder", choices=sorted(BUILDERS), default="dram")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.n:
-            row = probe(n, args.seed, os.path.join(tmp, f"dram-n{n}.dat-s"))
+            row = probe(n, args.seed, args.builder, os.path.join(tmp, f"{args.builder}-n{n}.dat-s"))
             print(
                 f"n {row['n']}: {row['constraints']} constraints, "
                 f"build {row['build_s']:.2f} s, write {row['write_s']:.2f} s "
-                f"({row['file_mb']:.1f} MB), holds {row['held_mb']:.1f} MB in "
+                f"({row['file_mb']:.1f} MB, {row['lines'] / row['write_s'] / 1e3:,.0f}k lines/s), "
+                f"holds {row['held_mb']:.1f} MB in "
                 f"{row['distinct_arrays']:,} distinct arrays, "
                 f"stored floats {row['stored_floats']:,}, nonzeros {row['nonzeros']:,} "
                 f"({row['nonzeros'] / row['stored_floats']:.2%}), "
