@@ -54,7 +54,7 @@ The SDPA writer formats each shared matrix once per write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,8 +71,8 @@ from .model import (
     svec_index,
     svec_order,
 )
-from .symmat import EPS_PSD, SymMat, TangentResult, check_orthonormal, classify_psd
-from .symmat import split_psd_plus_tan, tan_contains
+from .symmat import EPS_PSD, SymMat, TangentResult, classify_psd, split_psd_plus_tan, tan_contains
+from .verify import SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, pad_ladder
 
 SENSE_MIN = "min"
 SENSE_MAX = "max"
@@ -125,7 +125,6 @@ class StandardFormSdp:
     objective_free: np.ndarray
     constraints: tuple[Constraint, ...]
     var_map: dict[str, VarSlot]
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -328,7 +327,6 @@ def _ladder_system(
         objective_free=objective_free,
         constraints=tuple(cons),
         var_map=vm,
-        meta={"n": n, "m": inst.m},
     )
 
 
@@ -455,32 +453,6 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
     )
 
 
-@dataclass(frozen=True)
-class StrongDualSpec:
-    """Rotation and max-rank order pinning a strong system.
-
-    Dual side: the max-rank primal solution is Q diag(0, Λ_r) Qᵀ and the
-    trailing r-block of the rotated slack must be PSD.  Primal side: the
-    max-rank dual slack is Q diag(Λ_r, 0) Qᵀ and the leading r-block of
-    the rotated X must be PSD.
-    """
-
-    q: np.ndarray
-    r: int
-
-    def __post_init__(self):
-        q = np.array(self.q, dtype=float)
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
-
-    def validate(self, n: int) -> None:
-        check_orthonormal(self.q)
-        if self.q.shape[0] != n:
-            raise ValueError("rotation order mismatch")
-        if not 0 <= self.r <= n:
-            raise ValueError(f"r = {self.r} outside 0..{n}")
-
-
 def strong_spec_from_rr(rr) -> StrongDualSpec:
     """Dual-side spec from a feasible RR form: Q from the reformulation,
     r the order of the trailing max-rank block."""
@@ -546,7 +518,6 @@ def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
         objective_free=obj,
         constraints=tuple(cons),
         var_map=vm,
-        meta={"n": n, "m": m, "q": q.copy(), "r": r},
     )
 
 
@@ -589,7 +560,6 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
         objective_free=_frozen(obj),
         constraints=tuple(cons),
         var_map=vm,
-        meta={"n": n, "m": m, "q": q.copy(), "r": r},
     )
 
 
@@ -620,7 +590,6 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
         objective_free=no_free,
         constraints=tuple(cons),
         var_map={"Z": VarSlot(kind="block", block="Z", order=n)},
-        meta={"n": n, "m": inst.m, "ell": comp.ell},
     )
     return sdp, comp
 
@@ -648,8 +617,6 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     witnesses; the head matrix is split into its PSD part and a tangent
     part in the eigenbasis of the last U.
     """
-    from .verify import SYSTEM_DRAM, SYSTEM_PRAM, pad_ladder  # verify imports builders
-
     cert = pad_ladder(cert, inst)
     n = inst.n
     if sdp.system != cert.system:

@@ -36,21 +36,19 @@ from typing import Optional
 
 import numpy as np
 
-from .builders import StrongDualSpec
 from .model import SdpInstance
 from .sdpa import instance_to_sdpa_text
 from .symmat import SymMat
 from .verify import (
-    SYSTEM_ALTRAM,
-    SYSTEM_DRAM,
+    DUAL_LADDERS,
+    LADDER_SYSTEMS,
     SYSTEM_DSTRONG,
     SYSTEM_PRAM,
-    SYSTEM_PSTRONG,
+    SYSTEMS,
     LadderRung,
     RamanaCertificate,
+    StrongDualSpec,
 )
-
-SYSTEMS = (SYSTEM_DRAM, SYSTEM_ALTRAM, SYSTEM_PRAM, SYSTEM_DSTRONG, SYSTEM_PSTRONG)
 
 
 class CertificateFormatError(ValueError):
@@ -112,10 +110,10 @@ def certificate_to_text(
         for row in a:
             out.append(_vec_line(row))
 
-    if system in (SYSTEM_DRAM, SYSTEM_ALTRAM, SYSTEM_PRAM):
+    if system in LADDER_SYSTEMS:
         if cert is None:
             raise CertificateFormatError("ladder systems need a RamanaCertificate")
-        if system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
+        if system in DUAL_LADDERS:
             put_vec("y", cert.y)
         else:
             put_mat("X", cert.x.a)
@@ -270,7 +268,7 @@ _RUNG_RE = re.compile(r"^[UVy](\d+)$")
 
 def to_ramana_certificate(cf: CertificateFile, inst: SdpInstance) -> RamanaCertificate:
     """Assemble the ladder from named records (missing rungs are zero)."""
-    if cf.system not in (SYSTEM_DRAM, SYSTEM_ALTRAM, SYSTEM_PRAM):
+    if cf.system not in LADDER_SYSTEMS:
         raise CertificateFormatError(f"{cf.system} is not a ladder system")
     n, m = inst.n, inst.m
     max_rung = 0
@@ -283,7 +281,7 @@ def to_ramana_certificate(cf: CertificateFile, inst: SdpInstance) -> RamanaCerti
         raise CertificateFormatError(
             f"rung index {max_rung} exceeds n-1 = {n - 1}"
         )
-    with_y = cf.system in (SYSTEM_DRAM, SYSTEM_ALTRAM)
+    with_y = cf.system in DUAL_LADDERS
     rungs = []
     for i in range(1, max_rung + 1):
         u = cf.matrices.get(f"U{i}")
@@ -307,7 +305,7 @@ def to_ramana_certificate(cf: CertificateFile, inst: SdpInstance) -> RamanaCerti
 
 def to_strong_point(cf: CertificateFile):
     """(spec, point) for a strong-system certificate file."""
-    if cf.system not in (SYSTEM_DSTRONG, SYSTEM_PSTRONG):
+    if cf.system not in SYSTEMS or cf.system in LADDER_SYSTEMS:
         raise CertificateFormatError(f"{cf.system} is not a strong system")
     if "Q" not in cf.matrices or "r" not in cf.scalars:
         raise CertificateFormatError("strong certificate needs Q and r records")

@@ -73,7 +73,11 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _rr_report_payload(inst, rr, pstrong_spec) -> dict:
+def _spec_payload(spec) -> dict | None:
+    return None if spec is None else {"q": _mat_list(spec.q), "r": int(spec.r)}
+
+
+def _rr_report_payload(rr, pstrong_spec) -> dict:
     return {
         "status": rr.status,
         "k": rr.k,
@@ -82,12 +86,10 @@ def _rr_report_payload(inst, rr, pstrong_spec) -> dict:
         "q": _mat_list(rr.ref.q),
         "maxrank_x": None if rr.maxrank_x is None else _mat_list(rr.maxrank_x.a),
         "reformulated_b": [float(v) for v in rr.reformulated.b],
-        "dstrong": None
-        if rr.status != facial.STATUS_FEASIBLE
-        else {"q": _mat_list(rr.ref.q), "r": inst.n - int(sum(rr.r))},
-        "pstrong": None
-        if pstrong_spec is None
-        else {"q": _mat_list(pstrong_spec.q), "r": int(pstrong_spec.r)},
+        "dstrong": _spec_payload(
+            builders.strong_spec_from_rr(rr) if rr.status == facial.STATUS_FEASIBLE else None
+        ),
+        "pstrong": _spec_payload(pstrong_spec),
     }
 
 
@@ -114,7 +116,7 @@ def cmd_rr_form(args) -> int:
     inst_path = stem + ".rr.dat-s"
     report_path = stem + ".rr.json"
     sdpa.write_sdpa(rr.reformulated, inst_path)
-    payload = _rr_report_payload(inst, rr, pstrong_spec)
+    payload = _rr_report_payload(rr, pstrong_spec)
     payload["reformulated_file"] = inst_path
     with open(report_path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -133,18 +135,17 @@ def cmd_rr_form(args) -> int:
     return EXIT_OK
 
 
-def _strong_spec_from_report(report: dict, system: str) -> builders.StrongDualSpec:
-    key = "dstrong" if system == "dstrong" else "pstrong"
-    blob = report.get(key)
+def _strong_spec_from_report(report: dict, system: str) -> verify.StrongDualSpec:
+    blob = report.get(system)
     if not blob:
-        raise ValueError(f"rr report carries no {key} data (instance infeasible?)")
-    return builders.StrongDualSpec(q=np.array(blob["q"]), r=int(blob["r"]))
+        raise ValueError(f"rr report carries no {system} data (instance infeasible?)")
+    return verify.StrongDualSpec(q=np.array(blob["q"]), r=int(blob["r"]))
 
 
 def cmd_emit(args) -> int:
     inst = sdpa.read_sdpa(args.file)
     system = args.system
-    if system in ("dstrong", "pstrong"):
+    if system not in verify.LADDER_SYSTEMS:
         if not args.from_rr:
             raise ValueError(f"--system {system} requires --from-rr <report.json>")
         with open(args.from_rr) as fh:
@@ -159,10 +160,8 @@ def cmd_emit(args) -> int:
         sdp = builders.build_dram(inst)
     elif system == "altram":
         sdp = builders.build_alt_ram(inst)
-    elif system == "pram":
-        sdp = builders.build_pram(inst)
     else:
-        raise ValueError(f"unknown system {system!r}")
+        sdp = builders.build_pram(inst)
     out = args.out if args.out else os.path.splitext(args.file)[0] + f".{system}.dat-s"
     sdpa.write_sdpa(sdp, out)
     payload = {
@@ -189,18 +188,12 @@ def cmd_verify(args) -> int:
     inst = sdpa.read_sdpa(args.file)
     cf = certfile.read_certificate(args.cert)
     certfile.check_instance_binding(cf, inst)
-    if cf.system in ("dram", "altram", "pram"):
+    if cf.system in verify.LADDER_SYSTEMS:
         cert = certfile.to_ramana_certificate(cf, inst)
-        fn = {
-            "dram": verify.verify_dram,
-            "altram": verify.verify_alt_ram,
-            "pram": verify.verify_pram,
-        }[cf.system]
-        out = fn(inst, cert, args.eps)
+        out = verify.verify_certificate(inst, cf.system, cert=cert, eps=args.eps)
     else:
         spec, point = certfile.to_strong_point(cf)
-        side = verify.SIDE_DUAL if cf.system == "dstrong" else verify.SIDE_PRIMAL
-        out = verify.verify_strong(inst, spec, point, side, args.eps)
+        out = verify.verify_certificate(inst, cf.system, spec=spec, point=point, eps=args.eps)
     payload = {
         "system": cf.system,
         "feasible": out.ok,
@@ -303,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit", help="emit a dual/alternative system as SDPA")
     p.add_argument("file")
-    p.add_argument(
-        "--system", required=True, choices=["dram", "altram", "pram", "dstrong", "pstrong"]
-    )
+    p.add_argument("--system", required=True, choices=list(verify.SYSTEMS))
     p.add_argument("--from-rr", help="rr-form JSON report (required for strong systems)")
     p.add_argument("--out", help="output path (default: <input>.<system>.dat-s)")
     p.set_defaults(fn=cmd_emit)

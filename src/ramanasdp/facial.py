@@ -894,7 +894,7 @@ def sample_feasible(
     n = inst.n
     p = sum(rr.r)
     cur = rr.reformulated
-    center = rr.maxrank_x if rr.maxrank_x is not None else _interior_of_reduced(cur, p, rr.k)
+    center = rr.maxrank_x
     q = rr.ref.q
     out = [SymMat(q @ center.a @ q.T)]
     if p == n or count <= 1:
@@ -943,10 +943,7 @@ def primal_optimal_value(
         return 0.0
     red = _reduced_instance(cur, p, rr.k)
     null = _null_basis(constraint_stack(red))
-    witness = rr.maxrank_x
-    if witness is None:
-        witness = _interior_of_reduced(cur, p, rr.k)
-    x_start = witness.a[p:, p:]
+    x_start = rr.maxrank_x.a[p:, p:]
     fam = _smat_family(null, red.n)
     _, value = subsolver.minimize_linear_over_face(red.c.a, x_start, fam, np.zeros(null.shape[1]))
     return value

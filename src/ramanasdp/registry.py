@@ -48,7 +48,7 @@ class RegisteredCertificate:
     name: str
     system: str
     cert: Optional[verify.RamanaCertificate] = None
-    spec: Optional[builders.StrongDualSpec] = None
+    spec: Optional[verify.StrongDualSpec] = None
     point: object = None
     expected_value: Optional[float] = None
 
@@ -159,7 +159,7 @@ def _build_registry() -> dict[str, ExampleRegistryEntry]:
             RegisteredCertificate(
                 name="strong-dual-origin",
                 system="dstrong",
-                spec=builders.StrongDualSpec(q=np.eye(3), r=1),
+                spec=verify.StrongDualSpec(q=np.eye(3), r=1),
                 point=np.zeros(3),
                 expected_value=0.0,
             ),
@@ -269,7 +269,7 @@ def _build_registry() -> dict[str, ExampleRegistryEntry]:
             RegisteredCertificate(
                 name="strong-dual-trailing2",
                 system="dstrong",
-                spec=builders.StrongDualSpec(q=np.eye(4), r=2),
+                spec=verify.StrongDualSpec(q=np.eye(4), r=2),
                 point=np.array([0.0, 0.0, 1.0]),
                 expected_value=1.0,
             ),
@@ -279,7 +279,7 @@ def _build_registry() -> dict[str, ExampleRegistryEntry]:
             RegisteredCertificate(
                 name="strong-primal-leading3",
                 system="pstrong",
-                spec=builders.StrongDualSpec(q=np.eye(4), r=3),
+                spec=verify.StrongDualSpec(q=np.eye(4), r=3),
                 point=SymMat(x_half),
                 expected_value=0.0,
             ),
@@ -358,8 +358,8 @@ def classical_dual_value(inst: SdpInstance, eps: float = EPS_PSD) -> float:
     return comp.x0.inner(inst.c) - red_val
 
 
-def _close(a: float, b: float, tol: float = VALUE_TOL) -> bool:
-    return abs(a - b) <= tol * (1.0 + abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= VALUE_TOL * (1.0 + abs(b))
 
 
 def run_entry(entry_id: str, eps: float = EPS_PSD) -> EntryReport:
@@ -429,16 +429,7 @@ def run_entry(entry_id: str, eps: float = EPS_PSD) -> EntryReport:
             f"reduction certificate found = {alt.found}",
         )
     for rc in entry.certificates:
-        if rc.system in ("dram", "altram", "pram"):
-            fn = {
-                "dram": verify.verify_dram,
-                "altram": verify.verify_alt_ram,
-                "pram": verify.verify_pram,
-            }[rc.system]
-            out = fn(inst, rc.cert, eps)
-        else:
-            side = verify.SIDE_DUAL if rc.system == "dstrong" else verify.SIDE_PRIMAL
-            out = verify.verify_strong(inst, rc.spec, rc.point, side, eps)
+        out = verify.verify_certificate(inst, rc.system, rc.cert, rc.spec, rc.point, eps)
         ok = out.ok and (
             rc.expected_value is None or _close(out.value, rc.expected_value)
         )

@@ -1,5 +1,9 @@
 """Feasibility checks for exact-dual certificates and ladder normalization.
 
+The five certificate systems are named here (SYSTEMS; LADDER_SYSTEMS carry
+a ladder, DUAL_LADDERS also y^i on every rung; StrongDualSpec pins the two
+strong ones), and verify_certificate runs the check of any of them.
+
 A certificate for the exact dual is y together with a ladder
 {(y^i, U_i, V_i)} for i = 1..n-1 (zero-padded at the front when shorter);
 for the exact primal the ladder carries (U_i, V_i) only and the head
@@ -31,16 +35,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .builders import StrongDualSpec
 from .facial import STATUS_INFEASIBLE, RrForm, validate_frs
 from .model import SdpInstance, apply_a, apply_at, dual_slack
-from .symmat import EPS_PSD, PsdClass, SymMat, classify_psd, psd_plus_tan_contains, tan_contains
+from .symmat import EPS_PSD, PsdClass, SymMat, check_orthonormal, classify_psd
+from .symmat import psd_plus_tan_contains, tan_contains
 
 SYSTEM_DRAM = "dram"
 SYSTEM_ALTRAM = "altram"
 SYSTEM_PRAM = "pram"
 SYSTEM_DSTRONG = "dstrong"
 SYSTEM_PSTRONG = "pstrong"
+SYSTEMS = (SYSTEM_DRAM, SYSTEM_ALTRAM, SYSTEM_PRAM, SYSTEM_DSTRONG, SYSTEM_PSTRONG)
+LADDER_SYSTEMS = (SYSTEM_DRAM, SYSTEM_ALTRAM, SYSTEM_PRAM)
+DUAL_LADDERS = (SYSTEM_DRAM, SYSTEM_ALTRAM)  # ladders whose rungs carry y^i
 
 SIDE_DUAL = "dual"
 SIDE_PRIMAL = "primal"
@@ -71,6 +78,32 @@ class RamanaCertificate:
     ladder: tuple[LadderRung, ...] = ()
     x: Optional[SymMat] = None
     claimed_value: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class StrongDualSpec:
+    """Rotation and max-rank order pinning a strong system.
+
+    Dual side: the max-rank primal solution is Q diag(0, Λ_r) Qᵀ and the
+    trailing r-block of the rotated slack must be PSD.  Primal side: the
+    max-rank dual slack is Q diag(Λ_r, 0) Qᵀ and the leading r-block of
+    the rotated X must be PSD.
+    """
+
+    q: np.ndarray
+    r: int
+
+    def __post_init__(self):
+        q = np.array(self.q, dtype=float)
+        q.flags.writeable = False
+        object.__setattr__(self, "q", q)
+
+    def validate(self, n: int) -> None:
+        check_orthonormal(self.q)
+        if self.q.shape[0] != n:
+            raise ValueError("rotation order mismatch")
+        if not 0 <= self.r <= n:
+            raise ValueError(f"r = {self.r} outside 0..{n}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +138,7 @@ def pad_ladder(cert: RamanaCertificate, inst: SdpInstance) -> RamanaCertificate:
         raise ShapeMismatchError(f"ladder has {have} rungs, instance allows {want}")
     if have == want:
         return cert
-    with_y = cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM)
+    with_y = cert.system in DUAL_LADDERS
     pad = tuple(_zero_rung(n, m, with_y) for _ in range(want - have))
     return replace(cert, ladder=pad + tuple(cert.ladder))
 
@@ -121,7 +154,7 @@ def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate, *systems: str)
     if cert.system not in systems:
         raise ShapeMismatchError(f"certificate is for {cert.system}, not {' or '.join(systems)}")
     n, m = inst.n, inst.m
-    if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
+    if cert.system in DUAL_LADDERS:
         if cert.y is None or np.asarray(cert.y).shape != (m,):
             raise ShapeMismatchError("certificate y must be an m-vector")
         _require_finite("certificate y", cert.y)
@@ -132,7 +165,7 @@ def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate, *systems: str)
     for idx, rung in enumerate(cert.ladder, start=1):
         if rung.u.n != n or rung.v.n != n:
             raise ShapeMismatchError(f"rung {idx} matrices must have order {n}")
-        if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
+        if cert.system in DUAL_LADDERS:
             if rung.y is None or np.asarray(rung.y).shape != (m,):
                 raise ShapeMismatchError(f"rung {idx} y must be an m-vector")
             _require_finite(f"rung {idx} y", rung.y)
@@ -140,22 +173,24 @@ def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate, *systems: str)
         _require_finite(f"rung {idx} V", rung.v.a)
 
 
-def _fail(name: str, residual: float, warnings=()) -> VerifyOutcome:
-    return VerifyOutcome(
-        ok=False, violation=name, residual=residual, warnings=tuple(warnings)
-    )
+def _fail(name: str, residual: float) -> VerifyOutcome:
+    return VerifyOutcome(ok=False, violation=name, residual=residual)
 
 
 def _check_ladder(
-    inst: SdpInstance, cert: RamanaCertificate, eps: float
+    inst: SdpInstance, cert: RamanaCertificate, system: str, eps: float
 ) -> VerifyOutcome | PsdClass:
-    """Shared rung checks: the first failure, or else the classification of
-    the last U (U_0 = 0 for an empty ladder) for the head test.  Each U is
-    classified once, and its class serves the next rung's tangent test."""
+    """Shared rung checks of a ladder system: the first failure, or else the
+    classification of the last U (U_0 = 0 for an empty ladder) for the head
+    test.  A certificate of another system or shape is refused first, and a
+    short ladder is front-padded to n-1 rungs.  Each U is classified once,
+    and its class serves the next rung's tangent test."""
+    _check_cert_shape(inst, cert, system)
+    cert = pad_ladder(cert, inst)
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
     prev_cls = classify_psd(SymMat.zero(inst.n), eps)
     for idx, rung in enumerate(cert.ladder, start=1):
-        if cert.system in (SYSTEM_DRAM, SYSTEM_ALTRAM):
+        if system in DUAL_LADDERS:
             lhs = apply_at(inst, rung.y)
             combo_scale = 1.0 + lhs.norm() + rung.u.norm() + rung.v.norm()
             res = float(np.max(np.abs(lhs.a - rung.u.a - rung.v.a)))
@@ -202,9 +237,7 @@ def verify_dram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact dual; Feasible reports <b, y>."""
-    _check_cert_shape(inst, cert, SYSTEM_DRAM)
-    cert = pad_ladder(cert, inst)
-    last_u = _check_ladder(inst, cert, eps)
+    last_u = _check_ladder(inst, cert, SYSTEM_DRAM, eps)
     if isinstance(last_u, VerifyOutcome):
         return last_u
     slack = dual_slack(inst, cert.y)
@@ -219,9 +252,7 @@ def verify_alt_ram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact alternative system (Valid/Invalid)."""
-    _check_cert_shape(inst, cert, SYSTEM_ALTRAM)
-    cert = pad_ladder(cert, inst)
-    last_u = _check_ladder(inst, cert, eps)
+    last_u = _check_ladder(inst, cert, SYSTEM_ALTRAM, eps)
     if isinstance(last_u, VerifyOutcome):
         return last_u
     z = apply_at(inst, cert.y)
@@ -239,9 +270,7 @@ def verify_pram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact primal; Feasible reports <C, X>."""
-    _check_cert_shape(inst, cert, SYSTEM_PRAM)
-    cert = pad_ladder(cert, inst)
-    last_u = _check_ladder(inst, cert, eps)
+    last_u = _check_ladder(inst, cert, SYSTEM_PRAM, eps)
     if isinstance(last_u, VerifyOutcome):
         return last_u
     ares = float(np.max(np.abs(apply_a(inst, cert.x) - inst.b))) if inst.m else 0.0
@@ -301,6 +330,25 @@ def verify_strong(
     raise ValueError(f"unknown side {side!r}")
 
 
+def verify_certificate(
+    inst: SdpInstance, system: str, cert: Optional[RamanaCertificate] = None,
+    spec: Optional[StrongDualSpec] = None, point=None, eps: float = EPS_PSD,
+) -> VerifyOutcome:
+    """Run the check of ``system``: verify_dram, verify_alt_ram or
+    verify_pram on the ladder certificate ``cert``, or verify_strong on
+    ``point`` under ``spec``, dual side for dstrong and primal side for
+    pstrong."""
+    # Built per call, so that a check rebound in this module's namespace
+    # (by a tracer or a test) is the one that runs.
+    checks = {SYSTEM_DRAM: verify_dram, SYSTEM_ALTRAM: verify_alt_ram, SYSTEM_PRAM: verify_pram}
+    if system in checks:
+        return checks[system](inst, cert, eps)
+    sides = {SYSTEM_DSTRONG: SIDE_DUAL, SYSTEM_PSTRONG: SIDE_PRIMAL}
+    if system not in sides:
+        raise ValueError(f"unknown system {system!r}")
+    return verify_strong(inst, spec, point, sides[system], eps)
+
+
 def normalize_ladder(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> NormalizationReport:
@@ -312,7 +360,7 @@ def normalize_ladder(
     Reports the inferred block sizes, staircase validity, and the per-rung
     membership U_i ∈ S₊^{n, r_{1:i}} after rotation.
     """
-    _check_cert_shape(inst, cert, SYSTEM_DRAM, SYSTEM_ALTRAM)
+    _check_cert_shape(inst, cert, *DUAL_LADDERS)
     cert = pad_ladder(cert, inst)
     n = inst.n
     ys = [apply_at(inst, rung.y) for rung in cert.ladder]

@@ -1,5 +1,7 @@
-"""Source hygiene: every function parameter in the library is read, and no
-library module reads another library module's private names."""
+"""Source hygiene: every function parameter in the library is read, every
+default of a private function is passed by some call, no library module
+reads another library module's private names, and no function imports a
+library module."""
 
 import ast
 from pathlib import Path
@@ -105,3 +107,105 @@ def test_the_check_sees_foreign_private_reads():
         "m.py:1 facial._a",
         "m.py:4 facial._c",
     ]
+
+
+def _function_imports(tree: ast.AST, filename: str) -> list[str]:
+    """``file:line name`` for each import of a library module (a relative
+    import, or one of ``ramanasdp``) inside the function ``name``.  Imports
+    belong at module level, where an import cycle shows when the package
+    loads."""
+    out = []
+
+    def visit(node: ast.AST, fn) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                lib = child.level > 0 or (child.module or "").split(".")[0] == "ramanasdp"
+            elif isinstance(child, ast.Import):
+                lib = any(a.name.split(".")[0] == "ramanasdp" for a in child.names)
+            else:
+                lib = False
+            if lib and fn is not None:
+                out.append(f"{filename}:{child.lineno} {fn}")
+            visit(child, fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_no_function_imports_a_library_module():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _function_imports(ast.parse(path.read_text()), path.name)
+    assert found == []
+
+
+def test_the_check_sees_function_imports():
+    tree = ast.parse(
+        "import json\n"
+        "from .verify import x\n"
+        "def f():\n    from .verify import y\n    import json\n    return y\n"
+        "def g():\n    def h():\n        import ramanasdp.facial\n    from . import sdpa\n"
+    )
+    assert _function_imports(tree, "m.py") == ["m.py:4 f", "m.py:9 h", "m.py:10 g"]
+
+
+def _unpassed_defaults(tree: ast.AST, filename: str) -> list[str]:
+    """``file:line name(param)`` for each defaulted parameter of a private
+    function that no call in the module passes, by position or by keyword.
+
+    A call is one whose callee is the function's name or an attribute of
+    that name; a call through an attribute binds a method's ``self`` or
+    ``cls`` first, and one with ``*args`` or ``**kwargs`` may pass anything."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, index, param: str, method: bool) -> bool:
+        if any(isinstance(x, ast.Starred) for x in call.args):
+            return True
+        if any(k.arg in (None, param) for k in call.keywords):
+            return True
+        bound = method and isinstance(call.func, ast.Attribute)
+        return index is not None and index - bound < len(call.args)
+
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not _private(fn.name):
+            continue
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        method = positional[:1] in (["self"], ["cls"])
+        first = len(positional) - len(a.defaults)
+        defaulted = [(i, positional[i]) for i in range(first, len(positional))]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out += [
+            f"{filename}:{fn.lineno} {fn.name}({param})"
+            for index, param in defaulted
+            if not any(passes(c, index, param, method) for c in calls.get(fn.name, []))
+        ]
+    return out
+
+
+def test_every_default_of_a_private_function_is_passed_somewhere():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _unpassed_defaults(ast.parse(path.read_text()), path.name)
+    assert found == []
+
+
+def test_the_check_sees_unpassed_defaults():
+    tree = ast.parse(
+        "def _f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+        "_f(0, 1)\n_f(0, e=5)\n"
+        "def _g(a, b=1):\n    return a\n"
+        "_g(*xs)\n"
+        "def public(a=1):\n    return a\n"
+        "class K:\n    def _m(self, a=1, b=2):\n        return a\n"
+        "    def run(self):\n        return self._m(0)\n"
+    )
+    assert _unpassed_defaults(tree, "m.py") == ["m.py:1 _f(c)", "m.py:1 _f(d)", "m.py:11 _m(b)"]

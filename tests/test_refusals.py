@@ -28,8 +28,8 @@ from ramanasdp import (
     normalize_ladder,
     registry,
     verify_alt_ram,
+    verify_certificate,
     verify_dram,
-    verify_pram,
     verify_strong,
 )
 
@@ -46,13 +46,6 @@ PSTRONG = (GAP_RR, "strong-primal-leading3")  # Q = I, r = 3
 def _base(entry_id: str, name: str):
     entry = registry.get(entry_id)
     return entry.instance, next(rc for rc in entry.certificates if rc.name == name)
-
-
-def _check(inst, system, cert=None, spec=None, point=None):
-    if system in ("dstrong", "pstrong"):
-        return verify_strong(inst, spec, point, "dual" if system == "dstrong" else "primal")
-    fn = {"dram": verify_dram, "altram": verify_alt_ram, "pram": verify_pram}[system]
-    return fn(inst, cert)
 
 
 def _rung(cert, i: int, **fields):
@@ -105,13 +98,9 @@ VIOLATIONS = [
      _cert(lambda c: replace(c, y=np.array([0.0, 0, 1]))),
      "head: C - 𝒜*y not in S₊ + tan(U_{n-1})"),
     # altram: example 2.15's ladder, rung 2 is y^2 = e_1, U_2 = diag(1, 0, 0);
-    # the head y = e_2 has <b, y> = -1.
-    ("altram-rung-decomposition", INFEASIBLE,
-     _cert(lambda c: _rung(c, 2, u=SymMat.diag([2, 0, 0]))),
-     "rung 2: 𝒜*y^2 != U_2 + V_2"),
-    # Rung 2 follows U_1 = 0, so V_2 = 0 and U_2 = 𝒜*y^2 is PSD only for
-    # y^2 along e_1: no change of the certificate alone moves <b, y^2> off
-    # zero.  b_1 moves instead; the head's y = e_2 keeps <b, y> = -1.
+    # the head y = e_2 has <b, y> = -1.  Rung 2 follows U_1 = 0, so V_2 = 0
+    # and U_2 = 𝒜*y^2 is PSD only for y^2 along e_1: no change of the
+    # certificate alone moves <b, y^2> off zero.  b_1 moves instead.
     ("altram-rung-b", INFEASIBLE,
      lambda inst, kw: (_with(inst, b=np.array([0.5, -1.0])), kw),
      "rung 2: <b, y^2> != 0"),
@@ -158,9 +147,9 @@ def _kw(rc) -> dict:
                          [row[1:] for row in VIOLATIONS], ids=[row[0] for row in VIOLATIONS])
 def test_corruption_reports_its_violation(base, corrupt, violation):
     inst, rc = _base(*base)
-    assert _check(inst, rc.system, **_kw(rc)).ok
+    assert verify_certificate(inst, rc.system, **_kw(rc)).ok
     bad_inst, kw = corrupt(inst, _kw(rc))
-    out = _check(bad_inst, rc.system, **kw)
+    out = verify_certificate(bad_inst, rc.system, **kw)
     assert not out.ok
     assert out.violation.startswith(violation)
 
@@ -225,10 +214,16 @@ RAISES = [
                          [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
 def test_corruption_raises(base, corrupt, exc, match):
     inst, rc = _base(*base)
-    assert _check(inst, rc.system, **_kw(rc)).ok
+    assert verify_certificate(inst, rc.system, **_kw(rc)).ok
     bad_inst, kw = corrupt(inst, _kw(rc))
     with pytest.raises(exc, match=match):
-        _check(bad_inst, rc.system, **kw)
+        verify_certificate(bad_inst, rc.system, **kw)
+
+
+def test_dispatch_refuses_an_unknown_system():
+    inst, rc = _base(*UNATTAINED)
+    with pytest.raises(ValueError, match="unknown system 'ram'"):
+        verify_certificate(inst, "ram", cert=rc.cert)
 
 
 def test_strong_check_refuses_an_unknown_side():

@@ -26,6 +26,7 @@ from ramanasdp import (
     symmat,
     validate_frs,
     verify_alt_ram,
+    verify_certificate,
     verify_dram,
     verify_pram,
     verify_strong,
@@ -380,13 +381,6 @@ def _registry_certificates():
     ]
 
 
-def _check(inst, system, cert=None, spec=None, point=None):
-    if system in ("dstrong", "pstrong"):
-        return verify_strong(inst, spec, point, "dual" if system == "dstrong" else "primal")
-    fn = {"dram": verify_dram, "altram": verify_alt_ram, "pram": verify_pram}[system]
-    return fn(inst, cert)
-
-
 def _last_entry_set(values, bad):
     out = np.array(values, dtype=float)
     out.flat[-1] = bad
@@ -425,12 +419,12 @@ class TestNonFiniteRefused:
     def test_every_verify_refuses_one_non_finite_entry(self, bad):
         systems = set()
         for inst, rc in _registry_certificates():
-            assert _check(inst, rc.system, cert=rc.cert, spec=rc.spec, point=rc.point).ok
+            assert verify_certificate(inst, rc.system, rc.cert, rc.spec, rc.point).ok
             variants = _non_finite_variants(rc, bad)
             assert variants
             for kw in variants:
                 with pytest.raises(ValueError, match="non-finite"):
-                    _check(inst, rc.system, **kw)
+                    verify_certificate(inst, rc.system, **kw)
             systems.add(rc.system)
         assert systems == {"dram", "altram", "pram", "dstrong", "pstrong"}
 
@@ -448,7 +442,7 @@ def test_certificate_for_another_system_refused(tag, check):
     certs = {rc.system: rc.cert for rc in entry.certificates if rc.cert is not None}
     cert = replace(certs["pram" if tag == "pram" else "dram"], system=tag)
     with pytest.raises(ShapeMismatchError, match=f"certificate is for {tag}, not {check}"):
-        _check(entry.instance, check, cert=cert)
+        verify_certificate(entry.instance, check, cert=cert)
 
 
 def _staircase_instance(b4: float) -> SdpInstance:
