@@ -16,8 +16,11 @@ n, m and the system tag), followed by named records:
     1.0 0.0 0.0 0.0
     ...
 
-Ladder records are named y1..y{n-1}, U1..U{n-1}, V1..V{n-1}; a missing
-record is zero (certificates are front-padded on verification anyway).
+A ladder of k <= n-1 rungs is stored as records y1..yk, U1..Uk, V1..Vk,
+k the highest index present; a missing record below it is zero.
+Verification front-pads the ladder with zero rungs to n-1, so record j is
+rung n-1-k+j: a file with k < n-1 holds the *last* k rungs, and a
+violation in record Uj is reported at rung n-1-k+j.
 A number that is not finite or not a number at all, a repeated record, a
 record line without its name and value or length, a negative length and
 a header n or m that is not an integer make the file malformed; the

@@ -44,7 +44,7 @@ from ramanasdp.sdpa import (
     standard_form_to_sdpa_text,
     varmap_sidecar_text,
 )
-from ramanasdp import StrongDualSpec
+from ramanasdp import StrongDualSpec, registry, verify_dram
 from ramanasdp.verify import LadderRung, RamanaCertificate
 
 from helpers import (
@@ -455,6 +455,22 @@ class TestCertificateFiles:
         spec2, y = to_strong_point(cf)
         assert spec2.r == 2 and np.array_equal(spec2.q, spec.q)
         assert np.array_equal(y, [0.0, 0, 1])
+
+    def test_short_ladder_records_are_the_last_rungs(self):
+        # A file whose records run y1, U1, V1 .. yk, Uk, Vk with k < n - 1 is
+        # read as the last k rungs, so record j is rung n - 1 - k + j.  Here
+        # n = 4 and k = 2: a broken U1 is reported at rung 2.
+        entry = registry.get("example-2.5-rr")
+        inst = entry.instance
+        cert = next(rc.cert for rc in entry.certificates if rc.name == "exact-dual-ladder")
+        short = dataclasses.replace(cert, ladder=cert.ladder[1:])
+        text = certificate_to_text(inst, "dram", cert=short)
+        assert "matrix U3" not in text
+        assert verify_dram(inst, to_ramana_certificate(parse_certificate_text(text), inst)).ok
+        bad = text.replace("matrix U1 4\n1.0 ", "matrix U1 4\n-1.0 ")
+        assert bad != text
+        out = verify_dram(inst, to_ramana_certificate(parse_certificate_text(bad), inst))
+        assert out.violation == "rung 2: 𝒜*y^2 != U_2 + V_2"
 
     def test_hash_binding_rejects_wrong_instance(self, tmp_path):
         path = tmp_path / "c.cert"
