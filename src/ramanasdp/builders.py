@@ -12,22 +12,61 @@ is tied entrywise to U; W and R are addressed as sub-blocks of T, and V
 is the derived expression W + Wᵀ.
 
 The exact dual, the exact alternative system and the exact primal share
-one ladder, assembled once: rungs i = 1..n-1 with PSD blocks U_i and
+one ladder, assembled once: rungs i = 1..L with PSD blocks U_i and
 V_i ∈ tan(U_{i-1}) carried by a coupling block T_i (none for i = 1, as
-U_0 = 0), under a head Z = P + V_n with P PSD and V_n ∈ tan(U_{n-1})
-carried by T_n, named Thead.  The three systems differ only in Z
-(C - 𝒜*y, 𝒜*y or X) and in the rung equations.  Order 1 is the
-zero-rung ladder: one block P with Z = P.  For every n the ladder has
-2n-1 PSD blocks (n of order n, n-1 of order 2n); the exact dual with m
-equalities has m·n free scalars.
+U_0 = 0), under a head Z = P + V_head with P PSD and V_head ∈ tan(U_L)
+carried by the coupling block Thead.  The three systems differ in Z
+(C - 𝒜*y, 𝒜*y or X), in the rung equations and in L: the exact primal
+has L = n - 1 rungs, as its U_i + V_i range over the null space of
+(𝒜, C); the exact dual and the alternative system have
+L = min(n - 1, m), proved below.  L = 0 is the zero-rung ladder: one
+block P with Z = P.  A ladder of L rungs has 2L + 1 PSD blocks (L + 1 of
+order n, L of order 2n); the exact dual with m equalities has m·(L + 1)
+free scalars y, y^1..y^L.
+
+Why min(n - 1, m) rungs suffice.  Write Y|K for the quadratic form of a
+symmetric Y restricted to a subspace K.  V ∈ tan(U) exactly when
+V|ker U = 0, so Z ∈ S₊ + tan(U) exactly when Z|ker U ⪰ 0.  Take a
+feasible dram or altram ladder of n - 1 rungs, Y_i = 𝒜*y^i = U_i + V_i,
+and let K_0 = Rⁿ, K_i = {x ∈ K_{i-1} : xᵀY_i x = 0}.
+
+  (a) Y_i|K_{i-1} ⪰ 0 and K_i ⊆ ker U_i.  By induction K_{i-1} ⊆
+      ker U_{i-1}, so V_i|K_{i-1} = 0 and Y_i|K_{i-1} = U_i|K_{i-1} ⪰ 0.
+      K_i is then the kernel of that PSD form, a subspace, and x ∈ K_i
+      has xᵀU_i x = 0, hence U_i x = 0.
+  (b) Call rung i strict when Y_i|K_{i-1} ≠ 0; a rung that is not strict
+      leaves K_i = K_{i-1}.  The y^i of the strict rungs are linearly
+      independent: in a combination Σ c_i y^i = 0 over them, let j be the
+      last index with c_j ≠ 0 and restrict Σ c_i Y_i = 0 to K_{j-1}.  An
+      earlier Y_i vanishes there, as K_{j-1} ⊆ K_i and Y_i|K_i = 0, which
+      leaves c_j Y_j|K_{j-1} = 0, a contradiction.  So at most
+      min(n - 1, m) rungs are strict.  (They also lie in b^⊥, so at most
+      m - 1 when b ≠ 0; the bound min(n - 1, m) covers b = 0 as well.)
+  (c) Keep the strict rungs in order, front-padded with zero rungs, and
+      replace each strict rung's pair by U' = ΠY_iΠ + (I - Π),
+      V' = Y_i - U', Π the orthogonal projector onto K_{i-1}.  Then U' is
+      PSD by (a) with ker U' = K_i, and V'|K_{i-1} = 0 where K_{i-1} is
+      the kernel of the previous kept U' (Rⁿ before the first), so
+      V' ∈ tan of it; y^i and <b, y^i> = 0 are unchanged.  The last kept
+      kernel is K_{n-1} ⊆ ker U_{n-1}, so the head Z, which has
+      Z|ker U_{n-1} ⪰ 0, passes with the same y.
+
+So every feasible y of the (n - 1)-rung system is feasible for the
+L-rung system, and a short ladder front-padded with zero rungs is an
+(n - 1)-rung one: the two systems have the same feasible y, the same
+value and the same feasibility.  The strict rungs are those with r_i > 0
+in normalize_ladder's report (r_i = dim K_{i-1} - dim K_i).
+embed_certificate does not normalize: it takes a ladder whose rungs
+before its last L are exactly zero, as lift_from_strong and
+alt_ram_from_rr make them, and refuses any other with the reason.
 
 Systems built:
 
-  * build_dram     — the exact dual: max <b,y> with an n-1 rung ladder
+  * build_dram     — the exact dual: max <b,y> with an L rung ladder
                      y^i, U_i, V_i and head constraint
-                     C - 𝒜*y ∈ S₊ + tan(U_{n-1}).
+                     C - 𝒜*y ∈ S₊ + tan(U_L).
   * build_alt_ram  — the exact alternative system: same ladder, head
-                     𝒜*y ∈ S₊ + tan(U_{n-1}) and <b, y> = -1; feasible
+                     𝒜*y ∈ S₊ + tan(U_L) and <b, y> = -1; feasible
                      exactly when the primal is infeasible.
   * build_pram     — the exact primal of the dual: min <C,X> subject to
                      𝒜X = b, a ladder with 𝒜(U_i+V_i) = 0 and
@@ -72,7 +111,7 @@ from .model import (
     svec_order,
 )
 from .symmat import EPS_PSD, SymMat, TangentResult, classify_psd, split_psd_plus_tan, tan_contains
-from .verify import SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, pad_ladder
+from .verify import SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length, pad_ladder
 
 SENSE_MIN = "min"
 SENSE_MAX = "max"
@@ -212,10 +251,13 @@ def _free_sym_coeffs(a: np.ndarray) -> np.ndarray:
 
 
 def dram_size(n: int, m: int) -> tuple[int, int]:
-    """(PSD block count, free scalar count) of the exact dual: n-1 rungs
-    U_i, n-1 coupling blocks T_2..T_n and the head P, with y, y^1..y^{n-1}
-    free.  Order 1 is the zero-rung ladder: one block P, m scalars."""
-    return 2 * n - 1, m * n
+    """(PSD block count, free scalar count) of the exact dual and of the
+    alternative system: L = min(n-1, m) rungs U_1..U_L, L coupling blocks
+    T_2..T_L and Thead, and the head P, with y, y^1..y^L free, so
+    (2L + 1, m·(L + 1)).  L = 0 (order 1, or no equations) is the
+    zero-rung ladder: one block P, m scalars."""
+    rungs = dual_ladder_length(n, m)
+    return 2 * rungs + 1, m * (rungs + 1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -247,6 +289,7 @@ def _ladder_system(
     system: str,
     sense: str,
     *,
+    count: int,
     rungs: Iterable[Iterable[tuple]],
     rung_sign: float,
     head_sign: float,
@@ -259,12 +302,13 @@ def _ladder_system(
 ) -> StandardFormSdp:
     """The one ladder assembly behind dram, altram and pram.
 
-    Rows, in order: first; for each rung i = 1..n-1 its rows (suffix, K,
+    Rows, in order: first; for each rung i = 1..count its rows (suffix, K,
     free) from rungs, read as rung_sign·<K, U_i + V_i> + free·u = 0 (no
-    mats when K is None); the corner ties T_i[:n, :n] = U_{i-1} for i = 2..n;
-    the head rows head_sign·(P + Vhead) + head_free[idx]·u = head_rhs
-    entrywise in svec order; last.  With n = 1 there are no rungs, no
-    coupling blocks and no ties, and the head reads head_sign·P.  No
+    mats when K is None); the corner ties T_i[:n, :n] = U_{i-1} for
+    i = 2..count+1, T_{count+1} being Thead; the head rows
+    head_sign·(P + Vhead) + head_free[idx]·u = head_rhs entrywise in svec
+    order; last.  With count = 0 there are no rungs, no coupling blocks and
+    no ties, and the head reads head_sign·P.  No
     coefficient matrix depends on the rung: each distinct one is made once,
     frozen, and shared by every row that uses it.
     """
@@ -273,12 +317,12 @@ def _ladder_system(
     shared: dict = {}  # _plus_tangent's matrices
     tie_mats = [(_frozen(_e_sym(2 * n, p, q)), _frozen(-_e_sym(n, p, q))) for p, q in svec_order(n)]
     no_free = _frozen(np.zeros(n_free))
-    blocks = [PsdBlock(f"U{i}", n) for i in range(1, n)]
-    vm = {f"U{i}": VarSlot(kind="block", block=f"U{i}", order=n) for i in range(1, n)}
-    coupling = {}  # rung i -> its coupling block T_i; rung n is the head
+    blocks = [PsdBlock(f"U{i}", n) for i in range(1, count + 1)]
+    vm = {f"U{i}": VarSlot(kind="block", block=f"U{i}", order=n) for i in range(1, count + 1)}
+    coupling = {}  # rung i -> its coupling block T_i; rung count+1 is the head
     ties = []
-    for i in range(2, n + 1):
-        tag = "head" if i == n else str(i)
+    for i in range(2, count + 2):
+        tag = "head" if i == count + 1 else str(i)
         t = coupling[i] = f"T{tag}"
         blocks.append(PsdBlock(t, 2 * n))
         vm[f"W{tag}"] = VarSlot(
@@ -312,7 +356,9 @@ def _ladder_system(
         cons.append(
             Constraint(
                 name=f"head_decomp[{p},{q}]",
-                mats=_plus_tangent("P", coupling.get(n), _e_sym(n, p, q), head_sign, shared),
+                mats=_plus_tangent(
+                    "P", coupling.get(count + 1), _e_sym(n, p, q), head_sign, shared
+                ),
                 free=head_free[idx],
                 rhs=float(head_rhs[p, q]),
             )
@@ -355,10 +401,12 @@ def _dual_ladder(
     objective_free: np.ndarray,
     last: Sequence[Constraint] = (),
 ) -> StandardFormSdp:
-    """dram and altram: free y, y^1..y^{n-1} (y^i at offset m·i); rung i
-    reads 𝒜*y^i = U_i + V_i entrywise and <b, y^i> = 0."""
+    """dram and altram: free y, y^1..y^L (y^i at offset m·i), L =
+    min(n-1, m); rung i reads 𝒜*y^i = U_i + V_i entrywise and
+    <b, y^i> = 0."""
     n, m = inst.n, inst.m
-    n_free = m * n
+    count = dual_ladder_length(n, m)
+    n_free = m * (count + 1)
     units = [_e_sym(n, p, q) for p, q in svec_order(n)]  # one K per entry, for every rung
 
     def rung(i):  # a generator, so one rung's rows are alive at a time
@@ -368,13 +416,14 @@ def _dual_ladder(
         yield "rhs", None, _b_row(inst, n_free, m * i)
 
     slots = {"y": VarSlot(kind="free_vec", offset=0, length=m)}
-    for i in range(1, n):
+    for i in range(1, count + 1):
         slots[f"y{i}"] = VarSlot(kind="free_vec", offset=m * i, length=m)
     return _ladder_system(
         inst,
         system,
         SENSE_MAX,
-        rungs=(rung(i) for i in range(1, n)),
+        count=count,
+        rungs=(rung(i) for i in range(1, count + 1)),
         rung_sign=-1.0,
         head_sign=head_sign,
         head_free=_at_rows(inst, n_free, 0),
@@ -388,12 +437,12 @@ def _dual_ladder(
 def build_dram(inst: SdpInstance) -> StandardFormSdp:
     """The exact dual as an explicit SDP: max <b, y> over the ladder lift.
 
-    Free variables are y followed by y^1..y^{n-1}; the head constraint
-    C - 𝒜*y = P + (Whead + Wheadᵀ) encodes membership in S₊ + tan(U_{n-1}).
-    The order-1 instance is the zero-rung ladder C - 𝒜*y = P, the
-    classical dual.
+    Free variables are y followed by y^1..y^L, L = min(n-1, m); the head
+    constraint C - 𝒜*y = P + (Whead + Wheadᵀ) encodes membership in
+    S₊ + tan(U_L).  The order-1 instance is the zero-rung ladder
+    C - 𝒜*y = P, the classical dual.
     """
-    n_free = inst.m * inst.n
+    n_free = dram_size(inst.n, inst.m)[1]
     return _dual_ladder(inst, "dram", 1.0, inst.c.a, _b_row(inst, n_free, 0))
 
 
@@ -403,7 +452,7 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
     Same ladder as the exact dual; the head becomes 𝒜*y = P + V with
     <b, y> = -1 and there is no objective.
     """
-    n, n_free = inst.n, inst.m * inst.n
+    n, n_free = inst.n, dram_size(inst.n, inst.m)[1]
     head_rhs = Constraint(name="head_rhs", mats={}, free=_b_row(inst, n_free, 0), rhs=-1.0)
     return _dual_ladder(
         inst, "altram", -1.0, np.zeros((n, n)), _frozen(np.zeros(n_free)), (head_rhs,)
@@ -442,6 +491,7 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
         inst,
         "pram",
         SENSE_MIN,
+        count=n - 1,
         rungs=[rows] * (n - 1),
         rung_sign=1.0,
         head_sign=-1.0,
@@ -603,6 +653,10 @@ def _utri_values(a: np.ndarray) -> np.ndarray:
     return a[svec_index(a.shape[0])]
 
 
+def _is_zero_rung(rung) -> bool:
+    return not (np.any(rung.u.a) or np.any(rung.v.a) or (rung.y is not None and np.any(rung.y)))
+
+
 def _coupling_block(u: SymMat, res: TangentResult) -> np.ndarray:
     """[[U, W],[Wᵀ, R]] from the synthesized witness of a tan(U) test."""
     if not res.member:
@@ -613,20 +667,34 @@ def _coupling_block(u: SymMat, res: TangentResult) -> np.ndarray:
 def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float = EPS_PSD) -> Assignment:
     """Map a verified ladder certificate onto the emitted SDP's variables.
 
-    Tangent memberships become explicit coupling blocks via synthesized
-    witnesses; the head matrix is split into its PSD part and a tangent
-    part in the eigenbasis of the last U.
+    The ladder is fitted to the system's L rungs (n-1 for pram,
+    min(n-1, m) for dram and altram): a shorter one is front-padded with
+    zero rungs, and the rungs before its last L are dropped when they are
+    exactly zero.  A ladder with more than L rungs from its first nonzero
+    one is refused; the module docstring shows that a feasible one
+    normalizes to at most L.  Tangent memberships become explicit coupling
+    blocks via synthesized witnesses; the head matrix is split into its
+    PSD part and a tangent part in the eigenbasis of the last U.
     """
-    cert = pad_ladder(cert, inst)
+    ladder = pad_ladder(cert, inst).ladder
     n = inst.n
     if sdp.system != cert.system:
         raise ValueError(f"certificate is for {cert.system}, SDP is {sdp.system}")
+    count = n - 1 if sdp.system == SYSTEM_PRAM else dual_ladder_length(n, inst.m)
+    cut = n - 1 - count
+    held = [i for i, rung in enumerate(ladder[:cut]) if not _is_zero_rung(rung)]
+    if held:
+        raise ValueError(
+            f"ladder has {n - 1 - held[0]} rungs from its first nonzero one; "
+            f"the {sdp.system} system holds {count} = min(n - 1, m)"
+        )
+    ladder = ladder[cut:]
     if sdp.system == SYSTEM_PRAM:
         free = _utri_values(cert.x.a)
         head_z = cert.x
     else:
         parts = [np.asarray(cert.y, dtype=float)]
-        parts += [np.asarray(r.y, dtype=float) for r in cert.ladder]
+        parts += [np.asarray(r.y, dtype=float) for r in ladder]
         free = np.concatenate(parts)
         head_z = (
             dual_slack(inst, cert.y)
@@ -635,7 +703,7 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
         )
     blocks: dict[str, np.ndarray] = {}
     prev_u = SymMat.zero(n)
-    for i, rung in enumerate(cert.ladder, start=1):
+    for i, rung in enumerate(ladder, start=1):
         blocks[f"U{i}"] = rung.u.a.copy()
         if i >= 2:
             blocks[f"T{i}"] = _coupling_block(prev_u, tan_contains(prev_u, rung.v, eps))
@@ -644,7 +712,7 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     ucls = classify_psd(prev_u, eps)
     p_head, v_head = split_psd_plus_tan(ucls, head_z, eps)
     blocks["P"] = p_head.a.copy()
-    if n > 1:
+    if count:
         blocks["Thead"] = _coupling_block(prev_u, tan_contains(ucls, v_head, eps))
     return Assignment(blocks=blocks, free=free)
 

@@ -18,9 +18,9 @@ n, m and the system tag), followed by named records:
 
 A ladder of k <= n-1 rungs is stored as records y1..yk, U1..Uk, V1..Vk,
 k the highest index present; a missing record below it is zero.
-Verification front-pads the ladder with zero rungs to n-1, so record j is
-rung n-1-k+j: a file with k < n-1 holds the *last* k rungs, and a
-violation in record Uj is reported at rung n-1-k+j.
+Record j is rung n-1-k+j: a file with k < n-1 holds the *last* k rungs,
+the rungs before them are zero, and a violation in record Uj is reported
+at rung n-1-k+j.
 A number that is not finite or not a number at all, a repeated record, a
 record line without its name and value or length, a negative length and
 a header n or m that is not an integer make the file malformed; the
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SdpInstance
-from .sdpa import instance_to_sdpa_text
+from .sdpa import instance_chunks
 from .symmat import SymMat
 from .verify import (
     DUAL_LADDERS,
@@ -75,7 +75,11 @@ class CertificateFile:
 
 
 def instance_digest(inst: SdpInstance) -> str:
-    return hashlib.sha256(instance_to_sdpa_text(inst).encode()).hexdigest()
+    """SHA-256 of the instance's SDPA text, hashed one chunk at a time."""
+    digest = hashlib.sha256()
+    for chunk in instance_chunks(inst):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def _fmt(x: float) -> str:

@@ -101,7 +101,7 @@ def cmd_rr_form(args) -> int:
         try:
             _, comp = builders.build_red(inst)
             rr_red = facial.build_rr_form(builders.red_to_instance(comp), eps=args.eps)
-            if rr_red.status == facial.STATUS_FEASIBLE and rr_red.maxrank_x is not None:
+            if rr_red.status == facial.STATUS_FEASIBLE:
                 q_red = rr_red.ref.q
                 slack = q_red @ rr_red.maxrank_x.a @ q_red.T
                 pstrong_spec = builders.pstrong_spec_from_slack(SymMat(slack), args.eps)
@@ -126,7 +126,7 @@ def cmd_rr_form(args) -> int:
         f"reformulated instance written to {inst_path}",
         f"report written to {report_path}",
     ]
-    if rr.status == facial.STATUS_FEASIBLE and rr.maxrank_x is not None:
+    if rr.status == facial.STATUS_FEASIBLE:
         rank = classify_psd(rr.maxrank_x, args.eps).rank
         lines.insert(2, f"maximum feasible rank: {rank}")
     else:

@@ -386,8 +386,7 @@ def run_entry(entry_id: str, eps: float = EPS_PSD) -> EntryReport:
     if facts.feasible:
         check(
             "rr-witness",
-            rr.maxrank_x is not None
-            and facial.is_rr_form(rr.reformulated, rr.k, rr.maxrank_x, eps),
+            facial.is_rr_form(rr.reformulated, rr.k, rr.maxrank_x, eps),
             "reformulated instance passes the RR definition",
         )
         if facts.primal_value is not None:

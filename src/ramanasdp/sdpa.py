@@ -145,7 +145,7 @@ def _sdpa_chunks(
         yield "".join(pieces)
 
 
-def _instance_chunks(inst: SdpInstance) -> Iterator[str]:
+def instance_chunks(inst: SdpInstance) -> Iterator[str]:
     """The header, then one chunk per matrix: an instance's matrices do not
     repeat, so nothing is kept from one matrix to the next."""
     yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]) + "\n"
@@ -154,7 +154,7 @@ def _instance_chunks(inst: SdpInstance) -> Iterator[str]:
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
-    return "".join(_instance_chunks(inst))
+    return "".join(instance_chunks(inst))
 
 
 def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
@@ -207,7 +207,7 @@ def write_sdpa(obj: Union[SdpInstance, StandardFormSdp], path: str) -> None:
     The text is written chunk by chunk as it is formatted; if formatting
     fails part way, the partial file is removed."""
     if isinstance(obj, SdpInstance):
-        chunks = _instance_chunks(obj)
+        chunks = instance_chunks(obj)
         sidecar = None
     elif isinstance(obj, StandardFormSdp):
         chunks = _standard_form_chunks(obj)

@@ -5,9 +5,12 @@ a ladder, DUAL_LADDERS also y^i on every rung; StrongDualSpec pins the two
 strong ones), and verify_certificate runs the check of any of them.
 
 A certificate for the exact dual is y together with a ladder
-{(y^i, U_i, V_i)} for i = 1..n-1 (zero-padded at the front when shorter);
-for the exact primal the ladder carries (U_i, V_i) only and the head
-variable is X.  Verification walks the fixed check order
+{(y^i, U_i, V_i)} for i = 1..n-1; for the exact primal the ladder
+carries (U_i, V_i) only and the head variable is X.  A ladder of k < n-1
+rungs holds the last k, and the rungs before them are zero.  Emitted
+dram and altram systems hold L = min(n-1, m) rungs (dual_ladder_length),
+and lifted certificates have L rungs.  Verification walks the fixed check
+order
 
     rung i:  𝒜*y^i = U_i + V_i,  <b, y^i> = 0,  U_i PSD,  V_i ∈ tan(U_{i-1})
     head:    C - 𝒜*y ∈ S₊ + tan(U_{n-1})        (dual)
@@ -18,8 +21,8 @@ and reports the first violated constraint with its residual.  Membership
 in S₊ + tan(U) is decided by one trailing-block PSD test in U's
 eigenbasis, which is exact for this set.  The head reuses the
 classification of U_{n-1} made at the last rung, and each rung's tangent
-test reuses the class of U_{i-1} made at the rung before, so a ladder of L
-rungs costs L + 2 decompositions: U_0 = 0, each U_i, then the head block.
+test reuses the class of U_{i-1} made at the rung before, so a ladder of k
+rungs costs k + 2 decompositions: U_0 = 0, each U_i, then the head block.
 
 normalize_ladder implements the inductive rotation that puts the matrices
 𝒜*y^1, ..., 𝒜*y^{n-1} of any feasible certificate into regular facial
@@ -129,18 +132,34 @@ def _zero_rung(n: int, m: int, with_y: bool) -> LadderRung:
     )
 
 
-def pad_ladder(cert: RamanaCertificate, inst: SdpInstance) -> RamanaCertificate:
-    """Zero-pad a short ladder at the front to exactly n-1 rungs."""
-    n, m = inst.n, inst.m
-    want = n - 1
+def dual_ladder_length(n: int, m: int) -> int:
+    """L = min(n - 1, m), the rungs a dram or altram ladder needs: the
+    builders module docstring proves that a feasible ladder of n - 1 rungs
+    normalizes to one with at most L nonzero rungs and the same y."""
+    return min(n - 1, m)
+
+
+def _rung_offset(cert: RamanaCertificate, want: int) -> int:
+    """How many zero rungs front-pad the ladder to ``want`` rungs; a longer
+    ladder is refused."""
     have = len(cert.ladder)
     if have > want:
         raise ShapeMismatchError(f"ladder has {have} rungs, instance allows {want}")
-    if have == want:
+    return want - have
+
+
+def _front_pad(cert: RamanaCertificate, inst: SdpInstance, want: int) -> RamanaCertificate:
+    missing = _rung_offset(cert, want)
+    if not missing:
         return cert
     with_y = cert.system in DUAL_LADDERS
-    pad = tuple(_zero_rung(n, m, with_y) for _ in range(want - have))
+    pad = tuple(_zero_rung(inst.n, inst.m, with_y) for _ in range(missing))
     return replace(cert, ladder=pad + tuple(cert.ladder))
+
+
+def pad_ladder(cert: RamanaCertificate, inst: SdpInstance) -> RamanaCertificate:
+    """Zero-pad a short ladder at the front to exactly n-1 rungs."""
+    return _front_pad(cert, inst, inst.n - 1)
 
 
 def _require_finite(what: str, values) -> None:
@@ -182,14 +201,16 @@ def _check_ladder(
 ) -> VerifyOutcome | PsdClass:
     """Shared rung checks of a ladder system: the first failure, or else the
     classification of the last U (U_0 = 0 for an empty ladder) for the head
-    test.  A certificate of another system or shape is refused first, and a
-    short ladder is front-padded to n-1 rungs.  Each U is classified once,
-    and its class serves the next rung's tangent test."""
+    test.  A certificate of another system or shape is refused first.  Only
+    the rungs the certificate holds are walked: a ladder of k rungs is the
+    last k of n-1, numbered n-1-k+1..n-1, and the zero rungs that would pad
+    it at the front pass every check.  Each U is classified once, and its
+    class serves the next rung's tangent test."""
     _check_cert_shape(inst, cert, system)
-    cert = pad_ladder(cert, inst)
+    first = _rung_offset(cert, inst.n - 1) + 1
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
     prev_cls = classify_psd(SymMat.zero(inst.n), eps)
-    for idx, rung in enumerate(cert.ladder, start=1):
+    for idx, rung in enumerate(cert.ladder, start=first):
         if system in DUAL_LADDERS:
             lhs = apply_at(inst, rung.y)
             combo_scale = 1.0 + lhs.norm() + rung.u.norm() + rung.v.norm()
@@ -342,10 +363,15 @@ def verify_certificate(
     # (by a tracer or a test) is the one that runs.
     checks = {SYSTEM_DRAM: verify_dram, SYSTEM_ALTRAM: verify_alt_ram, SYSTEM_PRAM: verify_pram}
     if system in checks:
+        if cert is None:
+            raise ValueError(f"{system} needs a ladder certificate: cert is missing")
         return checks[system](inst, cert, eps)
     sides = {SYSTEM_DSTRONG: SIDE_DUAL, SYSTEM_PSTRONG: SIDE_PRIMAL}
     if system not in sides:
         raise ValueError(f"unknown system {system!r}")
+    for name, given in (("spec", spec), ("point", point)):
+        if given is None:
+            raise ValueError(f"{system} needs a spec and a point: {name} is missing")
     return verify_strong(inst, spec, point, sides[system], eps)
 
 
@@ -434,7 +460,7 @@ def lift_from_strong(inst: SdpInstance, y: Sequence[float], rr: RrForm) -> Raman
     The k certifying equations of the RR form are linear combinations of
     the original equations (rows of M); each becomes a rung with the
     identity-padded U split and V := 𝒜*y^i - U_i, then the ladder is
-    zero-padded at the front to n-1 rungs.
+    zero-padded at the front to L = min(n-1, m) rungs.
     """
     m = inst.m
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -444,18 +470,19 @@ def lift_from_strong(inst: SdpInstance, y: Sequence[float], rr: RrForm) -> Raman
         raise ValueError("lift_from_strong needs a feasible RR form")
     rungs = _rungs_from_rr(inst, rr, rr.k)
     cert = RamanaCertificate(system=SYSTEM_DRAM, y=y.copy(), ladder=rungs)
-    return pad_ladder(cert, inst)
+    return _front_pad(cert, inst, dual_ladder_length(inst.n, m))
 
 
 def alt_ram_from_rr(inst: SdpInstance, rr: RrForm) -> RamanaCertificate:
     """Build an alternative-system certificate from an infeasible RR form.
 
-    Rows 1..k-1 of the RR form become the ladder; the terminal row (rhs
-    -1) becomes the head vector y.
+    Rows 1..k-1 of the RR form become the ladder, zero-padded at the
+    front to L = min(n-1, m) rungs; the terminal row (rhs -1) becomes the
+    head vector y.
     """
     if rr.status != STATUS_INFEASIBLE:
         raise ValueError("alt_ram_from_rr needs an infeasible RR form")
     rungs = _rungs_from_rr(inst, rr, rr.k - 1)
     y_head = rr.ref.m_rows[rr.k - 1].copy()
     cert = RamanaCertificate(system=SYSTEM_ALTRAM, y=y_head, ladder=rungs)
-    return pad_ladder(cert, inst)
+    return _front_pad(cert, inst, dual_ladder_length(inst.n, inst.m))

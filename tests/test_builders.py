@@ -2,14 +2,19 @@
 
 import dataclasses
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ramanasdp import (
     DependentConstraintsError,
+    IterationLimitError,
+    NumericalRankAmbiguityError,
     SdpInstance,
     StrongDualSpec,
+    SubsolverFailureError,
     SymMat,
     apply_a,
     build_alt_ram,
@@ -18,6 +23,7 @@ from ramanasdp import (
     build_pram,
     build_pstrong,
     build_red,
+    alt_ram_from_rr,
     build_rr_form,
     complement_basis,
     dram_size,
@@ -38,9 +44,12 @@ from ramanasdp.builders import (
 )
 from ramanasdp.registry import all_ids, get
 from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text
-from ramanasdp.verify import LadderRung, RamanaCertificate
+from ramanasdp.verify import LadderRung, RamanaCertificate, pad_ladder
 
 from helpers import inst_gap_rr, inst_infeasible, inst_unattained, random_degenerate_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from gen import planted  # noqa: E402
 
 
 def _dram_cert_order3():
@@ -78,10 +87,11 @@ class TestDram:
                     c=SymMat.zero(n),
                 )
                 sdp = build_dram(inst)
+                rungs = min(n - 1, m)
+                assert dram_size(n, m) == (2 * rungs + 1, m * (rungs + 1))
                 assert dram_size(n, m) == (len(sdp.blocks), sdp.n_free)
-                if n >= 2:
-                    assert sum(1 for b in sdp.blocks if b.order == 2 * n) == n - 1
-                    assert sum(1 for b in sdp.blocks if b.order == n) == n
+                assert sum(1 for b in sdp.blocks if b.order == 2 * n) == rungs
+                assert sum(1 for b in sdp.blocks if b.order == n) == rungs + 1
 
     def test_reference_point_embeds_feasibly(self):
         inst = inst_unattained()
@@ -502,10 +512,10 @@ GOLDEN_EMISSION = {
         "bc7497303295bf30a2ff7a1b1c9433ecc180c468219417df79b1745d90efe38d"
     ),
     "example-identity-strict/dram": (
-        "877f84ba07cf6ebc2042325f9d21b95ffddd40c70541af02a4179b5b04328021"
+        "8f1c1fd270cd02427b500ced475db3ea4a17fed4b448e4c68495672c58d18e88"
     ),
     "example-identity-strict/altram": (
-        "0081d2de3dc0e83b337d63f2a649324b2df9edbb6c6492fa7e43536ef483306c"
+        "6caff4729751a9873c8cc9435d5cf042e8abd220f3d78403917f3131fe236abd"
     ),
     "example-identity-strict/pram": (
         "527f725e60868e9f9b77a221b86b176cc5f1968b44872c066f2a42021a2d1e19"
@@ -530,3 +540,106 @@ def test_golden_emission_is_byte_identical():
         for key, sdp in _golden_systems()
     }
     assert digests == GOLDEN_EMISSION
+
+
+class TestShortLadder:
+    """dram and altram hold L = min(n - 1, m) rungs, and every certificate
+    build_rr_form leads to fits them."""
+
+    REFUSALS = (NumericalRankAmbiguityError, SubsolverFailureError, IterationLimitError)
+
+    @staticmethod
+    def _embeds(inst, cert):
+        rungs = min(inst.n - 1, inst.m)
+        assert len(cert.ladder) == rungs
+        build = build_dram if cert.system == "dram" else build_alt_ram
+        sdp = build(inst)
+        asg = embed_certificate(sdp, inst, cert)
+        assert max_violation(sdp, asg) <= 1e-9
+        # Relative to each block's norm: the head's coupling block carries
+        # R = t·I with t = ‖V‖²/λ_min⁺(U) + 1, up to 1.3e13 on the
+        # infeasible probe seeds, where eigvalsh's own rounding is 1e-3.
+        for block in sdp.blocks:
+            a = asg.blocks[block.name]
+            assert np.linalg.eigvalsh(a)[0] >= -1e-9 * (1.0 + np.linalg.norm(a, 2))
+        return sdp, asg
+
+    def _rr_certificate(self, inst, y):
+        rr = build_rr_form(inst)
+        if rr.status == "feasible":
+            return lift_from_strong(inst, y, rr)
+        return alt_ram_from_rr(inst, rr)
+
+    def test_registry_certificates_embed(self):
+        for eid in all_ids():
+            entry = get(eid)
+            # The strictly feasible identity example has no ladder
+            # certificate; y = 1 is dual feasible there.
+            y = next(
+                (rc.cert.y for rc in entry.certificates if rc.system == "dram"), np.ones(1)
+            )
+            self._embeds(entry.instance, self._rr_certificate(entry.instance, y))
+
+    # (instance, y or None) per seed.  "probe" is tools/cascade_probe.py's
+    # shape, n = 7 and blocks (2, 1, 1, 2), whose m ≥ n - 1 (6 rows when
+    # feasible; 4 staircase, 1 terminal and 2 generic rows when infeasible)
+    # keeps n - 1 rungs; "n9-m4" has 4 rungs where the parent had 8.
+    CASES = {
+        "probe-feasible": lambda rng: random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))[:2],
+        "probe-infeasible": lambda rng: (planted(rng, 7, (2, 1, 1, 2), 2, infeasible=True).inst,
+                                         None),
+        "n9-m4-feasible": lambda rng: random_degenerate_instance(rng, 9, 4, (2, 1))[:2],
+        "n9-m4-infeasible": lambda rng: (planted(rng, 9, (2, 1), 1, infeasible=True).inst, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_seed_certificates_embed(self, case):
+        answered = 0
+        for seed in range(50):
+            inst, y = self.CASES[case](np.random.default_rng(seed))
+            try:
+                cert = self._rr_certificate(inst, y)
+            except self.REFUSALS:
+                continue
+            assert cert.system == ("dram" if case.endswith("-feasible") else "altram")
+            self._embeds(inst, cert)
+            answered += 1
+        # The probe measures refusals; today 26 of the 50 probe-infeasible
+        # seeds are answered.
+        assert answered >= 20
+
+    def _long_ladder(self):
+        """n = 8 and m = 3: a lifted certificate of three rungs, not seven,
+        and the same ladder padded to seven."""
+        inst, y, _ = random_degenerate_instance(np.random.default_rng(3), 8, 3, (2, 1))
+        short = lift_from_strong(inst, y, build_rr_form(inst))
+        return inst, short, pad_ladder(short, inst)
+
+    def test_rr_certificate_embeds_where_m_is_below_n_minus_1(self):
+        inst, short, _ = self._long_ladder()
+        sdp, _ = self._embeds(inst, short)
+        assert dram_size(8, 3) == (len(sdp.blocks), sdp.n_free) == (7, 12)
+
+    def test_leading_zero_rungs_are_dropped(self):
+        inst, short, long = self._long_ladder()
+        assert len(long.ladder) == inst.n - 1 > len(short.ladder)
+        sdp = build_dram(inst)
+        want, got = embed_certificate(sdp, inst, short), embed_certificate(sdp, inst, long)
+        assert np.array_equal(want.free, got.free)
+        assert want.blocks.keys() == got.blocks.keys()
+        assert all(np.array_equal(want.blocks[k], got.blocks[k]) for k in want.blocks)
+
+    def test_one_rung_too_many_is_refused(self):
+        inst, short, long = self._long_ladder()
+        rungs = len(short.ladder)
+        j = inst.n - 2 - rungs  # the last zero rung before the short ladder
+        unit = SymMat.diag([1.0] + [0.0] * (inst.n - 1))
+        ladder = list(long.ladder)
+        ladder[j] = LadderRung(y=np.zeros(inst.m), u=unit, v=-unit)
+        cert = RamanaCertificate(system="dram", y=long.y, ladder=tuple(ladder))
+        with pytest.raises(
+            ValueError,
+            match=f"ladder has {rungs + 1} rungs from its first nonzero one; "
+            f"the dram system holds {rungs}",
+        ):
+            embed_certificate(build_dram(inst), inst, cert)

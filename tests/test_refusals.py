@@ -163,6 +163,10 @@ def _spec(**fields):
         "q": kw["spec"].q, "r": kw["spec"].r, **fields})})
 
 
+def _missing(name: str):
+    return lambda inst, kw: (inst, {**kw, name: None})
+
+
 # (id, base, corruption, exception type, message pattern)
 RAISES = [
     ("system-mismatch", UNATTAINED, _cert(lambda c: replace(c, system="altram")),
@@ -207,6 +211,21 @@ RAISES = [
      ValueError, "rotation order mismatch"),
     ("strong-r-range", DSTRONG, _spec(r=5),
      ValueError, "r = 5 outside 0..4"),
+    # verify_certificate without the argument its system reads.
+    ("dram-cert-missing", UNATTAINED, _missing("cert"),
+     ValueError, "dram needs a ladder certificate: cert is missing"),
+    ("altram-cert-missing", INFEASIBLE, _missing("cert"),
+     ValueError, "altram needs a ladder certificate: cert is missing"),
+    ("pram-cert-missing", PRAM, _missing("cert"),
+     ValueError, "pram needs a ladder certificate: cert is missing"),
+    ("dstrong-spec-missing", DSTRONG, _missing("spec"),
+     ValueError, "dstrong needs a spec and a point: spec is missing"),
+    ("pstrong-spec-missing", PSTRONG, _missing("spec"),
+     ValueError, "pstrong needs a spec and a point: spec is missing"),
+    ("dstrong-point-missing", DSTRONG, _missing("point"),
+     ValueError, "dstrong needs a spec and a point: point is missing"),
+    ("pstrong-point-missing", PSTRONG, _missing("point"),
+     ValueError, "pstrong needs a spec and a point: point is missing"),
 ]
 
 

@@ -512,6 +512,24 @@ class TestDecompositionCounts:
             # U_0 = 0, each U_i once, then the head block.
             assert len(eig_calls) == self.L + 2
 
+    def test_verifiers_walk_only_the_rungs_held(self, eig_calls):
+        inst = _staircase_instance(1.0)
+        full = self._dram()
+        short = RamanaCertificate(system="dram", y=full.y, ladder=full.ladder[-self.R :])
+        bad_v = SymMat.diag([0.0, 0, 0, 0, 0, 0, 0, 0, 1])  # outside tan(U_7)
+        verdicts = []
+        for cert in (full, short):
+            mid = cert.ladder[-2]
+            rung = replace(mid, u=mid.u - bad_v, v=mid.v + bad_v)
+            bad = replace(cert, ladder=cert.ladder[:-2] + (rung, cert.ladder[-1]))
+            verdicts.append((verify_dram(inst, cert), verify_dram(inst, bad)))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[1][1].violation.startswith("rung 7: U_7 not PSD")
+        eig_calls.clear()
+        assert verify_dram(inst, short).ok
+        # U_0 = 0, the R rungs held, then the head block.
+        assert len(eig_calls) == self.R + 2
+
     def test_normalize_ladder(self, eig_calls):
         report = normalize_ladder(_staircase_instance(1.0), self._dram())
         assert report.r == (0,) * 5 + (1, 1, 1) and report.frs_valid
@@ -534,4 +552,6 @@ class TestDecompositionCounts:
         sdp = build_dram(inst)
         eig_calls.clear()
         embed_certificate(sdp, inst, self._dram())
-        assert len(eig_calls) == self.L + 1
+        # n = 9, m = 4: the system holds min(n - 1, m) = 4 rungs, and the
+        # ladder's 4 leading zero rungs are dropped.
+        assert len(eig_calls) == min(inst.n - 1, inst.m) + 1

@@ -2,7 +2,7 @@
 
 For each n, builds one system (``--builder``, default the exact dual
 ``dram``) of
-``helpers.random_degenerate_instance(default_rng(seed), n, n, (2, 1, 1))``
+``helpers.random_degenerate_instance(default_rng(seed), n, m, (2, 1, 1))``
 and prints the build seconds, the median seconds of three writes and the
 entry lines they write per second, the memory the built system holds
 (tracemalloc of a second build alone), its count of distinct arrays, the
@@ -12,9 +12,11 @@ the system it writes).  ``dstrong`` takes the face spec
 ``StrongDualSpec(q, r=2)`` with q a random orthonormal basis from the same
 seed.
 
-    python3 tools/emit_probe.py [--n N ...] [--seed S] [--builder B]
+    python3 tools/emit_probe.py [--n N ...] [--m M] [--seed S] [--builder B]
 
-n defaults to 18, 24 and 30.  The builders share each coefficient matrix
+n defaults to 18, 24 and 30, and m (at least 3) to n.  dram and altram
+hold min(n - 1, m) rungs, so their size falls with m only where
+m < n - 1; pram keeps n - 1 rungs whatever m is.  The builders share each coefficient matrix
 among the constraints that use it, so "stored floats" counts references
 (as the benchmark's ``builders.stored_floats`` does), not memory: at
 n = 30 they come to 1.2 GB of floats, while the system holds 0.16 GB,
@@ -62,8 +64,8 @@ def array_counts(sdp) -> tuple[int, int, int]:
     return stored, sum(int(np.count_nonzero(a)) for a in arrays), len({id(a) for a in arrays})
 
 
-def probe(n: int, seed: int, builder: str, path: str) -> dict:
-    inst = random_degenerate_instance(np.random.default_rng(seed), n, n, RANKS)[0]
+def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
+    inst = random_degenerate_instance(np.random.default_rng(seed), n, m, RANKS)[0]
     build = BUILDERS[builder]
     t0 = time.perf_counter()
     build(inst, seed)
@@ -108,14 +110,18 @@ def probe(n: int, seed: int, builder: str, path: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, nargs="+", default=[18, 24, 30], help="instance orders")
+    ap.add_argument("--m", type=int, help="equations of each instance (default n)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--builder", choices=sorted(BUILDERS), default="dram")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.n:
-            row = probe(n, args.seed, args.builder, os.path.join(tmp, f"{args.builder}-n{n}.dat-s"))
+            m = n if args.m is None else args.m
+            path = os.path.join(tmp, f"{args.builder}-n{n}.dat-s")
+            row = probe(n, m, args.seed, args.builder, path)
             print(
-                f"n {row['n']}: {row['constraints']} constraints, "
+                f"n {row['n']}{'' if args.m is None else f', m {m}'}: "
+                f"{row['constraints']} constraints, "
                 f"build {row['build_s']:.2f} s, write {row['write_s']:.2f} s "
                 f"({row['file_mb']:.1f} MB, {row['lines'] / row['write_s'] / 1e3:,.0f}k lines/s), "
                 f"holds {row['held_mb']:.1f} MB in "
