@@ -83,16 +83,25 @@ Systems built:
 The builders never solve anything; rotation data for the strong systems
 is produced upstream by the RR-form construction.
 
-Every array a system holds is read-only.  No ladder coefficient matrix
-depends on the rung index, so each distinct one (a rung's or the head's
-sign·E_pq or sign·A_t, its order-2n coupling matrix, the corner ties'
-matrices) is made once per build and shared by every constraint that
-uses it: a ladder system references O(n³) matrices but holds O(n²).
-The SDPA writer formats each shared matrix once per write.
+Every emitted system is held sparse.  A coefficient matrix is a
+SparseSym, the nonzeros of its upper triangle in row-major order, and a
+free row a SparseVec, its nonzero indices and values; neither stores a
+±0.0 entry, and neither can be changed.  Unit matrices sign·E_pq, their
+order-2n coupling matrices and the corner ties' matrices are made in that
+form directly; dense inputs (A_t and C for pram, the strong systems'
+rotated blocks, red's basis) are converted once per build.  A Constraint
+converts any dense array it is given and refuses a nonsymmetric matrix,
+whose upper triangle would not say what it is.  No ladder coefficient
+depends on the rung index, so each distinct matrix is made once per build
+and shared by every constraint that uses it (a ladder system references
+O(n³) matrices but holds O(n²)), and a rung's free row shares its values
+array with the same entry's row in every other rung.  The SDPA writer
+formats a matrix or a values array used by several rows once per write.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -144,26 +153,205 @@ class VarSlot:
     cols: int = 0
 
 
+class _Sparse:
+    """What the two sparse coefficient types share: they cannot be changed,
+    size is the count of stored entries, and != compares the stored values
+    elementwise, as on an array of them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def size(self) -> int:
+        return len(self.vals)
+
+    def __ne__(self, other):
+        return np.array(self.vals, dtype=float) != other
+
+
+@functools.lru_cache(maxsize=64)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """svec_index(n), made once per order: the strong systems ask for it
+    once per row."""
+    out = svec_index(n)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _triu(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the row-major upper triangle."""
+    rows, cols = np.triu_indices(order)
+    for arr in (rows, cols):
+        arr.setflags(write=False)
+    return rows, cols
+
+
+class SparseSym(_Sparse):
+    """A symmetric matrix of the given order held as the nonzeros of its
+    upper triangle: vals[k] at (rows[k], cols[k]) and (cols[k], rows[k]),
+    rows[k] <= cols[k], in row-major order, all three tuples of Python
+    numbers."""
+
+    __slots__ = ("order", "rows", "cols", "vals")
+
+    def __init__(self, order: int, rows: tuple, cols: tuple, vals: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", vals)
+
+    @staticmethod
+    def from_dense(a) -> "SparseSym":
+        """The upper-triangle nonzeros of a square array.  A nonsymmetric
+        one, or one holding nan, is refused: its upper triangle, which is
+        all that is stored and written, would not say what it is."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
+        if (a != a.T).any():
+            raise ValueError("coefficient matrix is not symmetric, or holds nan")
+        rows, cols = _triu(a.shape[0])
+        tri = a[rows, cols]
+        k = np.flatnonzero(tri)
+        return SparseSym(
+            a.shape[0], tuple(rows[k].tolist()), tuple(cols[k].tolist()), tuple(tri[k].tolist())
+        )
+
+    @staticmethod
+    def unit(order: int, p: int, q: int) -> "SparseSym":
+        """E_pq, p <= q, with <E_pq, Y> = Y[p, q] for symmetric Y."""
+        return SparseSym(order, (p,), (q,), (1.0 if p == q else 0.5,))
+
+    def scaled(self, s: float) -> "SparseSym":
+        if s == 1.0:
+            return self
+        return SparseSym(self.order, self.rows, self.cols, tuple([s * v for v in self.vals]))
+
+    def coupling(self) -> "SparseSym":
+        """[[0, K], [K, 0]] of order 2n, K this matrix: K's entry (i, j)
+        sits at (i, n + j), so a stored off-diagonal entry gives two."""
+        n = self.order
+        entries = []
+        for i, j, v in zip(self.rows, self.cols, self.vals):
+            entries.append((i, n + j, v))
+            if i != j:
+                entries.append((j, n + i, v))
+        entries.sort()  # positions are distinct, so no value is compared
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        return SparseSym(2 * n, rows, cols, vals)
+
+    def dense(self) -> np.ndarray:
+        a = np.zeros((self.order, self.order))
+        rows, cols = np.array(self.rows, dtype=int), np.array(self.cols, dtype=int)
+        a[rows, cols] = self.vals
+        a[cols, rows] = self.vals
+        return a
+
+    def dot(self, y: np.ndarray) -> float:
+        """<K, Y> = Σ K_ij Y_ij over every (i, j), as for the dense K."""
+        total = 0.0
+        for i, j, v in zip(self.rows, self.cols, self.vals):
+            total += v * y[i, j] if i == j else v * (y[i, j] + y[j, i])
+        return float(total)
+
+
+class SparseVec(_Sparse):
+    """A vector of the given length held as its nonzeros: vals[k] at
+    offset + idx[k], idx increasing, in intp and float arrays that are
+    made read-only, not copied.  Rows that differ only in where their
+    values sit, as a ladder's rungs do, share both arrays.  Unlike a
+    matrix, mostly a one- or two-entry unit made by the thousand, a free
+    row can be as long as the free vector, where arrays take a quarter of
+    the memory of tuples."""
+
+    __slots__ = ("length", "idx", "vals", "offset")
+
+    def __init__(self, length: int, idx, vals, offset: int = 0):
+        idx, vals = np.asarray(idx, dtype=np.intp), np.asarray(vals, dtype=float)
+        idx.setflags(write=False)
+        vals.setflags(write=False)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "offset", offset)
+
+    @staticmethod
+    def from_dense(v) -> "SparseVec":
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 1:
+            raise ValueError(f"free coefficients must be a vector, got shape {v.shape}")
+        k = np.flatnonzero(v)
+        return SparseVec(v.size, k, v[k])
+
+    def at(self, offset: int, length: int) -> "SparseVec":
+        """This vector placed from offset in one of the given length; both
+        arrays are shared."""
+        return SparseVec(length, self.idx, self.vals, self.offset + offset)
+
+    def scaled(self, s: float) -> "SparseVec":
+        if s == 1.0:
+            return self
+        return SparseVec(self.length, self.idx, s * self.vals, self.offset)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.length)
+        out[self.offset + self.idx] = self.vals
+        return out
+
+    def dot(self, u: np.ndarray) -> float:
+        return float(np.dot(self.vals, u[self.offset + self.idx]))
+
+
+def _sparse_sym(k) -> SparseSym:
+    return k if type(k) is SparseSym else SparseSym.from_dense(k)
+
+
+def _sparse_vec(v) -> SparseVec:
+    return v if type(v) is SparseVec else SparseVec.from_dense(v)
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """Linear equality Σ_B <mats[B], Y_B> + free·u = rhs."""
+    """Linear equality Σ_B <mats[B], Y_B> + free·u = rhs.  Dense arrays
+    given for mats or free are converted to SparseSym and SparseVec."""
 
     name: str
-    mats: dict[str, np.ndarray]
-    free: np.ndarray
+    mats: dict[str, SparseSym]
+    free: SparseVec
     rhs: float
+
+    def __post_init__(self):
+        if type(self.free) is not SparseVec:
+            object.__setattr__(self, "free", SparseVec.from_dense(self.free))
+        for k in self.mats.values():
+            if type(k) is not SparseSym:
+                mats = {b: _sparse_sym(mat) for b, mat in self.mats.items()}
+                object.__setattr__(self, "mats", mats)
+                break
 
 
 @dataclass(frozen=True)
 class StandardFormSdp:
+    """An emitted system; dense objective arrays are converted as a
+    Constraint converts its own."""
+
     system: str
     sense: str
     blocks: tuple[PsdBlock, ...]
     n_free: int
-    objective_mats: dict[str, np.ndarray]
-    objective_free: np.ndarray
+    objective_mats: dict[str, SparseSym]
+    objective_free: SparseVec
     constraints: tuple[Constraint, ...]
     var_map: dict[str, VarSlot]
+
+    def __post_init__(self):
+        mats = {b: _sparse_sym(k) for b, k in self.objective_mats.items()}
+        object.__setattr__(self, "objective_mats", mats)
+        object.__setattr__(self, "objective_free", _sparse_vec(self.objective_free))
 
 
 @dataclass
@@ -176,9 +364,9 @@ class Assignment:
 
 
 def constraint_value(c: Constraint, assign: Assignment) -> float:
-    total = float(c.free @ assign.free) if c.free.size else 0.0
+    total = c.free.dot(assign.free)
     for name, k in c.mats.items():
-        total += float(np.sum(k * assign.blocks[name]))
+        total += k.dot(assign.blocks[name])
     return total
 
 
@@ -200,9 +388,9 @@ def min_block_eigenvalue(sdp: StandardFormSdp, assign: Assignment) -> float:
 
 
 def objective_value(sdp: StandardFormSdp, assign: Assignment) -> float:
-    total = float(sdp.objective_free @ assign.free) if sdp.objective_free.size else 0.0
+    total = sdp.objective_free.dot(assign.free)
     for name, k in sdp.objective_mats.items():
-        total += float(np.sum(k * assign.blocks[name]))
+        total += k.dot(assign.blocks[name])
     return total
 
 
@@ -230,21 +418,11 @@ def extract(sdp: StandardFormSdp, assign: Assignment, name: str) -> np.ndarray:
     raise ValueError(f"unknown slot kind {slot.kind!r}")
 
 
-def _e_sym(n: int, p: int, q: int) -> np.ndarray:
-    """Coefficient matrix with <E, Y> = Y[p, q]."""
-    e = np.zeros((n, n))
-    if p == q:
-        e[p, p] = 1.0
-    else:
-        e[p, q] = e[q, p] = 0.5
-    return e
-
-
 def _free_sym_coeffs(a: np.ndarray) -> np.ndarray:
     """Coefficients c with c·x_utri = <A, X> for upper-triangle layout and
     symmetric X; A itself need not be symmetric."""
     n = a.shape[0]
-    i, j = svec_index(n)
+    i, j = _svec_index(n)
     c = a[i, j]
     c[n:] += a[j[n:], i[n:]]
     return c
@@ -260,26 +438,18 @@ def dram_size(n: int, m: int) -> tuple[int, int]:
     return 2 * rungs + 1, m * (rungs + 1)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _plus_tangent(
-    psd: str, t: Optional[str], k: np.ndarray, sign: float, shared: dict
-) -> dict[str, np.ndarray]:
+    psd: str, t: Optional[str], k: SparseSym, sign: float, shared: dict
+) -> dict[str, SparseSym]:
     """Coefficient mats of sign·<K, S + V> for the PSD block S named psd and
     V = W + Wᵀ, W = T[:n, n:] of the coupling block named t.  Without a
-    coupling block V = 0, as for V_1 ∈ tan(U_0) = {0}.  The frozen sign·K
-    and its coupling matrix are made once per (K, sign) and kept in shared
-    by id(K), next to K itself so that the id is not reused."""
+    coupling block V = 0, as for V_1 ∈ tan(U_0) = {0}.  sign·K and its
+    coupling matrix are made once per (K, sign) and kept in shared by
+    id(K), next to K itself so that the id is not reused."""
     key = (id(k), sign)
     if key not in shared:
-        n = k.shape[0]
-        c = np.zeros((2 * n, 2 * n))
-        c[:n, n:] = k
-        c[n:, :n] = k.T
-        shared[key] = (k, _frozen(sign * k), _frozen(sign * c))
+        psd_mat = k.scaled(sign)
+        shared[key] = (k, psd_mat, psd_mat.coupling())
     _, psd_mat, t_mat = shared[key]
     return {psd: psd_mat} if t is None else {psd: psd_mat, t: t_mat}
 
@@ -293,9 +463,9 @@ def _ladder_system(
     rungs: Iterable[Iterable[tuple]],
     rung_sign: float,
     head_sign: float,
-    head_free: np.ndarray,
+    head_free: Sequence[SparseVec],
     head_rhs: np.ndarray,
-    objective_free: np.ndarray,
+    objective_free: SparseVec,
     slots: dict[str, VarSlot],
     first: Sequence[Constraint] = (),
     last: Sequence[Constraint] = (),
@@ -308,15 +478,18 @@ def _ladder_system(
     i = 2..count+1, T_{count+1} being Thead; the head rows
     head_sign·(P + Vhead) + head_free[idx]·u = head_rhs entrywise in svec
     order; last.  With count = 0 there are no rungs, no coupling blocks and
-    no ties, and the head reads head_sign·P.  No
-    coefficient matrix depends on the rung: each distinct one is made once,
-    frozen, and shared by every row that uses it.
+    no ties, and the head reads head_sign·P.  No coefficient matrix depends
+    on the rung: each distinct one is made once and shared by every row
+    that uses it.
     """
     n = inst.n
-    n_free = objective_free.size
+    n_free = objective_free.length
+    pairs = svec_order(n)
     shared: dict = {}  # _plus_tangent's matrices
-    tie_mats = [(_frozen(_e_sym(2 * n, p, q)), _frozen(-_e_sym(n, p, q))) for p, q in svec_order(n)]
-    no_free = _frozen(np.zeros(n_free))
+    tie_mats = [
+        (SparseSym.unit(2 * n, p, q), SparseSym.unit(n, p, q).scaled(-1.0)) for p, q in pairs
+    ]
+    no_free = SparseVec(n_free, (), ())
     blocks = [PsdBlock(f"U{i}", n) for i in range(1, count + 1)]
     vm = {f"U{i}": VarSlot(kind="block", block=f"U{i}", order=n) for i in range(1, count + 1)}
     coupling = {}  # rung i -> its coupling block T_i; rung count+1 is the head
@@ -332,7 +505,7 @@ def _ladder_system(
             kind="sub_block", block=t, row0=n, col0=n, rows=n, cols=n, order=n
         )
         vm[f"V{tag}"] = VarSlot(kind="tan_sum", block=t, order=n)
-        for (p, q), (corner, prev_u) in zip(svec_order(n), tie_mats):
+        for (p, q), (corner, prev_u) in zip(pairs, tie_mats):
             ties.append(
                 Constraint(
                     name=f"tie{tag}[{p},{q}]",
@@ -352,12 +525,12 @@ def _ladder_system(
             )
             cons.append(Constraint(name=f"rung{i}_{suffix}", mats=mats, free=free, rhs=0.0))
     cons += ties
-    for idx, (p, q) in enumerate(svec_order(n)):
+    for idx, (p, q) in enumerate(pairs):
         cons.append(
             Constraint(
                 name=f"head_decomp[{p},{q}]",
                 mats=_plus_tangent(
-                    "P", coupling.get(count + 1), _e_sym(n, p, q), head_sign, shared
+                    "P", coupling.get(count + 1), SparseSym.unit(n, p, q), head_sign, shared
                 ),
                 free=head_free[idx],
                 rhs=float(head_rhs[p, q]),
@@ -376,21 +549,17 @@ def _ladder_system(
     )
 
 
-def _at_rows(inst: SdpInstance, n_free: int, off: int) -> np.ndarray:
-    """Row idx holds the coefficients of (𝒜*y)[p, q], (p, q) the idx-th
-    svec pair, for y stored at free offset off."""
-    i, j = svec_index(inst.n)
-    rows = np.zeros((i.size, n_free))
-    for t, a in enumerate(inst.a):
-        rows[:, off + t] = a.a[i, j]
-    return _frozen(rows)
+def _at_cols(inst: SdpInstance) -> list[SparseVec]:
+    """Entry idx holds the coefficients of (𝒜*y)[p, q] on y, (p, q) the
+    idx-th svec pair."""
+    i, j = _svec_index(inst.n)
+    at = np.array([a.a[i, j] for a in inst.a]).reshape(inst.m, i.size)
+    return [SparseVec.from_dense(col) for col in at.T]
 
 
-def _b_row(inst: SdpInstance, n_free: int, off: int) -> np.ndarray:
+def _b_row(inst: SdpInstance, n_free: int, off: int) -> SparseVec:
     """Coefficients of <b, y> for y stored at free offset off."""
-    row = np.zeros(n_free)
-    row[off : off + inst.m] = inst.b
-    return _frozen(row)
+    return SparseVec.from_dense(inst.b).at(off, n_free)
 
 
 def _dual_ladder(
@@ -407,13 +576,16 @@ def _dual_ladder(
     n, m = inst.n, inst.m
     count = dual_ladder_length(n, m)
     n_free = m * (count + 1)
-    units = [_e_sym(n, p, q) for p, q in svec_order(n)]  # one K per entry, for every rung
+    pairs = svec_order(n)
+    units = [SparseSym.unit(n, p, q) for p, q in pairs]  # one K per entry, for every rung
+    # One values array per entry, shared by its head row and rung rows.
+    at = _at_cols(inst)
+    b = SparseVec.from_dense(inst.b)
 
-    def rung(i):  # a generator, so one rung's rows are alive at a time
-        at = _at_rows(inst, n_free, m * i)
-        for idx, (p, q) in enumerate(svec_order(n)):
-            yield f"decomp[{p},{q}]", units[idx], at[idx]
-        yield "rhs", None, _b_row(inst, n_free, m * i)
+    def rung(i):
+        for idx, (p, q) in enumerate(pairs):
+            yield f"decomp[{p},{q}]", units[idx], at[idx].at(m * i, n_free)
+        yield "rhs", None, b.at(m * i, n_free)
 
     slots = {"y": VarSlot(kind="free_vec", offset=0, length=m)}
     for i in range(1, count + 1):
@@ -426,7 +598,7 @@ def _dual_ladder(
         rungs=(rung(i) for i in range(1, count + 1)),
         rung_sign=-1.0,
         head_sign=head_sign,
-        head_free=_at_rows(inst, n_free, 0),
+        head_free=[col.at(0, n_free) for col in at],
         head_rhs=head_rhs,
         last=last,
         objective_free=objective_free,
@@ -455,21 +627,21 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
     n, n_free = inst.n, dram_size(inst.n, inst.m)[1]
     head_rhs = Constraint(name="head_rhs", mats={}, free=_b_row(inst, n_free, 0), rhs=-1.0)
     return _dual_ladder(
-        inst, "altram", -1.0, np.zeros((n, n)), _frozen(np.zeros(n_free)), (head_rhs,)
+        inst, "altram", -1.0, np.zeros((n, n)), SparseVec(n_free, (), ()), (head_rhs,)
     )
 
 
 def _primal_eq(inst: SdpInstance, n_free: int) -> list[Constraint]:
     """𝒜X = b over the utri layout of X at free offset 0."""
-    cons = []
-    for t, a in enumerate(inst.a):
-        free = np.zeros(n_free)
-        coeffs = _free_sym_coeffs(a.a)
-        free[: coeffs.size] = coeffs
-        cons.append(
-            Constraint(name=f"primal_eq{t + 1}", mats={}, free=_frozen(free), rhs=float(inst.b[t]))
+    return [
+        Constraint(
+            name=f"primal_eq{t + 1}",
+            mats={},
+            free=SparseVec.from_dense(_free_sym_coeffs(a.a)).at(0, n_free),
+            rhs=float(inst.b[t]),
         )
-    return cons
+        for t, a in enumerate(inst.a)
+    ]
 
 
 def build_pram(inst: SdpInstance) -> StandardFormSdp:
@@ -485,8 +657,9 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
         if int(np.sum(s > max(s[0], 1.0) * INDEP_TOL)) < m:
             raise DependentConstraintsError("A_i are linearly dependent")
     nn = n * (n + 1) // 2
-    no_free = _frozen(np.zeros(nn))
-    rows = [(f"a{t + 1}", a.a, no_free) for t, a in enumerate(inst.a)] + [("c", inst.c.a, no_free)]
+    no_free, unit = SparseVec(nn, (), ()), SparseVec(nn, (0,), (1.0,))
+    rows = [(f"a{t + 1}", SparseSym.from_dense(a.a), no_free) for t, a in enumerate(inst.a)]
+    rows.append(("c", SparseSym.from_dense(inst.c.a), no_free))
     return _ladder_system(
         inst,
         "pram",
@@ -495,9 +668,9 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
         rungs=[rows] * (n - 1),
         rung_sign=1.0,
         head_sign=-1.0,
-        head_free=_frozen(np.eye(nn)),
+        head_free=[unit.at(idx, nn) for idx in range(nn)],
         head_rhs=np.zeros((n, n)),
-        objective_free=_frozen(_free_sym_coeffs(inst.c.a)),
+        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a)),
         slots={"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
         first=_primal_eq(inst, nn),
     )
@@ -545,11 +718,14 @@ def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     cons: list[Constraint] = []
     for p, qq in svec_order(n):
         k11, k22, k12 = _rotated_entry(q, p, qq, f, 1.0)
-        free = _frozen(np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11), k12]))
-        mats = {"V22": _frozen((k22 + k22.T) / 2.0)} if np.any(k22) else {}
+        free = np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11), k12])
+        mats = {"V22": SparseSym.from_dense((k22 + k22.T) / 2.0)} if np.any(k22) else {}
         cons.append(
             Constraint(
-                name=f"slack_eq[{p},{qq}]", mats=mats, free=free, rhs=float(inst.c.a[p, qq])
+                name=f"slack_eq[{p},{qq}]",
+                mats=mats,
+                free=SparseVec.from_dense(free),
+                rhs=float(inst.c.a[p, qq]),
             )
         )
     obj = _b_row(inst, n_free, 0)
@@ -585,16 +761,16 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     n_free = nn + n22 + r * f
     blocks = (PsdBlock("V11", r),) if r else ()
     cons = _primal_eq(inst, n_free)
-    x_unit = np.eye(nn)
     for idx, (p, qq) in enumerate(svec_order(n)):
         k11, k22, k12 = _rotated_entry(q, p, qq, r, -1.0)
-        free = _frozen(np.concatenate([x_unit[idx], _free_sym_coeffs(k22), k12]))
-        mats = {"V11": _frozen((k11 + k11.T) / 2.0)} if np.any(k11) else {}
+        free = np.concatenate([np.zeros(nn), _free_sym_coeffs(k22), k12])
+        free[idx] = 1.0
+        mats = {"V11": SparseSym.from_dense((k11 + k11.T) / 2.0)} if np.any(k11) else {}
         cons.append(
-            Constraint(name=f"shape_eq[{p},{qq}]", mats=mats, free=free, rhs=0.0)
+            Constraint(
+                name=f"shape_eq[{p},{qq}]", mats=mats, free=SparseVec.from_dense(free), rhs=0.0
+            )
         )
-    obj = np.zeros(n_free)
-    obj[:nn] = _free_sym_coeffs(inst.c.a)
     vm = {
         "X": VarSlot(kind="free_sym", offset=0, length=nn, order=n),
         "V22": VarSlot(kind="free_sym", offset=nn, length=n22, order=f),
@@ -607,7 +783,7 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
         blocks=blocks,
         n_free=n_free,
         objective_mats={},
-        objective_free=_frozen(obj),
+        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a)).at(0, n_free),
         constraints=tuple(cons),
         var_map=vm,
     )
@@ -621,11 +797,11 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
     """
     comp = complement_basis(inst)
     n = inst.n
-    no_free = _frozen(np.zeros(0))
+    no_free = SparseVec(0, (), ())
     cons = [
         Constraint(
             name=f"red_eq{j + 1}",
-            mats={"Z": comp.d[j].a},
+            mats={"Z": SparseSym.from_dense(comp.d[j].a)},
             free=no_free,
             rhs=float(comp.d_vals[j]),
         )
@@ -636,7 +812,7 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
         sense=SENSE_MIN,
         blocks=(PsdBlock("Z", n),),
         n_free=0,
-        objective_mats={"Z": comp.x0.a},
+        objective_mats={"Z": SparseSym.from_dense(comp.x0.a)},
         objective_free=no_free,
         constraints=tuple(cons),
         var_map={"Z": VarSlot(kind="block", block="Z", order=n)},
@@ -650,7 +826,7 @@ def red_to_instance(comp: DualComplement) -> SdpInstance:
 
 
 def _utri_values(a: np.ndarray) -> np.ndarray:
-    return a[svec_index(a.shape[0])]
+    return a[_svec_index(a.shape[0])]
 
 
 def _is_zero_rung(rung) -> bool:

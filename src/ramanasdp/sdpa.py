@@ -18,30 +18,34 @@ documented in a sidecar file next to the output.
 Output is deterministic: fixed entry order (matno, then block, then
 row-major upper triangle) and shortest round-trip float formatting, so
 two writes of the same object are byte-identical.  write_sdpa writes the
-text chunk by chunk as it is formatted, so the whole text is never held;
-the *_text functions join the same chunks.  An emitted system's write
-turns each distinct matrix object into its text once, a template of its
-upper-triangle nonzero lines with the "matno blkno " prefix left open (the
-builders share a matrix among every constraint that uses it), and splices
-each row's prefix into the templates of its blocks.  Free vectors, mostly
-distinct, are stacked and scanned _CHUNK_ROWS rows at a time, with one
-memo of each distinct value's text for the whole write.  Instance text
-keeps no memo and formats one matrix per chunk: its matrices do not
-repeat, so instance_digest, which hashes this text while a certificate is
-checked, holds one matrix's lines beside the text at a time.
+text chunk by chunk as it is formatted, _CHUNK_ROWS rows a chunk, so the
+whole text is never held; the *_text functions join the same chunks.
+
+An emitted system is written straight from its sparse form: each
+SparseSym becomes a template, its stored entries' lines with the
+"matno blkno " prefix left open, into which each row splices its prefix,
+and each SparseVec its pairs of free-block lines.  The write first counts
+the rows that use each matrix and each array of free values (the builders
+share both among rows).  A template, or the texts of an array's values,
+is made once and kept only while rows that use it remain, so text used
+once is never kept.  Instance text keeps no memo and formats each dense
+matrix straight, one per chunk: its matrices do not repeat, so
+instance_digest, which hashes this text while a certificate is checked,
+holds one matrix's lines beside the text at a time.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import os
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .builders import StandardFormSdp
+from .builders import SparseSym, SparseVec, StandardFormSdp
 from .model import SdpInstance
 from .symmat import SymMat
 
@@ -60,15 +64,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# One matrix of an emitted system: (matno, {block name: dense matrix},
-# free vector), with matno 0 the objective.
-_Row = tuple[int, dict[str, np.ndarray], np.ndarray]
+# One row of an emitted system: (matno, {block name: matrix}, free row),
+# with matno 0 the objective.
+_Row = tuple[int, dict[str, SparseSym], SparseVec]
 
-# Rows per chunk of an emitted system; a chunk's free vectors are stacked
-# and scanned together.  A chunk holds its rows' text twice (the pieces and
-# their join), and a pram row at n = 18 can take 14 kB: the write of that
-# system peaks at 2.6 MB with 32-row chunks and at 12.6 MB with 256-row
-# ones, at the same speed.
+# Rows per chunk of an emitted system.  A chunk holds its rows' text twice
+# (the pieces and their join), and a pram row at n = 18 can take 14 kB: the
+# write of that system peaked at 2.6 MB with 32-row chunks and at 12.6 MB
+# with 256-row ones, at the same speed.
 _CHUNK_ROWS = 32
 
 
@@ -85,63 +88,83 @@ def _triu_texts(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
+def _ij_texts(order: int) -> tuple[tuple[str, ...], ...]:
+    """The text "i j " (1-based) of entry (i, j) of an order-n matrix."""
+    return tuple(tuple(f"{i} {j} " for j in range(1, order + 1)) for i in range(1, order + 1))
+
+
+@functools.lru_cache(maxsize=64)
 def _diag_texts(size: int) -> tuple[str, ...]:
     """The text "j j " of each entry of a diagonal block, from j = 1."""
     return tuple(f"{j} {j} " for j in range(1, size + 1))
 
 
-def _template(mat: np.ndarray) -> str:
+def _dense_template(mat: np.ndarray) -> str:
     r"""The line "\0i j value\n" of each nonzero of mat's upper triangle,
-    row-major; replacing "\0" by "matno blkno " gives a row's lines."""
+    row-major; replacing "\0" by "matno blkno " gives a row's lines.  An
+    instance's matrices are dense, and formatting them straight is faster
+    than through their sparse form."""
     flat, ij = _triu_texts(mat.shape[0])
     tri = mat.take(flat)
     k = tri.nonzero()[0]
     return "".join([f"\0{t}{v!r}\n" for t, v in zip(ij[k].tolist(), tri[k].tolist())])
 
 
+def _template(k: SparseSym) -> str:
+    r"""The lines of _dense_template for the stored entries of k."""
+    ij = _ij_texts(k.order)
+    return "".join([f"\0{ij[i][j]}{v!r}\n" for i, j, v in zip(k.rows, k.cols, k.vals)])
+
+
+def _value_texts(vals: np.ndarray) -> tuple[list[str], list[str]]:
+    """The line ends "value\n" of each value and of its negation."""
+    pos, neg = [], []
+    for v in vals.tolist():
+        # The text of -v is that of v with its sign flipped; nan has none.
+        text = repr(v)
+        pos.append(text + "\n")
+        neg.append((text[1:] if text[0] == "-" else "-" + text if v == v else text) + "\n")
+    return pos, neg
+
+
 def _sdpa_chunks(
-    header: list[str], rows: Iterable[_Row], block_index: dict[str, int], n_free: int
+    header: list[str], rows: Sequence[_Row], block_index: dict[str, int], n_free: int
 ) -> Iterator[str]:
-    """The header lines, then one "matno blkno i j value" line per nonzero
-    of each row's upper triangles, in row order, then block order, and
-    row-major within a block.  A free vector c becomes the pairs (j, c_j)
-    and (n_free + j, -c_j) of the free block, numbered after the blocks of
-    block_index, after the row's other blocks.  Each distinct matrix object
-    is formatted once per write, and each distinct free-vector value once."""
+    """The header lines, then one "matno blkno i j value" line per stored
+    entry of each row's matrices, in row order, then block order, and
+    row-major within a block.  A free row's entry c_j becomes the pairs
+    (j, c_j) and (n_free + j, -c_j) of the free block, numbered after the
+    blocks of block_index, after the row's other blocks."""
     yield "\n".join(header) + "\n"
-    # Keyed by id, next to the matrix so that the id is not reused.
-    templates: dict[int, tuple[np.ndarray, str]] = {}
-    pos: dict[float, str] = {}
-    neg: dict[float, str] = {}
+    # Rows left to use each matrix and each array of free values, by id;
+    # rows keeps every one alive, so no id is reused during the write.
+    left = collections.Counter(id(x) for _, mats, free in rows for x in (*mats.values(), free.vals))
+    memo: dict[int, object] = {}
+
+    def text(obj, make: Callable):
+        key = id(obj)
+        left[key] -= 1
+        if not left[key]:  # the last use, or the only one
+            return memo.pop(key) if key in memo else make(obj)
+        if key not in memo:
+            memo[key] = make(obj)
+        return memo[key]
+
     diag, free_blk = _diag_texts(2 * n_free), len(block_index) + 1
     rows = iter(rows)
     while run := list(itertools.islice(rows, _CHUNK_ROWS)):
-        pairs, bounds = [], [0] * (len(run) + 1)
-        frees = [t for t, (_, _, free) in enumerate(run) if free.size] if n_free else []
-        if frees:
-            coeffs = np.array([run[t][2] for t in frees], dtype=float)
-            r, j = np.nonzero(coeffs)
-            c = coeffs[r, j].tolist()
-            for v in set(c).difference(pos):
-                # The text of -v is that of v with its sign flipped; nan has none.
-                text = repr(v)
-                flip = text[1:] if text[0] == "-" else "-" + text if v == v else text
-                pos[v], neg[v] = text + "\n", flip + "\n"
-            pre = [f"{run[t][0]} {free_blk} " for t in frees]
-            pairs = [
-                f"{pre[a]}{diag[b]}{pos[v]}{pre[a]}{diag[n_free + b]}{neg[v]}"
-                for a, b, v in zip(r.tolist(), j.tolist(), c)
-            ]
-            bounds = np.searchsorted(np.asarray(frees)[r], np.arange(len(run) + 1)).tolist()
         pieces = []
-        for t, (matno, mats, _) in enumerate(run):
+        for matno, mats, free in run:
             for name in sorted(mats, key=block_index.__getitem__):
-                mat = mats[name]
-                hit = templates.get(id(mat))
-                if hit is None:
-                    hit = templates[id(mat)] = (mat, _template(mat))
-                pieces.append(hit[1].replace("\0", f"{matno} {block_index[name]} "))
-            pieces += pairs[bounds[t]:bounds[t + 1]]
+                pre = f"{matno} {block_index[name]} "
+                pieces.append(text(mats[name], _template).replace("\0", pre))
+            if n_free and free.vals.size:
+                pre, off, neg_off = f"{matno} {free_blk} ", free.offset, n_free + free.offset
+                pos, neg = text(free.vals, _value_texts)
+                pieces += [
+                    f"{pre}{diag[off + j]}{p}{pre}{diag[neg_off + j]}{q}"
+                    for j, p, q in zip(free.idx.tolist(), pos, neg)
+                ]
         yield "".join(pieces)
 
 
@@ -150,7 +173,7 @@ def instance_chunks(inst: SdpInstance) -> Iterator[str]:
     repeat, so nothing is kept from one matrix to the next."""
     yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]) + "\n"
     for t, mat in enumerate((inst.c,) + tuple(inst.a)):
-        yield _template(mat.a).replace("\0", f"{t} 1 ")
+        yield _dense_template(mat.a).replace("\0", f"{t} 1 ")
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
@@ -166,10 +189,10 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     header.append(" ".join(_fmt(c.rhs) for c in sdp.constraints))
     sign = 1.0 if sdp.sense == "max" else -1.0
     block_index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    objective_mats = {name: sign * k for name, k in sdp.objective_mats.items()}
-    objective = (0, objective_mats, sign * sdp.objective_free)
-    rows = ((t, con.mats, con.free) for t, con in enumerate(sdp.constraints, start=1))
-    return _sdpa_chunks(header, itertools.chain([objective], rows), block_index, sdp.n_free)
+    objective_mats = {name: k.scaled(sign) for name, k in sdp.objective_mats.items()}
+    rows = [(0, objective_mats, sdp.objective_free.scaled(sign))]
+    rows += [(t, con.mats, con.free) for t, con in enumerate(sdp.constraints, start=1)]
+    return _sdpa_chunks(header, rows, block_index, sdp.n_free)
 
 
 def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:

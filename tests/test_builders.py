@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,9 @@ from ramanasdp import (
 )
 from ramanasdp.builders import (
     Assignment,
+    Constraint,
+    SparseSym,
+    SparseVec,
     max_violation,
     min_block_eigenvalue,
     objective_value,
@@ -44,9 +48,16 @@ from ramanasdp.builders import (
 )
 from ramanasdp.registry import all_ids, get
 from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text
-from ramanasdp.verify import LadderRung, RamanaCertificate, pad_ladder
+from ramanasdp.model import svec_index, svec_order
+from ramanasdp.verify import LadderRung, RamanaCertificate, dual_ladder_length, pad_ladder
 
-from helpers import inst_gap_rr, inst_infeasible, inst_unattained, random_degenerate_instance
+from helpers import (
+    inst_gap_rr,
+    inst_infeasible,
+    inst_unattained,
+    random_degenerate_instance,
+    random_orthonormal,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from gen import planted  # noqa: E402
@@ -123,7 +134,7 @@ class TestDram:
 
 
 class TestSharedCoefficients:
-    """Coefficient matrices are made once per build, frozen, and shared."""
+    """Coefficient matrices are made once per build, immutable, and shared."""
 
     N = 6
 
@@ -134,14 +145,20 @@ class TestSharedCoefficients:
 
     def test_every_array_is_read_only(self, system):
         sdp = system[2]
-        arrays = [con.free for con in sdp.constraints]
-        arrays += [k for con in sdp.constraints for k in con.mats.values()]
-        assert not any(a.flags.writeable for a in arrays)
+        frees = [con.free for con in sdp.constraints]
+        mats = [k for con in sdp.constraints for k in con.mats.values()]
+        assert not any(a.flags.writeable for f in frees for a in (f.idx, f.vals))
+        assert all(isinstance(a, tuple) for k in mats for a in (k.rows, k.cols, k.vals))
         ties = [con for con in sdp.constraints if con.name.startswith("tie")]
         assert len({id(con.free) for con in ties}) == 1  # one zero vector for every tie
-        for a in (ties[0].free, ties[0].mats["U1"]):
-            with pytest.raises(ValueError):
-                a[0] += 1.0
+        rung = next(con for con in sdp.constraints if con.name == "rung1_decomp[0,0]")
+        with pytest.raises(ValueError):
+            rung.free.vals[0] += 1.0
+        with pytest.raises(TypeError):
+            ties[0].mats["U1"].vals[0] += 1.0
+        for obj, field in ((ties[0].free, "vals"), (ties[0].mats["U1"], "vals")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, ())
 
     def test_rungs_share_their_matrices(self, system):
         cons = {con.name: con for con in system[2].constraints}
@@ -163,20 +180,271 @@ class TestSharedCoefficients:
         inst, y0, sdp = system
         cert = lift_from_strong(inst, y0, build_rr_form(inst))
         asg = embed_certificate(sdp, inst, cert)
-        # The same system with its own writable copy of every array, as each
+        # The same system with its own copy of every coefficient, as each
         # constraint held before the builders shared them.
-        dense = dataclasses.replace(
+        unshared = dataclasses.replace(
             sdp,
             constraints=tuple(
                 dataclasses.replace(
-                    con, mats={b: k.copy() for b, k in con.mats.items()}, free=con.free.copy()
+                    con,
+                    mats={
+                        b: SparseSym(k.order, k.rows, k.cols, k.vals) for b, k in con.mats.items()
+                    },
+                    free=SparseVec(
+                        con.free.length, con.free.idx.copy(), con.free.vals.copy(), con.free.offset
+                    ),
                 )
                 for con in sdp.constraints
             ),
         )
-        assert np.array_equal(residuals(sdp, asg), residuals(dense, asg))
-        assert max_violation(sdp, asg) == max_violation(dense, asg) <= 1e-10
+        assert not any(
+            a is b
+            for x, y in zip(sdp.constraints, unshared.constraints)
+            for a, b in zip((x.free, *x.mats.values()), (y.free, *y.mats.values()))
+        )
+        assert np.array_equal(residuals(sdp, asg), residuals(unshared, asg))
+        assert max_violation(sdp, asg) == max_violation(unshared, asg) <= 1e-10
         assert min_block_eigenvalue(sdp, asg) >= -1e-10
+
+
+def _e_sym(n, p, q):
+    """The dense unit matrix with <E, Y> = Y[p, q] that the dense builders
+    stored."""
+    e = np.zeros((n, n))
+    if p == q:
+        e[p, p] = 1.0
+    else:
+        e[p, q] = e[q, p] = 0.5
+    return e
+
+
+def _coupling(k):
+    """[[0, K], [Kᵀ, 0]], as the dense builders made it."""
+    n = k.shape[0]
+    c = np.zeros((2 * n, 2 * n))
+    c[:n, n:] = k
+    c[n:, :n] = k.T
+    return c
+
+
+def _utri_coeffs(a):
+    """c with c·x_utri = <A, X> for the upper-triangle layout of X."""
+    n = a.shape[0]
+    i, j = svec_index(n)
+    c = a[i, j]
+    c[n:] += a[j[n:], i[n:]]
+    return c
+
+
+def _padded(vals, off, size):
+    v = np.zeros(size)
+    v[off : off + len(vals)] = vals
+    return v
+
+
+def _dense_ladder(inst, system):
+    """{row name: (dense mats, dense free row)} and the dense objective free
+    row of dram, altram or pram, by the formulas of the dense builders."""
+    n, m = inst.n, inst.m
+    a = [x.a for x in inst.a]
+    pairs = svec_order(n)
+    count = n - 1 if system == "pram" else dual_ladder_length(n, m)
+    n_free = n * (n + 1) // 2 if system == "pram" else m * (count + 1)
+    coupling = {i: "Thead" if i == count + 1 else f"T{i}" for i in range(2, count + 2)}
+
+    def plus_tangent(u, t, k, sign):
+        return {u: sign * k} if t is None else {u: sign * k, t: sign * _coupling(k)}
+
+    rows = {}
+    if system == "pram":
+        for t in range(m):
+            rows[f"primal_eq{t + 1}"] = ({}, _padded(_utri_coeffs(a[t]), 0, n_free))
+        ks = [(f"a{t + 1}", a[t]) for t in range(m)] + [("c", inst.c.a)]
+        for i in range(1, count + 1):
+            for suffix, k in ks:
+                rows[f"rung{i}_{suffix}"] = (
+                    plus_tangent(f"U{i}", coupling.get(i), k, 1.0),
+                    np.zeros(n_free),
+                )
+        head_sign, head_free = -1.0, np.eye(n_free)
+        objective = _utri_coeffs(inst.c.a)
+    else:
+        at = [[x[p, q] for x in a] for p, q in pairs]
+        for i in range(1, count + 1):
+            for (p, q), col in zip(pairs, at):
+                rows[f"rung{i}_decomp[{p},{q}]"] = (
+                    plus_tangent(f"U{i}", coupling.get(i), _e_sym(n, p, q), -1.0),
+                    _padded(col, m * i, n_free),
+                )
+            rows[f"rung{i}_rhs"] = ({}, _padded(inst.b, m * i, n_free))
+        head_sign = 1.0 if system == "dram" else -1.0
+        head_free = [_padded(col, 0, n_free) for col in at]
+        b_row = _padded(inst.b, 0, n_free)
+        objective = b_row if system == "dram" else np.zeros(n_free)
+        if system == "altram":
+            rows["head_rhs"] = ({}, b_row)
+    for i, t in coupling.items():
+        for p, q in pairs:
+            rows[f"tie{t[1:]}[{p},{q}]"] = (
+                {t: _e_sym(2 * n, p, q), f"U{i - 1}": -_e_sym(n, p, q)},
+                np.zeros(n_free),
+            )
+    for idx, (p, q) in enumerate(pairs):
+        rows[f"head_decomp[{p},{q}]"] = (
+            plus_tangent("P", coupling.get(count + 1), _e_sym(n, p, q), head_sign),
+            head_free[idx],
+        )
+    return rows, {}, objective
+
+
+def _dense_strong(inst, system, spec):
+    """The same for dstrong and pstrong."""
+    n, m, q = inst.n, inst.m, spec.q
+    nn = n * (n + 1) // 2
+    dual = system == "dstrong"
+    split = n - spec.r if dual else spec.r
+    rows = {}
+    for idx, (p, qq) in enumerate(svec_order(n)):
+        c = (1.0 if dual else -1.0) * np.outer(q[p], q[qq]) + 0.0
+        k11, k22 = c[:split, :split], c[split:, split:]
+        k12 = (c[:split, split:] + c[split:, :split].T).reshape(-1)
+        if dual:
+            free = np.concatenate([[x.a[p, qq] for x in inst.a], _utri_coeffs(k11), k12])
+            mats = {"V22": (k22 + k22.T) / 2.0} if np.any(k22) else {}
+            rows[f"slack_eq[{p},{qq}]"] = (mats, free)
+        else:
+            free = np.concatenate([np.eye(nn)[idx], _utri_coeffs(k22), k12])
+            mats = {"V11": (k11 + k11.T) / 2.0} if np.any(k11) else {}
+            rows[f"shape_eq[{p},{qq}]"] = (mats, free)
+    n_free = free.size
+    if dual:
+        return rows, {}, _padded(inst.b, 0, n_free)
+    for t, x in enumerate(inst.a):
+        rows[f"primal_eq{t + 1}"] = ({}, _padded(_utri_coeffs(x.a), 0, n_free))
+    return rows, {}, _padded(_utri_coeffs(inst.c.a), 0, n_free)
+
+
+def _dense_red(inst):
+    comp = complement_basis(inst)
+    rows = {f"red_eq{j + 1}": ({"Z": comp.d[j].a}, np.zeros(0)) for j in range(comp.ell)}
+    return rows, {"Z": comp.x0.a}, np.zeros(0)
+
+
+_SPARSE_CASES = [f"registry-{i}" for i in all_ids()] + ["random-n6-m4", "random-n9-m9"]
+_SPARSE_BUILDERS = ("dram", "altram", "pram", "dstrong", "pstrong", "red")
+
+
+def _sparse_case(case, builder):
+    """(sparse system, dense rows, dense objective mats, dense objective
+    free row)."""
+    if case.startswith("registry-"):
+        inst = get(case[len("registry-"):]).instance
+    else:
+        n, m = (int(t[1:]) for t in case.split("-")[1:])
+        inst = random_degenerate_instance(np.random.default_rng(n), n, m, (2, 1, 1))[0]
+    spec = StrongDualSpec(q=random_orthonormal(np.random.default_rng(1), inst.n), r=inst.n // 2)
+    if builder in ("dram", "altram", "pram"):
+        sdp = {"dram": build_dram, "altram": build_alt_ram, "pram": build_pram}[builder](inst)
+        want = _dense_ladder(inst, builder)
+    elif builder in ("dstrong", "pstrong"):
+        sdp = (build_dstrong if builder == "dstrong" else build_pstrong)(inst, spec)
+        want = _dense_strong(inst, builder, spec)
+    else:
+        sdp = build_red(inst)[0]
+        want = _dense_red(inst)
+    return (sdp,) + want
+
+
+class TestSparseForm:
+    """Every emitted coefficient is held as its nonzeros and reads as the
+    dense matrix or row the dense builders stored."""
+
+    @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_coefficients_equal_the_dense_construction(self, case, builder):
+        sdp, rows, objective_mats, objective_free = _sparse_case(case, builder)
+        assert sorted(con.name for con in sdp.constraints) == sorted(rows)
+        for con in sdp.constraints:
+            mats, free = rows[con.name]
+            assert con.mats.keys() == mats.keys(), con.name
+            for b, k in mats.items():
+                assert k.shape == (con.mats[b].order,) * 2
+                assert np.array_equal(con.mats[b].dense(), k), (con.name, b)
+            assert np.array_equal(con.free.dense(), free), con.name
+        assert sdp.objective_mats.keys() == objective_mats.keys()
+        for b, k in objective_mats.items():
+            assert np.array_equal(sdp.objective_mats[b].dense(), k)
+        assert np.array_equal(sdp.objective_free.dense(), objective_free)
+
+    @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_values_equal_the_dense_products(self, case, builder):
+        sdp, rows, objective_mats, objective_free = _sparse_case(case, builder)
+        rng = np.random.default_rng(5)
+        blocks = {}
+        for b in sdp.blocks:
+            y = rng.standard_normal((b.order, b.order))
+            blocks[b.name] = y + y.T
+        asg = Assignment(blocks=blocks, free=rng.standard_normal(sdp.n_free))
+
+        def check(value, mats, free):
+            want = free @ asg.free + sum(np.sum(k * blocks[b]) for b, k in mats.items())
+            scale = np.linalg.norm(free) * np.linalg.norm(asg.free)
+            scale += sum(np.linalg.norm(k) * np.linalg.norm(blocks[b]) for b, k in mats.items())
+            assert abs(value - want) <= 1e-14 * (1.0 + scale)
+
+        for con, res in zip(sdp.constraints, residuals(sdp, asg)):
+            check(res + con.rhs, *rows[con.name])
+        check(objective_value(sdp, asg), objective_mats, objective_free)
+
+    def test_nonsymmetric_dense_input_is_refused(self):
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseSym.from_dense(a)
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseSym.from_dense([[np.nan]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            Constraint(name="c", mats={"A": a}, free=np.zeros(0), rhs=0.0)
+        with pytest.raises(ValueError, match="square"):
+            SparseSym.from_dense(np.zeros((2, 3)))
+
+    def test_signed_zeros_are_not_stored(self):
+        k = SparseSym.from_dense([[-0.0, 1.5], [1.5, 0.0]])
+        assert (k.order, k.rows, k.cols, k.vals) == (2, (0,), (1,), (1.5,))
+        v = SparseVec.from_dense([-0.0, 2.0, 0.0])
+        assert (v.length, v.idx.tolist(), v.vals.tolist()) == (3, [1], [2.0])
+        con = Constraint(name="c", mats={"A": -np.zeros((2, 2))}, free=-np.zeros(3), rhs=0.0)
+        assert con.mats["A"].size == con.free.size == 0
+        assert con.free.length == 3 and con.mats["A"].order == 2
+
+    def test_size_and_nonzero_count_read_the_stored_entries(self):
+        # What the benchmark's tracer reads of every coefficient.
+        k, v = SparseSym.unit(4, 1, 3).coupling(), SparseVec.from_dense([0.0, 3.0, -1.0])
+        assert (k.size, int((k != 0).sum())) == (2, 2)
+        assert (v.size, int((v != 0).sum())) == (2, 2)
+
+    def test_inner_product_reads_both_triangles(self):
+        # <K, Y> = Σ K_ij Y_ij over every entry, as the dense product was,
+        # also for a Y that is not symmetric.
+        a = np.array([[1.0, -2.0, 0.0], [-2.0, 0.0, 0.5], [0.0, 0.5, 3.0]])
+        y = np.arange(9.0).reshape(3, 3) ** 2
+        k = SparseSym.from_dense(a)
+        assert k.dot(y) == np.sum(a * y)
+        assert k.coupling().dot(_coupling(y)) == np.sum(_coupling(a) * _coupling(y))
+
+    def test_build_dram_holds_little_memory(self):
+        # The emit benchmark's peak op builds dram at n = 18, m = 5: 7.9 MB
+        # of dense coefficients, 0.96 MB held sparse.
+        inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
+        build_dram(inst)
+        tracemalloc.start()
+        try:
+            sdp = build_dram(inst)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sdp.constraints) == 1886
+        assert held <= 2.5e6
 
 
 class TestAltRam:

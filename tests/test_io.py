@@ -33,6 +33,8 @@ from ramanasdp import sdpa
 from ramanasdp.builders import (
     Constraint,
     PsdBlock,
+    SparseSym,
+    SparseVec,
     StandardFormSdp,
     build_alt_ram,
     build_dstrong,
@@ -201,14 +203,18 @@ def _reference_instance_text(inst):
 
 def _reference_system_text(sdp):
     """The same writer for emitted systems, with the objective's blocks in
-    block order as the module docstring promises."""
+    block order as the module docstring promises.  It formats the dense
+    form of each sparse matrix and free row."""
     sizes = [str(b.order) for b in sdp.blocks] + ([str(-2 * sdp.n_free)] if sdp.n_free else [])
     out = [str(len(sdp.constraints)), str(len(sizes)), " ".join(sizes)]
     out.append(" ".join(repr(float(c.rhs)) for c in sdp.constraints))
     sign = 1.0 if sdp.sense == "max" else -1.0
     index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    rows = [({nm: sign * k for nm, k in sdp.objective_mats.items()}, sign * sdp.objective_free)]
-    rows += [(con.mats, con.free) for con in sdp.constraints]
+    rows = [(sdp.objective_mats, sdp.objective_free, sign)]
+    rows += [(con.mats, con.free, 1.0) for con in sdp.constraints]
+    rows = [
+        ({nm: s * k.dense() for nm, k in mats.items()}, s * free.dense()) for mats, free, s in rows
+    ]
     for t, (mats, free) in enumerate(rows):
         for name in sorted(mats, key=index.get):
             _reference_entries(t, index[name], mats[name], out)
@@ -293,19 +299,18 @@ class TestChunkedWriter:
         assert not written & {"0.0", "-0.0"}
 
     def test_rows_sharing_arrays_across_chunks(self):
-        # One read-only matrix and one read-only free vector, each used by
-        # more than 2·_CHUNK_ROWS constraints (in either block) and, negated,
-        # by the objective, between all-zero and -0.0 rows: text formatted
-        # for one row or chunk must not leak into another.
+        # One sparse matrix and one sparse free vector, each used by more
+        # than 2·_CHUNK_ROWS constraints (in either block) and, negated, by
+        # the objective, between all-zero and -0.0 rows: text formatted for
+        # one row or chunk must not leak into another.
         rng = np.random.default_rng(11)
-        mat, free = _value_matrix(rng, 3), np.array([0.1, -2.5, 0.0, 1 / 3, 0.1, -1e-17])
-        for arr in (mat, free):
-            arr.setflags(write=False)
+        mat = SparseSym.from_dense(_value_matrix(rng, 3))
+        free = SparseVec.from_dense([0.1, -2.5, 0.0, 1 / 3, 0.1, -1e-17])
         cycle = [
             ({"A": mat, "B": np.zeros((3, 3))}, free),
-            ({"A": -np.zeros((3, 3))}, -np.zeros(free.size)),
+            ({"A": -np.zeros((3, 3))}, -np.zeros(free.length)),
             ({"B": mat, "A": -np.zeros((3, 3))}, free),
-            ({}, np.zeros(free.size)),
+            ({}, np.zeros(free.length)),
         ]
         cons = tuple(
             Constraint(name=f"c{t}", mats=cycle[t % 4][0], free=cycle[t % 4][1], rhs=1.0)
@@ -315,7 +320,7 @@ class TestChunkedWriter:
             system="hand",
             sense="min",
             blocks=(PsdBlock("A", 3), PsdBlock("B", 3)),
-            n_free=free.size,
+            n_free=free.length,
             objective_mats={"B": mat, "A": mat},
             objective_free=free,
             constraints=cons,

@@ -5,23 +5,24 @@ For each n, builds one system (``--builder``, default the exact dual
 ``helpers.random_degenerate_instance(default_rng(seed), n, m, (2, 1, 1))``
 and prints the build seconds, the median seconds of three writes and the
 entry lines they write per second, the memory the built system holds
-(tracemalloc of a second build alone), its count of distinct arrays, the
-floats its constraints reference against their nonzeros, and the
-tracemalloc peak of the write alone (allocations made by the writer, not
-the system it writes).  ``dstrong`` takes the face spec
-``StrongDualSpec(q, r=2)`` with q a random orthonormal basis from the same
-seed.
+(tracemalloc of a second build alone), its count of distinct coefficient
+objects, the stored entries its constraints reference against those the
+distinct objects hold, and the tracemalloc peak of the write alone
+(allocations made by the writer, not the system it writes).  ``dstrong``
+takes the face spec ``StrongDualSpec(q, r=2)`` with q a random
+orthonormal basis from the same seed.
 
     python3 tools/emit_probe.py [--n N ...] [--m M] [--seed S] [--builder B]
 
 n defaults to 18, 24 and 30, and m (at least 3) to n.  dram and altram
 hold min(n - 1, m) rungs, so their size falls with m only where
-m < n - 1; pram keeps n - 1 rungs whatever m is.  The builders share each coefficient matrix
-among the constraints that use it, so "stored floats" counts references
-(as the benchmark's ``builders.stored_floats`` does), not memory: at
-n = 30 they come to 1.2 GB of floats, while the system holds 0.16 GB,
-most of it the dense free vectors.  The file is written to a
-temporary directory and removed.  Not a test: pytest collects only
+m < n - 1; pram keeps n - 1 rungs whatever m is.  Systems are held
+sparse, and the builders share each coefficient matrix among the
+constraints that use it, so the entries referenced (what the benchmark's
+``builders.stored_floats`` counts) exceed those held.  At n = 30 the
+exact dual holds 13.5 MB (164 MB when it was held dense) and writes a
+31 MB file with a 5.6 MB write peak.  The file is written to a temporary
+directory and removed.  Not a test: pytest collects only
 ``tests`` and ``bench``.
 """
 
@@ -56,12 +57,13 @@ BUILDERS = {
 
 
 def array_counts(sdp) -> tuple[int, int, int]:
-    """Floats referenced by the constraints' matrices and free vectors, how
-    many of them are nonzero, and how many distinct arrays they are."""
-    arrays = [con.free for con in sdp.constraints]
-    arrays += [mat for con in sdp.constraints for mat in con.mats.values()]
-    stored = sum(a.size for a in arrays)
-    return stored, sum(int(np.count_nonzero(a)) for a in arrays), len({id(a) for a in arrays})
+    """Stored entries referenced by the constraints' matrices and free
+    rows, the stored entries of the distinct ones, and how many distinct
+    ones there are."""
+    coeffs = [con.free for con in sdp.constraints]
+    coeffs += [mat for con in sdp.constraints for mat in con.mats.values()]
+    distinct = list({id(c): c for c in coeffs}.values())
+    return sum(c.size for c in coeffs), sum(c.size for c in distinct), len(distinct)
 
 
 def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
@@ -89,7 +91,7 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stored, nonzeros, distinct = array_counts(sdp)
+    referenced, entries_held, distinct = array_counts(sdp)
     with open(path, "rb") as fh:
         lines = sum(1 for _ in fh) - 4  # the header takes four lines
     return {
@@ -100,9 +102,9 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
         "lines": lines,
         "file_mb": os.path.getsize(path) / 1e6,
         "held_mb": held / 1e6,
-        "distinct_arrays": distinct,
-        "stored_floats": stored,
-        "nonzeros": nonzeros,
+        "distinct_coeffs": distinct,
+        "entries_referenced": referenced,
+        "entries_held": entries_held,
         "write_peak_mb": peak / 1e6,
     }
 
@@ -125,9 +127,9 @@ def main(argv=None) -> int:
                 f"build {row['build_s']:.2f} s, write {row['write_s']:.2f} s "
                 f"({row['file_mb']:.1f} MB, {row['lines'] / row['write_s'] / 1e3:,.0f}k lines/s), "
                 f"holds {row['held_mb']:.1f} MB in "
-                f"{row['distinct_arrays']:,} distinct arrays, "
-                f"stored floats {row['stored_floats']:,}, nonzeros {row['nonzeros']:,} "
-                f"({row['nonzeros'] / row['stored_floats']:.2%}), "
+                f"{row['distinct_coeffs']:,} distinct coefficients, "
+                f"stored entries {row['entries_referenced']:,} referenced, "
+                f"{row['entries_held']:,} held, "
                 f"write peak {row['write_peak_mb']:.1f} MB",
                 flush=True,
             )
