@@ -91,7 +91,10 @@ order-2n coupling matrices and the corner ties' matrices are made in that
 form directly; dense inputs (A_t and C for pram, the strong systems'
 rotated blocks, red's basis) are converted once per build.  A Constraint
 converts any dense array it is given and refuses a nonsymmetric matrix,
-whose upper triangle would not say what it is.  No ladder coefficient
+whose upper triangle would not say what it is.  The two constructors
+check the entries they are given, and a StandardFormSdp refuses a row
+that does not fit it: a free row of another length than n_free would be
+written into the negated half of the free block.  No ladder coefficient
 depends on the rung index, so each distinct matrix is made once per build
 and shared by every constraint that uses it (a ladder system references
 O(n³) matrices but holds O(n²)), and a rung's free row shares its values
@@ -102,6 +105,7 @@ formats a matrix or a values array used by several rows once per write.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -156,9 +160,19 @@ class VarSlot:
 class _Sparse:
     """What the two sparse coefficient types share: they cannot be changed,
     size is the count of stored entries, and != compares the stored values
-    elementwise, as on an array of them."""
+    elementwise, as on an array of them.  The constructors check what the
+    docstrings state; from_dense, unit, signed, coupling and the builders,
+    whose entries hold it by construction, make objects through _of, which
+    does not."""
 
     __slots__ = ()
+
+    @classmethod
+    def _of(cls, *fields):
+        """An object with these fields, in __slots__ order, unchecked."""
+        obj = object.__new__(cls)
+        obj._set(*fields)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -171,14 +185,10 @@ class _Sparse:
         return np.array(self.vals, dtype=float) != other
 
 
-@functools.lru_cache(maxsize=64)
-def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """svec_index(n), made once per order: the strong systems ask for it
-    once per row."""
-    out = svec_index(n)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+def _check_sign(sign: float) -> None:
+    # A sign flip is exact, so no stored entry becomes zero.
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,15 +204,35 @@ class SparseSym(_Sparse):
     """A symmetric matrix of the given order held as the nonzeros of its
     upper triangle: vals[k] at (rows[k], cols[k]) and (cols[k], rows[k]),
     rows[k] <= cols[k], in row-major order, all three tuples of Python
-    numbers."""
+    numbers, no value ±0.0 or nan."""
 
     __slots__ = ("order", "rows", "cols", "vals")
 
-    def __init__(self, order: int, rows: tuple, cols: tuple, vals: tuple):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+    def _set(self, order, rows, cols, vals):
+        set_ = object.__setattr__
+        set_(self, "order", order)
+        set_(self, "rows", rows)
+        set_(self, "cols", cols)
+        set_(self, "vals", vals)
+
+    def __init__(self, order: int, rows, cols, vals):
+        order = operator.index(order)
+        rows, cols = tuple(map(operator.index, rows)), tuple(map(operator.index, cols))
+        vals = tuple(map(float, vals))
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals must have one entry each")
+        last = (-1, order)
+        for i, j in zip(rows, cols):
+            if not 0 <= i <= j < order:
+                raise ValueError(f"entry ({i}, {j}) is not in the upper triangle of order {order}")
+            if (i, j) <= last:
+                raise ValueError(f"entry ({i}, {j}) is out of row-major order or repeated")
+            last = (i, j)
+        if not all(vals):
+            raise ValueError("a stored value is zero")
+        if any(v != v for v in vals):
+            raise ValueError("a stored value is nan")
+        self._set(order, rows, cols, vals)
 
     @staticmethod
     def from_dense(a) -> "SparseSym":
@@ -217,19 +247,23 @@ class SparseSym(_Sparse):
         rows, cols = _triu(a.shape[0])
         tri = a[rows, cols]
         k = np.flatnonzero(tri)
-        return SparseSym(
+        return SparseSym._of(
             a.shape[0], tuple(rows[k].tolist()), tuple(cols[k].tolist()), tuple(tri[k].tolist())
         )
 
     @staticmethod
     def unit(order: int, p: int, q: int) -> "SparseSym":
         """E_pq, p <= q, with <E_pq, Y> = Y[p, q] for symmetric Y."""
-        return SparseSym(order, (p,), (q,), (1.0 if p == q else 0.5,))
+        if not 0 <= p <= q < order:
+            raise ValueError(f"entry ({p}, {q}) is not in the upper triangle of order {order}")
+        return SparseSym._of(order, (p,), (q,), (1.0 if p == q else 0.5,))
 
-    def scaled(self, s: float) -> "SparseSym":
-        if s == 1.0:
+    def signed(self, sign: float) -> "SparseSym":
+        """sign times this matrix, sign 1 or -1."""
+        _check_sign(sign)
+        if sign == 1.0:
             return self
-        return SparseSym(self.order, self.rows, self.cols, tuple([s * v for v in self.vals]))
+        return SparseSym._of(self.order, self.rows, self.cols, tuple([-v for v in self.vals]))
 
     def coupling(self) -> "SparseSym":
         """[[0, K], [K, 0]] of order 2n, K this matrix: K's entry (i, j)
@@ -242,7 +276,7 @@ class SparseSym(_Sparse):
                 entries.append((j, n + i, v))
         entries.sort()  # positions are distinct, so no value is compared
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
-        return SparseSym(2 * n, rows, cols, vals)
+        return SparseSym._of(2 * n, rows, cols, vals)
 
     def dense(self) -> np.ndarray:
         a = np.zeros((self.order, self.order))
@@ -261,23 +295,36 @@ class SparseSym(_Sparse):
 
 class SparseVec(_Sparse):
     """A vector of the given length held as its nonzeros: vals[k] at
-    offset + idx[k], idx increasing, in intp and float arrays that are
-    made read-only, not copied.  Rows that differ only in where their
-    values sit, as a ladder's rungs do, share both arrays.  Unlike a
-    matrix, mostly a one- or two-entry unit made by the thousand, a free
-    row can be as long as the free vector, where arrays take a quarter of
-    the memory of tuples."""
+    offset + idx[k], idx increasing, in read-only intp and float arrays,
+    no value ±0.0.  The constructor copies the arrays it is given.
+    Rows that differ only in where their values sit, as a ladder's rungs
+    do, share both arrays.  Unlike a matrix, mostly a one- or two-entry
+    unit made by the thousand, a free row can be as long as the free
+    vector, where arrays take a quarter of the memory of tuples."""
 
     __slots__ = ("length", "idx", "vals", "offset")
 
+    def _set(self, length, idx, vals, offset):
+        set_ = object.__setattr__
+        set_(self, "length", length)
+        set_(self, "idx", idx)
+        set_(self, "vals", vals)
+        set_(self, "offset", offset)
+
     def __init__(self, length: int, idx, vals, offset: int = 0):
-        idx, vals = np.asarray(idx, dtype=np.intp), np.asarray(vals, dtype=float)
+        length, offset = operator.index(length), operator.index(offset)
+        idx, vals = np.array(idx, dtype=np.intp), np.array(vals, dtype=float)
+        if idx.ndim != 1 or idx.shape != vals.shape:
+            raise ValueError("idx and vals must be vectors of one length")
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("idx must be increasing")
+        if idx.size and not (0 <= offset + idx[0] and offset + idx[-1] < length):
+            raise ValueError(f"an index plus offset {offset} is outside 0..{length - 1}")
+        if not vals.all():
+            raise ValueError("a stored value is zero")
         idx.setflags(write=False)
         vals.setflags(write=False)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "vals", vals)
-        object.__setattr__(self, "offset", offset)
+        self._set(length, idx, vals, offset)
 
     @staticmethod
     def from_dense(v) -> "SparseVec":
@@ -285,17 +332,24 @@ class SparseVec(_Sparse):
         if v.ndim != 1:
             raise ValueError(f"free coefficients must be a vector, got shape {v.shape}")
         k = np.flatnonzero(v)
-        return SparseVec(v.size, k, v[k])
+        vals = v[k]
+        for arr in (k, vals):
+            arr.setflags(write=False)
+        return SparseVec._of(v.size, k, vals, 0)
 
-    def at(self, offset: int, length: int) -> "SparseVec":
-        """This vector placed from offset in one of the given length; both
-        arrays are shared."""
-        return SparseVec(length, self.idx, self.vals, self.offset + offset)
+    def _at(self, offset: int, length: int) -> "SparseVec":
+        """This vector placed from offset in one of the given length, which
+        must hold it; both arrays are shared.  Unchecked, as _of."""
+        return SparseVec._of(length, self.idx, self.vals, self.offset + offset)
 
-    def scaled(self, s: float) -> "SparseVec":
-        if s == 1.0:
+    def signed(self, sign: float) -> "SparseVec":
+        """sign times this vector, sign 1 or -1."""
+        _check_sign(sign)
+        if sign == 1.0:
             return self
-        return SparseVec(self.length, self.idx, s * self.vals, self.offset)
+        vals = -self.vals
+        vals.setflags(write=False)
+        return SparseVec._of(self.length, self.idx, vals, self.offset)
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.length)
@@ -337,7 +391,9 @@ class Constraint:
 @dataclass(frozen=True)
 class StandardFormSdp:
     """An emitted system; dense objective arrays are converted as a
-    Constraint converts its own."""
+    Constraint converts its own.  Every row's free coefficients must have
+    length n_free, or 0 for a row without free part, and its matrices
+    name blocks of their own order."""
 
     system: str
     sense: str
@@ -352,6 +408,23 @@ class StandardFormSdp:
         mats = {b: _sparse_sym(k) for b, k in self.objective_mats.items()}
         object.__setattr__(self, "objective_mats", mats)
         object.__setattr__(self, "objective_free", _sparse_vec(self.objective_free))
+        orders = {b.name: b.order for b in self.blocks}
+        lengths, order_of = (self.n_free, 0), orders.get
+        for con in (self, *self.constraints):
+            mats, free = (
+                (con.objective_mats, con.objective_free) if con is self else (con.mats, con.free)
+            )
+            fits = free.length in lengths
+            for b, k in mats.items():
+                fits = fits and order_of(b) == k.order
+            if not fits:
+                what = "the objective" if con is self else f"constraint {con.name}"
+                given = {b: k.order for b, k in mats.items()}
+                raise ValueError(
+                    f"{what} does not fit the system: free length {free.length} for "
+                    f"n_free {self.n_free}, matrix orders {given} "
+                    f"for blocks {({b: orders.get(b) for b in mats})}"
+                )
 
 
 @dataclass
@@ -418,11 +491,12 @@ def extract(sdp: StandardFormSdp, assign: Assignment, name: str) -> np.ndarray:
     raise ValueError(f"unknown slot kind {slot.kind!r}")
 
 
-def _free_sym_coeffs(a: np.ndarray) -> np.ndarray:
+def _free_sym_coeffs(a: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Coefficients c with c·x_utri = <A, X> for upper-triangle layout and
-    symmetric X; A itself need not be symmetric."""
+    symmetric X; A itself need not be symmetric.  index is svec_index of
+    A's order, which the strong systems make once for all their rows."""
     n = a.shape[0]
-    i, j = _svec_index(n)
+    i, j = index
     c = a[i, j]
     c[n:] += a[j[n:], i[n:]]
     return c
@@ -448,7 +522,7 @@ def _plus_tangent(
     id(K), next to K itself so that the id is not reused."""
     key = (id(k), sign)
     if key not in shared:
-        psd_mat = k.scaled(sign)
+        psd_mat = k.signed(sign)
         shared[key] = (k, psd_mat, psd_mat.coupling())
     _, psd_mat, t_mat = shared[key]
     return {psd: psd_mat} if t is None else {psd: psd_mat, t: t_mat}
@@ -487,7 +561,7 @@ def _ladder_system(
     pairs = svec_order(n)
     shared: dict = {}  # _plus_tangent's matrices
     tie_mats = [
-        (SparseSym.unit(2 * n, p, q), SparseSym.unit(n, p, q).scaled(-1.0)) for p, q in pairs
+        (SparseSym.unit(2 * n, p, q), SparseSym.unit(n, p, q).signed(-1.0)) for p, q in pairs
     ]
     no_free = SparseVec(n_free, (), ())
     blocks = [PsdBlock(f"U{i}", n) for i in range(1, count + 1)]
@@ -552,14 +626,14 @@ def _ladder_system(
 def _at_cols(inst: SdpInstance) -> list[SparseVec]:
     """Entry idx holds the coefficients of (𝒜*y)[p, q] on y, (p, q) the
     idx-th svec pair."""
-    i, j = _svec_index(inst.n)
+    i, j = svec_index(inst.n)
     at = np.array([a.a[i, j] for a in inst.a]).reshape(inst.m, i.size)
     return [SparseVec.from_dense(col) for col in at.T]
 
 
 def _b_row(inst: SdpInstance, n_free: int, off: int) -> SparseVec:
     """Coefficients of <b, y> for y stored at free offset off."""
-    return SparseVec.from_dense(inst.b).at(off, n_free)
+    return SparseVec.from_dense(inst.b)._at(off, n_free)
 
 
 def _dual_ladder(
@@ -584,8 +658,8 @@ def _dual_ladder(
 
     def rung(i):
         for idx, (p, q) in enumerate(pairs):
-            yield f"decomp[{p},{q}]", units[idx], at[idx].at(m * i, n_free)
-        yield "rhs", None, b.at(m * i, n_free)
+            yield f"decomp[{p},{q}]", units[idx], at[idx]._at(m * i, n_free)
+        yield "rhs", None, b._at(m * i, n_free)
 
     slots = {"y": VarSlot(kind="free_vec", offset=0, length=m)}
     for i in range(1, count + 1):
@@ -598,7 +672,7 @@ def _dual_ladder(
         rungs=(rung(i) for i in range(1, count + 1)),
         rung_sign=-1.0,
         head_sign=head_sign,
-        head_free=[col.at(0, n_free) for col in at],
+        head_free=[col._at(0, n_free) for col in at],
         head_rhs=head_rhs,
         last=last,
         objective_free=objective_free,
@@ -633,11 +707,12 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
 
 def _primal_eq(inst: SdpInstance, n_free: int) -> list[Constraint]:
     """𝒜X = b over the utri layout of X at free offset 0."""
+    index = svec_index(inst.n)
     return [
         Constraint(
             name=f"primal_eq{t + 1}",
             mats={},
-            free=SparseVec.from_dense(_free_sym_coeffs(a.a)).at(0, n_free),
+            free=SparseVec.from_dense(_free_sym_coeffs(a.a, index))._at(0, n_free),
             rhs=float(inst.b[t]),
         )
         for t, a in enumerate(inst.a)
@@ -668,9 +743,9 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
         rungs=[rows] * (n - 1),
         rung_sign=1.0,
         head_sign=-1.0,
-        head_free=[unit.at(idx, nn) for idx in range(nn)],
+        head_free=[unit._at(idx, nn) for idx in range(nn)],
         head_rhs=np.zeros((n, n)),
-        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a)),
+        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n))),
         slots={"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
         first=_primal_eq(inst, nn),
     )
@@ -716,9 +791,10 @@ def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     n_free = m + n11 + f * r
     blocks = (PsdBlock("V22", r),) if r else ()
     cons: list[Constraint] = []
+    index = svec_index(f)
     for p, qq in svec_order(n):
         k11, k22, k12 = _rotated_entry(q, p, qq, f, 1.0)
-        free = np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11), k12])
+        free = np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11, index), k12])
         mats = {"V22": SparseSym.from_dense((k22 + k22.T) / 2.0)} if np.any(k22) else {}
         cons.append(
             Constraint(
@@ -761,9 +837,10 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     n_free = nn + n22 + r * f
     blocks = (PsdBlock("V11", r),) if r else ()
     cons = _primal_eq(inst, n_free)
+    index = svec_index(f)
     for idx, (p, qq) in enumerate(svec_order(n)):
         k11, k22, k12 = _rotated_entry(q, p, qq, r, -1.0)
-        free = np.concatenate([np.zeros(nn), _free_sym_coeffs(k22), k12])
+        free = np.concatenate([np.zeros(nn), _free_sym_coeffs(k22, index), k12])
         free[idx] = 1.0
         mats = {"V11": SparseSym.from_dense((k11 + k11.T) / 2.0)} if np.any(k11) else {}
         cons.append(
@@ -783,7 +860,9 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
         blocks=blocks,
         n_free=n_free,
         objective_mats={},
-        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a)).at(0, n_free),
+        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n)))._at(
+            0, n_free
+        ),
         constraints=tuple(cons),
         var_map=vm,
     )
@@ -826,7 +905,7 @@ def red_to_instance(comp: DualComplement) -> SdpInstance:
 
 
 def _utri_values(a: np.ndarray) -> np.ndarray:
-    return a[_svec_index(a.shape[0])]
+    return a[svec_index(a.shape[0])]
 
 
 def _is_zero_rung(rung) -> bool:

@@ -28,8 +28,8 @@ and each SparseVec its pairs of free-block lines.  The write first counts
 the rows that use each matrix and each array of free values (the builders
 share both among rows).  A template, or the texts of an array's values,
 is made once and kept only while rows that use it remain, so text used
-once is never kept.  Instance text keeps no memo and formats each dense
-matrix straight, one per chunk: its matrices do not repeat, so
+once is never kept.  Instance text keeps no memo and formats each matrix
+through its sparse form, one per chunk: its matrices do not repeat, so
 instance_digest, which hashes this text while a certificate is checked,
 holds one matrix's lines beside the text at a time.
 """
@@ -76,18 +76,6 @@ _CHUNK_ROWS = 32
 
 
 @functools.lru_cache(maxsize=64)
-def _triu_texts(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the row-major upper triangle of an order-n matrix,
-    and the text "i j " (1-based) of each of its entries."""
-    rows, cols = np.triu_indices(order)
-    flat = rows * order + cols
-    ij = np.array([f"{i + 1} {j + 1} " for i, j in zip(rows.tolist(), cols.tolist())], dtype=object)
-    for arr in (flat, ij):
-        arr.setflags(write=False)
-    return flat, ij
-
-
-@functools.lru_cache(maxsize=64)
 def _ij_texts(order: int) -> tuple[tuple[str, ...], ...]:
     """The text "i j " (1-based) of entry (i, j) of an order-n matrix."""
     return tuple(tuple(f"{i} {j} " for j in range(1, order + 1)) for i in range(1, order + 1))
@@ -99,19 +87,9 @@ def _diag_texts(size: int) -> tuple[str, ...]:
     return tuple(f"{j} {j} " for j in range(1, size + 1))
 
 
-def _dense_template(mat: np.ndarray) -> str:
-    r"""The line "\0i j value\n" of each nonzero of mat's upper triangle,
-    row-major; replacing "\0" by "matno blkno " gives a row's lines.  An
-    instance's matrices are dense, and formatting them straight is faster
-    than through their sparse form."""
-    flat, ij = _triu_texts(mat.shape[0])
-    tri = mat.take(flat)
-    k = tri.nonzero()[0]
-    return "".join([f"\0{t}{v!r}\n" for t, v in zip(ij[k].tolist(), tri[k].tolist())])
-
-
 def _template(k: SparseSym) -> str:
-    r"""The lines of _dense_template for the stored entries of k."""
+    r"""The line "\0i j value\n" of each stored entry of k, row-major;
+    replacing "\0" by "matno blkno " gives a row's lines."""
     ij = _ij_texts(k.order)
     return "".join([f"\0{ij[i][j]}{v!r}\n" for i, j, v in zip(k.rows, k.cols, k.vals)])
 
@@ -173,7 +151,7 @@ def instance_chunks(inst: SdpInstance) -> Iterator[str]:
     repeat, so nothing is kept from one matrix to the next."""
     yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]) + "\n"
     for t, mat in enumerate((inst.c,) + tuple(inst.a)):
-        yield _dense_template(mat.a).replace("\0", f"{t} 1 ")
+        yield _template(SparseSym.from_dense(mat.a)).replace("\0", f"{t} 1 ")
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
@@ -189,8 +167,8 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     header.append(" ".join(_fmt(c.rhs) for c in sdp.constraints))
     sign = 1.0 if sdp.sense == "max" else -1.0
     block_index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    objective_mats = {name: k.scaled(sign) for name, k in sdp.objective_mats.items()}
-    rows = [(0, objective_mats, sdp.objective_free.scaled(sign))]
+    objective_mats = {name: k.signed(sign) for name, k in sdp.objective_mats.items()}
+    rows = [(0, objective_mats, sdp.objective_free.signed(sign))]
     rows += [(t, con.mats, con.free) for t, con in enumerate(sdp.constraints, start=1)]
     return _sdpa_chunks(header, rows, block_index, sdp.n_free)
 

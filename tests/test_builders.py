@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -39,8 +40,10 @@ from ramanasdp import (
 from ramanasdp.builders import (
     Assignment,
     Constraint,
+    PsdBlock,
     SparseSym,
     SparseVec,
+    StandardFormSdp,
     max_violation,
     min_block_eigenvalue,
     objective_value,
@@ -422,6 +425,72 @@ class TestSparseForm:
         k, v = SparseSym.unit(4, 1, 3).coupling(), SparseVec.from_dense([0.0, 3.0, -1.0])
         assert (k.size, int((k != 0).sum())) == (2, 2)
         assert (v.size, int((v != 0).sum())) == (2, 2)
+
+    def test_hand_built_matrix_is_checked(self):
+        assert SparseSym(3, [0, 1], [2, 1], [2.5, 1]).vals == (2.5, 1.0)
+        for rows, cols, vals, msg in [
+            ((1,), (0,), (1.0,), "upper triangle"),  # lower triangle
+            ((0,), (3,), (1.0,), "upper triangle"),  # outside order 3
+            ((0, 0), (2, 1), (1.0, 1.0), "row-major"),
+            ((1, 1), (1, 1), (1.0, 1.0), "row-major"),  # repeated
+            ((0,), (1,), (-0.0,), "zero"),
+            ((0,), (1,), (np.nan,), "nan"),
+            ((0, 1), (1,), (1.0,), "one entry each"),
+        ]:
+            with pytest.raises(ValueError, match=msg):
+                SparseSym(3, rows, cols, vals)
+        with pytest.raises(ValueError, match="upper triangle"):
+            SparseSym.unit(3, 2, 1)
+        with pytest.raises(ValueError, match="sign"):
+            SparseSym.unit(3, 0, 1).signed(2.0)
+
+    def test_hand_built_vector_is_checked(self):
+        idx, vals = np.array([0, 2]), np.array([1.0, -3.0])
+        v = SparseVec(4, idx, vals, offset=1)
+        assert v.dense().tolist() == [0.0, 1.0, 0.0, -3.0]
+        # The caller's arrays are copied, not frozen.
+        idx[0], vals[0] = 1, 5.0
+        assert v.dense().tolist() == [0.0, 1.0, 0.0, -3.0]
+        for length, idx, vals, offset, msg in [
+            (4, (0, 2), (1.0, 1.0), 2, "outside"),  # offset + idx reaches 4
+            (4, (0,), (1.0,), -1, "outside"),
+            (4, (2, 1), (1.0, 1.0), 0, "increasing"),
+            (4, (1, 1), (1.0, 1.0), 0, "increasing"),
+            (4, (1,), (0.0,), 0, "zero"),
+            (4, (1, 2), (1.0,), 0, "one length"),
+        ]:
+            with pytest.raises(ValueError, match=msg):
+                SparseVec(length, idx, vals, offset)
+        with pytest.raises(ValueError, match="sign"):
+            v.signed(0.5)
+
+    def test_row_that_does_not_fit_its_system_is_refused(self):
+        # A free row longer than n_free would be written into the negated
+        # half of the free block; a matrix of another order than its block
+        # would be written outside it.
+        blocks, one = (PsdBlock("A", 2),), SparseSym.unit(2, 0, 0)
+        rows = {
+            "free length 4": Constraint(
+                name="c", mats={"A": one}, free=SparseVec(4, (3,), (1.0,)), rhs=0.0
+            ),
+            "matrix orders {'A': 3}": Constraint(
+                name="c", mats={"A": SparseSym.unit(3, 0, 0)}, free=np.zeros(2), rhs=0.0
+            ),
+            "blocks {'B': None}": Constraint(name="c", mats={"B": one}, free=np.zeros(2), rhs=0.0),
+        }
+        for msg, con in rows.items():
+            for objective in (False, True):
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    StandardFormSdp(
+                        system="hand",
+                        sense="min",
+                        blocks=blocks,
+                        n_free=2,
+                        objective_mats=con.mats if objective else {},
+                        objective_free=con.free if objective else np.zeros(2),
+                        constraints=() if objective else (con,),
+                        var_map={},
+                    )
 
     def test_inner_product_reads_both_triangles(self):
         # <K, Y> = Σ K_ij Y_ij over every entry, as the dense product was,
