@@ -21,10 +21,19 @@ k the highest index present; a missing record below it is zero.
 Record j is rung n-1-k+j: a file with k < n-1 holds the *last* k rungs,
 the rungs before them are zero, and a violation in record Uj is reported
 at rung n-1-k+j.
-A number that is not finite or not a number at all, a repeated record, a
-record line without its name and value or length, a negative length and
-a header n or m that is not an integer make the file malformed; the
-error names the record or field.
+Blank lines are skipped.  A vector is one line, a matrix one line a row,
+a record of length 0 has no line, and entries are separated by spaces or
+tabs.  Every number in the file (entries, ``scalar`` and ``value``) is a
+decimal or scientific literal (``-0.5``, ``.5``, ``5.``, ``1.25e-07``),
+read by ``np.loadtxt`` one record at a time; ``repr`` writes each float
+so that it reads back to the same bits.  ``nan``, ``inf`` and literals
+that overflow are refused as non-finite; spellings only Python's
+``float()`` reads (``1_0``, non-ASCII digits) and ``#``, which starts no
+comment, are refused as not a number.  Such a number, a ragged row, a
+vector of the wrong count, a record cut short by the end of the file, a
+repeated record, a record line without its name and value or length, a
+negative length and a header n or m that is not an integer make the
+file malformed; the error names the record or field.
 The primal system stores X; strong systems store the point plus the
 rotation Q and the block order r.
 """
@@ -32,7 +41,6 @@ rotation Q and the block order r.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -82,12 +90,8 @@ def instance_digest(inst: SdpInstance) -> str:
     return digest.hexdigest()
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _vec_line(v: np.ndarray) -> str:
-    return " ".join(_fmt(x) for x in v)
+    return " ".join(map(repr, v.tolist()))
 
 
 def certificate_to_text(
@@ -105,7 +109,7 @@ def certificate_to_text(
         f"m {inst.m}",
     ]
     if claimed_value is not None:
-        out.append(f"value {_fmt(claimed_value)}")
+        out.append(f"value {float(claimed_value)!r}")
 
     def put_vec(name: str, v: np.ndarray) -> None:
         out.append(f"vector {name} {len(v)}")
@@ -146,14 +150,25 @@ def write_certificate(path: str, inst: SdpInstance, system: str, **kw) -> None:
         fh.write(certificate_to_text(inst, system, **kw))
 
 
-def _floats(toks: list[str], what: str) -> list[float]:
+def _numbers(lines: list[str], what: str) -> np.ndarray:
+    """The entries of ``lines``, one row a line, as a 2-D float array.
+
+    ``comments=None``: with numpy's default ``#`` a stray ``#`` would
+    silently cut its row short.  ``lines`` is never empty, since
+    ``loadtxt`` warns on an input without data."""
     try:
-        vals = [float(t) for t in toks]
-    except ValueError as exc:  # names the token: could not convert string to float: 'abc'
+        a = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError as exc:  # names the token: could not convert string 'abc' to float64 ...
+        if "number of columns changed" in str(exc):
+            raise CertificateFormatError(f"{what}: ragged row") from None
         raise CertificateFormatError(f"{what}: {exc}") from None
-    if not all(math.isfinite(v) for v in vals):
+    if not np.isfinite(a).all():
         raise CertificateFormatError(f"{what} has a non-finite entry")
-    return vals
+    return a
+
+
+def _number(token: str, what: str) -> float:
+    return float(_numbers([token], what)[0, 0])
 
 
 def _header_int(fields: dict[str, str], name: str) -> int:
@@ -166,35 +181,19 @@ def _header_int(fields: dict[str, str], name: str) -> int:
 
 
 def parse_certificate_text(text: str) -> CertificateFile:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    idx = 0
-
-    def next_line() -> str:
-        nonlocal idx
-        while idx < len(lines) and not lines[idx].strip():
-            idx += 1
-        if idx >= len(lines):
-            raise CertificateFormatError("unexpected end of file")
-        ln = lines[idx]
-        idx += 1
-        return ln
-
-    header = next_line().split()
-    if header[:2] != ["ramanasdp-certificate", "1"]:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].split()[:2] != ["ramanasdp-certificate", "1"]:
         raise CertificateFormatError("not a ramanasdp certificate file")
     fields: dict[str, str] = {}
     scalars: dict[str, float] = {}
     vectors: dict[str, np.ndarray] = {}
     matrices: dict[str, np.ndarray] = {}
     seen: set[tuple[str, ...]] = set()
+    idx = 1
     while idx < len(lines):
-        try:
-            ln = next_line()
-        except CertificateFormatError:
-            break
+        ln = lines[idx]
+        idx += 1
         toks = ln.split()
-        if not toks:
-            continue
         kind = toks[0]
         record = tuple(toks[:2]) if kind in ("scalar", "vector", "matrix") else (kind,)
         if record in seen:
@@ -208,33 +207,43 @@ def parse_certificate_text(text: str) -> CertificateFile:
         if kind not in ("scalar", "vector", "matrix"):
             raise CertificateFormatError(f"unknown record kind {kind!r}")
         if len(toks) != 3:
-            what = "value" if kind == "scalar" else "length"
-            raise CertificateFormatError(f"record {ln!r} is not '{kind} <name> <{what}>'")
+            field = "value" if kind == "scalar" else "length"
+            raise CertificateFormatError(f"record {ln!r} is not '{kind} <name> <{field}>'")
         name = toks[1]
+        what = f"{kind} {name}"
         if kind == "scalar":
-            scalars[name] = _floats(toks[2:], f"scalar {name}")[0]
+            scalars[name] = _number(toks[2], what)
             continue
         try:
             length = int(toks[2])
         except ValueError:
             raise CertificateFormatError(
-                f"{kind} {name}: length {toks[2]!r} is not an integer"
-            )
+                f"{what}: length {toks[2]!r} is not an integer"
+            ) from None
         if length < 0:
-            raise CertificateFormatError(f"{kind} {name}: length {length} is negative")
+            raise CertificateFormatError(f"{what}: length {length} is negative")
+        # A vector is one line, a matrix one line a row; a record of
+        # length 0 has no line (the writer's empty line is skipped above).
+        count = min(length, 1) if kind == "vector" else length
+        rows = lines[idx : idx + count]
+        idx += count
+        if len(rows) < count:
+            raise CertificateFormatError(
+                f"{what}: file ends after {len(rows)} of {count} rows"
+            )
+        a = _numbers(rows, what) if rows else np.zeros((0, 0))
         if kind == "vector":
-            vals = np.array(_floats(next_line().split(), f"vector {name}"))
-            if vals.shape != (length,):
-                raise CertificateFormatError(f"vector {name}: expected {length} values")
-            vectors[name] = vals
+            if a.size != length:
+                raise CertificateFormatError(
+                    f"{what}: expected {length} values, got {a.size}"
+                )
+            vectors[name] = a.reshape(length)
         else:
-            rows = []
-            for _ in range(length):
-                row = _floats(next_line().split(), f"matrix {name}")
-                if len(row) != length:
-                    raise CertificateFormatError(f"matrix {name}: ragged row")
-                rows.append(row)
-            matrices[name] = np.array(rows)
+            if a.shape != (length, length):
+                raise CertificateFormatError(
+                    f"{what}: expected {length} entries a row, got {a.shape[1]}"
+                )
+            matrices[name] = a
     for req in ("system", "instance-hash", "n", "m"):
         if req not in fields:
             raise CertificateFormatError(f"missing header field {req}")
@@ -246,7 +255,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
         instance_hash=fields["instance-hash"],
         n=_header_int(fields, "n"),
         m=_header_int(fields, "m"),
-        claimed_value=_floats([fields["value"]], "value")[0] if "value" in fields else None,
+        claimed_value=_number(fields["value"], "value") if "value" in fields else None,
         scalars=scalars,
         vectors=vectors,
         matrices=matrices,

@@ -551,8 +551,22 @@ class TestCertificateFiles:
             ("dstrong", "scalar r 2", 0, "scalar r two", "scalar r: .*'two'"),
             ("pstrong", "matrix X 4", 0, "matrix X -1", "matrix X: length -1 is negative"),
             ("pstrong", "matrix Q 4", 0, "matrix Q -4", "matrix Q: length -4 is negative"),
+            ("pstrong", "matrix X 4", 2, "0.0 1.0 0.0", "matrix X: ragged row"),
+            ("dstrong", "vector y 3", 1, "0.0 1.0", "vector y: expected 3 values, got 2"),
+            ("dstrong", "vector y 3", 1, "0.0 1.0 0.0 1.0", "vector y: expected 3 values, got 4"),
+            # comments=None: a '#' is a bad token, not the start of a comment
+            # that would cut the row short.
+            ("dstrong", "vector y 3", 1, "0.0 1.0 # 1.0", "vector y: .*'#'"),
+            # Entries are decimal or scientific literals; float() also reads
+            # Python's '1_0' and non-ASCII digits, the parser does not.
+            ("dstrong", "vector y 3", 1, "0.0 1_0 1.0", "vector y: .*'1_0'"),
+            ("dstrong", "scalar r 2", 0, "scalar r \uff12", "scalar r: .*'\uff12'"),
         ],
-        ids=["word-n", "float-m", "word-entry", "word-scalar", "negative-length", "negative-q"],
+        ids=[
+            "word-n", "float-m", "word-entry", "word-scalar", "negative-length", "negative-q",
+            "ragged-row", "short-vector", "long-vector", "hash-entry", "underscore-entry",
+            "fullwidth-scalar",
+        ],
     )
     def test_unreadable_field_rejected(self, system, line, at, new, match):
         point = np.array([0.0, 0.0, 1.0]) if system == "dstrong" else SymMat.identity(4)
@@ -562,6 +576,91 @@ class TestCertificateFiles:
         lines[lines.index(line) + at] = new
         with pytest.raises(CertificateFormatError, match=match):
             parse_certificate_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_file_ending_inside_a_matrix_names_it(self, cut):
+        lines = certificate_to_text(
+            inst_gap_rr(), "pstrong", spec=StrongDualSpec(q=np.eye(4), r=2),
+            point=SymMat.identity(4),
+        ).splitlines()
+        with pytest.raises(
+            CertificateFormatError, match=f"matrix X: file ends after {4 - cut} of 4 rows"
+        ):
+            parse_certificate_text("\n".join(lines[:-cut]) + "\n")
+
+    def test_file_ending_before_a_vector_names_it(self):
+        text = certificate_to_text(
+            inst_gap_rr(), "dstrong", spec=StrongDualSpec(q=np.eye(4), r=2),
+            point=np.array([0.0, 0.0, 1.0]),
+        )
+        with pytest.raises(CertificateFormatError, match="vector y: file ends after 0 of 1 rows"):
+            parse_certificate_text(text[: text.index("vector y 3") + len("vector y 3")])
+
+    def test_matrix_rows_of_another_width_rejected(self):
+        lines = certificate_to_text(
+            inst_gap_rr(), "pstrong", spec=StrongDualSpec(q=np.eye(4), r=2),
+            point=SymMat.identity(4),
+        ).splitlines()
+        at = lines.index("matrix X 4")
+        for i in range(at + 1, at + 5):
+            lines[i] = " ".join(lines[i].split()[:3])
+        match = "matrix X: expected 4 entries a row, got 3"
+        with pytest.raises(CertificateFormatError, match=match):
+            parse_certificate_text("\n".join(lines) + "\n")
+
+    def test_tabs_and_blank_lines_between_rows_accepted(self):
+        inst = inst_unattained()
+        text = certificate_to_text(inst, "dram", cert=_ladder_cert(), claimed_value=0.0)
+        spaced = text.replace(" ", "\t").replace("\n", "\n \t\n\n")
+        # Every space becomes a tab, and blank lines go between all lines.
+        assert "\t" in spaced and "ramanasdp-certificate\t1" in spaced
+        want, got = parse_certificate_text(text), parse_certificate_text(spaced)
+        assert got.claimed_value == want.claimed_value == 0.0
+        for pool in ("vectors", "matrices"):
+            a, b = getattr(want, pool), getattr(got, pool)
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize("rungs", [0, 2])
+    def test_zero_length_vectors_round_trip(self, rungs):
+        # m = 0: every y record has length 0 and is written as "vector y 0"
+        # and an empty line; the record reads no line.
+        inst = SdpInstance(a=(), b=np.zeros(0), c=SymMat.diag([1.0, 1.0, 0.0]))
+        rung = LadderRung(y=np.zeros(0), u=SymMat.zero(3), v=SymMat.zero(3))
+        cert = RamanaCertificate(system="dram", y=np.zeros(0), ladder=(rung,) * rungs)
+        assert verify_dram(inst, cert).ok
+        cf = parse_certificate_text(certificate_to_text(inst, "dram", cert=cert))
+        check_instance_binding(cf, inst)
+        back = to_ramana_certificate(cf, inst)
+        assert back.y.shape == (0,) and len(back.ladder) == rungs
+        assert all(r.y.shape == (0,) for r in back.ladder)
+        assert verify_dram(inst, back).ok
+
+    def test_written_numbers_read_back_bit_identical(self):
+        rng = np.random.default_rng(20251019)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64, endpoint=False).view(float)
+        tiny = np.finfo(float).smallest_subnormal
+        special = [0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).tiny * 0.5,
+                   np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny]
+        # Values whose repr needs all 17 significant digits.
+        scaled = rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)
+        seventeen = [
+            v for v in scaled.tolist()
+            if len(repr(v).split("e")[0].lstrip("-").replace(".", "").strip("0")) == 17
+        ]
+        values = np.concatenate([bits[np.isfinite(bits)], special, seventeen])
+        q = values[: 40 * 40].reshape(40, 40)
+        point = values[40 * 40 :]
+        assert len(seventeen) > 100 and point.size > 1000
+        cf = parse_certificate_text(
+            certificate_to_text(
+                inst_gap_rr(), "dstrong", spec=StrongDualSpec(q=q, r=2), point=point,
+                claimed_value=point[0],
+            )
+        )
+        assert np.array_equal(cf.matrices["Q"].view(np.uint64), q.view(np.uint64))
+        assert np.array_equal(cf.vectors["y"].view(np.uint64), point.view(np.uint64))
+        assert cf.claimed_value == point[0]
 
     @pytest.mark.parametrize("value", ["2.9999", "-0.5"])
     def test_fractional_rank_rejected(self, value):
@@ -614,3 +713,52 @@ def test_instance_digest_golden():
 
     digests = {eid: instance_digest(get(eid).instance) for eid in all_ids()}
     assert digests == GOLDEN_INSTANCE_DIGEST
+
+
+# SHA-256 of certificate_to_text for every registry certificate, with its
+# claimed value.  The bytes of a written certificate are part of the file
+# format: changing how numbers are written changes these.
+GOLDEN_CERTIFICATE_TEXT_DIGEST = {
+    ("example-1.1-unattained", "exact-dual-ladder"): (
+        "fb5ba6c8179e214e220fa93f49df98744599a6747549b9c605d91902eb511563"
+    ),
+    ("example-1.1-unattained", "strong-dual-origin"): (
+        "36f009fb168f4908b956bd04f191234d2fc231dbb7aada283389053d4948f9b3"
+    ),
+    ("example-2.15-infeasible", "exact-alternative"): (
+        "0e617c1157a6284ec1d40d065696c018cd696beeddadcdc668107f78692d5a27"
+    ),
+    ("example-2.3-gap", "exact-dual-ladder-transported"): (
+        "c93573df72e626cc3bf94b244daa51ec4f32167b051e8da9ff8214d042a7bebe"
+    ),
+    ("example-2.5-rr", "exact-dual-ladder"): (
+        "4f30bdf437681e5126023ff18e92035a228509fda8f597ea7846fb47c0e98b0b"
+    ),
+    ("example-2.5-rr", "exact-dual-suboptimal"): (
+        "44b94f18b72dfdc2a3bd63fd044611e6c36f98941be59463ebdfcb3bc2cefa13"
+    ),
+    ("example-2.5-rr", "strong-dual-trailing2"): (
+        "edec3ef9da1434199eec8aaed7806b55f271ce83dfbbf15eed5b3a7298f67433"
+    ),
+    ("example-2.5-rr", "exact-primal-ladder"): (
+        "2fdb4b45e86f6c5e8dd8d5eefaa887f02aa01417fc8ac88492951209672aff7b"
+    ),
+    ("example-2.5-rr", "strong-primal-leading3"): (
+        "e34de9d153ed229ee43646484c4b72e32362730ead3ee49686c07643216d8662"
+    ),
+}
+
+
+def test_certificate_text_golden():
+    from ramanasdp.registry import all_ids, get
+
+    digests = {}
+    for eid in all_ids():
+        entry = get(eid)
+        for rc in entry.certificates:
+            text = certificate_to_text(
+                entry.instance, rc.system, cert=rc.cert, spec=rc.spec, point=rc.point,
+                claimed_value=rc.cert.claimed_value if rc.cert is not None else None,
+            )
+            digests[eid, rc.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GOLDEN_CERTIFICATE_TEXT_DIGEST

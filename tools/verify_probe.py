@@ -1,0 +1,134 @@
+"""Stage probe of the benchmark's ``verify`` workload: parse, bind, check.
+
+Runs every op of ``bench/workloads.py``'s ``verify`` batch for a seed
+(parse a certificate text, bind it to its instance by hash, then check
+it with ``verify_dram``, ``verify_alt_ram``, ``verify_strong`` or
+``normalize_ladder``) ``--repeats`` times, and splits each op's time into
+three stages:
+
+* parse: ``certfile.parse_certificate_text``;
+* bind: ``certfile.check_instance_binding``, the instance's SHA-256
+  digest (``instance_digest``) and the n, m comparison;
+* check: the rest of the op, building the certificate from its records
+  and running the check.
+
+It prints, per op, the median over the repeats of each stage in ms, then
+the batch totals (the sum over the ops of those medians) with each
+stage's share, and the set-up time: the whole ``setup_verify`` and the
+part of it spent in ``certfile.certificate_to_text`` writing the 35
+texts.  The stages are timed by wrapping the two ``certfile`` functions,
+which the ops look up on the module at call time; each wrapper runs once
+an op.
+
+    python3 tools/verify_probe.py [--seed S] [--repeats R] [--ops]
+
+The seed defaults to 107 and the repeats to 5.  On a 2-core Xeon shared
+with other jobs the batch's wall time at seed 107 ranged from 0.15 to
+0.29 s between runs, but the shares held: parse 26-27%, bind 22-24%,
+check 49-52% (42%, 18% and 40% when every entry was read by ``float()``).
+Not a test: pytest collects only ``tests`` and ``bench``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from ramanasdp import certfile  # noqa: E402
+
+import workloads  # noqa: E402
+
+STAGES = ("parse", "bind", "check")
+
+
+@contextmanager
+def timed(spent: dict[str, float]):
+    """Add the seconds spent in each ``certfile`` function named by a key
+    of ``spent`` to its value while the block runs."""
+    originals = {name: getattr(certfile, name) for name in spent}
+
+    def wrap(name, fn):
+        def inner(*args, **kw):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kw)
+            finally:
+                spent[name] += time.perf_counter() - t0
+        return inner
+
+    for name, fn in originals.items():
+        setattr(certfile, name, wrap(name, fn))
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(certfile, name, fn)
+
+
+def probe(seed: int, repeats: int) -> dict:
+    """Set-up and writer seconds, and per op the median seconds of each
+    stage over ``repeats`` runs of the batch."""
+    written = {"certificate_to_text": 0.0}
+    with tempfile.TemporaryDirectory() as workdir, timed(written):
+        t0 = time.perf_counter()
+        ops = workloads.setup_verify(seed, workdir)
+        setup_s = time.perf_counter() - t0
+    samples = {op.name: {stage: [] for stage in STAGES} for op in ops}
+    for _ in range(repeats):
+        for op in ops:
+            spent = {"parse_certificate_text": 0.0, "check_instance_binding": 0.0}
+            with timed(spent):
+                t0 = time.perf_counter()
+                result = op.run()
+                total = time.perf_counter() - t0
+            op.check(result)
+            parse, bind = spent["parse_certificate_text"], spent["check_instance_binding"]
+            for stage, s in zip(STAGES, (parse, bind, total - parse - bind)):
+                samples[op.name][stage].append(s)
+    return {
+        "setup_s": setup_s,
+        "write_s": written["certificate_to_text"],
+        "per_op": {
+            name: {stage: statistics.median(vals) for stage, vals in stages.items()}
+            for name, stages in samples.items()
+        },
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=107)
+    ap.add_argument("--repeats", type=int, default=5, help="runs of the batch (at least 1)")
+    ap.add_argument("--ops", action="store_true", help="print each op's stages")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    row = probe(args.seed, args.repeats)
+    if args.ops:
+        for name, stages in row["per_op"].items():
+            cols = "".join(f" {stage} {stages[stage] * 1e3:7.2f} ms" for stage in STAGES)
+            print(f"{name:<28}{cols}")
+    totals = {stage: sum(op[stage] for op in row["per_op"].values()) for stage in STAGES}
+    batch = sum(totals.values())
+    print(
+        f"seed {args.seed}, {len(row['per_op'])} ops, median of {args.repeats}: "
+        f"batch {batch:.3f} s = "
+        + ", ".join(f"{stage} {s:.3f} s ({s / batch:.0%})" for stage, s in totals.items())
+    )
+    print(
+        f"setup {row['setup_s']:.3f} s, of which certificate_to_text "
+        f"{row['write_s']:.3f} s ({row['write_s'] / row['setup_s']:.0%})"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
