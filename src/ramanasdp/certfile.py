@@ -1,12 +1,12 @@
 """Line-oriented certificate files.
 
 A certificate file is human-diffable text: a header binding it to an
-instance (by SHA-256 of the instance's canonical SDPA serialization, plus
-n, m and the system tag), followed by named records:
+instance (by SHA-256 of the instance's float64 numbers, plus n, m and the
+system tag), followed by named records:
 
     ramanasdp-certificate 1
     system dram
-    instance-hash <hex>
+    instance-sha256-f64 <hex>
     n 4
     m 3
     value 1.0                  # optional claimed value
@@ -15,6 +15,18 @@ n, m and the system tag), followed by named records:
     matrix U2 4
     1.0 0.0 0.0 0.0
     ...
+
+The digest ``instance-sha256-f64`` (``number_digest``) is one SHA-256
+over n and m as little-endian int64, b as little-endian float64, then
+C, A_1..A_m, each its full matrix as little-endian float64 with 0.0
+added.  It binds the same instances as the SHA-256 of the instance's
+SDPA text (``instance_digest``), which files written before it carry as
+``instance-hash`` and which is still read and checked: that text writes
+each upper-triangle nonzero and each entry of b with ``repr``, which
+round-trips, and writes no zero matrix entry, so adding 0.0 (which maps
+-0.0 to 0.0) drops the sign of a matrix zero, while b is hashed as it
+is.  A ``SymMat`` is bitwise symmetric, so the lower triangle adds
+nothing.  A file holds exactly one of the two fields.
 
 A ladder of k <= n-1 rungs is stored as records y1..yk, U1..Uk, V1..Vk,
 k the highest index present; a missing record below it is zero.
@@ -33,7 +45,9 @@ comment, are refused as not a number.  Such a number, a ragged row, a
 vector of the wrong count, a record cut short by the end of the file, a
 repeated record, a record line without its name and value or length, a
 negative length and a header n or m that is not an integer make the
-file malformed; the error names the record or field.
+file malformed; the error names the record or field.  An integer (n, m
+and a record's length) is ``-?[0-9]+``: ``int()`` would also read
+``1_0``, ``+4`` and non-ASCII digits.
 The primal system stores X; strong systems store the point plus the
 rotation Q and the block order r.
 """
@@ -73,6 +87,7 @@ class InstanceHashMismatchError(ValueError):
 @dataclass(frozen=True)
 class CertificateFile:
     system: str
+    hash_field: str  # a key of BINDINGS: the header field of instance_hash
     instance_hash: str
     n: int
     m: int
@@ -90,6 +105,25 @@ def instance_digest(inst: SdpInstance) -> str:
     return digest.hexdigest()
 
 
+def number_digest(inst: SdpInstance) -> str:
+    """SHA-256 of n and m (<i8), b (<f8), then C, A_1..A_m, each in full
+    (<f8) with 0.0 added, so that -0.0 hashes as 0.0.
+
+    Each matrix is hashed on its own, so no copy of them all is made."""
+    digest = hashlib.sha256(np.array([inst.n, inst.m], dtype="<i8"))
+    digest.update(np.ascontiguousarray(inst.b, dtype="<f8"))
+    for mat in (inst.c, *inst.a):
+        digest.update((mat.a + 0.0).astype("<f8", copy=False))
+    return digest.hexdigest()
+
+
+# The header fields that bind a certificate to its instance, each with its
+# digest.  The writer writes instance-sha256-f64; instance-hash is read in
+# files written before it.  A file holds exactly one of them.
+BINDINGS = {"instance-sha256-f64": number_digest, "instance-hash": instance_digest}
+_HEADER_FIELDS = ("system", "n", "m", "value", *BINDINGS)
+
+
 def _vec_line(v: np.ndarray) -> str:
     return " ".join(map(repr, v.tolist()))
 
@@ -104,7 +138,7 @@ def certificate_to_text(
     out = [
         "ramanasdp-certificate 1",
         f"system {system}",
-        f"instance-hash {instance_digest(inst)}",
+        f"instance-sha256-f64 {number_digest(inst)}",
         f"n {inst.n}",
         f"m {inst.m}",
     ]
@@ -171,13 +205,14 @@ def _number(token: str, what: str) -> float:
     return float(_numbers([token], what)[0, 0])
 
 
-def _header_int(fields: dict[str, str], name: str) -> int:
-    try:
-        return int(fields[name])
-    except ValueError:
-        raise CertificateFormatError(
-            f"header field {name}: {fields[name]!r} is not an integer"
-        ) from None
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _int(token: str, what: str) -> int:
+    """``token`` as an integer, ``-?[0-9]+`` only; ``what`` leads the error."""
+    if not _INT_RE.fullmatch(token):
+        raise CertificateFormatError(f"{what} {token!r} is not an integer")
+    return int(token)
 
 
 def parse_certificate_text(text: str) -> CertificateFile:
@@ -199,7 +234,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
         if record in seen:
             raise CertificateFormatError(f"repeated record {' '.join(record)!r}")
         seen.add(record)
-        if kind in ("system", "instance-hash", "n", "m", "value"):
+        if kind in _HEADER_FIELDS:
             if len(toks) != 2:
                 raise CertificateFormatError(f"malformed header line {ln!r}")
             fields[kind] = toks[1]
@@ -214,12 +249,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
         if kind == "scalar":
             scalars[name] = _number(toks[2], what)
             continue
-        try:
-            length = int(toks[2])
-        except ValueError:
-            raise CertificateFormatError(
-                f"{what}: length {toks[2]!r} is not an integer"
-            ) from None
+        length = _int(toks[2], f"{what}: length")
         if length < 0:
             raise CertificateFormatError(f"{what}: length {length} is negative")
         # A vector is one line, a matrix one line a row; a record of
@@ -244,17 +274,25 @@ def parse_certificate_text(text: str) -> CertificateFile:
                     f"{what}: expected {length} entries a row, got {a.shape[1]}"
                 )
             matrices[name] = a
-    for req in ("system", "instance-hash", "n", "m"):
+    for req in ("system", "n", "m"):
         if req not in fields:
             raise CertificateFormatError(f"missing header field {req}")
+    hash_fields = BINDINGS.keys() & fields.keys()
+    if len(hash_fields) != 1:
+        raise CertificateFormatError(
+            f"{'both' if hash_fields else 'neither'} of the header fields "
+            f"{' and '.join(BINDINGS)}: a file holds exactly one"
+        )
+    (hash_field,) = hash_fields
     system = fields["system"]
     if system not in SYSTEMS:
         raise CertificateFormatError(f"unknown system {system!r}")
     return CertificateFile(
         system=system,
-        instance_hash=fields["instance-hash"],
-        n=_header_int(fields, "n"),
-        m=_header_int(fields, "m"),
+        hash_field=hash_field,
+        instance_hash=fields[hash_field],
+        n=_int(fields["n"], "header field n:"),
+        m=_int(fields["m"], "header field m:"),
         claimed_value=_number(fields["value"], "value") if "value" in fields else None,
         scalars=scalars,
         vectors=vectors,
@@ -272,10 +310,9 @@ def check_instance_binding(cf: CertificateFile, inst: SdpInstance) -> None:
         raise InstanceHashMismatchError(
             f"certificate is for n={cf.n}, m={cf.m}; instance has n={inst.n}, m={inst.m}"
         )
-    digest = instance_digest(inst)
-    if cf.instance_hash != digest:
+    if cf.instance_hash != BINDINGS[cf.hash_field](inst):
         raise InstanceHashMismatchError(
-            "certificate instance hash does not match the provided instance"
+            f"certificate instance hash does not match the provided instance ({cf.hash_field})"
         )
 
 

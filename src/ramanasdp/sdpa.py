@@ -30,8 +30,8 @@ share both among rows).  A template, or the texts of an array's values,
 is made once and kept only while rows that use it remain, so text used
 once is never kept.  Instance text keeps no memo and formats each matrix
 through its sparse form, one per chunk: its matrices do not repeat, so
-instance_digest, which hashes this text while a certificate is checked,
-holds one matrix's lines beside the text at a time.
+instance_digest, which hashes this text to check a certificate file that
+carries the older instance-hash field, holds one matrix's lines at a time.
 """
 
 from __future__ import annotations

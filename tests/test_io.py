@@ -15,6 +15,7 @@ from ramanasdp import (
     dram_size,
     instance_digest,
     instances_close,
+    number_digest,
     read_sdpa,
     write_sdpa,
 )
@@ -46,7 +47,7 @@ from ramanasdp.sdpa import (
     standard_form_to_sdpa_text,
     varmap_sidecar_text,
 )
-from ramanasdp import StrongDualSpec, registry, verify_dram
+from ramanasdp import StrongDualSpec, registry, verify_certificate, verify_dram
 from ramanasdp.verify import LadderRung, RamanaCertificate
 
 from helpers import (
@@ -54,6 +55,7 @@ from helpers import (
     inst_gap_rr,
     inst_unattained,
     random_degenerate_instance,
+    random_instance,
     random_orthonormal,
 )
 
@@ -561,11 +563,19 @@ class TestCertificateFiles:
             # Python's '1_0' and non-ASCII digits, the parser does not.
             ("dstrong", "vector y 3", 1, "0.0 1_0 1.0", "vector y: .*'1_0'"),
             ("dstrong", "scalar r 2", 0, "scalar r \uff12", "scalar r: .*'\uff12'"),
+            # Integers (n, m, lengths) are -?[0-9]+; int() also reads '1_0',
+            # '+4' and Arabic-Indic digits.
+            ("dstrong", "n 4", 0, "n 1_0", "header field n: '1_0' is not an integer"),
+            ("dstrong", "m 3", 0, "m \u0663", "header field m: '\u0663' is not an integer"),
+            ("dstrong", "vector y 3", 0, "vector y \u0663",
+             "vector y: length '\u0663' is not an integer"),
+            ("pstrong", "matrix X 4", 0, "matrix X +4", r"matrix X: length '\+4' is not an integer"),
         ],
         ids=[
             "word-n", "float-m", "word-entry", "word-scalar", "negative-length", "negative-q",
             "ragged-row", "short-vector", "long-vector", "hash-entry", "underscore-entry",
-            "fullwidth-scalar",
+            "fullwidth-scalar", "underscore-n", "arabic-indic-m", "arabic-indic-length",
+            "plus-length",
         ],
     )
     def test_unreadable_field_rejected(self, system, line, at, new, match):
@@ -715,36 +725,138 @@ def test_instance_digest_golden():
     assert digests == GOLDEN_INSTANCE_DIGEST
 
 
+# number_digest of every registry instance: the digest that certificate
+# files written today carry as instance-sha256-f64.
+GOLDEN_NUMBER_DIGEST = {
+    "example-1.1-unattained": (
+        "d085361a9b4b61bfdac9240a82116b2acfca2ea6a3bd63e2d944d1e763b83f04"
+    ),
+    "example-2.15-infeasible": (
+        "69f83d53e9c4faef9fdad3e0852be2d2d435699e0b42df71605a57cbbf70f739"
+    ),
+    "example-2.3-gap": (
+        "09048526316d22e7275aede8a4863d497e4df77142d79cbde68f8377e50b6a76"
+    ),
+    "example-2.5-rr": (
+        "aeddcf02fd1412c4bc96365b967247492e21e8b8883510f61ba9c425900692dc"
+    ),
+    "example-identity-strict": (
+        "8857ef8fad91389e1b4bee3c8789e0f0abd5255eb79ad371e86f9a2ead2d29fb"
+    ),
+}
+
+
+def test_number_digest_golden():
+    digests = {eid: number_digest(registry.get(eid).instance) for eid in registry.all_ids()}
+    assert digests == GOLDEN_NUMBER_DIGEST
+
+
+def _digest_instances() -> list[SdpInstance]:
+    """The registry's instances and fixed-seed random ones, m = 0 included."""
+    rng = np.random.default_rng(20261019)
+    out = [registry.get(eid).instance for eid in registry.all_ids()]
+    out += [random_instance(rng, n, m) for n, m in ((1, 1), (3, 0), (5, 4), (8, 6))]
+    out.append(random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))[0])
+    return out
+
+
+def _with_entry(inst: SdpInstance, k: int, i: int, j: int, value: float) -> SdpInstance:
+    """The instance with entries (i, j) and (j, i) of C (k = 0) or A_k set."""
+    mats = [inst.c.a.copy()] + [ai.a.copy() for ai in inst.a]
+    mats[k][i, j] = mats[k][j, i] = value
+    return SdpInstance(a=tuple(map(SymMat, mats[1:])), b=inst.b, c=SymMat(mats[0]))
+
+
+def _with_b0(inst: SdpInstance, value: float) -> SdpInstance:
+    return SdpInstance(a=inst.a, b=np.r_[value, inst.b[1:]], c=inst.c)
+
+
+def _both_digests(inst: SdpInstance) -> tuple[str, str]:
+    return number_digest(inst), instance_digest(inst)
+
+
+class TestNumberDigest:
+    """number_digest binds the instances that instance_digest binds."""
+
+    def test_the_digest_is_of_the_documented_bytes(self):
+        inst = _with_entry(random_instance(np.random.default_rng(5), 4, 2), 1, 0, 3, -0.0)
+        data = b"".join(
+            [(4).to_bytes(8, "little"), (2).to_bytes(8, "little"), inst.b.astype("<f8").tobytes()]
+            + [np.where(mat.a == 0, 0.0, mat.a).astype("<f8").tobytes() for mat in (inst.c, *inst.a)]
+        )
+        assert number_digest(inst) == hashlib.sha256(data).hexdigest()
+
+    def test_both_digests_tell_the_same_instances_apart(self):
+        # Each instance, its copy read back from its SDPA text (equal to it)
+        # and a copy one ulp off in one entry (not equal).
+        pool = []
+        for inst in _digest_instances():
+            up = np.nextafter(inst.c.a[0, 0], np.inf)
+            pool += [inst, read_sdpa_text(instance_to_sdpa_text(inst)), _with_entry(inst, 0, 0, 0, up)]
+        digests = [_both_digests(inst) for inst in pool]
+        equal = 0
+        for p, (num_p, text_p) in enumerate(digests):
+            for num_q, text_q in digests[p + 1 :]:
+                assert (num_p == num_q) == (text_p == text_q)
+                equal += num_p == num_q
+        assert equal == len(pool) // 3
+
+    def test_the_sign_of_a_zero_matrix_entry_does_not_count(self):
+        for inst in _digest_instances():
+            for k, (i, j) in ((0, (0, inst.n - 1)), (inst.m, (0, 0))):
+                pos, neg = (_with_entry(inst, k, i, j, z) for z in (0.0, -0.0))
+                mat = neg.c if k == 0 else neg.a[k - 1]
+                assert np.signbit(mat.a[i, j]) and np.signbit(mat.a[j, i])
+                assert _both_digests(pos) == _both_digests(neg)
+
+    def test_the_sign_of_a_zero_in_b_counts(self):
+        for inst in _digest_instances():
+            if inst.m:
+                pos, neg = _with_b0(inst, 0.0), _with_b0(inst, -0.0)
+                assert all(p != q for p, q in zip(_both_digests(pos), _both_digests(neg)))
+
+    def test_one_ulp_counts(self):
+        for inst in _digest_instances():
+            k = inst.m  # A_m, or C when m = 0
+            up = np.nextafter((inst.c, *inst.a)[k].a[0, -1], np.inf)
+            changed = [_with_entry(inst, k, 0, inst.n - 1, up)]
+            if inst.m:
+                changed.append(_with_b0(inst, np.nextafter(inst.b[0], -np.inf)))
+            base = _both_digests(inst)
+            for other in changed:
+                assert all(p != q for p, q in zip(base, _both_digests(other)))
+
+
 # SHA-256 of certificate_to_text for every registry certificate, with its
 # claimed value.  The bytes of a written certificate are part of the file
 # format: changing how numbers are written changes these.
 GOLDEN_CERTIFICATE_TEXT_DIGEST = {
     ("example-1.1-unattained", "exact-dual-ladder"): (
-        "fb5ba6c8179e214e220fa93f49df98744599a6747549b9c605d91902eb511563"
+        "9dc164e4b6c87122015bf793ef6d49f81b49fd7ec6fe9efd738f8cb40e3f241c"
     ),
     ("example-1.1-unattained", "strong-dual-origin"): (
-        "36f009fb168f4908b956bd04f191234d2fc231dbb7aada283389053d4948f9b3"
+        "8abb5e1794f69b4ecc05846ba6193131c0da55ec4502163ee3af78f05235b839"
     ),
     ("example-2.15-infeasible", "exact-alternative"): (
-        "0e617c1157a6284ec1d40d065696c018cd696beeddadcdc668107f78692d5a27"
+        "6966547a442f99d848fe77c394d2f1a7c1f68979161acd68f6aa3aa3e4f414ac"
     ),
     ("example-2.3-gap", "exact-dual-ladder-transported"): (
-        "c93573df72e626cc3bf94b244daa51ec4f32167b051e8da9ff8214d042a7bebe"
+        "55d8d869707b62a62c9349524a67a4a13f58e0aa39eac816615ad36eeb713650"
     ),
     ("example-2.5-rr", "exact-dual-ladder"): (
-        "4f30bdf437681e5126023ff18e92035a228509fda8f597ea7846fb47c0e98b0b"
+        "0c7def73c7c440285c77e68e817fff3487a7df3f02ba2515435c2ad87e195425"
     ),
     ("example-2.5-rr", "exact-dual-suboptimal"): (
-        "44b94f18b72dfdc2a3bd63fd044611e6c36f98941be59463ebdfcb3bc2cefa13"
+        "b0568a097c341236da1be1a855e139f335327e4179e4a94734898dd1c28fb385"
     ),
     ("example-2.5-rr", "strong-dual-trailing2"): (
-        "edec3ef9da1434199eec8aaed7806b55f271ce83dfbbf15eed5b3a7298f67433"
+        "20248f79a2c7667ad5b677ff98471332474db72c358bd57d4bec596bb58522d8"
     ),
     ("example-2.5-rr", "exact-primal-ladder"): (
-        "2fdb4b45e86f6c5e8dd8d5eefaa887f02aa01417fc8ac88492951209672aff7b"
+        "ce88df99a6ef3d60f3e7e78d784fe3bcfe474bac1d38adccac8e3d3a50e76ed4"
     ),
     ("example-2.5-rr", "strong-primal-leading3"): (
-        "e34de9d153ed229ee43646484c4b72e32362730ead3ee49686c07643216d8662"
+        "58dba686a0c7d9a52d20807047218c199fad34ee4cdaf9f77d18e55023df254b"
     ),
 }
 
@@ -762,3 +874,24 @@ def test_certificate_text_golden():
             )
             digests[eid, rc.name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_CERTIFICATE_TEXT_DIGEST
+
+
+def test_legacy_instance_hash_still_binds():
+    # Files written before instance-sha256-f64 carry the SHA-256 of the
+    # instance's SDPA text as instance-hash; they still parse, bind and verify.
+    for eid in registry.all_ids():
+        entry = registry.get(eid)
+        inst = entry.instance
+        for rc in entry.certificates:
+            text = certificate_to_text(inst, rc.system, cert=rc.cert, spec=rc.spec, point=rc.point)
+            new = f"instance-sha256-f64 {number_digest(inst)}\n"
+            assert text.count(new) == 1
+            cf = parse_certificate_text(text.replace(new, f"instance-hash {instance_digest(inst)}\n"))
+            assert (cf.hash_field, cf.instance_hash) == ("instance-hash", instance_digest(inst))
+            check_instance_binding(cf, inst)
+            if rc.cert is not None:
+                outcome = verify_certificate(inst, rc.system, cert=to_ramana_certificate(cf, inst))
+            else:
+                spec, point = to_strong_point(cf)
+                outcome = verify_certificate(inst, rc.system, spec=spec, point=point)
+            assert outcome.ok, (eid, rc.name, outcome.violation)

@@ -1,7 +1,8 @@
 """Refusal table of the certificate layer.
 
-One row per refusal in ``verify`` (each ``_fail`` and each ``raise``) and
-per comparison in ``certfile.check_instance_binding``.  A row takes a valid
+One row per refusal in ``verify`` (each ``_fail`` and each ``raise``),
+per comparison in ``certfile.check_instance_binding`` and per way a file
+can hold other than one binding field.  A row takes a valid
 certificate of the example registry and makes one minimal corruption that
 breaks exactly one check, and it names that check: the violation a
 verifier reports, or the exception it raises.  The same certificate
@@ -289,11 +290,20 @@ class TestConstructionsRefuse:
 
 
 class TestInstanceBinding:
-    def _file(self):
+    def _text(self, field: str = "instance-sha256-f64") -> str:
+        """The text with its binding line written as ``field``: "both" adds
+        the legacy instance-hash line to it, "neither" drops it."""
         inst, rc = _base(GAP_RR, "exact-dual-ladder")
         text = certfile.certificate_to_text(inst, rc.system, cert=rc.cert)
-        cf = certfile.parse_certificate_text(text)
-        certfile.check_instance_binding(cf, inst)
+        new = f"instance-sha256-f64 {certfile.number_digest(inst)}\n"
+        legacy = f"instance-hash {certfile.instance_digest(inst)}\n"
+        lines = {"instance-sha256-f64": new, "instance-hash": legacy,
+                 "both": new + legacy, "neither": ""}
+        return text.replace(new, lines[field])
+
+    def _file(self, field: str = "instance-sha256-f64"):
+        cf = certfile.parse_certificate_text(self._text(field))
+        certfile.check_instance_binding(cf, registry.get(GAP_RR).instance)
         return cf
 
     def test_other_shape_refused(self):
@@ -306,3 +316,15 @@ class TestInstanceBinding:
         other = registry.get("example-2.3-gap").instance
         with pytest.raises(InstanceHashMismatchError, match="hash does not match"):
             certfile.check_instance_binding(self._file(), other)
+
+    @pytest.mark.parametrize("field", ["instance-sha256-f64", "instance-hash"])
+    def test_other_digest_refused_on_either_field(self, field):
+        cf, other = self._file(field), registry.get("example-2.3-gap").instance
+        with pytest.raises(InstanceHashMismatchError, match=rf"hash does not match .*\({field}\)"):
+            certfile.check_instance_binding(cf, other)
+
+    @pytest.mark.parametrize("fields", ["both", "neither"])
+    def test_other_than_one_binding_field_refused(self, fields):
+        match = f"{fields} of the header fields instance-sha256-f64 and instance-hash"
+        with pytest.raises(certfile.CertificateFormatError, match=match):
+            certfile.parse_certificate_text(self._text(fields))

@@ -1,14 +1,15 @@
 """Stage probe of the benchmark's ``verify`` workload: parse, bind, check.
 
 Runs every op of ``bench/workloads.py``'s ``verify`` batch for a seed
-(parse a certificate text, bind it to its instance by hash, then check
+(parse a certificate text, bind it to its instance by digest, then check
 it with ``verify_dram``, ``verify_alt_ram``, ``verify_strong`` or
 ``normalize_ladder``) ``--repeats`` times, and splits each op's time into
 three stages:
 
 * parse: ``certfile.parse_certificate_text``;
-* bind: ``certfile.check_instance_binding``, the instance's SHA-256
-  digest (``instance_digest``) and the n, m comparison;
+* bind: ``certfile.check_instance_binding``, the n, m comparison and
+  the instance's SHA-256 digest named by the file's binding field: the
+  workload's texts carry ``instance-sha256-f64``, so ``number_digest``;
 * check: the rest of the op, building the certificate from its records
   and running the check.
 
@@ -23,9 +24,11 @@ an op.
     python3 tools/verify_probe.py [--seed S] [--repeats R] [--ops]
 
 The seed defaults to 107 and the repeats to 5.  On a 2-core Xeon shared
-with other jobs the batch's wall time at seed 107 ranged from 0.15 to
-0.29 s between runs, but the shares held: parse 26-27%, bind 22-24%,
-check 49-52% (42%, 18% and 40% when every entry was read by ``float()``).
+with other jobs the batch's wall time at seed 107 ranged from 0.19 to
+0.20 s in three runs, and the shares held: parse 34-35%, bind 1%, check
+64% (bind 0.002 s).  When the bind hashed the instance's SDPA text it was
+0.059-0.061 s, 24% of the batch, with parse 26% and check 50% (42%, 18%
+and 40% when every entry was also read by ``float()``).
 Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
