@@ -89,25 +89,25 @@ free row a SparseVec, its nonzero indices and values; neither stores a
 ±0.0 entry, and neither can be changed.  Unit matrices sign·E_pq, their
 order-2n coupling matrices and the corner ties' matrices are made in that
 form directly; dense inputs (A_t and C for pram, the strong systems'
-rotated blocks, red's basis) are converted once per build.  A Constraint
-converts any dense array it is given and refuses a nonsymmetric matrix,
-whose upper triangle would not say what it is.  The two constructors
-check the entries they are given, and a StandardFormSdp refuses a row
-that does not fit it: a free row of another length than n_free would be
-written into the negated half of the free block.  No ladder coefficient
-depends on the rung index, so each distinct matrix is made once per build
-and shared by every constraint that uses it (a ladder system references
-O(n³) matrices but holds O(n²)), and a rung's free row shares its values
-array with the same entry's row in every other rung.  The SDPA writer
-formats a matrix or a values array used by several rows once per write.
+rotated blocks, red's basis) are converted once per build.  The two
+constructors check the entries they are given.  A system holds its rows
+as columns: int32 id arrays into one table of its distinct matrices and
+one of its distinct free rows, with no object per row.  No ladder
+coefficient depends on the rung index, so each distinct matrix is made
+once per build (a ladder system references O(n³) matrices but holds
+O(n²)), and a rung's free row is the same table entry as the same
+entry's row in every other rung, at another offset.  A StandardFormSdp
+checks each table entry once against the block or free length its ids
+give it.  The SDPA writer formats each table entry once per write.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -124,7 +124,9 @@ from .model import (
     svec_order,
 )
 from .symmat import EPS_PSD, SymMat, TangentResult, classify_psd, split_psd_plus_tan, tan_contains
-from .verify import SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length, pad_ladder
+from .verify import (
+    SYSTEM_ALTRAM, SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length, pad_ladder,
+)
 
 SENSE_MIN = "min"
 SENSE_MAX = "max"
@@ -370,8 +372,10 @@ def _sparse_vec(v) -> SparseVec:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Linear equality Σ_B <mats[B], Y_B> + free·u = rhs.  Dense arrays
-    given for mats or free are converted to SparseSym and SparseVec."""
+    """Linear equality Σ_B <mats[B], Y_B> + free·u = rhs: a row given to
+    StandardFormSdp.from_rows, or read from its constraints view.  Dense
+    arrays given for mats or free are converted to SparseSym and
+    SparseVec."""
 
     name: str
     mats: dict[str, SparseSym]
@@ -379,21 +383,38 @@ class Constraint:
     rhs: float
 
     def __post_init__(self):
-        if type(self.free) is not SparseVec:
-            object.__setattr__(self, "free", SparseVec.from_dense(self.free))
-        for k in self.mats.values():
-            if type(k) is not SparseSym:
-                mats = {b: _sparse_sym(mat) for b, mat in self.mats.items()}
-                object.__setattr__(self, "mats", mats)
-                break
+        object.__setattr__(self, "free", _sparse_vec(self.free))
+        object.__setattr__(self, "mats", {b: _sparse_sym(k) for b, k in self.mats.items()})
+
+
+def _misfit(what: str, length: int, n_free: int, mats: dict, orders: dict) -> ValueError:
+    return ValueError(
+        f"{what} does not fit the system: free length {length} for n_free {n_free}, "
+        f"matrix orders {({b: k.order for b, k in mats.items()})} "
+        f"for blocks {({b: orders.get(b) for b in mats})}"
+    )
+
+
+_ROW_FIELDS = ("row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs")
 
 
 @dataclass(frozen=True)
 class StandardFormSdp:
-    """An emitted system; dense objective arrays are converted as a
-    Constraint converts its own.  Every row's free coefficients must have
-    length n_free, or 0 for a row without free part, and its matrices
-    name blocks of their own order."""
+    """An emitted system, its rows held as columns of ids into two tables:
+    coeffs, the distinct coefficient matrices, and free_rows, the distinct
+    free rows, each at offset 0 and of length n_free, or 0 for no free
+    part.  Row r has the matrices coeffs[entry_coeff[e]] on the blocks
+    blocks[entry_block[e]], e in row_ptr[r]..row_ptr[r + 1] - 1, in block
+    order, the free row free_rows[row_free[r]] placed at row_offset[r],
+    and rhs[r]; its name is pre + label, the rows taken in order from the
+    (pre, labels) sections.  The arrays are copied as int32 and float64
+    and made read-only.  The tables are checked once per distinct matrix
+    and free row and once per id array, not once per row: a free row of
+    another length would be written into the negated half of the free
+    block, and a matrix of another order than its block outside it.
+    from_rows packs rows given as Constraints and constraints unpacks
+    them, for hand-built systems and tests; dense objective arrays are
+    converted as a Constraint converts its own."""
 
     system: str
     sense: str
@@ -401,30 +422,123 @@ class StandardFormSdp:
     n_free: int
     objective_mats: dict[str, SparseSym]
     objective_free: SparseVec
-    constraints: tuple[Constraint, ...]
+    coeffs: tuple[SparseSym, ...]
+    free_rows: tuple[SparseVec, ...]
+    row_ptr: np.ndarray
+    entry_block: np.ndarray
+    entry_coeff: np.ndarray
+    row_free: np.ndarray
+    row_offset: np.ndarray
+    rhs: np.ndarray
+    sections: tuple[tuple[str, tuple[str, ...]], ...]
     var_map: dict[str, VarSlot]
 
     def __post_init__(self):
-        mats = {b: _sparse_sym(k) for b, k in self.objective_mats.items()}
-        object.__setattr__(self, "objective_mats", mats)
-        object.__setattr__(self, "objective_free", _sparse_vec(self.objective_free))
+        set_ = functools.partial(object.__setattr__, self)
+        set_("objective_mats", {b: _sparse_sym(k) for b, k in self.objective_mats.items()})
+        set_("objective_free", _sparse_vec(self.objective_free))
+        for field in _ROW_FIELDS:
+            arr = np.array(getattr(self, field), dtype=float if field == "rhs" else np.int32)
+            arr.setflags(write=False)
+            set_(field, arr)
+        ptr, blk, ks, rows = self.row_ptr, self.entry_block, self.entry_coeff, self.rhs.size
+        ok = ptr.shape == (rows + 1,) and ptr[0] == 0 and ptr[-1] == blk.size == ks.size
+        ok = ok and np.all(np.diff(ptr) >= 0) and self.row_free.size == self.row_offset.size == rows
+        ok = ok and sum(len(labels) for _, labels in self.sections) == rows
+        for ids, table in zip((blk, ks, self.row_free), (self.blocks, self.coeffs, self.free_rows)):
+            ok = ok and (not ids.size or 0 <= ids.min() and ids.max() < len(table))
+        in_row = np.repeat(np.arange(rows), np.diff(ptr)) if ok else None
+        if not (ok and np.all((np.diff(blk) > 0) | (np.diff(in_row) > 0))):
+            raise ValueError("row tables of unequal lengths, an id outside its table, or a row "
+                             "whose blocks are not in block order")
         orders = {b.name: b.order for b in self.blocks}
-        lengths, order_of = (self.n_free, 0), orders.get
-        for con in (self, *self.constraints):
-            mats, free = (
-                (con.objective_mats, con.objective_free) if con is self else (con.mats, con.free)
-            )
-            fits = free.length in lengths
-            for b, k in mats.items():
-                fits = fits and order_of(b) == k.order
-            if not fits:
-                what = "the objective" if con is self else f"constraint {con.name}"
-                given = {b: k.order for b, k in mats.items()}
-                raise ValueError(
-                    f"{what} does not fit the system: free length {free.length} for "
-                    f"n_free {self.n_free}, matrix orders {given} "
-                    f"for blocks {({b: orders.get(b) for b in mats})}"
-                )
+        mats, free = self.objective_mats, self.objective_free
+        misfit = any(orders.get(b) != k.order for b, k in mats.items())
+        if misfit or free.length not in (self.n_free, 0):
+            raise _misfit("the objective", free.length, self.n_free, mats, orders)
+        bad = ~np.isin([v.length for v in self.free_rows], (self.n_free, 0))[self.row_free]
+        # The block orders, then the matrix orders: a row is bad where they differ.
+        sizes = np.array([b.order for b in self.blocks] + [k.order for k in self.coeffs])
+        bad[in_row[sizes[blk] != sizes[len(self.blocks) + ks]]] = True
+        if bad.any():
+            con = next(itertools.islice(self._rows(), int(np.argmax(bad)), None))
+            raise _misfit(f"constraint {con.name}", con.free.length, self.n_free, con.mats, orders)
+
+    @staticmethod
+    def from_rows(constraints: Sequence[Constraint], **fields) -> "StandardFormSdp":
+        """The system of the given rows and other fields.  A matrix, or a
+        free row's index and values arrays, given to several rows is held
+        once."""
+        index = {b.name: i for i, b in enumerate(fields["blocks"])}
+        orders, rows = {b.name: b.order for b in fields["blocks"]}, _Rows()
+        for con in constraints:
+            what, mats = f"constraint {con.name}", con.mats
+            if not mats.keys() <= index.keys():
+                raise _misfit(what, con.free.length, fields["n_free"], mats, orders)
+            cols = [(index[b], [rows.coeff_id(mats[b])]) for b in sorted(mats, key=index.get)]
+            rows.add(con.name, ("",), cols, *rows.free_id(con.free), con.rhs)
+        return rows.system(**fields)
+
+    def _rows(self) -> Iterator[Constraint]:
+        ptr, blk, ks = self.row_ptr.tolist(), self.entry_block.tolist(), self.entry_coeff.tolist()
+        names = (pre + label for pre, labels in self.sections for label in labels)
+        for name, lo, hi, f, off, rhs in zip(
+            names, ptr, ptr[1:], self.row_free.tolist(), self.row_offset.tolist(), self.rhs.tolist()
+        ):
+            v, mats = self.free_rows[f], zip(blk[lo:hi], ks[lo:hi])
+            mats = {self.blocks[b].name: self.coeffs[k] for b, k in mats}
+            yield Constraint(name=name, mats=mats, free=v._at(off, v.length) if off else v, rhs=rhs)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as Constraints, made on each read, for tests and tools;
+        they share the tables' matrices and arrays, and a free row at
+        offset 0 is the table's own.  No library code reads this view."""
+        return tuple(self._rows())
+
+
+class _Rows:
+    """A StandardFormSdp's row tables, filled a section of rows at a time.
+    A matrix gets its table id at its first use, and a free row the id of
+    its index and values arrays; the tables keep each alive, so no id()
+    is reused while they are filled."""
+
+    def __init__(self):
+        self.coeffs, self.free_rows, self.sections, self.parts, self.ids = [], [], [], [], {}
+
+    def _id(self, key, table: list, obj) -> int:
+        if key not in self.ids:
+            self.ids[key] = len(table)
+            table.append(obj)
+        return self.ids[key]
+
+    def coeff_id(self, k: SparseSym) -> int:
+        return self._id(id(k), self.coeffs, k)
+
+    def free_id(self, v: SparseVec) -> tuple[int, int]:
+        """v's table id and its offset."""
+        at0 = v._at(-v.offset, v.length) if v.offset else v
+        return self._id((id(v.idx), id(v.vals), v.length), self.free_rows, at0), v.offset
+
+    def add(self, pre: str, labels: tuple, cols, free, offset, rhs) -> None:
+        """Rows named pre + label, one per label: cols are (block index,
+        matrix ids) pairs in block order, id -1 where a row has no matrix
+        on that block; free, offset and rhs give each row's free row id,
+        its offset and rhs, or one for every row."""
+        n = len(labels)
+        ids = np.array([c for _, c in cols], dtype=np.int32).reshape(len(cols), n).T
+        has = ids >= 0
+        blk = np.broadcast_to(np.array([b for b, _ in cols], dtype=np.int32), ids.shape)
+        self.sections.append((pre, labels))
+        per_row = (np.broadcast_to(x, n) for x in (free, offset, rhs))
+        self.parts.append((has.sum(1), blk[has], ids[has], *per_row))
+
+    def system(self, **fields) -> StandardFormSdp:
+        parts = self.parts or [(np.zeros(0, np.int32),) * len(_ROW_FIELDS)]
+        counts, *cols = (np.concatenate(col) for col in zip(*parts))
+        tables = dict(zip(_ROW_FIELDS, (np.concatenate([[0], np.cumsum(counts)]), *cols)))
+        return StandardFormSdp(coeffs=tuple(self.coeffs), free_rows=tuple(self.free_rows),
+                               sections=tuple(self.sections), **tables, **fields)
 
 
 @dataclass
@@ -436,15 +550,16 @@ class Assignment:
     free: np.ndarray
 
 
-def constraint_value(c: Constraint, assign: Assignment) -> float:
-    total = c.free.dot(assign.free)
-    for name, k in c.mats.items():
-        total += k.dot(assign.blocks[name])
-    return total
-
-
 def residuals(sdp: StandardFormSdp, assign: Assignment) -> np.ndarray:
-    return np.array([constraint_value(c, assign) - c.rhs for c in sdp.constraints])
+    """Each row's value less its rhs: its free part, then its matrices in
+    block order."""
+    u, ys = assign.free, [assign.blocks[b.name] for b in sdp.blocks]
+    frees = map(sdp.free_rows.__getitem__, sdp.row_free.tolist())
+    out = np.array([v.vals @ u[off + v.idx] for v, off in zip(frees, sdp.row_offset.tolist())])
+    entries = zip(sdp.entry_block.tolist(), sdp.entry_coeff.tolist())
+    dots = [sdp.coeffs[k].dot(ys[b]) for b, k in entries]
+    np.add.at(out, np.repeat(np.arange(out.size), np.diff(sdp.row_ptr)), dots)
+    return out - sdp.rhs
 
 
 def max_violation(sdp: StandardFormSdp, assign: Assignment) -> float:
@@ -512,171 +627,100 @@ def dram_size(n: int, m: int) -> tuple[int, int]:
     return 2 * rungs + 1, m * (rungs + 1)
 
 
-def _plus_tangent(
-    psd: str, t: Optional[str], k: SparseSym, sign: float, shared: dict
-) -> dict[str, SparseSym]:
-    """Coefficient mats of sign·<K, S + V> for the PSD block S named psd and
-    V = W + Wᵀ, W = T[:n, n:] of the coupling block named t.  Without a
-    coupling block V = 0, as for V_1 ∈ tan(U_0) = {0}.  sign·K and its
-    coupling matrix are made once per (K, sign) and kept in shared by
-    id(K), next to K itself so that the id is not reused."""
-    key = (id(k), sign)
-    if key not in shared:
-        psd_mat = k.signed(sign)
-        shared[key] = (k, psd_mat, psd_mat.coupling())
-    _, psd_mat, t_mat = shared[key]
-    return {psd: psd_mat} if t is None else {psd: psd_mat, t: t_mat}
+@functools.lru_cache(maxsize=64)
+def _pair_labels(n: int) -> tuple[str, ...]:
+    """The row labels "[p,q]" of the svec pairs of order n."""
+    return tuple(f"[{p},{q}]" for p, q in svec_order(n))
 
 
 def _ladder_system(
-    inst: SdpInstance,
-    system: str,
-    sense: str,
-    *,
-    count: int,
-    rungs: Iterable[Iterable[tuple]],
-    rung_sign: float,
-    head_sign: float,
-    head_free: Sequence[SparseVec],
-    head_rhs: np.ndarray,
-    objective_free: SparseVec,
-    slots: dict[str, VarSlot],
-    first: Sequence[Constraint] = (),
-    last: Sequence[Constraint] = (),
+    rows: _Rows, inst: SdpInstance, system: str, sense: str, objective_free: SparseVec,
+    slots: dict[str, VarSlot], *, count: int, rung: Sequence[tuple], step: int, rung_sign: float,
+    head_sign: float, head_free: Sequence[SparseVec], head_rhs: np.ndarray, last: Sequence = (),
 ) -> StandardFormSdp:
-    """The one ladder assembly behind dram, altram and pram.
+    """The one ladder assembly behind dram, altram and pram, after the rows
+    already in rows.
 
-    Rows, in order: first; for each rung i = 1..count its rows (suffix, K,
-    free) from rungs, read as rung_sign·<K, U_i + V_i> + free·u = 0 (no
-    mats when K is None); the corner ties T_i[:n, :n] = U_{i-1} for
-    i = 2..count+1, T_{count+1} being Thead; the head rows
-    head_sign·(P + Vhead) + head_free[idx]·u = head_rhs entrywise in svec
-    order; last.  With count = 0 there are no rungs, no coupling blocks and
-    no ties, and the head reads head_sign·P.  No coefficient matrix depends
-    on the rung: each distinct one is made once and shared by every row
-    that uses it.
+    Rows, in order: for each rung i = 1..count the rows (label, K, free)
+    of rung, read as rung_sign·<K, U_i + V_i> + free·u = 0 with free
+    placed step·i further on (no matrices where K is None); the corner
+    ties T_i[:n, :n] = U_{i-1} for i = 2..count+1, T_{count+1} being
+    Thead; the head rows head_sign·(P + Vhead) + head_free[idx]·u =
+    head_rhs entrywise in svec order; the sections of last.  With
+    count = 0 there are no rungs, no coupling blocks and no ties, and the
+    head reads head_sign·P.  No coefficient depends on the rung, so every
+    rung and every tie holds the same matrix ids on its own blocks.
     """
     n = inst.n
-    n_free = objective_free.length
     pairs = svec_order(n)
-    shared: dict = {}  # _plus_tangent's matrices
-    tie_mats = [
-        (SparseSym.unit(2 * n, p, q), SparseSym.unit(n, p, q).signed(-1.0)) for p, q in pairs
-    ]
-    no_free = SparseVec(n_free, (), ())
+    # Blocks U1..Ucount, T2..Tcount, Thead, P: T_i at count + i - 2.
+    tags = [str(i) for i in range(2, count + 1)] + ["head"] * (count > 0)
     blocks = [PsdBlock(f"U{i}", n) for i in range(1, count + 1)]
-    vm = {f"U{i}": VarSlot(kind="block", block=f"U{i}", order=n) for i in range(1, count + 1)}
-    coupling = {}  # rung i -> its coupling block T_i; rung count+1 is the head
-    ties = []
-    for i in range(2, count + 2):
-        tag = "head" if i == count + 1 else str(i)
-        t = coupling[i] = f"T{tag}"
-        blocks.append(PsdBlock(t, 2 * n))
-        vm[f"W{tag}"] = VarSlot(
-            kind="sub_block", block=t, row0=0, col0=n, rows=n, cols=n, order=n
-        )
-        vm[f"R{tag}"] = VarSlot(
-            kind="sub_block", block=t, row0=n, col0=n, rows=n, cols=n, order=n
-        )
-        vm[f"V{tag}"] = VarSlot(kind="tan_sum", block=t, order=n)
-        for (p, q), (corner, prev_u) in zip(pairs, tie_mats):
-            ties.append(
-                Constraint(
-                    name=f"tie{tag}[{p},{q}]",
-                    mats={t: corner, f"U{i - 1}": prev_u},
-                    free=no_free,
-                    rhs=0.0,
-                )
-            )
-    blocks.append(PsdBlock("P", n))
-    vm["P"] = VarSlot(kind="block", block="P", order=n)
-    vm.update(slots)
-    cons = list(first)
-    for i, rows in enumerate(rungs, start=1):
-        for suffix, k, free in rows:
-            mats = (
-                {} if k is None else _plus_tangent(f"U{i}", coupling.get(i), k, rung_sign, shared)
-            )
-            cons.append(Constraint(name=f"rung{i}_{suffix}", mats=mats, free=free, rhs=0.0))
-    cons += ties
-    for idx, (p, q) in enumerate(pairs):
-        cons.append(
-            Constraint(
-                name=f"head_decomp[{p},{q}]",
-                mats=_plus_tangent(
-                    "P", coupling.get(count + 1), SparseSym.unit(n, p, q), head_sign, shared
-                ),
-                free=head_free[idx],
-                rhs=float(head_rhs[p, q]),
-            )
-        )
-    cons += last
-    return StandardFormSdp(
-        system=system,
-        sense=sense,
-        blocks=tuple(blocks),
-        n_free=n_free,
-        objective_mats={},
-        objective_free=objective_free,
-        constraints=tuple(cons),
-        var_map=vm,
+    blocks += [PsdBlock(f"T{tag}", 2 * n) for tag in tags] + [PsdBlock("P", n)]
+    vm = {b.name: VarSlot(kind="block", block=b.name, order=n) for b in blocks if b.order == n}
+    for tag in tags:
+        sub = dict(kind="sub_block", block=f"T{tag}", col0=n, rows=n, cols=n, order=n)
+        vm[f"W{tag}"], vm[f"R{tag}"] = VarSlot(row0=0, **sub), VarSlot(row0=n, **sub)
+        vm[f"V{tag}"] = VarSlot(kind="tan_sum", block=f"T{tag}", order=n)
+
+    def ids(mats, make=lambda k: k):  # the table ids of make(K), -1 for no K
+        return [-1 if k is None else rows.coeff_id(make(k)) for k in mats]
+
+    if count:
+        signed = [k if k is None else k.signed(rung_sign) for _, k, _ in rung]
+        psd, coupled = ids(signed), ids(signed, SparseSym.coupling) if count > 1 else []
+        free, offset = zip(*(rows.free_id(v) for _, _, v in rung))
+        labels = tuple(label for label, _, _ in rung)
+        for i in range(1, count + 1):
+            cols = [(i - 1, psd)] + [(count + i - 2, coupled)] * (i > 1)
+            rows.add(f"rung{i}_", labels, cols, free, np.add(offset, step * i), 0.0)
+        no_free = rows.free_id(SparseVec(objective_free.length, (), ()))[0]
+        corner = [rows.coeff_id(SparseSym.unit(2 * n, p, q)) for p, q in pairs]
+        prev_u = [rows.coeff_id(SparseSym.unit(n, p, q).signed(-1.0)) for p, q in pairs]
+        for i, tag in enumerate(tags, start=2):
+            cols = [(i - 2, prev_u), (count + i - 2, corner)]
+            rows.add(f"tie{tag}", _pair_labels(n), cols, no_free, 0, 0.0)
+    signed = [SparseSym.unit(n, p, q).signed(head_sign) for p, q in pairs]
+    free, offset = zip(*map(rows.free_id, head_free))
+    cols = [(2 * count - 1, ids(signed, SparseSym.coupling))] if count else []
+    cols.append((2 * count, ids(signed)))
+    rows.add("head_decomp", _pair_labels(n), cols, free, offset, head_rhs[svec_index(n)])
+    for section in last:
+        rows.add(*section)
+    return rows.system(
+        system=system, sense=sense, blocks=tuple(blocks), n_free=objective_free.length,
+        objective_mats={}, objective_free=objective_free, var_map={**vm, **slots},
     )
 
 
-def _at_cols(inst: SdpInstance) -> list[SparseVec]:
+def _at_cols(inst: SdpInstance, n_free: int) -> list[SparseVec]:
     """Entry idx holds the coefficients of (𝒜*y)[p, q] on y, (p, q) the
-    idx-th svec pair."""
+    idx-th svec pair, in a free row of length n_free."""
     i, j = svec_index(inst.n)
     at = np.array([a.a[i, j] for a in inst.a]).reshape(inst.m, i.size)
-    return [SparseVec.from_dense(col) for col in at.T]
+    return [SparseVec.from_dense(col)._at(0, n_free) for col in at.T]
 
 
-def _b_row(inst: SdpInstance, n_free: int, off: int) -> SparseVec:
-    """Coefficients of <b, y> for y stored at free offset off."""
-    return SparseVec.from_dense(inst.b)._at(off, n_free)
-
-
-def _dual_ladder(
-    inst: SdpInstance,
-    system: str,
-    head_sign: float,
-    head_rhs: np.ndarray,
-    objective_free: np.ndarray,
-    last: Sequence[Constraint] = (),
-) -> StandardFormSdp:
+def _dual_ladder(inst: SdpInstance, system: str) -> StandardFormSdp:
     """dram and altram: free y, y^1..y^L (y^i at offset m·i), L =
     min(n-1, m); rung i reads 𝒜*y^i = U_i + V_i entrywise and
-    <b, y^i> = 0."""
+    <b, y^i> = 0.  One free row per entry serves its head row and its rung
+    rows, and one <b, ·> row every rung, the objective of dram and the
+    last row of altram, <b, y> = -1."""
     n, m = inst.n, inst.m
     count = dual_ladder_length(n, m)
     n_free = m * (count + 1)
-    pairs = svec_order(n)
-    units = [SparseSym.unit(n, p, q) for p, q in pairs]  # one K per entry, for every rung
-    # One values array per entry, shared by its head row and rung rows.
-    at = _at_cols(inst)
-    b = SparseVec.from_dense(inst.b)
-
-    def rung(i):
-        for idx, (p, q) in enumerate(pairs):
-            yield f"decomp[{p},{q}]", units[idx], at[idx]._at(m * i, n_free)
-        yield "rhs", None, b._at(m * i, n_free)
-
-    slots = {"y": VarSlot(kind="free_vec", offset=0, length=m)}
-    for i in range(1, count + 1):
-        slots[f"y{i}"] = VarSlot(kind="free_vec", offset=m * i, length=m)
+    at = _at_cols(inst, n_free)
+    b = SparseVec.from_dense(inst.b)._at(0, n_free)
+    units = [SparseSym.unit(n, p, q) for p, q in svec_order(n)]
+    rung = [*zip(["decomp" + s for s in _pair_labels(n)], units, at), ("rhs", None, b)]
+    slots = {f"y{i or ''}": VarSlot("free_vec", offset=m * i, length=m) for i in range(count + 1)}
+    dram, rows = system == SYSTEM_DRAM, _Rows()
     return _ladder_system(
-        inst,
-        system,
-        SENSE_MAX,
-        count=count,
-        rungs=(rung(i) for i in range(1, count + 1)),
-        rung_sign=-1.0,
-        head_sign=head_sign,
-        head_free=[col._at(0, n_free) for col in at],
-        head_rhs=head_rhs,
-        last=last,
-        objective_free=objective_free,
-        slots=slots,
+        rows, inst, system, SENSE_MAX, b if dram else SparseVec(n_free, (), ()), slots,
+        count=count, rung=rung, step=m, rung_sign=-1.0, head_sign=1.0 if dram else -1.0,
+        head_free=at, head_rhs=inst.c.a if dram else np.zeros((n, n)),
+        last=[] if dram else [("head_rhs", ("",), [], rows.free_id(b)[0], 0, -1.0)],
     )
 
 
@@ -688,8 +732,7 @@ def build_dram(inst: SdpInstance) -> StandardFormSdp:
     S₊ + tan(U_L).  The order-1 instance is the zero-rung ladder
     C - 𝒜*y = P, the classical dual.
     """
-    n_free = dram_size(inst.n, inst.m)[1]
-    return _dual_ladder(inst, "dram", 1.0, inst.c.a, _b_row(inst, n_free, 0))
+    return _dual_ladder(inst, SYSTEM_DRAM)
 
 
 def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
@@ -698,25 +741,15 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
     Same ladder as the exact dual; the head becomes 𝒜*y = P + V with
     <b, y> = -1 and there is no objective.
     """
-    n, n_free = inst.n, dram_size(inst.n, inst.m)[1]
-    head_rhs = Constraint(name="head_rhs", mats={}, free=_b_row(inst, n_free, 0), rhs=-1.0)
-    return _dual_ladder(
-        inst, "altram", -1.0, np.zeros((n, n)), SparseVec(n_free, (), ()), (head_rhs,)
-    )
+    return _dual_ladder(inst, SYSTEM_ALTRAM)
 
 
-def _primal_eq(inst: SdpInstance, n_free: int) -> list[Constraint]:
-    """𝒜X = b over the utri layout of X at free offset 0."""
+def _primal_eq(rows: _Rows, inst: SdpInstance, n_free: int) -> None:
+    """Adds the rows 𝒜X = b over the utri layout of X at free offset 0."""
     index = svec_index(inst.n)
-    return [
-        Constraint(
-            name=f"primal_eq{t + 1}",
-            mats={},
-            free=SparseVec.from_dense(_free_sym_coeffs(a.a, index))._at(0, n_free),
-            rhs=float(inst.b[t]),
-        )
-        for t, a in enumerate(inst.a)
-    ]
+    free = [SparseVec.from_dense(_free_sym_coeffs(a.a, index))._at(0, n_free) for a in inst.a]
+    labels = tuple(str(t) for t in range(1, inst.m + 1))
+    rows.add("primal_eq", labels, [], [rows.free_id(v)[0] for v in free], 0, inst.b)
 
 
 def build_pram(inst: SdpInstance) -> StandardFormSdp:
@@ -733,21 +766,16 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
             raise DependentConstraintsError("A_i are linearly dependent")
     nn = n * (n + 1) // 2
     no_free, unit = SparseVec(nn, (), ()), SparseVec(nn, (0,), (1.0,))
-    rows = [(f"a{t + 1}", SparseSym.from_dense(a.a), no_free) for t, a in enumerate(inst.a)]
-    rows.append(("c", SparseSym.from_dense(inst.c.a), no_free))
+    rung = [(f"a{t + 1}", SparseSym.from_dense(a.a), no_free) for t, a in enumerate(inst.a)]
+    rung.append(("c", SparseSym.from_dense(inst.c.a), no_free))
+    rows = _Rows()
+    _primal_eq(rows, inst, nn)
     return _ladder_system(
-        inst,
-        "pram",
-        SENSE_MIN,
-        count=n - 1,
-        rungs=[rows] * (n - 1),
-        rung_sign=1.0,
-        head_sign=-1.0,
-        head_free=[unit._at(idx, nn) for idx in range(nn)],
-        head_rhs=np.zeros((n, n)),
-        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n))),
-        slots={"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
-        first=_primal_eq(inst, nn),
+        rows, inst, SYSTEM_PRAM, SENSE_MIN,
+        SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n))),
+        {"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
+        count=n - 1, rung=rung, step=0, rung_sign=1.0, head_sign=-1.0,
+        head_free=[unit._at(idx, nn) for idx in range(nn)], head_rhs=np.zeros((n, n)),
     )
 
 
@@ -779,93 +807,74 @@ def _rotated_entry(q: np.ndarray, p: int, qq: int, s: int, sign: float):
     return c[:s, :s], c[s:, s:], (c[:s, s:] + c[s:, :s].T).reshape(-1)
 
 
+def _strong_rows(rows: _Rows, pre: str, n: int, rhs, entries: Iterator[tuple]) -> None:
+    """Adds one row per svec pair of order n from entries, the dense free
+    row and block matrix of each; the row holds the matrix's symmetric
+    part, and no matrix where it is zero."""
+    ids, free = [], []
+    for v, k in entries:
+        ids.append(rows.coeff_id(SparseSym.from_dense((k + k.T) / 2.0)) if np.any(k) else -1)
+        free.append(rows.free_id(SparseVec.from_dense(v))[0])
+    rows.add(pre, _pair_labels(n), [(0, ids)], free, 0, rhs)
+
+
 def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     """The strong dual: C - 𝒜*y = QVQᵀ with only V₂₂ (trailing r) PSD."""
     n, m = inst.n, inst.m
     spec.validate(n)
-    r = spec.r
-    q = spec.q
+    r, q = spec.r, spec.q
     f = n - r  # order of the free leading part
     # Free layout: y (m), V11 utri (f(f+1)/2), V12 row-major (f*r).
     n11 = f * (f + 1) // 2
     n_free = m + n11 + f * r
-    blocks = (PsdBlock("V22", r),) if r else ()
-    cons: list[Constraint] = []
     index = svec_index(f)
-    for p, qq in svec_order(n):
+
+    def entry(p, qq):
         k11, k22, k12 = _rotated_entry(q, p, qq, f, 1.0)
-        free = np.concatenate([[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11, index), k12])
-        mats = {"V22": SparseSym.from_dense((k22 + k22.T) / 2.0)} if np.any(k22) else {}
-        cons.append(
-            Constraint(
-                name=f"slack_eq[{p},{qq}]",
-                mats=mats,
-                free=SparseVec.from_dense(free),
-                rhs=float(inst.c.a[p, qq]),
-            )
-        )
-    obj = _b_row(inst, n_free, 0)
-    vm = {
-        "y": VarSlot(kind="free_vec", offset=0, length=m),
-        "V11": VarSlot(kind="free_sym", offset=m, length=n11, order=f),
-    }
+        free = [[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11, index), k12]
+        return np.concatenate(free), k22
+
+    rows = _Rows()
+    _strong_rows(rows, "slack_eq", n, inst.c.a[svec_index(n)], (entry(*pq) for pq in svec_order(n)))
+    vm = {"y": VarSlot(kind="free_vec", offset=0, length=m),
+          "V11": VarSlot(kind="free_sym", offset=m, length=n11, order=f)}
     if r:
         vm["V22"] = VarSlot(kind="block", block="V22", order=r)
-    return StandardFormSdp(
-        system="dstrong",
-        sense=SENSE_MAX,
-        blocks=blocks,
-        n_free=n_free,
-        objective_mats={},
-        objective_free=obj,
-        constraints=tuple(cons),
-        var_map=vm,
-    )
+    return rows.system(system="dstrong", sense=SENSE_MAX, blocks=(PsdBlock("V22", r),) if r else (),
+                       n_free=n_free, objective_mats={},
+                       objective_free=SparseVec.from_dense(inst.b)._at(0, n_free), var_map=vm)
 
 
 def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     """The strong primal: min <C,X>, 𝒜X = b, X = QVQᵀ, leading r-block of
     V PSD (the max-rank slack's PD block position)."""
-    n, m = inst.n, inst.m
+    n = inst.n
     spec.validate(n)
-    r = spec.r
-    q = spec.q
+    r, q = spec.r, spec.q
     f = n - r
     nn = n * (n + 1) // 2
     # Free layout: X utri (nn), V22 utri (f(f+1)/2), V12 row-major (r*f).
     n22 = f * (f + 1) // 2
     n_free = nn + n22 + r * f
-    blocks = (PsdBlock("V11", r),) if r else ()
-    cons = _primal_eq(inst, n_free)
     index = svec_index(f)
-    for idx, (p, qq) in enumerate(svec_order(n)):
+
+    def entry(idx, p, qq):
         k11, k22, k12 = _rotated_entry(q, p, qq, r, -1.0)
         free = np.concatenate([np.zeros(nn), _free_sym_coeffs(k22, index), k12])
         free[idx] = 1.0
-        mats = {"V11": SparseSym.from_dense((k11 + k11.T) / 2.0)} if np.any(k11) else {}
-        cons.append(
-            Constraint(
-                name=f"shape_eq[{p},{qq}]", mats=mats, free=SparseVec.from_dense(free), rhs=0.0
-            )
-        )
-    vm = {
-        "X": VarSlot(kind="free_sym", offset=0, length=nn, order=n),
-        "V22": VarSlot(kind="free_sym", offset=nn, length=n22, order=f),
-    }
+        return free, k11
+
+    rows = _Rows()
+    _primal_eq(rows, inst, n_free)
+    entries = (entry(idx, p, qq) for idx, (p, qq) in enumerate(svec_order(n)))
+    _strong_rows(rows, "shape_eq", n, 0.0, entries)
+    vm = {"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n),
+          "V22": VarSlot(kind="free_sym", offset=nn, length=n22, order=f)}
     if r:
         vm["V11"] = VarSlot(kind="block", block="V11", order=r)
-    return StandardFormSdp(
-        system="pstrong",
-        sense=SENSE_MIN,
-        blocks=blocks,
-        n_free=n_free,
-        objective_mats={},
-        objective_free=SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n)))._at(
-            0, n_free
-        ),
-        constraints=tuple(cons),
-        var_map=vm,
-    )
+    objective = SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n)))._at(0, n_free)
+    return rows.system(system="pstrong", sense=SENSE_MIN, blocks=(PsdBlock("V11", r),) if r else (),
+                       n_free=n_free, objective_mats={}, objective_free=objective, var_map=vm)
 
 
 def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
@@ -875,27 +884,13 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
     <X0, Z> + <y, b> = <X0, C> is constant, so optima correspond too.
     """
     comp = complement_basis(inst)
-    n = inst.n
-    no_free = SparseVec(0, (), ())
-    cons = [
-        Constraint(
-            name=f"red_eq{j + 1}",
-            mats={"Z": SparseSym.from_dense(comp.d[j].a)},
-            free=no_free,
-            rhs=float(comp.d_vals[j]),
-        )
-        for j in range(comp.ell)
-    ]
-    sdp = StandardFormSdp(
-        system="red",
-        sense=SENSE_MIN,
-        blocks=(PsdBlock("Z", n),),
-        n_free=0,
-        objective_mats={"Z": SparseSym.from_dense(comp.x0.a)},
-        objective_free=no_free,
-        constraints=tuple(cons),
-        var_map={"Z": VarSlot(kind="block", block="Z", order=n)},
-    )
+    rows, no_free = _Rows(), SparseVec(0, (), ())
+    ids = [rows.coeff_id(SparseSym.from_dense(d.a)) for d in comp.d]
+    labels = tuple(str(j + 1) for j in range(comp.ell))
+    rows.add("red_eq", labels, [(0, ids)], rows.free_id(no_free)[0], 0, comp.d_vals)
+    sdp = rows.system(system="red", sense=SENSE_MIN, blocks=(PsdBlock("Z", inst.n),), n_free=0,
+                      objective_mats={"Z": SparseSym.from_dense(comp.x0.a)}, objective_free=no_free,
+                      var_map={"Z": VarSlot(kind="block", block="Z", order=inst.n)})
     return sdp, comp
 
 

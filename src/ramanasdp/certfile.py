@@ -55,9 +55,10 @@ rotation Q and the block order r.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -215,19 +216,36 @@ def _int(token: str, what: str) -> int:
     return int(token)
 
 
+# Characters of certificate text split into lines at a time.  A parse holds
+# one block's lines; on the 35 certificates of a verify batch, taking their
+# lines a block at a time cost 21%, 16% and 13% more than one split of each
+# whole text for blocks of 8, 16 and 32 KB (0.4 to 0.6 ms a batch).
+_BLOCK_CHARS = 16384
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The non-blank lines of text.splitlines(), a block of about
+    _BLOCK_CHARS characters at a time, so that a parse holds one block's
+    lines, not all of them.  Each block ends just after a newline, which
+    no line boundary of splitlines spans."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield [ln for ln in text[start:end].splitlines() if ln.strip()]
+        start = end
+
+
 def parse_certificate_text(text: str) -> CertificateFile:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[:2] != ["ramanasdp-certificate", "1"]:
+    lines = itertools.chain.from_iterable(_line_blocks(text))
+    head = next(lines, None)
+    if head is None or head.split()[:2] != ["ramanasdp-certificate", "1"]:
         raise CertificateFormatError("not a ramanasdp certificate file")
     fields: dict[str, str] = {}
     scalars: dict[str, float] = {}
     vectors: dict[str, np.ndarray] = {}
     matrices: dict[str, np.ndarray] = {}
     seen: set[tuple[str, ...]] = set()
-    idx = 1
-    while idx < len(lines):
-        ln = lines[idx]
-        idx += 1
+    for ln in lines:
         toks = ln.split()
         kind = toks[0]
         record = tuple(toks[:2]) if kind in ("scalar", "vector", "matrix") else (kind,)
@@ -255,8 +273,7 @@ def parse_certificate_text(text: str) -> CertificateFile:
         # A vector is one line, a matrix one line a row; a record of
         # length 0 has no line (the writer's empty line is skipped above).
         count = min(length, 1) if kind == "vector" else length
-        rows = lines[idx : idx + count]
-        idx += count
+        rows = list(itertools.islice(lines, count))
         if len(rows) < count:
             raise CertificateFormatError(
                 f"{what}: file ends after {len(rows)} of {count} rows"

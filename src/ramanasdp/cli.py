@@ -170,7 +170,7 @@ def cmd_emit(args) -> int:
         "sidecar": out + ".varmap",
         "psd_blocks": [[b.name, b.order] for b in sdp.blocks],
         "free_scalars": sdp.n_free,
-        "constraints": len(sdp.constraints),
+        "constraints": sdp.rhs.size,
     }
     _out(
         payload,
@@ -178,7 +178,7 @@ def cmd_emit(args) -> int:
         [
             f"system {system} written to {out} (sidecar {out}.varmap)",
             f"PSD blocks: {', '.join(f'{b.name}({b.order})' for b in sdp.blocks) or 'none'}",
-            f"free scalars: {sdp.n_free}, constraints: {len(sdp.constraints)}",
+            f"free scalars: {sdp.n_free}, constraints: {sdp.rhs.size}",
         ],
     )
     return EXIT_OK

@@ -21,31 +21,29 @@ two writes of the same object are byte-identical.  write_sdpa writes the
 text chunk by chunk as it is formatted, _CHUNK_ROWS rows a chunk, so the
 whole text is never held; the *_text functions join the same chunks.
 
-An emitted system is written straight from its sparse form: each
+An emitted system is written straight from its row tables: each
 SparseSym becomes a template, its stored entries' lines with the
 "matno blkno " prefix left open, into which each row splices its prefix,
 and each SparseVec its pairs of free-block lines.  The write first counts
-the rows that use each matrix and each array of free values (the builders
-share both among rows).  A template, or the texts of an array's values,
-is made once and kept only while rows that use it remain, so text used
-once is never kept.  Instance text keeps no memo and formats each matrix
-through its sparse form, one per chunk: its matrices do not repeat, so
-instance_digest, which hashes this text to check a certificate file that
-carries the older instance-hash field, holds one matrix's lines at a time.
+the uses of each table entry, a bincount of the rows' id arrays, and
+keeps a template, or the texts of a free row's values, in a list by id
+only while uses remain, so text used once is never kept.  Instance text
+keeps no memo and formats each matrix through its sparse form, one per
+chunk: its matrices do not repeat, so instance_digest, which hashes this
+text to check a certificate file that carries the older instance-hash
+field, holds one matrix's lines at a time.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 import os
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .builders import SparseSym, SparseVec, StandardFormSdp
+from .builders import SparseSym, StandardFormSdp
 from .model import SdpInstance
 from .symmat import SymMat
 
@@ -63,10 +61,6 @@ class UnsupportedBlockStructureError(ValueError):
 def _fmt(x: float) -> str:
     return repr(float(x))
 
-
-# One row of an emitted system: (matno, {block name: matrix}, free row),
-# with matno 0 the objective.
-_Row = tuple[int, dict[str, SparseSym], SparseVec]
 
 # Rows per chunk of an emitted system.  A chunk holds its rows' text twice
 # (the pieces and their join), and a pram row at n = 18 can take 14 kB: the
@@ -105,45 +99,21 @@ def _value_texts(vals: np.ndarray) -> tuple[list[str], list[str]]:
     return pos, neg
 
 
-def _sdpa_chunks(
-    header: list[str], rows: Sequence[_Row], block_index: dict[str, int], n_free: int
-) -> Iterator[str]:
-    """The header lines, then one "matno blkno i j value" line per stored
-    entry of each row's matrices, in row order, then block order, and
-    row-major within a block.  A free row's entry c_j becomes the pairs
-    (j, c_j) and (n_free + j, -c_j) of the free block, numbered after the
-    blocks of block_index, after the row's other blocks."""
-    yield "\n".join(header) + "\n"
-    # Rows left to use each matrix and each array of free values, by id;
-    # rows keeps every one alive, so no id is reused during the write.
-    left = collections.Counter(id(x) for _, mats, free in rows for x in (*mats.values(), free.vals))
-    memo: dict[int, object] = {}
+def _memo(table: Sequence, ids: np.ndarray, make: Callable) -> Callable[[int], object]:
+    """text(k) = make(table[k]), made once and kept only while ids holds a
+    use of k not yet asked for, so text used once is never kept."""
+    left = np.bincount(ids, minlength=len(table)).tolist()
+    memo: list = [None] * len(table)
 
-    def text(obj, make: Callable):
-        key = id(obj)
-        left[key] -= 1
-        if not left[key]:  # the last use, or the only one
-            return memo.pop(key) if key in memo else make(obj)
-        if key not in memo:
-            memo[key] = make(obj)
-        return memo[key]
+    def text(k: int):
+        left[k] -= 1
+        out = memo[k]
+        if out is None:
+            out = make(table[k])
+        memo[k] = out if left[k] else None
+        return out
 
-    diag, free_blk = _diag_texts(2 * n_free), len(block_index) + 1
-    rows = iter(rows)
-    while run := list(itertools.islice(rows, _CHUNK_ROWS)):
-        pieces = []
-        for matno, mats, free in run:
-            for name in sorted(mats, key=block_index.__getitem__):
-                pre = f"{matno} {block_index[name]} "
-                pieces.append(text(mats[name], _template).replace("\0", pre))
-            if n_free and free.vals.size:
-                pre, off, neg_off = f"{matno} {free_blk} ", free.offset, n_free + free.offset
-                pos, neg = text(free.vals, _value_texts)
-                pieces += [
-                    f"{pre}{diag[off + j]}{p}{pre}{diag[neg_off + j]}{q}"
-                    for j, p, q in zip(free.idx.tolist(), pos, neg)
-                ]
-        yield "".join(pieces)
+    return text
 
 
 def instance_chunks(inst: SdpInstance) -> Iterator[str]:
@@ -159,18 +129,46 @@ def instance_to_sdpa_text(inst: SdpInstance) -> str:
 
 
 def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
-    nblocks = len(sdp.blocks) + (1 if sdp.n_free else 0)
-    sizes = [str(b.order) for b in sdp.blocks]
-    if sdp.n_free:
-        sizes.append(str(-2 * sdp.n_free))
-    header = [str(len(sdp.constraints)), str(nblocks), " ".join(sizes)]
-    header.append(" ".join(_fmt(c.rhs) for c in sdp.constraints))
+    """The header lines, then one "matno blkno i j value" line per stored
+    entry of each row's matrices, in row order, then block order, and
+    row-major within a block.  A free row's entry c_j becomes the pairs
+    (j, c_j) and (n_free + j, -c_j) of the free block, numbered after the
+    other blocks, after the row's other blocks."""
+    n_free, free_blk, rows = sdp.n_free, len(sdp.blocks) + 1, sdp.rhs.size
+    sizes = [str(b.order) for b in sdp.blocks] + [str(-2 * n_free)] * (n_free > 0)
+    yield f"{rows}\n{len(sizes)}\n{' '.join(sizes)}\n{' '.join(map(repr, sdp.rhs.tolist()))}\n"
+    diag = _diag_texts(2 * n_free)
+
+    def free_lines(t, v, off, texts):
+        # Free rows have length n_free or 0, so one with entries has n_free.
+        pre, (pos, neg) = f"{t} {free_blk} ", texts
+        return [
+            f"{pre}{diag[off + j]}{p}{pre}{diag[n_free + off + j]}{q}"
+            for j, p, q in zip(v.idx.tolist(), pos, neg)
+        ]
+
     sign = 1.0 if sdp.sense == "max" else -1.0
-    block_index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    objective_mats = {name: k.signed(sign) for name, k in sdp.objective_mats.items()}
-    rows = [(0, objective_mats, sdp.objective_free.signed(sign))]
-    rows += [(t, con.mats, con.free) for t, con in enumerate(sdp.constraints, start=1)]
-    return _sdpa_chunks(header, rows, block_index, sdp.n_free)
+    index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
+    pieces = [
+        _template(sdp.objective_mats[name].signed(sign)).replace("\0", f"0 {index[name]} ")
+        for name in sorted(sdp.objective_mats, key=index.__getitem__)
+    ]
+    obj = sdp.objective_free.signed(sign)
+    yield "".join(pieces + free_lines(0, obj, obj.offset, _value_texts(obj.vals)))
+    mat_text = _memo(sdp.coeffs, sdp.entry_coeff, _template)
+    free_text = _memo(sdp.free_rows, sdp.row_free, lambda v: _value_texts(v.vals))
+    for lo in range(0, rows, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, rows)
+        e0, e1 = sdp.row_ptr[lo], sdp.row_ptr[hi]
+        ptr = (sdp.row_ptr[lo : hi + 1] - e0).tolist()
+        entries = list(zip(sdp.entry_block[e0:e1].tolist(), sdp.entry_coeff[e0:e1].tolist()))
+        frees, offs = sdp.row_free[lo:hi].tolist(), sdp.row_offset[lo:hi].tolist()
+        pieces = []
+        for t, a, z, f, off in zip(range(lo + 1, hi + 1), ptr, ptr[1:], frees, offs):
+            pieces += [mat_text(k).replace("\0", f"{t} {b + 1} ") for b, k in entries[a:z]]
+            if sdp.free_rows[f].size:
+                pieces += free_lines(t, sdp.free_rows[f], off, free_text(f))
+        yield "".join(pieces)
 
 
 def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:

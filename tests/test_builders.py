@@ -187,19 +187,17 @@ class TestSharedCoefficients:
         # constraint held before the builders shared them.
         unshared = dataclasses.replace(
             sdp,
-            constraints=tuple(
-                dataclasses.replace(
-                    con,
-                    mats={
-                        b: SparseSym(k.order, k.rows, k.cols, k.vals) for b, k in con.mats.items()
-                    },
-                    free=SparseVec(
-                        con.free.length, con.free.idx.copy(), con.free.vals.copy(), con.free.offset
-                    ),
-                )
-                for con in sdp.constraints
+            coeffs=tuple(
+                SparseSym(k.order, k.rows, k.cols, k.vals)
+                for k in map(sdp.coeffs.__getitem__, sdp.entry_coeff)
             ),
+            entry_coeff=np.arange(sdp.entry_coeff.size),
+            free_rows=tuple(
+                SparseVec(v.length, v.idx, v.vals) for v in map(sdp.free_rows.__getitem__, sdp.row_free)
+            ),
+            row_free=np.arange(sdp.rhs.size),
         )
+        assert len(unshared.coeffs) == sdp.entry_coeff.size > 2 * len(sdp.coeffs)
         assert not any(
             a is b
             for x, y in zip(sdp.constraints, unshared.constraints)
@@ -481,7 +479,7 @@ class TestSparseForm:
         for msg, con in rows.items():
             for objective in (False, True):
                 with pytest.raises(ValueError, match=re.escape(msg)):
-                    StandardFormSdp(
+                    StandardFormSdp.from_rows(
                         system="hand",
                         sense="min",
                         blocks=blocks,
@@ -503,17 +501,86 @@ class TestSparseForm:
 
     def test_build_dram_holds_little_memory(self):
         # The emit benchmark's peak op builds dram at n = 18, m = 5: 7.9 MB
-        # of dense coefficients, 0.96 MB held sparse.
+        # of dense coefficients, 0.99 MB held as one object per row, 0.27
+        # MB held as row tables.
         inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
-        build_dram(inst)
-        tracemalloc.start()
-        try:
-            sdp = build_dram(inst)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        sdp, held = _held(build_dram, inst)
         assert len(sdp.constraints) == 1886
-        assert held <= 2.5e6
+        assert held <= 0.6e6
+
+    def test_exact_dual_at_n_30_holds_at_most_4_mb(self):
+        # 13.5 MB when each row was its own objects, 2.0 MB as row tables.
+        inst = random_degenerate_instance(np.random.default_rng(0), 30, 30, (2, 1, 1))[0]
+        sdp, held = _held(build_dram, inst)
+        assert sdp.rhs.size == 29 * 466 + 29 * 465 + 465
+        assert held <= 4e6
+
+
+def _held(build, inst):
+    """The system build(inst) and the memory it holds, from a second build
+    alone."""
+    build(inst)
+    tracemalloc.start()
+    try:
+        sdp = build(inst)
+        return sdp, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowTables:
+    """The constraints view and the row tables say the same thing: the
+    view packs back into the same system, and it holds the tables' own
+    coefficient objects."""
+
+    FIELDS = ("system", "sense", "blocks", "n_free", "objective_mats", "objective_free", "var_map")
+
+    @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_view_packs_back_into_the_same_system(self, case, builder):
+        sdp = _sparse_case(case, builder)[0]
+        view = sdp.constraints
+        packed = StandardFormSdp.from_rows(view, **{f: getattr(sdp, f) for f in self.FIELDS})
+        assert standard_form_to_sdpa_text(packed) == standard_form_to_sdpa_text(sdp)
+        assert varmap_sidecar_text(packed) == varmap_sidecar_text(sdp)
+        assert [con.name for con in packed.constraints] == [con.name for con in view]
+        assert np.array_equal(packed.rhs, sdp.rhs)
+        assert [con.rhs for con in view] == sdp.rhs.tolist()
+        # Every table entry is used, the view holds the entries themselves,
+        # and packing the view shares them again.
+        mats = {id(k) for con in view for k in con.mats.values()}
+        assert mats == {id(k) for k in sdp.coeffs} == {id(k) for k in packed.coeffs}
+        assert len(packed.coeffs) == len(sdp.coeffs)
+        arrays = [{(id(v.idx), id(v.vals)) for v in s.free_rows} for s in (sdp, packed)]
+        assert arrays[0] == arrays[1] == {(id(c.free.idx), id(c.free.vals)) for c in view}
+
+    def test_tables_are_read_only_and_checked(self):
+        inst = random_degenerate_instance(np.random.default_rng(3), 5, 3, (2, 1, 1))[0]
+        sdp = build_dram(inst)  # blocks U1, U2, U3, T2, T3, Thead, P; n_free 12
+        for field in ("row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sdp, field)[0] = 1
+        ids = sdp.entry_coeff.copy()
+        for bad in (-1, len(sdp.coeffs)):
+            ids[0] = bad
+            with pytest.raises(ValueError, match="outside its table"):
+                dataclasses.replace(sdp, entry_coeff=ids)
+        with pytest.raises(ValueError, match="unequal lengths"):
+            dataclasses.replace(sdp, rhs=sdp.rhs[1:])
+        swapped = sdp.entry_block.copy()
+        lo = sdp.row_ptr[np.flatnonzero(np.diff(sdp.row_ptr) == 2)[0]]
+        swapped[lo : lo + 2] = swapped[lo : lo + 2][::-1]
+        with pytest.raises(ValueError, match="block order"):
+            dataclasses.replace(sdp, entry_block=swapped)
+        # The first row's order-5 matrix moved to T2, of order 10.
+        moved = sdp.entry_block.copy()
+        moved[0] = 3
+        msg = (
+            "constraint rung1_decomp[0,0] does not fit the system: free length 12 for "
+            "n_free 12, matrix orders {'T2': 5} for blocks {'T2': 10}"
+        )
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            dataclasses.replace(sdp, entry_block=moved)
 
 
 class TestAltRam:

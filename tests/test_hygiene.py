@@ -1,7 +1,8 @@
 """Source hygiene: every function parameter in the library is read, every
 default of a private function is passed by some call, no library module
-reads another library module's private names, and no function imports a
-library module."""
+reads another library module's private names, no function imports a
+library module, and no library code reads the per-row view of an emitted
+system."""
 
 import ast
 from pathlib import Path
@@ -209,3 +210,29 @@ def test_the_check_sees_unpassed_defaults():
         "    def run(self):\n        return self._m(0)\n"
     )
     assert _unpassed_defaults(tree, "m.py") == ["m.py:1 _f(c)", "m.py:1 _f(d)", "m.py:11 _m(b)"]
+
+
+def _constraints_reads(tree: ast.AST, filename: str) -> list[str]:
+    """``file:line`` for each read of an attribute named ``constraints``.
+    That is StandardFormSdp's view of its rows as Constraint objects, made
+    on each read for tests and tools: the library reads the row tables."""
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "constraints"
+    ]
+
+
+def test_no_library_code_reads_the_constraints_view():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _constraints_reads(ast.parse(path.read_text()), path.name)
+    assert found == []
+
+
+def test_the_check_sees_constraints_reads():
+    tree = ast.parse(
+        "class S:\n    @property\n    def constraints(self):\n        return ()\n"
+        "n = len(sdp.constraints)\nfor con in S().constraints:\n    pass\n"
+    )
+    assert sorted(_constraints_reads(tree, "m.py")) == ["m.py:5", "m.py:6"]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from ramanasdp.certfile import (
     to_strong_point,
     write_certificate,
 )
-from ramanasdp import sdpa
+from ramanasdp import certfile, sdpa
 from ramanasdp.builders import (
     Constraint,
     PsdBlock,
@@ -57,6 +59,8 @@ from helpers import (
     random_degenerate_instance,
     random_instance,
     random_orthonormal,
+    random_psd,
+    random_sym,
 )
 
 
@@ -257,7 +261,7 @@ def _hand_system(rng, n_cons, n_free, sense, objective_free):
         else:
             mats, free = {}, rng.choice(_VALUES, n_free)
         cons.append(Constraint(name=f"c{t}", mats=mats, free=free, rhs=float(rng.choice(_VALUES))))
-    return StandardFormSdp(
+    return StandardFormSdp.from_rows(
         system="hand",
         sense=sense,
         blocks=blocks,
@@ -318,7 +322,7 @@ class TestChunkedWriter:
             Constraint(name=f"c{t}", mats=cycle[t % 4][0], free=cycle[t % 4][1], rhs=1.0)
             for t in range(5 * sdpa._CHUNK_ROWS)
         )
-        sdp = StandardFormSdp(
+        sdp = StandardFormSdp.from_rows(
             system="hand",
             sense="min",
             blocks=(PsdBlock("A", 3), PsdBlock("B", 3)),
@@ -337,7 +341,7 @@ class TestChunkedWriter:
         # reference formats -c_j itself.
         free = np.array([np.nan, np.inf, -np.inf, 5e-324, -1e-320, 1e308, -0.1, 1 / 3, 0.0])
         one = np.ones((1, 1))
-        sdp = StandardFormSdp(
+        sdp = StandardFormSdp.from_rows(
             system="hand",
             sense="min",
             blocks=(PsdBlock("A", 1),),
@@ -364,7 +368,7 @@ class TestChunkedWriter:
 
     def test_objective_entries_follow_block_order(self):
         one = np.ones((1, 1))
-        sdp = StandardFormSdp(
+        sdp = StandardFormSdp.from_rows(
             system="hand",
             sense="max",
             blocks=(PsdBlock("A", 1), PsdBlock("B", 1)),
@@ -388,12 +392,14 @@ class TestChunkedWriter:
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         sdp = _hand_system(np.random.default_rng(2), 2 * sdpa._CHUNK_ROWS, 3, "max", np.ones(3))
-        bad = Constraint(name="bad", mats={"Z": np.eye(2)}, free=np.zeros(3), rhs=0.0)
-        # StandardFormSdp refuses a row for an unknown block; set past that
-        # check, the row makes the write fail after its first chunks.
-        object.__setattr__(sdp, "constraints", sdp.constraints + (bad,))
+        # StandardFormSdp refuses a matrix id outside its table; set past
+        # that check, the last row's id makes the write fail after its
+        # first chunks.
+        ids = sdp.entry_coeff.copy()
+        ids[-1] = len(sdp.coeffs)
+        object.__setattr__(sdp, "entry_coeff", ids)
         path = tmp_path / "bad.dat-s"
-        with pytest.raises(KeyError):
+        with pytest.raises(IndexError):
             write_sdpa(sdp, str(path))
         assert not path.exists()
 
@@ -631,6 +637,24 @@ class TestCertificateFiles:
             assert a.keys() == b.keys()
             assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0c", "\u2028", "\n\r\n \x1e"])
+    def test_every_line_boundary_of_splitlines_ends_a_line(self, end, block, monkeypatch):
+        # The parser splits the text into lines a block at a time, with the
+        # boundaries of str.splitlines, not only newlines; with 5-character
+        # blocks every line is a block seam.
+        if block:
+            monkeypatch.setattr(certfile, "_BLOCK_CHARS", block)
+        text = certificate_to_text(inst_unattained(), "dram", cert=_ladder_cert())
+        want, got = parse_certificate_text(text), parse_certificate_text(text.replace("\n", end))
+        for pool in ("vectors", "matrices"):
+            a, b = getattr(want, pool), getattr(got, pool)
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+        bad = text.replace("vector y 3", "vector y 3 4").replace("\n", end)
+        with pytest.raises(CertificateFormatError, match=re.escape("record 'vector y 3 4' is not")):
+            parse_certificate_text(bad)
+
     @pytest.mark.parametrize("rungs", [0, 2])
     def test_zero_length_vectors_round_trip(self, rungs):
         # m = 0: every y record has length 0 and is written as "vector y 0"
@@ -694,6 +718,29 @@ class TestCertificateFiles:
         cf = parse_certificate_text("\n".join(lines) + "\n")
         cert = to_ramana_certificate(cf, inst)
         assert cert.ladder[1].v.allclose(SymMat.zero(3), tol=0.0)
+
+    def test_parsing_holds_one_record_at_a_time(self):
+        # A dram certificate at n = 24 with six dense rungs: its parsed
+        # arrays take 8 bytes an entry, its text about 20.  Holding every
+        # line of the text until the end of the parse took more than the
+        # text itself.
+        rng = np.random.default_rng(24)
+        inst = random_degenerate_instance(rng, 24, 6, (2, 1, 1))[0]
+        ladder = tuple(
+            LadderRung(y=rng.standard_normal(6), u=random_psd(rng, 24), v=random_sym(rng, 24))
+            for _ in range(6)
+        )
+        cert = RamanaCertificate(system="dram", y=rng.standard_normal(6), ladder=ladder)
+        text = certificate_to_text(inst, "dram", cert=cert)
+        parse_certificate_text(text)
+        tracemalloc.start()
+        try:
+            cf = parse_certificate_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(cf.matrices["V6"], ladder[5].v.a)
+        assert peak < len(text)
 
 
 # SHA-256 of instance_to_sdpa_text for every registry instance.  Certificate

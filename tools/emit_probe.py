@@ -5,25 +5,25 @@ For each n, builds one system (``--builder``, default the exact dual
 ``helpers.random_degenerate_instance(default_rng(seed), n, m, (2, 1, 1))``
 and prints the build seconds, the median seconds of three writes and the
 entry lines they write per second, the memory the built system holds
-(tracemalloc of a second build alone), its count of distinct coefficient
-objects, the stored entries its constraints reference against those the
-distinct objects hold, and the tracemalloc peak of the write alone
-(allocations made by the writer, not the system it writes).  ``dstrong``
-takes the face spec ``StrongDualSpec(q, r=2)`` with q a random
-orthonormal basis from the same seed.
+(tracemalloc of a second build alone), its count of distinct coefficients
+(the entries of its matrix and free-row tables), the stored entries its
+rows reference against those the tables hold, and the tracemalloc peak of
+the write alone (allocations made by the writer, not the system it
+writes).  ``dstrong`` takes the face spec ``StrongDualSpec(q, r=2)`` with
+q a random orthonormal basis from the same seed.
 
     python3 tools/emit_probe.py [--n N ...] [--m M] [--seed S] [--builder B]
 
 n defaults to 18, 24 and 30, and m (at least 3) to n.  dram and altram
 hold min(n - 1, m) rungs, so their size falls with m only where
-m < n - 1; pram keeps n - 1 rungs whatever m is.  Systems are held
-sparse, and the builders share each coefficient matrix among the
-constraints that use it, so the entries referenced (what the benchmark's
+m < n - 1; pram keeps n - 1 rungs whatever m is.  A system holds its
+rows as id arrays into a table of distinct sparse matrices and one of
+distinct free rows, so the entries referenced (what the benchmark's
 ``builders.stored_floats`` counts) exceed those held.  At n = 30 the
-exact dual holds 13.5 MB (164 MB when it was held dense) and writes a
-31 MB file with a 5.6 MB write peak.  The file is written to a temporary
-directory and removed.  Not a test: pytest collects only
-``tests`` and ``bench``.
+exact dual holds 2.0 MB (13.5 MB when each row was its own objects,
+164 MB when it was held dense) and writes a 31 MB file with a 2.6 MB
+write peak.  The file is written to a temporary directory and removed.
+Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
 from __future__ import annotations
@@ -57,13 +57,17 @@ BUILDERS = {
 
 
 def array_counts(sdp) -> tuple[int, int, int]:
-    """Stored entries referenced by the constraints' matrices and free
-    rows, the stored entries of the distinct ones, and how many distinct
-    ones there are."""
-    coeffs = [con.free for con in sdp.constraints]
-    coeffs += [mat for con in sdp.constraints for mat in con.mats.values()]
-    distinct = list({id(c): c for c in coeffs}.values())
-    return sum(c.size for c in coeffs), sum(c.size for c in distinct), len(distinct)
+    """Stored entries referenced by the rows' matrices and free rows, the
+    stored entries of the distinct ones (the system's two tables), and
+    how many distinct ones there are, read from the tables and their id
+    arrays."""
+    tables = ((sdp.coeffs, sdp.entry_coeff), (sdp.free_rows, sdp.row_free))
+    referenced = sum(
+        int(np.bincount(ids, minlength=len(table)) @ np.array([c.size for c in table], dtype=int))
+        for table, ids in tables
+    )
+    held = sum(c.size for table, _ in tables for c in table)
+    return referenced, held, len(sdp.coeffs) + len(sdp.free_rows)
 
 
 def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
@@ -96,7 +100,7 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
         lines = sum(1 for _ in fh) - 4  # the header takes four lines
     return {
         "n": n,
-        "constraints": len(sdp.constraints),
+        "constraints": sdp.rhs.size,
         "build_s": build_s,
         "write_s": statistics.median(write_s),
         "lines": lines,
