@@ -125,7 +125,8 @@ from .model import (
 )
 from .symmat import EPS_PSD, SymMat, TangentResult, classify_psd, split_psd_plus_tan, tan_contains
 from .verify import (
-    SYSTEM_ALTRAM, SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length, pad_ladder,
+    SYSTEM_ALTRAM, SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length,
+    leading_zero_rungs, pad_ladder,
 )
 
 SENSE_MIN = "min"
@@ -903,10 +904,6 @@ def _utri_values(a: np.ndarray) -> np.ndarray:
     return a[svec_index(a.shape[0])]
 
 
-def _is_zero_rung(rung) -> bool:
-    return not (np.any(rung.u.a) or np.any(rung.v.a) or (rung.y is not None and np.any(rung.y)))
-
-
 def _coupling_block(u: SymMat, res: TangentResult) -> np.ndarray:
     """[[U, W],[Wᵀ, R]] from the synthesized witness of a tan(U) test."""
     if not res.member:
@@ -932,10 +929,10 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
         raise ValueError(f"certificate is for {cert.system}, SDP is {sdp.system}")
     count = n - 1 if sdp.system == SYSTEM_PRAM else dual_ladder_length(n, inst.m)
     cut = n - 1 - count
-    held = [i for i, rung in enumerate(ladder[:cut]) if not _is_zero_rung(rung)]
-    if held:
+    lead = leading_zero_rungs(ladder)
+    if lead < cut:
         raise ValueError(
-            f"ladder has {n - 1 - held[0]} rungs from its first nonzero one; "
+            f"ladder has {n - 1 - lead} rungs from its first nonzero one; "
             f"the {sdp.system} system holds {count} = min(n - 1, m)"
         )
     ladder = ladder[cut:]

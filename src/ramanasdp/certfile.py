@@ -32,7 +32,9 @@ A ladder of k <= n-1 rungs is stored as records y1..yk, U1..Uk, V1..Vk,
 k the highest index present; a missing record below it is zero.
 Record j is rung n-1-k+j: a file with k < n-1 holds the *last* k rungs,
 the rungs before them are zero, and a violation in record Uj is reported
-at rung n-1-k+j.
+at rung n-1-k+j.  The writer writes a ladder from its first nonzero rung
+on, numbered from 1, so the leading zero rungs, which pass every check,
+come back as that padding; an all-zero ladder writes no rung record.
 Blank lines are skipped.  A vector is one line, a matrix one line a row,
 a record of length 0 has no line, and entries are separated by spaces or
 tabs.  Every number in the file (entries, ``scalar`` and ``value``) is a
@@ -74,6 +76,7 @@ from .verify import (
     LadderRung,
     RamanaCertificate,
     StrongDualSpec,
+    leading_zero_rungs,
 )
 
 
@@ -163,7 +166,9 @@ def certificate_to_text(
             put_vec("y", cert.y)
         else:
             put_mat("X", cert.x.a)
-        for i, rung in enumerate(cert.ladder, start=1):
+        # From the first nonzero rung on: the reader pads the ladder back.
+        held = cert.ladder[leading_zero_rungs(cert.ladder) :]
+        for i, rung in enumerate(held, start=1):
             if rung.y is not None:
                 put_vec(f"y{i}", rung.y)
             put_mat(f"U{i}", rung.u.a)

@@ -21,8 +21,10 @@ and reports the first violated constraint with its residual.  Membership
 in S₊ + tan(U) is decided by one trailing-block PSD test in U's
 eigenbasis, which is exact for this set.  The head reuses the
 classification of U_{n-1} made at the last rung, and each rung's tangent
-test reuses the class of U_{i-1} made at the rung before, so a ladder of k
-rungs costs k + 2 decompositions: U_0 = 0, each U_i, then the head block.
+test reuses the class of U_{i-1} made at the rung before.  A zero rung
+passes every check and leaves the class of U_0 = 0 as it is, so the walk
+starts at the first nonzero rung, and a ladder with R rungs from there on
+costs R + 2 decompositions: U_0 = 0, each such U_i, then the head block.
 
 normalize_ladder implements the inductive rotation that puts the matrices
 𝒜*y^1, ..., 𝒜*y^{n-1} of any feasible certificate into regular facial
@@ -126,6 +128,16 @@ class NormalizationReport:
     u_membership: tuple[bool, ...]
 
 
+def _is_zero_rung(rung: LadderRung) -> bool:
+    """Whether U_i, V_i and y^i (when held) are all zero; -0.0 counts as zero."""
+    return not (np.any(rung.u.a) or np.any(rung.v.a) or (rung.y is not None and np.any(rung.y)))
+
+
+def leading_zero_rungs(ladder: Sequence[LadderRung]) -> int:
+    """How many rungs of ``ladder`` come before its first nonzero one."""
+    return next((i for i, rung in enumerate(ladder) if not _is_zero_rung(rung)), len(ladder))
+
+
 def _zero_rung(n: int, m: int, with_y: bool) -> LadderRung:
     return LadderRung(
         y=np.zeros(m) if with_y else None, u=SymMat.zero(n), v=SymMat.zero(n)
@@ -158,7 +170,9 @@ def _front_pad(cert: RamanaCertificate, inst: SdpInstance, want: int) -> RamanaC
 
 
 def pad_ladder(cert: RamanaCertificate, inst: SdpInstance) -> RamanaCertificate:
-    """Zero-pad a short ladder at the front to exactly n-1 rungs."""
+    """Zero-pad a short ladder at the front to exactly n-1 rungs.
+
+    The checks need no padding: they start at the first nonzero rung."""
     return _front_pad(cert, inst, inst.n - 1)
 
 
@@ -201,16 +215,18 @@ def _check_ladder(
 ) -> VerifyOutcome | PsdClass:
     """Shared rung checks of a ladder system: the first failure, or else the
     classification of the last U (U_0 = 0 for an empty ladder) for the head
-    test.  A certificate of another system or shape is refused first.  Only
-    the rungs the certificate holds are walked: a ladder of k rungs is the
-    last k of n-1, numbered n-1-k+1..n-1, and the zero rungs that would pad
-    it at the front pass every check.  Each U is classified once, and its
-    class serves the next rung's tangent test."""
+    test.  A certificate of another system or shape is refused first.  A
+    ladder of k rungs is the last k of n-1, numbered n-1-k+1..n-1, and the
+    walk starts at its first nonzero rung: a zero rung in front of it, held
+    or padding, passes every check and leaves the class of U_0 = 0 as it
+    is.  Each U is classified once, and its class serves the next rung's
+    tangent test."""
     _check_cert_shape(inst, cert, system)
-    first = _rung_offset(cert, inst.n - 1) + 1
+    skip = leading_zero_rungs(cert.ladder)
+    first = _rung_offset(cert, inst.n - 1) + skip + 1
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
     prev_cls = classify_psd(SymMat.zero(inst.n), eps)
-    for idx, rung in enumerate(cert.ladder, start=first):
+    for idx, rung in enumerate(cert.ladder[skip:], start=first):
         if system in DUAL_LADDERS:
             lhs = apply_at(inst, rung.y)
             combo_scale = 1.0 + lhs.norm() + rung.u.norm() + rung.v.norm()
@@ -384,17 +400,22 @@ def normalize_ladder(
     repeatedly extract the trailing block of the next Y, check it is PSD
     (InductionBreak otherwise), and extend the rotation by its eigenbasis.
     Reports the inferred block sizes, staircase validity, and the per-rung
-    membership U_i ∈ S₊^{n, r_{1:i}} after rotation.
+    membership U_i ∈ S₊^{n, r_{1:i}} after rotation.  The walk starts at
+    the first nonzero rung: a zero rung in front of it, held or padding,
+    has rank 0, leaves the rotation and validate_frs's offsets as they
+    are, and is a member.
     """
     _check_cert_shape(inst, cert, *DUAL_LADDERS)
-    cert = pad_ladder(cert, inst)
+    skip = leading_zero_rungs(cert.ladder)
+    lead = _rung_offset(cert, inst.n - 1) + skip
+    held = cert.ladder[skip:]
     n = inst.n
-    ys = [apply_at(inst, rung.y) for rung in cert.ladder]
-    us = [rung.u for rung in cert.ladder]
+    ys = [apply_at(inst, rung.y) for rung in held]
+    us = [rung.u for rung in held]
     q_total = np.eye(n)
-    ranks: list[int] = []
+    ranks: list[int] = [0] * lead
     p = 0
-    for i, y_mat in enumerate(ys):
+    for i, y_mat in enumerate(ys, start=lead):
         tail = q_total.T @ y_mat.a @ q_total
         block = SymMat(tail[p:, p:]) if p < n else None
         if block is None:
@@ -415,9 +436,9 @@ def normalize_ladder(
         p += r_i
     rotated = [SymMat(q_total.T @ y.a @ q_total) for y in ys]
     val = validate_frs(rotated, eps)
-    membership: list[bool] = []
+    membership = [True] * lead
     pref = 0
-    for r_i, u in zip(ranks, us):
+    for r_i, u in zip(ranks[lead:], us):
         pref += r_i
         u_rot = q_total.T @ u.a @ q_total
         # S₊^{n,k} membership: PSD with the trailing (n-k)-block zero.

@@ -1,10 +1,26 @@
-"""Shared instance builders and random generators for the test suite."""
+"""Shared instance builders, random generators and certificate-file
+helpers for the test suite."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ramanasdp import SdpInstance, SymMat, apply_a
+from ramanasdp import (
+    InductionBreakError,
+    SdpInstance,
+    SymMat,
+    apply_a,
+    normalize_ladder,
+    verify_certificate,
+)
+from ramanasdp.certfile import (
+    certificate_to_text,
+    check_instance_binding,
+    parse_certificate_text,
+    to_ramana_certificate,
+)
 
 
 def inst_unattained() -> SdpInstance:
@@ -160,3 +176,45 @@ def random_degenerate_instance(
         inst = reformulate(inst, ref)
         y0 = ref.transport_dual(y0)
     return inst, y0, p_total
+
+
+def padded_certificate_text(inst: SdpInstance, cert, claimed_value=None) -> str:
+    """The text of a ladder certificate with every rung written, leading
+    zero rungs too, as certificate_to_text wrote it before it left them out."""
+    head = certificate_to_text(
+        inst, cert.system, cert=replace(cert, ladder=()), claimed_value=claimed_value
+    )
+    out = [head.removesuffix("\n")]
+    for i, rung in enumerate(cert.ladder, start=1):
+        if rung.y is not None:
+            out += [f"vector y{i} {len(rung.y)}", " ".join(map(repr, rung.y.tolist()))]
+        for name, mat in (("U", rung.u), ("V", rung.v)):
+            out.append(f"matrix {name}{i} {mat.n}")
+            out += [" ".join(map(repr, row)) for row in mat.a.tolist()]
+    return "\n".join(out) + "\n"
+
+
+def read_bound(text: str, inst: SdpInstance):
+    """The ladder certificate a text holds, after binding it to ``inst``."""
+    cf = parse_certificate_text(text)
+    check_instance_binding(cf, inst)
+    return to_ramana_certificate(cf, inst)
+
+
+def through_text(inst: SdpInstance, cert):
+    """``cert`` written by certificate_to_text and read back."""
+    text = certificate_to_text(inst, cert.system, cert=cert, claimed_value=cert.claimed_value)
+    return read_bound(text, inst)
+
+
+def ladder_verdicts(inst: SdpInstance, cert):
+    """The check's VerifyOutcome and, for a dual ladder, normalize_ladder's
+    report as comparable values, or the text of its InductionBreakError."""
+    outcome = verify_certificate(inst, cert.system, cert=cert)
+    if cert.system == "pram":
+        return outcome, None
+    try:
+        rep = normalize_ladder(inst, cert)
+    except InductionBreakError as exc:
+        return outcome, str(exc)
+    return outcome, (rep.q_total.tobytes(), rep.r, rep.frs_valid, rep.u_membership)

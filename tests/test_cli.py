@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from ramanasdp import SymMat, build_rr_form, builders, classify_psd, write_sdpa
-from ramanasdp.certfile import write_certificate
+from ramanasdp import SymMat, build_rr_form, builders, classify_psd, registry, write_sdpa
+from ramanasdp.certfile import read_certificate, to_ramana_certificate, write_certificate
 from ramanasdp.cli import main
-from ramanasdp.verify import LadderRung, RamanaCertificate
+from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
 
-from helpers import inst_gap_raw, inst_infeasible, inst_unattained
+from helpers import inst_gap_raw, inst_infeasible, inst_unattained, padded_certificate_text
 
 
 @pytest.fixture()
@@ -180,6 +180,43 @@ class TestNormalizeCommand:
         assert main(["normalize", inst_file, "--cert", str(cert_path)]) == 0
         out = capsys.readouterr().out
         assert "r = [1, 1]" in out and "True" in out
+
+
+def _leading_zero_ladders():
+    return [
+        (eid, rc)
+        for eid in registry.all_ids()
+        for rc in registry.get(eid).certificates
+        if rc.cert is not None and leading_zero_rungs(rc.cert.ladder)
+    ]
+
+
+class TestLeadingZeroRungFiles:
+    @pytest.mark.parametrize("command", ["verify", "normalize"])
+    def test_written_file_reads_like_the_padded_one(self, tmp_path, capsys, command):
+        # The library writer leaves leading zero rungs out; the commands
+        # print the same for its file as for one that holds them.
+        cases = _leading_zero_ladders()
+        assert len(cases) == 5
+        for eid, rc in cases:
+            inst = registry.get(eid).instance
+            if command == "normalize" and rc.system == "pram":
+                continue
+            inst_path = tmp_path / f"{eid}.dat-s"
+            write_sdpa(inst, str(inst_path))
+            new, old = tmp_path / "new.cert", tmp_path / "old.cert"
+            write_certificate(str(new), inst, rc.system, cert=rc.cert)
+            old.write_text(padded_certificate_text(inst, rc.cert))
+            cf = read_certificate(str(new))
+            assert leading_zero_rungs(to_ramana_certificate(cf, inst).ladder) == 0
+            assert f"U{len(rc.cert.ladder)}" not in cf.matrices
+            printed = []
+            for path in (new, old):
+                for flags in ([], ["--json"]):
+                    code = main(flags + [command, str(inst_path), "--cert", str(path)])
+                    printed.append((code, capsys.readouterr().out))
+            assert printed[:2] == printed[2:], (eid, rc.name)
+            assert printed[0][0] == 0
 
 
 class TestExamples:

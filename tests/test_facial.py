@@ -1,5 +1,6 @@
 """Facial reduction sequences, RR-form recognition and construction."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -31,8 +32,11 @@ from ramanasdp.facial import (
     STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     FrSequence,
+    NumericalRankAmbiguityError,
+    SubsolverFailureError,
     _face_rows,
     _polish_on_face,
+    _rank_split,
     _smat_family,
 )
 from ramanasdp.model import smat
@@ -66,6 +70,10 @@ class TestValidateFrs:
     def test_zero_member(self):
         val = validate_frs([SymMat.zero(3)])
         assert val.valid and val.seq.r == (0,)
+
+    def test_mixed_orders_invalid(self):
+        val = validate_frs([SymMat.diag([1.0, 0, 0]), SymMat.zero(2)])
+        assert not val.valid and val.reason == "members have mixed orders"
 
     def test_swapped_pair_invalid(self):
         inst = inst_gap_rr()
@@ -333,6 +341,29 @@ class TestMergeInBuildRrForm:
 
         with pytest.raises(SubsolverFailureError, match="merge: Schur bound escalation failed"):
             build_rr_form(self._inst(2))
+
+
+class TestRankSplit:
+    # eps = 1e-8 at scale 2: an eigenvalue counts above 2e-6, is zero at or
+    # below 2e-8 and at or above -2e-8, and is refused in between.
+    EPS, SCALE = 1e-8, 2.0
+
+    def test_counts_eigenvalues_above_the_band(self):
+        lam = np.array([3.0, 2.0000001e-6, 2e-8, 0.0, -2e-8])
+        assert _rank_split(lam, self.EPS, self.SCALE) == 2
+
+    @pytest.mark.parametrize("inside", [2.0000001e-8, 1e-7, 2e-6])
+    def test_eigenvalue_inside_the_band_is_ambiguous(self, inside):
+        lam = np.array([3.0, inside, 0.0])
+        band = re.escape("lie inside (2.000e-08, 2.000e-06]")
+        with pytest.raises(NumericalRankAmbiguityError, match=band):
+            _rank_split(lam, self.EPS, self.SCALE)
+
+    def test_eigenvalue_below_the_band_is_a_failure(self):
+        lam = np.array([3.0, 0.0, -2.0000001e-8])
+        with pytest.raises(SubsolverFailureError, match="negative eigenvalue -2.000e-08"):
+            _rank_split(lam, self.EPS, self.SCALE)
+
 
 class TestMaxRankZeroPattern:
     def test_trivial_self(self):

@@ -49,18 +49,22 @@ from ramanasdp.sdpa import (
     standard_form_to_sdpa_text,
     varmap_sidecar_text,
 )
-from ramanasdp import StrongDualSpec, registry, verify_certificate, verify_dram
-from ramanasdp.verify import LadderRung, RamanaCertificate
+from ramanasdp import StrongDualSpec, pad_ladder, registry, verify_certificate, verify_dram
+from ramanasdp.verify import LadderRung, RamanaCertificate, ShapeMismatchError, leading_zero_rungs
 
 from helpers import (
     inst_gap_raw,
     inst_gap_rr,
     inst_unattained,
+    ladder_verdicts,
+    padded_certificate_text,
     random_degenerate_instance,
     random_instance,
     random_orthonormal,
     random_psd,
     random_sym,
+    read_bound,
+    through_text,
 )
 
 
@@ -658,17 +662,25 @@ class TestCertificateFiles:
     @pytest.mark.parametrize("rungs", [0, 2])
     def test_zero_length_vectors_round_trip(self, rungs):
         # m = 0: every y record has length 0 and is written as "vector y 0"
-        # and an empty line; the record reads no line.
+        # and an empty line; the record reads no line.  The leading zero
+        # rung of the 2-rung ladder is left out, so its last rung is
+        # written as y1, U1, V1.  With m = 0 a nonzero rung cannot be
+        # feasible (V_i in tan(U_{i-1}) and U_i + V_i = 0 force U_i = 0),
+        # so that ladder is rejected, the same way before and after the file.
         inst = SdpInstance(a=(), b=np.zeros(0), c=SymMat.diag([1.0, 1.0, 0.0]))
-        rung = LadderRung(y=np.zeros(0), u=SymMat.zero(3), v=SymMat.zero(3))
-        cert = RamanaCertificate(system="dram", y=np.zeros(0), ladder=(rung,) * rungs)
-        assert verify_dram(inst, cert).ok
-        cf = parse_certificate_text(certificate_to_text(inst, "dram", cert=cert))
+        zero = LadderRung(y=np.zeros(0), u=SymMat.zero(3), v=SymMat.zero(3))
+        last = LadderRung(y=np.zeros(0), u=SymMat.diag([1.0, 0, 0]), v=SymMat.diag([-1.0, 0, 0]))
+        cert = RamanaCertificate(system="dram", y=np.zeros(0), ladder=(zero, last)[:rungs])
+        text = certificate_to_text(inst, "dram", cert=cert)
+        assert ("vector y1 0\n\nmatrix U1 3\n" in text) == bool(rungs)
+        assert "y2" not in text
+        cf = parse_certificate_text(text)
         check_instance_binding(cf, inst)
         back = to_ramana_certificate(cf, inst)
-        assert back.y.shape == (0,) and len(back.ladder) == rungs
+        assert back.y.shape == (0,) and len(back.ladder) == rungs // 2
         assert all(r.y.shape == (0,) for r in back.ladder)
-        assert verify_dram(inst, back).ok
+        assert verify_dram(inst, back) == verify_dram(inst, cert)
+        assert verify_dram(inst, cert).ok == (rungs == 0)
 
     def test_written_numbers_read_back_bit_identical(self):
         rng = np.random.default_rng(20251019)
@@ -876,7 +888,8 @@ class TestNumberDigest:
 
 # SHA-256 of certificate_to_text for every registry certificate, with its
 # claimed value.  The bytes of a written certificate are part of the file
-# format: changing how numbers are written changes these.
+# format: changing how numbers are written changes these.  A ladder is
+# written from its first nonzero rung on.
 GOLDEN_CERTIFICATE_TEXT_DIGEST = {
     ("example-1.1-unattained", "exact-dual-ladder"): (
         "9dc164e4b6c87122015bf793ef6d49f81b49fd7ec6fe9efd738f8cb40e3f241c"
@@ -885,22 +898,22 @@ GOLDEN_CERTIFICATE_TEXT_DIGEST = {
         "8abb5e1794f69b4ecc05846ba6193131c0da55ec4502163ee3af78f05235b839"
     ),
     ("example-2.15-infeasible", "exact-alternative"): (
-        "6966547a442f99d848fe77c394d2f1a7c1f68979161acd68f6aa3aa3e4f414ac"
+        "939a380af82a335a81a14ae6746baafb71439a68b990514101ce1e142ba581e0"
     ),
     ("example-2.3-gap", "exact-dual-ladder-transported"): (
-        "55d8d869707b62a62c9349524a67a4a13f58e0aa39eac816615ad36eeb713650"
+        "e0c9f4c6e0cb4a120b7e8008dca58d225a2fc4164d42b9692bb9eb048e4a9720"
     ),
     ("example-2.5-rr", "exact-dual-ladder"): (
-        "0c7def73c7c440285c77e68e817fff3487a7df3f02ba2515435c2ad87e195425"
+        "de567239dc73adc0aa419c88dd9b035e91918abcc8531d78e704cd9a052ee101"
     ),
     ("example-2.5-rr", "exact-dual-suboptimal"): (
-        "b0568a097c341236da1be1a855e139f335327e4179e4a94734898dd1c28fb385"
+        "9db854b49d148a9142750a4fd9243747db7f501014a3f6ec5b650d489516bd5d"
     ),
     ("example-2.5-rr", "strong-dual-trailing2"): (
         "20248f79a2c7667ad5b677ff98471332474db72c358bd57d4bec596bb58522d8"
     ),
     ("example-2.5-rr", "exact-primal-ladder"): (
-        "ce88df99a6ef3d60f3e7e78d784fe3bcfe474bac1d38adccac8e3d3a50e76ed4"
+        "620010e7b9a2e6eda1db9af4b4b53b49da19492c40494bef6f534cb5255fbcfe"
     ),
     ("example-2.5-rr", "strong-primal-leading3"): (
         "58dba686a0c7d9a52d20807047218c199fad34ee4cdaf9f77d18e55023df254b"
@@ -942,3 +955,113 @@ def test_legacy_instance_hash_still_binds():
                 spec, point = to_strong_point(cf)
                 outcome = verify_certificate(inst, rc.system, spec=spec, point=point)
             assert outcome.ok, (eid, rc.name, outcome.violation)
+
+
+def _registry_ladders():
+    return [
+        (eid, rc.name, registry.get(eid).instance, rc.cert)
+        for eid in registry.all_ids()
+        for rc in registry.get(eid).certificates
+        if rc.cert is not None
+    ]
+
+
+# SHA-256 of the text the writer gave, before it left leading zero rungs
+# out, for the registry ladder certificates that start with one (with
+# their claimed values): the entries GOLDEN_CERTIFICATE_TEXT_DIGEST held.
+PADDED_CERTIFICATE_TEXT_DIGEST = {
+    ("example-2.15-infeasible", "exact-alternative"): (
+        "6966547a442f99d848fe77c394d2f1a7c1f68979161acd68f6aa3aa3e4f414ac"
+    ),
+    ("example-2.3-gap", "exact-dual-ladder-transported"): (
+        "55d8d869707b62a62c9349524a67a4a13f58e0aa39eac816615ad36eeb713650"
+    ),
+    ("example-2.5-rr", "exact-dual-ladder"): (
+        "0c7def73c7c440285c77e68e817fff3487a7df3f02ba2515435c2ad87e195425"
+    ),
+    ("example-2.5-rr", "exact-dual-suboptimal"): (
+        "b0568a097c341236da1be1a855e139f335327e4179e4a94734898dd1c28fb385"
+    ),
+    ("example-2.5-rr", "exact-primal-ladder"): (
+        "ce88df99a6ef3d60f3e7e78d784fe3bcfe474bac1d38adccac8e3d3a50e76ed4"
+    ),
+}
+
+
+class TestLeadingZeroRungs:
+    """The writer leaves a ladder's leading zero rungs out; the reader pads
+    them back, and every check gives the verdicts of the ladder in memory."""
+
+    def test_registry_ladders_verify_alike(self):
+        for eid, name, inst, cert in _registry_ladders():
+            back = through_text(inst, cert)
+            assert leading_zero_rungs(back.ladder) == 0, (eid, name)
+            assert len(back.ladder) == len(cert.ladder) - leading_zero_rungs(cert.ladder)
+            assert ladder_verdicts(inst, back) == ladder_verdicts(inst, cert), (eid, name)
+            assert ladder_verdicts(inst, back)[0].ok
+
+    def test_padded_texts_still_read_alike(self):
+        # Files written with the leading zero rungs still parse, bind and
+        # verify to the same verdicts.
+        digests = {}
+        for eid, name, inst, cert in _registry_ladders():
+            if not leading_zero_rungs(cert.ladder):
+                continue
+            padded = padded_certificate_text(inst, cert, cert.claimed_value)
+            digests[eid, name] = hashlib.sha256(padded.encode()).hexdigest()
+            old = read_bound(padded, inst)
+            assert len(old.ladder) == len(cert.ladder)
+            assert ladder_verdicts(inst, old) == ladder_verdicts(inst, through_text(inst, cert))
+        assert digests == PADDED_CERTIFICATE_TEXT_DIGEST
+
+    @staticmethod
+    def _rr_ladder():
+        entry = registry.get("example-2.5-rr")
+        (cert,) = [rc.cert for rc in entry.certificates if rc.name == "exact-dual-ladder"]
+        assert leading_zero_rungs(cert.ladder) == 1 and len(cert.ladder) == entry.instance.n - 1
+        return entry.instance, cert
+
+    def test_negative_zero_rung_is_left_out(self):
+        inst, cert = self._rr_ladder()
+        minus = SymMat(-np.zeros((4, 4)))
+        neg = LadderRung(y=-np.zeros(inst.m), u=minus, v=minus)
+        assert np.signbit(neg.u.a).all() and np.signbit(neg.y).all()
+        signed = dataclasses.replace(cert, ladder=(neg,) + cert.ladder[1:])
+        text = certificate_to_text(inst, "dram", cert=signed)
+        assert text == certificate_to_text(inst, "dram", cert=cert)
+        back = pad_ladder(through_text(inst, signed), inst)
+        assert not np.signbit(back.ladder[0].u.a).any() and not np.signbit(back.ladder[0].y).any()
+        assert ladder_verdicts(inst, back) == ladder_verdicts(inst, signed)
+
+    def test_zero_rung_after_a_nonzero_one_is_written(self):
+        inst, cert = self._rr_ladder()
+        zero, second, third = cert.ladder
+        moved = dataclasses.replace(cert, ladder=(second, zero, third))
+        text = certificate_to_text(inst, "dram", cert=moved)
+        assert "matrix U2 4\n0.0 0.0 0.0 0.0\n" in text and "matrix U3 4" in text
+        back = through_text(inst, moved)
+        assert len(back.ladder) == 3 and not np.any(back.ladder[1].u.a)
+        assert ladder_verdicts(inst, back) == ladder_verdicts(inst, moved)
+
+    def test_all_zero_ladder_writes_no_rung(self):
+        inst, cert = self._rr_ladder()
+        zeros = dataclasses.replace(cert, ladder=(cert.ladder[0],) * 3)
+        text = certificate_to_text(inst, "dram", cert=zeros)
+        assert not re.search(r"^(vector|matrix) [yUV]\d", text, re.MULTILINE)
+        back = through_text(inst, zeros)
+        assert back.ladder == ()
+        assert ladder_verdicts(inst, back) == ladder_verdicts(inst, zeros)
+
+    def test_n_rungs_with_a_zero_first_are_written_as_n_minus_1(self):
+        # The ladder in memory is one rung too long and refused; the writer
+        # drops its zero first rung, as embed_certificate drops zero rungs
+        # beyond the system's own, and the file holds the valid ladder.
+        inst, cert = self._rr_ladder()
+        long = dataclasses.replace(cert, ladder=(cert.ladder[0],) + cert.ladder)
+        with pytest.raises(ShapeMismatchError, match="ladder has 4 rungs, instance allows 3"):
+            verify_dram(inst, long)
+        text = certificate_to_text(inst, "dram", cert=long)
+        assert text == certificate_to_text(inst, "dram", cert=cert)
+        back = through_text(inst, long)
+        assert len(back.ladder) == inst.n - 2
+        assert ladder_verdicts(inst, back) == ladder_verdicts(inst, cert)

@@ -1,6 +1,8 @@
 """Certificate verification, ladder normalization, and the strong-system lift."""
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,15 +34,20 @@ from ramanasdp import (
     verify_strong,
 )
 from ramanasdp import verify as verify_module
-from ramanasdp.verify import LadderRung, RamanaCertificate
+from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
 
 from helpers import (
     inst_gap_raw,
     inst_gap_rr,
     inst_infeasible,
     inst_unattained,
+    ladder_verdicts,
     random_orthonormal,
+    through_text,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 
 def _z(n):
@@ -493,7 +500,7 @@ class TestDecompositionCounts:
     def _dram(self):
         return RamanaCertificate(system="dram", y=np.zeros(4), ladder=_staircase_ladder(True, 0))
 
-    def test_verifiers_decompose_l_plus_2(self, eig_calls):
+    def test_verifiers_decompose_r_plus_2(self, eig_calls):
         inst = _staircase_instance(1.0)
         alt = RamanaCertificate(
             system="altram", y=np.array([0.0, 0, 0, -1]), ladder=_staircase_ladder(True, 0)
@@ -509,8 +516,9 @@ class TestDecompositionCounts:
         for check, case_inst, cert in cases:
             eig_calls.clear()
             assert check(case_inst, cert).ok
-            # U_0 = 0, each U_i once, then the head block.
-            assert len(eig_calls) == self.L + 2
+            # U_0 = 0, each U_i from the first nonzero rung on, then the
+            # head block.
+            assert len(eig_calls) == self.R + 2
 
     def test_verifiers_walk_only_the_rungs_held(self, eig_calls):
         inst = _staircase_instance(1.0)
@@ -530,12 +538,13 @@ class TestDecompositionCounts:
         # U_0 = 0, the R rungs held, then the head block.
         assert len(eig_calls) == self.R + 2
 
-    def test_normalize_ladder(self, eig_calls):
+    def test_normalize_ladder_decomposes_3r(self, eig_calls):
         report = normalize_ladder(_staircase_instance(1.0), self._dram())
         assert report.r == (0,) * 5 + (1, 1, 1) and report.frs_valid
-        # One classification per rung and per U, and one per nonzero member
-        # inside validate_frs.
-        assert len(eig_calls) == 2 * self.L + self.R
+        assert report.u_membership == (True,) * self.L
+        # From the first nonzero rung on, one classification per rung and
+        # per U, and one per member inside validate_frs.
+        assert len(eig_calls) == 3 * self.R
 
     def test_validate_frs(self, eig_calls):
         mats = [_z(9)] * 5 + [SymMat.diag(np.eye(9)[j]) for j in range(3)]
@@ -555,3 +564,49 @@ class TestDecompositionCounts:
         # n = 9, m = 4: the system holds min(n - 1, m) = 4 rungs, and the
         # ladder's 4 leading zero rungs are dropped.
         assert len(eig_calls) == min(inst.n - 1, inst.m) + 1
+
+
+def _workload_certificates(seed: int):
+    """(name, instance, ladder) for the dram and altram certificates of the
+    benchmark's verify workload, valid and with each corruption, built by
+    bench/gen as bench/workloads.py builds them: padded to n - 1 rungs.
+    One more corruption negates y^j of the first nonzero rung, which
+    normalize_ladder refuses there with an InductionBreakError."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (8, 12):
+        ranks = tuple(2 if j % 2 else 1 for j in range(n // 4))
+        for system in ("dram", "altram"):
+            pl = gen.planted(rng, n, ranks, 1, infeasible=system == "altram")
+            made = gen.altram_certificate(pl) if system == "altram" else gen.dram_certificate(pl)
+            cert = gen.padded(made, pl.inst)
+            y = gen.corrupt_head_y(pl, cert.y, dual=system == "dram")
+            j = leading_zero_rungs(cert.ladder)
+            ladder = list(cert.ladder)
+            ladder[j] = replace(ladder[j], y=-ladder[j].y)
+            out += [
+                (f"{system}-valid-n{n}", pl.inst, cert),
+                (f"{system}-rung_u-n{n}", pl.inst, gen.corrupt_rung(pl, cert, u_not_psd=True)),
+                (f"{system}-rung_v-n{n}", pl.inst, gen.corrupt_rung(pl, cert, u_not_psd=False)),
+                (f"{system}-head-n{n}", pl.inst, replace(cert, y=y)),
+                (f"{system}-rung_y-n{n}", pl.inst, replace(cert, ladder=tuple(ladder))),
+            ]
+    return out
+
+
+@pytest.mark.parametrize("seed", [107, 211])
+def test_workload_certificates_verify_alike(seed, monkeypatch):
+    # The checks skip a ladder's leading zero rungs and the writer leaves
+    # them out; both give the verdicts of a walk over every rung.
+    cases = _workload_certificates(seed)
+    assert all(leading_zero_rungs(cert.ladder) for _, _, cert in cases)
+    skipped = [ladder_verdicts(inst, cert) for _, inst, cert in cases]
+    read = [ladder_verdicts(inst, through_text(inst, cert)) for _, inst, cert in cases]
+    monkeypatch.setattr(verify_module, "leading_zero_rungs", lambda ladder: 0)
+    walked = [ladder_verdicts(inst, cert) for _, inst, cert in cases]
+    assert skipped == walked
+    assert read == walked
+    for (name, _, _), (outcome, report) in zip(cases, walked):
+        assert outcome.ok == ("valid" in name), (name, outcome.violation)
+        if "rung_y" in name:
+            assert report.startswith("rung "), (name, report)

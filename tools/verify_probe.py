@@ -15,20 +15,24 @@ three stages:
 
 It prints, per op, the median over the repeats of each stage in ms, then
 the batch totals (the sum over the ops of those medians) with each
-stage's share, and the set-up time: the whole ``setup_verify`` and the
-part of it spent in ``certfile.certificate_to_text`` writing the 35
-texts.  The stages are timed by wrapping the two ``certfile`` functions,
-which the ops look up on the module at call time; each wrapper runs once
-an op.
+stage's share; the records parsed in a batch, how many of them are all
+zero, and the bytes parsed, counted over one more, untimed run; and the
+set-up time: the whole ``setup_verify`` and the part of it spent in
+``certfile.certificate_to_text`` writing the 35 texts.  The stages are
+timed by wrapping the two ``certfile`` functions, which the ops look up
+on the module at call time; each wrapper runs once an op.
 
     python3 tools/verify_probe.py [--seed S] [--repeats R] [--ops]
 
 The seed defaults to 107 and the repeats to 5.  On a 2-core Xeon shared
-with other jobs the batch's wall time at seed 107 ranged from 0.19 to
-0.20 s in three runs, and the shares held: parse 34-35%, bind 1%, check
-64% (bind 0.002 s).  When the bind hashed the instance's SDPA text it was
-0.059-0.061 s, 24% of the batch, with parse 26% and check 50% (42%, 18%
-and 40% when every entry was also read by ``float()``).
+with other jobs, three runs at seed 107 read a batch of 0.081-0.113 s:
+parse 32-35%, bind 1-2%, check 64-66%, over 341 records (none all zero)
+and 1,355,332 bytes.  When the files held the ladders' leading zero
+rungs, three runs alternated with those read 0.153-0.175 s with the same
+shares, over 1,199 records (858 all zero) and 2,117,652 bytes.  When the
+bind hashed the instance's SDPA text it was 24% of the batch, with parse
+26% and check 50% (42%, 18% and 40% when every entry was also read by
+``float()``).
 Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
@@ -44,6 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
 
 from ramanasdp import certfile  # noqa: E402
 
@@ -76,6 +82,29 @@ def timed(spent: dict[str, float]):
             setattr(certfile, name, fn)
 
 
+def record_counts(ops) -> dict[str, int]:
+    """Records parsed, how many of them are all zero, and bytes parsed,
+    over one untimed run of the batch."""
+    counts = {"records": 0, "zero": 0, "bytes": 0}
+    real = certfile.parse_certificate_text
+
+    def counting(text):
+        cf = real(text)
+        records = [*cf.scalars.values(), *cf.vectors.values(), *cf.matrices.values()]
+        counts["records"] += len(records)
+        counts["zero"] += sum(not np.any(a) for a in records)
+        counts["bytes"] += len(text)
+        return cf
+
+    certfile.parse_certificate_text = counting
+    try:
+        for op in ops:
+            op.check(op.run())
+    finally:
+        certfile.parse_certificate_text = real
+    return counts
+
+
 def probe(seed: int, repeats: int) -> dict:
     """Set-up and writer seconds, and per op the median seconds of each
     stage over ``repeats`` runs of the batch."""
@@ -84,6 +113,7 @@ def probe(seed: int, repeats: int) -> dict:
         t0 = time.perf_counter()
         ops = workloads.setup_verify(seed, workdir)
         setup_s = time.perf_counter() - t0
+    parsed = record_counts(ops)
     samples = {op.name: {stage: [] for stage in STAGES} for op in ops}
     for _ in range(repeats):
         for op in ops:
@@ -99,6 +129,7 @@ def probe(seed: int, repeats: int) -> dict:
     return {
         "setup_s": setup_s,
         "write_s": written["certificate_to_text"],
+        "parsed": parsed,
         "per_op": {
             name: {stage: statistics.median(vals) for stage, vals in stages.items()}
             for name, stages in samples.items()
@@ -125,6 +156,11 @@ def main(argv=None) -> int:
         f"seed {args.seed}, {len(row['per_op'])} ops, median of {args.repeats}: "
         f"batch {batch:.3f} s = "
         + ", ".join(f"{stage} {s:.3f} s ({s / batch:.0%})" for stage, s in totals.items())
+    )
+    parsed = row["parsed"]
+    print(
+        f"parsed per batch: {parsed['records']} records, {parsed['zero']} of them all zero "
+        f"({parsed['zero'] / parsed['records']:.0%}), {parsed['bytes']} bytes"
     )
     print(
         f"setup {row['setup_s']:.3f} s, of which certificate_to_text "
