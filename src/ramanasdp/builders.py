@@ -123,7 +123,7 @@ from .model import (
     svec_index,
     svec_order,
 )
-from .symmat import EPS_PSD, SymMat, TangentResult, classify_psd, split_psd_plus_tan, tan_contains
+from .symmat import EPS_PSD, SymMat, classify_psd, split_psd_plus_tan, tangent_witness
 from .verify import (
     SYSTEM_ALTRAM, SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length,
     leading_zero_rungs, pad_ladder,
@@ -904,13 +904,6 @@ def _utri_values(a: np.ndarray) -> np.ndarray:
     return a[svec_index(a.shape[0])]
 
 
-def _coupling_block(u: SymMat, res: TangentResult) -> np.ndarray:
-    """[[U, W],[Wᵀ, R]] from the synthesized witness of a tan(U) test."""
-    if not res.member:
-        raise ValueError("certificate rung fails tangent membership; cannot embed")
-    return res.witness.block_matrix(u).a
-
-
 def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float = EPS_PSD) -> Assignment:
     """Map a verified ladder certificate onto the emitted SDP's variables.
 
@@ -920,8 +913,9 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     exactly zero.  A ladder with more than L rungs from its first nonzero
     one is refused; the module docstring shows that a feasible one
     normalizes to at most L.  Tangent memberships become explicit coupling
-    blocks via synthesized witnesses; the head matrix is split into its
-    PSD part and a tangent part in the eigenbasis of the last U.
+    blocks via the witnesses of ``tangent_witness``; the head matrix is
+    split into its PSD part and a tangent part in the eigenbasis of the
+    last U.
     """
     ladder = pad_ladder(cert, inst).ladder
     n = inst.n
@@ -953,14 +947,14 @@ def embed_certificate(sdp: StandardFormSdp, inst: SdpInstance, cert, eps: float 
     for i, rung in enumerate(ladder, start=1):
         blocks[f"U{i}"] = rung.u.a.copy()
         if i >= 2:
-            blocks[f"T{i}"] = _coupling_block(prev_u, tan_contains(prev_u, rung.v, eps))
+            blocks[f"T{i}"] = tangent_witness(prev_u, rung.v, eps).block_matrix(prev_u).a
         prev_u = rung.u
     # One decomposition of the last U serves both the split and its witness.
     ucls = classify_psd(prev_u, eps)
     p_head, v_head = split_psd_plus_tan(ucls, head_z, eps)
     blocks["P"] = p_head.a.copy()
     if count:
-        blocks["Thead"] = _coupling_block(prev_u, tan_contains(ucls, v_head, eps))
+        blocks["Thead"] = tangent_witness(ucls, v_head, eps).block_matrix(prev_u).a
     return Assignment(blocks=blocks, free=free)
 
 

@@ -34,7 +34,9 @@ Record j is rung n-1-k+j: a file with k < n-1 holds the *last* k rungs,
 the rungs before them are zero, and a violation in record Uj is reported
 at rung n-1-k+j.  The writer writes a ladder from its first nonzero rung
 on, numbered from 1, so the leading zero rungs, which pass every check,
-come back as that padding; an all-zero ladder writes no rung record.
+come back as that padding; an all-zero ladder writes no rung record, and
+a ladder with more than n-1 rungs from its first nonzero one is refused,
+as the reader would refuse its file.
 Blank lines are skipped.  A vector is one line, a matrix one line a row,
 a record of length 0 has no line, and entries are separated by spaces or
 tabs.  Every number in the file (entries, ``scalar`` and ``value``) is a
@@ -52,6 +54,11 @@ and a record's length) is ``-?[0-9]+``: ``int()`` would also read
 ``1_0``, ``+4`` and non-ASCII digits.
 The primal system stores X; strong systems store the point plus the
 rotation Q and the block order r.
+
+Every record read from lines is a read-only array that owns its data.
+A matrix record, as the writer wrote it, is also bitwise symmetric, so the
+``SymMat`` that ``to_ramana_certificate`` or ``to_strong_point`` builds
+from it holds the record itself, not a copy.
 """
 
 from __future__ import annotations
@@ -168,6 +175,11 @@ def certificate_to_text(
             put_mat("X", cert.x.a)
         # From the first nonzero rung on: the reader pads the ladder back.
         held = cert.ladder[leading_zero_rungs(cert.ladder) :]
+        if len(held) > inst.n - 1:
+            raise CertificateFormatError(
+                f"ladder has {len(held)} rungs from its first nonzero one, "
+                f"more than n-1 = {inst.n - 1}"
+            )
         for i, rung in enumerate(held, start=1):
             if rung.y is not None:
                 put_vec(f"y{i}", rung.y)
@@ -191,7 +203,8 @@ def write_certificate(path: str, inst: SdpInstance, system: str, **kw) -> None:
 
 
 def _numbers(lines: list[str], what: str) -> np.ndarray:
-    """The entries of ``lines``, one row a line, as a 2-D float array.
+    """The entries of ``lines``, one row a line, as a read-only 2-D float
+    array that owns its data.
 
     ``comments=None``: with numpy's default ``#`` a stray ``#`` would
     silently cut its row short.  ``lines`` is never empty, since
@@ -204,6 +217,7 @@ def _numbers(lines: list[str], what: str) -> np.ndarray:
         raise CertificateFormatError(f"{what}: {exc}") from None
     if not np.isfinite(a).all():
         raise CertificateFormatError(f"{what} has a non-finite entry")
+    a.flags.writeable = False
     return a
 
 

@@ -293,7 +293,10 @@ def complement_basis(inst: SdpInstance) -> DualComplement:
 
     The D_j are produced by Gram–Schmidt over the standard basis of S^n in
     the fixed svec order, projected against span{A_i}, so the output is
-    deterministic and orthonormal.
+    deterministic and orthonormal.  It always finds all ℓ = n(n+1)/2 - m:
+    past the rank check the projection is onto the complement of m
+    orthonormal columns, and while fewer than ℓ are found, some unit
+    vector keeps a residual of norm at least 1/sqrt(n(n+1)/2) > 1e-8.
     """
     n = inst.n
     nn = n * (n + 1) // 2
@@ -326,10 +329,6 @@ def complement_basis(inst: SdpInstance) -> DualComplement:
             basis.append(v / nv)
         if len(basis) == ell:
             break
-    if len(basis) != ell:
-        raise DependentConstraintsError(
-            f"complement construction found {len(basis)} directions, expected {ell}"
-        )
     d_mats = tuple(smat(v, n) for v in basis)
     d_vals = np.array([dj.inner(inst.c) for dj in d_mats])
     if inst.m:

@@ -14,8 +14,10 @@ tan(U) is the set of matrices W + Wᵀ such that the block matrix
 [[U, W], [Wᵀ, R]] is PSD for some PSD R.  Operationally, for U PSD of
 rank r with eigenbasis Q, a symmetric V lies in tan(U) exactly when
 QᵀVQ has no entries outside its leading r rows and columns.  Membership
-therefore reduces to one rotation and a zero-pattern test, and a witness
-(W, R) can be synthesized explicitly when the test passes.
+therefore reduces to one rotation and a zero-pattern test.  tan_contains
+returns the verdict and the worst violation only; tangent_witness runs the
+same test and synthesizes an explicit witness (W, R), which only
+certificate embedding needs.
 
 A classification keeps its decomposition, and each tangent-space test
 takes U either as a matrix or as its PsdClass: a caller that has classified
@@ -24,6 +26,11 @@ eps, and U is not decomposed again.
 
 All decisions are tolerance-based; the tolerance is a parameter on every
 public operation and scales with 1 + Frobenius norm of the input.
+
+A SymMat holds one read-only array.  It shares its input when that is
+already such an array, one that owns its data and that averaging with its
+transpose would give back bit for bit (a parsed certificate record,
+another SymMat's ``.a``); it copies any other input (see SymMat).
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ ORTH_TOL = 1e-10
 # Eigenvalues closer than EIG_CLUSTER_TOL·(1+‖A‖) share one eigenspace in eig;
 # also the tie tolerance of the pivot that picks that eigenspace's basis.
 EIG_CLUSTER_TOL = 1e-12
+# Above this magnitude x + x overflows, so (A + Aᵀ)/2 is not A's own bits.
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 class NonOrthonormalError(ValueError):
@@ -60,20 +69,48 @@ def _as_square_array(entries) -> np.ndarray:
     return a
 
 
+def _shareable(a) -> bool:
+    """Whether ``a`` can be held as it is: a float64 ndarray that no one
+    can write through (read-only, owning its data, C-contiguous), square
+    of order at least 1, bitwise symmetric, with every entry within
+    ±DBL_MAX/2, so that (a + aᵀ)/2 would return its own bits."""
+    return (
+        type(a) is np.ndarray
+        and a.dtype == np.float64
+        and not a.flags.writeable
+        and a.flags.owndata
+        and a.flags.c_contiguous
+        and a.ndim == 2
+        and a.shape[0] == a.shape[1] >= 1
+        and -_HALF_MAX <= a.min()  # also False on nan
+        and a.max() <= _HALF_MAX
+        and bool((a.view(np.uint64) == a.T.view(np.uint64)).all())
+    )
+
+
 class SymMat:
     """Immutable dense symmetric matrix of order n.
 
-    Symmetry is storage-enforced: the constructor averages the input with
-    its transpose, which makes entries[i][j] and entries[j][i] bitwise
-    equal, and the underlying array is frozen.
+    Symmetry is storage-enforced: entries[i][j] and entries[j][i] are
+    bitwise equal, and the underlying array is read-only.  An input that
+    already is such an array, owned and read-only, bitwise symmetric and
+    within ±DBL_MAX/2, is shared, since (A + Aᵀ)/2 would return its own
+    bits.  Any other input (a writable array, a view, another dtype, a
+    nested list, a nonsymmetric array, or one with a larger entry, which
+    the average turns into ±inf) is copied and averaged with its
+    transpose, so writing to the input afterwards leaves the SymMat as it
+    is.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, entries):
-        a = _as_square_array(entries)
-        a = (a + a.T) / 2.0
-        a.flags.writeable = False
+        if _shareable(entries):
+            a = entries
+        else:
+            a = _as_square_array(entries)
+            a = (a + a.T) / 2.0
+            a.flags.writeable = False
         object.__setattr__(self, "_a", a)
 
     def __setattr__(self, name, value):
@@ -158,16 +195,19 @@ def _canonical_basis(v: np.ndarray) -> np.ndarray:
 
     Column-pivoted Gram-Schmidt on the projector P = VVᵀ: take the column
     of largest remaining norm (ties to EIG_CLUSTER_TOL go to the lowest
-    index), normalize it and deflate P.  A coordinate subspace gives its
-    unit vectors in index order.
+    index), normalize it and deflate P in place; the last column needs no
+    deflation.  A coordinate subspace gives its unit vectors in index
+    order.
     """
     p = v @ v.T
+    norms_sq = p.diagonal()  # a view: ‖P e_i‖² = P_ii for a projector
     out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        norms_sq = p.diagonal()  # ‖P e_i‖² = P_ii for a projector
+    last = v.shape[1] - 1
+    for j in range(last + 1):
         k = int(np.argmax(norms_sq >= norms_sq.max() - EIG_CLUSTER_TOL))
-        out[:, j] = p[:, k] / np.sqrt(norms_sq[k])
-        p = p - np.outer(out[:, j], out[:, j])
+        out[:, j] = col = p[:, k] / np.sqrt(norms_sq[k])
+        if j < last:
+            p -= col[:, None] * col
     return out
 
 
@@ -291,14 +331,12 @@ class TangentWitness:
 class TangentResult:
     """Outcome of a tan(U) membership test.
 
-    On membership, ``witness`` holds the synthesized (W, R).  Otherwise
-    ``violation`` is (i, j, magnitude): the worst offending entry of
-    QᵀVQ outside the leading rank(U) rows and columns, indices in U's
-    eigenbasis.
+    Off membership, ``violation`` is (i, j, magnitude): the worst
+    offending entry of QᵀVQ outside the leading rank(U) rows and columns,
+    indices in U's eigenbasis.  ``tangent_witness`` gives a member's (W, R).
     """
 
     member: bool
-    witness: Optional[TangentWitness] = None
     violation: Optional[tuple[int, int, float]] = None
 
 
@@ -319,20 +357,16 @@ def _tangent_witness_from_eigbasis(
     return TangentWitness(w=w, r=SymMat(np.eye(n) * t))
 
 
-def tan_contains(u: SymMat | PsdClass, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
-    """Test V ∈ tan(U) for PSD U and synthesize a witness on membership.
-
-    Rotation to U's eigenbasis reduces the test to a zero-pattern check:
-    with r = rank(U), every entry of QᵀVQ outside the leading r rows and
-    columns must vanish below eps·(1+‖V‖).  U = 0 needs no rotation:
-    tan(0) = {0}.  U may be given as its PsdClass, made at the same eps.
-    """
+def _tangent_test(
+    u: SymMat | PsdClass, v: SymMat, eps: float
+) -> tuple[PsdClass, Optional[np.ndarray], Optional[tuple[int, int, float]]]:
+    """U's class, QᵀVQ (None when rank(U) = 0) and the worst violation of
+    V ∈ tan(U), or None on membership."""
     ucls = u if isinstance(u, PsdClass) else classify_psd(u, eps)
     if not ucls.is_psd:
         raise NotPsdInputError(f"U is not PSD (λ_min = {ucls.evidence:.3e})")
     r, q = ucls.rank, ucls.dec.q
-    n = v.n
-    if q.shape[0] != n:
+    if q.shape[0] != v.n:
         raise ValueError("U and V must have the same order")
     v_scale = 1.0 + v.norm()
     if r == 0:
@@ -340,23 +374,44 @@ def tan_contains(u: SymMat | PsdClass, v: SymMat, eps: float = EPS_PSD) -> Tange
         mags = np.abs(v.a)
         i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
         if mags[i, j] <= eps * v_scale:
-            return TangentResult(
-                member=True,
-                witness=TangentWitness(w=np.zeros((n, n)), r=SymMat.identity(n)),
-            )
-        return TangentResult(member=False, violation=(int(i), int(j), float(mags[i, j])))
+            return ucls, None, None
+        return ucls, None, (int(i), int(j), float(mags[i, j]))
     v_rot = q.T @ v.a @ q
     trailing = np.abs(v_rot[r:, r:])
     if trailing.size:
         i, j = np.unravel_index(int(np.argmax(trailing)), trailing.shape)
         if trailing[i, j] > eps * v_scale:
-            return TangentResult(
-                member=False, violation=(int(i + r), int(j + r), float(trailing[i, j]))
-            )
-    witness = _tangent_witness_from_eigbasis(
-        q, float(ucls.dec.lam[r - 1]), v_rot, r, v.norm()
+            return ucls, v_rot, (int(i + r), int(j + r), float(trailing[i, j]))
+    return ucls, v_rot, None
+
+
+def tan_contains(u: SymMat | PsdClass, v: SymMat, eps: float = EPS_PSD) -> TangentResult:
+    """Test V ∈ tan(U) for PSD U.
+
+    Rotation to U's eigenbasis reduces the test to a zero-pattern check:
+    with r = rank(U), every entry of QᵀVQ outside the leading r rows and
+    columns must vanish below eps·(1+‖V‖).  U = 0 needs no rotation:
+    tan(0) = {0}.  U may be given as its PsdClass, made at the same eps.
+    """
+    violation = _tangent_test(u, v, eps)[2]
+    return TangentResult(member=violation is None, violation=violation)
+
+
+def tangent_witness(u: SymMat | PsdClass, v: SymMat, eps: float = EPS_PSD) -> TangentWitness:
+    """The witness (W, R) of V ∈ tan(U), by the test of tan_contains.
+
+    Raises ValueError when V is not in tan(U).  U may be given as its
+    PsdClass, made at the same eps.
+    """
+    ucls, v_rot, violation = _tangent_test(u, v, eps)
+    if violation is not None:
+        raise ValueError("certificate rung fails tangent membership; cannot embed")
+    n, r = v.n, ucls.rank
+    if r == 0:
+        return TangentWitness(w=np.zeros((n, n)), r=SymMat.identity(n))
+    return _tangent_witness_from_eigbasis(
+        ucls.dec.q, float(ucls.dec.lam[r - 1]), v_rot, r, v.norm()
     )
-    return TangentResult(member=True, witness=witness)
 
 
 def psd_plus_tan_contains(

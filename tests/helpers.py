@@ -21,6 +21,7 @@ from ramanasdp.certfile import (
     parse_certificate_text,
     to_ramana_certificate,
 )
+from ramanasdp.symmat import EIG_CLUSTER_TOL
 
 
 def inst_unattained() -> SdpInstance:
@@ -75,6 +76,20 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> Sym
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def canonical_basis_reference(v: np.ndarray) -> np.ndarray:
+    """symmat._canonical_basis as a loop that builds a new deflated
+    projector from np.outer at every column, the last one too: the
+    reference the in-place deflation must match bit for bit."""
+    p = v @ v.T
+    out = np.empty_like(v)
+    for j in range(v.shape[1]):
+        norms_sq = p.diagonal()
+        k = int(np.argmax(norms_sq >= norms_sq.max() - EIG_CLUSTER_TOL))
+        out[:, j] = p[:, k] / np.sqrt(norms_sq[k])
+        p = p - np.outer(out[:, j], out[:, j])
+    return out
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int) -> SdpInstance:

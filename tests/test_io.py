@@ -731,6 +731,26 @@ class TestCertificateFiles:
         cert = to_ramana_certificate(cf, inst)
         assert cert.ladder[1].v.allclose(SymMat.zero(3), tol=0.0)
 
+    def test_parsed_records_are_read_only_and_held_by_their_matrices(self):
+        # Each matrix record is the SymMat's own array: to_ramana_certificate
+        # and to_strong_point copy none of them.
+        for eid, name, inst, cert in _registry_ladders():
+            text = certificate_to_text(inst, cert.system, cert=cert)
+            cf = parse_certificate_text(text)
+            records = [*cf.vectors.values(), *cf.matrices.values()]
+            assert records and not any(a.flags.writeable for a in records)
+            back = to_ramana_certificate(cf, inst)
+            for i, rung in enumerate(back.ladder, start=1):
+                assert rung.u.a is cf.matrices[f"U{i}"], (eid, name, i)
+                assert rung.v.a is cf.matrices[f"V{i}"], (eid, name, i)
+            if back.x is not None:
+                assert back.x.a is cf.matrices["X"]
+        inst = inst_gap_rr()
+        x = SymMat.diag([1.0, 2.0, 0.5, 0.0])
+        text = certificate_to_text(inst, "pstrong", spec=StrongDualSpec(q=np.eye(4), r=2), point=x)
+        cf = parse_certificate_text(text)
+        assert to_strong_point(cf)[1].a is cf.matrices["X"]
+
     def test_parsing_holds_one_record_at_a_time(self):
         # A dram certificate at n = 24 with six dense rungs: its parsed
         # arrays take 8 bytes an entry, its text about 20.  Holding every
@@ -1051,6 +1071,26 @@ class TestLeadingZeroRungs:
         back = through_text(inst, zeros)
         assert back.ladder == ()
         assert ladder_verdicts(inst, back) == ladder_verdicts(inst, zeros)
+
+    def test_more_than_n_minus_1_rungs_from_the_first_nonzero_one_refused(self):
+        # Two nonzero rungs twice make 4 rungs at n = 4: the writer refuses
+        # the ladder, as the reader refuses the file that holds all of it.
+        inst, cert = self._rr_ladder()
+        _, second, third = cert.ladder
+        long = dataclasses.replace(cert, ladder=(second, third) * 2)
+        with pytest.raises(
+            CertificateFormatError,
+            match="ladder has 4 rungs from its first nonzero one, more than n-1 = 3",
+        ):
+            certificate_to_text(inst, "dram", cert=long)
+        with pytest.raises(CertificateFormatError, match="rung index 4 exceeds n-1 = 3"):
+            read_bound(padded_certificate_text(inst, long), inst)
+        # The count starts at the first nonzero rung: n rungs, two of them
+        # leading zeros, are written as the ladder's last two.
+        padded = dataclasses.replace(cert, ladder=(cert.ladder[0],) * 2 + (second, third))
+        assert certificate_to_text(inst, "dram", cert=padded) == certificate_to_text(
+            inst, "dram", cert=cert
+        )
 
     def test_n_rungs_with_a_zero_first_are_written_as_n_minus_1(self):
         # The ladder in memory is one rung too long and refused; the writer

@@ -113,6 +113,15 @@ class TestWeakDuality:
         with pytest.raises(InfeasibleInputError):
             weak_duality_gap(inst, SymMat.identity(3), np.zeros(3))
 
+    def test_identity_violated_by_a_residual_times_a_large_y(self):
+        # X misses b = 0 by 1e-12, inside the feasibility tolerance; y = 1e12
+        # turns that into a gap of 1 between <C,X> - <b,y> and <C - 𝒜*y, X>.
+        inst = SdpInstance.from_arrays([[[1.0]]], [0.0], [[1.0]])
+        x = SymMat([[1e-12]])
+        assert weak_duality_gap(inst, x, [1.0]) == 1e-12
+        with pytest.raises(ArithmeticError, match="duality identity violated"):
+            weak_duality_gap(inst, x, [1e12])
+
 
 class TestReformulate:
     def test_identity(self):
@@ -210,6 +219,33 @@ class TestComplement:
         inst = SdpInstance(a=(a1, 2.0 * a1), b=np.array([0.0, 0.0]), c=SymMat.identity(2))
         with pytest.raises(DependentConstraintsError):
             complement_basis(inst)
+
+    def test_numerically_dependent_constraints_detected(self):
+        # Independent in exact arithmetic, dependent below INDEP_TOL; and
+        # more constraints than S^n has dimensions.
+        a1 = SymMat.diag([1.0, 0.0])
+        a2 = SymMat([[1.0, 1e-10], [1e-10, 0.0]])
+        inst = SdpInstance(a=(a1, a2), b=np.zeros(2), c=SymMat.identity(2))
+        with pytest.raises(DependentConstraintsError, match="numerical rank 1 < m = 2"):
+            complement_basis(inst)
+        inst = SdpInstance.from_arrays([[[1.0]], [[2.0]]], [1.0, 2.0], [[0.0]])
+        with pytest.raises(DependentConstraintsError, match="numerical rank 1 < m = 2"):
+            complement_basis(inst)
+
+    def test_every_complement_direction_is_found(self):
+        # Past the rank check the Gram-Schmidt finds all n(n+1)/2 - m
+        # directions, for every m from 0 to n(n+1)/2.
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 4):
+            nn = n * (n + 1) // 2
+            for m in range(nn + 1):
+                inst = random_instance(rng, n, m)
+                comp = complement_basis(inst)
+                assert comp.ell == len(comp.d) == nn - m
+                gram = np.array([[di.inner(dj) for dj in comp.d] for di in comp.d])
+                assert np.allclose(gram.reshape(nn - m, nn - m), np.eye(nn - m), atol=1e-12)
+                for d in comp.d:
+                    assert all(abs(d.inner(a)) <= 1e-10 * (1 + a.norm()) for a in inst.a)
 
     def test_inconsistent_rhs_detected(self):
         a1 = SymMat.diag([1, 0])

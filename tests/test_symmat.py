@@ -1,5 +1,7 @@
 """Symmetric-matrix core: eigensolver, PSD classification, rotations, tangents."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,15 @@ from ramanasdp import (
     classify_psd,
     eig,
     psd_plus_tan_contains,
+    registry,
     rotate,
     split_psd_plus_tan,
     symmat,
     tan_contains,
+    tangent_witness,
 )
 
-from helpers import random_orthonormal, random_psd, random_sym
+from helpers import canonical_basis_reference, random_orthonormal, random_psd, random_sym
 
 
 def char_poly_roots(a: np.ndarray) -> np.ndarray:
@@ -136,6 +140,35 @@ class TestEig:
         cluster = d1.q[:, 1:4]
         assert np.allclose(cluster @ cluster.T, u[:, 1:4] @ u[:, 1:4].T, atol=1e-10)
 
+    def test_canonical_basis_matches_the_deflation_loop(self):
+        # The in-place deflation gives the bits of a loop that subtracts a
+        # new np.outer each column, on random subspaces, on coordinate
+        # subspaces (P a 0/1 diagonal) and on spans of (e_i ± e_j)/√2,
+        # whose P has ties of 1/2 on its diagonal; each basis is rotated
+        # within its span so the input is not already canonical.
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n = int(rng.integers(2, 10))
+            k = int(rng.integers(2, n + 1))
+            kind = trial % 3
+            if kind == 0:
+                v = random_orthonormal(rng, n)[:, :k]
+            elif kind == 1:
+                v = np.eye(n)[:, np.sort(rng.choice(n, k, replace=False))]
+            else:
+                k = min(k, n // 2)
+                idx = rng.permutation(n)
+                v = np.zeros((n, k))
+                for c in range(k):
+                    v[idx[2 * c], c] = np.sqrt(0.5)
+                    v[idx[2 * c + 1], c] = np.sqrt(0.5) * rng.choice([-1.0, 1.0])
+            if k == 1:
+                continue
+            v = v @ random_orthonormal(rng, k)
+            got = symmat._canonical_basis(v)
+            want = canonical_basis_reference(v)
+            assert got.tobytes() == want.tobytes(), (trial, kind, n, k)
+
     @pytest.mark.parametrize("n", [1, 3, 8, 24])
     def test_zero_matrix_short_cut(self, n, monkeypatch):
         # The zero matrix gives (0, I) without building a canonical basis,
@@ -160,6 +193,66 @@ class TestEig:
                 classify_psd(a)
             with pytest.raises(ValueError, match="non-finite"):
                 tan_contains(a, SymMat.zero(a.n))
+
+
+def _frozen(entries, dtype=float) -> np.ndarray:
+    """An owned, read-only copy of ``entries``."""
+    a = np.array(entries, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+class TestStorage:
+    """A SymMat holds a read-only, owned, bitwise-symmetric float64 array
+    within ±DBL_MAX/2 as it is; it copies and averages every other input
+    as (A + Aᵀ)/2 in float64."""
+
+    def test_frozen_symmetric_array_is_held(self):
+        rng = np.random.default_rng(37)
+        g = rng.standard_normal((5, 5))
+        a = g + g.T
+        a[0, 1] = a[1, 0] = -0.0
+        a[2, 3] = a[3, 2] = 5e-324
+        a[4, 4] = np.finfo(float).max / 2.0
+        a = _frozen(a)
+        s = SymMat(a)
+        assert s.a is a and SymMat(s.a).a is a
+        assert s.a.tobytes() == ((a + a.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "case", ["writable", "view", "float32", "nonsymmetric", "above_half_max", "list"]
+    )
+    def test_other_inputs_are_copied_and_averaged(self, case):
+        rng = np.random.default_rng(41)
+        g = rng.standard_normal((4, 4))
+        sym = g + g.T
+        big = np.nextafter(np.finfo(float).max / 2.0, np.inf)
+        x = {
+            "writable": lambda: sym.copy(),
+            "view": lambda: _frozen(sym)[:],
+            "float32": lambda: _frozen(sym, np.float32),
+            "nonsymmetric": lambda: _frozen(g),
+            "above_half_max": lambda: _frozen(np.diag([big, 1.0, 2.0, 3.0])),
+            "list": lambda: sym.tolist(),
+        }[case]()
+        if case != "list":
+            assert x.flags.writeable == (case == "writable")
+        want = np.array(x, dtype=float)
+        with np.errstate(over="ignore"):
+            want = (want + want.T) / 2.0
+            s = SymMat(x)
+        assert s.a is not x and not np.shares_memory(s.a, np.asarray(x))
+        assert s.a.tobytes() == want.tobytes()
+        assert not s.a.flags.writeable
+        if case == "above_half_max":
+            assert s.a[0, 0] == np.inf
+
+    def test_writing_to_the_input_leaves_the_matrix(self):
+        x = np.array([[1.0, 2.0], [2.0, 3.0]])
+        s = SymMat(x)
+        x[0, 1] = x[1, 0] = 7.0
+        x[0, 0] = -1.0
+        assert s.a.tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
 
 class TestClassify:
@@ -229,9 +322,8 @@ class TestTangent:
     def test_structured_member(self):
         u1 = SymMat.diag([1, 0, 0])
         v2 = SymMat([[-1, 0, 1], [0, 0, 0], [1, 0, 0]])
-        res = tan_contains(u1, v2)
-        assert res.member
-        w = res.witness
+        assert tan_contains(u1, v2).member
+        w = tangent_witness(u1, v2)
         assert np.max(np.abs(w.w + w.w.T - v2.a)) <= 1e-10 * (1 + v2.norm())
         assert classify_psd(w.block_matrix(u1)).is_psd
 
@@ -268,9 +360,8 @@ class TestTangent:
             v_bad = SymMat(q @ planted @ q.T)
             v_good = SymMat(q @ v_rot @ q.T)
             assert not tan_contains(u, v_bad).member
-            good = tan_contains(u, v_good)
-            assert good.member
-            w = good.witness
+            assert tan_contains(u, v_good).member
+            w = tangent_witness(u, v_good)
             assert np.max(np.abs(w.w + w.w.T - v_good.a)) <= 1e-9 * (1 + v_good.norm())
             assert classify_psd(w.block_matrix(u)).is_psd
 
@@ -314,13 +405,50 @@ class TestTangent:
                 got, want = tan_contains(ucls, v), tan_contains(u, v)
                 assert got.member == want.member and got.violation == want.violation
                 if want.member:
-                    assert np.array_equal(got.witness.w, want.witness.w)
-                    assert np.array_equal(got.witness.r.a, want.witness.r.a)
+                    got_w, want_w = tangent_witness(ucls, v), tangent_witness(u, v)
+                    assert np.array_equal(got_w.w, want_w.w)
+                    assert np.array_equal(got_w.r.a, want_w.r.a)
             z = random_psd(rng, n) + member
             for cand in (z, random_sym(rng, n)):
                 assert psd_plus_tan_contains(ucls, cand) == psd_plus_tan_contains(u, cand)
             (p1, v1), (p2, v2) = split_psd_plus_tan(ucls, z), split_psd_plus_tan(u, z)
             assert np.array_equal(p1.a, p2.a) and np.array_equal(v1.a, v2.a)
+
+    def test_witness_bits_on_the_registry_rungs(self):
+        # SHA-256 of W then R for each rung V_i ∈ tan(U_{i-1}) of every
+        # registry ladder (U_0 = 0), as tan_contains(...).witness gave them
+        # when the membership test built the witness.
+        digest = hashlib.sha256()
+        count = 0
+        for eid in registry.all_ids():
+            entry = registry.get(eid)
+            for rc in entry.certificates:
+                if rc.cert is None:
+                    continue
+                prev = SymMat.zero(entry.instance.n)
+                for rung in rc.cert.ladder:
+                    w = tangent_witness(prev, rung.v)
+                    digest.update(w.w.tobytes())
+                    digest.update(w.r.a.tobytes())
+                    count += 1
+                    prev = rung.u
+        assert count == 16
+        assert digest.hexdigest() == (
+            "e959ae5701e9734d82191e9eddefe733679e268c0f5b0d3b656583d22ed78de0"
+        )
+
+    def test_witness_of_a_non_member_refused(self):
+        u = SymMat.diag([1, 0, 0])
+        for v in (SymMat.diag([0, 0, 1]), SymMat.diag([0, 1, 0])):
+            assert not tan_contains(u, v).member
+            with pytest.raises(
+                ValueError, match="certificate rung fails tangent membership; cannot embed"
+            ):
+                tangent_witness(u, v)
+            with pytest.raises(ValueError, match="cannot embed"):
+                tangent_witness(classify_psd(u), v)
+        with pytest.raises(ValueError, match="cannot embed"):
+            tangent_witness(SymMat.zero(3), SymMat.identity(3))
 
     def test_class_refusals(self):
         not_psd = classify_psd(SymMat.diag([1, -1]))

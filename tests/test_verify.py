@@ -1,6 +1,7 @@
 """Certificate verification, ladder normalization, and the strong-system lift."""
 
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from ramanasdp import (
     verify_strong,
 )
 from ramanasdp import verify as verify_module
+from ramanasdp.certfile import certificate_to_text, parse_certificate_text, to_ramana_certificate
 from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
 
 from helpers import (
@@ -610,3 +612,47 @@ def test_workload_certificates_verify_alike(seed, monkeypatch):
         assert outcome.ok == ("valid" in name), (name, outcome.violation)
         if "rung_y" in name:
             assert report.startswith("rung "), (name, report)
+
+
+def test_checking_a_parsed_certificate_holds_each_matrix_once():
+    # An n = 24 dram certificate as the verify workload builds it, six
+    # nonzero rungs: its matrix records take R = 12·24²·8 bytes.  Each
+    # SymMat holds its parsed record, so assembling the ladder adds well
+    # under R/4, and the rung tests build no tangent witness, so parse,
+    # assembly and check peak below 2.5 R.  Copying every record into its
+    # SymMat and building a witness at every tangent test peaked at 3.3 R.
+    rng = np.random.default_rng(107)
+    pl = gen.planted(rng, 24, (1, 2, 1, 2, 1, 2), 1)
+    text = certificate_to_text(
+        pl.inst, "dram", cert=gen.padded(gen.dram_certificate(pl), pl.inst)
+    )
+    verify_dram(pl.inst, to_ramana_certificate(parse_certificate_text(text), pl.inst))
+    tracemalloc.start()
+    try:
+        cf = parse_certificate_text(text)
+        parsed = tracemalloc.get_traced_memory()[0]
+        cert = to_ramana_certificate(cf, pl.inst)
+        assembled = tracemalloc.get_traced_memory()[0]
+        outcome = verify_dram(pl.inst, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record_bytes = sum(a.nbytes for a in cf.matrices.values())
+    assert outcome.ok and record_bytes == 12 * 24 * 24 * 8
+    assert assembled - parsed < record_bytes / 4
+    assert peak < 2.5 * record_bytes
+
+
+def test_checks_build_no_tangent_witness(monkeypatch):
+    # The rung tests ask tan_contains for membership only; the witness
+    # (W, R) is for embedding alone.
+    def refuse(*args):
+        raise AssertionError("a check built a tangent witness")
+
+    cases = _workload_certificates(107)
+    want = [ladder_verdicts(inst, cert) for _, inst, cert in cases]
+    monkeypatch.setattr(symmat, "_tangent_witness_from_eigbasis", refuse)
+    assert [ladder_verdicts(inst, cert) for _, inst, cert in cases] == want
+    assert sum(outcome.ok for outcome, _ in want) == 4
+    with pytest.raises(AssertionError, match="built a tangent witness"):
+        symmat.tangent_witness(SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 0.0]]))

@@ -16,18 +16,26 @@ three stages:
 It prints, per op, the median over the repeats of each stage in ms, then
 the batch totals (the sum over the ops of those medians) with each
 stage's share; the records parsed in a batch, how many of them are all
-zero, and the bytes parsed, counted over one more, untimed run; and the
+zero, and the bytes parsed, counted over one more, untimed run; the
+tracemalloc peak of each stage of the workload's peak op (the op whose
+``peak_mb`` ``bench/run.py`` reports), from one more untimed run, each
+stage's peak counting what the stages before it still hold; and the
 set-up time: the whole ``setup_verify`` and the part of it spent in
 ``certfile.certificate_to_text`` writing the 35 texts.  The stages are
-timed by wrapping the two ``certfile`` functions, which the ops look up
-on the module at call time; each wrapper runs once an op.
+timed and traced by wrapping the two ``certfile`` functions, which the
+ops look up on the module at call time; each wrapper runs once an op.
 
     python3 tools/verify_probe.py [--seed S] [--repeats R] [--ops]
 
 The seed defaults to 107 and the repeats to 5.  On a 2-core Xeon shared
-with other jobs, three runs at seed 107 read a batch of 0.081-0.113 s:
-parse 32-35%, bind 1-2%, check 64-66%, over 341 records (none all zero)
-and 1,355,332 bytes.  When the files held the ladders' leading zero
+with other jobs, three runs at seed 107 read a batch of 0.068-0.118 s:
+parse 35-38%, bind 2%, check 61-63%, over 341 records (none all zero)
+and 1,355,332 bytes.  The peak op, ``08-dram-valid-n24``, peaks at
+0.1089 MB in parse, 0.0666 MB in bind and 0.1090 MB in check.  When
+each SymMat copied its parsed record and each tangent test built a
+witness, three runs alternated with those read 0.082-0.124 s with parse
+32-35% and check 63-67%, and the check peaked at 0.1837 MB (parse
+0.1081 MB, bind 0.0656 MB).  When the files held the ladders' leading zero
 rungs, three runs alternated with those read 0.153-0.175 s with the same
 shares, over 1,199 records (858 all zero) and 2,117,652 bytes.  When the
 bind hashed the instance's SDPA text it was 24% of the batch, with parse
@@ -43,6 +51,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -53,9 +62,12 @@ import numpy as np  # noqa: E402
 
 from ramanasdp import certfile  # noqa: E402
 
+import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
 STAGES = ("parse", "bind", "check")
+# The certfile functions that make up the first two stages.
+STAGE_FUNCS = ("parse_certificate_text", "check_instance_binding")
 
 
 @contextmanager
@@ -105,6 +117,35 @@ def record_counts(ops) -> dict[str, int]:
     return counts
 
 
+def stage_peaks(op) -> dict[str, int]:
+    """tracemalloc peak, in bytes, of each stage of one untimed run of
+    ``op``.  Each stage's peak counts what the stages before it still
+    hold, so the largest of them is the op's peak."""
+    peaks: dict[str, int] = {}
+    originals = {name: getattr(certfile, name) for name in STAGE_FUNCS}
+
+    def wrap(stage, fn):
+        def inner(*args, **kw):
+            try:
+                return fn(*args, **kw)
+            finally:
+                peaks[stage] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+        return inner
+
+    for stage, name in zip(STAGES, STAGE_FUNCS):
+        setattr(certfile, name, wrap(stage, originals[name]))
+    tracemalloc.start()
+    try:
+        op.check(op.run())
+        peaks["check"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for name, fn in originals.items():
+            setattr(certfile, name, fn)
+    return peaks
+
+
 def probe(seed: int, repeats: int) -> dict:
     """Set-up and writer seconds, and per op the median seconds of each
     stage over ``repeats`` runs of the batch."""
@@ -114,22 +155,26 @@ def probe(seed: int, repeats: int) -> dict:
         ops = workloads.setup_verify(seed, workdir)
         setup_s = time.perf_counter() - t0
     parsed = record_counts(ops)
+    peak_op = bench_run._peak_op(ops)
+    peaks = stage_peaks(peak_op)
     samples = {op.name: {stage: [] for stage in STAGES} for op in ops}
     for _ in range(repeats):
         for op in ops:
-            spent = {"parse_certificate_text": 0.0, "check_instance_binding": 0.0}
+            spent = dict.fromkeys(STAGE_FUNCS, 0.0)
             with timed(spent):
                 t0 = time.perf_counter()
                 result = op.run()
                 total = time.perf_counter() - t0
             op.check(result)
-            parse, bind = spent["parse_certificate_text"], spent["check_instance_binding"]
+            parse, bind = (spent[name] for name in STAGE_FUNCS)
             for stage, s in zip(STAGES, (parse, bind, total - parse - bind)):
                 samples[op.name][stage].append(s)
     return {
         "setup_s": setup_s,
         "write_s": written["certificate_to_text"],
         "parsed": parsed,
+        "peak_op": peak_op.name,
+        "peaks": peaks,
         "per_op": {
             name: {stage: statistics.median(vals) for stage, vals in stages.items()}
             for name, stages in samples.items()
@@ -161,6 +206,10 @@ def main(argv=None) -> int:
     print(
         f"parsed per batch: {parsed['records']} records, {parsed['zero']} of them all zero "
         f"({parsed['zero'] / parsed['records']:.0%}), {parsed['bytes']} bytes"
+    )
+    print(
+        f"peak op {row['peak_op']}, tracemalloc peak by stage: "
+        + ", ".join(f"{stage} {row['peaks'][stage] / 1e6:.4f} MB" for stage in STAGES)
     )
     print(
         f"setup {row['setup_s']:.3f} s, of which certificate_to_text "
