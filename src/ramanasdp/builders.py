@@ -55,59 +55,29 @@ So every feasible y of the (n - 1)-rung system is feasible for the
 L-rung system, and a short ladder front-padded with zero rungs is an
 (n - 1)-rung one: the two systems have the same feasible y, the same
 value and the same feasibility.  The strict rungs are those with r_i > 0
-in normalize_ladder's report (r_i = dim K_{i-1} - dim K_i).
-embed_certificate does not normalize: it takes a ladder whose rungs
-before its last L are exactly zero, as lift_from_strong and
-alt_ram_from_rr make them, and refuses any other with the reason.
+in normalize_ladder's report (r_i = dim K_{i-1} - dim K_i).  The
+builders never solve anything: the strong systems take their face from
+the RR-form construction.
 
-Systems built:
-
-  * build_dram     — the exact dual: max <b,y> with an L rung ladder
-                     y^i, U_i, V_i and head constraint
-                     C - 𝒜*y ∈ S₊ + tan(U_L).
-  * build_alt_ram  — the exact alternative system: same ladder, head
-                     𝒜*y ∈ S₊ + tan(U_L) and <b, y> = -1; feasible
-                     exactly when the primal is infeasible.
-  * build_pram     — the exact primal of the dual: min <C,X> subject to
-                     𝒜X = b, a ladder with 𝒜(U_i+V_i) = 0 and
-                     <C, U_i+V_i> = 0, and X ∈ S₊ + tan(U_{n-1}).
-  * build_dstrong  — the strong dual: given the max-rank primal solution
-                     Q diag(0, Λ_r) Qᵀ, only the trailing r-block of the
-                     rotated slack is required PSD.
-  * build_pstrong  — the strong primal: given the max-rank dual slack
-                     Q diag(Λ_r, 0) Qᵀ, only the leading r-block of the
-                     rotated X is required PSD.
-  * build_red      — the equality-form rewrite of the dual over the slack
-                     variable Z, via the orthogonal complement basis.
-
-The builders never solve anything; rotation data for the strong systems
-is produced upstream by the RR-form construction.
-
-Every emitted system is held sparse.  A coefficient matrix is a
-SparseSym, the nonzeros of its upper triangle in row-major order, and a
-free row a SparseVec, its nonzero indices and values; neither stores a
-±0.0 entry, and neither can be changed.  Unit matrices sign·E_pq, their
-order-2n coupling matrices and the corner ties' matrices are made in that
-form directly; dense inputs (A_t and C for pram, the strong systems'
-rotated blocks, red's basis) are converted once per build.  The two
-constructors check the entries they are given.  A system holds its rows
-as columns: int32 id arrays into one table of its distinct matrices and
-one of its distinct free rows, with no object per row.  No ladder
-coefficient depends on the rung index, so each distinct matrix is made
-once per build (a ladder system references O(n³) matrices but holds
-O(n²)), and a rung's free row is the same table entry as the same
-entry's row in every other rung, at another offset.  A StandardFormSdp
-checks each table entry once against the block or free length its ids
-give it.  The SDPA writer formats each table entry once per write.
+Every system is one coordinate table, CSR-style: the distinct matrices
+as the upper-triangle nonzeros of each, row-major, in int32 coordinate
+and float64 value arrays, the distinct free rows the same way, and the
+rows as int32 id arrays into both, with no object per row or per
+coefficient.  The builders append whole sections with numpy: the units
+sign·E_pq of every svec pair, their coupling matrices and the corner
+ties' matrices take a few array operations each.  No ladder coefficient
+depends on the rung, so a ladder system references O(n³) matrices but
+holds O(n²).  residuals and objective_value are one gather and bincount
+per table, and the SDPA writer formats each table entry once per write.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
+import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,18 +131,18 @@ class VarSlot:
 
 
 class _Sparse:
-    """What the two sparse coefficient types share: they cannot be changed,
-    size is the count of stored entries, and != compares the stored values
-    elementwise, as on an array of them.  The constructors check what the
-    docstrings state; from_dense, unit, signed, coupling and the builders,
-    whose entries hold it by construction, make objects through _of, which
-    does not."""
+    """What the two sparse types share: they cannot be changed, size is the
+    count of stored entries, and != compares the stored values
+    elementwise, as on an array of them.  _of makes one unchecked."""
 
     __slots__ = ()
 
+    def _set(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
     @classmethod
     def _of(cls, *fields):
-        """An object with these fields, in __slots__ order, unchecked."""
         obj = object.__new__(cls)
         obj._set(*fields)
         return obj
@@ -188,19 +158,25 @@ class _Sparse:
         return np.array(self.vals, dtype=float) != other
 
 
-def _check_sign(sign: float) -> None:
-    # A sign flip is exact, so no stored entry becomes zero.
-    if sign not in (1.0, -1.0):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+def _rising(ptr: np.ndarray, major: np.ndarray, minor: Optional[np.ndarray] = None) -> bool:
+    """Whether each segment's entries rise strictly, by major or (major, minor)."""
+    first = np.zeros(major.size, bool)
+    starts = ptr[:-1]
+    first[starts[starts < major.size]] = True
+    step = np.diff(major)
+    up = step > 0 if minor is None else (step > 0) | ((step == 0) & (np.diff(minor) > 0))
+    return bool(np.all(up | first[1:]))
 
 
-@functools.lru_cache(maxsize=64)
-def _triu(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the row-major upper triangle."""
-    rows, cols = np.triu_indices(order)
-    for arr in (rows, cols):
-        arr.setflags(write=False)
-    return rows, cols
+def _entries_ok(ptr: np.ndarray, order, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the entries of each matrix ptr cuts lie in the upper
+    triangle of its order, rise in row-major order, and hold no zero or
+    nan."""
+    return bool(np.all((0 <= i) & (i <= j) & (j < order)) and _rising(ptr, i, j)
+                and v.all() and not np.isnan(v).any())
+
+
+_BAD_ENTRY = "an entry outside the upper triangle of its order, out of row-major order, zero or nan"
 
 
 class SparseSym(_Sparse):
@@ -211,30 +187,15 @@ class SparseSym(_Sparse):
 
     __slots__ = ("order", "rows", "cols", "vals")
 
-    def _set(self, order, rows, cols, vals):
-        set_ = object.__setattr__
-        set_(self, "order", order)
-        set_(self, "rows", rows)
-        set_(self, "cols", cols)
-        set_(self, "vals", vals)
-
     def __init__(self, order: int, rows, cols, vals):
         order = operator.index(order)
         rows, cols = tuple(map(operator.index, rows)), tuple(map(operator.index, cols))
         vals = tuple(map(float, vals))
         if not len(rows) == len(cols) == len(vals):
             raise ValueError("rows, cols and vals must have one entry each")
-        last = (-1, order)
-        for i, j in zip(rows, cols):
-            if not 0 <= i <= j < order:
-                raise ValueError(f"entry ({i}, {j}) is not in the upper triangle of order {order}")
-            if (i, j) <= last:
-                raise ValueError(f"entry ({i}, {j}) is out of row-major order or repeated")
-            last = (i, j)
-        if not all(vals):
-            raise ValueError("a stored value is zero")
-        if any(v != v for v in vals):
-            raise ValueError("a stored value is nan")
+        ptr, (i, j) = np.array([0, len(vals)]), (np.array(x, dtype=int) for x in (rows, cols))
+        if not _entries_ok(ptr, order, i, j, np.array(vals)):
+            raise ValueError(_BAD_ENTRY)
         self._set(order, rows, cols, vals)
 
     @staticmethod
@@ -247,39 +208,8 @@ class SparseSym(_Sparse):
             raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
         if (a != a.T).any():
             raise ValueError("coefficient matrix is not symmetric, or holds nan")
-        rows, cols = _triu(a.shape[0])
-        tri = a[rows, cols]
-        k = np.flatnonzero(tri)
-        return SparseSym._of(
-            a.shape[0], tuple(rows[k].tolist()), tuple(cols[k].tolist()), tuple(tri[k].tolist())
-        )
-
-    @staticmethod
-    def unit(order: int, p: int, q: int) -> "SparseSym":
-        """E_pq, p <= q, with <E_pq, Y> = Y[p, q] for symmetric Y."""
-        if not 0 <= p <= q < order:
-            raise ValueError(f"entry ({p}, {q}) is not in the upper triangle of order {order}")
-        return SparseSym._of(order, (p,), (q,), (1.0 if p == q else 0.5,))
-
-    def signed(self, sign: float) -> "SparseSym":
-        """sign times this matrix, sign 1 or -1."""
-        _check_sign(sign)
-        if sign == 1.0:
-            return self
-        return SparseSym._of(self.order, self.rows, self.cols, tuple([-v for v in self.vals]))
-
-    def coupling(self) -> "SparseSym":
-        """[[0, K], [K, 0]] of order 2n, K this matrix: K's entry (i, j)
-        sits at (i, n + j), so a stored off-diagonal entry gives two."""
-        n = self.order
-        entries = []
-        for i, j, v in zip(self.rows, self.cols, self.vals):
-            entries.append((i, n + j, v))
-            if i != j:
-                entries.append((j, n + i, v))
-        entries.sort()  # positions are distinct, so no value is compared
-        rows, cols, vals = zip(*entries) if entries else ((), (), ())
-        return SparseSym._of(2 * n, rows, cols, vals)
+        m = _dense_mats(a[None])
+        return SparseSym._of(a.shape[0], *(tuple(x.tolist()) for x in (m.i, m.j, m.v)))
 
     def dense(self) -> np.ndarray:
         a = np.zeros((self.order, self.order))
@@ -288,31 +218,14 @@ class SparseSym(_Sparse):
         a[cols, rows] = self.vals
         return a
 
-    def dot(self, y: np.ndarray) -> float:
-        """<K, Y> = Σ K_ij Y_ij over every (i, j), as for the dense K."""
-        total = 0.0
-        for i, j, v in zip(self.rows, self.cols, self.vals):
-            total += v * y[i, j] if i == j else v * (y[i, j] + y[j, i])
-        return float(total)
-
 
 class SparseVec(_Sparse):
     """A vector of the given length held as its nonzeros: vals[k] at
-    offset + idx[k], idx increasing, in read-only intp and float arrays,
-    no value ±0.0.  The constructor copies the arrays it is given.
-    Rows that differ only in where their values sit, as a ladder's rungs
-    do, share both arrays.  Unlike a matrix, mostly a one- or two-entry
-    unit made by the thousand, a free row can be as long as the free
-    vector, where arrays take a quarter of the memory of tuples."""
+    offset + idx[k], idx increasing, in read-only integer and float
+    arrays, no value ±0.0.  The constructor copies the arrays it is
+    given."""
 
     __slots__ = ("length", "idx", "vals", "offset")
-
-    def _set(self, length, idx, vals, offset):
-        set_ = object.__setattr__
-        set_(self, "length", length)
-        set_(self, "idx", idx)
-        set_(self, "vals", vals)
-        set_(self, "offset", offset)
 
     def __init__(self, length: int, idx, vals, offset: int = 0):
         length, offset = operator.index(length), operator.index(offset)
@@ -340,35 +253,10 @@ class SparseVec(_Sparse):
             arr.setflags(write=False)
         return SparseVec._of(v.size, k, vals, 0)
 
-    def _at(self, offset: int, length: int) -> "SparseVec":
-        """This vector placed from offset in one of the given length, which
-        must hold it; both arrays are shared.  Unchecked, as _of."""
-        return SparseVec._of(length, self.idx, self.vals, self.offset + offset)
-
-    def signed(self, sign: float) -> "SparseVec":
-        """sign times this vector, sign 1 or -1."""
-        _check_sign(sign)
-        if sign == 1.0:
-            return self
-        vals = -self.vals
-        vals.setflags(write=False)
-        return SparseVec._of(self.length, self.idx, vals, self.offset)
-
     def dense(self) -> np.ndarray:
         out = np.zeros(self.length)
         out[self.offset + self.idx] = self.vals
         return out
-
-    def dot(self, u: np.ndarray) -> float:
-        return float(np.dot(self.vals, u[self.offset + self.idx]))
-
-
-def _sparse_sym(k) -> SparseSym:
-    return k if type(k) is SparseSym else SparseSym.from_dense(k)
-
-
-def _sparse_vec(v) -> SparseVec:
-    return v if type(v) is SparseVec else SparseVec.from_dense(v)
 
 
 @dataclass(frozen=True)
@@ -384,142 +272,238 @@ class Constraint:
     rhs: float
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _sparse_vec(self.free))
-        object.__setattr__(self, "mats", {b: _sparse_sym(k) for b, k in self.mats.items()})
+        if type(self.free) is not SparseVec:
+            object.__setattr__(self, "free", SparseVec.from_dense(self.free))
+        mats = {b: k if type(k) is SparseSym else SparseSym.from_dense(k) for b, k in self.mats.items()}
+        object.__setattr__(self, "mats", mats)
 
 
 def _misfit(what: str, length: int, n_free: int, mats: dict, orders: dict) -> ValueError:
     return ValueError(
         f"{what} does not fit the system: free length {length} for n_free {n_free}, "
-        f"matrix orders {({b: k.order for b, k in mats.items()})} "
-        f"for blocks {({b: orders.get(b) for b in mats})}"
+        f"matrix orders {mats} for blocks {({b: orders.get(b) for b in mats})}"
     )
 
 
-_ROW_FIELDS = ("row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs")
+def _segments(ptr: np.ndarray, n: int, *cols: np.ndarray) -> bool:
+    """Whether ptr cuts each of cols into n segments, rising from 0."""
+    return (ptr.size == n + 1 > 0 and ptr[0] == 0 and all(ptr[-1] == c.size for c in cols)
+            and bool(np.all(np.diff(ptr) >= 0)))
 
 
 @dataclass(frozen=True)
 class StandardFormSdp:
-    """An emitted system, its rows held as columns of ids into two tables:
-    coeffs, the distinct coefficient matrices, and free_rows, the distinct
-    free rows, each at offset 0 and of length n_free, or 0 for no free
-    part.  Row r has the matrices coeffs[entry_coeff[e]] on the blocks
-    blocks[entry_block[e]], e in row_ptr[r]..row_ptr[r + 1] - 1, in block
-    order, the free row free_rows[row_free[r]] placed at row_offset[r],
-    and rhs[r]; its name is pre + label, the rows taken in order from the
-    (pre, labels) sections.  The arrays are copied as int32 and float64
-    and made read-only.  The tables are checked once per distinct matrix
-    and free row and once per id array, not once per row: a free row of
-    another length would be written into the negated half of the free
-    block, and a matrix of another order than its block outside it.
-    from_rows packs rows given as Constraints and constraints unpacks
-    them, for hand-built systems and tests; dense objective arrays are
-    converted as a Constraint converts its own."""
+    """An emitted system as one coordinate table.  Matrix k has order
+    coeff_order[k] and the entries coeff_ptr[k]..coeff_ptr[k + 1] - 1 of
+    coeff_i, coeff_j and coeff_v; free row f the entries
+    free_ptr[f]..free_ptr[f + 1] - 1 of free_j and free_v.  Row r has the
+    matrices entry_coeff[e] on the blocks entry_block[e], e in
+    row_ptr[r]..row_ptr[r + 1] - 1, in block order, the free row
+    row_free[r] placed at row_offset[r], rhs[r], and the name pre + label,
+    in order of the (pre, labels) sections; the objective has the
+    matrices objective_coeff on objective_block and the free row
+    objective_row.  The arrays are copied read-only and checked once: a
+    free entry past n_free would be written into the negated half of the
+    free block, and a matrix of another order than its block outside it.
+    from_rows packs Constraints; the views unpack them."""
 
     system: str
     sense: str
     blocks: tuple[PsdBlock, ...]
     n_free: int
-    objective_mats: dict[str, SparseSym]
-    objective_free: SparseVec
-    coeffs: tuple[SparseSym, ...]
-    free_rows: tuple[SparseVec, ...]
+    coeff_ptr: np.ndarray
+    coeff_order: np.ndarray
+    coeff_i: np.ndarray
+    coeff_j: np.ndarray
+    coeff_v: np.ndarray
+    free_ptr: np.ndarray
+    free_j: np.ndarray
+    free_v: np.ndarray
     row_ptr: np.ndarray
     entry_block: np.ndarray
     entry_coeff: np.ndarray
     row_free: np.ndarray
     row_offset: np.ndarray
     rhs: np.ndarray
+    objective_block: np.ndarray
+    objective_coeff: np.ndarray
+    objective_row: int
     sections: tuple[tuple[str, tuple[str, ...]], ...]
     var_map: dict[str, VarSlot]
 
     def __post_init__(self):
         set_ = functools.partial(object.__setattr__, self)
-        set_("objective_mats", {b: _sparse_sym(k) for b, k in self.objective_mats.items()})
-        set_("objective_free", _sparse_vec(self.objective_free))
-        for field in _ROW_FIELDS:
-            arr = np.array(getattr(self, field), dtype=float if field == "rhs" else np.int32)
+        floats = ("coeff_v", "free_v", "rhs")
+        for field in (f.name for f in dataclasses.fields(self) if f.type == "np.ndarray"):
+            arr = np.array(getattr(self, field), float if field in floats else np.int32)
             arr.setflags(write=False)
             set_(field, arr)
-        ptr, blk, ks, rows = self.row_ptr, self.entry_block, self.entry_coeff, self.rhs.size
-        ok = ptr.shape == (rows + 1,) and ptr[0] == 0 and ptr[-1] == blk.size == ks.size
-        ok = ok and np.all(np.diff(ptr) >= 0) and self.row_free.size == self.row_offset.size == rows
-        ok = ok and sum(len(labels) for _, labels in self.sections) == rows
-        for ids, table in zip((blk, ks, self.row_free), (self.blocks, self.coeffs, self.free_rows)):
-            ok = ok and (not ids.size or 0 <= ids.min() and ids.max() < len(table))
-        in_row = np.repeat(np.arange(rows), np.diff(ptr)) if ok else None
-        if not (ok and np.all((np.diff(blk) > 0) | (np.diff(in_row) > 0))):
+        set_("objective_row", operator.index(self.objective_row))
+        n_mats, n_frees = self.coeff_order.size, self.free_ptr.size - 1
+        rows, n_free = self.rhs.size, self.n_free
+        ok = (
+            _segments(self.coeff_ptr, n_mats, self.coeff_i, self.coeff_j, self.coeff_v)
+            and _segments(self.free_ptr, n_frees, self.free_j, self.free_v)
+            and _segments(self.row_ptr, rows, self.entry_block, self.entry_coeff)
+            and self.row_free.size == self.row_offset.size == rows
+            and sum(len(labels) for _, labels in self.sections) == rows
+            and self.objective_block.size == self.objective_coeff.size
+        )
+        if ok:  # The rows and then the objective as one more row.
+            ptr = np.concatenate([self.row_ptr, self.row_ptr[-1:] + self.objective_block.size])
+            blk, ks, frees, offs = (np.concatenate(pair, dtype=np.int32) for pair in (
+                (self.entry_block, self.objective_block), (self.entry_coeff, self.objective_coeff),
+                (self.row_free, [self.objective_row]), (self.row_offset, [0])))
+            for ids, size in ((blk, len(self.blocks)), (ks, n_mats), (frees, n_frees)):
+                ok = ok and (not ids.size or 0 <= ids.min() and ids.max() < size)
+        if not (ok and _rising(ptr, blk)):
             raise ValueError("row tables of unequal lengths, an id outside its table, or a row "
                              "whose blocks are not in block order")
-        orders = {b.name: b.order for b in self.blocks}
-        mats, free = self.objective_mats, self.objective_free
-        misfit = any(orders.get(b) != k.order for b, k in mats.items())
-        if misfit or free.length not in (self.n_free, 0):
-            raise _misfit("the objective", free.length, self.n_free, mats, orders)
-        bad = ~np.isin([v.length for v in self.free_rows], (self.n_free, 0))[self.row_free]
-        # The block orders, then the matrix orders: a row is bad where they differ.
-        sizes = np.array([b.order for b in self.blocks] + [k.order for k in self.coeffs])
-        bad[in_row[sizes[blk] != sizes[len(self.blocks) + ks]]] = True
-        if bad.any():
-            con = next(itertools.islice(self._rows(), int(np.argmax(bad)), None))
-            raise _misfit(f"constraint {con.name}", con.free.length, self.n_free, con.mats, orders)
+        order = np.repeat(self.coeff_order, np.diff(self.coeff_ptr))
+        if not (_entries_ok(self.coeff_ptr, order, self.coeff_i, self.coeff_j, self.coeff_v)
+                and np.all(self.free_j >= 0) and _rising(self.free_ptr, self.free_j)
+                and self.free_v.all()):
+            raise ValueError(f"a table holds {_BAD_ENTRY}, or a free row a negative, falling, "
+                             "repeated or zero entry")
+        # A row's free entries span first..last - 1 of its free row, placed
+        # at its offset; the first row whose span passes 0..n_free - 1, or
+        # whose matrix orders differ from its blocks', is refused by name.
+        full = np.diff(self.free_ptr) > 0
+        first, last = np.zeros((2, n_frees), np.int32)
+        first[full] = self.free_j[self.free_ptr[:-1][full]]
+        last[full] = self.free_j[self.free_ptr[1:][full] - 1] + 1
+        bad = full[frees] & ((offs + first[frees] < 0) | (offs + last[frees] > n_free))
+        orders = np.array([b.order for b in self.blocks], dtype=np.int32)
+        entry = np.flatnonzero(orders[blk] != self.coeff_order[ks])[:1]
+        misfits = np.flatnonzero(bad)[:1].tolist() + (np.searchsorted(ptr, entry, "right") - 1).tolist()
+        if misfits:
+            r = min(misfits)
+            lo, hi, f, off = (int(x[r]) for x in (ptr, ptr[1:], frees, offs))
+            pairs = zip(blk[lo:hi].tolist(), self.coeff_order[ks[lo:hi]].tolist())
+            names = [pre + label for pre, labels in self.sections for label in labels]
+            raise _misfit(
+                "the objective" if r == rows else f"constraint {names[r]}",
+                off + int(last[f]) if bad[r] else n_free, n_free,
+                {self.blocks[b].name: k for b, k in pairs}, {b.name: b.order for b in self.blocks},
+            )
 
     @staticmethod
     def from_rows(constraints: Sequence[Constraint], **fields) -> "StandardFormSdp":
-        """The system of the given rows and other fields.  A matrix, or a
-        free row's index and values arrays, given to several rows is held
-        once."""
-        index = {b.name: i for i, b in enumerate(fields["blocks"])}
-        orders, rows = {b.name: b.order for b in fields["blocks"]}, _Rows()
-        for con in constraints:
-            what, mats = f"constraint {con.name}", con.mats
-            if not mats.keys() <= index.keys():
-                raise _misfit(what, con.free.length, fields["n_free"], mats, orders)
-            cols = [(index[b], [rows.coeff_id(mats[b])]) for b in sorted(mats, key=index.get)]
-            rows.add(con.name, ("",), cols, *rows.free_id(con.free), con.rhs)
-        return rows.system(**fields)
+        """The system of the given rows and other fields, the objective
+        given as objective_mats and objective_free, dense or sparse as a
+        Constraint takes them.  A matrix, or a free row's index and values
+        arrays, given to several rows is held once."""
+        objective = Constraint(name="the objective", mats=fields.pop("objective_mats"),
+                               free=fields.pop("objective_free"), rhs=0.0)
+        blocks, n_free = fields["blocks"], fields["n_free"]
+        index, orders = {b.name: i for i, b in enumerate(blocks)}, {b.name: b.order for b in blocks}
+        # Table ids by the id() of a matrix or of a free row's arrays, with
+        # the objects, which keep those ids from reuse.
+        ids, rows = {}, _Rows()
 
-    def _rows(self) -> Iterator[Constraint]:
-        ptr, blk, ks = self.row_ptr.tolist(), self.entry_block.tolist(), self.entry_coeff.tolist()
-        names = (pre + label for pre, labels in self.sections for label in labels)
-        for name, lo, hi, f, off, rhs in zip(
-            names, ptr, ptr[1:], self.row_free.tolist(), self.row_offset.tolist(), self.rhs.tolist()
-        ):
-            v, mats = self.free_rows[f], zip(blk[lo:hi], ks[lo:hi])
-            mats = {self.blocks[b].name: self.coeffs[k] for b, k in mats}
-            yield Constraint(name=name, mats=mats, free=v._at(off, v.length) if off else v, rhs=rhs)
+        def table_id(key, obj, add):
+            if key not in ids:
+                ids[key] = add()[0], obj
+            return ids[key][0]
+
+        def mat_id(k):
+            return table_id(id(k), k, lambda: rows.matrices(
+                _Section(k.order, [k.size], k.rows, k.cols, k.vals)))
+
+        def free_id(v):
+            return table_id((id(v.idx), id(v.vals)), v, lambda: rows.free_rows(
+                _Section(None, [v.size], None, v.idx, v.vals)))
+
+        def cols(what, con):
+            if not con.mats.keys() <= index.keys() or con.free.length not in (n_free, 0):
+                given = {b: k.order for b, k in con.mats.items()}
+                raise _misfit(what, con.free.length, n_free, given, orders)
+            return [(index[b], [mat_id(con.mats[b])]) for b in sorted(con.mats, key=index.get)]
+
+        for con in constraints:
+            rows.add(con.name, ("",), cols(f"constraint {con.name}", con), free_id(con.free),
+                     con.free.offset, con.rhs)
+        # The objective's free row is held apart, at offset 0.
+        obj_cols, v = cols(objective.name, objective), SparseVec.from_dense(objective.free.dense())
+        return rows.system(objective_block=[b for b, _ in obj_cols],
+                           objective_coeff=[k for _, (k,) in obj_cols], objective_row=free_id(v),
+                           **fields)
+
+    def _mat(self, k: int) -> SparseSym:
+        lo, hi = self.coeff_ptr[k], self.coeff_ptr[k + 1]
+        entries = (tuple(a[lo:hi].tolist()) for a in (self.coeff_i, self.coeff_j, self.coeff_v))
+        return SparseSym._of(int(self.coeff_order[k]), *entries)
+
+    def _free(self, f: int) -> SparseVec:
+        lo, hi = self.free_ptr[f], self.free_ptr[f + 1]
+        return SparseVec._of(self.n_free, self.free_j[lo:hi], self.free_v[lo:hi], 0)
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        """The rows as Constraints, made on each read, for tests and tools;
-        they share the tables' matrices and arrays, and a free row at
-        offset 0 is the table's own.  No library code reads this view."""
-        return tuple(self._rows())
+        """The rows as Constraints, made on each read for tests and tools:
+        one SparseSym per matrix and one pair of arrays per free row of the
+        tables, shared by the rows that use them."""
+        mat, free = functools.cache(self._mat), functools.cache(self._free)
+        ptr, blk, ks = self.row_ptr.tolist(), self.entry_block.tolist(), self.entry_coeff.tolist()
+        names = (pre + label for pre, labels in self.sections for label in labels)
+        rows = zip(names, ptr, ptr[1:], self.row_free.tolist(), self.row_offset.tolist(), self.rhs.tolist())
+        return tuple(
+            Constraint(name, {self.blocks[b].name: mat(k) for b, k in zip(blk[lo:hi], ks[lo:hi])},
+                       SparseVec._of(self.n_free, free(f).idx, free(f).vals, off) if off else free(f), rhs)
+            for name, lo, hi, f, off, rhs in rows
+        )
+
+    @property
+    def objective_mats(self) -> dict[str, SparseSym]:
+        """The objective's matrices by block name, made on each read."""
+        pairs = zip(self.objective_block.tolist(), self.objective_coeff.tolist())
+        return {self.blocks[b].name: self._mat(k) for b, k in pairs}
+
+    @property
+    def objective_free(self) -> SparseVec:
+        """The objective's free row, made on each read."""
+        return self._free(self.objective_row)
+
+
+class _Section(NamedTuple):
+    """Entries for a table: counts[k] for each new matrix or free row, and
+    their (i, j), or j alone in a free row, and v concatenated, row-major
+    within each matrix, whose order is one for all or one each."""
+
+    order: object
+    counts: object
+    i: object
+    j: object
+    v: object
+
+
+def _append(table: list, sec: _Section) -> np.ndarray:
+    start = sum(len(x.counts) for x in table)
+    table.append(sec)
+    return np.arange(start, start + len(sec.counts), dtype=np.int32)
 
 
 class _Rows:
-    """A StandardFormSdp's row tables, filled a section of rows at a time.
-    A matrix gets its table id at its first use, and a free row the id of
-    its index and values arrays; the tables keep each alive, so no id()
-    is reused while they are filled."""
+    """A StandardFormSdp's tables, filled a section at a time: matrices and
+    free rows as whole sections, which take the next ids of their table,
+    and rows as (pre, labels) sections of id columns.  system concatenates
+    each table straight into its int32 or float64 array."""
 
     def __init__(self):
-        self.coeffs, self.free_rows, self.sections, self.parts, self.ids = [], [], [], [], {}
+        self.mats, self.frees, self.sections, self.parts = [], [], [], []
 
-    def _id(self, key, table: list, obj) -> int:
-        if key not in self.ids:
-            self.ids[key] = len(table)
-            table.append(obj)
-        return self.ids[key]
+    def matrices(self, sec: _Section) -> np.ndarray:
+        """Appends sec to the coefficient table; the ids of its matrices."""
+        return _append(self.mats, sec)
 
-    def coeff_id(self, k: SparseSym) -> int:
-        return self._id(id(k), self.coeffs, k)
+    def free_rows(self, sec: _Section) -> np.ndarray:
+        """Appends sec to the free table; the ids of its free rows."""
+        return _append(self.frees, sec)
 
-    def free_id(self, v: SparseVec) -> tuple[int, int]:
-        """v's table id and its offset."""
-        at0 = v._at(-v.offset, v.length) if v.offset else v
-        return self._id((id(v.idx), id(v.vals), v.length), self.free_rows, at0), v.offset
+    @functools.cached_property
+    def no_free(self) -> int:
+        """The id of the free row with no entries, appended at its first use."""
+        return int(self.free_rows(_Section(None, [0], None, (), ()))[0])
 
     def add(self, pre: str, labels: tuple, cols, free, offset, rhs) -> None:
         """Rows named pre + label, one per label: cols are (block index,
@@ -534,12 +518,24 @@ class _Rows:
         per_row = (np.broadcast_to(x, n) for x in (free, offset, rhs))
         self.parts.append((has.sum(1), blk[has], ids[has], *per_row))
 
-    def system(self, **fields) -> StandardFormSdp:
-        parts = self.parts or [(np.zeros(0, np.int32),) * len(_ROW_FIELDS)]
-        counts, *cols = (np.concatenate(col) for col in zip(*parts))
-        tables = dict(zip(_ROW_FIELDS, (np.concatenate([[0], np.cumsum(counts)]), *cols)))
-        return StandardFormSdp(coeffs=tuple(self.coeffs), free_rows=tuple(self.free_rows),
-                               sections=tuple(self.sections), **tables, **fields)
+    def system(self, objective_block=(), objective_coeff=(), **fields) -> StandardFormSdp:
+        def cat(parts, dtype=np.int32):
+            return np.concatenate([np.zeros(0, dtype)] + [np.asarray(p, dtype) for p in parts])
+
+        mats, frees = self.mats, self.frees
+        counts, blk, ks, free, offset, rhs = zip(*self.parts) if self.parts else [()] * 6
+        return StandardFormSdp(
+            coeff_ptr=np.cumsum(cat([[0], *(m.counts for m in mats)])),
+            coeff_order=cat(np.broadcast_to(m.order, len(m.counts)) for m in mats),
+            coeff_i=cat(m.i for m in mats), coeff_j=cat(m.j for m in mats),
+            coeff_v=cat((m.v for m in mats), float),
+            free_ptr=np.cumsum(cat([[0], *(f.counts for f in frees)])),
+            free_j=cat(f.j for f in frees), free_v=cat((f.v for f in frees), float),
+            row_ptr=np.cumsum(cat([[0], *counts])), entry_block=cat(blk), entry_coeff=cat(ks),
+            row_free=cat(free), row_offset=cat(offset), rhs=cat(rhs, float),
+            objective_block=objective_block, objective_coeff=objective_coeff,
+            sections=tuple(self.sections), **fields,
+        )
 
 
 @dataclass
@@ -551,36 +547,51 @@ class Assignment:
     free: np.ndarray
 
 
+def _expand(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, entry): for each table entry of the segments ids[0], ids[1], ...
+    in turn, its position in ids and its index in the table."""
+    lo = ptr[ids]
+    counts = ptr[ids + 1] - lo
+    at = np.repeat(np.arange(ids.size), counts)
+    return at, np.arange(at.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
+
+def _values(sdp: StandardFormSdp, assign: Assignment, ptr, blk, ks, frees, offsets) -> np.ndarray:
+    """Σ_B <K_B, Y_B> + free·u of each row of the tables ptr, blk, ks,
+    frees and offsets, with <K, Y> = Σ K_ij Y_ij over every (i, j) as for
+    the dense K: one gather from each table and one bincount per part."""
+    n_rows = ptr.size - 1
+    at, e = _expand(sdp.coeff_ptr, ks)
+    row, b = np.repeat(np.arange(n_rows), np.diff(ptr))[at], blk[at]
+    orders = np.array([x.order for x in sdp.blocks], dtype=int)
+    base = (np.cumsum(orders**2) - orders**2)[b]
+    y = np.concatenate([np.zeros(0)] + [np.ravel(assign.blocks[x.name]) for x in sdp.blocks])
+    i, j, order = sdp.coeff_i[e], sdp.coeff_j[e], orders[b]
+    pair = y[base + i * order + j] + y[base + j * order + i]
+    mats = np.bincount(row, np.where(i == j, 0.5, 1.0) * sdp.coeff_v[e] * pair, minlength=n_rows)
+    at, e = _expand(sdp.free_ptr, frees)
+    u = assign.free[offsets[at] + sdp.free_j[e]]
+    return np.bincount(at, sdp.free_v[e] * u, minlength=n_rows) + mats
+
+
 def residuals(sdp: StandardFormSdp, assign: Assignment) -> np.ndarray:
-    """Each row's value less its rhs: its free part, then its matrices in
-    block order."""
-    u, ys = assign.free, [assign.blocks[b.name] for b in sdp.blocks]
-    frees = map(sdp.free_rows.__getitem__, sdp.row_free.tolist())
-    out = np.array([v.vals @ u[off + v.idx] for v, off in zip(frees, sdp.row_offset.tolist())])
-    entries = zip(sdp.entry_block.tolist(), sdp.entry_coeff.tolist())
-    dots = [sdp.coeffs[k].dot(ys[b]) for b, k in entries]
-    np.add.at(out, np.repeat(np.arange(out.size), np.diff(sdp.row_ptr)), dots)
-    return out - sdp.rhs
+    """Each row's value less its rhs."""
+    tables = (sdp.row_ptr, sdp.entry_block, sdp.entry_coeff, sdp.row_free, sdp.row_offset)
+    return _values(sdp, assign, *tables) - sdp.rhs
 
 
 def max_violation(sdp: StandardFormSdp, assign: Assignment) -> float:
-    res = residuals(sdp, assign)
-    return float(np.max(np.abs(res))) if res.size else 0.0
+    return float(np.max(np.abs(residuals(sdp, assign)), initial=0.0))
 
 
 def min_block_eigenvalue(sdp: StandardFormSdp, assign: Assignment) -> float:
-    worst = 0.0
-    for b in sdp.blocks:
-        lam = float(np.linalg.eigvalsh(assign.blocks[b.name])[0])
-        worst = min(worst, lam)
-    return worst
+    return min([0.0] + [float(np.linalg.eigvalsh(assign.blocks[b.name])[0]) for b in sdp.blocks])
 
 
 def objective_value(sdp: StandardFormSdp, assign: Assignment) -> float:
-    total = sdp.objective_free.dot(assign.free)
-    for name, k in sdp.objective_mats.items():
-        total += k.dot(assign.blocks[name])
-    return total
+    obj = sdp.objective_block
+    one = (np.array([0, obj.size]), obj, sdp.objective_coeff, np.array([sdp.objective_row]))
+    return float(_values(sdp, assign, *one, np.zeros(1, int))[0])
 
 
 def extract(sdp: StandardFormSdp, assign: Assignment, name: str) -> np.ndarray:
@@ -589,10 +600,8 @@ def extract(sdp: StandardFormSdp, assign: Assignment, name: str) -> np.ndarray:
     if slot.kind == "free_vec":
         return assign.free[slot.offset : slot.offset + slot.length].copy()
     if slot.kind == "free_sym":
-        vals = assign.free[slot.offset : slot.offset + slot.length]
-        out = np.zeros((slot.order, slot.order))
-        for v, (i, j) in zip(vals, svec_order(slot.order)):
-            out[i, j] = out[j, i] = v
+        out, (i, j) = np.zeros((slot.order, slot.order)), svec_index(slot.order)
+        out[i, j] = out[j, i] = assign.free[slot.offset : slot.offset + slot.length]
         return out
     if slot.kind == "block":
         return assign.blocks[slot.block].copy()
@@ -600,22 +609,24 @@ def extract(sdp: StandardFormSdp, assign: Assignment, name: str) -> np.ndarray:
         blk = assign.blocks[slot.block]
         return blk[slot.row0 : slot.row0 + slot.rows, slot.col0 : slot.col0 + slot.cols].copy()
     if slot.kind == "tan_sum":
-        blk = assign.blocks[slot.block]
-        n = slot.order
-        w = blk[:n, n:]
+        w = assign.blocks[slot.block][: slot.order, slot.order :]
         return w + w.T
     raise ValueError(f"unknown slot kind {slot.kind!r}")
 
 
-def _free_sym_coeffs(a: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _free_sym_coeffs(a: np.ndarray) -> np.ndarray:
     """Coefficients c with c·x_utri = <A, X> for upper-triangle layout and
-    symmetric X; A itself need not be symmetric.  index is svec_index of
-    A's order, which the strong systems make once for all their rows."""
-    n = a.shape[0]
-    i, j = index
-    c = a[i, j]
-    c[n:] += a[j[n:], i[n:]]
+    symmetric X, for A or for each A of a stack; A need not be symmetric."""
+    n = a.shape[-1]
+    i, j = svec_index(n)
+    c = a[..., i, j]
+    c[..., n:] += a[..., j[n:], i[n:]]
     return c
+
+
+def _stack(mats: Sequence[SymMat], n: int) -> np.ndarray:
+    """The arrays of mats as one stack, of shape (len(mats), n, n)."""
+    return np.array([x.a for x in mats]).reshape(len(mats), n, n)
 
 
 def dram_size(n: int, m: int) -> tuple[int, int]:
@@ -634,26 +645,57 @@ def _pair_labels(n: int) -> tuple[str, ...]:
     return tuple(f"[{p},{q}]" for p, q in svec_order(n))
 
 
+def _units(n: int, order: int, sign: float) -> _Section:
+    """sign·E_pq in a matrix of the given order for each svec pair (p, q)
+    of order n, in svec order, with <E_pq, Y> = Y[p, q] for symmetric Y."""
+    i, j = svec_index(n)
+    return _Section(order, np.ones(i.size, np.int32), i, j, np.where(i == j, sign, 0.5 * sign))
+
+
+def _dense_mats(a: np.ndarray) -> _Section:
+    """The upper-triangle nonzeros of each matrix of the stack a."""
+    i, j = np.triu_indices(a.shape[-1])
+    tri = a[:, i, j]
+    k, e = np.nonzero(tri)
+    return _Section(a.shape[-1], np.count_nonzero(tri, axis=1), i[e], j[e], tri[k, e])
+
+
+def _coupling(m: _Section) -> _Section:
+    """[[0, K], [K, 0]] of order 2n for each K of m, of order n: K's entry
+    (i, j) sits at (i, n + j), so an off-diagonal entry gives two."""
+    off = m.i != m.j
+    mat = np.repeat(np.arange(m.counts.size), m.counts)
+    rows, cols = np.concatenate([m.i, m.j[off]]), m.order + np.concatenate([m.j, m.i[off]])
+    key = np.lexsort((cols, rows, np.concatenate([mat, mat[off]])))
+    counts = m.counts + np.bincount(mat[off], minlength=m.counts.size)
+    return _Section(2 * m.order, counts, rows[key], cols[key], np.concatenate([m.v, m.v[off]])[key])
+
+
+def _dense_rows(a: np.ndarray) -> _Section:
+    """The nonzeros of each row of the 2-d array a, as free rows."""
+    k, j = np.nonzero(a)
+    return _Section(None, np.count_nonzero(a, axis=1), None, j, a[k, j])
+
+
 def _ladder_system(
-    rows: _Rows, inst: SdpInstance, system: str, sense: str, objective_free: SparseVec,
-    slots: dict[str, VarSlot], *, count: int, rung: Sequence[tuple], step: int, rung_sign: float,
-    head_sign: float, head_free: Sequence[SparseVec], head_rhs: np.ndarray, last: Sequence = (),
+    rows: _Rows, inst: SdpInstance, system: str, sense: str, n_free: int, objective_row: int,
+    slots: dict[str, VarSlot], *, count: int, rung: tuple, step: int, head_sign: float,
+    head_free: tuple, head_rhs: np.ndarray, last: Sequence = (),
 ) -> StandardFormSdp:
     """The one ladder assembly behind dram, altram and pram, after the rows
     already in rows.
 
-    Rows, in order: for each rung i = 1..count the rows (label, K, free)
-    of rung, read as rung_sign·<K, U_i + V_i> + free·u = 0 with free
-    placed step·i further on (no matrices where K is None); the corner
-    ties T_i[:n, :n] = U_{i-1} for i = 2..count+1, T_{count+1} being
-    Thead; the head rows head_sign·(P + Vhead) + head_free[idx]·u =
-    head_rhs entrywise in svec order; the sections of last.  With
-    count = 0 there are no rungs, no coupling blocks and no ties, and the
-    head reads head_sign·P.  No coefficient depends on the rung, so every
-    rung and every tie holds the same matrix ids on its own blocks.
+    Rows, in order: for each rung i = 1..count, rung (labels, K, free)
+    gives one row per label, <K_k, U_i + V_i> + free·u = 0 for the first
+    len(K) and free·u = 0 for the rest, the free row ids (None for none)
+    placed step·i further on; the corner ties T_i[:n, :n] =
+    U_{i-1} for i = 2..count+1, T_{count+1} being Thead; the head rows
+    head_sign·(P + Vhead) + free·u = head_rhs entrywise in svec order,
+    head_free their (free row ids, offsets); the sections of last.  With
+    count = 0 the head reads head_sign·P alone.  No coefficient depends on
+    the rung, so every rung and every tie holds the same matrix ids.
     """
     n = inst.n
-    pairs = svec_order(n)
     # Blocks U1..Ucount, T2..Tcount, Thead, P: T_i at count + i - 2.
     tags = [str(i) for i in range(2, count + 1)] + ["head"] * (count > 0)
     blocks = [PsdBlock(f"U{i}", n) for i in range(1, count + 1)]
@@ -663,43 +705,27 @@ def _ladder_system(
         sub = dict(kind="sub_block", block=f"T{tag}", col0=n, rows=n, cols=n, order=n)
         vm[f"W{tag}"], vm[f"R{tag}"] = VarSlot(row0=0, **sub), VarSlot(row0=n, **sub)
         vm[f"V{tag}"] = VarSlot(kind="tan_sum", block=f"T{tag}", order=n)
-
-    def ids(mats, make=lambda k: k):  # the table ids of make(K), -1 for no K
-        return [-1 if k is None else rows.coeff_id(make(k)) for k in mats]
-
     if count:
-        signed = [k if k is None else k.signed(rung_sign) for _, k, _ in rung]
-        psd, coupled = ids(signed), ids(signed, SparseSym.coupling) if count > 1 else []
-        free, offset = zip(*(rows.free_id(v) for _, _, v in rung))
-        labels = tuple(label for label, _, _ in rung)
+        labels, k, free = rung
+        pad = np.full(len(labels) - k.counts.size, -1)
+        psd = np.concatenate([rows.matrices(k), pad])
+        coupled = np.concatenate([rows.matrices(_coupling(k)), pad]) if count > 1 else None
+        free = rows.no_free if free is None else free
         for i in range(1, count + 1):
             cols = [(i - 1, psd)] + [(count + i - 2, coupled)] * (i > 1)
-            rows.add(f"rung{i}_", labels, cols, free, np.add(offset, step * i), 0.0)
-        no_free = rows.free_id(SparseVec(objective_free.length, (), ()))[0]
-        corner = [rows.coeff_id(SparseSym.unit(2 * n, p, q)) for p, q in pairs]
-        prev_u = [rows.coeff_id(SparseSym.unit(n, p, q).signed(-1.0)) for p, q in pairs]
+            rows.add(f"rung{i}_", labels, cols, free, step * i, 0.0)
+        corner, prev_u = rows.matrices(_units(n, 2 * n, 1.0)), rows.matrices(_units(n, n, -1.0))
         for i, tag in enumerate(tags, start=2):
             cols = [(i - 2, prev_u), (count + i - 2, corner)]
-            rows.add(f"tie{tag}", _pair_labels(n), cols, no_free, 0, 0.0)
-    signed = [SparseSym.unit(n, p, q).signed(head_sign) for p, q in pairs]
-    free, offset = zip(*map(rows.free_id, head_free))
-    cols = [(2 * count - 1, ids(signed, SparseSym.coupling))] if count else []
-    cols.append((2 * count, ids(signed)))
-    rows.add("head_decomp", _pair_labels(n), cols, free, offset, head_rhs[svec_index(n)])
+            rows.add(f"tie{tag}", _pair_labels(n), cols, rows.no_free, 0, 0.0)
+    head = _units(n, n, head_sign)
+    cols = [(2 * count - 1, rows.matrices(_coupling(head)))] if count else []
+    cols.append((2 * count, rows.matrices(head)))
+    rows.add("head_decomp", _pair_labels(n), cols, *head_free, head_rhs[svec_index(n)])
     for section in last:
         rows.add(*section)
-    return rows.system(
-        system=system, sense=sense, blocks=tuple(blocks), n_free=objective_free.length,
-        objective_mats={}, objective_free=objective_free, var_map={**vm, **slots},
-    )
-
-
-def _at_cols(inst: SdpInstance, n_free: int) -> list[SparseVec]:
-    """Entry idx holds the coefficients of (𝒜*y)[p, q] on y, (p, q) the
-    idx-th svec pair, in a free row of length n_free."""
-    i, j = svec_index(inst.n)
-    at = np.array([a.a[i, j] for a in inst.a]).reshape(inst.m, i.size)
-    return [SparseVec.from_dense(col)._at(0, n_free) for col in at.T]
+    return rows.system(system=system, sense=sense, blocks=tuple(blocks), n_free=n_free,
+                       objective_row=objective_row, var_map={**vm, **slots})
 
 
 def _dual_ladder(inst: SdpInstance, system: str) -> StandardFormSdp:
@@ -710,18 +736,21 @@ def _dual_ladder(inst: SdpInstance, system: str) -> StandardFormSdp:
     last row of altram, <b, y> = -1."""
     n, m = inst.n, inst.m
     count = dual_ladder_length(n, m)
-    n_free = m * (count + 1)
-    at = _at_cols(inst, n_free)
-    b = SparseVec.from_dense(inst.b)._at(0, n_free)
-    units = [SparseSym.unit(n, p, q) for p, q in svec_order(n)]
-    rung = [*zip(["decomp" + s for s in _pair_labels(n)], units, at), ("rhs", None, b)]
+    rows = _Rows()
+    # Row idx of at holds the coefficients of (𝒜*y)[p, q] on y, (p, q) the
+    # idx-th svec pair.
+    i, j = svec_index(n)
+    at = rows.free_rows(_dense_rows(_stack(inst.a, n)[:, i, j].T))
+    b = int(rows.free_rows(_dense_rows(inst.b[None]))[0])
+    labels = tuple("decomp" + s for s in _pair_labels(n)) + ("rhs",)
     slots = {f"y{i or ''}": VarSlot("free_vec", offset=m * i, length=m) for i in range(count + 1)}
-    dram, rows = system == SYSTEM_DRAM, _Rows()
+    dram = system == SYSTEM_DRAM
     return _ladder_system(
-        rows, inst, system, SENSE_MAX, b if dram else SparseVec(n_free, (), ()), slots,
-        count=count, rung=rung, step=m, rung_sign=-1.0, head_sign=1.0 if dram else -1.0,
-        head_free=at, head_rhs=inst.c.a if dram else np.zeros((n, n)),
-        last=[] if dram else [("head_rhs", ("",), [], rows.free_id(b)[0], 0, -1.0)],
+        rows, inst, system, SENSE_MAX, m * (count + 1), b if dram else rows.no_free, slots,
+        count=count, rung=(labels, _units(n, n, -1.0), np.append(at, b)), step=m,
+        head_sign=1.0 if dram else -1.0, head_free=(at, 0),
+        head_rhs=inst.c.a if dram else np.zeros((n, n)),
+        last=[] if dram else [("head_rhs", ("",), [], b, 0, -1.0)],
     )
 
 
@@ -745,12 +774,11 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
     return _dual_ladder(inst, SYSTEM_ALTRAM)
 
 
-def _primal_eq(rows: _Rows, inst: SdpInstance, n_free: int) -> None:
+def _primal_eq(rows: _Rows, inst: SdpInstance) -> None:
     """Adds the rows 𝒜X = b over the utri layout of X at free offset 0."""
-    index = svec_index(inst.n)
-    free = [SparseVec.from_dense(_free_sym_coeffs(a.a, index))._at(0, n_free) for a in inst.a]
     labels = tuple(str(t) for t in range(1, inst.m + 1))
-    rows.add("primal_eq", labels, [], [rows.free_id(v)[0] for v in free], 0, inst.b)
+    free = rows.free_rows(_dense_rows(_free_sym_coeffs(_stack(inst.a, inst.n))))
+    rows.add("primal_eq", labels, [], free, 0, inst.b)
 
 
 def build_pram(inst: SdpInstance) -> StandardFormSdp:
@@ -766,17 +794,17 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
         if int(np.sum(s > max(s[0], 1.0) * INDEP_TOL)) < m:
             raise DependentConstraintsError("A_i are linearly dependent")
     nn = n * (n + 1) // 2
-    no_free, unit = SparseVec(nn, (), ()), SparseVec(nn, (0,), (1.0,))
-    rung = [(f"a{t + 1}", SparseSym.from_dense(a.a), no_free) for t, a in enumerate(inst.a)]
-    rung.append(("c", SparseSym.from_dense(inst.c.a), no_free))
     rows = _Rows()
-    _primal_eq(rows, inst, nn)
+    _primal_eq(rows, inst)
+    labels = tuple(f"a{t + 1}" for t in range(m)) + ("c",)
+    k = _dense_mats(_stack(inst.a + (inst.c,), n))
+    c = _free_sym_coeffs(inst.c.a)[None]
+    unit = rows.free_rows(_Section(None, [1], None, [0], [1.0]))
     return _ladder_system(
-        rows, inst, SYSTEM_PRAM, SENSE_MIN,
-        SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n))),
+        rows, inst, SYSTEM_PRAM, SENSE_MIN, nn, int(rows.free_rows(_dense_rows(c))[0]),
         {"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n)},
-        count=n - 1, rung=rung, step=0, rung_sign=1.0, head_sign=-1.0,
-        head_free=[unit._at(idx, nn) for idx in range(nn)], head_rhs=np.zeros((n, n)),
+        count=n - 1, rung=(labels, k, None), step=0, head_sign=-1.0,
+        head_free=(unit, np.arange(nn)), head_rhs=np.zeros((n, n)),
     )
 
 
@@ -796,54 +824,46 @@ def pstrong_spec_from_slack(slack: SymMat, eps: float = EPS_PSD) -> StrongDualSp
     return StrongDualSpec(q=cls.dec.q.copy(), r=cls.rank)
 
 
-def _rotated_entry(q: np.ndarray, p: int, qq: int, s: int, sign: float):
-    """sign·(Q V Qᵀ)[p, qq] as coefficients on a symmetric V split at s.
+def _rotated(q: np.ndarray, s: int, sign: float):
+    """sign·(Q V Qᵀ)[p, q] for each svec pair (p, q), as coefficients on a
+    symmetric V split at s: the leading s×s and the trailing diagonal
+    blocks of sign·outer(Q[p], Q[q]) and the row-major coefficients of
+    V[:s, s:], into which both off-diagonal blocks fold.  Adding 0.0 turns
+    the products' -0.0 into 0.0."""
+    i, j = svec_index(q.shape[0])
+    c = sign * (q[i][:, :, None] * q[j][:, None, :]) + 0.0
+    return c[:, :s, :s], c[:, s:, s:], (c[:, :s, s:] + c[:, s:, :s].transpose(0, 2, 1)).reshape(i.size, -1)
 
-    Returns the leading s×s and the trailing diagonal blocks of
-    sign·outer(Q[p], Q[qq]) and the row-major coefficients of V[:s, s:],
-    into which both off-diagonal blocks fold.  Adding 0.0 turns the
-    products' -0.0 into 0.0.
-    """
-    c = sign * np.outer(q[p], q[qq]) + 0.0
-    return c[:s, :s], c[s:, s:], (c[:s, s:] + c[s:, :s].T).reshape(-1)
 
-
-def _strong_rows(rows: _Rows, pre: str, n: int, rhs, entries: Iterator[tuple]) -> None:
-    """Adds one row per svec pair of order n from entries, the dense free
-    row and block matrix of each; the row holds the matrix's symmetric
-    part, and no matrix where it is zero."""
-    ids, free = [], []
-    for v, k in entries:
-        ids.append(rows.coeff_id(SparseSym.from_dense((k + k.T) / 2.0)) if np.any(k) else -1)
-        free.append(rows.free_id(SparseVec.from_dense(v))[0])
-    rows.add(pre, _pair_labels(n), [(0, ids)], free, 0, rhs)
+def _strong_rows(rows: _Rows, pre: str, n: int, rhs, free: np.ndarray, k: np.ndarray) -> None:
+    """Adds one row per svec pair of order n: its free row from the stack
+    free, and the symmetric part of its k, none where k is zero."""
+    has = k.any(axis=(1, 2))
+    ids = np.full(has.size, -1)
+    ids[has] = rows.matrices(_dense_mats((k[has] + k[has].transpose(0, 2, 1)) / 2.0))
+    rows.add(pre, _pair_labels(n), [(0, ids)], rows.free_rows(_dense_rows(free)), 0, rhs)
 
 
 def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     """The strong dual: C - 𝒜*y = QVQᵀ with only V₂₂ (trailing r) PSD."""
     n, m = inst.n, inst.m
     spec.validate(n)
-    r, q = spec.r, spec.q
-    f = n - r  # order of the free leading part
+    r, f = spec.r, n - spec.r  # f: the order of the free leading part
     # Free layout: y (m), V11 utri (f(f+1)/2), V12 row-major (f*r).
     n11 = f * (f + 1) // 2
-    n_free = m + n11 + f * r
-    index = svec_index(f)
-
-    def entry(p, qq):
-        k11, k22, k12 = _rotated_entry(q, p, qq, f, 1.0)
-        free = [[a.a[p, qq] for a in inst.a], _free_sym_coeffs(k11, index), k12]
-        return np.concatenate(free), k22
-
+    k11, k22, k12 = _rotated(spec.q, f, 1.0)
+    i, j = svec_index(n)
+    at = _stack(inst.a, n)[:, i, j].T
     rows = _Rows()
-    _strong_rows(rows, "slack_eq", n, inst.c.a[svec_index(n)], (entry(*pq) for pq in svec_order(n)))
+    free = np.concatenate([at, _free_sym_coeffs(k11), k12], axis=1)
+    _strong_rows(rows, "slack_eq", n, inst.c.a[i, j], free, k22)
     vm = {"y": VarSlot(kind="free_vec", offset=0, length=m),
           "V11": VarSlot(kind="free_sym", offset=m, length=n11, order=f)}
     if r:
         vm["V22"] = VarSlot(kind="block", block="V22", order=r)
     return rows.system(system="dstrong", sense=SENSE_MAX, blocks=(PsdBlock("V22", r),) if r else (),
-                       n_free=n_free, objective_mats={},
-                       objective_free=SparseVec.from_dense(inst.b)._at(0, n_free), var_map=vm)
+                       n_free=m + n11 + f * r,
+                       objective_row=rows.free_rows(_dense_rows(inst.b[None]))[0], var_map=vm)
 
 
 def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
@@ -851,31 +871,22 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     V PSD (the max-rank slack's PD block position)."""
     n = inst.n
     spec.validate(n)
-    r, q = spec.r, spec.q
-    f = n - r
+    r, f = spec.r, n - spec.r
     nn = n * (n + 1) // 2
     # Free layout: X utri (nn), V22 utri (f(f+1)/2), V12 row-major (r*f).
     n22 = f * (f + 1) // 2
-    n_free = nn + n22 + r * f
-    index = svec_index(f)
-
-    def entry(idx, p, qq):
-        k11, k22, k12 = _rotated_entry(q, p, qq, r, -1.0)
-        free = np.concatenate([np.zeros(nn), _free_sym_coeffs(k22, index), k12])
-        free[idx] = 1.0
-        return free, k11
-
+    k11, k22, k12 = _rotated(spec.q, r, -1.0)
     rows = _Rows()
-    _primal_eq(rows, inst, n_free)
-    entries = (entry(idx, p, qq) for idx, (p, qq) in enumerate(svec_order(n)))
-    _strong_rows(rows, "shape_eq", n, 0.0, entries)
+    _primal_eq(rows, inst)
+    free = np.concatenate([np.eye(nn), _free_sym_coeffs(k22), k12], axis=1)
+    _strong_rows(rows, "shape_eq", n, 0.0, free, k11)
     vm = {"X": VarSlot(kind="free_sym", offset=0, length=nn, order=n),
           "V22": VarSlot(kind="free_sym", offset=nn, length=n22, order=f)}
     if r:
         vm["V11"] = VarSlot(kind="block", block="V11", order=r)
-    objective = SparseVec.from_dense(_free_sym_coeffs(inst.c.a, svec_index(n)))._at(0, n_free)
+    objective = rows.free_rows(_dense_rows(_free_sym_coeffs(inst.c.a)[None]))[0]
     return rows.system(system="pstrong", sense=SENSE_MIN, blocks=(PsdBlock("V11", r),) if r else (),
-                       n_free=n_free, objective_mats={}, objective_free=objective, var_map=vm)
+                       n_free=nn + n22 + r * f, objective_row=objective, var_map=vm)
 
 
 def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
@@ -884,14 +895,14 @@ def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
     Z is feasible iff Z = C - 𝒜*y for a dual-feasible y, and
     <X0, Z> + <y, b> = <X0, C> is constant, so optima correspond too.
     """
-    comp = complement_basis(inst)
-    rows, no_free = _Rows(), SparseVec(0, (), ())
-    ids = [rows.coeff_id(SparseSym.from_dense(d.a)) for d in comp.d]
+    comp, n = complement_basis(inst), inst.n
+    rows = _Rows()
+    ids = rows.matrices(_dense_mats(_stack(comp.d, n)))
     labels = tuple(str(j + 1) for j in range(comp.ell))
-    rows.add("red_eq", labels, [(0, ids)], rows.free_id(no_free)[0], 0, comp.d_vals)
-    sdp = rows.system(system="red", sense=SENSE_MIN, blocks=(PsdBlock("Z", inst.n),), n_free=0,
-                      objective_mats={"Z": SparseSym.from_dense(comp.x0.a)}, objective_free=no_free,
-                      var_map={"Z": VarSlot(kind="block", block="Z", order=inst.n)})
+    rows.add("red_eq", labels, [(0, ids)], rows.no_free, 0, comp.d_vals)
+    sdp = rows.system(system="red", sense=SENSE_MIN, blocks=(PsdBlock("Z", n),), n_free=0,
+                      objective_block=(0,), objective_coeff=rows.matrices(_dense_mats(comp.x0.a[None])),
+                      objective_row=rows.no_free, var_map={"Z": VarSlot(kind="block", block="Z", order=n)})
     return sdp, comp
 
 

@@ -21,17 +21,14 @@ two writes of the same object are byte-identical.  write_sdpa writes the
 text chunk by chunk as it is formatted, _CHUNK_ROWS rows a chunk, so the
 whole text is never held; the *_text functions join the same chunks.
 
-An emitted system is written straight from its row tables: each
-SparseSym becomes a template, its stored entries' lines with the
-"matno blkno " prefix left open, into which each row splices its prefix,
-and each SparseVec its pairs of free-block lines.  The write first counts
-the uses of each table entry, a bincount of the rows' id arrays, and
-keeps a template, or the texts of a free row's values, in a list by id
-only while uses remain, so text used once is never kept.  Instance text
-keeps no memo and formats each matrix through its sparse form, one per
-chunk: its matrices do not repeat, so instance_digest, which hashes this
-text to check a certificate file that carries the older instance-hash
-field, holds one matrix's lines at a time.
+An emitted system is written straight from its tables: each matrix of
+the coefficient table becomes a template, its lines with the "matno
+blkno " prefix left open for each row to splice in, and each free row the
+texts of its values.  The write counts the uses of each table entry, a
+bincount of the rows' id arrays, and keeps a text only while uses
+remain, so text used once is never kept.  Instance text keeps no memo:
+its matrices do not repeat, so instance_digest holds one matrix's lines
+at a time.
 """
 
 from __future__ import annotations
@@ -39,11 +36,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .builders import SparseSym, StandardFormSdp
+from .builders import StandardFormSdp
 from .model import SdpInstance
 from .symmat import SymMat
 
@@ -58,10 +55,6 @@ class UnsupportedBlockStructureError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # Rows per chunk of an emitted system.  A chunk holds its rows' text twice
 # (the pieces and their join), and a pram row at n = 18 can take 14 kB: the
 # write of that system peaked at 2.6 MB with 32-row chunks and at 12.6 MB
@@ -71,8 +64,10 @@ _CHUNK_ROWS = 32
 
 @functools.lru_cache(maxsize=64)
 def _ij_texts(order: int) -> tuple[tuple[str, ...], ...]:
-    """The text "i j " (1-based) of entry (i, j) of an order-n matrix."""
-    return tuple(tuple(f"{i} {j} " for j in range(1, order + 1)) for i in range(1, order + 1))
+    """The text "i j " (1-based) of entry (i, j), i <= j, of an order-n
+    matrix, and "" below the diagonal, which no entry reaches."""
+    rows = range(1, order + 1)
+    return tuple(tuple(f"{i} {j} " if i <= j else "" for j in rows) for i in rows)
 
 
 @functools.lru_cache(maxsize=64)
@@ -81,35 +76,14 @@ def _diag_texts(size: int) -> tuple[str, ...]:
     return tuple(f"{j} {j} " for j in range(1, size + 1))
 
 
-def _template(k: SparseSym) -> str:
-    r"""The line "\0i j value\n" of each stored entry of k, row-major;
-    replacing "\0" by "matno blkno " gives a row's lines."""
-    ij = _ij_texts(k.order)
-    return "".join([f"\0{ij[i][j]}{v!r}\n" for i, j, v in zip(k.rows, k.cols, k.vals)])
-
-
-def _value_texts(vals: np.ndarray) -> tuple[list[str], list[str]]:
-    """The line ends "value\n" of each value and of its negation."""
-    pos, neg = [], []
-    for v in vals.tolist():
-        # The text of -v is that of v with its sign flipped; nan has none.
-        text = repr(v)
-        pos.append(text + "\n")
-        neg.append((text[1:] if text[0] == "-" else "-" + text if v == v else text) + "\n")
-    return pos, neg
-
-
-def _memo(table: Sequence, ids: np.ndarray, make: Callable) -> Callable[[int], object]:
-    """text(k) = make(table[k]), made once and kept only while ids holds a
-    use of k not yet asked for, so text used once is never kept."""
-    left = np.bincount(ids, minlength=len(table)).tolist()
-    memo: list = [None] * len(table)
+def _memo(size: int, ids: np.ndarray, make: Callable) -> Callable:
+    """text(k) = make(k), made once and kept only while ids holds a use of
+    k not yet asked for, so text used once is never kept."""
+    left, memo = np.bincount(ids, minlength=size).tolist(), [None] * size
 
     def text(k: int):
         left[k] -= 1
-        out = memo[k]
-        if out is None:
-            out = make(table[k])
+        out = make(k) if memo[k] is None else memo[k]
         memo[k] = out if left[k] else None
         return out
 
@@ -119,9 +93,14 @@ def _memo(table: Sequence, ids: np.ndarray, make: Callable) -> Callable[[int], o
 def instance_chunks(inst: SdpInstance) -> Iterator[str]:
     """The header, then one chunk per matrix: an instance's matrices do not
     repeat, so nothing is kept from one matrix to the next."""
-    yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(_fmt(v) for v in inst.b)]) + "\n"
+    yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(map(repr, inst.b.tolist()))]) + "\n"
+    i, j = np.triu_indices(inst.n)
+    ij = _ij_texts(inst.n)
     for t, mat in enumerate((inst.c,) + tuple(inst.a)):
-        yield _template(SparseSym.from_dense(mat.a)).replace("\0", f"{t} 1 ")
+        tri = mat.a[i, j]
+        k = np.flatnonzero(tri)
+        pre, entries = f"{t} 1 ", zip(i[k].tolist(), j[k].tolist(), tri[k].tolist())
+        yield "".join([f"{pre}{ij[a][b]}{x!r}\n" for a, b, x in entries])
 
 
 def instance_to_sdpa_text(inst: SdpInstance) -> str:
@@ -138,25 +117,38 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     sizes = [str(b.order) for b in sdp.blocks] + [str(-2 * n_free)] * (n_free > 0)
     yield f"{rows}\n{len(sizes)}\n{' '.join(sizes)}\n{' '.join(map(repr, sdp.rhs.tolist()))}\n"
     diag = _diag_texts(2 * n_free)
+    ij = _ij_texts(max((b.order for b in sdp.blocks), default=1))
+    cptr, ci, cj, cv = (a.tolist() for a in (sdp.coeff_ptr, sdp.coeff_i, sdp.coeff_j, sdp.coeff_v))
+    fptr = sdp.free_ptr.tolist()
 
-    def free_lines(t, v, off, texts):
-        # Free rows have length n_free or 0, so one with entries has n_free.
+    def mat_lines(k, pre="\0", sign=1.0):
+        lo, hi = cptr[k], cptr[k + 1]
+        if hi - lo == 1:  # most matrices of a ladder are units
+            return f"{pre}{ij[ci[lo]][cj[lo]]}{sign * cv[lo]!r}\n"
+        vals = cv[lo:hi] if sign > 0 else [-v for v in cv[lo:hi]]
+        return "".join([f"{pre}{ij[a][b]}{x!r}\n" for a, b, x in zip(ci[lo:hi], cj[lo:hi], vals)])
+
+    def value_texts(f, sign=1.0):
+        # The line ends "c\n" and "-c\n" of each value c of free row f:
+        # the text of -c is that of c with its sign flipped; nan has none.
+        vals = sdp.free_v[fptr[f] : fptr[f + 1]].tolist()
+        texts = list(map(repr, vals if sign > 0 else [-v for v in vals]))
+        neg = [t[1:] if t[0] == "-" else "-" + t if t != "nan" else t for t in texts]
+        return [t + "\n" for t in texts], [t + "\n" for t in neg]
+
+    def free_lines(t, f, off, texts):
         pre, (pos, neg) = f"{t} {free_blk} ", texts
         return [
             f"{pre}{diag[off + j]}{p}{pre}{diag[n_free + off + j]}{q}"
-            for j, p, q in zip(v.idx.tolist(), pos, neg)
+            for j, p, q in zip(sdp.free_j[fptr[f] : fptr[f + 1]].tolist(), pos, neg)
         ]
 
-    sign = 1.0 if sdp.sense == "max" else -1.0
-    index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    pieces = [
-        _template(sdp.objective_mats[name].signed(sign)).replace("\0", f"0 {index[name]} ")
-        for name in sorted(sdp.objective_mats, key=index.__getitem__)
-    ]
-    obj = sdp.objective_free.signed(sign)
-    yield "".join(pieces + free_lines(0, obj, obj.offset, _value_texts(obj.vals)))
-    mat_text = _memo(sdp.coeffs, sdp.entry_coeff, _template)
-    free_text = _memo(sdp.free_rows, sdp.row_free, lambda v: _value_texts(v.vals))
+    sign, f = 1.0 if sdp.sense == "max" else -1.0, sdp.objective_row
+    objective = zip(sdp.objective_block.tolist(), sdp.objective_coeff.tolist())
+    pieces = [mat_lines(k, f"0 {b + 1} ", sign) for b, k in objective]
+    yield "".join(pieces + free_lines(0, f, 0, value_texts(f, sign)))
+    mat_text = _memo(len(cptr) - 1, sdp.entry_coeff, mat_lines)
+    free_text = _memo(len(fptr) - 1, sdp.row_free, value_texts)
     for lo in range(0, rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, rows)
         e0, e1 = sdp.row_ptr[lo], sdp.row_ptr[hi]
@@ -166,13 +158,20 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
         pieces = []
         for t, a, z, f, off in zip(range(lo + 1, hi + 1), ptr, ptr[1:], frees, offs):
             pieces += [mat_text(k).replace("\0", f"{t} {b + 1} ") for b, k in entries[a:z]]
-            if sdp.free_rows[f].size:
-                pieces += free_lines(t, sdp.free_rows[f], off, free_text(f))
+            if fptr[f] < fptr[f + 1]:
+                pieces += free_lines(t, f, off, free_text(f))
         yield "".join(pieces)
 
 
 def standard_form_to_sdpa_text(sdp: StandardFormSdp) -> str:
     return "".join(_standard_form_chunks(sdp))
+
+
+_SLOT_FIELDS = {
+    "free_vec": ("offset", "length"), "free_sym": ("offset", "length", "order"),
+    "block": ("block",), "sub_block": ("block", "row0", "col0", "rows", "cols"),
+    "tan_sum": ("block", "order"),
+}
 
 
 def varmap_sidecar_text(sdp: StandardFormSdp) -> str:
@@ -185,19 +184,8 @@ def varmap_sidecar_text(sdp: StandardFormSdp) -> str:
         out.append(f"free-block {len(sdp.blocks) + 1} {2 * sdp.n_free}")
     for name in sorted(sdp.var_map):
         slot = sdp.var_map[name]
-        if slot.kind == "free_vec":
-            out.append(f"slot {name} free_vec {slot.offset} {slot.length}")
-        elif slot.kind == "free_sym":
-            out.append(f"slot {name} free_sym {slot.offset} {slot.length} {slot.order}")
-        elif slot.kind == "block":
-            out.append(f"slot {name} block {slot.block}")
-        elif slot.kind == "sub_block":
-            out.append(
-                f"slot {name} sub_block {slot.block} {slot.row0} {slot.col0} "
-                f"{slot.rows} {slot.cols}"
-            )
-        elif slot.kind == "tan_sum":
-            out.append(f"slot {name} tan_sum {slot.block} {slot.order}")
+        fields = [str(getattr(slot, f)) for f in _SLOT_FIELDS[slot.kind]]
+        out.append(" ".join(["slot", name, slot.kind, *fields]))
     return "\n".join(out) + "\n"
 
 
@@ -206,11 +194,9 @@ def write_sdpa(obj: Union[SdpInstance, StandardFormSdp], path: str) -> None:
     The text is written chunk by chunk as it is formatted; if formatting
     fails part way, the partial file is removed."""
     if isinstance(obj, SdpInstance):
-        chunks = instance_chunks(obj)
-        sidecar = None
+        chunks, sidecar = instance_chunks(obj), None
     elif isinstance(obj, StandardFormSdp):
-        chunks = _standard_form_chunks(obj)
-        sidecar = varmap_sidecar_text(obj)
+        chunks, sidecar = _standard_form_chunks(obj), varmap_sidecar_text(obj)
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as SDPA")
     try:

@@ -35,6 +35,7 @@ another SymMat's ``.a``); it copies any other input (see SymMat).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -88,6 +89,18 @@ def _shareable(a) -> bool:
     )
 
 
+def _average_large(a: np.ndarray) -> np.ndarray:
+    """(a + aᵀ)/2 for an a whose squares overflow or that is not finite:
+    where a + aᵀ overflows, from finite entries above DBL_MAX/2 in
+    magnitude, they are halved before adding, and every other entry keeps
+    the bits of the plain average.  (Below 1e154 nothing can overflow.)"""
+    with np.errstate(over="ignore"):
+        avg = (a + a.T) / 2.0
+    over = np.isinf(avg) & np.isfinite(a) & np.isfinite(a.T)
+    avg[over] = a[over] / 2.0 + a.T[over] / 2.0
+    return avg
+
+
 class SymMat:
     """Immutable dense symmetric matrix of order n.
 
@@ -96,10 +109,10 @@ class SymMat:
     already is such an array, owned and read-only, bitwise symmetric and
     within ±DBL_MAX/2, is shared, since (A + Aᵀ)/2 would return its own
     bits.  Any other input (a writable array, a view, another dtype, a
-    nested list, a nonsymmetric array, or one with a larger entry, which
-    the average turns into ±inf) is copied and averaged with its
-    transpose, so writing to the input afterwards leaves the SymMat as it
-    is.
+    nested list, a nonsymmetric array, or one with a larger entry) is
+    copied and averaged with its transpose, halving first where the sum
+    would overflow, so writing to the input afterwards leaves the SymMat
+    as it is.
     """
 
     __slots__ = ("_a",)
@@ -109,7 +122,7 @@ class SymMat:
             a = entries
         else:
             a = _as_square_array(entries)
-            a = (a + a.T) / 2.0
+            a = (a + a.T) / 2.0 if math.isfinite(np.vdot(a, a)) else _average_large(a)
             a.flags.writeable = False
         object.__setattr__(self, "_a", a)
 

@@ -177,9 +177,11 @@ def pad_ladder(cert: RamanaCertificate, inst: SdpInstance) -> RamanaCertificate:
 
 
 def _require_finite(what: str, values) -> None:
-    """Refuse NaN and ±inf: every check compares with '>', which a NaN passes."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} has a non-finite entry")
+    """Refuse NaN and ±inf, and values whose norm overflows: every check
+    compares with '>', which a NaN passes, and scales its tolerance with a
+    norm, which an infinite one would let pass anything."""
+    if not (np.all(np.isfinite(values)) and np.isfinite(np.vdot(values, values))):
+        raise ValueError(f"{what} has a non-finite entry or norm")
 
 
 def _check_cert_shape(inst: SdpInstance, cert: RamanaCertificate, *systems: str) -> None:

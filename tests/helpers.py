@@ -233,3 +233,22 @@ def ladder_verdicts(inst: SdpInstance, cert):
     except InductionBreakError as exc:
         return outcome, str(exc)
     return outcome, (rep.q_total.tobytes(), rep.r, rep.frs_valid, rep.u_membership)
+
+
+
+def reference_residuals(sdp, assign):
+    """(residuals, scales) of each row of ``sdp`` at ``assign``, by one
+    Python product per stored entry of the row's matrices and free row,
+    read through the constraints view: the loop that builders.residuals
+    replaced.  scales[r] sums the magnitudes of row r's terms and rhs."""
+    res, scales = [], []
+    for con in sdp.constraints:
+        v = con.free
+        terms = (v.vals * assign.free[v.offset + v.idx]).tolist()
+        for name, k in con.mats.items():
+            y = assign.blocks[name]
+            for i, j, x in zip(k.rows, k.cols, k.vals):
+                terms.append(x * y[i, j] if i == j else x * (y[i, j] + y[j, i]))
+        res.append(sum(terms) - con.rhs)
+        scales.append(sum(map(abs, terms)) + abs(con.rhs))
+    return np.array(res), np.array(scales)

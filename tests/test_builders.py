@@ -50,7 +50,7 @@ from ramanasdp.builders import (
     residuals,
 )
 from ramanasdp.registry import all_ids, get
-from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text
+from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text, write_sdpa
 from ramanasdp.model import svec_index, svec_order
 from ramanasdp.verify import LadderRung, RamanaCertificate, dual_ladder_length, pad_ladder
 
@@ -60,6 +60,7 @@ from helpers import (
     inst_unattained,
     random_degenerate_instance,
     random_orthonormal,
+    reference_residuals,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -185,24 +186,21 @@ class TestSharedCoefficients:
         asg = embed_certificate(sdp, inst, cert)
         # The same system with its own copy of every coefficient, as each
         # constraint held before the builders shared them.
-        unshared = dataclasses.replace(
-            sdp,
-            coeffs=tuple(
-                SparseSym(k.order, k.rows, k.cols, k.vals)
-                for k in map(sdp.coeffs.__getitem__, sdp.entry_coeff)
-            ),
-            entry_coeff=np.arange(sdp.entry_coeff.size),
-            free_rows=tuple(
-                SparseVec(v.length, v.idx, v.vals) for v in map(sdp.free_rows.__getitem__, sdp.row_free)
-            ),
-            row_free=np.arange(sdp.rhs.size),
+        copies = [
+            Constraint(
+                name=con.name,
+                mats={b: SparseSym(k.order, k.rows, k.cols, k.vals) for b, k in con.mats.items()},
+                free=SparseVec(con.free.length, con.free.idx, con.free.vals, con.free.offset),
+                rhs=con.rhs,
+            )
+            for con in sdp.constraints
+        ]
+        unshared = StandardFormSdp.from_rows(
+            copies, **{f: getattr(sdp, f) for f in TestRowTables.FIELDS}
         )
-        assert len(unshared.coeffs) == sdp.entry_coeff.size > 2 * len(sdp.coeffs)
-        assert not any(
-            a is b
-            for x, y in zip(sdp.constraints, unshared.constraints)
-            for a, b in zip((x.free, *x.mats.values()), (y.free, *y.mats.values()))
-        )
+        assert unshared.coeff_order.size == sdp.entry_coeff.size > 2 * sdp.coeff_order.size
+        # One free row per row, and the objective's.
+        assert unshared.free_ptr.size - 1 == sdp.rhs.size + 1
         assert np.array_equal(residuals(sdp, asg), residuals(unshared, asg))
         assert max_violation(sdp, asg) == max_violation(unshared, asg) <= 1e-10
         assert min_block_eigenvalue(sdp, asg) >= -1e-10
@@ -419,8 +417,9 @@ class TestSparseForm:
         assert con.free.length == 3 and con.mats["A"].order == 2
 
     def test_size_and_nonzero_count_read_the_stored_entries(self):
-        # What the benchmark's tracer reads of every coefficient.
-        k, v = SparseSym.unit(4, 1, 3).coupling(), SparseVec.from_dense([0.0, 3.0, -1.0])
+        # What the benchmark's tracer reads of every coefficient: here the
+        # coupling matrix of E_13 of order 4.
+        k, v = SparseSym(8, (1, 3), (7, 5), (0.5, 0.5)), SparseVec.from_dense([0.0, 3.0, -1.0])
         assert (k.size, int((k != 0).sum())) == (2, 2)
         assert (v.size, int((v != 0).sum())) == (2, 2)
 
@@ -437,10 +436,6 @@ class TestSparseForm:
         ]:
             with pytest.raises(ValueError, match=msg):
                 SparseSym(3, rows, cols, vals)
-        with pytest.raises(ValueError, match="upper triangle"):
-            SparseSym.unit(3, 2, 1)
-        with pytest.raises(ValueError, match="sign"):
-            SparseSym.unit(3, 0, 1).signed(2.0)
 
     def test_hand_built_vector_is_checked(self):
         idx, vals = np.array([0, 2]), np.array([1.0, -3.0])
@@ -459,20 +454,18 @@ class TestSparseForm:
         ]:
             with pytest.raises(ValueError, match=msg):
                 SparseVec(length, idx, vals, offset)
-        with pytest.raises(ValueError, match="sign"):
-            v.signed(0.5)
 
     def test_row_that_does_not_fit_its_system_is_refused(self):
         # A free row longer than n_free would be written into the negated
         # half of the free block; a matrix of another order than its block
         # would be written outside it.
-        blocks, one = (PsdBlock("A", 2),), SparseSym.unit(2, 0, 0)
+        blocks, one = (PsdBlock("A", 2),), SparseSym(2, (0,), (0,), (1.0,))
         rows = {
             "free length 4": Constraint(
                 name="c", mats={"A": one}, free=SparseVec(4, (3,), (1.0,)), rhs=0.0
             ),
             "matrix orders {'A': 3}": Constraint(
-                name="c", mats={"A": SparseSym.unit(3, 0, 0)}, free=np.zeros(2), rhs=0.0
+                name="c", mats={"A": SparseSym(3, (0,), (0,), (1.0,))}, free=np.zeros(2), rhs=0.0
             ),
             "blocks {'B': None}": Constraint(name="c", mats={"B": one}, free=np.zeros(2), rhs=0.0),
         }
@@ -495,18 +488,50 @@ class TestSparseForm:
         # also for a Y that is not symmetric.
         a = np.array([[1.0, -2.0, 0.0], [-2.0, 0.0, 0.5], [0.0, 0.5, 3.0]])
         y = np.arange(9.0).reshape(3, 3) ** 2
-        k = SparseSym.from_dense(a)
-        assert k.dot(y) == np.sum(a * y)
-        assert k.coupling().dot(_coupling(y)) == np.sum(_coupling(a) * _coupling(y))
+        sdp = StandardFormSdp.from_rows(
+            [
+                Constraint(name="k", mats={"A": a}, free=np.zeros(0), rhs=0.0),
+                Constraint(name="t", mats={"T": _coupling(a)}, free=np.zeros(0), rhs=0.0),
+            ],
+            system="hand", sense="min", blocks=(PsdBlock("A", 3), PsdBlock("T", 6)), n_free=0,
+            objective_mats={"A": a}, objective_free=np.zeros(0), var_map={},
+        )
+        asg = Assignment(blocks={"A": y, "T": _coupling(y)}, free=np.zeros(0))
+        want = [np.sum(a * y), np.sum(_coupling(a) * _coupling(y))]
+        assert residuals(sdp, asg).tolist() == want
+        assert objective_value(sdp, asg) == want[0]
 
     def test_build_dram_holds_little_memory(self):
         # The emit benchmark's peak op builds dram at n = 18, m = 5: 7.9 MB
         # of dense coefficients, 0.99 MB held as one object per row, 0.27
-        # MB held as row tables.
+        # MB as row tables of coefficient objects, 0.13 MB as one
+        # coordinate table.  Its view counts the stored entries it did as
+        # row tables of objects.
         inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
         sdp, held = _held(build_dram, inst)
-        assert len(sdp.constraints) == 1886
-        assert held <= 0.6e6
+        view = sdp.constraints
+        stored = sum(con.free.size + sum(k.size for k in con.mats.values()) for con in view)
+        nonzeros = sum(
+            int((con.free != 0).sum()) + sum(int((k != 0).sum()) for k in con.mats.values())
+            for con in view
+        )
+        assert (len(view), stored, nonzeros) == (1886, 9511, 9511)
+        assert held <= 0.15e6
+
+    def test_build_and_write_dram_peak_little_memory(self, tmp_path):
+        # The same system built and written after a first build and write,
+        # which fill the caches: its peak was 0.74 MB when the system held
+        # row tables of coefficient objects, set by the build.
+        inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
+        path = str(tmp_path / "dram.dat-s")
+        write_sdpa(build_dram(inst), path)
+        tracemalloc.start()
+        try:
+            write_sdpa(build_dram(inst), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6e6
 
     def test_exact_dual_at_n_30_holds_at_most_4_mb(self):
         # 13.5 MB when each row was its own objects, 2.0 MB as row tables.
@@ -514,6 +539,32 @@ class TestSparseForm:
         sdp, held = _held(build_dram, inst)
         assert sdp.rhs.size == 29 * 466 + 29 * 465 + 465
         assert held <= 4e6
+
+
+def _registry_embeddings(eid):
+    """(certificate name, system, assignment) of each registry certificate
+    of entry eid, embedded in its system."""
+    entry = get(eid)
+    inst = entry.instance
+    build = {"dram": build_dram, "altram": build_alt_ram, "pram": build_pram}
+    for rc in entry.certificates:
+        if rc.system in build:
+            sdp = build[rc.system](inst)
+            yield rc.name, sdp, embed_certificate(sdp, inst, rc.cert)
+        else:
+            sdp = (build_dstrong if rc.system == "dstrong" else build_pstrong)(inst, rc.spec)
+            yield rc.name, sdp, embed_strong_point(sdp, inst, rc.spec, rc.point)
+
+
+@pytest.mark.parametrize("eid", all_ids())
+def test_residuals_agree_with_the_reference_loop_on_the_registry(eid):
+    # The gather and bincount over the tables against one product per
+    # stored entry, at every registry certificate's embedding.
+    for name, sdp, asg in _registry_embeddings(eid):
+        want, scale = reference_residuals(sdp, asg)
+        got = residuals(sdp, asg)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (eid, name)
+        assert max_violation(sdp, asg) == np.max(np.abs(got), initial=0.0)
 
 
 def _held(build, inst):
@@ -528,10 +579,16 @@ def _held(build, inst):
         tracemalloc.stop()
 
 
+_TABLES = (
+    "coeff_ptr", "coeff_order", "coeff_i", "coeff_j", "coeff_v", "free_ptr", "free_j", "free_v",
+    "row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs", "objective_block",
+    "objective_coeff",
+)
+
+
 class TestRowTables:
-    """The constraints view and the row tables say the same thing: the
-    view packs back into the same system, and it holds the tables' own
-    coefficient objects."""
+    """The constraints view and the tables say the same thing: the view
+    packs back into the same system, with one object per table entry."""
 
     FIELDS = ("system", "sense", "blocks", "n_free", "objective_mats", "objective_free", "var_map")
 
@@ -546,22 +603,33 @@ class TestRowTables:
         assert [con.name for con in packed.constraints] == [con.name for con in view]
         assert np.array_equal(packed.rhs, sdp.rhs)
         assert [con.rhs for con in view] == sdp.rhs.tolist()
-        # Every table entry is used, the view holds the entries themselves,
-        # and packing the view shares them again.
+        # Every table entry is used, the view makes one object per matrix
+        # and one pair of arrays per free row, and packing the view holds
+        # each once again.  The objective's view makes its own.
         mats = {id(k) for con in view for k in con.mats.values()}
-        assert mats == {id(k) for k in sdp.coeffs} == {id(k) for k in packed.coeffs}
-        assert len(packed.coeffs) == len(sdp.coeffs)
-        arrays = [{(id(v.idx), id(v.vals)) for v in s.free_rows} for s in (sdp, packed)]
-        assert arrays[0] == arrays[1] == {(id(c.free.idx), id(c.free.vals)) for c in view}
+        for s in (sdp, packed):
+            assert len(mats) + s.objective_coeff.size == s.coeff_order.size
+        arrays = {(id(c.free.idx), id(c.free.vals)) for c in view}
+        assert sdp.free_ptr.size - 1 in (len(arrays), len(arrays) + 1)
+        assert packed.free_ptr.size - 1 == len(arrays) + 1
+        # What the benchmark's tracer reads of the view: each object's size
+        # and its nonzeros, both the nonzeros of the dense rows.
+        rows = _sparse_case(case, builder)[1]
+        dense = sum(
+            np.count_nonzero(free) + sum(np.count_nonzero(np.triu(k)) for k in ks.values())
+            for ks, free in rows.values()
+        )
+        for count in (lambda x: x.size, lambda x: int((x != 0).sum())):
+            assert sum(count(c.free) + sum(map(count, c.mats.values())) for c in view) == dense
 
     def test_tables_are_read_only_and_checked(self):
         inst = random_degenerate_instance(np.random.default_rng(3), 5, 3, (2, 1, 1))[0]
         sdp = build_dram(inst)  # blocks U1, U2, U3, T2, T3, Thead, P; n_free 12
-        for field in ("row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs"):
+        for field in _TABLES:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(sdp, field)[0] = 1
         ids = sdp.entry_coeff.copy()
-        for bad in (-1, len(sdp.coeffs)):
+        for bad in (-1, sdp.coeff_order.size):
             ids[0] = bad
             with pytest.raises(ValueError, match="outside its table"):
                 dataclasses.replace(sdp, entry_coeff=ids)
@@ -581,6 +649,31 @@ class TestRowTables:
         )
         with pytest.raises(ValueError, match=re.escape(msg)):
             dataclasses.replace(sdp, entry_block=moved)
+        # The same matrix as the objective's on T2.
+        msg = msg.replace("constraint rung1_decomp[0,0]", "the objective")
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            dataclasses.replace(sdp, objective_block=[3], objective_coeff=sdp.entry_coeff[:1])
+        # The first row's free row, entries at 0..2, placed at 11 of 12.
+        msg = "constraint rung1_decomp[0,0] does not fit the system: free length 14 for n_free 12"
+        offsets = sdp.row_offset.copy()
+        offsets[0] = 11
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            dataclasses.replace(sdp, row_offset=offsets)
+        # A table entry below the diagonal, two out of row-major order, a
+        # zero value, nan in a matrix, and a negative free index.
+        lo = sdp.coeff_ptr[np.flatnonzero(np.diff(sdp.coeff_ptr) == 2)[0]]
+        pair = slice(lo, lo + 2)
+        cases = [
+            {"coeff_i": (lo, sdp.coeff_j[lo] + 1)},
+            {"coeff_i": (pair, sdp.coeff_i[pair][::-1]), "coeff_j": (pair, sdp.coeff_j[pair][::-1])},
+            {"coeff_v": (0, 0.0)}, {"free_v": (0, -0.0)}, {"coeff_v": (0, np.nan)}, {"free_j": (0, -1)},
+        ]
+        for case in cases:
+            fields = {field: getattr(sdp, field).copy() for field in case}
+            for field, (at, value) in case.items():
+                fields[field][at] = value
+            with pytest.raises(ValueError, match="a table holds an entry outside the upper triangle"):
+                dataclasses.replace(sdp, **fields)
 
 
 class TestAltRam:

@@ -34,6 +34,7 @@ from ramanasdp.certfile import (
 )
 from ramanasdp import certfile, sdpa
 from ramanasdp.builders import (
+    Assignment,
     Constraint,
     PsdBlock,
     SparseSym,
@@ -42,6 +43,9 @@ from ramanasdp.builders import (
     build_alt_ram,
     build_dstrong,
     build_pram,
+    embed_certificate,
+    objective_value,
+    residuals,
 )
 from ramanasdp.sdpa import (
     instance_to_sdpa_text,
@@ -49,7 +53,10 @@ from ramanasdp.sdpa import (
     standard_form_to_sdpa_text,
     varmap_sidecar_text,
 )
-from ramanasdp import StrongDualSpec, pad_ladder, registry, verify_certificate, verify_dram
+from ramanasdp import (
+    StrongDualSpec, build_rr_form, lift_from_strong, pad_ladder, registry, verify_certificate,
+    verify_dram,
+)
 from ramanasdp.verify import LadderRung, RamanaCertificate, ShapeMismatchError, leading_zero_rungs
 
 from helpers import (
@@ -62,6 +69,7 @@ from helpers import (
     random_instance,
     random_orthonormal,
     random_psd,
+    reference_residuals,
     random_sym,
     read_bound,
     through_text,
@@ -400,7 +408,7 @@ class TestChunkedWriter:
         # that check, the last row's id makes the write fail after its
         # first chunks.
         ids = sdp.entry_coeff.copy()
-        ids[-1] = len(sdp.coeffs)
+        ids[-1] = sdp.coeff_order.size
         object.__setattr__(sdp, "entry_coeff", ids)
         path = tmp_path / "bad.dat-s"
         with pytest.raises(IndexError):
@@ -429,6 +437,26 @@ def test_random_emission_is_byte_identical(builder, n):
     sdp = _BUILDERS[builder](inst)
     text = standard_form_to_sdpa_text(sdp) + varmap_sidecar_text(sdp)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RANDOM_EMISSION[builder, n]
+
+
+@pytest.mark.parametrize("builder, n", sorted(GOLDEN_RANDOM_EMISSION))
+def test_residuals_agree_with_the_reference_loop(builder, n):
+    # The gather and bincount over the tables against one product per
+    # stored entry: at a random assignment, and at dram's certificate.
+    inst, y0, _ = random_degenerate_instance(np.random.default_rng(n), n, 4, (2, 1, 1))
+    sdp = _BUILDERS[builder](inst)
+    rng = np.random.default_rng(n)
+    blocks = {b.name: random_sym(rng, b.order).a for b in sdp.blocks}
+    asgs = [Assignment(blocks=blocks, free=rng.standard_normal(sdp.n_free))]
+    if builder == "dram":
+        cert = lift_from_strong(inst, y0, build_rr_form(inst))
+        asgs.append(embed_certificate(sdp, inst, cert))
+    for asg in asgs:
+        want, scale = reference_residuals(sdp, asg)
+        assert np.all(np.abs(residuals(sdp, asg) - want) <= 1e-12 * scale)
+    obj = sdp.objective_free
+    want = obj.vals @ asgs[0].free[obj.idx]
+    assert abs(objective_value(sdp, asgs[0]) - want) <= 1e-12 * np.abs(obj.vals).sum()
 
 
 def _ladder_cert():
@@ -490,6 +518,25 @@ class TestCertificateFiles:
         assert bad != text
         out = verify_dram(inst, to_ramana_certificate(parse_certificate_text(bad), inst))
         assert out.violation == "rung 2: 𝒜*y^2 != U_2 + V_2"
+
+    def test_entry_above_half_max_is_read_as_written(self):
+        # A finite entry above DBL_MAX/2 in magnitude: a + aᵀ overflows, so
+        # SymMat halves first there, and only there.  The file's U was read
+        # with an inf entry; now it is read as written, and refused because
+        # its norm, which scales every tolerance, overflows.
+        big, tiny = 1.5e308, 5e-324
+        entry = registry.get("example-2.5-rr")
+        inst = entry.instance
+        cert = next(rc.cert for rc in entry.certificates if rc.name == "exact-dual-ladder")
+        text = certificate_to_text(inst, "dram", cert=cert)
+        text = text.replace("matrix U1 4\n1.0 ", "matrix U1 4\n1.5e308 ")
+        with np.errstate(over="ignore"):  # the sums overflow
+            avg = SymMat([[big, 1.7e308], [1.5e308, tiny]]).a.tolist()
+            read = to_ramana_certificate(parse_certificate_text(text), inst)
+        assert avg == [[big, 1.6e308], [1.6e308, tiny]]
+        assert [rung.u.a[0, 0] for rung in read.ladder] == [big, 1.0]
+        with pytest.raises(ValueError, match="rung 1 U has a non-finite entry or norm"):
+            verify_dram(inst, read)
 
     def test_hash_binding_rejects_wrong_instance(self, tmp_path):
         path = tmp_path / "c.cert"

@@ -193,6 +193,13 @@ RAISES = [
     ("rung-v-non-finite", UNATTAINED,
      _cert(lambda c: _rung(c, 1, v=SymMat.diag([0, 0, np.nan]))),
      ValueError, "rung 1 V has a non-finite entry"),
+    # Finite entries whose norm overflows: every tolerance would be inf.
+    ("rung-u-norm-overflow", UNATTAINED,
+     _cert(lambda c: _rung(c, 1, u=SymMat.diag([1e160, 0, -1]))),
+     ValueError, "rung 1 U has a non-finite entry or norm"),
+    ("rung-u-above-half-max", UNATTAINED,
+     _cert(lambda c: _rung(c, 1, u=SymMat.diag([1.5e308, 0, -1]))),
+     ValueError, "rung 1 U has a non-finite entry or norm"),
     ("ladder-too-long", UNATTAINED,
      _cert(lambda c: replace(c, ladder=c.ladder[:1] + c.ladder)),
      ShapeMismatchError, "ladder has 3 rungs, instance allows 2"),

@@ -5,24 +5,32 @@ For each n, builds one system (``--builder``, default the exact dual
 ``helpers.random_degenerate_instance(default_rng(seed), n, m, (2, 1, 1))``
 and prints the build seconds, the median seconds of three writes and the
 entry lines they write per second, the memory the built system holds
-(tracemalloc of a second build alone), its count of distinct coefficients
-(the entries of its matrix and free-row tables), the stored entries its
-rows reference against those the tables hold, and the tracemalloc peak of
-the write alone (allocations made by the writer, not the system it
-writes).  ``dstrong`` takes the face spec ``StrongDualSpec(q, r=2)`` with
-q a random orthonormal basis from the same seed.
+(tracemalloc of a second build alone) and the bytes of its table arrays,
+its count of distinct coefficients (the matrices and free rows of its two
+tables), the stored entries its rows reference against those the tables
+hold, the tracemalloc peaks of that build and of the write alone
+(allocations made by the writer, not the system it writes), and the
+median seconds of ``builders.residuals`` at a random assignment.
+``dstrong`` takes the face spec ``StrongDualSpec(q, r=2)`` with q a
+random orthonormal basis from the same seed.
 
     python3 tools/emit_probe.py [--n N ...] [--m M] [--seed S] [--builder B]
 
 n defaults to 18, 24 and 30, and m (at least 3) to n.  dram and altram
 hold min(n - 1, m) rungs, so their size falls with m only where
 m < n - 1; pram keeps n - 1 rungs whatever m is.  A system holds its
-rows as id arrays into a table of distinct sparse matrices and one of
-distinct free rows, so the entries referenced (what the benchmark's
-``builders.stored_floats`` counts) exceed those held.  At n = 30 the
-exact dual holds 2.0 MB (13.5 MB when each row was its own objects,
-164 MB when it was held dense) and writes a 31 MB file with a 2.6 MB
-write peak.  The file is written to a temporary directory and removed.
+rows as id arrays into a coordinate table of distinct matrices and one
+of distinct free rows, so the entries referenced (what the benchmark's
+``builders.stored_floats`` counts) exceed those held.  At n = m = 30
+the exact dual holds 1.3 MB (2.0 MB when its tables held one object per
+coefficient, 13.5 MB when each row was its own objects, 164 MB when it
+was held dense), peaks at 5.2 MB in the build (6.6 MB with objects),
+and writes a 31 MB file with a 2.9 MB write peak (2.6 MB with objects:
+the writer now converts the coefficient table to lists, which the build
+did before); ``residuals`` takes 19 ms.  At n = 18, m = 5 it holds 0.13
+MB and peaks at 0.51 MB in the build and 0.36 MB in the write, and
+``residuals`` takes 0.4 ms.  The file is written to a temporary
+directory and removed.
 Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
@@ -56,18 +64,36 @@ BUILDERS = {
 }
 
 
-def array_counts(sdp) -> tuple[int, int, int]:
+TABLES = (
+    "coeff_ptr", "coeff_order", "coeff_i", "coeff_j", "coeff_v", "free_ptr", "free_j", "free_v",
+    "row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs",
+)
+
+
+def array_counts(sdp) -> tuple[int, int, int, int]:
     """Stored entries referenced by the rows' matrices and free rows, the
-    stored entries of the distinct ones (the system's two tables), and
-    how many distinct ones there are, read from the tables and their id
-    arrays."""
-    tables = ((sdp.coeffs, sdp.entry_coeff), (sdp.free_rows, sdp.row_free))
+    stored entries of the distinct ones (the system's two tables), how
+    many distinct ones there are, and the bytes of the table arrays."""
     referenced = sum(
-        int(np.bincount(ids, minlength=len(table)) @ np.array([c.size for c in table], dtype=int))
-        for table, ids in tables
+        int(np.diff(ptr)[ids].sum())
+        for ptr, ids in ((sdp.coeff_ptr, sdp.entry_coeff), (sdp.free_ptr, sdp.row_free))
     )
-    held = sum(c.size for table, _ in tables for c in table)
-    return referenced, held, len(sdp.coeffs) + len(sdp.free_rows)
+    distinct = sdp.coeff_order.size + sdp.free_ptr.size - 1
+    return referenced, sdp.coeff_v.size + sdp.free_v.size, distinct, sum(
+        getattr(sdp, name).nbytes for name in TABLES
+    )
+
+
+def residuals_s(sdp, rng) -> float:
+    """Median seconds of builders.residuals at a random assignment."""
+    blocks = {b.name: rng.standard_normal((b.order, b.order)) for b in sdp.blocks}
+    asg = rs.Assignment(blocks=blocks, free=rng.standard_normal(sdp.n_free))
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        rs.builders.residuals(sdp, asg)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
@@ -80,7 +106,7 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
     tracemalloc.start()
     try:
         sdp = build(inst, seed)
-        held = tracemalloc.get_traced_memory()[0]
+        held, build_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     write_s = []
@@ -95,7 +121,7 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    referenced, entries_held, distinct = array_counts(sdp)
+    referenced, entries_held, distinct, table_bytes = array_counts(sdp)
     with open(path, "rb") as fh:
         lines = sum(1 for _ in fh) - 4  # the header takes four lines
     return {
@@ -106,10 +132,13 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
         "lines": lines,
         "file_mb": os.path.getsize(path) / 1e6,
         "held_mb": held / 1e6,
+        "table_mb": table_bytes / 1e6,
         "distinct_coeffs": distinct,
         "entries_referenced": referenced,
         "entries_held": entries_held,
+        "build_peak_mb": build_peak / 1e6,
         "write_peak_mb": peak / 1e6,
+        "residuals_s": residuals_s(sdp, np.random.default_rng(seed)),
     }
 
 
@@ -130,11 +159,12 @@ def main(argv=None) -> int:
                 f"{row['constraints']} constraints, "
                 f"build {row['build_s']:.2f} s, write {row['write_s']:.2f} s "
                 f"({row['file_mb']:.1f} MB, {row['lines'] / row['write_s'] / 1e3:,.0f}k lines/s), "
-                f"holds {row['held_mb']:.1f} MB in "
+                f"holds {row['held_mb']:.2f} MB ({row['table_mb']:.2f} MB of tables) in "
                 f"{row['distinct_coeffs']:,} distinct coefficients, "
                 f"stored entries {row['entries_referenced']:,} referenced, "
                 f"{row['entries_held']:,} held, "
-                f"write peak {row['write_peak_mb']:.1f} MB",
+                f"build peak {row['build_peak_mb']:.2f} MB, write peak {row['write_peak_mb']:.2f} MB, "
+                f"residuals {row['residuals_s'] * 1e3:.1f} ms",
                 flush=True,
             )
     return 0
