@@ -63,7 +63,9 @@ Every system is one coordinate table, CSR-style: the distinct matrices
 as the upper-triangle nonzeros of each, row-major, in int32 coordinate
 and float64 value arrays, the distinct free rows the same way, and the
 rows as int32 id arrays into both, with no object per row or per
-coefficient.  The builders append whole sections with numpy: the units
+coefficient.  The StandardFormSdp constructor, which takes the tables
+and checks them, is the one way to make a system; the builders fill
+theirs through _Rows.  They append whole sections with numpy: the units
 sign·E_pq of every svec pair, their coupling matrices and the corner
 ties' matrices take a few array operations each.  No ladder coefficient
 depends on the rung, so a ladder system references O(n³) matrices but
@@ -130,34 +132,6 @@ class VarSlot:
     cols: int = 0
 
 
-class _Sparse:
-    """What the two sparse types share: they cannot be changed, size is the
-    count of stored entries, and != compares the stored values
-    elementwise, as on an array of them.  _of makes one unchecked."""
-
-    __slots__ = ()
-
-    def _set(self, *fields):
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, *fields):
-        obj = object.__new__(cls)
-        obj._set(*fields)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def size(self) -> int:
-        return len(self.vals)
-
-    def __ne__(self, other):
-        return np.array(self.vals, dtype=float) != other
-
-
 def _rising(ptr: np.ndarray, major: np.ndarray, minor: Optional[np.ndarray] = None) -> bool:
     """Whether each segment's entries rise strictly, by major or (major, minor)."""
     first = np.zeros(major.size, bool)
@@ -168,121 +142,11 @@ def _rising(ptr: np.ndarray, major: np.ndarray, minor: Optional[np.ndarray] = No
     return bool(np.all(up | first[1:]))
 
 
-def _entries_ok(ptr: np.ndarray, order, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the entries of each matrix ptr cuts lie in the upper
-    triangle of its order, rise in row-major order, and hold no zero or
-    nan."""
-    return bool(np.all((0 <= i) & (i <= j) & (j < order)) and _rising(ptr, i, j)
-                and v.all() and not np.isnan(v).any())
-
-
-_BAD_ENTRY = "an entry outside the upper triangle of its order, out of row-major order, zero or nan"
-
-
-class SparseSym(_Sparse):
-    """A symmetric matrix of the given order held as the nonzeros of its
-    upper triangle: vals[k] at (rows[k], cols[k]) and (cols[k], rows[k]),
-    rows[k] <= cols[k], in row-major order, all three tuples of Python
-    numbers, no value ±0.0 or nan."""
-
-    __slots__ = ("order", "rows", "cols", "vals")
-
-    def __init__(self, order: int, rows, cols, vals):
-        order = operator.index(order)
-        rows, cols = tuple(map(operator.index, rows)), tuple(map(operator.index, cols))
-        vals = tuple(map(float, vals))
-        if not len(rows) == len(cols) == len(vals):
-            raise ValueError("rows, cols and vals must have one entry each")
-        ptr, (i, j) = np.array([0, len(vals)]), (np.array(x, dtype=int) for x in (rows, cols))
-        if not _entries_ok(ptr, order, i, j, np.array(vals)):
-            raise ValueError(_BAD_ENTRY)
-        self._set(order, rows, cols, vals)
-
-    @staticmethod
-    def from_dense(a) -> "SparseSym":
-        """The upper-triangle nonzeros of a square array.  A nonsymmetric
-        one, or one holding nan, is refused: its upper triangle, which is
-        all that is stored and written, would not say what it is."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
-        if (a != a.T).any():
-            raise ValueError("coefficient matrix is not symmetric, or holds nan")
-        m = _dense_mats(a[None])
-        return SparseSym._of(a.shape[0], *(tuple(x.tolist()) for x in (m.i, m.j, m.v)))
-
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order))
-        rows, cols = np.array(self.rows, dtype=int), np.array(self.cols, dtype=int)
-        a[rows, cols] = self.vals
-        a[cols, rows] = self.vals
-        return a
-
-
-class SparseVec(_Sparse):
-    """A vector of the given length held as its nonzeros: vals[k] at
-    offset + idx[k], idx increasing, in read-only integer and float
-    arrays, no value ±0.0.  The constructor copies the arrays it is
-    given."""
-
-    __slots__ = ("length", "idx", "vals", "offset")
-
-    def __init__(self, length: int, idx, vals, offset: int = 0):
-        length, offset = operator.index(length), operator.index(offset)
-        idx, vals = np.array(idx, dtype=np.intp), np.array(vals, dtype=float)
-        if idx.ndim != 1 or idx.shape != vals.shape:
-            raise ValueError("idx and vals must be vectors of one length")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("idx must be increasing")
-        if idx.size and not (0 <= offset + idx[0] and offset + idx[-1] < length):
-            raise ValueError(f"an index plus offset {offset} is outside 0..{length - 1}")
-        if not vals.all():
-            raise ValueError("a stored value is zero")
-        idx.setflags(write=False)
-        vals.setflags(write=False)
-        self._set(length, idx, vals, offset)
-
-    @staticmethod
-    def from_dense(v) -> "SparseVec":
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"free coefficients must be a vector, got shape {v.shape}")
-        k = np.flatnonzero(v)
-        vals = v[k]
-        for arr in (k, vals):
-            arr.setflags(write=False)
-        return SparseVec._of(v.size, k, vals, 0)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.length)
-        out[self.offset + self.idx] = self.vals
-        return out
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Linear equality Σ_B <mats[B], Y_B> + free·u = rhs: a row given to
-    StandardFormSdp.from_rows, or read from its constraints view.  Dense
-    arrays given for mats or free are converted to SparseSym and
-    SparseVec."""
-
+class _RowView(NamedTuple):
     name: str
-    mats: dict[str, SparseSym]
-    free: SparseVec
+    mats: dict[str, np.ndarray]
+    free: np.ndarray
     rhs: float
-
-    def __post_init__(self):
-        if type(self.free) is not SparseVec:
-            object.__setattr__(self, "free", SparseVec.from_dense(self.free))
-        mats = {b: k if type(k) is SparseSym else SparseSym.from_dense(k) for b, k in self.mats.items()}
-        object.__setattr__(self, "mats", mats)
-
-
-def _misfit(what: str, length: int, n_free: int, mats: dict, orders: dict) -> ValueError:
-    return ValueError(
-        f"{what} does not fit the system: free length {length} for n_free {n_free}, "
-        f"matrix orders {mats} for blocks {({b: orders.get(b) for b in mats})}"
-    )
 
 
 def _segments(ptr: np.ndarray, n: int, *cols: np.ndarray) -> bool:
@@ -293,19 +157,20 @@ def _segments(ptr: np.ndarray, n: int, *cols: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class StandardFormSdp:
-    """An emitted system as one coordinate table.  Matrix k has order
-    coeff_order[k] and the entries coeff_ptr[k]..coeff_ptr[k + 1] - 1 of
-    coeff_i, coeff_j and coeff_v; free row f the entries
-    free_ptr[f]..free_ptr[f + 1] - 1 of free_j and free_v.  Row r has the
-    matrices entry_coeff[e] on the blocks entry_block[e], e in
-    row_ptr[r]..row_ptr[r + 1] - 1, in block order, the free row
-    row_free[r] placed at row_offset[r], rhs[r], and the name pre + label,
-    in order of the (pre, labels) sections; the objective has the
-    matrices objective_coeff on objective_block and the free row
-    objective_row.  The arrays are copied read-only and checked once: a
-    free entry past n_free would be written into the negated half of the
-    free block, and a matrix of another order than its block outside it.
-    from_rows packs Constraints; the views unpack them."""
+    """An emitted system as one coordinate table, and the one way to make
+    one.  Matrix k has order coeff_order[k] and the entries
+    coeff_ptr[k]..coeff_ptr[k + 1] - 1 of coeff_i, coeff_j and coeff_v,
+    the nonzeros of its upper triangle in row-major order; free row f the
+    entries free_ptr[f]..free_ptr[f + 1] - 1 of free_j and free_v, rising
+    in free_j.  Row r has the matrices entry_coeff[e] on the blocks
+    entry_block[e], e in row_ptr[r]..row_ptr[r + 1] - 1, in block order,
+    the free row row_free[r] placed at row_offset[r], rhs[r], and the name
+    pre + label, in order of the (pre, labels) sections; the objective has
+    the matrices objective_coeff on objective_block and the free row
+    objective_row.  The arrays are copied read-only and checked once: every
+    value is finite and nonzero, a free entry past n_free would be written
+    into the negated half of the free block, and a matrix of another order
+    than its block outside it."""
 
     system: str
     sense: str
@@ -359,12 +224,15 @@ class StandardFormSdp:
         if not (ok and _rising(ptr, blk)):
             raise ValueError("row tables of unequal lengths, an id outside its table, or a row "
                              "whose blocks are not in block order")
+        i, j = self.coeff_i, self.coeff_j
         order = np.repeat(self.coeff_order, np.diff(self.coeff_ptr))
-        if not (_entries_ok(self.coeff_ptr, order, self.coeff_i, self.coeff_j, self.coeff_v)
+        if not (np.all((0 <= i) & (i <= j) & (j < order)) and _rising(self.coeff_ptr, i, j)
                 and np.all(self.free_j >= 0) and _rising(self.free_ptr, self.free_j)
-                and self.free_v.all()):
-            raise ValueError(f"a table holds {_BAD_ENTRY}, or a free row a negative, falling, "
-                             "repeated or zero entry")
+                and self.coeff_v.all() and self.free_v.all()
+                and all(np.isfinite(getattr(self, v)).all() for v in floats)):
+            raise ValueError("a table holds an entry outside the upper triangle of its order, out "
+                             "of row-major order or zero, a free row a negative, falling, repeated "
+                             "or zero entry, or a value table one that is not finite")
         # A row's free entries span first..last - 1 of its free row, placed
         # at its offset; the first row whose span passes 0..n_free - 1, or
         # whose matrix orders differ from its blocks', is refused by name.
@@ -379,90 +247,33 @@ class StandardFormSdp:
         if misfits:
             r = min(misfits)
             lo, hi, f, off = (int(x[r]) for x in (ptr, ptr[1:], frees, offs))
-            pairs = zip(blk[lo:hi].tolist(), self.coeff_order[ks[lo:hi]].tolist())
             names = [pre + label for pre, labels in self.sections for label in labels]
-            raise _misfit(
-                "the objective" if r == rows else f"constraint {names[r]}",
-                off + int(last[f]) if bad[r] else n_free, n_free,
-                {self.blocks[b].name: k for b, k in pairs}, {b.name: b.order for b in self.blocks},
+            what = "the objective" if r == rows else f"constraint {names[r]}"
+            pairs = [(self.blocks[b], k) for b, k in zip(blk[lo:hi].tolist(),
+                                                         self.coeff_order[ks[lo:hi]].tolist())]
+            raise ValueError(
+                f"{what} does not fit the system: free length "
+                f"{off + int(last[f]) if bad[r] else n_free} for n_free {n_free}, matrix orders "
+                f"{ {b.name: k for b, k in pairs} } for blocks { {b.name: b.order for b, _ in pairs} }"
             )
 
-    @staticmethod
-    def from_rows(constraints: Sequence[Constraint], **fields) -> "StandardFormSdp":
-        """The system of the given rows and other fields, the objective
-        given as objective_mats and objective_free, dense or sparse as a
-        Constraint takes them.  A matrix, or a free row's index and values
-        arrays, given to several rows is held once."""
-        objective = Constraint(name="the objective", mats=fields.pop("objective_mats"),
-                               free=fields.pop("objective_free"), rhs=0.0)
-        blocks, n_free = fields["blocks"], fields["n_free"]
-        index, orders = {b.name: i for i, b in enumerate(blocks)}, {b.name: b.order for b in blocks}
-        # Table ids by the id() of a matrix or of a free row's arrays, with
-        # the objects, which keep those ids from reuse.
-        ids, rows = {}, _Rows()
-
-        def table_id(key, obj, add):
-            if key not in ids:
-                ids[key] = add()[0], obj
-            return ids[key][0]
-
-        def mat_id(k):
-            return table_id(id(k), k, lambda: rows.matrices(
-                _Section(k.order, [k.size], k.rows, k.cols, k.vals)))
-
-        def free_id(v):
-            return table_id((id(v.idx), id(v.vals)), v, lambda: rows.free_rows(
-                _Section(None, [v.size], None, v.idx, v.vals)))
-
-        def cols(what, con):
-            if not con.mats.keys() <= index.keys() or con.free.length not in (n_free, 0):
-                given = {b: k.order for b, k in con.mats.items()}
-                raise _misfit(what, con.free.length, n_free, given, orders)
-            return [(index[b], [mat_id(con.mats[b])]) for b in sorted(con.mats, key=index.get)]
-
-        for con in constraints:
-            rows.add(con.name, ("",), cols(f"constraint {con.name}", con), free_id(con.free),
-                     con.free.offset, con.rhs)
-        # The objective's free row is held apart, at offset 0.
-        obj_cols, v = cols(objective.name, objective), SparseVec.from_dense(objective.free.dense())
-        return rows.system(objective_block=[b for b, _ in obj_cols],
-                           objective_coeff=[k for _, (k,) in obj_cols], objective_row=free_id(v),
-                           **fields)
-
-    def _mat(self, k: int) -> SparseSym:
-        lo, hi = self.coeff_ptr[k], self.coeff_ptr[k + 1]
-        entries = (tuple(a[lo:hi].tolist()) for a in (self.coeff_i, self.coeff_j, self.coeff_v))
-        return SparseSym._of(int(self.coeff_order[k]), *entries)
-
-    def _free(self, f: int) -> SparseVec:
-        lo, hi = self.free_ptr[f], self.free_ptr[f + 1]
-        return SparseVec._of(self.n_free, self.free_j[lo:hi], self.free_v[lo:hi], 0)
-
     @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """The rows as Constraints, made on each read for tests and tools:
-        one SparseSym per matrix and one pair of arrays per free row of the
-        tables, shared by the rows that use them."""
-        mat, free = functools.cache(self._mat), functools.cache(self._free)
+    def constraints(self) -> tuple[_RowView, ...]:
+        """Each row as its name, {block name: coeff_v of its matrix there},
+        free_v of its free row and rhs, the slices views into the tables,
+        made on each read: what the benchmark's tracer counts with len,
+        .size and != 0.  It goes once the tracer reads the tables (ROADMAP
+        item 4)."""
+        cptr, fptr, blocks = self.coeff_ptr.tolist(), self.free_ptr.tolist(), self.blocks
         ptr, blk, ks = self.row_ptr.tolist(), self.entry_block.tolist(), self.entry_coeff.tolist()
         names = (pre + label for pre, labels in self.sections for label in labels)
-        rows = zip(names, ptr, ptr[1:], self.row_free.tolist(), self.row_offset.tolist(), self.rhs.tolist())
+        rows = zip(names, ptr, ptr[1:], self.row_free.tolist(), self.rhs.tolist())
         return tuple(
-            Constraint(name, {self.blocks[b].name: mat(k) for b, k in zip(blk[lo:hi], ks[lo:hi])},
-                       SparseVec._of(self.n_free, free(f).idx, free(f).vals, off) if off else free(f), rhs)
-            for name, lo, hi, f, off, rhs in rows
+            _RowView(name, {blocks[b].name: self.coeff_v[cptr[k] : cptr[k + 1]]
+                            for b, k in zip(blk[lo:hi], ks[lo:hi])},
+                     self.free_v[fptr[f] : fptr[f + 1]], rhs)
+            for name, lo, hi, f, rhs in rows
         )
-
-    @property
-    def objective_mats(self) -> dict[str, SparseSym]:
-        """The objective's matrices by block name, made on each read."""
-        pairs = zip(self.objective_block.tolist(), self.objective_coeff.tolist())
-        return {self.blocks[b].name: self._mat(k) for b, k in pairs}
-
-    @property
-    def objective_free(self) -> SparseVec:
-        """The objective's free row, made on each read."""
-        return self._free(self.objective_row)
 
 
 class _Section(NamedTuple):

@@ -130,10 +130,10 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
 
     def value_texts(f, sign=1.0):
         # The line ends "c\n" and "-c\n" of each value c of free row f:
-        # the text of -c is that of c with its sign flipped; nan has none.
+        # the text of -c is that of c with its sign flipped.
         vals = sdp.free_v[fptr[f] : fptr[f + 1]].tolist()
         texts = list(map(repr, vals if sign > 0 else [-v for v in vals]))
-        neg = [t[1:] if t[0] == "-" else "-" + t if t != "nan" else t for t in texts]
+        neg = [t[1:] if t[0] == "-" else "-" + t for t in texts]
         return [t + "\n" for t in texts], [t + "\n" for t in neg]
 
     def free_lines(t, f, off, texts):

@@ -4,6 +4,7 @@ helpers for the test suite."""
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from ramanasdp import (
     normalize_ladder,
     verify_certificate,
 )
+from ramanasdp.builders import StandardFormSdp
 from ramanasdp.certfile import (
     certificate_to_text,
     check_instance_binding,
@@ -236,19 +238,84 @@ def ladder_verdicts(inst: SdpInstance, cert):
 
 
 
+class DenseRow(NamedTuple):
+    """A row or the objective of an emitted system, dense: its matrices by
+    block name, its free row of length n_free placed at its offset, and
+    its rhs (0.0 for the objective)."""
+
+    mats: dict
+    free: np.ndarray
+    rhs: float
+
+
+def dense_rows(sdp: StandardFormSdp) -> tuple[dict[str, DenseRow], DenseRow]:
+    """({row name: DenseRow} in row order, the objective's DenseRow), read
+    from the tables of ``sdp``."""
+
+    def row(blk, ks, f, offset, rhs):
+        mats = {}
+        for b, k in zip(blk.tolist(), ks.tolist()):
+            lo, hi = sdp.coeff_ptr[k], sdp.coeff_ptr[k + 1]
+            i, j = sdp.coeff_i[lo:hi], sdp.coeff_j[lo:hi]
+            a = mats[sdp.blocks[b].name] = np.zeros((sdp.coeff_order[k],) * 2)
+            a[i, j] = a[j, i] = sdp.coeff_v[lo:hi]
+        free, (lo, hi) = np.zeros(sdp.n_free), sdp.free_ptr[f : f + 2]
+        free[offset + sdp.free_j[lo:hi]] = sdp.free_v[lo:hi]
+        return DenseRow(mats, free, float(rhs))
+
+    names = [pre + label for pre, labels in sdp.sections for label in labels]
+    ptr = sdp.row_ptr
+    rows = {
+        name: row(sdp.entry_block[ptr[r] : ptr[r + 1]], sdp.entry_coeff[ptr[r] : ptr[r + 1]],
+                  sdp.row_free[r], sdp.row_offset[r], sdp.rhs[r])
+        for r, name in enumerate(names)
+    }
+    assert len(rows) == sdp.rhs.size, "row names repeat"
+    return rows, row(sdp.objective_block, sdp.objective_coeff, sdp.objective_row, 0, 0.0)
+
+
+def table_system(blocks, n_free, mats, frees, rows, objective, sense="min") -> StandardFormSdp:
+    """The system "hand" made from its tables, whose entries are given
+    dense: mats the matrices and frees the free rows, each held once and
+    used by its index.  rows are (name, [(block index, matrix index)],
+    free row index, offset, rhs), the objective ([(block index, matrix
+    index)], free row index); signed zeros are not stored."""
+    tri = [np.triu(np.asarray(a, dtype=float)) for a in mats]
+    at = [np.nonzero(t) for t in tri]
+    frees = [np.asarray(v, dtype=float) for v in frees]
+
+    def cat(parts):
+        return np.concatenate([np.zeros(0)] + list(parts))
+
+    return StandardFormSdp(
+        system="hand", sense=sense, blocks=tuple(blocks), n_free=n_free,
+        coeff_ptr=np.cumsum([0] + [i.size for i, _ in at]), coeff_order=[t.shape[0] for t in tri],
+        coeff_i=cat(i for i, _ in at), coeff_j=cat(j for _, j in at),
+        coeff_v=cat(t[i, j] for t, (i, j) in zip(tri, at)),
+        free_ptr=np.cumsum([0] + [np.count_nonzero(v) for v in frees]),
+        free_j=cat(np.flatnonzero(v) for v in frees), free_v=cat(v[v != 0] for v in frees),
+        row_ptr=np.cumsum([0] + [len(cols) for _, cols, *_ in rows]),
+        entry_block=[b for _, cols, *_ in rows for b, _ in cols],
+        entry_coeff=[k for _, cols, *_ in rows for _, k in cols],
+        row_free=[r[2] for r in rows], row_offset=[r[3] for r in rows], rhs=[r[4] for r in rows],
+        objective_block=[b for b, _ in objective[0]], objective_coeff=[k for _, k in objective[0]],
+        objective_row=objective[1], sections=tuple((r[0], ("",)) for r in rows), var_map={},
+    )
+
+
 def reference_residuals(sdp, assign):
     """(residuals, scales) of each row of ``sdp`` at ``assign``, by one
-    Python product per stored entry of the row's matrices and free row,
-    read through the constraints view: the loop that builders.residuals
+    Python product per nonzero of the upper triangle of the row's dense
+    matrices and of its dense free row: the loop that builders.residuals
     replaced.  scales[r] sums the magnitudes of row r's terms and rhs."""
     res, scales = [], []
-    for con in sdp.constraints:
-        v = con.free
-        terms = (v.vals * assign.free[v.offset + v.idx]).tolist()
-        for name, k in con.mats.items():
+    for row in dense_rows(sdp)[0].values():
+        j = np.flatnonzero(row.free)
+        terms = (row.free[j] * assign.free[j]).tolist()
+        for name, k in row.mats.items():
             y = assign.blocks[name]
-            for i, j, x in zip(k.rows, k.cols, k.vals):
-                terms.append(x * y[i, j] if i == j else x * (y[i, j] + y[j, i]))
-        res.append(sum(terms) - con.rhs)
-        scales.append(sum(map(abs, terms)) + abs(con.rhs))
+            for i, j in zip(*np.nonzero(np.triu(k))):
+                terms.append(k[i, j] * y[i, j] if i == j else k[i, j] * (y[i, j] + y[j, i]))
+        res.append(sum(terms) - row.rhs)
+        scales.append(sum(map(abs, terms)) + abs(row.rhs))
     return np.array(res), np.array(scales)

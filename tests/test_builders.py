@@ -39,11 +39,7 @@ from ramanasdp import (
 )
 from ramanasdp.builders import (
     Assignment,
-    Constraint,
     PsdBlock,
-    SparseSym,
-    SparseVec,
-    StandardFormSdp,
     max_violation,
     min_block_eigenvalue,
     objective_value,
@@ -51,16 +47,19 @@ from ramanasdp.builders import (
 )
 from ramanasdp.registry import all_ids, get
 from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text, write_sdpa
-from ramanasdp.model import svec_index, svec_order
+from ramanasdp.model import smat, svec, svec_index, svec_order
+from ramanasdp.subsolver import maximize_lambda_min
 from ramanasdp.verify import LadderRung, RamanaCertificate, dual_ladder_length, pad_ladder
 
 from helpers import (
+    dense_rows,
     inst_gap_rr,
     inst_infeasible,
     inst_unattained,
     random_degenerate_instance,
     random_orthonormal,
     reference_residuals,
+    table_system,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -149,36 +148,39 @@ class TestSharedCoefficients:
 
     def test_every_array_is_read_only(self, system):
         sdp = system[2]
-        frees = [con.free for con in sdp.constraints]
-        mats = [k for con in sdp.constraints for k in con.mats.values()]
-        assert not any(a.flags.writeable for f in frees for a in (f.idx, f.vals))
-        assert all(isinstance(a, tuple) for k in mats for a in (k.rows, k.cols, k.vals))
-        ties = [con for con in sdp.constraints if con.name.startswith("tie")]
-        assert len({id(con.free) for con in ties}) == 1  # one zero vector for every tie
-        rung = next(con for con in sdp.constraints if con.name == "rung1_decomp[0,0]")
-        with pytest.raises(ValueError):
-            rung.free.vals[0] += 1.0
-        with pytest.raises(TypeError):
-            ties[0].mats["U1"].vals[0] += 1.0
-        for obj, field in ((ties[0].free, "vals"), (ties[0].mats["U1"], "vals")):
-            with pytest.raises(AttributeError):
-                setattr(obj, field, ())
+        for field in _TABLES:
+            assert not getattr(sdp, field).flags.writeable, field
+        names = _names(sdp)
+        ties = [r for r, name in enumerate(names) if name.startswith("tie")]
+        (f,) = set(sdp.row_free[ties].tolist())  # one empty free row for every tie
+        assert sdp.free_ptr[f] == sdp.free_ptr[f + 1]
+        view = sdp.constraints
+        with pytest.raises(ValueError, match="read-only"):
+            view[names.index("rung1_decomp[0,0]")].free[0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            view[ties[0]].mats["U1"][0] += 1.0
 
     def test_rungs_share_their_matrices(self, system):
-        cons = {con.name: con for con in system[2].constraints}
+        sdp = system[2]
+        at = {name: r for r, name in enumerate(_names(sdp))}
+
+        def ids(name):
+            lo, hi = sdp.row_ptr[at[name] : at[name] + 2]
+            blocks = (sdp.blocks[b].name for b in sdp.entry_block[lo:hi])
+            return dict(zip(blocks, sdp.entry_coeff[lo:hi].tolist()))
+
         for p, q in [(0, 0), (1, 4), (5, 5)]:
-            rung1, rung2, rung3 = (cons[f"rung{i}_decomp[{p},{q}]"] for i in (1, 2, 3))
-            assert rung1.mats["U1"] is rung2.mats["U2"] is rung3.mats["U3"]
-            assert rung2.mats["T2"] is rung3.mats["T3"]
-            assert cons[f"tie2[{p},{q}]"].mats["T2"] is cons[f"tie3[{p},{q}]"].mats["T3"]
+            rung1, rung2, rung3 = (ids(f"rung{i}_decomp[{p},{q}]") for i in (1, 2, 3))
+            assert rung1["U1"] == rung2["U2"] == rung3["U3"]
+            assert rung2["T2"] == rung3["T3"]
+            assert ids(f"tie2[{p},{q}]")["T2"] == ids(f"tie3[{p},{q}]")["T3"]
 
     def test_distinct_matrices_grow_as_n_squared(self, system):
         sdp, n = system[2], self.N
-        refs = [k for con in sdp.constraints for k in con.mats.values()]
         # Per svec entry: the rung and head matrices, their coupling
         # matrices, and the two corner-tie matrices.
-        assert len({id(k) for k in refs}) <= 6 * n * (n + 1) // 2
-        assert len(refs) >= 3 * (n - 2) * n * (n + 1) // 2
+        assert sdp.coeff_order.size <= 6 * n * (n + 1) // 2
+        assert sdp.entry_coeff.size >= 3 * (n - 2) * n * (n + 1) // 2
 
     def test_embedded_certificate_residuals_unchanged(self, system):
         inst, y0, sdp = system
@@ -186,24 +188,42 @@ class TestSharedCoefficients:
         asg = embed_certificate(sdp, inst, cert)
         # The same system with its own copy of every coefficient, as each
         # constraint held before the builders shared them.
-        copies = [
-            Constraint(
-                name=con.name,
-                mats={b: SparseSym(k.order, k.rows, k.cols, k.vals) for b, k in con.mats.items()},
-                free=SparseVec(con.free.length, con.free.idx, con.free.vals, con.free.offset),
-                rhs=con.rhs,
-            )
-            for con in sdp.constraints
-        ]
-        unshared = StandardFormSdp.from_rows(
-            copies, **{f: getattr(sdp, f) for f in TestRowTables.FIELDS}
-        )
+        unshared = _unshared(sdp)
         assert unshared.coeff_order.size == sdp.entry_coeff.size > 2 * sdp.coeff_order.size
         # One free row per row, and the objective's.
         assert unshared.free_ptr.size - 1 == sdp.rhs.size + 1
         assert np.array_equal(residuals(sdp, asg), residuals(unshared, asg))
         assert max_violation(sdp, asg) == max_violation(unshared, asg) <= 1e-10
         assert min_block_eigenvalue(sdp, asg) >= -1e-10
+
+
+def _names(sdp):
+    """The row names of sdp, in row order."""
+    return [pre + label for pre, labels in sdp.sections for label in labels]
+
+
+def _unshared(sdp):
+    """sdp with a table entry of its own for each use of a matrix or free
+    row: the entries each use reads, duplicated."""
+
+    def copies(ptr, ids, *cols):
+        lo, hi = ptr[ids], ptr[ids + 1]
+        at = np.concatenate([np.zeros(0, int)] + [np.arange(a, z) for a, z in zip(lo, hi)])
+        return (np.concatenate([[0], np.cumsum(hi - lo)]),) + tuple(c[at] for c in cols)
+
+    ks = np.concatenate([sdp.entry_coeff, sdp.objective_coeff])
+    frees = np.append(sdp.row_free, sdp.objective_row)
+    coeff_ptr, coeff_i, coeff_j, coeff_v = copies(
+        sdp.coeff_ptr, ks, sdp.coeff_i, sdp.coeff_j, sdp.coeff_v
+    )
+    free_ptr, free_j, free_v = copies(sdp.free_ptr, frees, sdp.free_j, sdp.free_v)
+    entries, rows = sdp.entry_coeff.size, sdp.rhs.size
+    return dataclasses.replace(
+        sdp, coeff_ptr=coeff_ptr, coeff_order=sdp.coeff_order[ks], coeff_i=coeff_i,
+        coeff_j=coeff_j, coeff_v=coeff_v, free_ptr=free_ptr, free_j=free_j, free_v=free_v,
+        entry_coeff=np.arange(entries), objective_coeff=np.arange(entries, ks.size),
+        row_free=np.arange(rows), objective_row=rows,
+    )
 
 
 def _e_sym(n, p, q):
@@ -362,18 +382,18 @@ class TestSparseForm:
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_coefficients_equal_the_dense_construction(self, case, builder):
         sdp, rows, objective_mats, objective_free = _sparse_case(case, builder)
-        assert sorted(con.name for con in sdp.constraints) == sorted(rows)
-        for con in sdp.constraints:
-            mats, free = rows[con.name]
-            assert con.mats.keys() == mats.keys(), con.name
+        got, objective = dense_rows(sdp)
+        assert sorted(got) == sorted(rows)
+        for name, row in got.items():
+            mats, free = rows[name]
+            assert row.mats.keys() == mats.keys(), name
             for b, k in mats.items():
-                assert k.shape == (con.mats[b].order,) * 2
-                assert np.array_equal(con.mats[b].dense(), k), (con.name, b)
-            assert np.array_equal(con.free.dense(), free), con.name
-        assert sdp.objective_mats.keys() == objective_mats.keys()
+                assert np.array_equal(row.mats[b], k), (name, b)
+            assert np.array_equal(row.free, free), name
+        assert objective.mats.keys() == objective_mats.keys()
         for b, k in objective_mats.items():
-            assert np.array_equal(sdp.objective_mats[b].dense(), k)
-        assert np.array_equal(sdp.objective_free.dense(), objective_free)
+            assert np.array_equal(objective.mats[b], k)
+        assert np.array_equal(objective.free, objective_free)
 
     @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
     @pytest.mark.parametrize("case", _SPARSE_CASES)
@@ -392,109 +412,48 @@ class TestSparseForm:
             scale += sum(np.linalg.norm(k) * np.linalg.norm(blocks[b]) for b, k in mats.items())
             assert abs(value - want) <= 1e-14 * (1.0 + scale)
 
-        for con, res in zip(sdp.constraints, residuals(sdp, asg)):
-            check(res + con.rhs, *rows[con.name])
+        for (name, row), res in zip(dense_rows(sdp)[0].items(), residuals(sdp, asg)):
+            check(res + row.rhs, *rows[name])
         check(objective_value(sdp, asg), objective_mats, objective_free)
 
-    def test_nonsymmetric_dense_input_is_refused(self):
-        a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            SparseSym.from_dense(a)
-        with pytest.raises(ValueError, match="not symmetric"):
-            SparseSym.from_dense([[np.nan]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            Constraint(name="c", mats={"A": a}, free=np.zeros(0), rhs=0.0)
-        with pytest.raises(ValueError, match="square"):
-            SparseSym.from_dense(np.zeros((2, 3)))
-
-    def test_signed_zeros_are_not_stored(self):
-        k = SparseSym.from_dense([[-0.0, 1.5], [1.5, 0.0]])
-        assert (k.order, k.rows, k.cols, k.vals) == (2, (0,), (1,), (1.5,))
-        v = SparseVec.from_dense([-0.0, 2.0, 0.0])
-        assert (v.length, v.idx.tolist(), v.vals.tolist()) == (3, [1], [2.0])
-        con = Constraint(name="c", mats={"A": -np.zeros((2, 2))}, free=-np.zeros(3), rhs=0.0)
-        assert con.mats["A"].size == con.free.size == 0
-        assert con.free.length == 3 and con.mats["A"].order == 2
-
     def test_size_and_nonzero_count_read_the_stored_entries(self):
-        # What the benchmark's tracer reads of every coefficient: here the
-        # coupling matrix of E_13 of order 4.
-        k, v = SparseSym(8, (1, 3), (7, 5), (0.5, 0.5)), SparseVec.from_dense([0.0, 3.0, -1.0])
-        assert (k.size, int((k != 0).sum())) == (2, 2)
-        assert (v.size, int((v != 0).sum())) == (2, 2)
-
-    def test_hand_built_matrix_is_checked(self):
-        assert SparseSym(3, [0, 1], [2, 1], [2.5, 1]).vals == (2.5, 1.0)
-        for rows, cols, vals, msg in [
-            ((1,), (0,), (1.0,), "upper triangle"),  # lower triangle
-            ((0,), (3,), (1.0,), "upper triangle"),  # outside order 3
-            ((0, 0), (2, 1), (1.0, 1.0), "row-major"),
-            ((1, 1), (1, 1), (1.0, 1.0), "row-major"),  # repeated
-            ((0,), (1,), (-0.0,), "zero"),
-            ((0,), (1,), (np.nan,), "nan"),
-            ((0, 1), (1,), (1.0,), "one entry each"),
-        ]:
-            with pytest.raises(ValueError, match=msg):
-                SparseSym(3, rows, cols, vals)
-
-    def test_hand_built_vector_is_checked(self):
-        idx, vals = np.array([0, 2]), np.array([1.0, -3.0])
-        v = SparseVec(4, idx, vals, offset=1)
-        assert v.dense().tolist() == [0.0, 1.0, 0.0, -3.0]
-        # The caller's arrays are copied, not frozen.
-        idx[0], vals[0] = 1, 5.0
-        assert v.dense().tolist() == [0.0, 1.0, 0.0, -3.0]
-        for length, idx, vals, offset, msg in [
-            (4, (0, 2), (1.0, 1.0), 2, "outside"),  # offset + idx reaches 4
-            (4, (0,), (1.0,), -1, "outside"),
-            (4, (2, 1), (1.0, 1.0), 0, "increasing"),
-            (4, (1, 1), (1.0, 1.0), 0, "increasing"),
-            (4, (1,), (0.0,), 0, "zero"),
-            (4, (1, 2), (1.0,), 0, "one length"),
-        ]:
-            with pytest.raises(ValueError, match=msg):
-                SparseVec(length, idx, vals, offset)
+        # What the benchmark's tracer reads of each row of the view: here
+        # the coupling matrix of E_13 of order 4 and a free row.
+        k, v = _coupling(_e_sym(4, 1, 3)), [0.0, 3.0, -1.0]
+        sdp = table_system([PsdBlock("T", 8)], 3, [k], [v], [("c", [(0, 0)], 0, 0, 0.0)], ([], 0))
+        (row,) = sdp.constraints
+        assert (row.mats["T"].size, int((row.mats["T"] != 0).sum())) == (2, 2)
+        assert (row.free.size, int((row.free != 0).sum())) == (2, 2)
 
     def test_row_that_does_not_fit_its_system_is_refused(self):
         # A free row longer than n_free would be written into the negated
         # half of the free block; a matrix of another order than its block
         # would be written outside it.
-        blocks, one = (PsdBlock("A", 2),), SparseSym(2, (0,), (0,), (1.0,))
-        rows = {
-            "free length 4": Constraint(
-                name="c", mats={"A": one}, free=SparseVec(4, (3,), (1.0,)), rhs=0.0
+        blocks = (PsdBlock("A", 2),)
+        misfit = "{what} does not fit the system: "
+        cases = {
+            misfit + "free length 4 for n_free 2": ([np.eye(2)], [0.0, 0.0, 0.0, 1.0], [(0, 0)]),
+            misfit + "free length 2 for n_free 2, matrix orders {{'A': 3}} for blocks {{'A': 2}}": (
+                [np.eye(3)], [0.0, 1.0], [(0, 0)]
             ),
-            "matrix orders {'A': 3}": Constraint(
-                name="c", mats={"A": SparseSym(3, (0,), (0,), (1.0,))}, free=np.zeros(2), rhs=0.0
-            ),
-            "blocks {'B': None}": Constraint(name="c", mats={"B": one}, free=np.zeros(2), rhs=0.0),
+            "an id outside its table": ([np.eye(2)], [0.0, 1.0], [(1, 0)]),
         }
-        for msg, con in rows.items():
-            for objective in (False, True):
-                with pytest.raises(ValueError, match=re.escape(msg)):
-                    StandardFormSdp.from_rows(
-                        system="hand",
-                        sense="min",
-                        blocks=blocks,
-                        n_free=2,
-                        objective_mats=con.mats if objective else {},
-                        objective_free=con.free if objective else np.zeros(2),
-                        constraints=() if objective else (con,),
-                        var_map={},
-                    )
+        for msg, (mats, free, cols) in cases.items():
+            for what in ("constraint c", "the objective"):
+                rows, objective = [("c", cols, 0, 0, 0.0)], ([], 1)
+                if what == "the objective":
+                    rows, objective = [], (cols, 0)
+                with pytest.raises(ValueError, match=re.escape(msg.format(what=what))):
+                    table_system(blocks, 2, mats, [free, []], rows, objective)
 
     def test_inner_product_reads_both_triangles(self):
         # <K, Y> = Σ K_ij Y_ij over every entry, as the dense product was,
         # also for a Y that is not symmetric.
         a = np.array([[1.0, -2.0, 0.0], [-2.0, 0.0, 0.5], [0.0, 0.5, 3.0]])
         y = np.arange(9.0).reshape(3, 3) ** 2
-        sdp = StandardFormSdp.from_rows(
-            [
-                Constraint(name="k", mats={"A": a}, free=np.zeros(0), rhs=0.0),
-                Constraint(name="t", mats={"T": _coupling(a)}, free=np.zeros(0), rhs=0.0),
-            ],
-            system="hand", sense="min", blocks=(PsdBlock("A", 3), PsdBlock("T", 6)), n_free=0,
-            objective_mats={"A": a}, objective_free=np.zeros(0), var_map={},
+        sdp = table_system(
+            (PsdBlock("A", 3), PsdBlock("T", 6)), 0, [a, _coupling(a)], [[]],
+            [("k", [(0, 0)], 0, 0, 0.0), ("t", [(1, 1)], 0, 0, 0.0)], ([(0, 0)], 0),
         )
         asg = Assignment(blocks={"A": y, "T": _coupling(y)}, free=np.zeros(0))
         want = [np.sum(a * y), np.sum(_coupling(a) * _coupling(y))]
@@ -587,34 +546,27 @@ _TABLES = (
 
 
 class TestRowTables:
-    """The constraints view and the tables say the same thing: the view
-    packs back into the same system, with one object per table entry."""
-
-    FIELDS = ("system", "sense", "blocks", "n_free", "objective_mats", "objective_free", "var_map")
+    """The constraints view reads the tables: row by row, as slices of
+    coeff_v and free_v, with the sizes and nonzeros of the dense rows."""
 
     @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
     @pytest.mark.parametrize("case", _SPARSE_CASES)
-    def test_view_packs_back_into_the_same_system(self, case, builder):
-        sdp = _sparse_case(case, builder)[0]
+    def test_view_reads_the_tables(self, case, builder):
+        sdp, rows = _sparse_case(case, builder)[:2]
         view = sdp.constraints
-        packed = StandardFormSdp.from_rows(view, **{f: getattr(sdp, f) for f in self.FIELDS})
-        assert standard_form_to_sdpa_text(packed) == standard_form_to_sdpa_text(sdp)
-        assert varmap_sidecar_text(packed) == varmap_sidecar_text(sdp)
-        assert [con.name for con in packed.constraints] == [con.name for con in view]
-        assert np.array_equal(packed.rhs, sdp.rhs)
+        assert [con.name for con in view] == _names(sdp) == list(dense_rows(sdp)[0])
         assert [con.rhs for con in view] == sdp.rhs.tolist()
-        # Every table entry is used, the view makes one object per matrix
-        # and one pair of arrays per free row, and packing the view holds
-        # each once again.  The objective's view makes its own.
-        mats = {id(k) for con in view for k in con.mats.values()}
-        for s in (sdp, packed):
-            assert len(mats) + s.objective_coeff.size == s.coeff_order.size
-        arrays = {(id(c.free.idx), id(c.free.vals)) for c in view}
-        assert sdp.free_ptr.size - 1 in (len(arrays), len(arrays) + 1)
-        assert packed.free_ptr.size - 1 == len(arrays) + 1
-        # What the benchmark's tracer reads of the view: each object's size
+        # Every table entry is used, by a row or by the objective.
+        ks = np.concatenate([sdp.entry_coeff, sdp.objective_coeff])
+        assert np.array_equal(np.unique(ks), np.arange(sdp.coeff_order.size))
+        frees = np.append(sdp.row_free, sdp.objective_row)
+        assert np.array_equal(np.unique(frees), np.arange(sdp.free_ptr.size - 1))
+        # The view copies nothing; an empty slice shares no memory.
+        for con in view:
+            for x, table in [(con.free, sdp.free_v)] + [(k, sdp.coeff_v) for k in con.mats.values()]:
+                assert x.size == 0 or np.shares_memory(x, table), con.name
+        # What the benchmark's tracer reads of the view: each slice's size
         # and its nonzeros, both the nonzeros of the dense rows.
-        rows = _sparse_case(case, builder)[1]
         dense = sum(
             np.count_nonzero(free) + sum(np.count_nonzero(np.triu(k)) for k in ks.values())
             for ks, free in rows.values()
@@ -659,14 +611,21 @@ class TestRowTables:
         offsets[0] = 11
         with pytest.raises(ValueError, match=re.escape(msg)):
             dataclasses.replace(sdp, row_offset=offsets)
-        # A table entry below the diagonal, two out of row-major order, a
-        # zero value, nan in a matrix, and a negative free index.
+        # A table entry below the diagonal, one past its order, two out of
+        # row-major order, two at one place, a zero value, nan or inf in a
+        # matrix, a negative, a falling and a repeated free index, inf in a
+        # free row and nan in rhs.
         lo = sdp.coeff_ptr[np.flatnonzero(np.diff(sdp.coeff_ptr) == 2)[0]]
         pair = slice(lo, lo + 2)
+        at = sdp.free_ptr[np.flatnonzero(np.diff(sdp.free_ptr) >= 2)[0]]
+        two = slice(at, at + 2)
         cases = [
-            {"coeff_i": (lo, sdp.coeff_j[lo] + 1)},
+            {"coeff_i": (lo, sdp.coeff_j[lo] + 1)}, {"coeff_j": (0, sdp.coeff_order[0])},
             {"coeff_i": (pair, sdp.coeff_i[pair][::-1]), "coeff_j": (pair, sdp.coeff_j[pair][::-1])},
-            {"coeff_v": (0, 0.0)}, {"free_v": (0, -0.0)}, {"coeff_v": (0, np.nan)}, {"free_j": (0, -1)},
+            {"coeff_i": (pair, sdp.coeff_i[lo]), "coeff_j": (pair, sdp.coeff_j[lo])},
+            {"coeff_v": (0, 0.0)}, {"free_v": (0, -0.0)}, {"coeff_v": (0, np.nan)},
+            {"coeff_v": (0, np.inf)}, {"free_j": (0, -1)}, {"free_j": (two, sdp.free_j[two][::-1])},
+            {"free_j": (two, sdp.free_j[at])}, {"free_v": (0, -np.inf)}, {"rhs": (0, np.nan)},
         ]
         for case in cases:
             fields = {field: getattr(sdp, field).copy() for field in case}
@@ -861,7 +820,7 @@ class TestRed:
         inst = SdpInstance.from_arrays([[[1.0]]], [1.0], [[1.0]])
         sdp, comp = build_red(inst)
         assert comp.ell == 0
-        assert len(sdp.constraints) == 0
+        assert sdp.rhs.size == 0
 
     def test_value_shift_constant(self):
         # <X0, Z> + <y, b> = <X0, C> for every dual point y, Z = C - 𝒜*y.
@@ -938,6 +897,86 @@ class TestStrictExactDualRemark:
         assert rr.status == "feasible"
         for x in sample_feasible(inst, rr, count=5, seed=7):
             assert x.norm() <= 1e-8
+
+
+def _slice_lambda(sdp):
+    """(the largest λ_min of the PSD blocks, held as one block diagonal, over
+    the affine slice of sdp's rows, ‖S0‖_F at the slice's particular point)
+    with ridge 1e-8: lstsq gives the point and an SVD the null basis, over
+    (svec of each PSD block, free vector)."""
+    rows = dense_rows(sdp)[0].values()
+    sizes = [b.order * (b.order + 1) // 2 for b in sdp.blocks]
+
+    def coeffs(row):
+        parts = [
+            svec(SymMat(row.mats[b.name])) if b.name in row.mats else np.zeros(k)
+            for b, k in zip(sdp.blocks, sizes)
+        ]
+        return np.concatenate(parts + [row.free])
+
+    a = np.array([coeffs(row) for row in rows])
+    x0 = np.linalg.lstsq(a, np.array([row.rhs for row in rows]), rcond=None)[0]
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))
+
+    def block_diag(x):
+        out, at, off = np.zeros((sum(b.order for b in sdp.blocks),) * 2), 0, 0
+        for b, k in zip(sdp.blocks, sizes):
+            out[off : off + b.order, off : off + b.order] = smat(x[at : at + k], b.order).a
+            at, off = at + k, off + b.order
+        return out
+
+    s0 = block_diag(x0)
+    result = maximize_lambda_min(s0, [block_diag(z) for z in vt[rank:]], reg=1e-8)
+    return result.value, np.linalg.norm(s0)
+
+
+def _unit_instance(n, a):
+    return SdpInstance.from_arrays([a], [0.0], np.eye(n))
+
+
+class TestStrictDualForcesZeroPrimal:
+    """If Ramana's dual is strictly feasible, the primal's only feasible
+    solution is 0 (Ramana 1997): an emitted dram whose primal has a nonzero
+    feasible X has no point with every PSD block positive definite, and
+    one whose primal feasible set is {0} has one."""
+
+    @pytest.mark.parametrize("eid", [e for e in all_ids() if get(e).facts.feasible])
+    def test_feasible_registry_primal_leaves_no_strict_dual(self, eid):
+        lam, scale = _slice_lambda(build_dram(get(eid).instance))
+        assert lam <= 1e-8 * (1.0 + scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unit_corner_leaves_no_strict_dual(self, n):
+        # X = E_nn is feasible for A_1 = E_11, b = 0.
+        lam, scale = _slice_lambda(build_dram(_unit_instance(n, np.diag([1.0] + [0.0] * (n - 1)))))
+        assert lam <= 1e-8 * (1.0 + scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_trace_primal_has_a_strict_dual(self, n):
+        # tr X = 0 leaves only X = 0 in the PSD cone.
+        lam, _ = _slice_lambda(build_dram(_unit_instance(n, np.eye(n))))
+        assert lam >= 1.0
+
+
+class TestNonFiniteCoefficients:
+    """A coefficient that is the sum a_ij + a_ji of two finite entries can
+    pass the largest float; the system holding it is refused, not written
+    with inf."""
+
+    BIG = 1.5e308
+
+    def test_constraint_sum_past_the_largest_float_is_refused(self):
+        a = [[1.0, self.BIG], [self.BIG, 0.0]]
+        inst = SdpInstance.from_arrays([a], [1.0], np.eye(2))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            build_pstrong(inst, StrongDualSpec(q=np.eye(2), r=1))
+
+    def test_objective_sum_past_the_largest_float_is_refused(self):
+        c = [[0.0, self.BIG], [self.BIG, 0.0]]
+        inst = SdpInstance.from_arrays([np.eye(2)], [1.0], c)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            build_pram(inst)
 
 
 def _golden_systems():

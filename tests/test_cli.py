@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ramanasdp import SymMat, build_rr_form, builders, classify_psd, registry, write_sdpa
+from ramanasdp import SdpInstance, SymMat, build_rr_form, builders, classify_psd, registry, write_sdpa
 from ramanasdp.certfile import read_certificate, to_ramana_certificate, write_certificate
 from ramanasdp.cli import main
 from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
@@ -98,6 +98,16 @@ class TestRrFormAndEmit:
     def test_strong_emit_requires_report(self, inst_file, capsys):
         assert main(["emit", inst_file, "--system", "dstrong"]) == 1
         assert "requires --from-rr" in capsys.readouterr().err
+
+    def test_emit_refuses_a_coefficient_past_the_largest_float(self, tmp_path, capsys):
+        # pram's objective holds C_12 + C_21 = 3e308 on X_12, which is inf.
+        path = tmp_path / "big.dat-s"
+        c = [[0.0, 1.5e308], [1.5e308, 0.0]]
+        write_sdpa(SdpInstance.from_arrays([np.eye(2)], [1.0], c), str(path))
+        with np.errstate(over="ignore"):
+            assert main(["emit", str(path), "--system", "pram"]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "big.pram.dat-s").exists()
 
 
 class TestVerifyCommand:

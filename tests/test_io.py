@@ -35,11 +35,7 @@ from ramanasdp.certfile import (
 from ramanasdp import certfile, sdpa
 from ramanasdp.builders import (
     Assignment,
-    Constraint,
     PsdBlock,
-    SparseSym,
-    SparseVec,
-    StandardFormSdp,
     build_alt_ram,
     build_dstrong,
     build_pram,
@@ -60,6 +56,7 @@ from ramanasdp import (
 from ramanasdp.verify import LadderRung, RamanaCertificate, ShapeMismatchError, leading_zero_rungs
 
 from helpers import (
+    dense_rows,
     inst_gap_raw,
     inst_gap_rr,
     inst_unattained,
@@ -72,6 +69,7 @@ from helpers import (
     reference_residuals,
     random_sym,
     read_bound,
+    table_system,
     through_text,
 )
 
@@ -222,24 +220,19 @@ def _reference_instance_text(inst):
 def _reference_system_text(sdp):
     """The same writer for emitted systems, with the objective's blocks in
     block order as the module docstring promises.  It formats the dense
-    form of each sparse matrix and free row."""
+    matrices and free rows of each row and of the objective."""
+    rows, objective = dense_rows(sdp)
     sizes = [str(b.order) for b in sdp.blocks] + ([str(-2 * sdp.n_free)] if sdp.n_free else [])
-    out = [str(len(sdp.constraints)), str(len(sizes)), " ".join(sizes)]
-    out.append(" ".join(repr(float(c.rhs)) for c in sdp.constraints))
+    out = [str(len(rows)), str(len(sizes)), " ".join(sizes)]
+    out.append(" ".join(repr(row.rhs) for row in rows.values()))
     sign = 1.0 if sdp.sense == "max" else -1.0
     index = {b.name: i + 1 for i, b in enumerate(sdp.blocks)}
-    rows = [(sdp.objective_mats, sdp.objective_free, sign)]
-    rows += [(con.mats, con.free, 1.0) for con in sdp.constraints]
-    rows = [
-        ({nm: s * k.dense() for nm, k in mats.items()}, s * free.dense()) for mats, free, s in rows
-    ]
-    for t, (mats, free) in enumerate(rows):
-        for name in sorted(mats, key=index.get):
-            _reference_entries(t, index[name], mats[name], out)
-        if sdp.n_free and free.size:
-            for j in np.flatnonzero(free).tolist():
-                c, blk, jj = float(free[j]), len(sdp.blocks) + 1, sdp.n_free + j + 1
-                out += [f"{t} {blk} {j + 1} {j + 1} {c!r}", f"{t} {blk} {jj} {jj} {-c!r}"]
+    for t, (row, s) in enumerate([(objective, sign)] + [(row, 1.0) for row in rows.values()]):
+        for name in sorted(row.mats, key=index.get):
+            _reference_entries(t, index[name], s * row.mats[name], out)
+        for j in np.flatnonzero(row.free).tolist():
+            c, blk, jj = s * float(row.free[j]), len(sdp.blocks) + 1, sdp.n_free + j + 1
+            out += [f"{t} {blk} {j + 1} {j + 1} {c!r}", f"{t} {blk} {jj} {jj} {-c!r}"]
     return "\n".join(out) + "\n"
 
 
@@ -257,32 +250,31 @@ def _value_matrix(rng, order):
 def _hand_system(rng, n_cons, n_free, sense, objective_free):
     """Constraints whose first half is all zero, so that a chunk of the
     writer reaches its row bound, and whose second half cycles through an
-    all-zero row, a row with an empty free vector, blocks listed out of
-    order, and a row with no blocks."""
+    all-zero row, a row with an empty free row, a row on every block, and
+    a row with no blocks.  Each row has matrices and a free row of its own."""
     blocks = (PsdBlock("A", 3), PsdBlock("B", 1), PsdBlock("C", 4))
-    cons = []
+    mats, frees, rows = [], [], []
+
+    def add(table, x):
+        table.append(x)
+        return len(table) - 1
+
     for t in range(n_cons):
         kind = t % 4 if 2 * t >= n_cons else 0
         if kind == 0:
-            mats, free = {"A": np.zeros((3, 3)), "C": -np.zeros((4, 4))}, -np.zeros(n_free)
+            cols, free = [(0, np.zeros((3, 3))), (2, -np.zeros((4, 4)))], -np.zeros(n_free)
         elif kind == 1:
-            mats, free = {"C": _value_matrix(rng, 4)}, np.zeros(0)
+            cols, free = [(2, _value_matrix(rng, 4))], np.zeros(0)
         elif kind == 2:
-            mats = {nm: _value_matrix(rng, k) for nm, k in (("C", 4), ("B", 1), ("A", 3))}
+            cols = [(b, _value_matrix(rng, blocks[b].order)) for b in range(3)]
             free = rng.choice(_VALUES, n_free)
         else:
-            mats, free = {}, rng.choice(_VALUES, n_free)
-        cons.append(Constraint(name=f"c{t}", mats=mats, free=free, rhs=float(rng.choice(_VALUES))))
-    return StandardFormSdp.from_rows(
-        system="hand",
-        sense=sense,
-        blocks=blocks,
-        n_free=n_free,
-        objective_mats={"C": _value_matrix(rng, 4), "A": _value_matrix(rng, 3)},
-        objective_free=objective_free,
-        constraints=tuple(cons),
-        var_map={},
-    )
+            cols, free = [], rng.choice(_VALUES, n_free)
+        cols = [(b, add(mats, k)) for b, k in cols]
+        rows.append((f"c{t}", cols, add(frees, free), 0, float(rng.choice(_VALUES))))
+    objective = [(0, add(mats, _value_matrix(rng, 3))), (2, add(mats, _value_matrix(rng, 4)))]
+    return table_system(blocks, n_free, mats, frees, rows, (objective, add(frees, objective_free)),
+                        sense)
 
 
 _BUILDERS = {
@@ -322,46 +314,27 @@ class TestChunkedWriter:
         # the objective, between all-zero and -0.0 rows: text formatted for
         # one row or chunk must not leak into another.
         rng = np.random.default_rng(11)
-        mat = SparseSym.from_dense(_value_matrix(rng, 3))
-        free = SparseVec.from_dense([0.1, -2.5, 0.0, 1 / 3, 0.1, -1e-17])
-        cycle = [
-            ({"A": mat, "B": np.zeros((3, 3))}, free),
-            ({"A": -np.zeros((3, 3))}, -np.zeros(free.length)),
-            ({"B": mat, "A": -np.zeros((3, 3))}, free),
-            ({}, np.zeros(free.length)),
-        ]
-        cons = tuple(
-            Constraint(name=f"c{t}", mats=cycle[t % 4][0], free=cycle[t % 4][1], rhs=1.0)
-            for t in range(5 * sdpa._CHUNK_ROWS)
+        mat, free = _value_matrix(rng, 3), [0.1, -2.5, 0.0, 1 / 3, 0.1, -1e-17]
+        # Matrix 0 and free row 0 are mat and free; matrix 1 and free row 1
+        # are all zero.
+        cycle = [([(0, 0), (1, 1)], 0), ([(0, 1)], 1), ([(0, 1), (1, 0)], 0), ([], 1)]
+        rows = [(f"c{t}", *cycle[t % 4], 0, 1.0) for t in range(5 * sdpa._CHUNK_ROWS)]
+        sdp = table_system(
+            (PsdBlock("A", 3), PsdBlock("B", 3)), len(free), [mat, -np.zeros((3, 3))],
+            [free, np.zeros(len(free))], rows, ([(0, 0), (1, 0)], 0),
         )
-        sdp = StandardFormSdp.from_rows(
-            system="hand",
-            sense="min",
-            blocks=(PsdBlock("A", 3), PsdBlock("B", 3)),
-            n_free=free.length,
-            objective_mats={"B": mat, "A": mat},
-            objective_free=free,
-            constraints=cons,
-            var_map={},
-        )
-        uses = sum(any(m is mat for m in con.mats.values()) for con in cons)
-        assert uses > 2 * sdpa._CHUNK_ROWS and sum(con.free is free for con in cons) == uses
+        uses = np.count_nonzero(sdp.entry_coeff == 0)
+        assert uses > 2 * sdpa._CHUNK_ROWS and np.count_nonzero(sdp.row_free == 0) == uses
         assert standard_form_to_sdpa_text(sdp) == _reference_system_text(sdp)
 
     def test_free_values_at_the_float_edges(self):
         # The writer flips the sign of a value's text for its -c_j line; the
         # reference formats -c_j itself.
-        free = np.array([np.nan, np.inf, -np.inf, 5e-324, -1e-320, 1e308, -0.1, 1 / 3, 0.0])
+        free = np.array([5e-324, -1e-320, 1e308, -0.1, 1 / 3, 0.0])
         one = np.ones((1, 1))
-        sdp = StandardFormSdp.from_rows(
-            system="hand",
-            sense="min",
-            blocks=(PsdBlock("A", 1),),
-            n_free=free.size,
-            objective_mats={"A": one},
-            objective_free=free,
-            constraints=(Constraint(name="c", mats={"A": one}, free=free, rhs=1.0),),
-            var_map={},
+        sdp = table_system(
+            (PsdBlock("A", 1),), free.size, [one], [free], [("c", [(0, 0)], 0, 0, 1.0)],
+            ([(0, 0)], 0),
         )
         assert standard_form_to_sdpa_text(sdp) == _reference_system_text(sdp)
 
@@ -380,17 +353,16 @@ class TestChunkedWriter:
 
     def test_objective_entries_follow_block_order(self):
         one = np.ones((1, 1))
-        sdp = StandardFormSdp.from_rows(
-            system="hand",
-            sense="max",
-            blocks=(PsdBlock("A", 1), PsdBlock("B", 1)),
-            n_free=0,
-            objective_mats={"B": 2.0 * one, "A": one},
-            objective_free=np.zeros(0),
-            constraints=(Constraint(name="c", mats={"A": one}, free=np.zeros(0), rhs=1.0),),
-            var_map={},
-        )
-        entries = standard_form_to_sdpa_text(sdp).splitlines()[4:]
+
+        def system(objective):
+            return table_system(
+                (PsdBlock("A", 1), PsdBlock("B", 1)), 0, [one, 2.0 * one], [[]],
+                [("c", [(0, 0)], 0, 0, 1.0)], (objective, 0), sense="max",
+            )
+
+        with pytest.raises(ValueError, match="block order"):
+            system([(1, 1), (0, 0)])
+        entries = standard_form_to_sdpa_text(system([(0, 0), (1, 1)])).splitlines()[4:]
         assert entries == ["0 1 1 1 1.0", "0 2 1 1 2.0", "1 1 1 1 1.0"]
 
     def test_streamed_file_equals_text(self, tmp_path):
@@ -454,9 +426,9 @@ def test_residuals_agree_with_the_reference_loop(builder, n):
     for asg in asgs:
         want, scale = reference_residuals(sdp, asg)
         assert np.all(np.abs(residuals(sdp, asg) - want) <= 1e-12 * scale)
-    obj = sdp.objective_free
-    want = obj.vals @ asgs[0].free[obj.idx]
-    assert abs(objective_value(sdp, asgs[0]) - want) <= 1e-12 * np.abs(obj.vals).sum()
+    obj = dense_rows(sdp)[1].free
+    want = obj @ asgs[0].free
+    assert abs(objective_value(sdp, asgs[0]) - want) <= 1e-12 * np.abs(obj).sum()
 
 
 def _ladder_cert():
