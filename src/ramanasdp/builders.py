@@ -1,8 +1,9 @@
 """Explicit standard-form SDPs for the exact duals and alternative systems.
 
-Every system here is emitted as one StandardFormSdp: a list of PSD block
-variables plus one free-scalar vector, linear equality constraints, and a
-linear objective.  The tangent-space constraint V ∈ tan(U) is what makes
+Every system here is one of verify's five, emitted as one
+StandardFormSdp: a list of PSD block variables plus one free-scalar
+vector, linear equality constraints, and a linear objective in the free
+scalars alone.  The tangent-space constraint V ∈ tan(U) is what makes
 the exact dual an explicit SDP: the existential witness pair (W, R) of
 
     V = W + Wᵀ,   [[U, W], [Wᵀ, R]] PSD
@@ -61,16 +62,17 @@ the RR-form construction.
 
 Every system is one coordinate table, CSR-style: the distinct matrices
 as the upper-triangle nonzeros of each, row-major, in int32 coordinate
-and float64 value arrays, the distinct free rows the same way, and the
-rows as int32 id arrays into both, with no object per row or per
-coefficient.  The StandardFormSdp constructor, which takes the tables
-and checks them, is the one way to make a system; the builders fill
-theirs through _Rows.  They append whole sections with numpy: the units
-sign·E_pq of every svec pair, their coupling matrices and the corner
-ties' matrices take a few array operations each.  No ladder coefficient
-depends on the rung, so a ladder system references O(n³) matrices but
-holds O(n²).  residuals and objective_value are one gather and bincount
-per table, and the SDPA writer formats each table entry once per write.
+and float64 value arrays, the distinct free rows the same way, the rows
+as int32 id arrays into both and the objective as one free row's id,
+with no object per row or per coefficient.  The StandardFormSdp
+constructor, which takes the tables and checks them, is the one way to
+make a system; the builders fill theirs through _Rows.  They append
+whole sections with numpy: the units sign·E_pq of every svec pair, their
+coupling matrices and the corner ties' matrices take a few array
+operations each.  No ladder coefficient depends on the rung, so a ladder
+system references O(n³) matrices but holds O(n²).  residuals are one
+gather and bincount per table, and the SDPA writer formats each table
+entry once per write.
 """
 
 from __future__ import annotations
@@ -83,18 +85,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    INDEP_TOL,
-    DependentConstraintsError,
-    DualComplement,
-    SdpInstance,
-    apply_at,
-    complement_basis,
-    constraint_stack,
-    dual_slack,
-    svec_index,
-    svec_order,
-)
+from .model import SdpInstance, apply_at, dual_slack, independent_stack, svec_index, svec_order
 from .symmat import EPS_PSD, SymMat, classify_psd, split_psd_plus_tan, tangent_witness
 from .verify import (
     SYSTEM_ALTRAM, SYSTEM_DRAM, SYSTEM_PRAM, StrongDualSpec, dual_ladder_length,
@@ -165,12 +156,11 @@ class StandardFormSdp:
     in free_j.  Row r has the matrices entry_coeff[e] on the blocks
     entry_block[e], e in row_ptr[r]..row_ptr[r + 1] - 1, in block order,
     the free row row_free[r] placed at row_offset[r], rhs[r], and the name
-    pre + label, in order of the (pre, labels) sections; the objective has
-    the matrices objective_coeff on objective_block and the free row
-    objective_row.  The arrays are copied read-only and checked once: every
-    value is finite and nonzero, a free entry past n_free would be written
-    into the negated half of the free block, and a matrix of another order
-    than its block outside it."""
+    pre + label, in order of the (pre, labels) sections; the objective is
+    the free row objective_row at offset 0.  The arrays are copied
+    read-only and checked once: every value is finite and nonzero, a free
+    entry past n_free would be written into the negated half of the free
+    block, and a matrix of another order than its block outside it."""
 
     system: str
     sense: str
@@ -190,8 +180,6 @@ class StandardFormSdp:
     row_free: np.ndarray
     row_offset: np.ndarray
     rhs: np.ndarray
-    objective_block: np.ndarray
-    objective_coeff: np.ndarray
     objective_row: int
     sections: tuple[tuple[str, tuple[str, ...]], ...]
     var_map: dict[str, VarSlot]
@@ -212,13 +200,12 @@ class StandardFormSdp:
             and _segments(self.row_ptr, rows, self.entry_block, self.entry_coeff)
             and self.row_free.size == self.row_offset.size == rows
             and sum(len(labels) for _, labels in self.sections) == rows
-            and self.objective_block.size == self.objective_coeff.size
         )
-        if ok:  # The rows and then the objective as one more row.
-            ptr = np.concatenate([self.row_ptr, self.row_ptr[-1:] + self.objective_block.size])
-            blk, ks, frees, offs = (np.concatenate(pair, dtype=np.int32) for pair in (
-                (self.entry_block, self.objective_block), (self.entry_coeff, self.objective_coeff),
-                (self.row_free, [self.objective_row]), (self.row_offset, [0])))
+        blk, ks = self.entry_block, self.entry_coeff
+        if ok:  # The rows and then the objective: one more row, a free row at offset 0.
+            ptr = np.append(self.row_ptr, self.row_ptr[-1])
+            frees = np.append(self.row_free, self.objective_row)
+            offs = np.append(self.row_offset, 0)
             for ids, size in ((blk, len(self.blocks)), (ks, n_mats), (frees, n_frees)):
                 ok = ok and (not ids.size or 0 <= ids.min() and ids.max() < size)
         if not (ok and _rising(ptr, blk)):
@@ -329,7 +316,7 @@ class _Rows:
         per_row = (np.broadcast_to(x, n) for x in (free, offset, rhs))
         self.parts.append((has.sum(1), blk[has], ids[has], *per_row))
 
-    def system(self, objective_block=(), objective_coeff=(), **fields) -> StandardFormSdp:
+    def system(self, **fields) -> StandardFormSdp:
         def cat(parts, dtype=np.int32):
             return np.concatenate([np.zeros(0, dtype)] + [np.asarray(p, dtype) for p in parts])
 
@@ -344,7 +331,6 @@ class _Rows:
             free_j=cat(f.j for f in frees), free_v=cat((f.v for f in frees), float),
             row_ptr=np.cumsum(cat([[0], *counts])), entry_block=cat(blk), entry_coeff=cat(ks),
             row_free=cat(free), row_offset=cat(offset), rhs=cat(rhs, float),
-            objective_block=objective_block, objective_coeff=objective_coeff,
             sections=tuple(self.sections), **fields,
         )
 
@@ -367,28 +353,22 @@ def _expand(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, np.arange(at.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
-def _values(sdp: StandardFormSdp, assign: Assignment, ptr, blk, ks, frees, offsets) -> np.ndarray:
-    """Σ_B <K_B, Y_B> + free·u of each row of the tables ptr, blk, ks,
-    frees and offsets, with <K, Y> = Σ K_ij Y_ij over every (i, j) as for
-    the dense K: one gather from each table and one bincount per part."""
-    n_rows = ptr.size - 1
-    at, e = _expand(sdp.coeff_ptr, ks)
-    row, b = np.repeat(np.arange(n_rows), np.diff(ptr))[at], blk[at]
+def residuals(sdp: StandardFormSdp, assign: Assignment) -> np.ndarray:
+    """Each row's value Σ_B <K_B, Y_B> + free·u less its rhs, with
+    <K, Y> = Σ K_ij Y_ij over every (i, j) as for the dense K: one gather
+    from each table and one bincount per part."""
+    ptr, n_rows = sdp.row_ptr, sdp.rhs.size
+    at, e = _expand(sdp.coeff_ptr, sdp.entry_coeff)
+    row, b = np.repeat(np.arange(n_rows), np.diff(ptr))[at], sdp.entry_block[at]
     orders = np.array([x.order for x in sdp.blocks], dtype=int)
     base = (np.cumsum(orders**2) - orders**2)[b]
     y = np.concatenate([np.zeros(0)] + [np.ravel(assign.blocks[x.name]) for x in sdp.blocks])
     i, j, order = sdp.coeff_i[e], sdp.coeff_j[e], orders[b]
     pair = y[base + i * order + j] + y[base + j * order + i]
     mats = np.bincount(row, np.where(i == j, 0.5, 1.0) * sdp.coeff_v[e] * pair, minlength=n_rows)
-    at, e = _expand(sdp.free_ptr, frees)
-    u = assign.free[offsets[at] + sdp.free_j[e]]
-    return np.bincount(at, sdp.free_v[e] * u, minlength=n_rows) + mats
-
-
-def residuals(sdp: StandardFormSdp, assign: Assignment) -> np.ndarray:
-    """Each row's value less its rhs."""
-    tables = (sdp.row_ptr, sdp.entry_block, sdp.entry_coeff, sdp.row_free, sdp.row_offset)
-    return _values(sdp, assign, *tables) - sdp.rhs
+    at, e = _expand(sdp.free_ptr, sdp.row_free)
+    u = assign.free[sdp.row_offset[at] + sdp.free_j[e]]
+    return np.bincount(at, sdp.free_v[e] * u, minlength=n_rows) + mats - sdp.rhs
 
 
 def max_violation(sdp: StandardFormSdp, assign: Assignment) -> float:
@@ -400,9 +380,9 @@ def min_block_eigenvalue(sdp: StandardFormSdp, assign: Assignment) -> float:
 
 
 def objective_value(sdp: StandardFormSdp, assign: Assignment) -> float:
-    obj = sdp.objective_block
-    one = (np.array([0, obj.size]), obj, sdp.objective_coeff, np.array([sdp.objective_row]))
-    return float(_values(sdp, assign, *one, np.zeros(1, int))[0])
+    """The objective's free row, at offset 0, at assign."""
+    lo, hi = sdp.free_ptr[sdp.objective_row : sdp.objective_row + 2]
+    return float(sdp.free_v[lo:hi] @ assign.free[sdp.free_j[lo:hi]])
 
 
 def extract(sdp: StandardFormSdp, assign: Assignment, name: str) -> np.ndarray:
@@ -600,10 +580,7 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
     <C, U_i + V_i> = 0.  Requires linearly independent A_i.
     """
     n, m = inst.n, inst.m
-    if m:
-        s = np.linalg.svd(constraint_stack(inst), compute_uv=False)
-        if int(np.sum(s > max(s[0], 1.0) * INDEP_TOL)) < m:
-            raise DependentConstraintsError("A_i are linearly dependent")
+    independent_stack(inst)
     nn = n * (n + 1) // 2
     rows = _Rows()
     _primal_eq(rows, inst)
@@ -698,28 +675,6 @@ def build_pstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     objective = rows.free_rows(_dense_rows(_free_sym_coeffs(inst.c.a)[None]))[0]
     return rows.system(system="pstrong", sense=SENSE_MIN, blocks=(PsdBlock("V11", r),) if r else (),
                        n_free=nn + n22 + r * f, objective_row=objective, var_map=vm)
-
-
-def build_red(inst: SdpInstance) -> tuple[StandardFormSdp, DualComplement]:
-    """Equality-form rewrite of the dual over the slack Z.
-
-    Z is feasible iff Z = C - 𝒜*y for a dual-feasible y, and
-    <X0, Z> + <y, b> = <X0, C> is constant, so optima correspond too.
-    """
-    comp, n = complement_basis(inst), inst.n
-    rows = _Rows()
-    ids = rows.matrices(_dense_mats(_stack(comp.d, n)))
-    labels = tuple(str(j + 1) for j in range(comp.ell))
-    rows.add("red_eq", labels, [(0, ids)], rows.no_free, 0, comp.d_vals)
-    sdp = rows.system(system="red", sense=SENSE_MIN, blocks=(PsdBlock("Z", n),), n_free=0,
-                      objective_block=(0,), objective_coeff=rows.matrices(_dense_mats(comp.x0.a[None])),
-                      objective_row=rows.no_free, var_map={"Z": VarSlot(kind="block", block="Z", order=n)})
-    return sdp, comp
-
-
-def red_to_instance(comp: DualComplement) -> SdpInstance:
-    """View the equality-form rewrite as a plain instance over Z."""
-    return SdpInstance(a=comp.d, b=comp.d_vals.copy(), c=comp.x0)
 
 
 def _utri_values(a: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, builders, certfile, facial, registry, sdpa, verify
+from . import __version__, builders, certfile, facial, model, registry, sdpa, verify
 from .symmat import SymMat, classify_psd
 
 EXIT_OK = 0
@@ -99,8 +99,7 @@ def cmd_rr_form(args) -> int:
     pstrong_spec = None
     if rr.status == facial.STATUS_FEASIBLE:
         try:
-            _, comp = builders.build_red(inst)
-            rr_red = facial.build_rr_form(builders.red_to_instance(comp), eps=args.eps)
+            rr_red = facial.build_rr_form(model.classical_dual_instance(inst), eps=args.eps)
             if rr_red.status == facial.STATUS_FEASIBLE:
                 q_red = rr_red.ref.q
                 slack = q_red @ rr_red.maxrank_x.a @ q_red.T

@@ -811,13 +811,13 @@ def _pd_combination(
     lam_1 = np.linalg.eigvalsh(mats[0].a[:p, :p])[0]
     if lam_h <= 0 or lam_1 <= 0:
         raise SubsolverFailureError("merge: inner combination lost definiteness")
-    bound = (
-        float(np.linalg.norm(b11, 2))
-        + float(np.linalg.norm(e12, 2)) ** 2 / lam_h
-    ) / lam_1
+    # In numpy floats, which overflow to inf; below 2^900, log2 errs by
+    # under 1e-12, so lam exceeds the bound and 64 doublings stay finite.
+    with np.errstate(over="ignore"):
+        bound = (np.linalg.norm(b11, 2) + np.linalg.norm(e12, 2) ** 2 / lam_h) / lam_1
+    if not bound < 2.0**900:
+        raise SubsolverFailureError(f"merge: Schur bound {bound:.3e} is not below 2^900")
     lam = 2.0 ** int(np.ceil(np.log2(max(bound, 1.0)) + 1e-12))
-    if lam <= bound:
-        lam *= 2.0
     for _ in range(64):
         total = lam * mats[0].a + g
         if classify_psd(SymMat(total), eps).is_positive_definite:

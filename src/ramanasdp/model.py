@@ -13,10 +13,10 @@ A reformulation is an invertible recombination of the equality rows
 one orthonormal Q; it maps feasible sets by X ↦ QᵀXQ on the primal side
 and y ↦ M⁻ᵀy on the dual side.
 
-complement_basis supplies the ingredients of the equality-form rewrite
-of the dual: an orthonormal basis D_1..D_ℓ of the orthogonal complement
-of span{A_i} in S^n (ℓ = n(n+1)/2 - m), the values d_j = <D_j, C>, and
-the minimum-norm X0 with 𝒜X0 = b.
+classical_dual_instance rewrites the dual in equality form over its
+slack Z as one more instance: its A_j are an orthonormal basis D_1..D_ℓ
+of the orthogonal complement of span{A_i} in S^n (ℓ = n(n+1)/2 - m), its
+b the values <D_j, C>, and its C the minimum-norm X0 with 𝒜X0 = b.
 """
 
 from __future__ import annotations
@@ -278,18 +278,33 @@ def constraint_stack(inst: SdpInstance) -> np.ndarray:
     return np.vstack([svec(ai) for ai in inst.a])
 
 
-@dataclass(frozen=True)
-class DualComplement:
-    """Orthonormal complement basis of span{A_i} in S^n plus rewrite data."""
+def independent_stack(inst: SdpInstance) -> np.ndarray:
+    """constraint_stack(inst), refused unless it is finite and its m rows
+    are numerically independent: m singular values above
+    INDEP_TOL·max(σ_max, 1).  svec scales the off-diagonal entries by √2,
+    so a finite entry above DBL_MAX/√2 ≈ 1.27e308 overflows in the stack."""
+    with np.errstate(over="ignore"):
+        stack = constraint_stack(inst)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
+    if bad.size:
+        raise ValueError(f"svec(A_{bad[0] + 1}) overflows: an off-diagonal entry of "
+                         f"A_{bad[0] + 1} exceeds DBL_MAX/√2 in magnitude")
+    if inst.m:
+        s = np.linalg.svd(stack, compute_uv=False)
+        rank = int(np.sum(s > INDEP_TOL * max(s[0], 1.0)))
+        if rank < inst.m:
+            raise DependentConstraintsError(f"A_i have numerical rank {rank} < m = {inst.m}")
+    return stack
 
-    d: tuple[SymMat, ...]
-    d_vals: np.ndarray
-    x0: SymMat
-    ell: int
 
+def classical_dual_instance(inst: SdpInstance) -> SdpInstance:
+    """The classical dual in equality form over its slack Z = C - 𝒜*y:
 
-def complement_basis(inst: SdpInstance) -> DualComplement:
-    """Compute D_1..D_ℓ ⟂ span{A_i}, d_j = <D_j, C>, and minimum-norm X0.
+        inf <X0, Z>  s.t.  <D_j, Z> = <D_j, C> (j = 1..ℓ),  Z PSD.
+
+    Z is feasible iff Z = C - 𝒜*y for a dual-feasible y, and
+    <X0, Z> + <b, y> = <X0, C> is constant, so the dual's value is
+    <X0, C> less this instance's value, and optima correspond.
 
     The D_j are produced by Gram–Schmidt over the standard basis of S^n in
     the fixed svec order, projected against span{A_i}, so the output is
@@ -300,14 +315,8 @@ def complement_basis(inst: SdpInstance) -> DualComplement:
     """
     n = inst.n
     nn = n * (n + 1) // 2
-    stack = constraint_stack(inst)
+    stack = independent_stack(inst)
     if inst.m:
-        s = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(s > INDEP_TOL * max(s[0], 1.0)))
-        if rank < inst.m:
-            raise DependentConstraintsError(
-                f"A_i have numerical rank {rank} < m = {inst.m}"
-            )
         # Orthonormal basis of span{A_i} for the projection.
         q_span, _ = np.linalg.qr(stack.T)
     else:
@@ -339,4 +348,4 @@ def complement_basis(inst: SdpInstance) -> DualComplement:
         x0 = smat(x0_vec, n)
     else:
         x0 = SymMat.zero(n)
-    return DualComplement(d=d_mats, d_vals=d_vals, x0=x0, ell=ell)
+    return SdpInstance(a=d_mats, b=d_vals, c=x0)

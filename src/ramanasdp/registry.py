@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import builders, facial, verify
+from . import facial, verify
 from .facial import classical_alternative_feasible
-from .model import SdpInstance
+from .model import SdpInstance, classical_dual_instance
 from .symmat import EPS_PSD, SymMat
 
 VALUE_TOL = 1e-6
@@ -351,11 +351,11 @@ def get(entry_id: str) -> ExampleRegistryEntry:
 
 def classical_dual_value(inst: SdpInstance, eps: float = EPS_PSD) -> float:
     """Optimal value of the classical dual via its equality-form rewrite."""
-    _, comp = builders.build_red(inst)
-    red_val = facial.primal_optimal_value(builders.red_to_instance(comp), eps=eps)
+    red = classical_dual_instance(inst)
+    red_val = facial.primal_optimal_value(red, eps=eps)
     if red_val == float("inf"):
         return float("-inf")
-    return comp.x0.inner(inst.c) - red_val
+    return red.c.inner(inst.c) - red_val
 
 
 def _close(a: float, b: float) -> bool:

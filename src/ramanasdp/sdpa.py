@@ -9,11 +9,12 @@ A non-finite value or a repeated entry raises ParseError with its line.
 
 Emitted standard-form SDPs use the same container.  The file encodes the
 equality-standard-form data the usual way around: matno t holds the
-coefficient matrices of constraint t, matno 0 the objective, the c line
-the constraint right-hand sides.  Free scalars are split into a
-difference of two entries of one trailing diagonal block (u = d_j -
-d_{n_free+j}); the split, the block layout, and the variable map are
-documented in a sidecar file next to the output.
+coefficient matrices of constraint t, matno 0 the objective, whose
+entries all lie in the free block, the c line the constraint right-hand
+sides.  Free scalars are split into a difference of two entries of one
+trailing diagonal block (u = d_j - d_{n_free+j}); the split, the block
+layout, and the variable map are documented in a sidecar file next to
+the output.
 
 Output is deterministic: fixed entry order (matno, then block, then
 row-major upper triangle) and shortest round-trip float formatting, so
@@ -121,12 +122,11 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     cptr, ci, cj, cv = (a.tolist() for a in (sdp.coeff_ptr, sdp.coeff_i, sdp.coeff_j, sdp.coeff_v))
     fptr = sdp.free_ptr.tolist()
 
-    def mat_lines(k, pre="\0", sign=1.0):
+    def mat_lines(k):
         lo, hi = cptr[k], cptr[k + 1]
         if hi - lo == 1:  # most matrices of a ladder are units
-            return f"{pre}{ij[ci[lo]][cj[lo]]}{sign * cv[lo]!r}\n"
-        vals = cv[lo:hi] if sign > 0 else [-v for v in cv[lo:hi]]
-        return "".join([f"{pre}{ij[a][b]}{x!r}\n" for a, b, x in zip(ci[lo:hi], cj[lo:hi], vals)])
+            return f"\0{ij[ci[lo]][cj[lo]]}{cv[lo]!r}\n"
+        return "".join([f"\0{ij[a][b]}{x!r}\n" for a, b, x in zip(ci[lo:hi], cj[lo:hi], cv[lo:hi])])
 
     def value_texts(f, sign=1.0):
         # The line ends "c\n" and "-c\n" of each value c of free row f:
@@ -143,10 +143,8 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
             for j, p, q in zip(sdp.free_j[fptr[f] : fptr[f + 1]].tolist(), pos, neg)
         ]
 
-    sign, f = 1.0 if sdp.sense == "max" else -1.0, sdp.objective_row
-    objective = zip(sdp.objective_block.tolist(), sdp.objective_coeff.tolist())
-    pieces = [mat_lines(k, f"0 {b + 1} ", sign) for b, k in objective]
-    yield "".join(pieces + free_lines(0, f, 0, value_texts(f, sign)))
+    f = sdp.objective_row
+    yield "".join(free_lines(0, f, 0, value_texts(f, 1.0 if sdp.sense == "max" else -1.0)))
     mat_text = _memo(len(cptr) - 1, sdp.entry_coeff, mat_lines)
     free_text = _memo(len(fptr) - 1, sdp.row_free, value_texts)
     for lo in range(0, rows, _CHUNK_ROWS):

@@ -240,8 +240,8 @@ def ladder_verdicts(inst: SdpInstance, cert):
 
 class DenseRow(NamedTuple):
     """A row or the objective of an emitted system, dense: its matrices by
-    block name, its free row of length n_free placed at its offset, and
-    its rhs (0.0 for the objective)."""
+    block name (none for the objective), its free row of length n_free
+    placed at its offset, and its rhs (0.0 for the objective)."""
 
     mats: dict
     free: np.ndarray
@@ -271,15 +271,16 @@ def dense_rows(sdp: StandardFormSdp) -> tuple[dict[str, DenseRow], DenseRow]:
         for r, name in enumerate(names)
     }
     assert len(rows) == sdp.rhs.size, "row names repeat"
-    return rows, row(sdp.objective_block, sdp.objective_coeff, sdp.objective_row, 0, 0.0)
+    none = np.zeros(0, int)
+    return rows, row(none, none, sdp.objective_row, 0, 0.0)
 
 
 def table_system(blocks, n_free, mats, frees, rows, objective, sense="min") -> StandardFormSdp:
     """The system "hand" made from its tables, whose entries are given
     dense: mats the matrices and frees the free rows, each held once and
     used by its index.  rows are (name, [(block index, matrix index)],
-    free row index, offset, rhs), the objective ([(block index, matrix
-    index)], free row index); signed zeros are not stored."""
+    free row index, offset, rhs), the objective a free row index; signed
+    zeros are not stored."""
     tri = [np.triu(np.asarray(a, dtype=float)) for a in mats]
     at = [np.nonzero(t) for t in tri]
     frees = [np.asarray(v, dtype=float) for v in frees]
@@ -298,8 +299,7 @@ def table_system(blocks, n_free, mats, frees, rows, objective, sense="min") -> S
         entry_block=[b for _, cols, *_ in rows for b, _ in cols],
         entry_coeff=[k for _, cols, *_ in rows for _, k in cols],
         row_free=[r[2] for r in rows], row_offset=[r[3] for r in rows], rhs=[r[4] for r in rows],
-        objective_block=[b for b, _ in objective[0]], objective_coeff=[k for _, k in objective[0]],
-        objective_row=objective[1], sections=tuple((r[0], ("",)) for r in rows), var_map={},
+        objective_row=objective, sections=tuple((r[0], ("",)) for r in rows), var_map={},
     )
 
 

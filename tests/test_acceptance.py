@@ -19,8 +19,8 @@ from ramanasdp import (
     build_pram,
     build_pstrong,
     build_dstrong,
-    build_red,
     build_rr_form,
+    classical_dual_instance,
     classify_psd,
     dual_slack,
     embed_certificate,
@@ -223,16 +223,16 @@ def test_criterion_5_appendix_suite():
 
     # Equality-form rewrite of the dual: value-shift constants at 1e-8 on
     # 10 random dual-feasible y (the feasible family is y = (t, 0, 0), t ≤ 1).
-    sdp_red, comp = build_red(inst)
-    const = comp.x0.inner(inst.c)
+    red = classical_dual_instance(inst)
+    const = red.c.inner(inst.c)
     rng = np.random.default_rng(229)
     for _ in range(10):
         y = np.array([rng.uniform(-3.0, 1.0), 0.0, 0.0])
         z = dual_slack(inst, y)
         assert classify_psd(z).is_psd
-        for dj, dv in zip(comp.d, comp.d_vals):
+        for dj, dv in zip(red.a, red.b):
             assert abs(dj.inner(z) - dv) <= 1e-8 * (1 + abs(dv))
-        assert abs(comp.x0.inner(z) + float(y @ inst.b) - const) <= 1e-8 * (1 + abs(const))
+        assert abs(red.c.inner(z) + float(y @ inst.b) - const) <= 1e-8 * (1 + abs(const))
 
     elapsed = time.perf_counter() - start
     _report(

@@ -24,10 +24,9 @@ from ramanasdp import (
     build_dstrong,
     build_pram,
     build_pstrong,
-    build_red,
     alt_ram_from_rr,
     build_rr_form,
-    complement_basis,
+    classical_dual_instance,
     dram_size,
     embed_certificate,
     embed_strong_point,
@@ -49,7 +48,7 @@ from ramanasdp.registry import all_ids, get
 from ramanasdp.sdpa import standard_form_to_sdpa_text, varmap_sidecar_text, write_sdpa
 from ramanasdp.model import smat, svec, svec_index, svec_order
 from ramanasdp.subsolver import maximize_lambda_min
-from ramanasdp.verify import LadderRung, RamanaCertificate, dual_ladder_length, pad_ladder
+from ramanasdp.verify import SYSTEMS, LadderRung, RamanaCertificate, dual_ladder_length, pad_ladder
 
 from helpers import (
     dense_rows,
@@ -211,7 +210,7 @@ def _unshared(sdp):
         at = np.concatenate([np.zeros(0, int)] + [np.arange(a, z) for a, z in zip(lo, hi)])
         return (np.concatenate([[0], np.cumsum(hi - lo)]),) + tuple(c[at] for c in cols)
 
-    ks = np.concatenate([sdp.entry_coeff, sdp.objective_coeff])
+    ks = sdp.entry_coeff
     frees = np.append(sdp.row_free, sdp.objective_row)
     coeff_ptr, coeff_i, coeff_j, coeff_v = copies(
         sdp.coeff_ptr, ks, sdp.coeff_i, sdp.coeff_j, sdp.coeff_v
@@ -221,8 +220,7 @@ def _unshared(sdp):
     return dataclasses.replace(
         sdp, coeff_ptr=coeff_ptr, coeff_order=sdp.coeff_order[ks], coeff_i=coeff_i,
         coeff_j=coeff_j, coeff_v=coeff_v, free_ptr=free_ptr, free_j=free_j, free_v=free_v,
-        entry_coeff=np.arange(entries), objective_coeff=np.arange(entries, ks.size),
-        row_free=np.arange(rows), objective_row=rows,
+        entry_coeff=np.arange(entries), row_free=np.arange(rows), objective_row=rows,
     )
 
 
@@ -313,7 +311,7 @@ def _dense_ladder(inst, system):
             plus_tangent("P", coupling.get(count + 1), _e_sym(n, p, q), head_sign),
             head_free[idx],
         )
-    return rows, {}, objective
+    return rows, objective
 
 
 def _dense_strong(inst, system, spec):
@@ -337,25 +335,18 @@ def _dense_strong(inst, system, spec):
             rows[f"shape_eq[{p},{qq}]"] = (mats, free)
     n_free = free.size
     if dual:
-        return rows, {}, _padded(inst.b, 0, n_free)
+        return rows, _padded(inst.b, 0, n_free)
     for t, x in enumerate(inst.a):
         rows[f"primal_eq{t + 1}"] = ({}, _padded(_utri_coeffs(x.a), 0, n_free))
-    return rows, {}, _padded(_utri_coeffs(inst.c.a), 0, n_free)
-
-
-def _dense_red(inst):
-    comp = complement_basis(inst)
-    rows = {f"red_eq{j + 1}": ({"Z": comp.d[j].a}, np.zeros(0)) for j in range(comp.ell)}
-    return rows, {"Z": comp.x0.a}, np.zeros(0)
+    return rows, _padded(_utri_coeffs(inst.c.a), 0, n_free)
 
 
 _SPARSE_CASES = [f"registry-{i}" for i in all_ids()] + ["random-n6-m4", "random-n9-m9"]
-_SPARSE_BUILDERS = ("dram", "altram", "pram", "dstrong", "pstrong", "red")
+_SPARSE_BUILDERS = ("dram", "altram", "pram", "dstrong", "pstrong")
 
 
 def _sparse_case(case, builder):
-    """(sparse system, dense rows, dense objective mats, dense objective
-    free row)."""
+    """(sparse system, dense rows, dense objective free row)."""
     if case.startswith("registry-"):
         inst = get(case[len("registry-"):]).instance
     else:
@@ -365,13 +356,17 @@ def _sparse_case(case, builder):
     if builder in ("dram", "altram", "pram"):
         sdp = {"dram": build_dram, "altram": build_alt_ram, "pram": build_pram}[builder](inst)
         want = _dense_ladder(inst, builder)
-    elif builder in ("dstrong", "pstrong"):
+    else:
         sdp = (build_dstrong if builder == "dstrong" else build_pstrong)(inst, spec)
         want = _dense_strong(inst, builder, spec)
-    else:
-        sdp = build_red(inst)[0]
-        want = _dense_red(inst)
     return (sdp,) + want
+
+
+@pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
+def test_every_builder_emits_a_system_of_verify(builder):
+    # verify owns the system tags: each builder's system is one of them.
+    assert sorted(_SPARSE_BUILDERS) == sorted(SYSTEMS)
+    assert _sparse_case("registry-example-2.5-rr", builder)[0].system == builder
 
 
 class TestSparseForm:
@@ -381,7 +376,7 @@ class TestSparseForm:
     @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_coefficients_equal_the_dense_construction(self, case, builder):
-        sdp, rows, objective_mats, objective_free = _sparse_case(case, builder)
+        sdp, rows, objective_free = _sparse_case(case, builder)
         got, objective = dense_rows(sdp)
         assert sorted(got) == sorted(rows)
         for name, row in got.items():
@@ -390,15 +385,12 @@ class TestSparseForm:
             for b, k in mats.items():
                 assert np.array_equal(row.mats[b], k), (name, b)
             assert np.array_equal(row.free, free), name
-        assert objective.mats.keys() == objective_mats.keys()
-        for b, k in objective_mats.items():
-            assert np.array_equal(objective.mats[b], k)
         assert np.array_equal(objective.free, objective_free)
 
     @pytest.mark.parametrize("builder", _SPARSE_BUILDERS)
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_values_equal_the_dense_products(self, case, builder):
-        sdp, rows, objective_mats, objective_free = _sparse_case(case, builder)
+        sdp, rows, objective_free = _sparse_case(case, builder)
         rng = np.random.default_rng(5)
         blocks = {}
         for b in sdp.blocks:
@@ -414,13 +406,13 @@ class TestSparseForm:
 
         for (name, row), res in zip(dense_rows(sdp)[0].items(), residuals(sdp, asg)):
             check(res + row.rhs, *rows[name])
-        check(objective_value(sdp, asg), objective_mats, objective_free)
+        check(objective_value(sdp, asg), {}, objective_free)
 
     def test_size_and_nonzero_count_read_the_stored_entries(self):
         # What the benchmark's tracer reads of each row of the view: here
         # the coupling matrix of E_13 of order 4 and a free row.
         k, v = _coupling(_e_sym(4, 1, 3)), [0.0, 3.0, -1.0]
-        sdp = table_system([PsdBlock("T", 8)], 3, [k], [v], [("c", [(0, 0)], 0, 0, 0.0)], ([], 0))
+        sdp = table_system([PsdBlock("T", 8)], 3, [k], [v], [("c", [(0, 0)], 0, 0, 0.0)], 0)
         (row,) = sdp.constraints
         assert (row.mats["T"].size, int((row.mats["T"] != 0).sum())) == (2, 2)
         assert (row.free.size, int((row.free != 0).sum())) == (2, 2)
@@ -428,23 +420,28 @@ class TestSparseForm:
     def test_row_that_does_not_fit_its_system_is_refused(self):
         # A free row longer than n_free would be written into the negated
         # half of the free block; a matrix of another order than its block
-        # would be written outside it.
+        # would be written outside it.  The objective is a free row alone;
+        # each case gives (mats, free row 0, the row's blocks, its free row
+        # id, the objective's).
         blocks = (PsdBlock("A", 2),)
-        misfit = "{what} does not fit the system: "
+        long_free = [0.0, 0.0, 0.0, 1.0]
         cases = {
-            misfit + "free length 4 for n_free 2": ([np.eye(2)], [0.0, 0.0, 0.0, 1.0], [(0, 0)]),
-            misfit + "free length 2 for n_free 2, matrix orders {{'A': 3}} for blocks {{'A': 2}}": (
-                [np.eye(3)], [0.0, 1.0], [(0, 0)]
+            "constraint c does not fit the system: free length 4 for n_free 2": (
+                [np.eye(2)], long_free, [(0, 0)], 0, 1
             ),
-            "an id outside its table": ([np.eye(2)], [0.0, 1.0], [(1, 0)]),
+            "constraint c does not fit the system: free length 2 for n_free 2, matrix orders "
+            "{'A': 3} for blocks {'A': 2}": ([np.eye(3)], [0.0, 1.0], [(0, 0)], 0, 1),
+            "an id outside its table": ([np.eye(2)], [0.0, 1.0], [(1, 0)], 0, 1),
+            "the objective does not fit the system: free length 4 for n_free 2, matrix orders "
+            "{} for blocks {}": ([np.eye(2)], long_free, [(0, 0)], 1, 0),
         }
-        for msg, (mats, free, cols) in cases.items():
-            for what in ("constraint c", "the objective"):
-                rows, objective = [("c", cols, 0, 0, 0.0)], ([], 1)
-                if what == "the objective":
-                    rows, objective = [], (cols, 0)
-                with pytest.raises(ValueError, match=re.escape(msg.format(what=what))):
-                    table_system(blocks, 2, mats, [free, []], rows, objective)
+        for msg, (mats, free, cols, row_free, objective) in cases.items():
+            rows = [("c", cols, row_free, 0, 0.0)]
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                table_system(blocks, 2, mats, [free, []], rows, objective)
+        # The objective's free row id past the free table.
+        with pytest.raises(ValueError, match="an id outside its table"):
+            table_system(blocks, 2, [np.eye(2)], [[0.0, 1.0], []], [], 2)
 
     def test_inner_product_reads_both_triangles(self):
         # <K, Y> = Σ K_ij Y_ij over every entry, as the dense product was,
@@ -453,12 +450,11 @@ class TestSparseForm:
         y = np.arange(9.0).reshape(3, 3) ** 2
         sdp = table_system(
             (PsdBlock("A", 3), PsdBlock("T", 6)), 0, [a, _coupling(a)], [[]],
-            [("k", [(0, 0)], 0, 0, 0.0), ("t", [(1, 1)], 0, 0, 0.0)], ([(0, 0)], 0),
+            [("k", [(0, 0)], 0, 0, 0.0), ("t", [(1, 1)], 0, 0, 0.0)], 0,
         )
         asg = Assignment(blocks={"A": y, "T": _coupling(y)}, free=np.zeros(0))
         want = [np.sum(a * y), np.sum(_coupling(a) * _coupling(y))]
         assert residuals(sdp, asg).tolist() == want
-        assert objective_value(sdp, asg) == want[0]
 
     def test_build_dram_holds_little_memory(self):
         # The emit benchmark's peak op builds dram at n = 18, m = 5: 7.9 MB
@@ -540,8 +536,7 @@ def _held(build, inst):
 
 _TABLES = (
     "coeff_ptr", "coeff_order", "coeff_i", "coeff_j", "coeff_v", "free_ptr", "free_j", "free_v",
-    "row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs", "objective_block",
-    "objective_coeff",
+    "row_ptr", "entry_block", "entry_coeff", "row_free", "row_offset", "rhs",
 )
 
 
@@ -556,9 +551,9 @@ class TestRowTables:
         view = sdp.constraints
         assert [con.name for con in view] == _names(sdp) == list(dense_rows(sdp)[0])
         assert [con.rhs for con in view] == sdp.rhs.tolist()
-        # Every table entry is used, by a row or by the objective.
-        ks = np.concatenate([sdp.entry_coeff, sdp.objective_coeff])
-        assert np.array_equal(np.unique(ks), np.arange(sdp.coeff_order.size))
+        # Every matrix is used by a row, every free row by a row or by the
+        # objective.
+        assert np.array_equal(np.unique(sdp.entry_coeff), np.arange(sdp.coeff_order.size))
         frees = np.append(sdp.row_free, sdp.objective_row)
         assert np.array_equal(np.unique(frees), np.arange(sdp.free_ptr.size - 1))
         # The view copies nothing; an empty slice shares no memory.
@@ -601,10 +596,14 @@ class TestRowTables:
         )
         with pytest.raises(ValueError, match=re.escape(msg)):
             dataclasses.replace(sdp, entry_block=moved)
-        # The same matrix as the objective's on T2.
-        msg = msg.replace("constraint rung1_decomp[0,0]", "the objective")
+        # An objective whose one entry, at 12, is past n_free.
+        msg = "the objective does not fit the system: free length 13 for n_free 12"
         with pytest.raises(ValueError, match=re.escape(msg)):
-            dataclasses.replace(sdp, objective_block=[3], objective_coeff=sdp.entry_coeff[:1])
+            dataclasses.replace(
+                sdp, free_ptr=np.append(sdp.free_ptr, sdp.free_ptr[-1] + 1),
+                free_j=np.append(sdp.free_j, 12), free_v=np.append(sdp.free_v, 1.0),
+                objective_row=sdp.free_ptr.size - 1,
+            )
         # The first row's free row, entries at 0..2, placed at 11 of 12.
         msg = "constraint rung1_decomp[0,0] does not fit the system: free length 14 for n_free 12"
         offsets = sdp.row_offset.copy()
@@ -711,14 +710,14 @@ class TestPram:
     def test_ladder_constraints_match_span_characterization(self):
         # 𝒜Y = 0 and <C, Y> = 0 iff Y = Σ λ_j D_j with Σ λ_j <D_j, C> = 0.
         inst = inst_gap_rr()
-        comp = complement_basis(inst)
+        red = classical_dual_instance(inst)
         rng = np.random.default_rng(71)
-        d = comp.d_vals
+        d = red.b
         for _ in range(20):
-            lam = rng.standard_normal(comp.ell)
+            lam = rng.standard_normal(red.m)
             if np.linalg.norm(d) > 0:
                 lam -= (lam @ d) / (d @ d) * d  # orthogonality to the values
-            y = SymMat(sum(l * dj.a for l, dj in zip(lam, comp.d)))
+            y = SymMat(sum(l * dj.a for l, dj in zip(lam, red.a)))
             assert np.max(np.abs(apply_a(inst, y))) <= 1e-9
             assert abs(inst.c.inner(y)) <= 1e-9
             # Perturb off the span: the characterization must fail.
@@ -794,11 +793,7 @@ class TestStrong:
             rr = build_rr_form(inst)
             if rr.status != "feasible":
                 continue
-            _, comp = build_red(inst)
-            from ramanasdp.builders import red_to_instance
-
-            red_inst = red_to_instance(comp)
-            rr_red = build_rr_form(red_inst)
+            rr_red = build_rr_form(classical_dual_instance(inst))
             if rr_red.status != "feasible":
                 continue
             slack = SymMat(rr_red.ref.q @ rr_red.maxrank_x.a @ rr_red.ref.q.T)
@@ -809,33 +804,33 @@ class TestStrong:
 
 
 class TestRed:
+    """The classical dual's equality form over its slack Z, as the
+    instance classical_dual_instance makes."""
+
     def test_objective_matrix_slack_satisfies_equalities(self):
         inst = inst_unattained()
-        sdp, comp = build_red(inst)
-        assert comp.ell == 3
-        asg = Assignment(blocks={"Z": inst.c.a.copy()}, free=np.zeros(0))
-        assert max_violation(sdp, asg) <= 1e-10
+        red = classical_dual_instance(inst)
+        assert red.m == 3
+        assert np.max(np.abs(apply_a(red, inst.c) - red.b)) <= 1e-10
 
     def test_full_row_rank_no_equalities(self):
         inst = SdpInstance.from_arrays([[[1.0]]], [1.0], [[1.0]])
-        sdp, comp = build_red(inst)
-        assert comp.ell == 0
-        assert sdp.rhs.size == 0
+        red = classical_dual_instance(inst)
+        assert red.m == 0 and red.b.size == 0
 
     def test_value_shift_constant(self):
         # <X0, Z> + <y, b> = <X0, C> for every dual point y, Z = C - 𝒜*y.
         from ramanasdp import dual_slack
 
         inst = inst_gap_rr()
-        sdp, comp = build_red(inst)
-        const = comp.x0.inner(inst.c)
+        red = classical_dual_instance(inst)
+        const = red.c.inner(inst.c)
         rng = np.random.default_rng(79)
         for _ in range(10):
             y = np.array([rng.uniform(-3, 1), 0.0, 0.0])  # dual-feasible family
             z = dual_slack(inst, y)
-            asg = Assignment(blocks={"Z": z.a.copy()}, free=np.zeros(0))
-            assert max_violation(sdp, asg) <= 1e-8
-            lhs = comp.x0.inner(z) + float(y @ inst.b)
+            assert np.max(np.abs(apply_a(red, z) - red.b)) <= 1e-8
+            lhs = red.c.inner(z) + float(y @ inst.b)
             assert lhs == pytest.approx(const, abs=1e-8)
 
 

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ramanasdp import SdpInstance, SymMat, build_rr_form, builders, classify_psd, registry, write_sdpa
+from ramanasdp import (
+    SdpInstance, SymMat, build_rr_form, builders, classify_psd, model, registry, write_sdpa,
+)
 from ramanasdp.certfile import read_certificate, to_ramana_certificate, write_certificate
 from ramanasdp.cli import main
 from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
@@ -65,7 +67,7 @@ class TestRrFormAndEmit:
 
         path = tmp_path / "gap.dat-s"
         write_sdpa(inst_gap_raw(), str(path))
-        monkeypatch.setattr(builders, "build_red", broken)
+        monkeypatch.setattr(model, "classical_dual_instance", broken)
         with pytest.raises(TypeError, match="broken"):
             main(["rr-form", str(path)])
 

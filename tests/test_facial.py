@@ -20,6 +20,7 @@ from ramanasdp import (
     merge_to_bound,
     primal_optimal_value,
     reformulate,
+    registry,
     sample_feasible,
     solve_alternative,
     validate_frs,
@@ -109,6 +110,42 @@ class TestValidateFrs:
             assert validate_frs(rotated).valid
 
 
+def _rr_of_2_5():
+    """example-2.5-rr's RR form: the reformulated instance, k = 2 and the
+    witness diag(0, 0, 1, t), t about 3.2e4, as an array."""
+    rr = build_rr_form(registry.get("example-2.5-rr").instance)
+    return rr.reformulated, rr.k, rr.maxrank_x.a
+
+
+def _set(*entries):
+    """The corruption setting the witness's entries (i, j, value), both
+    triangles."""
+
+    def corrupt(inst, x):
+        for i, j, v in entries:
+            x[i, j] = x[j, i] = v
+        return inst, x
+
+    return corrupt
+
+
+def _b1_nonzero(inst, x):
+    return SdpInstance(a=inst.a, b=np.concatenate([[1e-5], inst.b[1:]]), c=inst.c), x
+
+
+# (id, corruption (inst, x) -> (inst, x), is_rr_form's answer).  The A_i
+# vanish at (1, 2) and A_2, A_3 at (3, 3), so those entries break one check
+# alone.  b_1 = 1e-5 passes eps·(1 + ‖b‖) but not the residual's tolerance,
+# which also scales with ‖X‖ ≈ 3.2e4.
+IS_RR_ROWS = [
+    ("uncorrupted", lambda inst, x: (inst, x), True),
+    ("b-k-nonzero", _b1_nonzero, False),
+    ("witness-outside-trailing-block", _set((1, 2, 0.5)), False),
+    ("trailing-block-not-pd", _set((3, 3, 0.0)), False),
+    ("residual-too-large", _set((2, 2, 2.0)), False),
+]
+
+
 class TestIsRrForm:
     def test_order3_instance(self):
         inst = inst_unattained()
@@ -125,6 +162,20 @@ class TestIsRrForm:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             is_rr_form(inst_unattained(), 5, SymMat.zero(3))
+
+    def test_witness_of_the_wrong_order_is_refused(self):
+        inst, k, x = _rr_of_2_5()
+        with pytest.raises(ValueError, match="witness order mismatch"):
+            is_rr_form(inst, k, SymMat(x[:3, :3]))
+
+    @pytest.mark.parametrize("corrupt, ok", [row[1:] for row in IS_RR_ROWS],
+                             ids=[row[0] for row in IS_RR_ROWS])
+    def test_each_check_rejects_its_corruption(self, corrupt, ok):
+        inst, k, x = _rr_of_2_5()
+        assert k == 2 and is_rr_form(inst, k, SymMat(x))
+        inst, x = corrupt(inst, x.copy())
+        assert is_rr_form(inst, k, SymMat(x)) is ok
+
 
 
 class TestSolveAlternative:
@@ -305,6 +356,14 @@ class TestMergeToBound:
         )
         merged, _ = merge_to_bound(seq)
         assert merged.prefix_rank() == seq.prefix_rank()
+
+    @pytest.mark.parametrize("lead, off", [(1.0, 1e300), (1e-300, 1e10)])
+    def test_schur_bound_past_the_float_range_is_refused(self, lead, off):
+        # ‖E₁₂‖² = 1e600 overflows, and 1e20 / λ₁ = 1e320 does: both are
+        # refused by name, not raised as OverflowError.
+        seq = FrSequence(mats=(SymMat.diag([lead, 0.0]), SymMat([[0.0, off], [off, 1.0]])), r=(1, 1))
+        with pytest.raises(SubsolverFailureError, match="merge: Schur bound inf is not below 2"):
+            merge_to_bound(seq)
 
 
 

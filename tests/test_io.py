@@ -218,9 +218,8 @@ def _reference_instance_text(inst):
 
 
 def _reference_system_text(sdp):
-    """The same writer for emitted systems, with the objective's blocks in
-    block order as the module docstring promises.  It formats the dense
-    matrices and free rows of each row and of the objective."""
+    """The same writer for emitted systems.  It formats the dense matrices
+    and free rows of each row, and the objective's free row."""
     rows, objective = dense_rows(sdp)
     sizes = [str(b.order) for b in sdp.blocks] + ([str(-2 * sdp.n_free)] if sdp.n_free else [])
     out = [str(len(rows)), str(len(sizes)), " ".join(sizes)]
@@ -251,7 +250,8 @@ def _hand_system(rng, n_cons, n_free, sense, objective_free):
     """Constraints whose first half is all zero, so that a chunk of the
     writer reaches its row bound, and whose second half cycles through an
     all-zero row, a row with an empty free row, a row on every block, and
-    a row with no blocks.  Each row has matrices and a free row of its own."""
+    a row with no blocks.  Each row has matrices and a free row of its own,
+    and the objective a free row of its own."""
     blocks = (PsdBlock("A", 3), PsdBlock("B", 1), PsdBlock("C", 4))
     mats, frees, rows = [], [], []
 
@@ -272,9 +272,7 @@ def _hand_system(rng, n_cons, n_free, sense, objective_free):
             cols, free = [], rng.choice(_VALUES, n_free)
         cols = [(b, add(mats, k)) for b, k in cols]
         rows.append((f"c{t}", cols, add(frees, free), 0, float(rng.choice(_VALUES))))
-    objective = [(0, add(mats, _value_matrix(rng, 3))), (2, add(mats, _value_matrix(rng, 4)))]
-    return table_system(blocks, n_free, mats, frees, rows, (objective, add(frees, objective_free)),
-                        sense)
+    return table_system(blocks, n_free, mats, frees, rows, add(frees, objective_free), sense)
 
 
 _BUILDERS = {
@@ -310,9 +308,10 @@ class TestChunkedWriter:
 
     def test_rows_sharing_arrays_across_chunks(self):
         # One sparse matrix and one sparse free vector, each used by more
-        # than 2·_CHUNK_ROWS constraints (in either block) and, negated, by
-        # the objective, between all-zero and -0.0 rows: text formatted for
-        # one row or chunk must not leak into another.
+        # than 2·_CHUNK_ROWS constraints (the matrix in either block), the
+        # free vector also, negated, by the objective, between all-zero and
+        # -0.0 rows: text formatted for one row or chunk must not leak into
+        # another.
         rng = np.random.default_rng(11)
         mat, free = _value_matrix(rng, 3), [0.1, -2.5, 0.0, 1 / 3, 0.1, -1e-17]
         # Matrix 0 and free row 0 are mat and free; matrix 1 and free row 1
@@ -321,7 +320,7 @@ class TestChunkedWriter:
         rows = [(f"c{t}", *cycle[t % 4], 0, 1.0) for t in range(5 * sdpa._CHUNK_ROWS)]
         sdp = table_system(
             (PsdBlock("A", 3), PsdBlock("B", 3)), len(free), [mat, -np.zeros((3, 3))],
-            [free, np.zeros(len(free))], rows, ([(0, 0), (1, 0)], 0),
+            [free, np.zeros(len(free))], rows, 0,
         )
         uses = np.count_nonzero(sdp.entry_coeff == 0)
         assert uses > 2 * sdpa._CHUNK_ROWS and np.count_nonzero(sdp.row_free == 0) == uses
@@ -333,8 +332,7 @@ class TestChunkedWriter:
         free = np.array([5e-324, -1e-320, 1e308, -0.1, 1 / 3, 0.0])
         one = np.ones((1, 1))
         sdp = table_system(
-            (PsdBlock("A", 1),), free.size, [one], [free], [("c", [(0, 0)], 0, 0, 1.0)],
-            ([(0, 0)], 0),
+            (PsdBlock("A", 1),), free.size, [one], [free], [("c", [(0, 0)], 0, 0, 1.0)], 0,
         )
         assert standard_form_to_sdpa_text(sdp) == _reference_system_text(sdp)
 
@@ -350,20 +348,6 @@ class TestChunkedWriter:
                 mats, rng.choice(_VALUES, len(mats)), _value_matrix(rng, 3)
             )
         assert instance_to_sdpa_text(inst) == _reference_instance_text(inst)
-
-    def test_objective_entries_follow_block_order(self):
-        one = np.ones((1, 1))
-
-        def system(objective):
-            return table_system(
-                (PsdBlock("A", 1), PsdBlock("B", 1)), 0, [one, 2.0 * one], [[]],
-                [("c", [(0, 0)], 0, 0, 1.0)], (objective, 0), sense="max",
-            )
-
-        with pytest.raises(ValueError, match="block order"):
-            system([(1, 1), (0, 0)])
-        entries = standard_form_to_sdpa_text(system([(0, 0), (1, 1)])).splitlines()[4:]
-        assert entries == ["0 1 1 1 1.0", "0 2 1 1 2.0", "1 1 1 1 1.0"]
 
     def test_streamed_file_equals_text(self, tmp_path):
         inst = random_degenerate_instance(np.random.default_rng(5), 8, 8, (2, 1))[0]

@@ -1,4 +1,5 @@
-"""Instance operator, slack, duality bookkeeping, reformulations, complement."""
+"""Instance operator, slack, duality bookkeeping, reformulations, the dual's
+equality-form rewrite."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from ramanasdp import (
     SymMat,
     apply_a,
     apply_at,
-    complement_basis,
+    build_pram,
+    classical_dual_instance,
     dual_slack,
     instances_close,
     reformulate,
@@ -187,50 +189,65 @@ class TestReformulate:
 
 
 class TestComplement:
+    """classical_dual_instance: its A_j are the D_j, its b the <D_j, C>
+    and its C the minimum-norm X0."""
+
     def test_no_constraints(self):
         inst = SdpInstance(a=(), b=np.zeros(0), c=SymMat.identity(3))
-        comp = complement_basis(inst)
-        assert comp.ell == 6
-        assert comp.x0.allclose(SymMat.zero(3), tol=0.0)
-        gram = np.array([[d1.inner(d2) for d2 in comp.d] for d1 in comp.d])
+        red = classical_dual_instance(inst)
+        assert red.m == 6
+        assert red.c.allclose(SymMat.zero(3), tol=0.0)
+        gram = np.array([[d1.inner(d2) for d2 in red.a] for d1 in red.a])
         assert np.allclose(gram, np.eye(6), atol=1e-12)
 
     def test_orthogonality_order3(self):
         inst = inst_unattained()
-        comp = complement_basis(inst)
-        assert comp.ell == 3
+        red = classical_dual_instance(inst)
+        assert red.m == 3
         for ai in inst.a:
-            for dj in comp.d:
+            for dj in red.a:
                 assert abs(ai.inner(dj)) <= 1e-10
 
     def test_min_norm_solution_order4(self):
         inst = inst_gap_rr()
-        comp = complement_basis(inst)
-        assert comp.ell == 7
-        assert np.max(np.abs(apply_a(inst, comp.x0) - inst.b)) <= 1e-9
+        red = classical_dual_instance(inst)
+        assert red.m == 7
+        assert np.max(np.abs(apply_a(inst, red.c) - inst.b)) <= 1e-9
 
     def test_d_values(self):
         inst = inst_gap_rr()
-        comp = complement_basis(inst)
-        assert np.allclose(comp.d_vals, [dj.inner(inst.c) for dj in comp.d])
+        red = classical_dual_instance(inst)
+        assert np.allclose(red.b, [dj.inner(inst.c) for dj in red.a])
 
     def test_dependent_constraints_detected(self):
         a1 = SymMat.diag([1, 0])
         inst = SdpInstance(a=(a1, 2.0 * a1), b=np.array([0.0, 0.0]), c=SymMat.identity(2))
         with pytest.raises(DependentConstraintsError):
-            complement_basis(inst)
+            classical_dual_instance(inst)
 
-    def test_numerically_dependent_constraints_detected(self):
+    @pytest.mark.parametrize("call", [classical_dual_instance, build_pram])
+    def test_numerically_dependent_constraints_detected(self, call):
         # Independent in exact arithmetic, dependent below INDEP_TOL; and
-        # more constraints than S^n has dimensions.
+        # more constraints than S^n has dimensions.  Both callers of the
+        # rank rule give its one message.
         a1 = SymMat.diag([1.0, 0.0])
         a2 = SymMat([[1.0, 1e-10], [1e-10, 0.0]])
         inst = SdpInstance(a=(a1, a2), b=np.zeros(2), c=SymMat.identity(2))
         with pytest.raises(DependentConstraintsError, match="numerical rank 1 < m = 2"):
-            complement_basis(inst)
+            call(inst)
         inst = SdpInstance.from_arrays([[[1.0]], [[2.0]]], [1.0, 2.0], [[0.0]])
         with pytest.raises(DependentConstraintsError, match="numerical rank 1 < m = 2"):
-            complement_basis(inst)
+            call(inst)
+
+    @pytest.mark.parametrize("call", [classical_dual_instance, build_pram])
+    def test_svec_overflow_is_named(self, call):
+        # 1.5e308 is finite, but svec scales it by √2 past DBL_MAX: the
+        # refusal names A_2 and the overflow, not a dependence.
+        big = [[1.0, 1.5e308], [1.5e308, 0.0]]
+        inst = SdpInstance.from_arrays([np.eye(2), big], [1.0, 1.0], np.eye(2))
+        with pytest.raises(ValueError, match=r"svec\(A_2\) overflows: .* exceeds DBL_MAX/√2") as err:
+            call(inst)
+        assert not isinstance(err.value, DependentConstraintsError)
 
     def test_every_complement_direction_is_found(self):
         # Past the rank check the Gram-Schmidt finds all n(n+1)/2 - m
@@ -240,18 +257,18 @@ class TestComplement:
             nn = n * (n + 1) // 2
             for m in range(nn + 1):
                 inst = random_instance(rng, n, m)
-                comp = complement_basis(inst)
-                assert comp.ell == len(comp.d) == nn - m
-                gram = np.array([[di.inner(dj) for dj in comp.d] for di in comp.d])
+                red = classical_dual_instance(inst)
+                assert red.m == len(red.a) == nn - m
+                gram = np.array([[di.inner(dj) for dj in red.a] for di in red.a])
                 assert np.allclose(gram.reshape(nn - m, nn - m), np.eye(nn - m), atol=1e-12)
-                for d in comp.d:
+                for d in red.a:
                     assert all(abs(d.inner(a)) <= 1e-10 * (1 + a.norm()) for a in inst.a)
 
     def test_inconsistent_rhs_detected(self):
         a1 = SymMat.diag([1, 0])
         inst = SdpInstance(a=(a1, SymMat(2.0 * a1.a)), b=np.array([0.0, 1.0]), c=SymMat.identity(2))
         with pytest.raises((DependentConstraintsError, InconsistentRhsError)):
-            complement_basis(inst)
+            classical_dual_instance(inst)
 
 
 class TestIngestion:
