@@ -48,11 +48,11 @@ from .model import (
     apply_a,
     apply_at,
     constraint_stack,
+    finite_stack,
     reformulate,
     smat,
-    svec_index,
 )
-from .subsolver import IterationLimitError
+from .subsolver import IterationLimitError, null_basis
 from .symmat import EPS_PSD, SymMat, classify_psd, eig
 
 MODE_EQ_ZERO = "eq_zero"
@@ -67,10 +67,6 @@ CERT_INFEASIBILITY = "infeasibility"
 # Entries of a cleaned certificate below eps_round·scale are zeroed before
 # the final exact revalidation.
 EPS_ROUND = 1e-6
-
-# Singular values at or below NULL_RANK_CUT·max(σ_max, 1) count as zero
-# when a null-space basis is taken.
-NULL_RANK_CUT = 1e-12
 
 # rows·y = rhs counts as solvable when the least-squares residual is at most
 # AFFINE_RESIDUAL_TOL·(1 + |rhs|).
@@ -241,37 +237,17 @@ def is_rr_form(
     return res <= eps * (1.0 + float(np.linalg.norm(inst.b)) + x_witness.norm())
 
 
-def _null_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as columns, of the nullspace of rows."""
-    if rows.shape[0] == 0:
-        return np.eye(rows.shape[1])
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
-    return vt[rank:].T
-
-
-def _smat_family(cols: np.ndarray, n: int) -> np.ndarray:
-    """smat of every column of cols, as one (d, n, n) array."""
-    i, j = svec_index(n)
-    vals = cols.T.astype(float)
-    vals[:, n:] /= np.sqrt(2.0)
-    out = np.zeros((vals.shape[0], n, n))
-    out[:, i, j] = vals
-    out[:, j, i] = vals
-    return out
-
-
 def _affine_solutions(
     rows: np.ndarray, rhs: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Minimum-norm particular solution and nullspace basis of rows·y = rhs."""
     if rows.shape[0] == 0:
-        return np.zeros(rows.shape[1]), _null_basis(rows)
+        return np.zeros(rows.shape[1]), null_basis(rows)
     y0, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     res = float(np.linalg.norm(rows @ y0 - rhs))
     if res > AFFINE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs))):
         return None
-    return y0, _null_basis(rows)
+    return y0, null_basis(rows)
 
 
 # Accepted certificates are canonicalized to a well-separated spectrum:
@@ -650,15 +626,11 @@ def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
         x0_vec, *_ = np.linalg.lstsq(stack, red.b, rcond=None)
     else:
         x0_vec = np.zeros(stack.shape[1])
-    null = _null_basis(stack)
-    s0 = smat(x0_vec, red.n).a
-    fam = _smat_family(null, red.n)
-    w = subsolver.interior_point(s0, fam)
-    if w is None:
+    x_red = subsolver.interior_point(smat(x0_vec, red.n).a, stack)
+    if x_red is None:
         raise SubsolverFailureError(
             "reduced instance reported strictly feasible but no interior point was found"
         )
-    x_red = s0 + sum(wi * f for wi, f in zip(w, fam)) if len(fam) else s0
     return SymMat(x_red).embed(n, p)
 
 
@@ -679,8 +651,10 @@ def build_rr_form(inst: SdpInstance, eps: float = EPS_PSD) -> RrForm:
     (rotated so its matrix is diag(Λ, 0) on the active block), while a
     strictly negative <b, y> is scaled to rhs -1 and ends the loop with
     status infeasible.  NotFound ends the loop with status feasible and
-    an interior max-rank witness of the reduced problem.
+    an interior max-rank witness of the reduced problem.  An instance
+    whose svec overflows (model.finite_stack) is refused with ValueError.
     """
+    finite_stack(inst)
     n, m = inst.n, inst.m
     m_total = np.eye(m)
     q_total = np.eye(n)
@@ -894,7 +868,7 @@ def sample_feasible(
     if p == n or count <= 1:
         return out[:count]
     red = _reduced_instance(cur, p, rr.k)
-    null = _null_basis(constraint_stack(red))
+    null = null_basis(constraint_stack(red))
     x_red = center.a[p:, p:]
     lam_min = float(np.linalg.eigvalsh(x_red)[0])
     rng = np.random.default_rng(seed)
@@ -936,8 +910,7 @@ def primal_optimal_value(
     if p == n:
         return 0.0
     red = _reduced_instance(cur, p, rr.k)
-    null = _null_basis(constraint_stack(red))
-    x_start = rr.maxrank_x.a[p:, p:]
-    fam = _smat_family(null, red.n)
-    _, value = subsolver.minimize_linear_over_face(red.c.a, x_start, fam, np.zeros(null.shape[1]))
+    _, value = subsolver.minimize_linear_over_face(
+        red.c.a, rr.maxrank_x.a[p:, p:], constraint_stack(red)
+    )
     return value

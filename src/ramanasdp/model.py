@@ -272,23 +272,33 @@ def instances_close(i1: SdpInstance, i2: SdpInstance, tol: float = RECON_TOL) ->
 
 
 def constraint_stack(inst: SdpInstance) -> np.ndarray:
-    """m × n(n+1)/2 matrix whose rows are svec(A_i)."""
-    if inst.m == 0:
-        return np.zeros((0, inst.n * (inst.n + 1) // 2))
-    return np.vstack([svec(ai) for ai in inst.a])
+    """m × n(n+1)/2 matrix whose rows are svec(A_i), on one svec_index."""
+    n = inst.n
+    i, j = svec_index(n)
+    out = np.empty((inst.m, i.size))
+    for row, ai in zip(out, inst.a):
+        row[:] = ai.a[i, j]
+    out[:, n:] *= np.sqrt(2.0)
+    return out
 
 
-def independent_stack(inst: SdpInstance) -> np.ndarray:
-    """constraint_stack(inst), refused unless it is finite and its m rows
-    are numerically independent: m singular values above
-    INDEP_TOL·max(σ_max, 1).  svec scales the off-diagonal entries by √2,
-    so a finite entry above DBL_MAX/√2 ≈ 1.27e308 overflows in the stack."""
+def finite_stack(inst: SdpInstance) -> np.ndarray:
+    """constraint_stack(inst), refused with ValueError unless it is finite.
+    svec scales the off-diagonal entries by √2, so a finite entry above
+    DBL_MAX/√2 ≈ 1.27e308 overflows in the stack."""
     with np.errstate(over="ignore"):
         stack = constraint_stack(inst)
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
     if bad.size:
         raise ValueError(f"svec(A_{bad[0] + 1}) overflows: an off-diagonal entry of "
                          f"A_{bad[0] + 1} exceeds DBL_MAX/√2 in magnitude")
+    return stack
+
+
+def independent_stack(inst: SdpInstance) -> np.ndarray:
+    """finite_stack(inst), refused unless its m rows are numerically
+    independent: m singular values above INDEP_TOL·max(σ_max, 1)."""
+    stack = finite_stack(inst)
     if inst.m:
         s = np.linalg.svd(stack, compute_uv=False)
         rank = int(np.sum(s > INDEP_TOL * max(s[0], 1.0)))

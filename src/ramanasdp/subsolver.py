@@ -17,9 +17,15 @@ mu schedule and stopping tolerance they give it:
     at the ridged optimum, also off the central path, so a caller that
     only needs to know the optimum is below a relative tolerance band can
     end the path as soon as the bounds say so.
-  * interior_point            — phase 1 by maximize_lambda_min, then one
+  * interior_point            — phase 1 on the λ_min path, then one
     centering at mu = 1, lin = 0 toward the regularized analytic center.
   * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
+
+The two face entry points take the face {X : rows·svec(X - S0) = 0} as a
+point S0 and its svec constraint rows, and return matrices.  Each builds
+the family once, as the smat of the rows' null basis (null_basis) in one
+(k, n, n) stack, which interior_point gives a k + 1-th slot, the λ_min
+path's -I, so its phase 1 and its centering share one stack.
 
 Every mu but the last is centered only inexactly, to a Newton decrement
 of at most 0.25·mu; the last is centered to the caller's tolerance.
@@ -54,6 +60,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .model import svec_index
+
+# Singular values at or below NULL_RANK_CUT·max(σ_max, 1) count as zero
+# when a null-space basis is taken.
+NULL_RANK_CUT = 1e-12
 
 # Fixed accuracies: the last mu of the λ_min path, the ridge and tolerance of
 # interior_point's centering, the ridge and last mu of the face minimization.
@@ -107,6 +118,29 @@ def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
     for i, m in enumerate(mats):
         fam[i] = m
     return fam
+
+
+def null_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the nullspace of rows.  It owns
+    its memory: the SVD factor it is cut from is not kept alive."""
+    if rows.shape[0] == 0:
+        return np.eye(rows.shape[1])
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
+    return vt[rank:].copy().T
+
+
+def _smat_family(cols: np.ndarray, n: int, extra: int = 0) -> np.ndarray:
+    """smat of every column of cols, as one (d + extra, n, n) array;
+    trailing slots are zero."""
+    i, j = svec_index(n)
+    vals = cols.T.astype(float)
+    vals[:, n:] /= np.sqrt(2.0)
+    d = vals.shape[0]
+    out = np.zeros((d + extra, n, n))
+    out[:d, i, j] = vals
+    out[:d, j, i] = vals
+    return out
 
 
 def _barrier_path(
@@ -318,10 +352,19 @@ def maximize_lambda_min(
     mu_final.  Only w* is certified: a run that has not exited ends near
     w*, not at it.
     """
-    d = len(mats)
+    fam = _stack(mats, s0.shape[0], extra=1)
+    np.fill_diagonal(fam[len(mats)], -1.0)
+    return _lambda_min_path(s0, fam, reg, stop_above, stop_below)
+
+
+def _lambda_min_path(
+    s0: np.ndarray, fam: np.ndarray, reg: float,
+    stop_above: Optional[float], stop_below: Optional[float],
+) -> LambdaMinResult:
+    """maximize_lambda_min on fam, the (d + 1, n, n) stack of the family
+    whose last slot is -I."""
+    d = fam.shape[0] - 1
     n = s0.shape[0]
-    fam = _stack(mats, n, extra=1)
-    np.fill_diagonal(fam[d], -1.0)
     flat = fam.reshape(d + 1, n * n)
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False
@@ -376,46 +419,54 @@ def maximize_lambda_min(
     return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps, below=below)
 
 
-def interior_point(s0: np.ndarray, mats: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """A strictly PD point of {S(w) ≻ 0}, or None if none exists to tolerance.
+def interior_point(s0: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
+    """A strictly PD matrix of the face {X : rows·svec(X - s0) = 0}, or None
+    if it has none to tolerance.
 
-    Phase 1 maximizes lambda_min; on success the point is polished toward
-    the regularized analytic center: min -log det S(w) + (_CENTER_REG/2)‖w‖².
+    The face is s0 plus the span of smat of the null basis of ``rows``,
+    held once, as a (k + 1, n, n) stack whose last slot is the -I of the
+    λ_min path.  Phase 1 maximizes lambda_min on it; on success the point
+    is polished toward the regularized analytic center,
+    min -log det S(w) + (_CENTER_REG/2)‖w‖², on the stack's first k slots.
     """
-    scale = 1.0 + float(np.linalg.norm(s0)) + sum(float(np.linalg.norm(m)) for m in mats)
-    phase1 = maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.05 * scale)
+    fam = _smat_family(null_basis(rows), s0.shape[0], extra=1)
+    k = fam.shape[0] - 1
+    np.fill_diagonal(fam[k], -1.0)
+    face = fam[:k]
+    scale = 1.0 + float(np.linalg.norm(s0)) + sum(float(np.linalg.norm(m)) for m in face)
+    phase1 = _lambda_min_path(s0, fam, 1e-10, 0.05 * scale, None)
     if phase1.value <= 1e-10 * scale:
         return None
     w, _ = _barrier_path(
-        s0, _stack(mats, s0.shape[0]), np.zeros(len(mats)), _CENTER_REG, phase1.w,
+        s0, face, np.zeros(k), _CENTER_REG, phase1.w,
         mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=_CENTER_TOL * _CENTER_TOL,
     )
-    return w
+    return s0 + sum(wi * f for wi, f in zip(w, face))
 
 
 def minimize_linear_over_face(
-    obj: np.ndarray,
-    s0: np.ndarray,
-    mats: Sequence[np.ndarray],
-    w_start: np.ndarray,
+    obj: np.ndarray, x_start: np.ndarray, rows: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """min <obj, S(w)> over {w : S(w) ⪰ 0} by a short barrier path.
+    """min <obj, X> over the face {X ⪰ 0 : rows·svec(X - x_start) = 0} by a
+    short barrier path.
 
-    Requires S(w_start) ≻ 0.  The ridge term (_FACE_REG/2)‖w‖² bounds the
-    path when the feasible set or objective is unbounded; accuracy is
-    O(n·_FACE_MU_FINAL + _FACE_REG·‖w*‖²), enough for the 1e-6 value
-    tolerances used by the golden checks.  Returns (w, objective value).
+    Requires x_start ≻ 0.  The face is held once, as the (k, n, n) stack
+    of smat of the null basis of ``rows``.  The ridge term
+    (_FACE_REG/2)‖w‖² bounds the path when the feasible set or objective
+    is unbounded; accuracy is O(n·_FACE_MU_FINAL + _FACE_REG·‖w*‖²), enough
+    for the 1e-6 value tolerances used by the golden checks.  Returns the
+    last iterate X and its objective value.
     """
     obj = np.asarray(obj, dtype=float)
-    fam = _stack(mats, s0.shape[0])
-    const = float(np.sum(obj * s0))
-    w = np.asarray(w_start, dtype=float).copy()
-    if _chol_or_none(s0 + np.tensordot(w, fam, 1)) is None:
+    if _chol_or_none(x_start) is None:
         raise ValueError("minimize_linear_over_face requires a strictly feasible start")
-    lin = fam.reshape(len(mats), s0.size) @ obj.ravel()
+    fam = _smat_family(null_basis(rows), x_start.shape[0])
+    k = fam.shape[0]
+    const = float(np.sum(obj * x_start))
+    lin = fam.reshape(k, x_start.size) @ obj.ravel()
     w, _ = _barrier_path(
-        s0, fam, lin, _FACE_REG, w,
+        x_start, fam, lin, _FACE_REG, np.zeros(k),
         mu=max(1.0, float(np.abs(lin).sum())), mu_final=_FACE_MU_FINAL, shrink=0.15,
         inner=80, tol=1e-12, c0=const,
     )
-    return w, const + float(lin @ w)
+    return x_start + np.tensordot(w, fam, 1), const + float(lin @ w)

@@ -71,6 +71,16 @@ class TestRrFormAndEmit:
         with pytest.raises(TypeError, match="broken"):
             main(["rr-form", str(path)])
 
+    def test_rr_form_names_an_svec_overflow(self, tmp_path, capsys):
+        # A finite off-diagonal entry that svec's √2 overflows is refused
+        # by name, not as a diverged barrier.
+        big = SdpInstance.from_arrays([[[1.0, 1.5e308], [1.5e308, 0.0]]], [1.0], np.eye(2))
+        path = tmp_path / "big.dat-s"
+        write_sdpa(big, str(path))
+        assert main(["rr-form", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: svec(A_1) overflows" in err and "diverged" not in err
+
     def test_rr_then_emit_strong(self, tmp_path, capsys):
         path = tmp_path / "gap.dat-s"
         write_sdpa(inst_gap_raw(), str(path))

@@ -2,6 +2,8 @@
 
 import re
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +38,12 @@ from ramanasdp.facial import (
     NumericalRankAmbiguityError,
     SubsolverFailureError,
     _face_rows,
+    _pd_combination,
     _polish_on_face,
     _rank_split,
-    _smat_family,
 )
 from ramanasdp.model import smat
+from ramanasdp.subsolver import _smat_family
 
 from helpers import (
     inst_gap_raw,
@@ -298,6 +301,16 @@ class TestBuildRrForm:
         assert classify_psd(rr.reformulated.a[0]).is_positive_definite
         assert rr.maxrank_x.allclose(SymMat.zero(2))
 
+    def test_svec_overflow_is_named(self):
+        # 1.5e308 is finite, but svec scales it by √2 past DBL_MAX: the
+        # refusal names the overflow at entry, before any barrier runs on
+        # the raw entries, and numpy warns of nothing.
+        inst = SdpInstance.from_arrays([[[1.0, 1.5e308], [1.5e308, 0.0]]], [1.0], np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"svec\(A_1\) overflows: .* exceeds DBL_MAX/√2"):
+                build_rr_form(inst)
+
 
 class TestMergeToBound:
     def test_drop_zero_blocks(self):
@@ -364,6 +377,16 @@ class TestMergeToBound:
         seq = FrSequence(mats=(SymMat.diag([lead, 0.0]), SymMat([[0.0, off], [off, 1.0]])), r=(1, 1))
         with pytest.raises(SubsolverFailureError, match="merge: Schur bound inf is not below 2"):
             merge_to_bound(seq)
+
+    @pytest.mark.parametrize("members, ranks, match", [
+        ([[1.0, 0.0]], [2], "single member not positive definite"),
+        ([[0.0, 0.0], [0.0, 1.0]], [1, 1], "inner combination lost definiteness"),
+    ])
+    def test_member_that_is_not_definite_is_refused(self, members, ranks, match):
+        # The recursion's last member, diag(1, 0), is singular; and the
+        # leading block of diag(0, 0) is, under a definite inner member.
+        with pytest.raises(SubsolverFailureError, match=f"merge: {match}"):
+            _pd_combination([SymMat(np.diag(d)) for d in members], ranks, 1e-8)
 
 
 
@@ -462,6 +485,21 @@ class TestPrimalValue:
             val = primal_optimal_value(inst)
             assert val >= -1e-6
             assert val <= inst.c.inner(x0) + 1e-6 * (1 + abs(inst.c.inner(x0)))
+
+    def test_face_path_holds_little_memory(self):
+        # build_rr_form and primal_optimal_value at n = 18, reduced order
+        # 14: the interior point and the face minimization each hold one
+        # family of about 100 matrices of order 14.  The peak is 0.40 MB,
+        # and was 0.65 MB when that family was held two or three times.
+        inst = planted(np.random.default_rng(5), 18, (2, 1, 1), 2).inst
+        primal_optimal_value(inst)
+        tracemalloc.start()
+        try:
+            primal_optimal_value(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.45e6
 
 
 class TestEdgeCases:

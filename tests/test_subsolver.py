@@ -6,17 +6,42 @@ import numpy as np
 import pytest
 
 from ramanasdp import subsolver
+from ramanasdp.model import svec
 from ramanasdp.subsolver import (
     IterationLimitError,
     interior_point,
     maximize_lambda_min,
     minimize_linear_over_face,
+    null_basis,
 )
+from ramanasdp.symmat import SymMat
 
 # S(w) = diag(1, w - 2, 3 - w): lambda_min peaks at 0.5 for w = 2.5, and
 # S(w) ≻ 0 exactly for 2 < w < 3.
 S0 = np.diag([1.0, -2.0, 3.0])
 FAMILY = [np.diag([0.0, 1.0, -1.0])]
+# The face through S0 spanned by FAMILY: X₁₁, X₂₂ + X₃₃ and the
+# off-diagonal entries are fixed (svec order: diagonal, then (0, 1),
+# (0, 2), (1, 2)).
+ROWS = np.array([
+    [1.0, 0, 0, 0, 0, 0], [0, 1.0, 1.0, 0, 0, 0],
+    [0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0],
+])
+# diag(w, -w) at order 2: X₁₁ + X₂₂ and X₁₂ are fixed.
+ROWS_2 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rows(mats, n):
+    """svec rows whose face through any point X is X + span(mats)."""
+    vecs = np.array([svec(SymMat(m)) for m in mats]).reshape(len(mats), n * (n + 1) // 2)
+    return null_basis(vecs).T
+
+
+def _on_face(x, s0, rows):
+    """x is strictly PD and rows·svec(x - s0) = 0 to rounding."""
+    gap = rows @ svec(SymMat(x - s0))
+    return np.linalg.eigvalsh(x)[0] > 0.0 and np.abs(gap).max(initial=0.0) <= 1e-12 * (
+        1.0 + np.abs(x).max())
 
 
 class TestMaximizeLambdaMin:
@@ -194,39 +219,48 @@ class TestMaximizeLambdaMin:
 class TestInteriorPoint:
     def test_empty_interior(self):
         # diag(w - 1, -w) ≻ 0 needs w > 1 and w < 0.
-        assert interior_point(np.diag([-1.0, 0.0]), [np.diag([1.0, -1.0])]) is None
+        assert interior_point(np.diag([-1.0, 0.0]), ROWS_2) is None
 
     def test_strictly_pd_point(self):
-        w = interior_point(S0, FAMILY)
-        assert np.linalg.eigvalsh(S0 + w[0] * FAMILY[0])[0] > 0.0
+        x = interior_point(S0, ROWS)
+        assert _on_face(x, S0, ROWS)
         # The analytic center of diag(1, w - 2, 3 - w) is w = 2.5.
-        assert w == pytest.approx([2.5], abs=1e-6)
+        assert x == pytest.approx(np.diag([1.0, 0.5, 0.5]), abs=1e-6)
 
     def test_empty_family(self):
-        assert interior_point(np.eye(2), []).shape == (0,)
-        assert interior_point(-np.eye(2), []) is None
+        # Rows of full rank leave the face one point.
+        assert np.array_equal(interior_point(np.eye(2), np.eye(3)), np.eye(2))
+        assert interior_point(-np.eye(2), np.eye(3)) is None
 
 
 class TestMinimizeLinearOverFace:
     def test_hand_solved_minimum(self):
         # <diag(1, 2), diag(1 + w, 1 - w)> = 3 - w over -1 <= w <= 1.
-        w, value = minimize_linear_over_face(
-            np.diag([1.0, 2.0]), np.eye(2), [np.diag([1.0, -1.0])], np.zeros(1)
-        )
+        x, value = minimize_linear_over_face(np.diag([1.0, 2.0]), np.eye(2), ROWS_2)
         assert value == pytest.approx(2.0, abs=1e-6)
-        assert w == pytest.approx([1.0], abs=1e-6)
+        assert x == pytest.approx(np.diag([2.0, 0.0]), abs=1e-6)
+        assert _on_face(x, np.eye(2), ROWS_2)
 
     def test_empty_family(self):
-        w, value = minimize_linear_over_face(
-            np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), [], np.zeros(0)
-        )
-        assert w.shape == (0,) and value == 11.0
+        x, value = minimize_linear_over_face(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.eye(3))
+        assert np.array_equal(x, np.diag([3.0, 4.0])) and value == 11.0
 
     def test_non_pd_start_rejected(self):
         with pytest.raises(ValueError):
-            minimize_linear_over_face(
-                np.eye(2), np.eye(2), [np.diag([1.0, -1.0])], np.array([2.0])
-            )
+            minimize_linear_over_face(np.eye(2), np.diag([3.0, -1.0]), ROWS_2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_face_points_stay_on_the_face(seed):
+    # A random face of order 5 with 6 fixed svec directions: both entry
+    # points return strictly PD matrices X with rows·svec(X - s0) = 0.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((6, 15))
+    s0 = np.eye(5) + 0.1 * (lambda a: a + a.T)(rng.standard_normal((5, 5)))
+    assert _on_face(interior_point(s0, rows), s0, rows)
+    x, value = minimize_linear_over_face(np.diag(np.arange(1.0, 6.0)), s0, rows)
+    assert _on_face(x, s0, rows)
+    assert value == pytest.approx(float(np.sum(np.diag(np.arange(1.0, 6.0)) * x)), rel=1e-9)
 
 
 def _family(seed, n, d, shift, traceless):
@@ -263,10 +297,11 @@ BARRIER_CASES = {
 # Between rounds the path moves to its predicted next center (Newton step,
 # then the tangent carried to the stepped point), and the certificate's
 # lower bound is lambda_min(S(w)) itself.  A stop_above exit solves no
-# step at its iterate.
+# step at its iterate.  The interior and face cases give their family as
+# the rows of its face (_rows) and hash the matrix X they return.
 BARRIER_GOLDEN = {
     "big-interior": (
-        "39a4755f3782530941b675723f6e38ca6f16d233ab1f5a462517268a9a2d71e4",
+        "a918ff9e553c391ad4b2b83b4bfc6a4568cd8c65d3847946217ce6a2bdd02885",
         None,
     ),
     "big-lmin-below-exits": (
@@ -278,19 +313,19 @@ BARRIER_GOLDEN = {
         3.0547426525928936,
     ),
     "face": (
-        "038ab283ac078bb072377f6cea2a2b1d84d38e9e853318eacb6184ed3b6d568e",
+        "305136b598c6ba228d2a324a09fe10c6fbd93534da5982847a5d8a6b181e1336",
         None,
     ),
     "face-2": (
-        "89cc5bbe9b34e365eeeecacf50d26c69e89c1f902f84bfa5f7fc274d189b85ca",
+        "29111a512fe869da6727e702b68a061f400db66188e1947a9f17886874451fc3",
         None,
     ),
     "interior": (
-        "c5b5a25f4e71a749d938c59c506bc0be299ba1cb9e1691d5ee06535a0220643e",
+        "4fa3dcf6d0c651de4bd13f812da6c5e4e80a9d1c72c145bed96afeb0a53a4952",
         None,
     ),
     "interior-2": (
-        "1b8eacba8919deb2ac9f0655d10379e9cd07248fb94046ba3e0f8da10e275c46",
+        "6c559d360d30bd348ec4587b94c8e7c61b7d754c9c87875f338a21bc46e8e792",
         None,
     ),
     "lmin-above-exits": (
@@ -336,10 +371,10 @@ def _barrier_outputs(monkeypatch, entry, family, kwargs):
         res = maximize_lambda_min(s0, mats, **kwargs)
         out, upper = (res.w, res.value, res.newton_steps, res.below), res.upper
     elif entry == "interior":
-        out = (interior_point(s0, mats),)
+        out = (interior_point(s0, _rows(mats, s0.shape[0])),)
     else:
         obj = np.diag(np.arange(1.0, s0.shape[0] + 1))
-        out = minimize_linear_over_face(obj, s0, mats, np.zeros(len(mats)))
+        out = minimize_linear_over_face(obj, s0, _rows(mats, s0.shape[0]))
     for x in out:
         h.update(x.tobytes() if isinstance(x, np.ndarray) else repr(x).encode())
     return h.hexdigest(), upper
@@ -454,11 +489,11 @@ def test_barrier_outputs_within_tolerance(case):
     s0, mats = _family(*family)
     want = BARRIER_VALUES[case]
     if entry == "interior":
-        w = interior_point(s0, mats)
-        assert np.linalg.eigvalsh(s0 + np.tensordot(w, np.array(mats), 1))[0] > 0.0
+        rows = _rows(mats, s0.shape[0])
+        assert _on_face(interior_point(s0, rows), s0, rows)
     elif entry == "face":
         obj = np.diag(np.arange(1.0, s0.shape[0] + 1))
-        _, value = minimize_linear_over_face(obj, s0, mats, np.zeros(len(mats)))
+        _, value = minimize_linear_over_face(obj, s0, _rows(mats, s0.shape[0]))
         assert value == pytest.approx(want, rel=1e-8)
     else:
         value, below, upper, full_value = want

@@ -9,8 +9,12 @@ versions of the library give the same digest exactly when they make the
 same decision on every op.  ``--compare`` diffs this run against a file
 written by ``--out``: ops whose (status, r, k, refusal) differ, and the
 largest value change |v - v'| / (1 + |v'|) over the ops both answered.
+``--peak`` runs each op under tracemalloc, as ``bench/run.py``'s peak pass
+does, records its peak and prints the largest and the median over all
+ops, so a memory change shows on every op and not only on the batch's
+peak op; the peaks are left out of the digest.
 
-    python3 tools/solve_probe.py --seeds 101-110 [--out FILE] [--compare FILE]
+    python3 tools/solve_probe.py --seeds 101-110 [--peak] [--out FILE] [--compare FILE]
 
 The ops are the ones ``bench/run.py --workload solve --seed S`` times, 25
 per seed; 10 seeds take about 8 s on a 2-core Xeon.  Not a test: pytest
@@ -22,8 +26,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,8 +46,19 @@ def parse_seeds(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def probe(seeds: range) -> list[dict]:
-    """One record per op: seed, op, status, r, k, value, refusal, wrong."""
+def traced_run(op, rec: dict):
+    """op.run() under tracemalloc, its peak in MB stored as rec["peak_mb"]."""
+    tracemalloc.start()
+    try:
+        return op.run()
+    finally:
+        rec["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+
+
+def probe(seeds: range, peak: bool = False) -> list[dict]:
+    """One record per op: seed, op, status, r, k, value, refusal, wrong,
+    and with ``peak`` the op's tracemalloc peak, peak_mb."""
     records = []
     with tempfile.TemporaryDirectory() as workdir:
         for seed in seeds:
@@ -49,7 +66,7 @@ def probe(seeds: range) -> list[dict]:
                 rec = {"seed": seed, "op": op.name, "status": None, "r": None, "k": None,
                        "value": None, "refusal": None, "wrong": None}
                 try:
-                    status, r, k, value, _ = op.check(op.run())
+                    status, r, k, value, _ = op.check(traced_run(op, rec) if peak else op.run())
                     rec.update(status=status, r=list(r), k=k, value=value)
                 except workloads.REFUSALS as exc:
                     rec["refusal"] = type(exc).__name__
@@ -87,8 +104,10 @@ def main(argv=None) -> int:
                     help="solve seeds A..B, inclusive")
     ap.add_argument("--out", help="write the per-op records to this JSON file")
     ap.add_argument("--compare", metavar="FILE", help="diff against a file written by --out")
+    ap.add_argument("--peak", action="store_true",
+                    help="record each op's tracemalloc peak; print the largest and the median")
     args = ap.parse_args(argv)
-    records = probe(args.seeds)
+    records = probe(args.seeds, args.peak)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(records, fh)
@@ -99,6 +118,10 @@ def main(argv=None) -> int:
     print(f"refused {len(refused)}: {refused}")
     print(f"wrong {len(wrong)}: {wrong}")
     print(f"sha256 {digest}")
+    if args.peak:
+        top = max(records, key=lambda rec: rec["peak_mb"])
+        print(f"peak MB: largest {top['peak_mb']:.4f} ({top['seed']}/{top['op']}), "
+              f"median {statistics.median(rec['peak_mb'] for rec in records):.4f}")
     status = 1 if wrong else 0
     if args.compare:
         with open(args.compare) as fh:
