@@ -101,19 +101,11 @@ class FrSequence:
     mats: tuple[SymMat, ...]
     r: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.mats)
-
-    def prefix_rank(self) -> int:
-        return int(sum(self.r))
-
 
 @dataclass(frozen=True)
 class FrsValidation:
     valid: bool
     seq: Optional[FrSequence] = None
-    q_norm: Optional[np.ndarray] = None
     reason: Optional[str] = None
 
 
@@ -164,19 +156,17 @@ def validate_frs(mats: Sequence[SymMat], eps: float = EPS_PSD) -> FrsValidation:
 
     r_i is inferred greedily as one plus the last non-negligible row of
     the trailing block; the block itself must classify positive definite
-    (diagonal is not required — the reported q_norm rotation makes all
-    blocks diagonal simultaneously without disturbing the shape).
+    (it need not be diagonal).
     """
     mats = tuple(mats)
     if not mats:
-        return FrsValidation(valid=True, seq=FrSequence(mats=(), r=()), q_norm=None)
+        return FrsValidation(valid=True, seq=FrSequence(mats=(), r=()))
     n = mats[0].n
     for y in mats:
         if y.n != n:
             return FrsValidation(valid=False, reason="members have mixed orders")
     p = 0
     ranks: list[int] = []
-    q_norm = np.eye(n)
     for idx, y in enumerate(mats):
         scale = y.scale_factor()
         block = y.a[p:, p:]
@@ -201,14 +191,9 @@ def validate_frs(mats: Sequence[SymMat], eps: float = EPS_PSD) -> FrsValidation:
             # choice of r_i, and so is the cross block to the right of the PD
             # block: a SymMat is bitwise symmetric, so each of its entries is
             # an entry of such a row.
-            q_norm_step = np.eye(n)
-            q_norm_step[p : p + r_i, p : p + r_i] = cls.dec.q
-            q_norm = q_norm @ q_norm_step
         ranks.append(r_i)
         p += r_i  # at most n: r_i counts rows of the order-(n - p) block
-    return FrsValidation(
-        valid=True, seq=FrSequence(mats=mats, r=tuple(ranks)), q_norm=q_norm
-    )
+    return FrsValidation(valid=True, seq=FrSequence(mats=mats, r=tuple(ranks)))
 
 
 def is_rr_form(
@@ -225,7 +210,7 @@ def is_rr_form(
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
     if k and np.max(np.abs(inst.b[:k])) > eps * b_scale:
         return False
-    p = val.seq.prefix_rank()
+    p = sum(val.seq.r)
     x = x_witness.a
     x_scale = x_witness.scale_factor()
     if p and np.max(np.abs(x[:p, :])) > eps * x_scale:
@@ -241,8 +226,6 @@ def _affine_solutions(
     rows: np.ndarray, rhs: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Minimum-norm particular solution and nullspace basis of rows·y = rhs."""
-    if rows.shape[0] == 0:
-        return np.zeros(rows.shape[1]), null_basis(rows)
     y0, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     res = float(np.linalg.norm(rows @ y0 - rhs))
     if res > AFFINE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs))):
@@ -444,6 +427,26 @@ def _clean_and_validate(
     return None
 
 
+def _slice_lambda_min(
+    inst: SdpInstance,
+    rows: np.ndarray,
+    rhs: np.ndarray,
+    reg: float,
+    stop_below: Optional[float] = None,
+) -> Optional[tuple[np.ndarray, np.ndarray, subsolver.LambdaMinResult]]:
+    """Maximize λ_min(𝒜*y) over the slice rows·y = rhs.  Returns 𝒜*y0 as
+    an array, y0 the slice's least-norm point, then the optimal y and the
+    subsolver's result; None when the slice is empty."""
+    sol = _affine_solutions(rows, rhs)
+    if sol is None:
+        return None
+    y0, null = sol
+    s0 = apply_at(inst, y0).a
+    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
+    res = subsolver.maximize_lambda_min(s0, fam, reg=reg, stop_below=stop_below)
+    return s0, y0 + null @ res.w, res
+
+
 def _lambda_min_search(
     inst: SdpInstance,
     rows: np.ndarray,
@@ -463,14 +466,10 @@ def _lambda_min_search(
     optimum of strength below eps**NOISE_POWER, with each |y_i| weighed
     by row_scale[i], is NotFound too.
     """
-    sol = _affine_solutions(rows, rhs)
-    if sol is None:
+    found = _slice_lambda_min(inst, rows, rhs, reg, -100.0 * eps)
+    if found is None:
         return None, None, False
-    y0, null = sol
-    s0 = apply_at(inst, y0).a
-    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    res = subsolver.maximize_lambda_min(s0, fam, reg=reg, stop_below=-100.0 * eps)
-    y_opt = y0 + null @ res.w
+    _, y_opt, res = found
     z_norm = apply_at(inst, y_opt).norm()
     if res.below or res.value < -100.0 * eps * max(1.0, z_norm):
         return None, res.value, False
@@ -566,14 +565,10 @@ def _not_found(best_t: Optional[float], ambiguous: bool) -> AltResult:
 
 def classical_alternative_feasible(inst: SdpInstance, eps: float = EPS_PSD) -> bool:
     """Feasibility of the classical alternative system 𝒜*y ⪰ 0, <b,y> = -1."""
-    stack_rows = inst.b.reshape(1, -1)
-    sol = _affine_solutions(stack_rows, np.array([-1.0]))
-    if sol is None:
+    found = _slice_lambda_min(inst, inst.b.reshape(1, -1), np.array([-1.0]), 1e-8)
+    if found is None:
         return False
-    y0, null = sol
-    s0 = apply_at(inst, y0).a
-    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
-    res = subsolver.maximize_lambda_min(s0, fam, reg=1e-8)
+    s0, _, res = found
     scale = 1.0 + float(np.linalg.norm(s0))
     return res.value >= -100.0 * eps * scale
 
@@ -798,95 +793,6 @@ def _pd_combination(
             return np.concatenate([[lam], v])
         lam *= 2.0
     raise SubsolverFailureError("merge: Schur bound escalation failed")
-
-
-def merge_to_bound(seq: FrSequence, eps: float = EPS_PSD) -> tuple[FrSequence, np.ndarray]:
-    """Drop zero-rank members; collapse a full-rank sequence to one PD member.
-
-    Returns the new sequence together with the coefficient matrix mapping
-    new members to old ones (k_new × k_old), so a caller can mirror the
-    change as row operations on an instance.
-    """
-    k = seq.k
-    n = seq.mats[0].n if k else 0
-    if k and seq.prefix_rank() == n:
-        coeffs = _pd_combination(list(seq.mats), list(seq.r), eps)
-        merged = np.zeros((n, n))
-        for c, y in zip(coeffs, seq.mats):
-            merged += c * y.a
-        return FrSequence(mats=(SymMat(merged),), r=(n,)), coeffs.reshape(1, -1)
-    keep = [i for i in range(k) if seq.r[i] > 0]
-    rows = np.zeros((len(keep), k))
-    for new_i, old_i in enumerate(keep):
-        rows[new_i, old_i] = 1.0
-    new_seq = FrSequence(
-        mats=tuple(seq.mats[i] for i in keep), r=tuple(seq.r[i] for i in keep)
-    )
-    return new_seq, rows
-
-
-def max_rank_zero_pattern(
-    x_max: SymMat, x_test: SymMat, eps: float = EPS_PSD
-) -> bool:
-    """True when x_test vanishes on the rows/columns where x_max does.
-
-    x_max must have the max-rank shape diag(0, Λ): its leading zero rows
-    determine the pattern every feasible PSD point must share.
-    """
-    if x_max.n != x_test.n:
-        raise ValueError("order mismatch")
-    scale = x_max.scale_factor()
-    row_mags = np.max(np.abs(x_max.a), axis=1)
-    nz = np.nonzero(row_mags > eps * scale)[0]
-    lead_zero = int(nz[0]) if nz.size else x_max.n
-    if lead_zero == 0:
-        return True
-    t_scale = x_test.scale_factor()
-    return bool(np.max(np.abs(x_test.a[:lead_zero, :])) <= eps * t_scale)
-
-
-def sample_feasible(
-    inst: SdpInstance,
-    rr: RrForm,
-    count: int,
-    seed: int = 0,
-) -> list[SymMat]:
-    """Feasible points of the original instance, sampled on the reduced face.
-
-    Uses the RR reformulation: strictly feasible points of the reduced
-    block, perturbed along the constraint nullspace while staying PD,
-    re-embedded at order n and rotated back.
-    """
-    if rr.status != STATUS_FEASIBLE:
-        raise ValueError("cannot sample from an infeasible instance")
-    n = inst.n
-    p = sum(rr.r)
-    cur = rr.reformulated
-    center = rr.maxrank_x
-    q = rr.ref.q
-    out = [SymMat(q @ center.a @ q.T)]
-    if p == n or count <= 1:
-        return out[:count]
-    red = _reduced_instance(cur, p, rr.k)
-    null = null_basis(constraint_stack(red))
-    x_red = center.a[p:, p:]
-    lam_min = float(np.linalg.eigvalsh(x_red)[0])
-    rng = np.random.default_rng(seed)
-    while len(out) < count:
-        if null.shape[1] == 0:
-            out.append(out[0])
-            continue
-        d = null @ rng.standard_normal(null.shape[1])
-        direction = smat(d, red.n).a
-        dn = float(np.linalg.norm(direction, 2))
-        if dn <= 0:
-            out.append(out[0])
-            continue
-        step = 0.5 * lam_min / dn
-        x_new = x_red + step * direction
-        x_cur = SymMat(x_new).embed(n, p)
-        out.append(SymMat(q @ x_cur.a @ q.T))
-    return out
 
 
 def primal_optimal_value(

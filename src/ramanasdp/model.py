@@ -75,15 +75,22 @@ def svec(a: SymMat) -> np.ndarray:
     return out
 
 
+def smat_stack(cols: np.ndarray, n: int, extra: int = 0) -> np.ndarray:
+    """The inverse of svec of every column of cols, as one
+    (d + extra, n, n) array; trailing slots are zero."""
+    i, j = svec_index(n)
+    vals = cols.T.astype(float)
+    vals[:, n:] /= np.sqrt(2.0)
+    d = vals.shape[0]
+    out = np.zeros((d + extra, n, n))
+    out[:d, i, j] = vals
+    out[:d, j, i] = vals
+    return out
+
+
 def smat(v: np.ndarray, n: int) -> SymMat:
     """Inverse of svec."""
-    i, j = svec_index(n)
-    vals = np.array(v, dtype=float)
-    vals[n:] /= np.sqrt(2.0)
-    out = np.zeros((n, n))
-    out[i, j] = vals
-    out[j, i] = vals
-    return SymMat(out)
+    return SymMat(smat_stack(np.reshape(v, (-1, 1)), n)[0])
 
 
 @dataclass(frozen=True)
@@ -170,18 +177,14 @@ def dual_slack(inst: SdpInstance, y: Sequence[float]) -> SymMat:
     return inst.c - apply_at(inst, y)
 
 
-def primal_residual(inst: SdpInstance, x: SymMat) -> float:
-    b_scale = 1.0 + float(np.linalg.norm(inst.b)) + x.norm()
-    return float(np.linalg.norm(apply_a(inst, x) - inst.b)) / b_scale
-
-
 def weak_duality_gap(inst: SdpInstance, x: SymMat, y: Sequence[float]) -> float:
     """<C,X> - <b,y> for primal-feasible X; checks the slack identity.
 
     The identity <C,X> - <b,y> = <C - 𝒜*y, X> holds for every feasible X
     and every y; a violation beyond tolerance indicates corrupted input.
     """
-    res = primal_residual(inst, x)
+    b_scale = 1.0 + float(np.linalg.norm(inst.b)) + x.norm()
+    res = float(np.linalg.norm(apply_a(inst, x) - inst.b)) / b_scale
     if res > 1e3 * RECON_TOL:
         raise InfeasibleInputError(f"𝒜X - b relative residual {res:.3e} beyond tolerance")
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -316,39 +319,14 @@ def classical_dual_instance(inst: SdpInstance) -> SdpInstance:
     <X0, Z> + <b, y> = <X0, C> is constant, so the dual's value is
     <X0, C> less this instance's value, and optima correspond.
 
-    The D_j are produced by Gram–Schmidt over the standard basis of S^n in
-    the fixed svec order, projected against span{A_i}, so the output is
-    deterministic and orthonormal.  It always finds all ℓ = n(n+1)/2 - m:
-    past the rank check the projection is onto the complement of m
-    orthonormal columns, and while fewer than ℓ are found, some unit
-    vector keeps a residual of norm at least 1/sqrt(n(n+1)/2) > 1e-8.
+    The D_j are smat of the last ℓ columns of Q in the complete QR of the
+    svec stack's transpose: past the rank check its first m columns span
+    the A_i, so the rest are an orthonormal basis of their complement.
     """
     n = inst.n
-    nn = n * (n + 1) // 2
     stack = independent_stack(inst)
-    if inst.m:
-        # Orthonormal basis of span{A_i} for the projection.
-        q_span, _ = np.linalg.qr(stack.T)
-    else:
-        q_span = np.zeros((nn, 0))
-    ell = nn - inst.m
-    basis: list[np.ndarray] = []
-    for k in range(nn):
-        e = np.zeros(nn)
-        e[k] = 1.0
-        v = e - q_span @ (q_span.T @ e)
-        for u in basis:
-            v -= (u @ v) * u
-        # Re-orthogonalize once for numerical safety.
-        v -= q_span @ (q_span.T @ v)
-        for u in basis:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-        if len(basis) == ell:
-            break
-    d_mats = tuple(smat(v, n) for v in basis)
+    q, _ = np.linalg.qr(stack.T, mode="complete")
+    d_mats = tuple(SymMat(d) for d in smat_stack(q[:, inst.m :], n))
     d_vals = np.array([dj.inner(inst.c) for dj in d_mats])
     if inst.m:
         x0_vec, residual, *_ = np.linalg.lstsq(stack, inst.b, rcond=None)

@@ -24,8 +24,9 @@ mu schedule and stopping tolerance they give it:
 The two face entry points take the face {X : rows·svec(X - S0) = 0} as a
 point S0 and its svec constraint rows, and return matrices.  Each builds
 the family once, as the smat of the rows' null basis (null_basis) in one
-(k, n, n) stack, which interior_point gives a k + 1-th slot, the λ_min
-path's -I, so its phase 1 and its centering share one stack.
+(k, n, n) stack (model.smat_stack), which interior_point gives a k + 1-th
+slot, the λ_min path's -I, so its phase 1 and its centering share one
+stack.
 
 Every mu but the last is centered only inexactly, to a Newton decrement
 of at most 0.25·mu; the last is centered to the caller's tolerance.
@@ -60,7 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import svec_index
+from .model import smat_stack
 
 # Singular values at or below NULL_RANK_CUT·max(σ_max, 1) count as zero
 # when a null-space basis is taken.
@@ -128,19 +129,6 @@ def null_basis(rows: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(rows)
     rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
     return vt[rank:].copy().T
-
-
-def _smat_family(cols: np.ndarray, n: int, extra: int = 0) -> np.ndarray:
-    """smat of every column of cols, as one (d + extra, n, n) array;
-    trailing slots are zero."""
-    i, j = svec_index(n)
-    vals = cols.T.astype(float)
-    vals[:, n:] /= np.sqrt(2.0)
-    d = vals.shape[0]
-    out = np.zeros((d + extra, n, n))
-    out[:d, i, j] = vals
-    out[:d, j, i] = vals
-    return out
 
 
 def _barrier_path(
@@ -429,7 +417,7 @@ def interior_point(s0: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
     is polished toward the regularized analytic center,
     min -log det S(w) + (_CENTER_REG/2)‖w‖², on the stack's first k slots.
     """
-    fam = _smat_family(null_basis(rows), s0.shape[0], extra=1)
+    fam = smat_stack(null_basis(rows), s0.shape[0], extra=1)
     k = fam.shape[0] - 1
     np.fill_diagonal(fam[k], -1.0)
     face = fam[:k]
@@ -460,7 +448,7 @@ def minimize_linear_over_face(
     obj = np.asarray(obj, dtype=float)
     if _chol_or_none(x_start) is None:
         raise ValueError("minimize_linear_over_face requires a strictly feasible start")
-    fam = _smat_family(null_basis(rows), x_start.shape[0])
+    fam = smat_stack(null_basis(rows), x_start.shape[0])
     k = fam.shape[0]
     const = float(np.sum(obj * x_start))
     lin = fam.reshape(k, x_start.size) @ obj.ravel()

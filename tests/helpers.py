@@ -17,13 +17,16 @@ from ramanasdp import (
     verify_certificate,
 )
 from ramanasdp.builders import StandardFormSdp
+from ramanasdp.facial import STATUS_FEASIBLE, RrForm, _reduced_instance
+from ramanasdp.model import constraint_stack, smat
+from ramanasdp.subsolver import null_basis
 from ramanasdp.certfile import (
     certificate_to_text,
     check_instance_binding,
     parse_certificate_text,
     to_ramana_certificate,
 )
-from ramanasdp.symmat import EIG_CLUSTER_TOL
+from ramanasdp.symmat import EIG_CLUSTER_TOL, EPS_PSD
 
 
 def inst_unattained() -> SdpInstance:
@@ -193,6 +196,75 @@ def random_degenerate_instance(
         inst = reformulate(inst, ref)
         y0 = ref.transport_dual(y0)
     return inst, y0, p_total
+
+
+# The paper's zero-pattern claim says every feasible point of an instance
+# vanishes where its RR form's maximum-rank point does.  The two oracles
+# below check it on sampled points.
+
+
+def max_rank_zero_pattern(
+    x_max: SymMat, x_test: SymMat, eps: float = EPS_PSD
+) -> bool:
+    """True when x_test vanishes on the rows/columns where x_max does.
+
+    x_max must have the max-rank shape diag(0, Λ): its leading zero rows
+    determine the pattern every feasible PSD point must share.
+    """
+    if x_max.n != x_test.n:
+        raise ValueError("order mismatch")
+    scale = x_max.scale_factor()
+    row_mags = np.max(np.abs(x_max.a), axis=1)
+    nz = np.nonzero(row_mags > eps * scale)[0]
+    lead_zero = int(nz[0]) if nz.size else x_max.n
+    if lead_zero == 0:
+        return True
+    t_scale = x_test.scale_factor()
+    return bool(np.max(np.abs(x_test.a[:lead_zero, :])) <= eps * t_scale)
+
+
+def sample_feasible(
+    inst: SdpInstance,
+    rr: RrForm,
+    count: int,
+    seed: int = 0,
+) -> list[SymMat]:
+    """Feasible points of the original instance, sampled on the reduced face.
+
+    Uses the RR reformulation: strictly feasible points of the reduced
+    block, perturbed along the constraint nullspace while staying PD,
+    re-embedded at order n and rotated back.
+    """
+    if rr.status != STATUS_FEASIBLE:
+        raise ValueError("cannot sample from an infeasible instance")
+    n = inst.n
+    p = sum(rr.r)
+    cur = rr.reformulated
+    center = rr.maxrank_x
+    q = rr.ref.q
+    out = [SymMat(q @ center.a @ q.T)]
+    if p == n or count <= 1:
+        return out[:count]
+    red = _reduced_instance(cur, p, rr.k)
+    null = null_basis(constraint_stack(red))
+    x_red = center.a[p:, p:]
+    lam_min = float(np.linalg.eigvalsh(x_red)[0])
+    rng = np.random.default_rng(seed)
+    while len(out) < count:
+        if null.shape[1] == 0:
+            out.append(out[0])
+            continue
+        d = null @ rng.standard_normal(null.shape[1])
+        direction = smat(d, red.n).a
+        dn = float(np.linalg.norm(direction, 2))
+        if dn <= 0:
+            out.append(out[0])
+            continue
+        step = 0.5 * lam_min / dn
+        x_new = x_red + step * direction
+        x_cur = SymMat(x_new).embed(n, p)
+        out.append(SymMat(q @ x_cur.a @ q.T))
+    return out
 
 
 def padded_certificate_text(inst: SdpInstance, cert, claimed_value=None) -> str:

@@ -782,9 +782,9 @@ class TestStrong:
     def test_pstrong_reembedded_reduced_solutions(self):
         # Random instances feasible on a planted face: interior points of
         # the face re-embed into feasible strong-primal assignments.
-        from ramanasdp import build_rr_form, sample_feasible
+        from ramanasdp import build_rr_form
 
-        from helpers import random_feasible_instance, random_psd
+        from helpers import random_feasible_instance, random_psd, sample_feasible
 
         rng = np.random.default_rng(73)
         for _ in range(3):
@@ -872,8 +872,10 @@ class TestStrictExactDualRemark:
     def test_pd_ladder_head_forces_zero_primal(self):
         # When the exact dual has a point whose first ladder matrix is PD,
         # the only primal-feasible point is X = 0.
-        from ramanasdp import build_rr_form, sample_feasible, verify_dram
+        from ramanasdp import build_rr_form, verify_dram
         from ramanasdp.verify import RamanaCertificate as RC
+
+        from helpers import sample_feasible
 
         a1 = SymMat.identity(3)
         a2 = SymMat.diag([1, 2, 3])

@@ -1,5 +1,6 @@
 """Facial reduction sequences, RR-form recognition and construction."""
 
+import importlib.util
 import re
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ramanasdp import (
+    EPS_PSD,
     Reformulation,
     SdpInstance,
     SymMat,
@@ -18,12 +20,9 @@ from ramanasdp import (
     build_rr_form,
     classify_psd,
     is_rr_form,
-    max_rank_zero_pattern,
-    merge_to_bound,
     primal_optimal_value,
     reformulate,
     registry,
-    sample_feasible,
     solve_alternative,
     validate_frs,
 )
@@ -34,7 +33,6 @@ from ramanasdp.facial import (
     MODE_LEQ_ZERO,
     STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
-    FrSequence,
     NumericalRankAmbiguityError,
     SubsolverFailureError,
     _face_rows,
@@ -42,8 +40,7 @@ from ramanasdp.facial import (
     _polish_on_face,
     _rank_split,
 )
-from ramanasdp.model import smat
-from ramanasdp.subsolver import _smat_family
+from ramanasdp.model import smat, smat_stack
 
 from helpers import (
     inst_gap_raw,
@@ -51,9 +48,11 @@ from helpers import (
     inst_infeasible,
     inst_strict,
     inst_unattained,
+    max_rank_zero_pattern,
     random_degenerate_instance,
     random_feasible_instance,
     random_orthonormal,
+    sample_feasible,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -88,18 +87,16 @@ class TestValidateFrs:
         inst = inst_gap_raw()
         assert not validate_frs(inst.a[:2]).valid
 
-    def test_normalization_rotation_diagonalizes(self):
-        # Non-diagonal PD blocks are accepted; the reported rotation makes
-        # them diagonal without breaking the staircase.
-        y1 = SymMat([[2, 1, 0], [1, 2, 0], [0, 0, 0]])
-        y2 = SymMat([[5, 7, 1], [7, 0, 2], [1, 2, 3]])
-        val = validate_frs([y1, y2])
-        assert val.valid and val.seq.r == (2, 1)
-        rot = [SymMat(val.q_norm.T @ y.a @ val.q_norm) for y in (y1, y2)]
-        val2 = validate_frs(rot)
-        assert val2.valid and val2.seq.r == (2, 1)
-        lead = rot[0].a[:2, :2]
-        assert np.max(np.abs(lead - np.diag(np.diag(lead)))) <= 1e-10
+    @pytest.mark.parametrize("members, r", [
+        # A PD block need not be diagonal.
+        ([[[2, 1, 0], [1, 2, 0], [0, 0, 0]], [[5, 7, 1], [7, 0, 2], [1, 2, 3]]], (2, 1)),
+        # A full-rank first member leaves no trailing block, so the next
+        # member steps past the full order with rank 0.
+        ([[[2, 1], [1, 2]], [[5, 7], [7, 0]]], (2, 0)),
+    ], ids=["non-diagonal-block", "past-the-full-order"])
+    def test_inferred_ranks(self, members, r):
+        val = validate_frs([SymMat(y) for y in members])
+        assert val.valid and val.seq.r == r
 
     def test_block_permutation_invariance(self):
         # Rotating within a diagonal PD block keeps the sequence valid.
@@ -197,6 +194,16 @@ class TestSolveAlternative:
     def test_strictly_feasible_not_found(self):
         res = solve_alternative(inst_strict(), MODE_EQ_ZERO)
         assert not res.found
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown mode 'lt_zero'"):
+            solve_alternative(inst_strict(), "lt_zero")
+
+    @pytest.mark.parametrize("mode", [MODE_EQ_ZERO, MODE_LEQ_ZERO])
+    def test_no_rows_no_certificate(self, mode):
+        inst = SdpInstance(a=(), b=np.zeros(0), c=SymMat.identity(2))
+        res = solve_alternative(inst, mode)
+        assert not res.found and res.max_lambda_min is None
 
     def test_leq_zero_on_infeasible_instance(self):
         # The first certificate keeps <b, y> = 0; the negative one appears
@@ -312,44 +319,29 @@ class TestBuildRrForm:
                 build_rr_form(inst)
 
 
+def _merged(mats, coeffs):
+    return SymMat(sum(c * y.a for c, y in zip(coeffs, mats)))
+
+
 class TestMergeToBound:
-    def test_drop_zero_blocks(self):
-        mats = (
-            SymMat.diag([1, 0, 0]),
-            SymMat.zero(3),
-            SymMat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
-        )
-        seq = FrSequence(mats=mats, r=(1, 0, 1))
-        merged, rows = merge_to_bound(seq)
-        assert merged.r == (1, 1)
-        assert merged.k == 2
-        assert rows.shape == (2, 3)
+    """build_rr_form's merge to k ≤ n - 1: _pd_combination's weights of a
+    sequence whose blocks fill the order."""
 
     def test_full_rank_collapse(self):
         # Schur bound: lam * diag(1,0) + [[0,1],[1,1]] is PD for lam > 1.
-        seq = FrSequence(
-            mats=(SymMat.diag([1, 0]), SymMat([[0, 1], [1, 1]])), r=(1, 1)
-        )
-        merged, coeffs = merge_to_bound(seq)
-        assert merged.k == 1 and merged.r == (2,)
-        assert classify_psd(merged.mats[0]).is_positive_definite
-        assert coeffs[0, 0] > 1.0  # exceeds the hand-computed bound
+        mats = (SymMat.diag([1, 0]), SymMat([[0, 1], [1, 1]]))
+        coeffs = _pd_combination(mats, (1, 1), EPS_PSD)
+        assert classify_psd(_merged(mats, coeffs)).is_positive_definite
+        assert coeffs[0] > 1.0  # exceeds the hand-computed bound
 
     def test_escalates_past_tight_schur_bound(self):
         # The bound 4 - 1e-7 rounds up to lam = 4, where 4·Y1 + Y2 has
         # determinant 1e-7 and is not PD to tolerance; doubling to 8 is.
         e = np.sqrt(4.0 - 1e-7)
-        seq = FrSequence(
-            mats=(SymMat([[1, 0], [0, 0]]), SymMat([[0, e], [e, 1]])), r=(1, 1)
-        )
-        merged, coeffs = merge_to_bound(seq)
-        assert merged.k == 1 and merged.r == (2,)
-        assert classify_psd(merged.mats[0]).is_positive_definite
-        assert coeffs.tolist() == [[8.0, 1.0]]
-
-    def test_empty_sequence_unchanged(self):
-        merged, rows = merge_to_bound(FrSequence(mats=(), r=()))
-        assert merged.k == 0
+        mats = (SymMat([[1, 0], [0, 0]]), SymMat([[0, e], [e, 1]]))
+        coeffs = _pd_combination(mats, (1, 1), EPS_PSD)
+        assert classify_psd(_merged(mats, coeffs)).is_positive_definite
+        assert coeffs.tolist() == [8.0, 1.0]
 
     def test_deep_collapse_with_junk_rows(self):
         # Members carrying data in the leading-row band beyond the next
@@ -357,26 +349,17 @@ class TestMergeToBound:
         y1 = SymMat.diag([1, 0, 0])
         y2 = SymMat([[0, 5, 9], [5, 1, 0], [9, 0, 0]])
         y3 = SymMat.diag([0, 0, 1])
-        seq = FrSequence(mats=(y1, y2, y3), r=(1, 1, 1))
-        merged, coeffs = merge_to_bound(seq)
-        assert merged.k == 1
-        assert classify_psd(merged.mats[0]).is_positive_definite
+        coeffs = _pd_combination((y1, y2, y3), (1, 1, 1), EPS_PSD)
+        assert classify_psd(_merged((y1, y2, y3), coeffs)).is_positive_definite
         assert np.all(coeffs > 0)
-
-    def test_preserves_certified_rows(self):
-        seq = FrSequence(
-            mats=(SymMat.diag([1, 0, 0]), SymMat.zero(3)), r=(1, 0)
-        )
-        merged, _ = merge_to_bound(seq)
-        assert merged.prefix_rank() == seq.prefix_rank()
 
     @pytest.mark.parametrize("lead, off", [(1.0, 1e300), (1e-300, 1e10)])
     def test_schur_bound_past_the_float_range_is_refused(self, lead, off):
         # ‖E₁₂‖² = 1e600 overflows, and 1e20 / λ₁ = 1e320 does: both are
         # refused by name, not raised as OverflowError.
-        seq = FrSequence(mats=(SymMat.diag([lead, 0.0]), SymMat([[0.0, off], [off, 1.0]])), r=(1, 1))
+        mats = (SymMat.diag([lead, 0.0]), SymMat([[0.0, off], [off, 1.0]]))
         with pytest.raises(SubsolverFailureError, match="merge: Schur bound inf is not below 2"):
-            merge_to_bound(seq)
+            _pd_combination(mats, (1, 1), EPS_PSD)
 
     @pytest.mark.parametrize("members, ranks, match", [
         ([[1.0, 0.0]], [2], "single member not positive definite"),
@@ -691,8 +674,26 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_smat_family_is_smat_per_column(self, n):
         cols = np.random.default_rng(n).standard_normal((n * (n + 1) // 2, 3))
-        fam = _smat_family(cols, n)
+        fam = smat_stack(cols, n)
         assert fam.shape == (3, n, n)
         for j in range(3):
             assert np.array_equal(fam[j], smat(cols[:, j], n).a)
-        assert _smat_family(cols[:, :0], n).shape == (0, n, n)
+        assert smat_stack(cols[:, :0], n).shape == (0, n, n)
+
+
+class TestSolveWorkloadDecisions:
+    def test_seed_101_decisions_are_pinned(self):
+        # tools/solve_probe.py on the benchmark's solve ops of seed 101:
+        # the digest of every op's (status, r, k, refusal).  A change that
+        # alters any decision on the benchmark's own op shapes fails here.
+        spec = importlib.util.spec_from_file_location(
+            "solve_probe", Path(__file__).resolve().parents[1] / "tools" / "solve_probe.py"
+        )
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        records = probe.probe(range(101, 102))
+        assert len(records) == 25
+        assert [rec for rec in records if rec["refusal"] or rec["wrong"]] == []
+        assert probe.digest(records) == (
+            "0c8ae2109bcd613932bdd936a468a5f3a3184d3df62b2939b54f4696fe0f94c4"
+        )

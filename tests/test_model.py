@@ -1,6 +1,8 @@
 """Instance operator, slack, duality bookkeeping, reformulations, the dual's
 equality-form rewrite."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,26 @@ class TestIngestion:
             c[0][1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             SdpInstance.from_arrays(a, b, c)
+
+
+# (id, call, message): one row per shape refusal of model.py.  Each call
+# gets data of the right kind but of one wrong size.
+SHAPE_ROWS = [
+    ("len-a-not-len-b", lambda: SdpInstance(a=(SymMat.identity(2),), b=np.zeros(2), c=SymMat.identity(2)),
+     "len(A) must equal len(b)"),
+    ("a-order", lambda: SdpInstance(a=(SymMat.identity(3),), b=np.zeros(1), c=SymMat.identity(2)),
+     "A_1 has order 3, expected 2"),
+    ("y-length", lambda: apply_at(inst_unattained(), [1.0, 2.0]),
+     "y has length 2, instance has m = 3"),
+    ("m-shape", lambda: reformulate(inst_unattained(), Reformulation(np.eye(2), np.eye(3))),
+     "M must be m×m"),
+    ("q-shape", lambda: reformulate(inst_unattained(), Reformulation(np.eye(3), np.eye(4))),
+     "Q must be n×n"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in SHAPE_ROWS],
+                         ids=[row[0] for row in SHAPE_ROWS])
+def test_shape_refusal(call, message):
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """Symmetric-matrix core: eigensolver, PSD classification, rotations, tangents."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,14 @@ class TestStorage:
         assert s.a.tobytes() == want.tobytes()
         assert not s.a.flags.writeable
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.zeros((0, 0)), "matrix order must be at least 1"),
+    ], ids=["not-square", "order-0"])
+    def test_refuses_entries_of_the_wrong_shape(self, entries, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SymMat(entries)
+
     def test_writing_to_the_input_leaves_the_matrix(self):
         x = np.array([[1.0, 2.0], [2.0, 3.0]])
         s = SymMat(x)
@@ -310,6 +319,14 @@ class TestRotate:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NonOrthonormalError):
             rotate(SymMat.identity(2), np.array([[1.0, 0.0], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("q, error, message", [
+        (np.eye(3)[:, :2], NonOrthonormalError, "rotation must be square, got shape (3, 2)"),
+        (np.eye(3), ValueError, "rotation order does not match matrix order"),
+    ], ids=["not-square", "wrong-order"])
+    def test_rejects_a_rotation_of_the_wrong_shape(self, q, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            rotate(SymMat.identity(2), q)
 
 
 class TestTangent:

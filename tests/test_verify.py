@@ -325,6 +325,22 @@ class TestNormalizeLadder:
         with pytest.raises(InductionBreakError):
             normalize_ladder(inst, bogus)
 
+    def test_rung_past_the_full_order(self):
+        # A positive definite first rung fills the order, so the next rung
+        # has no trailing block left and gets rank 0.
+        inst = SdpInstance.from_arrays([np.eye(3)], [1.0], np.eye(3))
+        cert = RamanaCertificate(
+            system="dram",
+            y=np.zeros(1),
+            ladder=(
+                LadderRung(y=np.ones(1), u=SymMat.identity(3), v=_z(3)),
+                LadderRung(y=np.full(1, 2.0), u=SymMat.identity(3), v=SymMat.identity(3)),
+            ),
+        )
+        rep = normalize_ladder(inst, cert)
+        assert rep.r == (3, 0)
+        assert rep.frs_valid and all(rep.u_membership)
+
     def test_requires_ladder_system(self):
         cert = RamanaCertificate(system="pram", x=SymMat.zero(3), ladder=())
         with pytest.raises(ShapeMismatchError):
@@ -368,7 +384,7 @@ class TestLift:
 class TestOrthogonalityIdentity:
     def test_accepted_certificate_orthogonal_to_feasible_points(self):
         # <X, U_i + V_i> = 0 for every accepted ladder and feasible X.
-        from ramanasdp import sample_feasible
+        from helpers import sample_feasible
 
         inst = inst_gap_rr()
         cert = cert_gap_rr()

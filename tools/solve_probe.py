@@ -80,6 +80,11 @@ def decision(rec: dict) -> list:
     return [rec["status"], rec["r"], rec["k"], rec["refusal"]]
 
 
+def digest(records: list[dict]) -> str:
+    """SHA-256 of the per-op decisions, in op order."""
+    return hashlib.sha256(json.dumps([decision(rec) for rec in records]).encode()).hexdigest()
+
+
 def compare(new: list[dict], old: list[dict]) -> tuple[list[str], float]:
     """Ops whose decision differs, and the largest relative value change."""
     old_by_op = {(rec["seed"], rec["op"]): rec for rec in old}
@@ -113,11 +118,10 @@ def main(argv=None) -> int:
             json.dump(records, fh)
     refused = [f"{rec['seed']}/{rec['op']}" for rec in records if rec["refusal"]]
     wrong = [f"{rec['seed']}/{rec['op']}: {rec['wrong']}" for rec in records if rec["wrong"]]
-    digest = hashlib.sha256(json.dumps([decision(rec) for rec in records]).encode()).hexdigest()
     print(f"ops {len(records)}")
     print(f"refused {len(refused)}: {refused}")
     print(f"wrong {len(wrong)}: {wrong}")
-    print(f"sha256 {digest}")
+    print(f"sha256 {digest(records)}")
     if args.peak:
         top = max(records, key=lambda rec: rec["peak_mb"])
         print(f"peak MB: largest {top['peak_mb']:.4f} ({top['seed']}/{top['op']}), "
