@@ -50,9 +50,8 @@ from .model import (
     constraint_stack,
     finite_stack,
     reformulate,
-    smat,
 )
-from .subsolver import IterationLimitError, null_basis
+from .subsolver import NULL_RANK_CUT, IterationLimitError
 from .symmat import EPS_PSD, SymMat, classify_psd, eig
 
 MODE_EQ_ZERO = "eq_zero"
@@ -220,6 +219,14 @@ def is_rr_form(
             return False
     res = float(np.linalg.norm(apply_a(inst, x_witness) - inst.b))
     return res <= eps * (1.0 + float(np.linalg.norm(inst.b)) + x_witness.norm())
+
+
+def null_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the nullspace of rows.  It owns
+    its memory: the SVD factor it is cut from is not kept alive."""
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
+    return vt[rank:].copy().T
 
 
 def _affine_solutions(
@@ -525,15 +532,15 @@ def solve_alternative(
     gram = stack @ stack.T
     w_eig, w_vec = np.linalg.eigh(gram)
     null_mask = w_eig < max(1.0, float(w_eig[-1])) * GRAM_NULL_CUT
-    null_basis = w_vec[:, null_mask]
-    if null_basis.shape[1]:
-        coeff = null_basis.T @ inst.b
+    gram_null = w_vec[:, null_mask]
+    if gram_null.shape[1]:
+        coeff = gram_null.T @ inst.b
         nc = float(np.linalg.norm(coeff))
         b_scale = 1.0 + float(np.linalg.norm(inst.b))
         # A smaller b-component is reduction noise (see NOISE_POWER) and
         # must not be read as infeasibility.
         if nc > eps**NOISE_POWER * b_scale:
-            y_lin = -null_basis @ coeff / nc**2  # min-norm <b,y> = -1 in the null space
+            y_lin = -gram_null @ coeff / nc**2  # min-norm <b,y> = -1 in the null space
             z_lin = apply_at(inst, y_lin)
             if z_lin.norm() <= 100.0 * eps * b_scale:
                 return AltResult(
@@ -611,17 +618,13 @@ def _replace_and_swap(m_total: np.ndarray, s: int, y_red: np.ndarray) -> np.ndar
 
 
 def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
-    """Strictly feasible point of the reduced instance, embedded at order n."""
+    """Strictly feasible point of the reduced instance, its trace-penalised
+    center (subsolver.face_center), embedded at order n."""
     n = cur.n
     if p == n:
         return SymMat.zero(n)
     red = _reduced_instance(cur, p, s)
-    stack = constraint_stack(red)
-    if red.m:
-        x0_vec, *_ = np.linalg.lstsq(stack, red.b, rcond=None)
-    else:
-        x0_vec = np.zeros(stack.shape[1])
-    x_red = subsolver.interior_point(smat(x0_vec, red.n).a, stack)
+    x_red = subsolver.face_center(constraint_stack(red), red.b, red.n)
     if x_red is None:
         raise SubsolverFailureError(
             "reduced instance reported strictly feasible but no interior point was found"
@@ -801,10 +804,11 @@ def primal_optimal_value(
     """Optimal value of the instance via its RR form.
 
     The feasible set is the RR face diag(0, X') with X' ranging over the
-    strictly feasible reduced problem; a short barrier path minimizes
-    <C', X'> there.  Returns +inf on the infeasible branch.  (Desk-scale
-    helper: an unbounded-below instance will surface as a very negative
-    value rather than -inf.)
+    strictly feasible reduced problem; subsolver.face_solve minimizes
+    <C', X'> there, starting from the maximum-rank witness's block.
+    Returns +inf on the infeasible branch.  (Desk-scale helper: an
+    unbounded-below instance has no dual point, and its value is the one
+    face_solve's best iterate reached, not -inf.)
     """
     if rr is None:
         rr = build_rr_form(inst, eps=eps)
@@ -816,7 +820,6 @@ def primal_optimal_value(
     if p == n:
         return 0.0
     red = _reduced_instance(cur, p, rr.k)
-    _, value = subsolver.minimize_linear_over_face(
-        red.c.a, rr.maxrank_x.a[p:, p:], constraint_stack(red)
-    )
-    return value
+    return subsolver.face_solve(
+        red.c.a, constraint_stack(red), red.b, rr.maxrank_x.a[p:, p:]
+    ).value

@@ -1,32 +1,20 @@
-"""Small dense barrier kernel used by the facial-reduction loop.
+"""Small dense interior-point kernels used by the facial-reduction loop.
 
-Everything here optimizes over an affine family of symmetric matrices
+The barrier path.  maximize_lambda_min, the λ_min search of
+facial.solve_alternative, optimizes over an affine family of symmetric
+matrices
 
     S(w) = S0 + w_1 S_1 + ... + w_d S_d,   w in R^d,
 
-at desk scale (matrix order and d both small).  One damped-Newton path
-minimizes lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w) for a decreasing
-sequence of mu; the entry points differ only in the linear term, ridge,
-mu schedule and stopping tolerance they give it:
-
-  * maximize_lambda_min       — max lambda_min(S(w)): the path over (w, t)
-    with the extra matrix -I (so S(w) - tI ≻ 0) and lin = (0, ..., 0, -1).
-    A tiny ridge on w keeps it bounded when the supremum is +infinity.
-    On request, the dual point of each iterate's Newton step,
-    X = mu(G⁻¹ - G⁻¹ ΔG G⁻¹), certifies bounds on lambda_min and on ‖S‖
-    at the ridged optimum, also off the central path, so a caller that
-    only needs to know the optimum is below a relative tolerance band can
-    end the path as soon as the bounds say so.
-  * interior_point            — phase 1 on the λ_min path, then one
-    centering at mu = 1, lin = 0 toward the regularized analytic center.
-  * minimize_linear_over_face — min <obj, S(w)>, with lin_i = <obj, S_i>.
-
-The two face entry points take the face {X : rows·svec(X - S0) = 0} as a
-point S0 and its svec constraint rows, and return matrices.  Each builds
-the family once, as the smat of the rows' null basis (null_basis) in one
-(k, n, n) stack (model.smat_stack), which interior_point gives a k + 1-th
-slot, the λ_min path's -I, so its phase 1 and its centering share one
-stack.
+at desk scale (matrix order and d both small): the path over (w, t) with
+the extra matrix -I (so S(w) - tI ≻ 0) damped-Newton-minimizes
+lin·w + (1/2)Σ reg_i w_i² - mu·log det(S(w) - tI), lin = (0, ..., 0, -1),
+for a decreasing sequence of mu.  A tiny ridge on w keeps it bounded when
+the supremum is +infinity.  On request, the dual point of each iterate's
+Newton step, X = mu(G⁻¹ - G⁻¹ ΔG G⁻¹), certifies bounds on lambda_min
+and on ‖S‖ at the ridged optimum, also off the central path, so a caller
+that only needs to know the optimum is below a relative tolerance band
+can end the path as soon as the bounds say so.
 
 Every mu but the last is centered only inexactly, to a Newton decrement
 of at most 0.25·mu; the last is centered to the caller's tolerance.
@@ -48,8 +36,31 @@ step at that iterate shares, also when a new mu round starts there; the
 stop test runs once per iterate, before its first step, and has that
 step solved only if it needs it.  The Hessian is assembled a few columns
 per matrix product.  Each mu round takes at most ``inner`` Newton steps,
-so a run is bounded by its mu rounds × ``inner`` (the λ_min path: 10
-rounds × 60) and needs no separate step budget.  All iterations are
+so a run is bounded by its 10 mu rounds × 60 steps and needs no separate
+step budget.
+
+The face kernels.  The reduced face of an RR form,
+{X ⪰ 0 : rows·svec(X) = rhs}, is strictly feasible and has few rows, so
+both face entry points work in the rows' range space, never in their null
+space: they orthonormalize the rows once by a thin SVD (cut at
+NULL_RANK_CUT), hold the face's operator as the (m', n, n) stack of the
+smat of those rows, and solve m' × m' systems only.
+
+  * face_center — argmin tr X - log det X on the face, by Newton's method
+    on its m'-dimensional dual, max log det(I - 𝒜*λ) + <rhs, λ>, where
+    X = (I - 𝒜*λ)⁻¹ and the Hessian is tr(A_k X A_l X).  Steps are damped
+    to 1/(1 + √dec) while √dec ≥ 1/4 and full after that, the rule that a
+    self-concordant function's Newton method needs no line search for
+    (Nesterov, Introductory Lectures on Convex Optimization, 2004, §4.1.5).
+  * face_solve — min <obj, X> on the face by an infeasible-start
+    primal–dual path with the HKM direction (Helmberg, Rendl, Vanderbei &
+    Wolkowicz, SIAM J. Optim. 1996): the Schur matrix
+    M_kl = tr(A_k X A_l S⁻¹) is factored by Cholesky once per iteration;
+    an affine predictor sets the centering σ = (mu_aff/mu)³ (Mehrotra
+    1992), and the corrector takes 0.95 of the step to the boundary.
+
+Both return their X projected back onto the face through the orthonormal
+rows, so the face's equations hold to rounding.  All iterations are
 deterministic: fixed starting points, fixed step rules, no randomization.
 """
 
@@ -64,14 +75,18 @@ import numpy as np
 from .model import smat_stack
 
 # Singular values at or below NULL_RANK_CUT·max(σ_max, 1) count as zero
-# when a null-space basis is taken.
+# when a null-space basis or a row space is taken.
 NULL_RANK_CUT = 1e-12
 
-# Fixed accuracies: the last mu of the λ_min path, the ridge and tolerance of
-# interior_point's centering, the ridge and last mu of the face minimization.
+# The last mu of the λ_min path.
 _LAMBDA_MIN_MU_FINAL = 1e-11
-_CENTER_REG, _CENTER_TOL = 1e-9, 1e-8
-_FACE_REG, _FACE_MU_FINAL = 1e-10, 1e-9
+# face_center ends once the square root of its Newton decrement is at most
+# _CENTER_ROOT_DEC, and fails after _CENTER_STEPS steps.
+_CENTER_ROOT_DEC, _CENTER_STEPS = 1e-10, 200
+# face_solve ends once its relative gap and residuals are at most _FACE_TOL,
+# or after _FACE_STEPS iterations; each iterate takes _FACE_STEP_FRACTION of
+# its step to the boundary of the cone.
+_FACE_TOL, _FACE_STEPS, _FACE_STEP_FRACTION = 1e-9, 100, 0.95
 # Inexact centering: every mu round but the last ends once the Newton
 # decrement is at most _ROUND_DECREMENT·mu.
 _ROUND_DECREMENT = 0.25
@@ -121,26 +136,16 @@ def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
     return fam
 
 
-def null_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as columns, of the nullspace of rows.  It owns
-    its memory: the SVD factor it is cut from is not kept alive."""
-    if rows.shape[0] == 0:
-        return np.eye(rows.shape[1])
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
-    return vt[rank:].copy().T
-
-
 def _barrier_path(
     s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
     w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
-    tol: float, c0: float = 0.0, stop: Optional[Callable[..., bool]] = None,
+    tol: float, stop: Optional[Callable[..., bool]] = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
     S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
 
     Each mu gets at most ``inner`` steps and ends once the Newton decrement
-    is at most tol·(1 + |c0 + lin·w|), or at most _ROUND_DECREMENT·mu while
+    is at most tol·(1 + |lin·w|), or at most _ROUND_DECREMENT·mu while
     mu > mu_final, or when the line search fails or its step rounds to w.
     So only the last mu is centered to tol; an earlier one ends once
     (decrement/mu)^½ ≤ 1/2.  A round that ends so moves w to the
@@ -240,7 +245,7 @@ def _barrier_path(
             if solved is None:
                 break
             step, decrement = solved
-            if decrement <= tol * (1.0 + abs(c0 + float(lin @ w))) or (
+            if decrement <= tol * (1.0 + abs(float(lin @ w))) or (
                     mu > mu_final and decrement <= _ROUND_DECREMENT * mu):
                 centered = step
                 break
@@ -340,19 +345,10 @@ def maximize_lambda_min(
     mu_final.  Only w* is certified: a run that has not exited ends near
     w*, not at it.
     """
-    fam = _stack(mats, s0.shape[0], extra=1)
-    np.fill_diagonal(fam[len(mats)], -1.0)
-    return _lambda_min_path(s0, fam, reg, stop_above, stop_below)
-
-
-def _lambda_min_path(
-    s0: np.ndarray, fam: np.ndarray, reg: float,
-    stop_above: Optional[float], stop_below: Optional[float],
-) -> LambdaMinResult:
-    """maximize_lambda_min on fam, the (d + 1, n, n) stack of the family
-    whose last slot is -I."""
-    d = fam.shape[0] - 1
+    d = len(mats)
     n = s0.shape[0]
+    fam = _stack(mats, n, extra=1)
+    np.fill_diagonal(fam[d], -1.0)
     flat = fam.reshape(d + 1, n * n)
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False
@@ -407,54 +403,160 @@ def _lambda_min_path(
     return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps, below=below)
 
 
-def interior_point(s0: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
-    """A strictly PD matrix of the face {X : rows·svec(X - s0) = 0}, or None
-    if it has none to tolerance.
 
-    The face is s0 plus the span of smat of the null basis of ``rows``,
-    held once, as a (k + 1, n, n) stack whose last slot is the -I of the
-    λ_min path.  Phase 1 maximizes lambda_min on it; on success the point
-    is polished toward the regularized analytic center,
-    min -log det S(w) + (_CENTER_REG/2)‖w‖², on the stack's first k slots.
+
+@dataclass
+class FaceSolution:
+    """Outcome of face_solve: ``x`` on the face, ``y`` in the caller's row
+    coordinates, ``value`` = <obj, x> and the iterations taken."""
+
+    x: np.ndarray
+    y: np.ndarray
+    value: float
+    iterations: int
+
+
+def _range_space(
+    rows: np.ndarray, rhs: np.ndarray, n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The face rows·svec(X) = rhs in orthonormal coordinates, by a thin SVD
+    cut at NULL_RANK_CUT: (fam, rhs', back), fam the (m', n, n) stack of the
+    smat of m' orthonormal rows spanning the rows' row space, rhs' the
+    right-hand side in those rows, and back the map y = back·y' of their
+    multipliers to the caller's rows (least-norm, rowsᵀy = Σ y'_k svec(fam[k]))."""
+    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
+    back = u[:, :rank] / s[:rank]
+    return smat_stack(vt[:rank].T, n), back.T @ rhs, back
+
+
+def _onto_face(x: np.ndarray, fam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x moved onto the face by its orthogonal projection: the rows of fam
+    are orthonormal in svec coordinates."""
+    gap = fam.reshape(len(fam), x.size) @ x.ravel() - rhs
+    return x - np.tensordot(gap, fam, 1)
+
+
+def face_center(rows: np.ndarray, rhs: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """argmin tr X - log det X over the face {X ⪰ 0 : rows·svec(X) = rhs},
+    or None when Newton's method on the dual does not reach it (the face
+    has no interior, to rounding).
+
+    The dual is max g(λ) = log det(I - 𝒜*λ) + <rhs', λ> over the m'
+    orthonormal rows (see _range_space), whose maximizer gives the center
+    X = (I - 𝒜*λ)⁻¹.  Each step solves H·Δλ = rhs' - 𝒜X, with
+    H_kl = tr(A_k X A_l X) = <P_k, P_l> for P_k = L⁻¹A_kL⁻ᵀ, L the Cholesky
+    factor of I - 𝒜*λ, and the decrement dec = <rhs' - 𝒜X, Δλ>.  -g is
+    self-concordant, so the damped step Δλ/(1 + √dec) keeps I - 𝒜*λ ≻ 0
+    and gains a fixed amount while √dec ≥ 1/4, and full steps converge
+    quadratically after that; no line search is needed, and none is
+    taken: a sufficient-decrease test stalls on rounding once dec is near
+    machine precision.  The run ends once √dec ≤ _CENTER_ROOT_DEC, and fails
+    after _CENTER_STEPS steps or when H is singular.
     """
-    fam = smat_stack(null_basis(rows), s0.shape[0], extra=1)
-    k = fam.shape[0] - 1
-    np.fill_diagonal(fam[k], -1.0)
-    face = fam[:k]
-    scale = 1.0 + float(np.linalg.norm(s0)) + sum(float(np.linalg.norm(m)) for m in face)
-    phase1 = _lambda_min_path(s0, fam, 1e-10, 0.05 * scale, None)
-    if phase1.value <= 1e-10 * scale:
-        return None
-    w, _ = _barrier_path(
-        s0, face, np.zeros(k), _CENTER_REG, phase1.w,
-        mu=1.0, mu_final=1.0, shrink=1.0, inner=120, tol=_CENTER_TOL * _CENTER_TOL,
-    )
-    return s0 + sum(wi * f for wi, f in zip(w, face))
+    fam, rhs, _ = _range_space(rows, rhs, n)
+    flat = fam.reshape(len(fam), n * n)
+    lam = np.zeros(len(fam))
+    for _ in range(_CENTER_STEPS):
+        l = _chol_or_none(np.eye(n) - np.tensordot(lam, fam, 1))
+        if l is None:
+            return None
+        linv = np.linalg.inv(l)
+        x = linv.T @ linv
+        grad = rhs - flat @ x.ravel()
+        p = (linv @ fam @ linv.T).reshape(len(fam), n * n)
+        try:
+            step = np.linalg.solve(p @ p.T, grad)
+        except np.linalg.LinAlgError:
+            return None
+        root = math.sqrt(max(float(grad @ step), 0.0))
+        if root <= _CENTER_ROOT_DEC:
+            return _onto_face(x, fam, rhs)
+        lam = lam + (step / (1.0 + root) if root >= 0.25 else step)
+    return None
 
 
-def minimize_linear_over_face(
-    obj: np.ndarray, x_start: np.ndarray, rows: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """min <obj, X> over the face {X ⪰ 0 : rows·svec(X - x_start) = 0} by a
-    short barrier path.
+def _step_to_boundary(linv: np.ndarray, d: np.ndarray) -> float:
+    """The largest alpha with L Lᵀ + alpha·d ⪰ 0, given linv = L⁻¹; inf
+    when every alpha ≥ 0 has it."""
+    low = float(np.linalg.eigvalsh(linv @ d @ linv.T)[0])
+    return -1.0 / low if low < 0.0 else math.inf
 
-    Requires x_start ≻ 0.  The face is held once, as the (k, n, n) stack
-    of smat of the null basis of ``rows``.  The ridge term
-    (_FACE_REG/2)‖w‖² bounds the path when the feasible set or objective
-    is unbounded; accuracy is O(n·_FACE_MU_FINAL + _FACE_REG·‖w*‖²), enough
-    for the 1e-6 value tolerances used by the golden checks.  Returns the
-    last iterate X and its objective value.
+
+def face_solve(obj: np.ndarray, rows: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> FaceSolution:
+    """min <obj, X> over the face {X ⪰ 0 : rows·svec(X) = rhs}, and its
+    dual max <rhs, y> s.t. obj - 𝒜*y ⪰ 0, by an infeasible-start primal–dual
+    path from X = x0 ≻ 0, y = 0, S = (1 + ‖obj‖_F)·I.
+
+    In the m' orthonormal rows of _range_space, with the residuals
+    r_p = rhs' - 𝒜X and R_d = obj - S - 𝒜*y and a target T for ΔX·S + X·ΔS,
+    the HKM direction is
+        M·Δy = r_p - 𝒜(T·S⁻¹ - X·R_d·S⁻¹),   M_kl = tr(A_k X A_l S⁻¹),
+        ΔS = R_d - 𝒜*Δy,   ΔX = sym(T·S⁻¹ - X·ΔS·S⁻¹).
+    M = <P_k, P_l> for P_k = L_S⁻¹A_kL_X, with L_X and L_S the Cholesky
+    factors of X and S, and its own Cholesky factor serves both solves of
+    an iteration.  The predictor (T = -XS) reaches mu_aff at its full step
+    to the boundary, capped at 1; the corrector's target is
+    T = σ·mu·I - XS - ΔX_aff·ΔS_aff with σ = (mu_aff/mu)³, and X and (y, S)
+    take _FACE_STEP_FRACTION of their own step to the boundary, capped at 1.
+    The run ends once the relative gap |<obj, X> - <rhs, y>|/(1 + |<obj, X>|
+    + |<rhs, y>|), ‖r_p‖/(1 + ‖rhs'‖) and ‖R_d‖_F/(1 + ‖obj‖_F) are all at
+    most _FACE_TOL, after _FACE_STEPS iterations, or when an iterate is not
+    finite or a factor fails;
+    it returns the iterate whose largest of the three was least, its X
+    projected onto the face.  An unbounded-below face has no dual point:
+    its iterates diverge, and the value it returns is not the infimum.
     """
     obj = np.asarray(obj, dtype=float)
-    if _chol_or_none(x_start) is None:
-        raise ValueError("minimize_linear_over_face requires a strictly feasible start")
-    fam = smat_stack(null_basis(rows), x_start.shape[0])
-    k = fam.shape[0]
-    const = float(np.sum(obj * x_start))
-    lin = fam.reshape(k, x_start.size) @ obj.ravel()
-    w, _ = _barrier_path(
-        x_start, fam, lin, _FACE_REG, np.zeros(k),
-        mu=max(1.0, float(np.abs(lin).sum())), mu_final=_FACE_MU_FINAL, shrink=0.15,
-        inner=80, tol=1e-12, c0=const,
-    )
-    return x_start + np.tensordot(w, fam, 1), const + float(lin @ w)
+    if _chol_or_none(x0) is None:
+        raise ValueError("face_solve requires a positive definite start")
+    n = x0.shape[0]
+    fam, rhs, back = _range_space(rows, rhs, n)
+    flat = fam.reshape(len(fam), n * n)
+    x, y = x0, np.zeros(len(fam))
+    s = (1.0 + float(np.linalg.norm(obj))) * np.eye(n)
+    scale_p, scale_d = 1.0 + float(np.linalg.norm(rhs)), 1.0 + float(np.linalg.norm(obj))
+    best, iterations = None, 0
+    while True:
+        r_p = rhs - flat @ x.ravel()
+        r_d = obj - s - np.tensordot(y, fam, 1)
+        primal, dual = float(np.vdot(obj, x)), float(rhs @ y)
+        err = max(abs(primal - dual) / (1.0 + abs(primal) + abs(dual)),
+                  float(np.linalg.norm(r_p)) / scale_p, float(np.linalg.norm(r_d)) / scale_d)
+        if best is None or err < best[0]:
+            best = (err, x, y)
+        if err <= _FACE_TOL or iterations == _FACE_STEPS or not math.isfinite(err):
+            break
+        lx, ls = _chol_or_none(x), _chol_or_none(s)
+        if lx is None or ls is None:
+            break
+        lxinv, lsinv = np.linalg.inv(lx), np.linalg.inv(ls)
+        sinv = lsinv.T @ lsinv
+        p = (lsinv @ fam @ lx).reshape(len(fam), n * n)
+        lm = _chol_or_none(p @ p.T)
+        if lm is None:
+            break
+        lminv = np.linalg.inv(lm)
+        xrs = x @ r_d @ sinv
+
+        def direction(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """(ΔX, Δy, ΔS) for the target T given as ts = T·S⁻¹."""
+            dy = lminv.T @ (lminv @ (r_p - flat @ (ts - xrs).ravel()))
+            ds = r_d - np.tensordot(dy, fam, 1)
+            dx = ts - x @ ds @ sinv
+            return 0.5 * (dx + dx.T), dy, ds
+
+        dx, dy, ds = direction(-x)
+        a_p = min(1.0, _step_to_boundary(lxinv, dx))
+        a_d = min(1.0, _step_to_boundary(lsinv, ds))
+        mu = float(np.vdot(x, s)) / n
+        mu_aff = float(np.vdot(x + a_p * dx, s + a_d * ds)) / n
+        sigma = (mu_aff / mu) ** 3
+        dx, dy, ds = direction(sigma * mu * sinv - x - dx @ ds @ sinv)
+        a_p = min(1.0, _FACE_STEP_FRACTION * _step_to_boundary(lxinv, dx))
+        a_d = min(1.0, _FACE_STEP_FRACTION * _step_to_boundary(lsinv, ds))
+        x, y, s = x + a_p * dx, y + a_d * dy, s + a_d * ds
+        iterations += 1
+    _, x, y = best
+    x = _onto_face(x, fam, rhs)
+    return FaceSolution(x=x, y=back @ y, value=float(np.vdot(obj, x)), iterations=iterations)

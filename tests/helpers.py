@@ -17,9 +17,8 @@ from ramanasdp import (
     verify_certificate,
 )
 from ramanasdp.builders import StandardFormSdp
-from ramanasdp.facial import STATUS_FEASIBLE, RrForm, _reduced_instance
+from ramanasdp.facial import STATUS_FEASIBLE, RrForm, _reduced_instance, null_basis
 from ramanasdp.model import constraint_stack, smat
-from ramanasdp.subsolver import null_basis
 from ramanasdp.certfile import (
     certificate_to_text,
     check_instance_binding,

@@ -867,6 +867,44 @@ class TestVarMapRoundTrip:
         assert np.allclose(w + w.T, v)
         assert np.linalg.eigvalsh(r)[0] > 0
 
+    def test_free_sym_slot_resolves(self):
+        # pstrong holds X in the free vector's upper-triangle layout.
+        from ramanasdp.builders import extract
+
+        inst = inst_gap_rr()
+        spec = pstrong_spec_from_slack(inst.c)
+        sdp = build_pstrong(inst, spec)
+        x = np.zeros((4, 4))
+        x[1, 3] = x[3, 1] = 0.5
+        assert np.array_equal(extract(sdp, embed_strong_point(sdp, inst, spec, SymMat(x)), "X"), x)
+
+
+class TestBuilderRefusals:
+    """One row per refusal of a builder-side entry point."""
+
+    def test_extract_refuses_an_unknown_slot_kind(self):
+        from ramanasdp.builders import VarSlot, extract
+
+        inst = inst_unattained()
+        sdp = build_dram(inst)
+        sdp.var_map["Z"] = VarSlot(kind="bogus")
+        with pytest.raises(ValueError, match="unknown slot kind 'bogus'"):
+            extract(sdp, embed_certificate(sdp, inst, _dram_cert_order3()), "Z")
+
+    def test_pstrong_spec_refuses_a_slack_that_is_not_psd(self):
+        with pytest.raises(ValueError, match="max-rank slack must be PSD"):
+            pstrong_spec_from_slack(SymMat.diag([1.0, -1.0]))
+
+    def test_embed_certificate_refuses_another_systems_certificate(self):
+        inst = inst_unattained()
+        with pytest.raises(ValueError, match="certificate is for dram, SDP is pram"):
+            embed_certificate(build_pram(inst), inst, _dram_cert_order3())
+
+    def test_embed_strong_point_refuses_a_system_that_is_not_strong(self):
+        inst = inst_unattained()
+        with pytest.raises(ValueError, match="not a strong system: dram"):
+            embed_strong_point(build_dram(inst), inst, StrongDualSpec(q=np.eye(3), r=1), np.zeros(3))
+
 
 class TestStrictExactDualRemark:
     def test_pd_ladder_head_forces_zero_primal(self):

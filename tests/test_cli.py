@@ -51,14 +51,16 @@ class TestInspect:
 
 class TestRrFormAndEmit:
     def test_max_rank_counted_at_eps(self, tmp_path, capsys):
-        # The maximum-rank point has eigenvalues 1 and about 3.2e4, so at
-        # --eps 1e-4 the relative cut eps·(1+‖X‖) ≈ 3.2 lies between them.
+        # The maximum-rank point is the reduced face's trace-penalised
+        # center, with eigenvalues (0, 0, 1, 1): at --eps 1e-4 both unit
+        # eigenvalues clear the relative cut eps·(1+‖X‖), and the rank is
+        # the planted 2.
         path = tmp_path / "gap.dat-s"
         write_sdpa(inst_gap_raw(), str(path))
         assert main(["--eps", "1e-4", "rr-form", str(path)]) == 0
         rr = build_rr_form(inst_gap_raw(), eps=1e-4)
-        rank = classify_psd(rr.maxrank_x, 1e-4).rank
-        assert f"maximum feasible rank: {rank}" in capsys.readouterr().out
+        assert classify_psd(rr.maxrank_x, 1e-4).rank == 2
+        assert "maximum feasible rank: 2" in capsys.readouterr().out
 
     def test_rr_form_lets_unexpected_errors_through(self, tmp_path, monkeypatch):
         # Only the dual side's refusals drop the pstrong spec; a bug raises.

@@ -39,8 +39,10 @@ from ramanasdp.facial import (
     _pd_combination,
     _polish_on_face,
     _rank_split,
+    _reduced_instance,
 )
-from ramanasdp.model import smat, smat_stack
+from ramanasdp.model import constraint_stack, smat, smat_stack
+from ramanasdp.subsolver import face_solve
 
 from helpers import (
     inst_gap_raw,
@@ -56,6 +58,7 @@ from helpers import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 from gen import planted  # noqa: E402
 
 
@@ -469,20 +472,26 @@ class TestPrimalValue:
             assert val >= -1e-6
             assert val <= inst.c.inner(x0) + 1e-6 * (1 + abs(inst.c.inner(x0)))
 
-    def test_face_path_holds_little_memory(self):
-        # build_rr_form and primal_optimal_value at n = 18, reduced order
-        # 14: the interior point and the face minimization each hold one
-        # family of about 100 matrices of order 14.  The peak is 0.40 MB,
-        # and was 0.65 MB when that family was held two or three times.
-        inst = planted(np.random.default_rng(5), 18, (2, 1, 1), 2).inst
-        primal_optimal_value(inst)
+    @pytest.mark.parametrize("n, value, bound", [
+        (18, -31.614236848428845, 0.15e6),
+        (32, -534.6285302191973, 1e6),
+    ], ids=["n18", "n32"])
+    def test_face_path_holds_little_memory(self, n, value, bound):
+        # build_rr_form and primal_optimal_value on a planted instance of
+        # reduced order n - 4.  The face kernels hold the (m', n', n')
+        # stack of the reduced face's few orthonormal rows, not the
+        # n'(n'+1)/2 - m' matrices of its null space: the peaks are about
+        # 0.10 MB and 0.29 MB, from 0.40 MB and 5.3 MB with the null-space
+        # family.  The values are those of the null-space barrier path.
+        inst = planted(np.random.default_rng(5), n, (2, 1, 1), 2).inst
+        assert primal_optimal_value(inst) == pytest.approx(value, rel=1e-7)
         tracemalloc.start()
         try:
             primal_optimal_value(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.45e6
+        assert peak <= bound
 
 
 class TestEdgeCases:
@@ -697,3 +706,50 @@ class TestSolveWorkloadDecisions:
         assert probe.digest(records) == (
             "0c8ae2109bcd613932bdd936a468a5f3a3184d3df62b2939b54f4696fe0f94c4"
         )
+
+    def test_seed_101_values_are_pinned_and_dual_certified(self, tmp_path):
+        # The feasible solve ops of seed 101: primal_optimal_value within
+        # 1e-7 relative of the values the null-space barrier path gave, and
+        # the face kernel's own dual y' on the reduced face feasible to
+        # rounding, C' - 𝒜'*y' ⪰ -1e-9·‖C'‖, with <b', y'> equal to the
+        # value to 1e-7·(1 + |value|).
+        ran = set()
+        for op in workloads.setup_solve(101, str(tmp_path)):
+            if op.name not in SEED_101_VALUES:
+                continue
+            rr, value, _ = op.run()
+            assert value == pytest.approx(SEED_101_VALUES[op.name], rel=1e-7)
+            p = sum(rr.r)
+            red = _reduced_instance(rr.reformulated, p, rr.k)
+            sol = face_solve(red.c.a, constraint_stack(red), red.b, rr.maxrank_x.a[p:, p:])
+            assert sol.value == value
+            slack = red.c.a - apply_at(red, sol.y).a
+            assert np.linalg.eigvalsh(slack)[0] >= -1e-9 * red.c.norm()
+            assert abs(float(red.b @ sol.y) - value) <= 1e-7 * (1.0 + abs(value))
+            ran.add(op.name)
+        assert ran == set(SEED_101_VALUES)
+
+
+# primal_optimal_value on the feasible solve ops of seed 101, as the
+# null-space barrier path computed it (the deep ops' faces are one point).
+SEED_101_VALUES = {
+    "00-degenerate-n6": 87.81147326168139,
+    "01-deep-n5": 0.8176690620508131,
+    "02-strict-n6": 142.14840631373227,
+    "04-degenerate-n8": -45.19425627589226,
+    "05-deep-n6": 4.707067041294116,
+    "06-strict-n7": 101.31432390748523,
+    "08-degenerate-n10": 29.132426761556417,
+    "09-deep-n7": 18.439830554400825,
+    "10-strict-n8": 92.54499295866117,
+    "12-degenerate-n12": 8.867406617850065,
+    "13-deep-n8": 6.882117012832015,
+    "14-strict-n9": 58.2761681266129,
+    "16-degenerate-n13": 116.0319546139799,
+    "17-deep-n9": 15.580465455318535,
+    "18-strict-n10": -32.89022839674726,
+    "20-degenerate-n14": 81.63701064838096,
+    "21-deep-n10": 38.25116780000769,
+    "22-strict-n10": 50.29563963925466,
+    "24-degenerate-n11": 113.58266481105238,
+}

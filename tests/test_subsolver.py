@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from ramanasdp import subsolver
+from ramanasdp.facial import null_basis
 from ramanasdp.model import svec
-from ramanasdp.subsolver import (
-    IterationLimitError,
-    interior_point,
-    maximize_lambda_min,
-    minimize_linear_over_face,
-    null_basis,
-)
+from ramanasdp.subsolver import IterationLimitError, face_center, face_solve, maximize_lambda_min
 from ramanasdp.symmat import SymMat
 
 # S(w) = diag(1, w - 2, 3 - w): lambda_min peaks at 0.5 for w = 2.5, and
@@ -35,6 +30,11 @@ def _rows(mats, n):
     """svec rows whose face through any point X is X + span(mats)."""
     vecs = np.array([svec(SymMat(m)) for m in mats]).reshape(len(mats), n * (n + 1) // 2)
     return null_basis(vecs).T
+
+
+def _rhs(rows, x):
+    """The right-hand side of the face through x: rows·svec(x)."""
+    return rows @ svec(SymMat(x))
 
 
 def _on_face(x, s0, rows):
@@ -216,38 +216,82 @@ class TestMaximizeLambdaMin:
         assert np.linalg.norm(res.w) > 1e5
 
 
-class TestInteriorPoint:
+class TestFaceCenter:
     def test_empty_interior(self):
         # diag(w - 1, -w) ≻ 0 needs w > 1 and w < 0.
-        assert interior_point(np.diag([-1.0, 0.0]), ROWS_2) is None
+        assert face_center(ROWS_2, _rhs(ROWS_2, np.diag([-1.0, 0.0])), 2) is None
 
     def test_strictly_pd_point(self):
-        x = interior_point(S0, ROWS)
+        x = face_center(ROWS, _rhs(ROWS, S0), 3)
         assert _on_face(x, S0, ROWS)
-        # The analytic center of diag(1, w - 2, 3 - w) is w = 2.5.
-        assert x == pytest.approx(np.diag([1.0, 0.5, 0.5]), abs=1e-6)
+        # tr X is constant on diag(1, w - 2, 3 - w), whose analytic center
+        # is w = 2.5.
+        assert x == pytest.approx(np.diag([1.0, 0.5, 0.5]), abs=1e-9)
 
     def test_empty_family(self):
         # Rows of full rank leave the face one point.
-        assert np.array_equal(interior_point(np.eye(2), np.eye(3)), np.eye(2))
-        assert interior_point(-np.eye(2), np.eye(3)) is None
+        assert face_center(np.eye(3), _rhs(np.eye(3), np.eye(2)), 2) == pytest.approx(
+            np.eye(2), abs=1e-15)
+        assert face_center(np.eye(3), _rhs(np.eye(3), -np.eye(2)), 2) is None
+
+    @pytest.mark.parametrize("failing", ["cone", "hessian"])
+    def test_failed_factor_is_no_center(self, failing, monkeypatch):
+        # I - 𝒜*λ found outside the cone, or a singular Hessian, ends the
+        # run without a center.
+        def fails(*args):
+            raise np.linalg.LinAlgError("planted")
+
+        if failing == "cone":
+            monkeypatch.setattr(subsolver, "_chol_or_none", lambda g: None)
+        else:
+            monkeypatch.setattr(np.linalg, "solve", fails)
+        assert face_center(ROWS, _rhs(ROWS, S0), 3) is None
+
+    def test_trace_sets_the_scale(self):
+        # On the face X₁₂ = 0 the center of tr X - log det X is I: the
+        # trace term bounds the otherwise unbounded face.
+        x = face_center(np.array([[0.0, 0.0, 1.0]]), np.zeros(1), 2)
+        assert x == pytest.approx(np.eye(2), abs=1e-12)
 
 
-class TestMinimizeLinearOverFace:
+class TestFaceSolve:
     def test_hand_solved_minimum(self):
-        # <diag(1, 2), diag(1 + w, 1 - w)> = 3 - w over -1 <= w <= 1.
-        x, value = minimize_linear_over_face(np.diag([1.0, 2.0]), np.eye(2), ROWS_2)
-        assert value == pytest.approx(2.0, abs=1e-6)
-        assert x == pytest.approx(np.diag([2.0, 0.0]), abs=1e-6)
-        assert _on_face(x, np.eye(2), ROWS_2)
+        # <diag(1, 2), diag(1 + w, 1 - w)> = 3 - w over -1 <= w <= 1, and
+        # the dual max <rhs, y> s.t. diag(1, 2) - 𝒜*y ⪰ 0 is 2.
+        sol = face_solve(np.diag([1.0, 2.0]), ROWS_2, _rhs(ROWS_2, np.eye(2)), np.eye(2))
+        assert sol.value == pytest.approx(2.0, abs=1e-8)
+        assert sol.x == pytest.approx(np.diag([2.0, 0.0]), abs=1e-8)
+        assert _on_face(sol.x, np.eye(2), ROWS_2)
+        assert _rhs(ROWS_2, np.eye(2)) @ sol.y == pytest.approx(2.0, abs=1e-8)
+        slack = np.diag([1.0, 2.0]) - sum(yi * a_i for yi, a_i in zip(
+            sol.y, [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)]))
+        assert np.linalg.eigvalsh(slack)[0] >= -1e-9
+        assert 0 < sol.iterations <= 30
 
     def test_empty_family(self):
-        x, value = minimize_linear_over_face(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.eye(3))
-        assert np.array_equal(x, np.diag([3.0, 4.0])) and value == 11.0
+        sol = face_solve(np.diag([1.0, 2.0]), np.eye(3), _rhs(np.eye(3), np.diag([3.0, 4.0])),
+                         np.diag([3.0, 4.0]))
+        assert sol.x == pytest.approx(np.diag([3.0, 4.0]), abs=1e-12)
+        assert sol.value == pytest.approx(11.0, abs=1e-12)
 
     def test_non_pd_start_rejected(self):
         with pytest.raises(ValueError):
-            minimize_linear_over_face(np.eye(2), np.diag([3.0, -1.0]), ROWS_2)
+            face_solve(np.eye(2), ROWS_2, np.zeros(2), np.diag([3.0, -1.0]))
+
+    @pytest.mark.parametrize("failing", [2, 3, 4], ids=["X", "S", "M"])
+    def test_failed_factor_ends_the_run(self, failing, monkeypatch):
+        # The factors are taken in the order start check, X, S, M: a failed
+        # one ends the run at its best iterate so far, here the start.
+        chol, calls = subsolver._chol_or_none, []
+
+        def fails_once(g):
+            calls.append(g)
+            return None if len(calls) == failing else chol(g)
+
+        monkeypatch.setattr(subsolver, "_chol_or_none", fails_once)
+        sol = face_solve(np.diag([1.0, 2.0]), ROWS_2, _rhs(ROWS_2, np.eye(2)), np.eye(2))
+        assert sol.iterations == 0 and np.array_equal(sol.y, np.zeros(2))
+        assert sol.x == pytest.approx(np.eye(2), abs=1e-15) and sol.value == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -257,8 +301,9 @@ def test_face_points_stay_on_the_face(seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((6, 15))
     s0 = np.eye(5) + 0.1 * (lambda a: a + a.T)(rng.standard_normal((5, 5)))
-    assert _on_face(interior_point(s0, rows), s0, rows)
-    x, value = minimize_linear_over_face(np.diag(np.arange(1.0, 6.0)), s0, rows)
+    assert _on_face(face_center(rows, _rhs(rows, s0), 5), s0, rows)
+    sol = face_solve(np.diag(np.arange(1.0, 6.0)), rows, _rhs(rows, s0), s0)
+    x, value = sol.x, sol.value
     assert _on_face(x, s0, rows)
     assert value == pytest.approx(float(np.sum(np.diag(np.arange(1.0, 6.0)) * x)), rel=1e-9)
 
@@ -298,10 +343,11 @@ BARRIER_CASES = {
 # then the tangent carried to the stepped point), and the certificate's
 # lower bound is lambda_min(S(w)) itself.  A stop_above exit solves no
 # step at its iterate.  The interior and face cases give their family as
-# the rows of its face (_rows) and hash the matrix X they return.
+# the rows of its face (_rows) and run no barrier path: they hash what
+# face_center and face_solve return.
 BARRIER_GOLDEN = {
     "big-interior": (
-        "a918ff9e553c391ad4b2b83b4bfc6a4568cd8c65d3847946217ce6a2bdd02885",
+        "e0f616eb8b810291f2a55f7cd03fee7cdfb5dc8ef050aaf954783fba2dfe67a9",
         None,
     ),
     "big-lmin-below-exits": (
@@ -313,19 +359,19 @@ BARRIER_GOLDEN = {
         3.0547426525928936,
     ),
     "face": (
-        "305136b598c6ba228d2a324a09fe10c6fbd93534da5982847a5d8a6b181e1336",
+        "77cf4acbc4584811e3d858968136777dda7959092acf04106f542c9744accedf",
         None,
     ),
     "face-2": (
-        "29111a512fe869da6727e702b68a061f400db66188e1947a9f17886874451fc3",
+        "c3f9889f0e4535a8295ea2d528efdb2d2976c3d37125b8fcf013b565974ebdc2",
         None,
     ),
     "interior": (
-        "4fa3dcf6d0c651de4bd13f812da6c5e4e80a9d1c72c145bed96afeb0a53a4952",
+        "b9cadb00fcc2103bcb962d9fc81a8696c1ddb271f9e8e177b1d181aec4cb1151",
         None,
     ),
     "interior-2": (
-        "6c559d360d30bd348ec4587b94c8e7c61b7d754c9c87875f338a21bc46e8e792",
+        "264278444a82ec405a0aa7528e48f424c76716e5bf5ce68d14cbc05dcf1fb4af",
         None,
     ),
     "lmin-above-exits": (
@@ -371,10 +417,13 @@ def _barrier_outputs(monkeypatch, entry, family, kwargs):
         res = maximize_lambda_min(s0, mats, **kwargs)
         out, upper = (res.w, res.value, res.newton_steps, res.below), res.upper
     elif entry == "interior":
-        out = (interior_point(s0, _rows(mats, s0.shape[0])),)
+        rows = _rows(mats, s0.shape[0])
+        out = (face_center(rows, _rhs(rows, s0), s0.shape[0]),)
     else:
         obj = np.diag(np.arange(1.0, s0.shape[0] + 1))
-        out = minimize_linear_over_face(obj, s0, _rows(mats, s0.shape[0]))
+        rows = _rows(mats, s0.shape[0])
+        sol = face_solve(obj, rows, _rhs(rows, s0), s0)
+        out = (sol.x, sol.y, sol.value, sol.iterations)
     for x in out:
         h.update(x.tobytes() if isinstance(x, np.ndarray) else repr(x).encode())
     return h.hexdigest(), upper
@@ -490,10 +539,11 @@ def test_barrier_outputs_within_tolerance(case):
     want = BARRIER_VALUES[case]
     if entry == "interior":
         rows = _rows(mats, s0.shape[0])
-        assert _on_face(interior_point(s0, rows), s0, rows)
+        assert _on_face(face_center(rows, _rhs(rows, s0), s0.shape[0]), s0, rows)
     elif entry == "face":
         obj = np.diag(np.arange(1.0, s0.shape[0] + 1))
-        _, value = minimize_linear_over_face(obj, s0, _rows(mats, s0.shape[0]))
+        rows = _rows(mats, s0.shape[0])
+        value = face_solve(obj, rows, _rhs(rows, s0), s0).value
         assert value == pytest.approx(want, rel=1e-8)
     else:
         value, below, upper, full_value = want
