@@ -51,7 +51,7 @@ from .model import (
     finite_stack,
     reformulate,
 )
-from .subsolver import NULL_RANK_CUT, IterationLimitError
+from .subsolver import IterationLimitError, svd_rank
 from .symmat import EPS_PSD, SymMat, classify_psd, eig
 
 MODE_EQ_ZERO = "eq_zero"
@@ -225,8 +225,7 @@ def null_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis, as columns, of the nullspace of rows.  It owns
     its memory: the SVD factor it is cut from is not kept alive."""
     _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
-    return vt[rank:].copy().T
+    return vt[svd_rank(s):].copy().T
 
 
 def _affine_solutions(
@@ -806,9 +805,9 @@ def primal_optimal_value(
     The feasible set is the RR face diag(0, X') with X' ranging over the
     strictly feasible reduced problem; subsolver.face_solve minimizes
     <C', X'> there, starting from the maximum-rank witness's block.
-    Returns +inf on the infeasible branch.  (Desk-scale helper: an
-    unbounded-below instance has no dual point, and its value is the one
-    face_solve's best iterate reached, not -inf.)
+    Returns +inf on the infeasible branch.  A face solve that does not
+    converge, as on an unbounded-below instance, whose iterates diverge,
+    raises SubsolverFailureError.
     """
     if rr is None:
         rr = build_rr_form(inst, eps=eps)
@@ -820,6 +819,10 @@ def primal_optimal_value(
     if p == n:
         return 0.0
     red = _reduced_instance(cur, p, rr.k)
-    return subsolver.face_solve(
-        red.c.a, constraint_stack(red), red.b, rr.maxrank_x.a[p:, p:]
-    ).value
+    sol = subsolver.face_solve(red.c.a, constraint_stack(red), red.b, rr.maxrank_x.a[p:, p:])
+    if not sol.error <= subsolver.FACE_TOL:
+        raise SubsolverFailureError(
+            f"face solve stopped at error {sol.error:.3e} after {sol.iterations} iterations"
+            " (unbounded below, or not solved to tolerance)"
+        )
+    return sol.value

@@ -17,7 +17,7 @@ that only needs to know the optimum is below a relative tolerance band
 can end the path as soon as the bounds say so.
 
 Every mu but the last is centered only inexactly, to a Newton decrement
-of at most 0.25·mu; the last is centered to the caller's tolerance.
+of at most 0.25·mu; the last is centered to 1e-13.
 Between two mu the path predicts the next center (Nesterov & Nemirovski,
 Interior-Point Polynomial Algorithms in Convex Programming, 1994; the
 predictor–corrector idea of Mehrotra, SIAM J. Optim. 1992): on the path
@@ -35,9 +35,9 @@ and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that every
 step at that iterate shares, also when a new mu round starts there; the
 stop test runs once per iterate, before its first step, and has that
 step solved only if it needs it.  The Hessian is assembled a few columns
-per matrix product.  Each mu round takes at most ``inner`` Newton steps,
-so a run is bounded by its 10 mu rounds × 60 steps and needs no separate
-step budget.
+per matrix product.  Each mu round takes at most 60 Newton steps, so a
+run is bounded by its 10 mu rounds × 60 steps and needs no separate step
+budget.
 
 The face kernels.  The reduced face of an RR form,
 {X ⪰ 0 : rows·svec(X) = rhs}, is strictly feasible and has few rows, so
@@ -75,18 +75,20 @@ import numpy as np
 from .model import smat_stack
 
 # Singular values at or below NULL_RANK_CUT·max(σ_max, 1) count as zero
-# when a null-space basis or a row space is taken.
+# when a null-space basis or a row space is taken (svd_rank).
 NULL_RANK_CUT = 1e-12
 
-# The last mu of the λ_min path.
-_LAMBDA_MIN_MU_FINAL = 1e-11
+# The λ_min path: its first and last mu, the factor between two mu, the
+# Newton steps a mu round may take and the last round's tolerance.
+_LAMBDA_MIN_MU, _LAMBDA_MIN_MU_FINAL, _LAMBDA_MIN_SHRINK = 1.0, 1e-11, 0.05
+_LAMBDA_MIN_INNER, _LAMBDA_MIN_TOL = 60, 1e-13
 # face_center ends once the square root of its Newton decrement is at most
 # _CENTER_ROOT_DEC, and fails after _CENTER_STEPS steps.
 _CENTER_ROOT_DEC, _CENTER_STEPS = 1e-10, 200
-# face_solve ends once its relative gap and residuals are at most _FACE_TOL,
+# face_solve ends once its relative gap and residuals are at most FACE_TOL,
 # or after _FACE_STEPS iterations; each iterate takes _FACE_STEP_FRACTION of
 # its step to the boundary of the cone.
-_FACE_TOL, _FACE_STEPS, _FACE_STEP_FRACTION = 1e-9, 100, 0.95
+FACE_TOL, _FACE_STEPS, _FACE_STEP_FRACTION = 1e-9, 100, 0.95
 # Inexact centering: every mu round but the last ends once the Newton
 # decrement is at most _ROUND_DECREMENT·mu.
 _ROUND_DECREMENT = 0.25
@@ -99,7 +101,13 @@ class IterationLimitError(RuntimeError):
     """No verdict: an iterate left the PSD cone, the iterates diverged, or
     an optimum lies inside the tolerance band (facial.solve_alternative).
     No step budget raises it: every run is bounded by its mu rounds ×
-    ``inner`` steps."""
+    _LAMBDA_MIN_INNER steps."""
+
+
+def svd_rank(s: np.ndarray) -> int:
+    """The numerical rank of a matrix with descending singular values s:
+    the count above NULL_RANK_CUT·max(σ_max, 1)."""
+    return int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
 
 
 def _chol_or_none(g: np.ndarray) -> Optional[np.ndarray]:
@@ -137,16 +145,18 @@ def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
 
 
 def _barrier_path(
-    s0: np.ndarray, fam: np.ndarray, lin: np.ndarray, reg: float | np.ndarray,
-    w: np.ndarray, *, mu: float, mu_final: float, shrink: float, inner: int,
-    tol: float, stop: Optional[Callable[..., bool]] = None,
+    s0: np.ndarray, fam: np.ndarray, reg: np.ndarray, w: np.ndarray, *,
+    stop: Optional[Callable[..., bool]],
 ) -> tuple[np.ndarray, int]:
     """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
-    S(w) = s0 + Σ w_i fam[i], for mu, mu·shrink, ... down to mu_final.
+    S(w) = s0 + Σ w_i fam[i] and lin = (0, ..., 0, -1), for mu from
+    _LAMBDA_MIN_MU down to _LAMBDA_MIN_MU_FINAL by the factor
+    _LAMBDA_MIN_SHRINK: the λ_min path, whose last coordinate is t.
 
-    Each mu gets at most ``inner`` steps and ends once the Newton decrement
-    is at most tol·(1 + |lin·w|), or at most _ROUND_DECREMENT·mu while
-    mu > mu_final, or when the line search fails or its step rounds to w.
+    Each mu gets at most _LAMBDA_MIN_INNER steps and ends once the Newton
+    decrement is at most tol·(1 + |lin·w|), tol = _LAMBDA_MIN_TOL, or at
+    most _ROUND_DECREMENT·mu while mu > mu_final, or when the line search
+    fails or its step rounds to w.
     So only the last mu is centered to tol; an earlier one ends once
     (decrement/mu)^½ ≤ 1/2.  A round that ends so moves w to the
     predicted center at the next mu, w + Δw + (mu_new - mu)·(tau + Δtau):
@@ -165,6 +175,9 @@ def _barrier_path(
     """
     k = fam.shape[0]
     flat = fam.reshape(k, s0.size)
+    lin = np.zeros(k)
+    lin[-1] = -1.0
+    mu, mu_final, tol = _LAMBDA_MIN_MU, _LAMBDA_MIN_MU_FINAL, _LAMBDA_MIN_TOL
 
     def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], float]:
         """S(v), its Cholesky factor (None outside the cone), log det S(v) / 2."""
@@ -225,7 +238,7 @@ def _barrier_path(
         # new mu needs it recomputed.
         f0 = merit(w, half_logdet)
         centered = None
-        for _ in range(inner):
+        for _ in range(_LAMBDA_MIN_INNER):
             memo.clear()
             # Once per iterate, however many mu rounds start at it: the
             # finite check, G^{-1} from the Cholesky factor, the traces
@@ -267,7 +280,7 @@ def _barrier_path(
             w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, half_logdet_new, f_new, None
         if mu <= mu_final:
             return w, steps
-        mu_new = max(mu * shrink, mu_final)
+        mu_new = max(mu * _LAMBDA_MIN_SHRINK, mu_final)
         # Predictor: a round that ended centered moves to the predicted
         # center at mu_new, halving the move until S(w) ≻ 0.  A move that
         # rounds to w keeps w and G⁻¹.
@@ -393,9 +406,7 @@ def maximize_lambda_min(
 
     t0 = float(np.linalg.eigvalsh(s0)[0]) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
     wt, steps = _barrier_path(
-        s0, fam, np.append(np.zeros(d), -1.0), np.append(np.full(d, reg), 0.0),
-        np.append(np.zeros(d), t0),
-        mu=1.0, mu_final=_LAMBDA_MIN_MU_FINAL, shrink=0.05, inner=60, tol=1e-13,
+        s0, fam, np.append(np.full(d, reg), 0.0), np.append(np.zeros(d), t0),
         stop=None if stop_above is None and not certify else stop,
     )
     w = wt[:d]
@@ -408,24 +419,28 @@ def maximize_lambda_min(
 @dataclass
 class FaceSolution:
     """Outcome of face_solve: ``x`` on the face, ``y`` in the caller's row
-    coordinates, ``value`` = <obj, x> and the iterations taken."""
+    coordinates, ``value`` = <obj, x>, the iterations taken and ``error``,
+    the largest of the three stop measures at the returned iterate.  The run
+    converged when ``error`` is at most FACE_TOL; otherwise ``value`` is
+    not the minimum."""
 
     x: np.ndarray
     y: np.ndarray
     value: float
     iterations: int
+    error: float
 
 
 def _range_space(
     rows: np.ndarray, rhs: np.ndarray, n: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The face rows·svec(X) = rhs in orthonormal coordinates, by a thin SVD
-    cut at NULL_RANK_CUT: (fam, rhs', back), fam the (m', n, n) stack of the
+    cut by svd_rank: (fam, rhs', back), fam the (m', n, n) stack of the
     smat of m' orthonormal rows spanning the rows' row space, rhs' the
     right-hand side in those rows, and back the map y = back·y' of their
     multipliers to the caller's rows (least-norm, rowsᵀy = Σ y'_k svec(fam[k]))."""
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > max(s[0], 1.0) * NULL_RANK_CUT)) if s.size else 0
+    rank = svd_rank(s)
     back = u[:, :rank] / s[:rank]
     return smat_stack(vt[:rank].T, n), back.T @ rhs, back
 
@@ -451,12 +466,15 @@ def face_center(rows: np.ndarray, rhs: np.ndarray, n: int) -> Optional[np.ndarra
     and gains a fixed amount while √dec ≥ 1/4, and full steps converge
     quadratically after that; no line search is needed, and none is
     taken: a sufficient-decrease test stalls on rounding once dec is near
-    machine precision.  The run ends once √dec ≤ _CENTER_ROOT_DEC, and fails
-    after _CENTER_STEPS steps or when H is singular.
+    machine precision.  The run ends once √dec ≤ _CENTER_ROOT_DEC, or once
+    a full step fails to halve √dec: λ is stored to about ε·λ_max(X) in
+    I - 𝒜*λ, so the decrement of a face of large scale (X ≈ 1e8) stalls far
+    above any absolute tolerance.  It fails after _CENTER_STEPS steps or
+    when H is singular.
     """
     fam, rhs, _ = _range_space(rows, rhs, n)
     flat = fam.reshape(len(fam), n * n)
-    lam = np.zeros(len(fam))
+    lam, last = np.zeros(len(fam)), math.inf
     for _ in range(_CENTER_STEPS):
         l = _chol_or_none(np.eye(n) - np.tensordot(lam, fam, 1))
         if l is None:
@@ -472,6 +490,12 @@ def face_center(rows: np.ndarray, rhs: np.ndarray, n: int) -> Optional[np.ndarra
         root = math.sqrt(max(float(grad @ step), 0.0))
         if root <= _CENTER_ROOT_DEC:
             return _onto_face(x, fam, rhs)
+        if last < 0.25 and root > 0.5 * last:
+            # A full step from √dec < 1/4 at least halves √dec in exact
+            # arithmetic, so this one was lost to the rounding of I - 𝒜*λ:
+            # the better of the two points is as central as λ can say.
+            return _onto_face(x if root < last else last_x, fam, rhs)
+        last, last_x = root, x
         lam = lam + (step / (1.0 + root) if root >= 0.25 else step)
     return None
 
@@ -501,11 +525,12 @@ def face_solve(obj: np.ndarray, rows: np.ndarray, rhs: np.ndarray, x0: np.ndarra
     take _FACE_STEP_FRACTION of their own step to the boundary, capped at 1.
     The run ends once the relative gap |<obj, X> - <rhs, y>|/(1 + |<obj, X>|
     + |<rhs, y>|), ‖r_p‖/(1 + ‖rhs'‖) and ‖R_d‖_F/(1 + ‖obj‖_F) are all at
-    most _FACE_TOL, after _FACE_STEPS iterations, or when an iterate is not
+    most FACE_TOL, after _FACE_STEPS iterations, or when an iterate is not
     finite or a factor fails;
     it returns the iterate whose largest of the three was least, its X
-    projected onto the face.  An unbounded-below face has no dual point:
-    its iterates diverge, and the value it returns is not the infimum.
+    projected onto the face, with that largest as ``error``.  An
+    unbounded-below face has no dual point: its iterates diverge, and its
+    ``error`` stays far above FACE_TOL.
     """
     obj = np.asarray(obj, dtype=float)
     if _chol_or_none(x0) is None:
@@ -525,7 +550,7 @@ def face_solve(obj: np.ndarray, rows: np.ndarray, rhs: np.ndarray, x0: np.ndarra
                   float(np.linalg.norm(r_p)) / scale_p, float(np.linalg.norm(r_d)) / scale_d)
         if best is None or err < best[0]:
             best = (err, x, y)
-        if err <= _FACE_TOL or iterations == _FACE_STEPS or not math.isfinite(err):
+        if err <= FACE_TOL or iterations == _FACE_STEPS or not math.isfinite(err):
             break
         lx, ls = _chol_or_none(x), _chol_or_none(s)
         if lx is None or ls is None:
@@ -557,6 +582,7 @@ def face_solve(obj: np.ndarray, rows: np.ndarray, rhs: np.ndarray, x0: np.ndarra
         a_d = min(1.0, _FACE_STEP_FRACTION * _step_to_boundary(lsinv, ds))
         x, y, s = x + a_p * dx, y + a_d * dy, s + a_d * ds
         iterations += 1
-    _, x, y = best
+    err, x, y = best
     x = _onto_face(x, fam, rhs)
-    return FaceSolution(x=x, y=back @ y, value=float(np.vdot(obj, x)), iterations=iterations)
+    return FaceSolution(
+        x=x, y=back @ y, value=float(np.vdot(obj, x)), iterations=iterations, error=err)

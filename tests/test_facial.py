@@ -36,6 +36,7 @@ from ramanasdp.facial import (
     NumericalRankAmbiguityError,
     SubsolverFailureError,
     _face_rows,
+    _interior_of_reduced,
     _pd_combination,
     _polish_on_face,
     _rank_split,
@@ -459,6 +460,27 @@ class TestPrimalValue:
         assert primal_optimal_value(inst_gap_rr()) == pytest.approx(1.0, abs=1e-6)
         assert primal_optimal_value(inst_strict()) == pytest.approx(3.0, abs=1e-6)
         assert primal_optimal_value(inst_infeasible()) == float("inf")
+
+    def test_unbounded_below_is_refused(self):
+        # min <diag(-1, 1), X> s.t. X₁₂ = 0 is strictly feasible at I and
+        # unbounded below along diag(1, 0): the face solve cannot converge,
+        # and no finite value is returned.
+        inst = SdpInstance(a=(SymMat(np.array([[0.0, 1.0], [1.0, 0.0]])),), b=np.zeros(1),
+                           c=SymMat(np.diag([-1.0, 1.0])))
+        with np.errstate(all="ignore"), pytest.raises(
+                SubsolverFailureError, match="face solve stopped at error"):
+            primal_optimal_value(inst)
+
+    @pytest.mark.parametrize("b", [1e7, 1e8, 1e12])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_interior_of_a_face_of_large_scale(self, n, b):
+        # The reduced instance X₁₁ = b itself (p = s = 0): its interior
+        # point is the center diag(b, 1), however large b.
+        a = np.zeros((n, n))
+        a[0, 0] = 1.0
+        inst = SdpInstance(a=(SymMat(a),), b=np.array([b]), c=SymMat(np.eye(n)))
+        x = _interior_of_reduced(inst, 0, 0).a
+        assert x == pytest.approx(np.diag([b, 1.0][:n]), rel=1e-12)
 
     def test_random_feasible_value_bounded_by_points(self):
         # PSD objective matrices keep the value finite (bounded below by 0).

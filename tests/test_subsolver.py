@@ -253,6 +253,17 @@ class TestFaceCenter:
         x = face_center(np.array([[0.0, 0.0, 1.0]]), np.zeros(1), 2)
         assert x == pytest.approx(np.eye(2), abs=1e-12)
 
+    @pytest.mark.parametrize("b", [1e7, 1e8, 1e12])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_face_of_large_scale(self, n, b):
+        # X₁₁ = b: the center is diag(b, 1).  I - 𝒜*λ = diag(1/b, 1) holds
+        # λ only to about ε·b relative, so the decrement stalls near ε·b,
+        # far above an absolute tolerance, and the run ends on the stall.
+        rows = np.eye(1, n * (n + 1) // 2)
+        x = face_center(rows, np.array([b]), n)
+        assert x is not None and np.linalg.eigvalsh(x)[0] > 0.0
+        assert x == pytest.approx(np.diag([b, 1.0][:n]), rel=1e-12)
+
 
 class TestFaceSolve:
     def test_hand_solved_minimum(self):
@@ -266,7 +277,7 @@ class TestFaceSolve:
         slack = np.diag([1.0, 2.0]) - sum(yi * a_i for yi, a_i in zip(
             sol.y, [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)]))
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
-        assert 0 < sol.iterations <= 30
+        assert 0 < sol.iterations <= 30 and sol.error <= subsolver.FACE_TOL
 
     def test_empty_family(self):
         sol = face_solve(np.diag([1.0, 2.0]), np.eye(3), _rhs(np.eye(3), np.diag([3.0, 4.0])),
@@ -281,7 +292,8 @@ class TestFaceSolve:
     @pytest.mark.parametrize("failing", [2, 3, 4], ids=["X", "S", "M"])
     def test_failed_factor_ends_the_run(self, failing, monkeypatch):
         # The factors are taken in the order start check, X, S, M: a failed
-        # one ends the run at its best iterate so far, here the start.
+        # one ends the run at its best iterate so far, here the start, whose
+        # error says it is not the minimum 2.
         chol, calls = subsolver._chol_or_none, []
 
         def fails_once(g):
@@ -292,6 +304,24 @@ class TestFaceSolve:
         sol = face_solve(np.diag([1.0, 2.0]), ROWS_2, _rhs(ROWS_2, np.eye(2)), np.eye(2))
         assert sol.iterations == 0 and np.array_equal(sol.y, np.zeros(2))
         assert sol.x == pytest.approx(np.eye(2), abs=1e-15) and sol.value == pytest.approx(3.0)
+        assert sol.error > subsolver.FACE_TOL
+
+    def test_unbounded_face_does_not_converge(self):
+        # min <diag(-1, 1), X> s.t. X₁₂ = 0 is unbounded below along
+        # diag(1, 0): the iterates diverge and the error stays open.
+        with np.errstate(all="ignore"):
+            sol = face_solve(np.diag([-1.0, 1.0]), np.array([[0.0, 0.0, 1.0]]), np.zeros(1),
+                             np.eye(2))
+        assert sol.error > 1e-3
+
+    @pytest.mark.parametrize("b", [1e7, 1e8, 1e12])
+    def test_face_of_large_scale(self, b):
+        # min tr X s.t. X₁₁ = b from face_center's point diag(b, 1): the
+        # minimum diag(b, 0), with dual y = 1.
+        rows = np.eye(1, 3)
+        sol = face_solve(np.eye(2), rows, np.array([b]), face_center(rows, np.array([b]), 2))
+        assert sol.error <= subsolver.FACE_TOL
+        assert sol.value == pytest.approx(b, rel=1e-12) and sol.y == pytest.approx([1.0])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -440,8 +470,8 @@ def test_barrier_outputs_golden(case, monkeypatch):
 
 
 def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
-    # min w - mu·log det diag(1, w - 2, 3 - w) for mu = 1, 0.2, ..., 1e-4:
-    # seven mu rounds, each after the first starting at the center the
+    # min -w - mu·log det diag(1, w - 2, 3 - w) for mu = 1, 0.05, ...,
+    # 1e-11: ten mu rounds, each after the first starting at the center the
     # last one predicted.  G⁻¹ and the stop test are computed once per
     # distinct iterate, and each iterate solves at least one step.
     inv, seen = np.linalg.inv, []
@@ -457,40 +487,36 @@ def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     w, steps = subsolver._barrier_path(
-        S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([2.5]),
-        mu=1.0, mu_final=1e-4, shrink=0.2, inner=50, tol=1e-12, stop=stop,
-    )
+        S0, subsolver._stack(FAMILY, 3), np.zeros(1), np.array([2.5]), stop=stop)
     iterates = [x for x in seen if x != "inv"]
-    assert w == pytest.approx([2.0], abs=1e-3)
+    assert w == pytest.approx([3.0], abs=1e-10)
     assert seen.count("inv") == len(iterates) == len(set(iterates)) <= steps
 
 
-@pytest.mark.parametrize("inner", [2, 50])
-def test_path_that_cannot_center_ends_within_its_rounds(inner):
-    # tol = 0 is never met, so the last of the seven mu rounds (1, 0.2,
-    # ..., 1e-4) ends on its inner cap or on a step that makes no
-    # progress: the path returns within rounds × inner steps.
+@pytest.mark.parametrize("inner", [2, 60])
+def test_path_that_cannot_center_ends_within_its_rounds(inner, monkeypatch):
+    # A last-round tolerance of 0 is never met, so the last of the ten mu
+    # rounds (1, 0.05, ..., 1e-11) ends on its step cap or on a step that
+    # makes no progress: the path returns within rounds × inner steps.
     last = []
 
     def stop(w, g, ginv, trs, mu, newton):
-        last.append(mu == 1e-4)
+        last.append(mu == subsolver._LAMBDA_MIN_MU_FINAL)
         return False
 
+    monkeypatch.setattr(subsolver, "_LAMBDA_MIN_TOL", 0.0)
+    monkeypatch.setattr(subsolver, "_LAMBDA_MIN_INNER", inner)
     w, steps = subsolver._barrier_path(
-        S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([2.5]),
-        mu=1.0, mu_final=1e-4, shrink=0.2, inner=inner, tol=0.0, stop=stop,
-    )
-    assert 0 < steps <= 7 * inner and 0 < sum(last) <= inner
-    assert w == pytest.approx([2.0], abs=1e-3)
+        S0, subsolver._stack(FAMILY, 3), np.zeros(1), np.array([2.5]), stop=stop)
+    assert 0 < steps <= 10 * inner and 0 < sum(last) <= inner
+    assert w == pytest.approx([3.0], abs=1e-10)
 
 
 def test_start_outside_the_cone_is_refused():
     # diag(1, w - 2, 3 - w) at w = 1 is not positive definite.
     with pytest.raises(IterationLimitError, match="left the PSD cone"):
         subsolver._barrier_path(
-            S0, subsolver._stack(FAMILY, 3), np.ones(1), 0.0, np.array([1.0]),
-            mu=1.0, mu_final=1.0, shrink=1.0, inner=5, tol=1e-12,
-        )
+            S0, subsolver._stack(FAMILY, 3), np.zeros(1), np.array([1.0]), stop=None)
 
 
 @pytest.mark.parametrize("s0, match", [
@@ -502,10 +528,7 @@ def test_non_finite_start_is_refused(s0, match):
     # Cholesky gives diag(inf, 1) an infinite diagonal and fails on an
     # infinite off-diagonal pair.
     with pytest.raises(IterationLimitError, match=match):
-        subsolver._barrier_path(
-            s0, np.eye(2)[None], np.ones(1), 0.0, np.zeros(1),
-            mu=1.0, mu_final=1.0, shrink=1.0, inner=5, tol=1e-12,
-        )
+        subsolver._barrier_path(s0, np.eye(2)[None], np.zeros(1), np.zeros(1), stop=None)
 
 
 # The same families by value, recorded with full centering at every mu:
