@@ -125,12 +125,35 @@ class VarSlot:
 
 def _rising(ptr: np.ndarray, major: np.ndarray, minor: Optional[np.ndarray] = None) -> bool:
     """Whether each segment's entries rise strictly, by major or (major, minor)."""
-    first = np.zeros(major.size, bool)
-    starts = ptr[:-1]
-    first[starts[starts < major.size]] = True
-    step = np.diff(major)
-    up = step > 0 if minor is None else (step > 0) | ((step == 0) & (np.diff(minor) > 0))
-    return bool(np.all(up | first[1:]))
+    up = major[1:] > major[:-1]
+    if minor is not None:
+        up |= (major[1:] == major[:-1]) & (minor[1:] > minor[:-1])
+    starts = ptr[1:-1]
+    up[starts[(starts > 0) & (starts < major.size)] - 1] = True
+    return bool(up.all())
+
+
+def _within(ids: np.ndarray, size: int) -> bool:
+    """Whether every id lies in 0..size - 1."""
+    return not ids.size or 0 <= ids.min() and ids.max() < size
+
+
+def _outside(first: np.ndarray, last: np.ndarray, ids: np.ndarray, offs: np.ndarray, n: int) -> np.ndarray:
+    """Whether each span first[ids]..last[ids] - 1, moved by offs, leaves 0..n - 1."""
+    lo, hi = first[ids], last[ids]
+    lo += offs
+    hi += offs
+    return (lo < 0) | (hi > n)
+
+
+def _kept(a, dtype) -> np.ndarray:
+    """a itself when no one can write through it, an ndarray of dtype that
+    is read-only and owns its data; else a read-only copy."""
+    if not (type(a) is np.ndarray and a.dtype == dtype and not a.flags.writeable
+            and a.flags.owndata):
+        a = np.array(a, dtype)
+        a.flags.writeable = False
+    return a
 
 
 class _RowView(NamedTuple):
@@ -157,10 +180,13 @@ class StandardFormSdp:
     entry_block[e], e in row_ptr[r]..row_ptr[r + 1] - 1, in block order,
     the free row row_free[r] placed at row_offset[r], rhs[r], and the name
     pre + label, in order of the (pre, labels) sections; the objective is
-    the free row objective_row at offset 0.  The arrays are copied
-    read-only and checked once: every value is finite and nonzero, a free
-    entry past n_free would be written into the negated half of the free
-    block, and a matrix of another order than its block outside it."""
+    the free row objective_row at offset 0.  An array that no one can
+    write through, a read-only ndarray of the field's dtype that owns its
+    data, is kept as it is, as _Rows.system and dataclasses.replace hand
+    them; any other is copied read-only.  The tables are checked once, in
+    place: every value is finite and nonzero, a free entry past n_free
+    would be written into the negated half of the free block, and a
+    matrix of another order than its block outside it."""
 
     system: str
     sense: str
@@ -188,27 +214,21 @@ class StandardFormSdp:
         set_ = functools.partial(object.__setattr__, self)
         floats = ("coeff_v", "free_v", "rhs")
         for field in (f.name for f in dataclasses.fields(self) if f.type == "np.ndarray"):
-            arr = np.array(getattr(self, field), float if field in floats else np.int32)
-            arr.setflags(write=False)
-            set_(field, arr)
+            set_(field, _kept(getattr(self, field), float if field in floats else np.int32))
         set_("objective_row", operator.index(self.objective_row))
         n_mats, n_frees = self.coeff_order.size, self.free_ptr.size - 1
-        rows, n_free = self.rhs.size, self.n_free
-        ok = (
+        rows, n_free, obj = self.rhs.size, self.n_free, self.objective_row
+        ptr, blk, ks, frees, offs = (self.row_ptr, self.entry_block, self.entry_coeff,
+                                     self.row_free, self.row_offset)
+        if not (
             _segments(self.coeff_ptr, n_mats, self.coeff_i, self.coeff_j, self.coeff_v)
             and _segments(self.free_ptr, n_frees, self.free_j, self.free_v)
-            and _segments(self.row_ptr, rows, self.entry_block, self.entry_coeff)
-            and self.row_free.size == self.row_offset.size == rows
+            and _segments(ptr, rows, blk, ks)
+            and frees.size == offs.size == rows
             and sum(len(labels) for _, labels in self.sections) == rows
-        )
-        blk, ks = self.entry_block, self.entry_coeff
-        if ok:  # The rows and then the objective: one more row, a free row at offset 0.
-            ptr = np.append(self.row_ptr, self.row_ptr[-1])
-            frees = np.append(self.row_free, self.objective_row)
-            offs = np.append(self.row_offset, 0)
-            for ids, size in ((blk, len(self.blocks)), (ks, n_mats), (frees, n_frees)):
-                ok = ok and (not ids.size or 0 <= ids.min() and ids.max() < size)
-        if not (ok and _rising(ptr, blk)):
+            and _within(blk, len(self.blocks)) and _within(ks, n_mats) and _within(frees, n_frees)
+            and 0 <= obj < n_frees and _rising(ptr, blk)
+        ):
             raise ValueError("row tables of unequal lengths, an id outside its table, or a row "
                              "whose blocks are not in block order")
         i, j = self.coeff_i, self.coeff_j
@@ -221,27 +241,30 @@ class StandardFormSdp:
                              "of row-major order or zero, a free row a negative, falling, repeated "
                              "or zero entry, or a value table one that is not finite")
         # A row's free entries span first..last - 1 of its free row, placed
-        # at its offset; the first row whose span passes 0..n_free - 1, or
-        # whose matrix orders differ from its blocks', is refused by name.
+        # at its offset, and the objective's at offset 0; the first row
+        # whose span passes 0..n_free - 1, or whose matrix orders differ
+        # from its blocks', is refused by name, then the objective.
         full = np.diff(self.free_ptr) > 0
         first, last = np.zeros((2, n_frees), np.int32)
         first[full] = self.free_j[self.free_ptr[:-1][full]]
         last[full] = self.free_j[self.free_ptr[1:][full] - 1] + 1
-        bad = full[frees] & ((offs + first[frees] < 0) | (offs + last[frees] > n_free))
+        bad = _outside(first, last, frees, offs, n_free)
+        bad &= full[frees]
         orders = np.array([b.order for b in self.blocks], dtype=np.int32)
         entry = np.flatnonzero(orders[blk] != self.coeff_order[ks])[:1]
         misfits = np.flatnonzero(bad)[:1].tolist() + (np.searchsorted(ptr, entry, "right") - 1).tolist()
-        if misfits:
-            r = min(misfits)
-            lo, hi, f, off = (int(x[r]) for x in (ptr, ptr[1:], frees, offs))
+        if misfits or full[obj] and last[obj] > n_free:
+            r = min(misfits, default=rows)
+            lo, hi, f, off = (int(x[r]) for x in (ptr, ptr[1:], frees, offs)) if r < rows else (0, 0, obj, 0)
             names = [pre + label for pre, labels in self.sections for label in labels]
             what = "the objective" if r == rows else f"constraint {names[r]}"
             pairs = [(self.blocks[b], k) for b, k in zip(blk[lo:hi].tolist(),
                                                          self.coeff_order[ks[lo:hi]].tolist())]
             raise ValueError(
                 f"{what} does not fit the system: free length "
-                f"{off + int(last[f]) if bad[r] else n_free} for n_free {n_free}, matrix orders "
-                f"{ {b.name: k for b, k in pairs} } for blocks { {b.name: b.order for b, _ in pairs} }"
+                f"{off + int(last[f]) if r == rows or bad[r] else n_free} for n_free {n_free}, "
+                f"matrix orders { {b.name: k for b, k in pairs} } for blocks "
+                f"{ {b.name: b.order for b, _ in pairs} }"
             )
 
     @property
@@ -284,8 +307,9 @@ def _append(table: list, sec: _Section) -> np.ndarray:
 class _Rows:
     """A StandardFormSdp's tables, filled a section at a time: matrices and
     free rows as whole sections, which take the next ids of their table,
-    and rows as (pre, labels) sections of id columns.  system concatenates
-    each table straight into its int32 or float64 array."""
+    and rows as (pre, labels) sections of id columns.  system fills each
+    table's read-only int32 or float64 array from its sections, which the
+    constructor then keeps."""
 
     def __init__(self):
         self.mats, self.frees, self.sections, self.parts = [], [], [], []
@@ -311,27 +335,40 @@ class _Rows:
         n = len(labels)
         ids = np.array([c for _, c in cols], dtype=np.int32).reshape(len(cols), n).T
         has = ids >= 0
-        blk = np.broadcast_to(np.array([b for b, _ in cols], dtype=np.int32), ids.shape)
+        blk = np.array([b for b, _ in cols], dtype=np.int32)[np.nonzero(has)[1]]
         self.sections.append((pre, labels))
-        per_row = (np.broadcast_to(x, n) for x in (free, offset, rhs))
-        self.parts.append((has.sum(1), blk[has], ids[has], *per_row))
+        self.parts.append((n, has.sum(1, dtype=np.int32), blk, ids[has], free, offset, rhs))
 
     def system(self, **fields) -> StandardFormSdp:
-        def cat(parts, dtype=np.int32):
-            return np.concatenate([np.zeros(0, dtype)] + [np.asarray(p, dtype) for p in parts])
+        def fill(parts: list, sizes: list, dtype=np.int32, ptr: bool = False) -> np.ndarray:
+            # Each part is an array of its size or one value for all; the
+            # parts are released once their table is filled.
+            out, at = np.zeros(int(ptr) + sum(sizes), dtype), int(ptr)
+            for vals, size in zip(parts, sizes):
+                out[at : at + size] = vals
+                at += size
+            parts.clear()
+            if ptr:
+                np.cumsum(out, dtype=dtype, out=out)
+            out.flags.writeable = False
+            return out
 
-        mats, frees = self.mats, self.frees
-        counts, blk, ks, free, offset, rhs = zip(*self.parts) if self.parts else [()] * 6
+        (order, counts, i, j, v), (_, fcounts, _, fj, fv), rows = (
+            [list(col) for col in zip(*table)] for table in (self.mats, self.frees, self.parts)
+        )
+        self.mats = self.frees = self.parts = None
+        n, rcounts, blk, ks, free, offset, rhs = rows
+        entries = [len(x) for x in ks]
+        mats, coeffs = [len(x) for x in counts], [len(x) for x in v]
+        frees, fcoeffs = [len(x) for x in fcounts], [len(x) for x in fv]
         return StandardFormSdp(
-            coeff_ptr=np.cumsum(cat([[0], *(m.counts for m in mats)])),
-            coeff_order=cat(np.broadcast_to(m.order, len(m.counts)) for m in mats),
-            coeff_i=cat(m.i for m in mats), coeff_j=cat(m.j for m in mats),
-            coeff_v=cat((m.v for m in mats), float),
-            free_ptr=np.cumsum(cat([[0], *(f.counts for f in frees)])),
-            free_j=cat(f.j for f in frees), free_v=cat((f.v for f in frees), float),
-            row_ptr=np.cumsum(cat([[0], *counts])), entry_block=cat(blk), entry_coeff=cat(ks),
-            row_free=cat(free), row_offset=cat(offset), rhs=cat(rhs, float),
-            sections=tuple(self.sections), **fields,
+            entry_block=fill(blk, entries), entry_coeff=fill(ks, entries),
+            row_ptr=fill(rcounts, n, ptr=True), row_free=fill(free, n),
+            row_offset=fill(offset, n), rhs=fill(rhs, n, float),
+            coeff_order=fill(order, mats), coeff_ptr=fill(counts, mats, ptr=True),
+            coeff_i=fill(i, coeffs), coeff_j=fill(j, coeffs), coeff_v=fill(v, coeffs, float),
+            free_ptr=fill(fcounts, frees, ptr=True), free_j=fill(fj, fcoeffs),
+            free_v=fill(fv, fcoeffs, float), sections=tuple(self.sections), **fields,
         )
 
 

@@ -22,14 +22,16 @@ two writes of the same object are byte-identical.  write_sdpa writes the
 text chunk by chunk as it is formatted, _CHUNK_ROWS rows a chunk, so the
 whole text is never held; the *_text functions join the same chunks.
 
-An emitted system is written straight from its tables: each matrix of
-the coefficient table becomes a template, its lines with the "matno
-blkno " prefix left open for each row to splice in, and each free row the
-texts of its values.  The write counts the uses of each table entry, a
-bincount of the rows' id arrays, and keeps a text only while uses
-remain, so text used once is never kept.  Instance text keeps no memo:
-its matrices do not repeat, so instance_digest holds one matrix's lines
-at a time.
+An emitted system is written straight from its tables, read by slices:
+no table is turned into lists.  Each matrix of the coefficient table
+becomes a template, its lines with the "matno blkno " prefix left open
+for each row to splice in, and each free row two joined texts, the line
+ends of its values and of their negations, which each use splits and
+interleaves with its line prefixes.  The write counts the uses of each
+table entry, a bincount of the rows' id arrays, and keeps a text only
+while uses remain, so text used once is never kept.  Instance text keeps
+no memo: its matrices do not repeat, so instance_digest holds one
+matrix's lines at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class UnsupportedBlockStructureError(ValueError):
 # write of that system peaked at 2.6 MB with 32-row chunks and at 12.6 MB
 # with 256-row ones, at the same speed.
 _CHUNK_ROWS = 32
+# rhs values per chunk of the header line: a system's rhs line can hold
+# tens of thousands of values, and formatting it whole set the write peak.
+_RHS_VALUES = 256
 
 
 @functools.lru_cache(maxsize=64)
@@ -116,37 +121,53 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
     other blocks, after the row's other blocks."""
     n_free, free_blk, rows = sdp.n_free, len(sdp.blocks) + 1, sdp.rhs.size
     sizes = [str(b.order) for b in sdp.blocks] + [str(-2 * n_free)] * (n_free > 0)
-    yield f"{rows}\n{len(sizes)}\n{' '.join(sizes)}\n{' '.join(map(repr, sdp.rhs.tolist()))}\n"
+    yield f"{rows}\n{len(sizes)}\n{' '.join(sizes)}\n"
+    for lo in range(0, rows, _RHS_VALUES):
+        yield " ".join(map(repr, sdp.rhs[lo : lo + _RHS_VALUES].tolist())) + (
+            " " if lo + _RHS_VALUES < rows else ""
+        )
+    yield "\n"
     diag = _diag_texts(2 * n_free)
     ij = _ij_texts(max((b.order for b in sdp.blocks), default=1))
-    cptr, ci, cj, cv = (a.tolist() for a in (sdp.coeff_ptr, sdp.coeff_i, sdp.coeff_j, sdp.coeff_v))
+    cptr, ci, cj, cv, free_j = sdp.coeff_ptr, sdp.coeff_i, sdp.coeff_j, sdp.coeff_v, sdp.free_j
     fptr = sdp.free_ptr.tolist()
 
     def mat_lines(k):
-        lo, hi = cptr[k], cptr[k + 1]
+        lo, hi = cptr.item(k), cptr.item(k + 1)
         if hi - lo == 1:  # most matrices of a ladder are units
-            return f"\0{ij[ci[lo]][cj[lo]]}{cv[lo]!r}\n"
-        return "".join([f"\0{ij[a][b]}{x!r}\n" for a, b, x in zip(ci[lo:hi], cj[lo:hi], cv[lo:hi])])
+            return f"\0{ij[ci.item(lo)][cj.item(lo)]}{cv.item(lo)!r}\n"
+        entries = zip(ci[lo:hi].tolist(), cj[lo:hi].tolist(), cv[lo:hi].tolist())
+        return "".join([f"\0{ij[a][b]}{x!r}\n" for a, b, x in entries])
 
     def value_texts(f, sign=1.0):
-        # The line ends "c\n" and "-c\n" of each value c of free row f:
-        # the text of -c is that of c with its sign flipped.
-        vals = sdp.free_v[fptr[f] : fptr[f + 1]].tolist()
-        texts = list(map(repr, vals if sign > 0 else [-v for v in vals]))
-        neg = [t[1:] if t[0] == "-" else "-" + t for t in texts]
-        return [t + "\n" for t in texts], [t + "\n" for t in neg]
+        # The line ends "c\n" of the values c of free row f, joined by
+        # spaces, and those of -c: each text with its sign flipped, as
+        # repr(-c) gives it, by taking the "-" after each space and putting
+        # one after every other space.
+        vals = sdp.free_v[fptr[f] : fptr[f + 1]]
+        pos = "\n ".join(map(repr, (vals if sign > 0 else -vals).tolist())) + "\n"
+        return pos, (" " + pos).replace(" -", " +").replace(" ", " -").replace("-+", "")[1:]
 
-    def free_lines(t, f, off, texts):
-        pre, (pos, neg) = f"{t} {free_blk} ", texts
-        return [
-            f"{pre}{diag[off + j]}{p}{pre}{diag[n_free + off + j]}{q}"
-            for j, p, q in zip(sdp.free_j[fptr[f] : fptr[f + 1]].tolist(), pos, neg)
-        ]
+    def free_lines(pre, f, off, texts):
+        # The pieces pre, "j j ", "c\n", pre, "n_free+j n_free+j ", "-c\n"
+        # of each entry c_j.
+        lo, hi = fptr[f], fptr[f + 1]
+        j0, k = free_j.item(lo) + off, hi - lo
+        out = [pre] * (6 * k)
+        out[2::6], out[5::6] = texts[0].split(" "), texts[1].split(" ")
+        if free_j.item(hi - 1) + off - j0 == k - 1:  # consecutive entries
+            out[1::6], out[4::6] = diag[j0 : j0 + k], diag[n_free + j0 : n_free + j0 + k]
+        else:
+            js = free_j[lo:hi].tolist()
+            out[1::6], out[4::6] = [diag[off + j] for j in js], [diag[n_free + off + j] for j in js]
+        return out
 
-    f = sdp.objective_row
-    yield "".join(free_lines(0, f, 0, value_texts(f, 1.0 if sdp.sense == "max" else -1.0)))
-    mat_text = _memo(len(cptr) - 1, sdp.entry_coeff, mat_lines)
+    f, free_pre = sdp.objective_row, f" {free_blk} "
+    if fptr[f] < fptr[f + 1]:
+        yield "".join(free_lines("0" + free_pre, f, 0, value_texts(f, 1.0 if sdp.sense == "max" else -1.0)))
+    mat_text = _memo(cptr.size - 1, sdp.entry_coeff, mat_lines)
     free_text = _memo(len(fptr) - 1, sdp.row_free, value_texts)
+    blk_pre = [f" {b + 1} " for b in range(len(sdp.blocks))]
     for lo in range(0, rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, rows)
         e0, e1 = sdp.row_ptr[lo], sdp.row_ptr[hi]
@@ -155,9 +176,10 @@ def _standard_form_chunks(sdp: StandardFormSdp) -> Iterator[str]:
         frees, offs = sdp.row_free[lo:hi].tolist(), sdp.row_offset[lo:hi].tolist()
         pieces = []
         for t, a, z, f, off in zip(range(lo + 1, hi + 1), ptr, ptr[1:], frees, offs):
-            pieces += [mat_text(k).replace("\0", f"{t} {b + 1} ") for b, k in entries[a:z]]
+            t = str(t)
+            pieces += [mat_text(k).replace("\0", t + blk_pre[b]) for b, k in entries[a:z]]
             if fptr[f] < fptr[f + 1]:
-                pieces += free_lines(t, f, off, free_text(f))
+                pieces += free_lines(t + free_pre, f, off, free_text(f))
         yield "".join(pieces)
 
 
@@ -190,7 +212,8 @@ def varmap_sidecar_text(sdp: StandardFormSdp) -> str:
 def write_sdpa(obj: Union[SdpInstance, StandardFormSdp], path: str) -> None:
     """Write an instance or an emitted system; systems get a .varmap sidecar.
     The text is written chunk by chunk as it is formatted; if formatting
-    fails part way, the partial file is removed."""
+    fails part way, or the sidecar cannot be written, the data file is
+    removed."""
     if isinstance(obj, SdpInstance):
         chunks, sidecar = instance_chunks(obj), None
     elif isinstance(obj, StandardFormSdp):
@@ -201,14 +224,17 @@ def write_sdpa(obj: Union[SdpInstance, StandardFormSdp], path: str) -> None:
         with open(path, "w") as fh:
             try:
                 fh.writelines(chunks)
+                fh.close()
+                if sidecar is not None:
+                    with open(str(path) + ".varmap", "w") as side:
+                        side.write(sidecar)
             except BaseException:
-                # A truncated file would read as a system with entries missing.
+                # A truncated file would read as a system with entries
+                # missing, and one without its own sidecar with another
+                # system's variable map or none.
                 fh.close()
                 os.remove(path)
                 raise
-        if sidecar is not None:
-            with open(str(path) + ".varmap", "w") as fh:
-                fh.write(sidecar)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 

@@ -463,7 +463,7 @@ class TestSparseForm:
         # coordinate table.  Its view counts the stored entries it did as
         # row tables of objects.
         inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
-        sdp, held = _held(build_dram, inst)
+        sdp, held, _ = _held(build_dram, inst)
         view = sdp.constraints
         stored = sum(con.free.size + sum(k.size for k in con.mats.values()) for con in view)
         nonzeros = sum(
@@ -476,7 +476,9 @@ class TestSparseForm:
     def test_build_and_write_dram_peak_little_memory(self, tmp_path):
         # The same system built and written after a first build and write,
         # which fill the caches: its peak was 0.74 MB when the system held
-        # row tables of coefficient objects, set by the build.
+        # row tables of coefficient objects, set by the build, and 0.52 MB
+        # when the constructor copied the tables and the writer made lists
+        # of them.
         inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
         path = str(tmp_path / "dram.dat-s")
         write_sdpa(build_dram(inst), path)
@@ -486,14 +488,25 @@ class TestSparseForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6e6
+        assert peak <= 0.45e6
 
-    def test_exact_dual_at_n_30_holds_at_most_4_mb(self):
+    def test_exact_dual_at_n_30_holds_at_most_4_mb(self, tmp_path):
         # 13.5 MB when each row was its own objects, 2.0 MB as row tables.
+        # The build peaked at 4.98 MB and the write at 2.90 MB over the
+        # 1.32 MB held while the constructor copied the tables and the
+        # writer made lists of them.
         inst = random_degenerate_instance(np.random.default_rng(0), 30, 30, (2, 1, 1))[0]
-        sdp, held = _held(build_dram, inst)
+        sdp, held, build_peak = _held(build_dram, inst)
         assert sdp.rhs.size == 29 * 466 + 29 * 465 + 465
         assert held <= 4e6
+        assert build_peak <= 2 * held
+        tracemalloc.start()
+        try:
+            write_sdpa(sdp, str(tmp_path / "dram.dat-s"))
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 2.6e6
 
 
 def _registry_embeddings(eid):
@@ -523,13 +536,13 @@ def test_residuals_agree_with_the_reference_loop_on_the_registry(eid):
 
 
 def _held(build, inst):
-    """The system build(inst) and the memory it holds, from a second build
-    alone."""
+    """The system build(inst), the memory it holds and the peak of its
+    build, from a second build alone."""
     build(inst)
     tracemalloc.start()
     try:
         sdp = build(inst)
-        return sdp, tracemalloc.get_traced_memory()[0]
+        return (sdp, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
@@ -568,6 +581,30 @@ class TestRowTables:
         )
         for count in (lambda x: x.size, lambda x: int((x != 0).sum())):
             assert sum(count(c.free) + sum(map(count, c.mats.values())) for c in view) == dense
+
+    @pytest.mark.parametrize("case", ["owned-read-only", "writeable", "read-only-view", "replace"])
+    def test_constructor_keeps_only_arrays_no_one_can_write(self, case):
+        # The constructor keeps a read-only ndarray that owns its data and
+        # copies anything else, so no caller can change a system's tables.
+        inst = random_degenerate_instance(np.random.default_rng(3), 5, 3, (2, 1, 1))[0]
+        sdp = build_dram(inst)
+        if case == "replace":
+            new = dataclasses.replace(sdp)
+            assert all(getattr(new, f) is getattr(sdp, f) for f in _TABLES)
+            assert all(getattr(sdp, f).flags.owndata for f in _TABLES)
+            return
+        arr = sdp.coeff_v.copy()
+        if case == "owned-read-only":
+            arr.flags.writeable = False
+            assert dataclasses.replace(sdp, coeff_v=arr).coeff_v is arr
+            return
+        given = arr if case == "writeable" else arr[:]
+        given.flags.writeable = case == "writeable"
+        new = dataclasses.replace(sdp, coeff_v=given)
+        assert not np.shares_memory(new.coeff_v, arr) and not new.coeff_v.flags.writeable
+        assert given.flags.writeable == (case == "writeable")
+        arr[:] = 7.0
+        assert np.array_equal(new.coeff_v, sdp.coeff_v)
 
     def test_tables_are_read_only_and_checked(self):
         inst = random_degenerate_instance(np.random.default_rng(3), 5, 3, (2, 1, 1))[0]

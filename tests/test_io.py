@@ -371,6 +371,16 @@ class TestChunkedWriter:
             write_sdpa(sdp, str(path))
         assert not path.exists()
 
+    def test_failed_sidecar_write_leaves_no_data_file(self, tmp_path):
+        # A directory where the .varmap goes: the data file is written
+        # first, and is removed when its sidecar cannot be.
+        inst = random_degenerate_instance(np.random.default_rng(0), 18, 5, (2, 1, 1))[0]
+        path = tmp_path / "dram.dat-s"
+        (tmp_path / "dram.dat-s.varmap").mkdir()
+        with pytest.raises(OSError, match="cannot write"):
+            write_sdpa(build_dram(inst), str(path))
+        assert not path.exists()
+
 
 # SHA-256 of the SDPA text followed by the .varmap text of each builder's
 # system for random_degenerate_instance(default_rng(n), n, 4, (2, 1, 1)).

@@ -15,6 +15,7 @@ median seconds of ``builders.residuals`` at a random assignment.
 random orthonormal basis from the same seed.
 
     python3 tools/emit_probe.py [--n N ...] [--m M] [--seed S] [--builder B]
+    python3 tools/emit_probe.py --bench-peak S
 
 n defaults to 18, 24 and 30, and m (at least 3) to n.  dram and altram
 hold min(n - 1, m) rungs, so their size falls with m only where
@@ -24,13 +25,20 @@ of distinct free rows, so the entries referenced (what the benchmark's
 ``builders.stored_floats`` counts) exceed those held.  At n = m = 30
 the exact dual holds 1.3 MB (2.0 MB when its tables held one object per
 coefficient, 13.5 MB when each row was its own objects, 164 MB when it
-was held dense), peaks at 5.2 MB in the build (6.6 MB with objects),
-and writes a 31 MB file with a 2.9 MB write peak (2.6 MB with objects:
-the writer now converts the coefficient table to lists, which the build
-did before); ``residuals`` takes 19 ms.  At n = 18, m = 5 it holds 0.13
-MB and peaks at 0.51 MB in the build and 0.36 MB in the write, and
-``residuals`` takes 0.4 ms.  The file is written to a temporary
-directory and removed.
+was held dense), peaks at 1.9 MB in the build (5.0 MB while the
+constructor copied the tables) and writes a 31 MB file with a 1.0 MB
+write peak (2.9 MB while the writer made lists of the coefficient table
+and formatted the rhs line whole); ``residuals`` takes 19 ms.  At
+n = 18, m = 5 it holds 0.13 MB and peaks at 0.23 MB in the build and
+0.16 MB in the write, and ``residuals`` takes 0.4 ms.  The file is
+written to a temporary directory and removed.
+
+``--bench-peak S`` instead runs the ``emit`` workload's peak op at seed
+S as ``bench/run.py``'s peak pass does: after the workload's set-up and
+warm-up, one run of the op under tracemalloc.  It prints the peak of the
+op and the peaks of its phases (the build, the write and the embedding
+of the certificate, each from the start of the phase), so the phase that
+sets ``peak_mb`` can be named.
 Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
@@ -142,13 +150,75 @@ def probe(n: int, m: int, seed: int, builder: str, path: str) -> dict:
     }
 
 
+PHASES = {
+    "build": ("build_dram", "build_alt_ram", "build_pram", "build_dstrong"),
+    "write": ("write_sdpa",),
+    "embed": ("embed_certificate",),
+}
+
+
+def bench_peak(seed: int) -> tuple[str, dict]:
+    """The name of the emit workload's peak op at seed and its tracemalloc
+    peaks in MB: of the whole op ("op"), of each phase from its start, and
+    of the op outside the phases ("other")."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import run as bench_run
+    import workloads
+
+    peaks = dict.fromkeys(["op", *PHASES, "other"], 0.0)
+
+    def phase(name, fn):
+        def call(*args, **kwargs):
+            peaks["other"] = max(peaks["other"], tracemalloc.get_traced_memory()[1] / 1e6)
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = max(peaks[name], tracemalloc.get_traced_memory()[1] / 1e6)
+                tracemalloc.reset_peak()
+
+        return call
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(bench_run.SETUP_REPEATS):  # the set-up and warm-up of run.py's _bench
+            ops = workloads.setup_emit(seed, tmp)
+            warm = {}
+            for op in ops:
+                if op.kind not in warm or op.n < warm[op.kind].n:
+                    warm[op.kind] = op
+            bench_run._run_batch(list(warm.values()), {})
+        op = bench_run._peak_op(ops)
+        originals = {fn: getattr(rs, fn) for fns in PHASES.values() for fn in fns}
+        for name, fns in PHASES.items():
+            for fn in fns:
+                setattr(rs, fn, phase(name, originals[fn]))
+        tracemalloc.start()
+        try:
+            result = op.run()
+            peaks["other"] = max(peaks["other"], tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+            for fn, orig in originals.items():
+                setattr(rs, fn, orig)
+        op.check(result)
+    peaks["op"] = max(peaks.values())
+    return op.name, peaks
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, nargs="+", default=[18, 24, 30], help="instance orders")
     ap.add_argument("--m", type=int, help="equations of each instance (default n)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--builder", choices=sorted(BUILDERS), default="dram")
+    ap.add_argument("--bench-peak", type=int, metavar="S",
+                    help="print the phase peaks of the emit workload's peak op at seed S instead")
     args = ap.parse_args(argv)
+    if args.bench_peak is not None:
+        name, peaks = bench_peak(args.bench_peak)
+        print(f"emit peak op {name} at seed {args.bench_peak}: "
+              + ", ".join(f"{phase} {mb:.4f} MB" for phase, mb in peaks.items()))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.n:
             m = n if args.m is None else args.m
