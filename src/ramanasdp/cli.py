@@ -329,6 +329,7 @@ def main(argv=None) -> int:
         IOError,
         facial.SubsolverFailureError,
         facial.NumericalRankAmbiguityError,
+        facial.IterationLimitError,
         verify.InductionBreakError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,16 +75,14 @@ def svec(a: SymMat) -> np.ndarray:
     return out
 
 
-def smat_stack(cols: np.ndarray, n: int, extra: int = 0) -> np.ndarray:
-    """The inverse of svec of every column of cols, as one
-    (d + extra, n, n) array; trailing slots are zero."""
+def smat_stack(cols: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of svec of every column of cols, as one (d, n, n) array."""
     i, j = svec_index(n)
     vals = cols.T.astype(float)
     vals[:, n:] /= np.sqrt(2.0)
-    d = vals.shape[0]
-    out = np.zeros((d + extra, n, n))
-    out[:d, i, j] = vals
-    out[:d, j, i] = vals
+    out = np.zeros((vals.shape[0], n, n))
+    out[:, i, j] = vals
+    out[:, j, i] = vals
     return out
 
 

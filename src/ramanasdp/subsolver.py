@@ -1,43 +1,41 @@
 """Small dense interior-point kernels used by the facial-reduction loop.
 
-The barrier path.  maximize_lambda_min, the λ_min search of
+The λ_min path.  maximize_lambda_min, the λ_min search of
 facial.solve_alternative, optimizes over an affine family of symmetric
 matrices
 
     S(w) = S0 + w_1 S_1 + ... + w_d S_d,   w in R^d,
 
-at desk scale (matrix order and d both small): the path over (w, t) with
-the extra matrix -I (so S(w) - tI ≻ 0) damped-Newton-minimizes
-lin·w + (1/2)Σ reg_i w_i² - mu·log det(S(w) - tI), lin = (0, ..., 0, -1),
-for a decreasing sequence of mu.  A tiny ridge on w keeps it bounded when
-the supremum is +infinity.  On request, the dual point of each iterate's
-Newton step, X = mu(G⁻¹ - G⁻¹ ΔG G⁻¹), certifies bounds on lambda_min
-and on ‖S‖ at the ridged optimum, also off the central path, so a caller
-that only needs to know the optimum is below a relative tolerance band
-can end the path as soon as the bounds say so.
+at desk scale (matrix order and d both small) by one damped-Newton loop
+over x = (w, t) with G = S(w) - tI ≻ 0: it minimizes
+-t + (1/2)Σ reg·w_i² - mu·log det G for a decreasing sequence of mu.  A
+tiny ridge on w keeps it bounded when the supremum is +infinity.  On
+request, the dual point of each iterate's Newton step certifies bounds
+on lambda_min and on ‖S‖ at the ridged optimum, also off the central path
+(_certificate), so a caller that only needs to know the optimum is below
+a relative tolerance band can end the path as soon as the bounds say so.
 
-Every mu but the last is centered only inexactly, to a Newton decrement
-of at most 0.25·mu; the last is centered to 1e-13.
-Between two mu the path predicts the next center (Nesterov & Nemirovski,
-Interior-Point Polynomial Algorithms in Convex Programming, 1994; the
-predictor–corrector idea of Mehrotra, SIAM J. Optim. 1992): on the path
-lin + reg·w - mu·trs(w) = 0, so the tangent is dw/dmu = H⁻¹·trs, and the
-solve that gives each Newton step gives it too.  The round's last, untaken
-Newton step corrects w, and the tangent, carried to the corrected point
-by one more solve with the same Hessian, moves it to the new mu.  The
-correction matters: without it the directions in which S(w) is only weakly
-curved stay off center by up to (mu/curvature)^½, which the 0.25·mu
-decrement allows, and the Newton steps along them at small mu are too
-long for the certificate's dual point to be computed accurately.  The
-path does its per-iterate work once per accepted iterate, not once per
-Newton step: the line search's Cholesky factor gives the merit value,
-and one inverse gives G⁻¹ = S(w)⁻¹ and the traces <S_i, G⁻¹> that every
-step at that iterate shares, also when a new mu round starts there; the
-stop test runs once per iterate, before its first step, and has that
-step solved only if it needs it.  The Hessian is assembled a few columns
-per matrix product.  Each mu round takes at most 60 Newton steps, so a
-run is bounded by its 10 mu rounds × 60 steps and needs no separate step
-budget.
+Every mu but the last is centered only inexactly, to a Newton decrement of
+at most 0.25·mu; the last is centered to 1e-13.  Between two mu the path
+predicts the next center (Nesterov & Nemirovski, Interior-Point Polynomial
+Algorithms in Convex Programming, 1994; the predictor–corrector idea of
+Mehrotra, SIAM J. Optim. 1992): the center at mu has lin +
+reg·x = mu·trs(x), lin·x = -t and trs = (<S_i, G⁻¹>)_i with S_{d+1} = -I,
+so the tangent dx/dmu = H⁻¹·trs comes from the solve that gives each Newton
+step.  The round's last, untaken Newton step corrects x, and the tangent,
+carried to the corrected point by one more solve with the same Hessian,
+moves it to the new mu.  The correction matters: without it the directions
+in which S(w) is only weakly curved stay off center by up to
+(mu/curvature)^½, which the 0.25·mu decrement allows, and the Newton steps
+along them at small mu are too long for the certificate's dual point to be
+computed accurately.  The path does its per-iterate work once per accepted
+iterate, not once per Newton step: the line search's Cholesky factor gives
+the merit value, and one inverse gives G⁻¹ and the traces <S_i, G⁻¹> that
+every step at that iterate shares, also when a new mu round starts there.
+Each step is solved once, up front, and the certificate reads the first
+step of each iterate.  The Hessian is assembled a few columns per matrix
+product.  Each mu round takes at most 60 Newton steps, so a run is bounded
+by its 10 mu rounds × 60 steps and needs no separate step budget.
 
 The face kernels.  The reduced face of an RR form,
 {X ⪰ 0 : rows·svec(X) = rhs}, is strictly feasible and has few rows, so
@@ -68,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,8 +96,8 @@ _HESS_BLOCK = 4
 
 
 class IterationLimitError(RuntimeError):
-    """No verdict: an iterate left the PSD cone, the iterates diverged, or
-    an optimum lies inside the tolerance band (facial.solve_alternative).
+    """No verdict: the λ_min iterates diverged, or an optimum lies inside
+    the tolerance band (facial.solve_alternative).
     No step budget raises it: every run is bounded by its mu rounds ×
     _LAMBDA_MIN_INNER steps."""
 
@@ -124,7 +122,7 @@ class LambdaMinResult:
     ``value`` is lambda_min(S(w)) at the returned w, the level the path
     reached: within ~n·mu of the optimum after a full run, lower after an
     early exit.  ``upper`` is a certified bound on lambda_min at the ridged
-    optimum (see maximize_lambda_min); it is +inf unless ``stop_below``
+    optimum (see _certificate); it is +inf unless ``stop_below``
     was given and reg > 0 (or the family is empty).  ``below`` is True
     when the run ended on ``stop_below``.
     """
@@ -136,188 +134,17 @@ class LambdaMinResult:
     below: bool = False
 
 
-def _stack(mats: Sequence[np.ndarray], n: int, extra: int = 0) -> np.ndarray:
-    """The family as one (d + extra, n, n) array; trailing slots are zero."""
-    fam = np.zeros((len(mats) + extra, n, n))
-    for i, m in enumerate(mats):
-        fam[i] = m
-    return fam
+def _certificate(
+    s0: np.ndarray, flat: np.ndarray, reg: float, wt: np.ndarray, g: np.ndarray,
+    ginv: np.ndarray, step: np.ndarray, decrement: float, mu: float,
+) -> Optional[tuple[float, float]]:
+    """(upper, scale): a bound on lambda_min(S(w*)) at the ridged optimum w*
+    and the scale it is compared at, from the λ_min path's iterate
+    wt = (w, t) at mu, G = S(w) - tI = g, G⁻¹ = ginv, the family and -I as
+    the rows of flat, and the iterate's Newton step and decrement; None
+    when the step cannot certify.
 
-
-def _barrier_path(
-    s0: np.ndarray, fam: np.ndarray, reg: np.ndarray, w: np.ndarray, *,
-    stop: Optional[Callable[..., bool]],
-) -> tuple[np.ndarray, int]:
-    """Damped Newton on lin·w + (1/2)Σ reg_i w_i² - mu·log det S(w), with
-    S(w) = s0 + Σ w_i fam[i] and lin = (0, ..., 0, -1), for mu from
-    _LAMBDA_MIN_MU down to _LAMBDA_MIN_MU_FINAL by the factor
-    _LAMBDA_MIN_SHRINK: the λ_min path, whose last coordinate is t.
-
-    Each mu gets at most _LAMBDA_MIN_INNER steps and ends once the Newton
-    decrement is at most tol·(1 + |lin·w|), tol = _LAMBDA_MIN_TOL, or at
-    most _ROUND_DECREMENT·mu while mu > mu_final, or when the line search
-    fails or its step rounds to w.
-    So only the last mu is centered to tol; an earlier one ends once
-    (decrement/mu)^½ ≤ 1/2.  A round that ends so moves w to the
-    predicted center at the next mu, w + Δw + (mu_new - mu)·(tau + Δtau):
-    Δw the Newton step just solved, tau = H⁻¹·trs the tangent from the
-    same solve and Δtau its first-order change along Δw.  The move is halved until S(w) ≻ 0;
-    one that rounds to w leaves w, G⁻¹ and the stop test's verdict as they
-    are, so the next round solves again at the same iterate.
-    ``stop`` is called once per iterate, before its first step, as
-    stop(w, G, G⁻¹, trs, mu, newton) with G = S(w), trs = (<fam[i], G⁻¹>)_i
-    and newton() the (step, decrement) of that first step, or None when its
-    solve fails; newton() solves on its first call only, so a stop test
-    that needs no step costs none.  It ends the path when it returns True.
-    A predicted point is an iterate like any other: stop sees it at the new
-    mu, before the round's first step.  Returns (w, Newton steps taken),
-    counting one per Hessian assembled.
-    """
-    k = fam.shape[0]
-    flat = fam.reshape(k, s0.size)
-    lin = np.zeros(k)
-    lin[-1] = -1.0
-    mu, mu_final, tol = _LAMBDA_MIN_MU, _LAMBDA_MIN_MU_FINAL, _LAMBDA_MIN_TOL
-
-    def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], float]:
-        """S(v), its Cholesky factor (None outside the cone), log det S(v) / 2."""
-        g = s0 + (v @ flat).reshape(s0.shape)
-        l = _chol_or_none(g)
-        return g, l, np.nan if l is None else float(np.log(l.diagonal()).sum())
-
-    def merit(v: np.ndarray, half_logdet: float) -> float:
-        return float(lin @ v + 0.5 * (reg * v) @ v) - 2.0 * mu * half_logdet
-
-    g, l, half_logdet = factor(w)
-    if l is None:
-        raise IterationLimitError("barrier iterate left the PSD cone")
-    steps, ginv, memo, tangent = 0, None, [], None
-
-    def newton() -> Optional[tuple[np.ndarray, float]]:
-        """The Newton step at w for this mu and its decrement, solved at
-        most once per step; None when the solve fails.  The same solve
-        leaves the path tangent H⁻¹·trs and the Hessian in ``tangent``."""
-        nonlocal steps, tangent
-        if not memo:
-            steps += 1
-            # Drop the last step's Hessian before assembling this one.
-            tangent, hess = None, np.empty((k, k))
-            # H_ij = mu·<S_i, G^{-1} S_j G^{-1}> is filled _HESS_BLOCK
-            # columns at a time: a (_HESS_BLOCK, n, n) temporary, not a
-            # (k, n, n) one.
-            grad = lin + reg * w - mu * trs
-            for j in range(0, k, _HESS_BLOCK):
-                blk = ginv @ fam[j:j + _HESS_BLOCK] @ ginv
-                hess[:, j:j + _HESS_BLOCK] = flat @ blk.reshape(len(blk), -1).T
-            hess *= mu
-            hess.flat[::k + 1] += reg + 1e-14
-            try:
-                sol = np.linalg.solve(hess, np.stack([-grad, trs], axis=1))
-            except np.linalg.LinAlgError:
-                memo.append(None)
-            else:
-                memo.append((sol[:, 0], float(-grad @ sol[:, 0])))
-                tangent = sol[:, 1], hess
-        return memo[0]
-
-    def predicted(step: np.ndarray, mu_new: float) -> np.ndarray:
-        """The center at mu_new predicted from w: w + step, then
-        (mu_new - mu) along the tangent there, tau + Δtau to first order."""
-        tau, hess = tangent
-        # tau = H⁻¹·trs with trs = -∇F, H = mu·∇²F + reg, F = -log det S(w),
-        # so Δtau = -H⁻¹(∇²F·step + mu·∇³F[step]·tau).  With ΔG = Σ step_i S_i,
-        # U = G⁻¹ ΔG G⁻¹ and V = U·(Σ tau_i S_i)·G⁻¹, those two terms are
-        # (<S_i, U>)_i and -(<S_i, V + Vᵀ>)_i.
-        u = ginv @ (step @ flat).reshape(s0.shape) @ ginv
-        v = u @ (tau @ flat).reshape(s0.shape) @ ginv
-        dtau = np.linalg.solve(hess, flat @ (mu * (v + v.T) - u).ravel())
-        return w + step + (mu_new - mu) * (tau + dtau)
-
-    while True:
-        # The merit of each accepted point is the next step's f0; only a
-        # new mu needs it recomputed.
-        f0 = merit(w, half_logdet)
-        centered = None
-        for _ in range(_LAMBDA_MIN_INNER):
-            memo.clear()
-            # Once per iterate, however many mu rounds start at it: the
-            # finite check, G^{-1} from the Cholesky factor, the traces
-            # <fam[i], G^{-1}> and the stop test.
-            if ginv is None:
-                # For symmetric G, Cholesky fails on a non-finite entry or
-                # leaves a non-finite diagonal.
-                if not math.isfinite(half_logdet):
-                    raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
-                # G^{-1} = L^{-T} L^{-1}, without holding L^{-1} after.
-                ginv = np.linalg.inv(l)
-                ginv = ginv.T @ ginv
-                trs = flat @ ginv.ravel()
-                if stop is not None and stop(w, g, ginv, trs, mu, newton):
-                    return w, steps
-            solved = newton()
-            if solved is None:
-                break
-            step, decrement = solved
-            if decrement <= tol * (1.0 + abs(float(lin @ w))) or (
-                    mu > mu_final and decrement <= _ROUND_DECREMENT * mu):
-                centered = step
-                break
-            # Backtracking line search keeping the iterate interior.
-            alpha = 1.0
-            for _ in range(50):
-                w_new = w + alpha * step
-                g_new, l_new, half_logdet_new = factor(w_new)
-                if l_new is not None:
-                    f_new = merit(w_new, half_logdet_new)
-                    if f_new <= f0 - 0.25 * alpha * decrement:
-                        break
-                alpha *= 0.5
-            else:
-                break
-            # A step that rounds to w makes no progress (and w keeps G⁻¹).
-            if (w_new == w).all():
-                break
-            w, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, half_logdet_new, f_new, None
-        if mu <= mu_final:
-            return w, steps
-        mu_new = max(mu * _LAMBDA_MIN_SHRINK, mu_final)
-        # Predictor: a round that ended centered moves to the predicted
-        # center at mu_new, halving the move until S(w) ≻ 0.  A move that
-        # rounds to w keeps w and G⁻¹.
-        if centered is not None:
-            w_new = predicted(centered, mu_new)
-            for _ in range(50):
-                if (w_new == w).all():
-                    break
-                g_new, l_new, half_logdet_new = factor(w_new)
-                if l_new is not None:
-                    w, g, l, half_logdet, ginv = w_new, g_new, l_new, half_logdet_new, None
-                    break
-                w_new = 0.5 * (w + w_new)
-        mu = mu_new
-
-
-def maximize_lambda_min(
-    s0: np.ndarray,
-    mats: Sequence[np.ndarray],
-    *,
-    reg: float = 0.0,
-    stop_above: Optional[float] = None,
-    stop_below: Optional[float] = None,
-) -> LambdaMinResult:
-    """Maximize lambda_min(S(w)) over w, to roughly n·_LAMBDA_MIN_MU_FINAL accuracy.
-
-    ``reg`` adds (reg/2)·‖w‖² to the barrier objective; use a tiny value
-    whenever the supremum may be unbounded.  ``stop_above`` ends the run
-    early once lambda_min exceeds the given level (phase-1 use).
-    ``stop_below`` is a relative level, the scale of a tolerance band: the
-    run ends once lambda_min(S(w*)) < stop_below·max(1, ‖S(w*)‖_F) is
-    certified at the ridged optimum w* = argmax f, with
-    f(w) = lambda_min(S(w)) - (reg/2)‖w‖².  An exited run's ``value`` is
-    then less accurate, and ``below`` is set.
-
-    The certificate, at an iterate x = (w, t) with G = S(w) - tI ≻ 0 and
-    the Newton step (Δw, Δt) of the path at mu, ΔG = Σ Δw_i S_i - Δt·I:
+    With ΔG = Σ Δw_i S_i - Δt·I for the step (Δw, Δt):
       * X = mu(G⁻¹ - G⁻¹ ΔG G⁻¹) is the step's dual point (Boyd &
         Vandenberghe, Convex Optimization, 2004, §11.2.2).  The Newton
         equations give tr X = 1 and <S_i, X> = reg·(w + Δw)_i, up to the
@@ -327,7 +154,8 @@ def maximize_lambda_min(
         a_i = <S_i, X>/tr X are read from X itself, so rounding cannot
         break weak duality.
       * X/tr X is PSD of unit trace, so lambda_min(S(w')) ≤ <S(w'), X>/tr X
-        for every w', and f* ≤ f_up = <S0, X>/tr X + ‖a‖²/(2·reg).  Also
+        for every w', and f* ≤ f_up = <S0, X>/tr X + ‖a‖²/(2·reg), with
+        f(w) = lambda_min(S(w)) - (reg/2)‖w‖² and f* = f(w*).  Also
         f* ≥ f_lo = f(w) = t + lambda_min(G) - (reg/2)‖w‖², up to the
         rounding of eigvalsh (t + 1/tr(G⁻¹) is looser by up to (n - 1)·mu
         where G has several small eigenvalues, as at the well-centered
@@ -338,8 +166,8 @@ def maximize_lambda_min(
         and lambda_min(S(w*)) ≤ upper = f_up + (reg/2)(‖w‖ + rho)².
       * The radius (Nesterov, Introductory Lectures on Convex Optimization,
         2004, §4.1–4.2).  F = -log det G is an n-self-concordant barrier in
-        x, and the path minimizes the self-concordant phi = q/mu + F, with
-        q = -t + (reg/2)‖w‖².  Its Newton decrement at x is
+        x = (w, t), and the path minimizes the self-concordant phi = q/mu + F,
+        with q = -t + (reg/2)‖w‖².  Its Newton decrement at x is
         lam = (decrement/mu)^½.  For lam < 1 the mu-center x_mu lies within
         delta = lam/(1 - lam) of x in phi's local norm at x (§4.1), hence
         in F's, which is smaller.  The optimum y = (w*, t*), t* =
@@ -350,70 +178,190 @@ def maximize_lambda_min(
         r = (n + 2√n)/(1 - delta) + delta of x in F's local norm at x,
         which is ‖G^{-½}(G(y) - G)G^{-½}‖_F.
         Hence ‖G(y) - G‖_F ≤ r·‖G‖_F and ‖S(w*)‖_F ≤ (1 + r)‖G‖_F +
-        √n·max(|f_lo|, |upper|).  delta < 1 needs lam < 1/2, which the
-        certificate checks next to ‖M‖_F ≤ 1/2 (‖M‖_F² ≤ lam², up to the
-        1e-14 shift and rounding).
-    On the central path f_up - f_lo ≤ (n - 1)·mu or so, so the certificate
-    closes as mu falls; a clearly negative optimum exits long before
-    mu_final.  Only w* is certified: a run that has not exited ends near
-    w*, not at it.
+        √n·max(|f_lo|, |upper|) = scale.  delta < 1 needs lam < 1/2, which
+        is checked next to ‖M‖_F ≤ 1/2 (‖M‖_F² ≤ lam², up to the 1e-14
+        shift and rounding).
+    On the central path f_up - f_lo ≤ (n - 1)·mu or so, so the bound
+    closes as mu falls.
     """
-    d = len(mats)
-    n = s0.shape[0]
-    fam = _stack(mats, n, extra=1)
+    n, d = s0.shape[0], len(flat) - 1
+    # A negative decrement is a step solve lost to rounding.
+    lam2 = decrement / mu
+    if not 0.0 <= lam2 < 0.25:
+        return None
+    gdg = ginv @ (step @ flat).reshape(n, n)
+    if float(np.vdot(gdg, gdg.T)) > 0.25:
+        return None
+    x = mu * (ginv - gdg @ ginv)
+    x /= np.trace(x)
+    a = flat[:d] @ x.ravel()
+    w, t = wt[:d], float(wt[d])
+    ww = float(w @ w)
+    f_up = float(s0.ravel() @ x.ravel())
+    # f(w) exactly: lambda_min(S(w)) = t + lambda_min(G).
+    f_lo = t + float(np.linalg.eigvalsh(g)[0]) - 0.5 * reg * ww
+    rho = 0.0
+    if d:
+        f_up += float(a @ a) / (2.0 * reg)
+        rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
+    bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
+    lam = math.sqrt(lam2)
+    delta = lam / (1.0 - lam)
+    r = (n + 2.0 * math.sqrt(n)) / (1.0 - delta) + delta
+    return bound, (1.0 + r) * math.sqrt(np.vdot(g, g)) + math.sqrt(n) * max(abs(f_lo), abs(bound))
+
+
+def maximize_lambda_min(
+    s0: np.ndarray,
+    mats: Sequence[np.ndarray],
+    *,
+    reg: float = 0.0,
+    stop_below: Optional[float] = None,
+) -> LambdaMinResult:
+    """Maximize lambda_min(S(w)) over w, to roughly n·_LAMBDA_MIN_MU_FINAL accuracy.
+
+    ``reg`` adds (reg/2)·‖w‖² to the barrier objective; use a tiny value
+    whenever the supremum may be unbounded.  ``stop_below`` is a relative
+    level, the scale of a tolerance band: the run ends once
+    lambda_min(S(w*)) < stop_below·max(1, ‖S(w*)‖_F) is certified at the
+    ridged optimum w* = argmax lambda_min(S(w)) - (reg/2)‖w‖², which needs
+    reg > 0 or an empty family.  An exited run's ``value`` is then less
+    accurate, and ``below`` is set.  Only w* is certified: a run that has
+    not exited ends near w*, not at it.
+
+    The path (see the module docstring) starts at w = 0,
+    t = lambda_min(S0) - max(1, 0.1‖S0‖_F) and runs mu from _LAMBDA_MIN_MU
+    down to _LAMBDA_MIN_MU_FINAL by the factor _LAMBDA_MIN_SHRINK.  Each mu
+    gets at most _LAMBDA_MIN_INNER steps and ends once the Newton decrement
+    is at most _LAMBDA_MIN_TOL·(1 + |t|), or at most _ROUND_DECREMENT·mu
+    while mu > mu_final, or when the step solve or the line search fails or
+    the step rounds to x = (w, t).  A round that ends centered moves x to
+    the predicted next center x + Δx + (mu_new - mu)·(tau + Δtau), Δx the
+    step just solved, tau = H⁻¹·trs the tangent from the same solve and
+    Δtau its first-order change along Δx, halving the move until G ≻ 0; a
+    move that rounds to x keeps x and G⁻¹, so the next round solves again
+    at the same iterate.  With ``stop_below`` the first step at each
+    iterate, a predicted one included, goes to _certificate, and ``upper``
+    is the least bound it gave.  ``newton_steps`` counts the Hessians
+    assembled.
+    """
+    d, n = len(mats), s0.shape[0]
+    k = d + 1
+    fam = np.zeros((k, n, n))
+    for i, m in enumerate(mats):
+        fam[i] = m
     np.fill_diagonal(fam[d], -1.0)
-    flat = fam.reshape(d + 1, n * n)
+    flat = fam.reshape(k, n * n)
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False
-
-    def stop(wt, g, ginv, trs, mu, newton) -> bool:
-        nonlocal upper, below
-        if stop_above is not None and wt[d] > stop_above:
-            return True
-        if not certify:
-            return False
-        solved = newton()
-        if solved is None:
-            return False
-        step, decrement = solved
-        # A negative decrement is a step solve lost to rounding.
-        lam2 = decrement / mu
-        if not 0.0 <= lam2 < 0.25:
-            return False
-        gdg = ginv @ (step @ flat).reshape(n, n)
-        if float(np.vdot(gdg, gdg.T)) > 0.25:
-            return False
-        x = mu * (ginv - gdg @ ginv)
-        x /= np.trace(x)
-        a = flat[:d] @ x.ravel()
-        w, t = wt[:d], float(wt[d])
-        ww = float(w @ w)
-        f_up = float(s0.ravel() @ x.ravel())
-        # f(w) exactly: lambda_min(S(w)) = t + lambda_min(G).
-        f_lo = t + float(np.linalg.eigvalsh(g)[0]) - 0.5 * reg * ww
-        rho = 0.0
-        if d:
-            f_up += float(a @ a) / (2.0 * reg)
-            rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
-        bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
-        lam = math.sqrt(lam2)
-        delta = lam / (1.0 - lam)
-        r = (n + 2.0 * math.sqrt(n)) / (1.0 - delta) + delta
-        scale = (1.0 + r) * math.sqrt(np.vdot(g, g)) + math.sqrt(n) * max(abs(f_lo), abs(bound))
-        upper = min(upper, bound)
-        below = bound < stop_below * max(1.0, scale)
-        return below
-
     t0 = float(np.linalg.eigvalsh(s0)[0]) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
-    wt, steps = _barrier_path(
-        s0, fam, np.append(np.full(d, reg), 0.0), np.append(np.zeros(d), t0),
-        stop=None if stop_above is None and not certify else stop,
-    )
+    ridge, wt = np.append(np.full(d, reg), 0.0), np.append(np.zeros(d), t0)
+    lin = np.append(np.zeros(d), -1.0)
+    mu, mu_final, tol = _LAMBDA_MIN_MU, _LAMBDA_MIN_MU_FINAL, _LAMBDA_MIN_TOL
+
+    def factor(v: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], float]:
+        """G at v, its Cholesky factor (None outside the cone), log det G / 2."""
+        g = s0 + (v @ flat).reshape(n, n)
+        l = _chol_or_none(g)
+        return g, l, np.nan if l is None else float(np.log(l.diagonal()).sum())
+
+    def merit(v: np.ndarray, half_logdet: float) -> float:
+        return float(lin @ v + 0.5 * (ridge * v) @ v) - 2.0 * mu * half_logdet
+
+    g, l, half_logdet = factor(wt)
+    steps, ginv = 0, None
+    while True:
+        # The merit of each accepted point is the next step's f0; only a
+        # new mu needs it recomputed.
+        f0 = merit(wt, half_logdet)
+        centered = None
+        for _ in range(_LAMBDA_MIN_INNER):
+            # Once per iterate, however many mu rounds start at it: the
+            # finite check, G⁻¹ from the Cholesky factor and the traces
+            # trs = (<fam[i], G⁻¹>)_i.
+            fresh = ginv is None
+            if fresh:
+                # Cholesky fails on a non-finite symmetric G (half_logdet is
+                # then NaN) or leaves a non-finite diagonal.
+                if not math.isfinite(half_logdet):
+                    raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
+                # G⁻¹ = L^{-T} L^{-1}, without holding L^{-1} after.
+                ginv = np.linalg.inv(l)
+                ginv = ginv.T @ ginv
+                trs = flat @ ginv.ravel()
+            steps += 1
+            # Drop the last step's Hessian, then fill H_ij = mu·<S_i, G⁻¹ S_j G⁻¹>
+            # _HESS_BLOCK columns at a time: a (_HESS_BLOCK, n, n) temporary.
+            hess = None
+            hess = np.empty((k, k))
+            grad = lin + ridge * wt - mu * trs
+            for j in range(0, k, _HESS_BLOCK):
+                hess[:, j:j + _HESS_BLOCK] = flat @ (
+                    ginv @ fam[j:j + _HESS_BLOCK] @ ginv).reshape(-1, n * n).T
+            hess *= mu
+            hess.flat[::k + 1] += ridge + 1e-14
+            try:
+                sol = np.linalg.solve(hess, np.stack([-grad, trs], axis=1))
+            except np.linalg.LinAlgError:
+                break
+            # The step, its decrement and the path tangent tau = H⁻¹·trs.
+            step, tau = sol[:, 0], sol[:, 1]
+            decrement = float(-grad @ step)
+            if certify and fresh:
+                cert = _certificate(s0, flat, reg, wt, g, ginv, step, decrement, mu)
+                if cert is not None:
+                    upper = min(upper, cert[0])
+                    below = cert[0] < stop_below * max(1.0, cert[1])
+                    if below:
+                        break
+            if decrement <= tol * (1.0 + abs(float(lin @ wt))) or (
+                    mu > mu_final and decrement <= _ROUND_DECREMENT * mu):
+                centered = step
+                break
+            # Backtracking line search keeping the iterate interior.
+            alpha = 1.0
+            for _ in range(50):
+                w_new = wt + alpha * step
+                g_new, l_new, half_logdet_new = factor(w_new)
+                if l_new is not None:
+                    f_new = merit(w_new, half_logdet_new)
+                    if f_new <= f0 - 0.25 * alpha * decrement:
+                        break
+                alpha *= 0.5
+            else:
+                break
+            # A step that rounds to x makes no progress (and x keeps G⁻¹).
+            if (w_new == wt).all():
+                break
+            wt, g, l, half_logdet, f0, ginv = w_new, g_new, l_new, half_logdet_new, f_new, None
+        if below or mu <= mu_final:
+            break
+        mu_new = max(mu * _LAMBDA_MIN_SHRINK, mu_final)
+        # Predictor: a round that ended centered moves toward the center
+        # predicted at mu_new.
+        if centered is not None:
+            # tau = H⁻¹·trs with trs = -∇F, H = mu·∇²F + ridge, F = -log det G,
+            # so Δtau = -H⁻¹(∇²F·step + mu·∇³F[step]·tau).  With ΔG = Σ step_i S_i,
+            # U = G⁻¹ ΔG G⁻¹ and V = U·(Σ tau_i S_i)·G⁻¹, those two terms are
+            # (<S_i, U>)_i and -(<S_i, V + Vᵀ>)_i.
+            u = ginv @ (centered @ flat).reshape(n, n) @ ginv
+            v = u @ (tau @ flat).reshape(n, n) @ ginv
+            dtau = np.linalg.solve(hess, flat @ (mu * (v + v.T) - u).ravel())
+            w_new = wt + centered + (mu_new - mu) * (tau + dtau)
+            # Not held through the next round's Hessian assembly.
+            del u, v
+            for _ in range(50):
+                if (w_new == wt).all():
+                    break
+                g_new, l_new, half_logdet_new = factor(w_new)
+                if l_new is not None:
+                    wt, g, l, half_logdet, ginv = w_new, g_new, l_new, half_logdet_new, None
+                    break
+                w_new = 0.5 * (wt + w_new)
+        mu = mu_new
     w = wt[:d]
     value = float(np.linalg.eigvalsh(s0 + np.tensordot(w, fam[:d], 1))[0])
     return LambdaMinResult(w=w, value=value, upper=upper, newton_steps=steps, below=below)
-
-
 
 
 @dataclass

@@ -12,7 +12,10 @@ from ramanasdp.certfile import read_certificate, to_ramana_certificate, write_ce
 from ramanasdp.cli import main
 from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
 
-from helpers import inst_gap_raw, inst_infeasible, inst_unattained, padded_certificate_text
+from helpers import (
+    inst_gap_raw, inst_infeasible, inst_unattained, padded_certificate_text,
+    random_degenerate_instance,
+)
 
 
 @pytest.fixture()
@@ -48,6 +51,19 @@ class TestInspect:
         data = json.loads(capsys.readouterr().out)
         assert data["n"] == 3 and data["m"] == 3
 
+    def test_refused_probe_exit_one(self, tmp_path, capsys):
+        # A planted cascade with A_4 and b_4 scaled by 1e5: the alternative
+        # system's optimum lands inside the tolerance band, and the probe's
+        # refusal is reported as an error, not a traceback.
+        inst = random_degenerate_instance(np.random.default_rng(0), 7, 6, (2, 1, 1, 2))[0]
+        a, b = list(inst.a), inst.b.copy()
+        a[3], b[3] = SymMat(1e5 * a[3].a), 1e5 * b[3]
+        path = tmp_path / "scaled.dat-s"
+        write_sdpa(SdpInstance(a=tuple(a), b=b, c=inst.c), str(path))
+        assert main(["inspect", str(path)]) == 1
+        assert "error: alternative-system optimum is inside the tolerance band" in (
+            capsys.readouterr().err)
+
 
 class TestRrFormAndEmit:
     def test_max_rank_counted_at_eps(self, tmp_path, capsys):
@@ -82,6 +98,29 @@ class TestRrFormAndEmit:
         assert main(["rr-form", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error: svec(A_1) overflows" in err and "diverged" not in err
+
+    def test_rr_form_without_a_classical_dual(self, tmp_path, capsys):
+        # A repeated constraint: the RR form is feasible, but the classical
+        # dual's instance refuses the dependent A_i, so the report carries
+        # no pstrong spec.
+        path = tmp_path / "twice.dat-s"
+        write_sdpa(SdpInstance.from_arrays([np.eye(3), np.eye(3)], [3.0, 3.0], np.eye(3)),
+                   str(path))
+        assert main(["rr-form", str(path)]) == 0
+        blob = json.loads((tmp_path / "twice.rr.json").read_text())
+        assert blob["status"] == "feasible" and blob["pstrong"] is None
+
+    def test_infeasible_rr_form_has_no_strong_system(self, tmp_path, capsys):
+        # The report of an infeasible instance names its terminal
+        # right-hand side and holds no dstrong data to emit.
+        path = tmp_path / "inf.dat-s"
+        write_sdpa(registry.get("example-2.15-infeasible").instance, str(path))
+        assert main(["rr-form", str(path)]) == 0
+        assert "terminal right-hand side: -1" in capsys.readouterr().out
+        report = tmp_path / "inf.rr.json"
+        assert json.loads(report.read_text())["dstrong"] is None
+        assert main(["emit", str(path), "--system", "dstrong", "--from-rr", str(report)]) == 1
+        assert "rr report carries no dstrong data" in capsys.readouterr().err
 
     def test_rr_then_emit_strong(self, tmp_path, capsys):
         path = tmp_path / "gap.dat-s"
@@ -257,6 +296,10 @@ class TestExamples:
 
     def test_unknown_id_errors(self, capsys):
         assert main(["examples", "run", "nope"]) == 1
+
+    def test_run_without_an_id_errors(self, capsys):
+        assert main(["examples", "run"]) == 1
+        assert "examples run needs an id or --all" in capsys.readouterr().err
 
     def test_no_step_budget_option(self, capsys):
         # Every barrier run is bounded by its mu rounds, so there is no

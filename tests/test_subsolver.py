@@ -37,6 +37,15 @@ def _rhs(rows, x):
     return rows @ svec(SymMat(x))
 
 
+def _random_family(seed):
+    """S0 and two random symmetric matrices of order 4, S0 shifted by a
+    random multiple of I in [-1.5, 1.5]: optima on both sides of 0, and
+    for seed 3 no finite one."""
+    rng = np.random.default_rng(seed)
+    sym = [(m + m.T) / 2 for m in rng.standard_normal((3, 4, 4))]
+    return sym[0] + rng.uniform(-1.5, 1.5) * np.eye(4), sym[1:]
+
+
 def _on_face(x, s0, rows):
     """x is strictly PD and rows·svec(x - s0) = 0 to rounding."""
     gap = rows @ svec(SymMat(x - s0))
@@ -57,12 +66,6 @@ class TestMaximizeLambdaMin:
         res = maximize_lambda_min(np.diag([0.0, 0.0, 1.0]), mats)
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert res.w == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-6)
-
-    def test_stop_above_returns_early(self):
-        full = maximize_lambda_min(S0, FAMILY)
-        early = maximize_lambda_min(S0, FAMILY, stop_above=0.1)
-        assert early.value > 0.1
-        assert 0 < early.newton_steps < full.newton_steps
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_simplex_diagonal_optimum(self, d, monkeypatch):
@@ -99,14 +102,6 @@ class TestMaximizeLambdaMin:
         # No ridge, no bound.
         assert maximize_lambda_min(s0, mats, stop_below=-np.inf).upper == np.inf
 
-    def test_stop_above_exit_solves_no_step(self):
-        # The level is tested before the iterate's step is solved: this
-        # family reaches it after 8 steps, and the exit iterate solves no
-        # ninth.
-        s0, mats = _family(0, 5, 3, 2.0, False)
-        res = maximize_lambda_min(s0, mats, reg=1e-10, stop_above=0.1)
-        assert res.newton_steps == 8 and res.value > 0.1
-
     def test_stop_below_exits_early(self):
         # S(w) - 3I: lambda_min peaks at 0.5 - 3 = -2.5 for w = 2.5.
         s0 = S0 - 3.0 * np.eye(3)
@@ -118,20 +113,21 @@ class TestMaximizeLambdaMin:
         assert early.value <= full.value
         assert 0 < early.newton_steps < full.newton_steps
 
-    def test_a_step_lost_to_rounding_certifies_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("lost", ["decrement", "step"])
+    def test_a_step_lost_to_rounding_certifies_nothing(self, lost, monkeypatch):
         # On an ill-conditioned Hessian the computed decrement -grad·step
-        # can come out negative; such a step gives no certificate.
-        path = subsolver._barrier_path
+        # can come out negative, or the step far longer than its decrement
+        # says (‖M‖_F > 1/2 at lam < 1/2); such a step gives no certificate.
+        cert = subsolver._certificate
 
-        def lossy(*args, stop, **kw):
-            def negated(w, g, ginv, trs, mu, newton):
-                def lossy_newton():
-                    solved = newton()
-                    return solved and (solved[0], -abs(solved[1]))
-                return stop(w, g, ginv, trs, mu, lossy_newton)
-            return path(*args, stop=negated, **kw)
+        def lossy(s0, flat, reg, wt, g, ginv, step, decrement, mu):
+            if lost == "decrement":
+                decrement = -abs(decrement)
+            else:
+                step = step + 1e3
+            return cert(s0, flat, reg, wt, g, ginv, step, decrement, mu)
 
-        monkeypatch.setattr(subsolver, "_barrier_path", lossy)
+        monkeypatch.setattr(subsolver, "_certificate", lossy)
         res = maximize_lambda_min(S0 - 3.0 * np.eye(3), FAMILY, reg=1e-10, stop_below=-0.1)
         assert not res.below and res.upper == np.inf
 
@@ -150,36 +146,31 @@ class TestMaximizeLambdaMin:
     @pytest.mark.parametrize("seed", range(12))
     def test_newton_dual_point_is_a_unit_trace_psd_certificate(self, seed, monkeypatch):
         # The families of test_stop_below_agrees_with_a_full_run.  At every
-        # iterate where the certificate is used, X_N = mu(G⁻¹ - G⁻¹ ΔG G⁻¹),
-        # recomputed here through the Cholesky factor, is PSD and of unit
-        # trace, and no bound falls below the full run's value.  Seed 3 is
+        # iterate where the certificate gives a bound, M = L⁻¹ ΔG L⁻ᵀ,
+        # recomputed here through the Cholesky factor L of G, has
+        # ‖M‖_F ≤ 1/2, and X_N = mu(G⁻¹ - G⁻¹ ΔG G⁻¹) is PSD and of unit
+        # trace; no bound falls below the full run's value.  Seed 3 is
         # unbounded: its ridged optimum has ‖w‖ ~ 1e7, no iterate there is
         # centered enough to certify, and the run claims no bound.
-        rng = np.random.default_rng(seed)
-        n, d = 4, 2
-        sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
-        s0 = sym[0] + rng.uniform(-1.5, 1.5) * np.eye(n)
-        fam = np.array(sym[1:] + [-np.eye(n)])
-        full = maximize_lambda_min(s0, sym[1:], reg=1e-8)
-        path, used = subsolver._barrier_path, []
+        s0, mats = _random_family(seed)
+        full = maximize_lambda_min(s0, mats, reg=1e-8)
+        cert, used = subsolver._certificate, []
 
-        def observed(*args, stop, **kw):
-            def checked(w, g, ginv, trs, mu, newton):
-                solved = newton()
-                if solved is not None and 0.0 <= solved[1] / mu < 0.25:
-                    l = np.linalg.cholesky(g)
-                    dg = np.tensordot(solved[0], fam, 1)
-                    m = np.linalg.solve(l, np.linalg.solve(l, dg).T)
-                    if np.linalg.norm(m) <= 0.5:
-                        x = mu * (ginv - ginv @ dg @ ginv)
-                        used.append((np.linalg.eigvalsh((x + x.T) / 2)[0], np.trace(x)))
-                return stop(w, g, ginv, trs, mu, newton)
-            return path(*args, stop=checked, **kw)
+        def checked(s0, flat, reg, wt, g, ginv, step, decrement, mu):
+            out = cert(s0, flat, reg, wt, g, ginv, step, decrement, mu)
+            if out is not None:
+                l = np.linalg.cholesky(g)
+                dg = (step @ flat).reshape(4, 4)
+                m = np.linalg.solve(l, np.linalg.solve(l, dg).T)
+                x = mu * (ginv - ginv @ dg @ ginv)
+                used.append((np.linalg.norm(m), np.linalg.eigvalsh((x + x.T) / 2)[0], np.trace(x)))
+            return out
 
-        monkeypatch.setattr(subsolver, "_barrier_path", observed)
-        res = maximize_lambda_min(s0, sym[1:], reg=1e-8, stop_below=-np.inf)
+        monkeypatch.setattr(subsolver, "_certificate", checked)
+        res = maximize_lambda_min(s0, mats, reg=1e-8, stop_below=-np.inf)
         assert not res.below and (used or res.upper == np.inf)
-        for lam_min, tr in used:
+        for m_norm, lam_min, tr in used:
+            assert m_norm <= 0.5 + 1e-12
             assert lam_min >= -1e-12 and abs(tr - 1.0) <= 1e-12
         # upper is the least bound over all of them.
         assert res.upper >= full.value - 1e-9
@@ -189,13 +180,11 @@ class TestMaximizeLambdaMin:
         # Random families with optima on both sides of the level: an exit
         # happens only where the full run ends below the level at its own
         # scale, and the bound holds at the full run's end.
-        rng = np.random.default_rng(seed)
-        n, d, level = 4, 2, -1e-2
-        sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
-        s0 = sym[0] + rng.uniform(-1.5, 1.5) * np.eye(n)
-        full = maximize_lambda_min(s0, sym[1:], reg=1e-8)
-        early = maximize_lambda_min(s0, sym[1:], reg=1e-8, stop_below=level)
-        s_full = s0 + np.tensordot(full.w, np.array(sym[1:]), 1)
+        s0, mats = _random_family(seed)
+        level = -1e-2
+        full = maximize_lambda_min(s0, mats, reg=1e-8)
+        early = maximize_lambda_min(s0, mats, reg=1e-8, stop_below=level)
+        s_full = s0 + np.tensordot(full.w, np.array(mats), 1)
         assert early.upper >= full.value - 1e-9
         if early.below:
             assert full.value < level * max(1.0, float(np.linalg.norm(s_full)))
@@ -207,11 +196,7 @@ class TestMaximizeLambdaMin:
         # Seed 3 of test_stop_below_agrees_with_a_full_run: the ridged
         # optimum has ‖w‖ ~ 1e7 and most steps fail their line search, yet
         # the run ends on its own, within 10 mu rounds × 60 steps.
-        rng = np.random.default_rng(3)
-        n, d = 4, 2
-        sym = [(m + m.T) / 2 for m in rng.standard_normal((d + 1, n, n))]
-        s0 = sym[0] + rng.uniform(-1.5, 1.5) * np.eye(n)
-        res = maximize_lambda_min(s0, sym[1:], reg=1e-8)
+        res = maximize_lambda_min(*_random_family(3), reg=1e-8)
         assert 0 < res.newton_steps <= 600
         assert np.linalg.norm(res.w) > 1e5
 
@@ -354,8 +339,8 @@ BARRIER_CASES = {
     "lmin-below-exits-9": ("lmin", (9, 4, 2, -1.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
     "lmin-below-full": ("lmin", (0, 4, 2, 1.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
     "lmin-below-full-5": ("lmin", (5, 5, 3, 2.0, False), {"reg": 1e-8, "stop_below": -1e-2}),
-    "lmin-above-exits": ("lmin", (0, 5, 3, 2.0, False), {"reg": 1e-10, "stop_above": 0.1}),
-    "lmin-above-full": ("lmin", (1, 5, 3, 2.0, False), {"reg": 1e-10, "stop_above": 0.1}),
+    "lmin-reg": ("lmin", (0, 5, 3, 2.0, False), {"reg": 1e-10}),
+    "lmin-reg-1": ("lmin", (1, 5, 3, 2.0, False), {"reg": 1e-10}),
     "interior": ("interior", (0, 6, 4, 3.0, True), {}),
     "interior-2": ("interior", (2, 6, 4, 3.0, True), {}),
     "face": ("face", (0, 5, 3, 4.0, True), {}),
@@ -365,27 +350,26 @@ BARRIER_CASES = {
     "big-interior": ("interior", (1, 10, 52, 3.0, True), {}),
 }
 
-# SHA-256 of every barrier path's (w, steps) and of the entry point's
-# outputs (w, value, newton_steps, below), and LambdaMinResult.upper, with
-# inexact centering: each mu round above the last ends at a Newton
-# decrement of _ROUND_DECREMENT·mu, and the λ_min path shrinks mu by 0.05.
-# Between rounds the path moves to its predicted next center (Newton step,
-# then the tangent carried to the stepped point), and the certificate's
-# lower bound is lambda_min(S(w)) itself.  A stop_above exit solves no
-# step at its iterate.  The interior and face cases give their family as
-# the rows of its face (_rows) and run no barrier path: they hash what
-# face_center and face_solve return.
+# SHA-256 of the entry point's outputs, (w, value, newton_steps, below)
+# for the λ_min cases, and LambdaMinResult.upper, with inexact centering:
+# each mu round above the last ends at a Newton decrement of
+# _ROUND_DECREMENT·mu, and the λ_min path shrinks mu by 0.05.  Between
+# rounds the path moves to its predicted next center (Newton step, then
+# the tangent carried to the stepped point), and the certificate's lower
+# bound is lambda_min(S(w)) itself.  The interior and face cases give
+# their family as the rows of its face (_rows): they hash what face_center
+# and face_solve return.
 BARRIER_GOLDEN = {
     "big-interior": (
         "e0f616eb8b810291f2a55f7cd03fee7cdfb5dc8ef050aaf954783fba2dfe67a9",
         None,
     ),
     "big-lmin-below-exits": (
-        "7fc58d5c2b6649f1f69a8eb6eba1f78fad220b4cd2b92209558c191b9b4c5cfa",
+        "e43db74bf41fa35819446a8d32a8b92a7746f5f405a27d9eca7fd4481d65d090",
         -0.7790658084340188,
     ),
     "big-lmin-below-full": (
-        "8ea63f29236b091c9b71654e34321954b15fb5c57af54dc0d870e75515470c77",
+        "5bb3e2cfc58993724cd513da6f07b1f044f0a1168312bb1e2aa219de0f4d1387",
         3.0547426525928936,
     ),
     "face": (
@@ -404,43 +388,35 @@ BARRIER_GOLDEN = {
         "264278444a82ec405a0aa7528e48f424c76716e5bf5ce68d14cbc05dcf1fb4af",
         None,
     ),
-    "lmin-above-exits": (
-        "6126ec3c1e8676d6448a36810fa1a0e2c8c6c411cab0f02a723cc9839c7dd40c",
-        np.inf,
-    ),
-    "lmin-above-full": (
-        "27647d1689a08b6d55f9b011b5e6b654c781f2a95a27f9adeae15f77d5fbf038",
-        np.inf,
-    ),
     "lmin-below-exits": (
-        "dea459bea94d44a7a0c1d79dc6f13faa1fe522e8f5f18ed62b7f3ab1343c2b40",
+        "67071bb4c1a7d4430492e7fa919d1f75c42b64989e0e5d62ade162e04eafd35e",
         -1.424452312213677,
     ),
     "lmin-below-exits-9": (
-        "b515821d46ca68abf8872c523d2bd333c195e4e292e17c9ba782f42fce1725a0",
+        "d2530b1f2de59d543cda8191477a761c648ef3bc094446f84d0decf0f00da233",
         -3.716145248011147,
     ),
     "lmin-below-full": (
-        "61255b5a95b7de6f81d0f01126196635b3ec8c546edda6870ab12cc2af6d6348",
+        "ce71db046910b1ab62dcc297e5e19076685172f8f0752506cfac874e9b81ed6d",
         0.29300103050754045,
     ),
     "lmin-below-full-5": (
-        "95acb81f6cde0bf6f6919a7161acd47e03257b5cdf7fd98879f440887e1de24c",
+        "26c4f5234d5a9146f5d8d1b5a0013f08a056d369fdf1594399a796cb0af1f17e",
         0.6534013114393146,
+    ),
+    "lmin-reg": (
+        "bc598eed4c98fa87a39b6230f80b1b46be8157f7e383b8006d13b82842d3f459",
+        np.inf,
+    ),
+    "lmin-reg-1": (
+        "0059551ee6b482a4be36bc0c2fa2dd5ab5847ca3570f488e744e7d4901df7b41",
+        np.inf,
     ),
 }
 
 
-def _barrier_outputs(monkeypatch, entry, family, kwargs):
+def _barrier_outputs(entry, family, kwargs):
     h = hashlib.sha256()
-    path = subsolver._barrier_path
-
-    def recorded(*args, **kw):
-        w, steps = path(*args, **kw)
-        h.update(w.tobytes() + repr(steps).encode())
-        return w, steps
-
-    monkeypatch.setattr(subsolver, "_barrier_path", recorded)
     s0, mats = _family(*family)
     upper = None
     if entry == "lmin":
@@ -460,37 +436,44 @@ def _barrier_outputs(monkeypatch, entry, family, kwargs):
 
 
 @pytest.mark.parametrize("case", sorted(BARRIER_CASES))
-def test_barrier_outputs_golden(case, monkeypatch):
-    # Pins the iterates bit for bit: a change to how a step is computed
+def test_barrier_outputs_golden(case):
+    # Pins the outputs bit for bit: a change to how a step is computed
     # must leave every w, value, step count and exit decision unchanged.
-    digest, upper = _barrier_outputs(monkeypatch, *BARRIER_CASES[case])
+    digest, upper = _barrier_outputs(*BARRIER_CASES[case])
     want_digest, want_upper = BARRIER_GOLDEN[case]
     assert digest == want_digest
     assert upper == pytest.approx(want_upper, rel=1e-12)
 
 
-def test_one_inverse_and_stop_test_per_iterate(monkeypatch):
-    # min -w - mu·log det diag(1, w - 2, 3 - w) for mu = 1, 0.05, ...,
-    # 1e-11: ten mu rounds, each after the first starting at the center the
-    # last one predicted.  G⁻¹ and the stop test are computed once per
-    # distinct iterate, and each iterate solves at least one step.
-    inv, seen = np.linalg.inv, []
+@pytest.mark.parametrize("family", ["diagonal", "unbounded"])
+def test_one_inverse_and_certificate_test_per_iterate(family, monkeypatch):
+    # max lambda_min diag(1, w - 2, 3 - w): ten mu rounds (1, 0.05, ...,
+    # 1e-11), each after the first starting at the center the last one
+    # predicted.  G⁻¹ is computed once per distinct iterate, the
+    # certificate test at most once (never where the step solve fails),
+    # and each iterate solves at least one step.  On the unbounded family
+    # of seed 3 most line searches fail, and the next round solves again at
+    # the same iterate, with no second inverse or test.
+    inv, cert, seen = np.linalg.inv, subsolver._certificate, []
 
     def counted_inv(a):
         seen.append("inv")
         return inv(a)
 
-    def stop(w, g, ginv, trs, mu, newton):
-        seen.append(w.tobytes())
-        assert trs == pytest.approx([float(np.sum(FAMILY[0] * ginv))], rel=1e-12)
-        return False
+    def recorded(s0, flat, reg, wt, g, ginv, step, decrement, mu):
+        seen.append(wt.tobytes())
+        return cert(s0, flat, reg, wt, g, ginv, step, decrement, mu)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    w, steps = subsolver._barrier_path(
-        S0, subsolver._stack(FAMILY, 3), np.zeros(1), np.array([2.5]), stop=stop)
+    monkeypatch.setattr(subsolver, "_certificate", recorded)
+    s0, mats = (S0, FAMILY) if family == "diagonal" else _random_family(3)
+    res = maximize_lambda_min(s0, mats, reg=1e-8, stop_below=-np.inf)
     iterates = [x for x in seen if x != "inv"]
-    assert w == pytest.approx([3.0], abs=1e-10)
-    assert seen.count("inv") == len(iterates) == len(set(iterates)) <= steps
+    assert len(set(iterates)) == len(iterates) <= seen.count("inv") <= res.newton_steps
+    if family == "diagonal":
+        assert res.w == pytest.approx([2.5], abs=1e-6) and seen.count("inv") == len(iterates)
+    else:
+        assert seen.count("inv") < res.newton_steps
 
 
 @pytest.mark.parametrize("inner", [2, 60])
@@ -498,37 +481,30 @@ def test_path_that_cannot_center_ends_within_its_rounds(inner, monkeypatch):
     # A last-round tolerance of 0 is never met, so the last of the ten mu
     # rounds (1, 0.05, ..., 1e-11) ends on its step cap or on a step that
     # makes no progress: the path returns within rounds × inner steps.
-    last = []
+    cert, last = subsolver._certificate, []
 
-    def stop(w, g, ginv, trs, mu, newton):
+    def recorded(s0, flat, reg, wt, g, ginv, step, decrement, mu):
         last.append(mu == subsolver._LAMBDA_MIN_MU_FINAL)
-        return False
+        return cert(s0, flat, reg, wt, g, ginv, step, decrement, mu)
 
     monkeypatch.setattr(subsolver, "_LAMBDA_MIN_TOL", 0.0)
     monkeypatch.setattr(subsolver, "_LAMBDA_MIN_INNER", inner)
-    w, steps = subsolver._barrier_path(
-        S0, subsolver._stack(FAMILY, 3), np.zeros(1), np.array([2.5]), stop=stop)
-    assert 0 < steps <= 10 * inner and 0 < sum(last) <= inner
-    assert w == pytest.approx([3.0], abs=1e-10)
+    monkeypatch.setattr(subsolver, "_certificate", recorded)
+    res = maximize_lambda_min(S0, FAMILY, reg=1e-10, stop_below=-np.inf)
+    assert 0 < res.newton_steps <= 10 * inner and 0 < sum(last) <= inner
+    assert res.w == pytest.approx([2.5], abs=1e-6)
 
 
-def test_start_outside_the_cone_is_refused():
-    # diag(1, w - 2, 3 - w) at w = 1 is not positive definite.
-    with pytest.raises(IterationLimitError, match="left the PSD cone"):
-        subsolver._barrier_path(
-            S0, subsolver._stack(FAMILY, 3), np.zeros(1), np.array([1.0]), stop=None)
-
-
-@pytest.mark.parametrize("s0, match", [
-    (np.diag([np.inf, 1.0]), "diverged"),
-    (np.diag([1e309, 1e309]), "diverged"),
-    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "left the PSD cone"),
+@pytest.mark.parametrize("s0", [
+    np.diag([np.inf, 1.0]), np.diag([1e309, 1e309]), np.array([[1.0, np.inf], [np.inf, 1.0]]),
 ])
-def test_non_finite_start_is_refused(s0, match):
-    # Cholesky gives diag(inf, 1) an infinite diagonal and fails on an
-    # infinite off-diagonal pair.
-    with pytest.raises(IterationLimitError, match=match):
-        subsolver._barrier_path(s0, np.eye(2)[None], np.zeros(1), np.zeros(1), stop=None)
+@pytest.mark.parametrize("mats", [[], [np.eye(2)]], ids=["empty", "identity"])
+def test_non_finite_start_is_refused(s0, mats):
+    # A non-finite S0 gives the start a non-finite or NaN half log det,
+    # whether its Cholesky factor fails or not: the run is refused, never
+    # answered.
+    with pytest.raises(IterationLimitError, match="diverged"):
+        maximize_lambda_min(s0, mats)
 
 
 # The same families by value, recorded with full centering at every mu:
@@ -542,12 +518,12 @@ BARRIER_VALUES = {
     "face-2": 48.337302351725675,
     "interior": None,
     "interior-2": None,
-    "lmin-above-exits": (1.8275572369251913, False, np.inf, 1.9597434199261252),
-    "lmin-above-full": (-0.5112598757049011, False, np.inf, -0.5112598757049011),
     "lmin-below-exits": (-1.4585937801522988, True, -1.2304401435690904, -1.425028116210471),
     "lmin-below-exits-9": (-4.01324242057408, True, -2.6775826770106077, -4.011105321380441),
     "lmin-below-full": (0.29300102946432344, False, 0.2930010301084823, 0.29300102946432344),
     "lmin-below-full-5": (0.6534013100878788, False, 0.6534013460466812, 0.6534013100878788),
+    "lmin-reg": (1.9597434199261252, False, np.inf, 1.9597434199261252),
+    "lmin-reg-1": (-0.5112598757049011, False, np.inf, -0.5112598757049011),
 }
 
 
@@ -572,18 +548,16 @@ def test_barrier_outputs_within_tolerance(case):
         value, below, upper, full_value = want
         res = maximize_lambda_min(s0, mats, **kwargs)
         assert res.below == below
-        if "stop_above" in kwargs and value > kwargs["stop_above"]:
-            assert res.value > kwargs["stop_above"]
-        elif not below:
+        if not below:
             assert res.value == pytest.approx(value, abs=1e-9)
         if "stop_below" in kwargs:
             assert full_value <= res.upper <= upper + 1e-9
 
 
-@pytest.mark.parametrize("case", sorted(c for c in BARRIER_CASES if "lmin-" in c and "-full" in c))
+@pytest.mark.parametrize("case", sorted(c for c in BARRIER_CASES if "lmin-" in c and "-exits" not in c))
 def test_full_lambda_min_runs_take_few_steps(case):
     # Inexact centering and the predictor: a full λ_min path takes at most
-    # 32 Newton steps on these families (18 to 21).
+    # 32 Newton steps on these families (18 to 23).
     _, family, kwargs = BARRIER_CASES[case]
     s0, mats = _family(*family)
     assert maximize_lambda_min(s0, mats, reg=kwargs["reg"]).newton_steps <= 32
