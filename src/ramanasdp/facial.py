@@ -27,10 +27,10 @@ Each certificate comes from one path: solve_alternative maximizes
 λ_min(𝒜*y) over an affine slice with the embedded barrier method
 (branches A and C) unless a linear certificate 𝒜*y = 0 exists (branch
 B); an optimum too weak to tell from rounding noise (NOISE_POWER) is
-NotFound, any other is polished onto its face at one tolerance,
-thresholded, re-polished on its support and revalidated exactly, or
-refused.  An infeasibility certificate that fails so gets one more try,
-with every polish step kept in the PSD cone.
+NotFound, any other is polished onto its face at one tolerance, polished
+again and revalidated exactly, or refused.  An infeasibility certificate
+that fails so gets one more try, with every polish step kept in the PSD
+cone.
 """
 
 from __future__ import annotations
@@ -63,12 +63,10 @@ STATUS_INFEASIBLE = "infeasible"
 CERT_STRICT_ONLY = "strict_only"
 CERT_INFEASIBILITY = "infeasibility"
 
-# Entries of a cleaned certificate below eps_round·scale are zeroed before
-# the final exact revalidation.
-EPS_ROUND = 1e-6
-
-# rows·y = rhs counts as solvable when the least-squares residual is at most
-# AFFINE_RESIDUAL_TOL·(1 + |rhs|).
+# rows·y = rhs counts as solvable when its least-squares solution y0 has
+# residual at most AFFINE_RESIDUAL_TOL·(1 + ‖rhs‖ + ‖rows‖₂·‖y0‖), a normwise
+# backward error (Rigal & Gaches 1967): a slice nearly parallel to rounding
+# has a large y0, which an absolute test would read as empty.
 AFFINE_RESIDUAL_TOL = 1e-10
 
 # Eigenvalues of the Gram matrix of the A_i below
@@ -234,7 +232,8 @@ def _affine_solutions(
     """Minimum-norm particular solution and nullspace basis of rows·y = rhs."""
     y0, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     res = float(np.linalg.norm(rows @ y0 - rhs))
-    if res > AFFINE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs))):
+    scale = 1.0 + float(np.linalg.norm(rhs) + np.linalg.norm(rows, 2) * np.linalg.norm(y0))
+    if res > AFFINE_RESIDUAL_TOL * scale:
         return None
     return y0, null_basis(rows)
 
@@ -322,7 +321,6 @@ def _polish_on_face(
     rows: np.ndarray,
     rhs: np.ndarray,
     face_tol: float,
-    support: Optional[np.ndarray] = None,
     in_cone: bool = False,
 ) -> np.ndarray:
     """Newton polish of y so the near-null eigenblock of 𝒜*y vanishes while
@@ -331,8 +329,7 @@ def _polish_on_face(
     Each of at most 8 rounds linearizes in the current eigenbasis:
     eigenvectors with |eigenvalue| ≤ face_tol span the active face, and
     the least-squares step solves v_aᵀ(𝒜*y)v_b = 0 on that face together
-    with the affine rows, minimally perturbing y (restricted to
-    ``support`` if given).
+    with the affine rows, minimally perturbing y.
     Steps are damped when the full update does not reduce the face
     residual, and the best iterate seen is returned (the face equations
     can be linearly unreachable, in which case polishing must not make
@@ -342,8 +339,7 @@ def _polish_on_face(
     of the full step when this is below 1.
     """
     y = np.asarray(y, dtype=float).copy()
-    cols = np.arange(inst.m) if support is None else support
-    mats = np.array([inst.a[j].a for j in cols]).reshape(len(cols), inst.n, inst.n)
+    mats = np.array([a.a for a in inst.a])
     n_active = int(np.sum(np.abs(np.linalg.eigvalsh(apply_at(inst, y).a)) <= face_tol))
     best = y.copy()
     best_res = _face_residual(inst, y, rows, rhs, face_tol, n_active)
@@ -351,10 +347,8 @@ def _polish_on_face(
         z = apply_at(inst, y).a
         lam, vecs = np.linalg.eigh(z)
         v = vecs[:, np.argsort(np.abs(lam))[:n_active]]
-        a_sys = np.vstack([_face_rows(mats, v), rows[:, cols]])
+        a_sys = np.vstack([_face_rows(mats, v), rows])
         b_sys = np.concatenate([-_face_rows(z[None], v)[:, 0], rhs - rows @ y])
-        if not a_sys.size:
-            return best
         delta, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
         if not np.all(np.isfinite(delta)):
             return best
@@ -366,8 +360,7 @@ def _polish_on_face(
             if grow > 1.0:
                 alpha = 1.0 / grow
         for _ in range(8):
-            cand = y.copy()
-            cand[cols] = cand[cols] + alpha * delta
+            cand = y + alpha * delta
             res = _face_residual(inst, cand, rows, rhs, face_tol, n_active)
             if res < best_res:
                 y = cand
@@ -394,8 +387,9 @@ def _clean_and_validate(
     """Turn a subsolver optimum into a certificate, or None.
 
     One path at one face tolerance: polish y onto the face of z = 𝒜*y,
-    zero the entries below EPS_ROUND of the largest, polish again on the
-    remaining support, then revalidate exactly.  The face tolerance is
+    polish the result again, then revalidate exactly.  No entry of y is
+    cut: a threshold on |y_i| against max|y| depends on how the rows are
+    scaled, which the answer must not.  The face tolerance is
     1e-5·scale, raised to just above the largest small positive eigenvalue
     of z (one below CLEAN_SPECTRUM_RATIO of the top): when the optimizer
     lands in the interior of a degenerate optimal face, flattening those
@@ -421,13 +415,9 @@ def _clean_and_validate(
     if small.size:
         face_tol = max(face_tol, min(2.0 * float(small[-1]), 0.5 * float(lam[-1])))
     for in_cone in (False, True) if target != 0.0 else (False,):
-        y_thr = _polish_on_face(inst, y, rows, rhs, face_tol, in_cone=in_cone)
-        # The rounding scale is the candidate's own magnitude: an absolute
-        # floor would zero meaningful entries of small-norm certificates.
-        y_thr[np.abs(y_thr) < EPS_ROUND * float(np.max(np.abs(y_thr)))] = 0.0
-        support = np.nonzero(y_thr)[0]
-        y_sup = _polish_on_face(inst, y_thr, rows, rhs, face_tol, support, in_cone=in_cone)
-        cert = _revalidate_candidate(inst, y_sup, target, eps)
+        y_pol = _polish_on_face(inst, y, rows, rhs, face_tol, in_cone=in_cone)
+        y_pol = _polish_on_face(inst, y_pol, rows, rhs, face_tol, in_cone=in_cone)
+        cert = _revalidate_candidate(inst, y_pol, target, eps)
         if cert is not None:
             return cert
     return None

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, JSON stability."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from ramanasdp.certfile import read_certificate, to_ramana_certificate, write_ce
 from ramanasdp.cli import main
 from ramanasdp.verify import LadderRung, RamanaCertificate, leading_zero_rungs
 
-from helpers import (
-    inst_gap_raw, inst_infeasible, inst_unattained, padded_certificate_text,
-    random_degenerate_instance,
-)
+from helpers import inst_gap_raw, inst_infeasible, inst_unattained, padded_certificate_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from gen import planted  # noqa: E402
 
 
 @pytest.fixture()
@@ -52,14 +54,12 @@ class TestInspect:
         assert data["n"] == 3 and data["m"] == 3
 
     def test_refused_probe_exit_one(self, tmp_path, capsys):
-        # A planted cascade with A_4 and b_4 scaled by 1e5: the alternative
-        # system's optimum lands inside the tolerance band, and the probe's
-        # refusal is reported as an error, not a traceback.
-        inst = random_degenerate_instance(np.random.default_rng(0), 7, 6, (2, 1, 1, 2))[0]
-        a, b = list(inst.a), inst.b.copy()
-        a[3], b[3] = SymMat(1e5 * a[3].a), 1e5 * b[3]
-        path = tmp_path / "scaled.dat-s"
-        write_sdpa(SdpInstance(a=tuple(a), b=b, c=inst.c), str(path))
+        # A planted infeasible cascade whose branch A optimum lands inside
+        # the tolerance band and resists cleanup: the probe's refusal is
+        # reported as an error, not a traceback.
+        inst = planted(np.random.default_rng(13), 7, (2, 1, 1, 2), 2, infeasible=True).inst
+        path = tmp_path / "refused.dat-s"
+        write_sdpa(inst, str(path))
         assert main(["inspect", str(path)]) == 1
         assert "error: alternative-system optimum is inside the tolerance band" in (
             capsys.readouterr().err)

@@ -41,6 +41,7 @@ from ramanasdp.facial import (
     _polish_on_face,
     _rank_split,
     _reduced_instance,
+    classical_alternative_feasible,
 )
 from ramanasdp.model import constraint_stack, smat, smat_stack
 from ramanasdp.subsolver import face_solve
@@ -461,6 +462,16 @@ class TestPrimalValue:
         assert primal_optimal_value(inst_strict()) == pytest.approx(3.0, abs=1e-6)
         assert primal_optimal_value(inst_infeasible()) == float("inf")
 
+    def test_zero_face_of_full_order(self):
+        # tr X = 0 leaves only X = 0: the certificate I fills the order
+        # (p = n), and the value is 0 with no face to solve.  With b = 0
+        # the slice <b, y> = -1 of the classical alternative is empty.
+        inst = SdpInstance.from_arrays([np.eye(2)], [0.0], np.eye(2))
+        rr = build_rr_form(inst)
+        assert (rr.status, rr.r) == (STATUS_FEASIBLE, (2,))
+        assert primal_optimal_value(inst, rr) == 0.0
+        assert not classical_alternative_feasible(inst)
+
     def test_unbounded_below_is_refused(self):
         # min <diag(-1, 1), X> s.t. X₁₂ = 0 is strictly feasible at I and
         # unbounded below along diag(1, 0): the face solve cannot converge,
@@ -671,15 +682,22 @@ class TestCertificateStrength:
         assert rr.status == STATUS_FEASIBLE
         assert rr.r == (2, 1, 1, 2) and sum(rr.r) == planted
 
-    def test_strength_does_not_depend_on_row_scale(self):
-        # Scaling one row by 1e5 rescales its y_i by 1e-5: the certificates
-        # are the same, and so is the RR form.
-        rng = np.random.default_rng(0)
+    @pytest.mark.parametrize("row", [0, 3])
+    @pytest.mark.parametrize("scale", [1e5, 1e-5, 1e8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_strength_does_not_depend_on_row_scale(self, seed, scale, row):
+        # Scaling one row and its b_j by f rescales its y_j by 1/f: the
+        # certificates are the same, and so is the RR form.  So cleanup may
+        # not cut a y_j for being small against max|y|, and the slice test
+        # may not read a slice with a large least-norm point as empty.
+        rng = np.random.default_rng(seed)
         inst, _, _ = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
-        a = [x.a for x in inst.a]
-        a[0], b = 1e5 * a[0], inst.b * np.r_[1e5, np.ones(inst.m - 1)]
+        a, b = [x.a for x in inst.a], inst.b.copy()
+        a[row], b[row] = scale * a[row], scale * b[row]
         rr = build_rr_form(SdpInstance.from_arrays(a, b, inst.c.a))
         assert (rr.status, rr.r, rr.k) == (STATUS_FEASIBLE, (2, 1, 1, 2), 4)
+
+    def test_rank_one_certificate_beside_a_large_row(self):
         # diag(1, 0) with b = 0 is a rank-one certificate, whatever the
         # scale of the other row.
         tiny = SdpInstance.from_arrays(
@@ -750,6 +768,16 @@ class TestSolveWorkloadDecisions:
             assert abs(float(red.b @ sol.y) - value) <= 1e-7 * (1.0 + abs(value))
             ran.add(op.name)
         assert ran == set(SEED_101_VALUES)
+
+    def test_seed_25_deep_cascade_is_answered(self, tmp_path):
+        # Op 17 of seed 25, a (2, 2, 2, 2) cascade at n = 9: a certificate
+        # of one round has entries below 1e-6·max|y| that it cannot do
+        # without.  The planted face is certified, and the op's check holds.
+        op = workloads.setup_solve(25, str(tmp_path))[17]
+        assert op.name == "17-deep-n9"
+        result = op.run()
+        op.check(result)
+        assert (result[0].status, result[0].r) == (STATUS_FEASIBLE, (2, 2, 2, 2))
 
 
 # primal_optimal_value on the feasible solve ops of seed 101, as the
