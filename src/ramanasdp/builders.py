@@ -452,11 +452,6 @@ def _free_sym_coeffs(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def _stack(mats: Sequence[SymMat], n: int) -> np.ndarray:
-    """The arrays of mats as one stack, of shape (len(mats), n, n)."""
-    return np.array([x.a for x in mats]).reshape(len(mats), n, n)
-
-
 def dram_size(n: int, m: int) -> tuple[int, int]:
     """(PSD block count, free scalar count) of the exact dual and of the
     alternative system: L = min(n-1, m) rungs U_1..U_L, L coupling blocks
@@ -568,7 +563,7 @@ def _dual_ladder(inst: SdpInstance, system: str) -> StandardFormSdp:
     # Row idx of at holds the coefficients of (𝒜*y)[p, q] on y, (p, q) the
     # idx-th svec pair.
     i, j = svec_index(n)
-    at = rows.free_rows(_dense_rows(_stack(inst.a, n)[:, i, j].T))
+    at = rows.free_rows(_dense_rows(inst.stack[:, i, j].T))
     b = int(rows.free_rows(_dense_rows(inst.b[None]))[0])
     labels = tuple("decomp" + s for s in _pair_labels(n)) + ("rhs",)
     slots = {f"y{i or ''}": VarSlot("free_vec", offset=m * i, length=m) for i in range(count + 1)}
@@ -605,7 +600,7 @@ def build_alt_ram(inst: SdpInstance) -> StandardFormSdp:
 def _primal_eq(rows: _Rows, inst: SdpInstance) -> None:
     """Adds the rows 𝒜X = b over the utri layout of X at free offset 0."""
     labels = tuple(str(t) for t in range(1, inst.m + 1))
-    free = rows.free_rows(_dense_rows(_free_sym_coeffs(_stack(inst.a, inst.n))))
+    free = rows.free_rows(_dense_rows(_free_sym_coeffs(inst.stack)))
     rows.add("primal_eq", labels, [], free, 0, inst.b)
 
 
@@ -622,7 +617,7 @@ def build_pram(inst: SdpInstance) -> StandardFormSdp:
     rows = _Rows()
     _primal_eq(rows, inst)
     labels = tuple(f"a{t + 1}" for t in range(m)) + ("c",)
-    k = _dense_mats(_stack(inst.a + (inst.c,), n))
+    k = _dense_mats(np.concatenate([inst.stack, inst.c.a[None]]))
     c = _free_sym_coeffs(inst.c.a)[None]
     unit = rows.free_rows(_Section(None, [1], None, [0], [1.0]))
     return _ladder_system(
@@ -678,7 +673,7 @@ def build_dstrong(inst: SdpInstance, spec: StrongDualSpec) -> StandardFormSdp:
     n11 = f * (f + 1) // 2
     k11, k22, k12 = _rotated(spec.q, f, 1.0)
     i, j = svec_index(n)
-    at = _stack(inst.a, n)[:, i, j].T
+    at = inst.stack[:, i, j].T
     rows = _Rows()
     free = np.concatenate([at, _free_sym_coeffs(k11), k12], axis=1)
     _strong_rows(rows, "slack_eq", n, inst.c.a[i, j], free, k22)

@@ -47,6 +47,7 @@ from .model import (
     SingularMError,
     apply_a,
     apply_at,
+    combine,
     constraint_stack,
     finite_stack,
     reformulate,
@@ -339,7 +340,6 @@ def _polish_on_face(
     of the full step when this is below 1.
     """
     y = np.asarray(y, dtype=float).copy()
-    mats = np.array([a.a for a in inst.a])
     n_active = int(np.sum(np.abs(np.linalg.eigvalsh(apply_at(inst, y).a)) <= face_tol))
     best = y.copy()
     best_res = _face_residual(inst, y, rows, rhs, face_tol, n_active)
@@ -347,7 +347,7 @@ def _polish_on_face(
         z = apply_at(inst, y).a
         lam, vecs = np.linalg.eigh(z)
         v = vecs[:, np.argsort(np.abs(lam))[:n_active]]
-        a_sys = np.vstack([_face_rows(mats, v), rows])
+        a_sys = np.vstack([_face_rows(inst.stack, v), rows])
         b_sys = np.concatenate([-_face_rows(z[None], v)[:, 0], rhs - rows @ y])
         delta, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
         if not np.all(np.isfinite(delta)):
@@ -356,7 +356,7 @@ def _polish_on_face(
         alpha = 1.0
         if in_cone and lam[0] > 0.0:
             half = vecs / np.sqrt(lam)
-            grow = float(np.linalg.eigvalsh(-half.T @ np.tensordot(delta, mats, 1) @ half)[-1])
+            grow = float(np.linalg.eigvalsh(-half.T @ np.tensordot(delta, inst.stack, 1) @ half)[-1])
             if grow > 1.0:
                 alpha = 1.0 / grow
         for _ in range(8):
@@ -438,7 +438,7 @@ def _slice_lambda_min(
         return None
     y0, null = sol
     s0 = apply_at(inst, y0).a
-    fam = [apply_at(inst, null[:, j]).a for j in range(null.shape[1])]
+    fam = combine(null.T, inst.stack, inst.n)
     res = subsolver.maximize_lambda_min(s0, fam, reg=reg, stop_below=stop_below)
     return s0, y0 + null @ res.w, res
 
@@ -499,14 +499,12 @@ def solve_alternative(
     m = inst.m
     if m == 0:
         return AltResult(found=False, max_lambda_min=None)
-    stack = constraint_stack(inst)
-    if _row_scale is None:
-        _row_scale = np.array([a.norm() for a in inst.a])
-    trace_row = np.array([float(np.trace(a.a)) for a in inst.a])
+    row_scale = inst.row_norms() if _row_scale is None else _row_scale
 
     # Branch A: <b, y> = 0 with trace(𝒜*y) = 1.
+    trace_row = np.trace(inst.stack, axis1=1, axis2=2)
     cert, best_t, ambiguous = _lambda_min_search(
-        inst, np.vstack([inst.b, trace_row]), np.array([0.0, 1.0]), 0.0, 1e-12, eps, _row_scale
+        inst, np.vstack([inst.b, trace_row]), np.array([0.0, 1.0]), 0.0, 1e-12, eps, row_scale
     )
     if cert is not None:
         return AltResult(found=True, certificate=cert, max_lambda_min=best_t)
@@ -518,6 +516,7 @@ def solve_alternative(
     # The combination is rescaled, so its matrix must be revalidated at the
     # final size: an approximately-null direction blown up by 1/<b, v> can
     # otherwise smuggle in a large matrix.
+    stack = constraint_stack(inst)
     gram = stack @ stack.T
     w_eig, w_vec = np.linalg.eigh(gram)
     null_mask = w_eig < max(1.0, float(w_eig[-1])) * GRAM_NULL_CUT
@@ -540,7 +539,7 @@ def solve_alternative(
 
     # Branch C: <b, y> = -1 with a ridge to bound the search.
     cert, t_c, ambiguous_c = _lambda_min_search(
-        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, _row_scale
+        inst, inst.b.reshape(1, -1), np.array([-1.0]), -1.0, 1e-8, eps, row_scale
     )
     if cert is not None:
         return AltResult(found=True, certificate=cert, max_lambda_min=t_c)
@@ -587,8 +586,7 @@ def _rank_split(lam: np.ndarray, eps: float, scale: float) -> int:
 
 def _reduced_instance(cur: SdpInstance, p: int, s: int) -> SdpInstance:
     """Sub-instance on the trailing (n-p)-block, rows s..m."""
-    mats = tuple(SymMat(ai.a[p:, p:]) for ai in cur.a[s:])
-    return SdpInstance(a=mats, b=cur.b[s:], c=SymMat(cur.c.a[p:, p:]))
+    return SdpInstance(a=cur.stack[s:, p:, p:], b=cur.b[s:], c=SymMat(cur.c.a[p:, p:]))
 
 
 def _replace_and_swap(m_total: np.ndarray, s: int, y_red: np.ndarray) -> np.ndarray:
@@ -673,7 +671,7 @@ def build_rr_form(inst: SdpInstance, eps: float = EPS_PSD) -> RrForm:
         red = _reduced_instance(cur, p, s)
         # The rows' norms at full order: cutting a row to the trailing
         # block can shrink it far below the scale of its rounding noise.
-        row_scale = np.array([ai.norm() for ai in cur.a[s:]])
+        row_scale = cur.row_norms()[s:]
         try:
             alt = solve_alternative(red, MODE_LEQ_ZERO, eps, _row_scale=row_scale)
         except IterationLimitError as exc:
@@ -718,7 +716,7 @@ def build_rr_form(inst: SdpInstance, eps: float = EPS_PSD) -> RrForm:
     # positive definite row 0.  The terminal row, if any, moves up to row 1.
     lead = k if status == STATUS_FEASIBLE else k - 1
     if lead >= 2 and sum(ranks[:lead]) == n:
-        coeffs = _pd_combination(cur.a[:lead], ranks[:lead], eps)
+        coeffs = _pd_combination(cur.stack[:lead], ranks[:lead], eps)
         e = np.eye(m)
         e[0, :lead] = coeffs
         order = [0] + list(range(lead, k)) + [i for i in range(1, m) if not lead <= i < k]
@@ -740,36 +738,30 @@ def build_rr_form(inst: SdpInstance, eps: float = EPS_PSD) -> RrForm:
     )
 
 
-def _pd_combination(
-    mats: Sequence[SymMat], ranks: Sequence[int], eps: float
-) -> np.ndarray:
+def _pd_combination(mats: np.ndarray, ranks: Sequence[int], eps: float) -> np.ndarray:
     """Positive weights making Σ w_i Y_i positive definite.
 
     Requires a regular facial reduction sequence whose block orders sum
-    to the full order.  Recursion from the back: combine the trailing
+    to the full order, as one (k, n, n) stack.  Recursion from the back: combine the trailing
     sub-sequence first, then one Schur-complement bound gives the weight
     of the leading member (smallest power of two exceeding the bound,
     escalated under classify_psd verification).
     """
-    k = len(mats)
-    n = mats[0].n
+    k, n = mats.shape[:2]
     if k == 1:
-        lam = np.linalg.eigvalsh(mats[0].a)
+        lam = np.linalg.eigvalsh(mats[0])
         if lam[0] <= 0:
             raise SubsolverFailureError("merge: single member not positive definite")
         # Scale so the result is PD with unit-ish norm.
         return np.array([1.0])
     p = int(ranks[0])
-    inner = [SymMat(y.a[p:, p:]) for y in mats[1:]]
-    v = _pd_combination(inner, ranks[1:], eps)
-    g = np.zeros((n, n))
-    for vi, y in zip(v, mats[1:]):
-        g += vi * y.a
+    v = _pd_combination(mats[1:, p:, p:], ranks[1:], eps)
+    g = combine(v[None], mats[1:], n)[0]
     b11 = g[:p, :p]
     e12 = g[:p, p:]
     h22 = g[p:, p:]
     lam_h = np.linalg.eigvalsh(h22)[0]
-    lam_1 = np.linalg.eigvalsh(mats[0].a[:p, :p])[0]
+    lam_1 = np.linalg.eigvalsh(mats[0, :p, :p])[0]
     if lam_h <= 0 or lam_1 <= 0:
         raise SubsolverFailureError("merge: inner combination lost definiteness")
     # In numpy floats, which overflow to inf; below 2^900, log2 errs by
@@ -780,7 +772,7 @@ def _pd_combination(
         raise SubsolverFailureError(f"merge: Schur bound {bound:.3e} is not below 2^900")
     lam = 2.0 ** int(np.ceil(np.log2(max(bound, 1.0)) + 1e-12))
     for _ in range(64):
-        total = lam * mats[0].a + g
+        total = lam * mats[0] + g
         if classify_psd(SymMat(total), eps).is_positive_definite:
             return np.concatenate([[lam], v])
         lam *= 2.0

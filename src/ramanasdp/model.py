@@ -13,6 +13,10 @@ A reformulation is an invertible recombination of the equality rows
 one orthonormal Q; it maps feasible sets by X ↦ QᵀXQ on the primal side
 and y ↦ M⁻ᵀy on the dual side.
 
+An instance holds its A_i once, as one read-only (m, n, n) stack; each
+A_i in ``a`` is a SymMat viewing one matrix of it.  The operators read the
+stack, and sum over i in order from +0.0, so no bit depends on the layout.
+
 classical_dual_instance rewrites the dual in equality form over its
 slack Z as one more instance: its A_j are an orthonormal basis D_1..D_ℓ
 of the orthogonal complement of span{A_i} in S^n (ℓ = n(n+1)/2 - m), its
@@ -22,7 +26,7 @@ b the values <D_j, C>, and its C the minimum-norm X0 with 𝒜X0 = b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,11 +71,13 @@ def svec_order(n: int) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def svec(a: SymMat) -> np.ndarray:
-    """Isometric vectorization of S^n (off-diagonals scaled by sqrt 2)."""
-    i, j = svec_index(a.n)
-    out = a.a[i, j]
-    out[a.n :] *= np.sqrt(2.0)
+def svec(a) -> np.ndarray:
+    """Isometric vectorization of S^n (off-diagonals scaled by sqrt 2), of
+    a SymMat or of each matrix of an (m, n, n) stack."""
+    a = a.a if isinstance(a, SymMat) else a
+    i, j = svec_index(a.shape[-1])
+    out = a[..., i, j]
+    out[..., a.shape[-1] :] *= np.sqrt(2.0)
     return out
 
 
@@ -93,30 +99,52 @@ def smat(v: np.ndarray, n: int) -> SymMat:
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """Immutable instance data (A_1..A_m, b, C) on S^n."""
+    """Immutable instance data (A_1..A_m, b, C) on S^n.
+
+    ``a`` is a sequence of SymMats or one (m, n, n) array of bitwise
+    symmetric matrices.  The A_i are held once, in ``stack``: an owned,
+    read-only, C-contiguous float64 input array as it is, any other input
+    copied.  ``a`` then holds a SymMat viewing each matrix of ``stack``.
+    """
 
     a: tuple[SymMat, ...]
     b: np.ndarray
     c: SymMat
     symmetrized: bool = field(default=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float).reshape(-1)
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", tuple(self.a))
-        if len(self.a) != b.shape[0]:
+        n, stack = self.c.n, self.a
+        if not isinstance(stack, np.ndarray):
+            stack = tuple(stack)
+            for i, ai in enumerate(stack):
+                if ai.n != n:
+                    raise DimensionMismatchError(f"A_{i + 1} has order {ai.n}, expected {n}")
+            stack = np.array([ai.a for ai in stack]) if stack else np.empty((0, n, n))
+        elif stack.ndim != 3 or stack.shape[1:] != (n, n):
+            raise DimensionMismatchError(f"A has shape {stack.shape}, expected (m, {n}, {n})")
+        elif stack.dtype != np.float64 or stack.flags.writeable or not (
+                stack.flags.owndata and stack.flags.c_contiguous):
+            stack = np.array(stack, dtype=float)
+        stack.flags.writeable = False
+        if len(stack) != b.shape[0]:
             raise DimensionMismatchError("len(A) must equal len(b)")
         if not np.all(np.isfinite(b)):
             raise ValueError("b has a non-finite entry")
         if not np.all(np.isfinite(self.c.a)):
             raise ValueError("C has a non-finite entry")
-        n = self.c.n
-        for i, ai in enumerate(self.a):
-            if ai.n != n:
-                raise DimensionMismatchError(f"A_{i + 1} has order {ai.n}, expected {n}")
-            if not np.all(np.isfinite(ai.a)):
-                raise ValueError(f"A_{i + 1} has a non-finite entry")
+        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"A_{bad[0] + 1} has a non-finite entry")
+        a = tuple(SymMat(ai) for ai in stack)  # views, but of asymmetric or huge entries
+        bad = [i for i, ai in enumerate(a) if ai.a.tobytes() != stack[i].tobytes()]
+        if bad:
+            raise ValueError(f"A_{bad[0] + 1} is not bitwise symmetric")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:
@@ -124,11 +152,14 @@ class SdpInstance:
 
     @property
     def m(self) -> int:
-        return len(self.a)
+        return len(self.stack)
+
+    def row_norms(self) -> np.ndarray:
+        """The Frobenius norm of each A_i."""
+        return np.array([np.linalg.norm(ai) for ai in self.stack])
 
     def scale_factor(self) -> float:
-        norms = [ai.norm() for ai in self.a] + [self.c.norm(), float(np.linalg.norm(self.b))]
-        return 1.0 + max(norms)
+        return 1.0 + max([*self.row_norms().tolist(), self.c.norm(), float(np.linalg.norm(self.b))])
 
     @staticmethod
     def from_arrays(a_list: Sequence, b: Sequence[float], c) -> "SdpInstance":
@@ -138,24 +169,28 @@ class SdpInstance:
         by <A, X> with symmetric X); the ``symmetrized`` flag records
         that an adjustment happened.
         """
-        adjusted = False
-        mats = []
-        for raw in a_list:
-            arr = np.array(raw, dtype=float)
-            if not np.array_equal(arr, arr.T):
-                adjusted = True
-            mats.append(SymMat(arr))
-        c_arr = np.array(c, dtype=float)
-        if not np.array_equal(c_arr, c_arr.T):
-            adjusted = True
-        return SdpInstance(a=tuple(mats), b=np.asarray(b, dtype=float), c=SymMat(c_arr), symmetrized=adjusted)
+        raw = [np.array(x, dtype=float) for x in (*a_list, c)]
+        adjusted = not all(np.array_equal(x, x.T) for x in raw)
+        return SdpInstance(a=tuple(SymMat(x) for x in raw[:-1]), b=np.asarray(b, dtype=float),
+                           c=SymMat(raw[-1]), symmetrized=adjusted)
 
 
 def apply_a(inst: SdpInstance, x: SymMat) -> np.ndarray:
     """The operator 𝒜X = (<A_1,X>, ..., <A_m,X>)ᵀ."""
     if x.n != inst.n:
         raise DimensionMismatchError(f"X has order {x.n}, instance has {inst.n}")
-    return np.array([ai.inner(x) for ai in inst.a])
+    return np.sum(inst.stack * x.a, axis=(1, 2))
+
+
+def combine(w: np.ndarray, mats: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Σ_j w_ij·mats[j] for each row i of w, as one (len(w), n, n) stack, in
+    apply_at's order of j from +0.0 (an einsum over j sums in another order
+    at n = 1, tensordot at any n).  Each term is an einsum outer product,
+    which allocates no buffer for its operands, as broadcasting would."""
+    out = np.zeros((len(w), n, n))
+    for wj, aj in zip(w.T, mats):
+        out += np.einsum("i,kl->ikl", wj, aj)
+    return out
 
 
 def apply_at(inst: SdpInstance, y: Sequence[float]) -> SymMat:
@@ -164,9 +199,9 @@ def apply_at(inst: SdpInstance, y: Sequence[float]) -> SymMat:
     if y.shape[0] != inst.m:
         raise DimensionMismatchError(f"y has length {y.shape[0]}, instance has m = {inst.m}")
     out = np.zeros((inst.n, inst.n))
-    for yi, ai in zip(y, inst.a):
+    for yi, ai in zip(y.tolist(), inst.stack):
         if yi != 0.0:
-            out += yi * ai.a
+            out += yi * ai
     return SymMat(out)
 
 
@@ -244,18 +279,12 @@ def reformulate(inst: SdpInstance, ref: Reformulation) -> SdpInstance:
         raise DimensionMismatchError("M must be m×m")
     if ref.q.shape != (inst.n, inst.n):
         raise DimensionMismatchError("Q must be n×n")
-    rotated = [SymMat(ref.q.T @ ai.a @ ref.q) for ai in inst.a]
-    new_a = []
-    for i in range(inst.m):
-        acc = np.zeros((inst.n, inst.n))
-        for j in range(inst.m):
-            mij = ref.m_rows[i, j]
-            if mij != 0.0:
-                acc += mij * rotated[j].a
-        new_a.append(SymMat(acc))
-    new_b = ref.m_rows @ inst.b
+    # Rotated one at a time: no rotated copy of the stack is held.
+    rotated = (SymMat(ref.q.T @ aj @ ref.q).a for aj in inst.stack)
+    new_a = combine(ref.m_rows, rotated, inst.n)
+    new_a.flags.writeable = False
     new_c = SymMat(ref.q.T @ inst.c.a @ ref.q)
-    return SdpInstance(a=tuple(new_a), b=new_b, c=new_c)
+    return SdpInstance(a=new_a, b=ref.m_rows @ inst.b, c=new_c)
 
 
 def instances_close(i1: SdpInstance, i2: SdpInstance, tol: float = RECON_TOL) -> bool:
@@ -263,24 +292,13 @@ def instances_close(i1: SdpInstance, i2: SdpInstance, tol: float = RECON_TOL) ->
     if i1.n != i2.n or i1.m != i2.m:
         return False
     scale = max(i1.scale_factor(), i2.scale_factor())
-    if np.max(np.abs(i1.b - i2.b)) > tol * scale:
-        return False
-    if np.max(np.abs(i1.c.a - i2.c.a)) > tol * scale:
-        return False
-    return all(
-        np.max(np.abs(a1.a - a2.a)) <= tol * scale for a1, a2 in zip(i1.a, i2.a)
-    )
+    pairs = ((i1.b, i2.b), (i1.c.a, i2.c.a), (i1.stack, i2.stack))
+    return all(np.max(np.abs(x - y)) <= tol * scale for x, y in pairs)
 
 
 def constraint_stack(inst: SdpInstance) -> np.ndarray:
     """m × n(n+1)/2 matrix whose rows are svec(A_i), on one svec_index."""
-    n = inst.n
-    i, j = svec_index(n)
-    out = np.empty((inst.m, i.size))
-    for row, ai in zip(out, inst.a):
-        row[:] = ai.a[i, j]
-    out[:, n:] *= np.sqrt(2.0)
-    return out
+    return svec(inst.stack)
 
 
 def finite_stack(inst: SdpInstance) -> np.ndarray:
@@ -324,8 +342,9 @@ def classical_dual_instance(inst: SdpInstance) -> SdpInstance:
     n = inst.n
     stack = independent_stack(inst)
     q, _ = np.linalg.qr(stack.T, mode="complete")
-    d_mats = tuple(SymMat(d) for d in smat_stack(q[:, inst.m :], n))
-    d_vals = np.array([dj.inner(inst.c) for dj in d_mats])
+    d_mats = smat_stack(q[:, inst.m :], n)
+    d_mats.flags.writeable = False
+    d_vals = np.sum(d_mats * inst.c.a, axis=(1, 2))
     if inst.m:
         x0_vec, residual, *_ = np.linalg.lstsq(stack, inst.b, rcond=None)
         res = float(np.linalg.norm(stack @ x0_vec - inst.b))

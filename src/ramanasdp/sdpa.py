@@ -102,8 +102,8 @@ def instance_chunks(inst: SdpInstance) -> Iterator[str]:
     yield "\n".join([str(inst.m), "1", str(inst.n), " ".join(map(repr, inst.b.tolist()))]) + "\n"
     i, j = np.triu_indices(inst.n)
     ij = _ij_texts(inst.n)
-    for t, mat in enumerate((inst.c,) + tuple(inst.a)):
-        tri = mat.a[i, j]
+    for t, mat in enumerate((inst.c.a, *inst.stack)):
+        tri = mat[i, j]
         k = np.flatnonzero(tri)
         pre, entries = f"{t} 1 ", zip(i[k].tolist(), j[k].tolist(), tri[k].tolist())
         yield "".join([f"{pre}{ij[a][b]}{x!r}\n" for a, b, x in entries])
@@ -309,7 +309,7 @@ def read_sdpa_text(text: str) -> SdpInstance:
             raise ParseError("right-hand side value is not finite", lineno)
     if len(b_vals) != m:
         raise ParseError(f"expected {m} rhs values, got {len(b_vals)}", lineno)
-    mats = [np.zeros((n, n)) for _ in range(m + 1)]
+    c, stack = np.zeros((n, n)), np.zeros((m, n, n))
     seen: set[tuple[int, int, int, int]] = set()
     while pos < len(lines):
         lineno, toks = take()
@@ -331,6 +331,7 @@ def read_sdpa_text(text: str) -> SdpInstance:
             raise ParseError(f"block index {blkno} outside 1..{nblocks}", lineno)
         if j < i:
             raise ParseError(f"lower-triangle entry ({i},{j}); upper required", lineno)
+        mat = stack[matno - 1] if matno else c
         if diagonal:
             if i != j:
                 raise ParseError("off-diagonal entry in a diagonal block", lineno)
@@ -338,17 +339,13 @@ def read_sdpa_text(text: str) -> SdpInstance:
             if not 1 <= i <= size:
                 raise ParseError(f"index {i} outside diagonal block of size {size}", lineno)
             gi = offsets[blkno - 1] + i - 1
-            mats[matno][gi, gi] = value
+            mat[gi, gi] = value
         else:
             if not 1 <= i <= j <= n:
                 raise ParseError(f"index ({i},{j}) outside block of order {n}", lineno)
-            mats[matno][i - 1, j - 1] = value
-            mats[matno][j - 1, i - 1] = value
-    return SdpInstance(
-        a=tuple(SymMat(mats[t]) for t in range(1, m + 1)),
-        b=np.array(b_vals),
-        c=SymMat(mats[0]),
-    )
+            mat[i - 1, j - 1] = mat[j - 1, i - 1] = value
+    stack.flags.writeable = False
+    return SdpInstance(a=stack, b=np.array(b_vals), c=SymMat(c))
 
 
 def read_sdpa(path: str) -> SdpInstance:

@@ -247,10 +247,7 @@ def maximize_lambda_min(
     """
     d, n = len(mats), s0.shape[0]
     k = d + 1
-    fam = np.zeros((k, n, n))
-    for i, m in enumerate(mats):
-        fam[i] = m
-    np.fill_diagonal(fam[d], -1.0)
+    fam = np.concatenate([np.reshape(mats, (d, n, n)), np.diag(np.full(n, -1.0))[None]])
     flat = fam.reshape(k, n * n)
     certify = stop_below is not None and (reg > 0.0 or d == 0)
     upper, below = np.inf, False

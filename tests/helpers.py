@@ -18,7 +18,7 @@ from ramanasdp import (
 )
 from ramanasdp.builders import StandardFormSdp
 from ramanasdp.facial import STATUS_FEASIBLE, RrForm, _reduced_instance, null_basis
-from ramanasdp.model import constraint_stack, smat
+from ramanasdp.model import constraint_stack, smat, svec_index
 from ramanasdp.certfile import (
     certificate_to_text,
     check_instance_binding,
@@ -93,6 +93,43 @@ def canonical_basis_reference(v: np.ndarray) -> np.ndarray:
         k = int(np.argmax(norms_sq >= norms_sq.max() - EIG_CLUSTER_TOL))
         out[:, j] = p[:, k] / np.sqrt(norms_sq[k])
         p = p - np.outer(out[:, j], out[:, j])
+    return out
+
+
+# Per-matrix loops over the A_i as SymMats: the references that the model's
+# operators on the instance's one stack must match bit for bit.
+
+def loop_apply_a(inst: SdpInstance, x: SymMat) -> np.ndarray:
+    return np.array([ai.inner(x) for ai in inst.a])
+
+
+def loop_apply_at(inst: SdpInstance, y) -> SymMat:
+    out = np.zeros((inst.n, inst.n))
+    for yi, ai in zip(y, inst.a):
+        if yi != 0.0:
+            out += yi * ai.a
+    return SymMat(out)
+
+
+def loop_reformulate(inst: SdpInstance, m_rows: np.ndarray, q: np.ndarray) -> SdpInstance:
+    rotated = [SymMat(q.T @ ai.a @ q) for ai in inst.a]
+    new_a = []
+    for i in range(inst.m):
+        acc = np.zeros((inst.n, inst.n))
+        for j in range(inst.m):
+            if m_rows[i, j] != 0.0:
+                acc += m_rows[i, j] * rotated[j].a
+        new_a.append(SymMat(acc))
+    return SdpInstance(a=tuple(new_a), b=m_rows @ inst.b, c=SymMat(q.T @ inst.c.a @ q))
+
+
+def loop_constraint_stack(inst: SdpInstance) -> np.ndarray:
+    n = inst.n
+    i, j = svec_index(n)
+    out = np.empty((inst.m, i.size))
+    for row, ai in zip(out, inst.a):
+        row[:] = ai.a[i, j]
+    out[:, n:] *= np.sqrt(2.0)
     return out
 
 

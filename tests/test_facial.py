@@ -328,6 +328,10 @@ def _merged(mats, coeffs):
     return SymMat(sum(c * y.a for c, y in zip(coeffs, mats)))
 
 
+def _stacked(mats) -> np.ndarray:
+    return np.array([y.a for y in mats])
+
+
 class TestMergeToBound:
     """build_rr_form's merge to k ≤ n - 1: _pd_combination's weights of a
     sequence whose blocks fill the order."""
@@ -335,7 +339,7 @@ class TestMergeToBound:
     def test_full_rank_collapse(self):
         # Schur bound: lam * diag(1,0) + [[0,1],[1,1]] is PD for lam > 1.
         mats = (SymMat.diag([1, 0]), SymMat([[0, 1], [1, 1]]))
-        coeffs = _pd_combination(mats, (1, 1), EPS_PSD)
+        coeffs = _pd_combination(_stacked(mats), (1, 1), EPS_PSD)
         assert classify_psd(_merged(mats, coeffs)).is_positive_definite
         assert coeffs[0] > 1.0  # exceeds the hand-computed bound
 
@@ -344,7 +348,7 @@ class TestMergeToBound:
         # determinant 1e-7 and is not PD to tolerance; doubling to 8 is.
         e = np.sqrt(4.0 - 1e-7)
         mats = (SymMat([[1, 0], [0, 0]]), SymMat([[0, e], [e, 1]]))
-        coeffs = _pd_combination(mats, (1, 1), EPS_PSD)
+        coeffs = _pd_combination(_stacked(mats), (1, 1), EPS_PSD)
         assert classify_psd(_merged(mats, coeffs)).is_positive_definite
         assert coeffs.tolist() == [8.0, 1.0]
 
@@ -354,7 +358,7 @@ class TestMergeToBound:
         y1 = SymMat.diag([1, 0, 0])
         y2 = SymMat([[0, 5, 9], [5, 1, 0], [9, 0, 0]])
         y3 = SymMat.diag([0, 0, 1])
-        coeffs = _pd_combination((y1, y2, y3), (1, 1, 1), EPS_PSD)
+        coeffs = _pd_combination(_stacked((y1, y2, y3)), (1, 1, 1), EPS_PSD)
         assert classify_psd(_merged((y1, y2, y3), coeffs)).is_positive_definite
         assert np.all(coeffs > 0)
 
@@ -364,7 +368,7 @@ class TestMergeToBound:
         # refused by name, not raised as OverflowError.
         mats = (SymMat.diag([lead, 0.0]), SymMat([[0.0, off], [off, 1.0]]))
         with pytest.raises(SubsolverFailureError, match="merge: Schur bound inf is not below 2"):
-            _pd_combination(mats, (1, 1), EPS_PSD)
+            _pd_combination(_stacked(mats), (1, 1), EPS_PSD)
 
     @pytest.mark.parametrize("members, ranks, match", [
         ([[1.0, 0.0]], [2], "single member not positive definite"),
@@ -374,7 +378,7 @@ class TestMergeToBound:
         # The recursion's last member, diag(1, 0), is singular; and the
         # leading block of diag(0, 0) is, under a definite inner member.
         with pytest.raises(SubsolverFailureError, match=f"merge: {match}"):
-            _pd_combination([SymMat(np.diag(d)) for d in members], ranks, 1e-8)
+            _pd_combination(np.array([np.diag(d) for d in members]), ranks, 1e-8)
 
 
 

@@ -25,10 +25,16 @@ from ramanasdp import (
     weak_duality_gap,
 )
 
+from ramanasdp.model import constraint_stack
+
 from helpers import (
     inst_gap_raw,
     inst_gap_rr,
     inst_unattained,
+    loop_apply_a,
+    loop_apply_at,
+    loop_constraint_stack,
+    loop_reformulate,
     random_instance,
     random_orthonormal,
     random_sym,
@@ -299,6 +305,102 @@ class TestIngestion:
             SdpInstance.from_arrays(a, b, c)
 
 
+def _frozen_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m random symmetric matrices of order n as an owned, read-only stack,
+    with exact zeros and -0.0 entries; past order 1 every A_i is -0.0 at
+    (0, 1), so a sum over i not started from +0.0 shows."""
+    g = rng.standard_normal((m, n, n))
+    g[rng.random(g.shape) < 0.3] = 0.0
+    a = g + g.transpose(0, 2, 1)
+    neg = rng.random(a.shape) < 0.2
+    a[neg | neg.transpose(0, 2, 1)] = -0.0
+    if n > 1:
+        a[:, 0, 1] = a[:, 1, 0] = -0.0
+    a.flags.writeable = False
+    return a
+
+
+def _with_zeros(rng: np.random.Generator, shape) -> np.ndarray:
+    w = rng.standard_normal(shape)
+    w[rng.random(shape) < 0.3] = 0.0
+    return w
+
+
+class TestOneStack:
+    """An instance holds its A_i once, in one read-only stack; the operators
+    on it keep the bits of the per-matrix loops of tests/helpers.py."""
+
+    # n = 1 with m ≥ 5 is where einsum sums in another order.
+    @pytest.mark.parametrize("m, n", [(6, 1), (9, 1), (5, 2), (7, 4), (12, 9), (3, 16)])
+    def test_operators_keep_the_bits_of_the_per_matrix_loops(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        inst = SdpInstance(a=_frozen_stack(rng, m, n), b=rng.standard_normal(m),
+                           c=random_sym(rng, n))
+        y = _with_zeros(rng, m)
+        y[0] = 0.0
+        x = random_sym(rng, n)
+        assert apply_at(inst, y).a.tobytes() == loop_apply_at(inst, y).a.tobytes()
+        assert apply_a(inst, x).tobytes() == loop_apply_a(inst, x).tobytes()
+        assert constraint_stack(inst).tobytes() == loop_constraint_stack(inst).tobytes()
+        m_rows = _with_zeros(rng, (m, m)) + 4.0 * np.eye(m)
+        q = random_orthonormal(rng, n)
+        got = reformulate(inst, Reformulation(m_rows, q))
+        want = loop_reformulate(inst, m_rows, q)
+        assert got.stack.tobytes() == want.stack.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+        assert got.c.a.tobytes() == want.c.a.tobytes()
+
+    def test_each_a_i_is_a_view_of_the_stack(self):
+        inst = random_instance(np.random.default_rng(3), 4, 3)
+        assert inst.stack.shape == (3, 4, 4) and inst.stack.flags.owndata
+        assert all(ai.a.base is inst.stack for ai in inst.a)
+
+    @pytest.mark.parametrize("target", ["stack", "a_i"])
+    def test_writing_to_the_stack_is_refused(self, target):
+        inst = random_instance(np.random.default_rng(5), 3, 2)
+        arr = inst.stack if target == "stack" else inst.a[1].a
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+    def test_an_owned_frozen_array_is_held(self):
+        a = _frozen_stack(np.random.default_rng(7), 3, 4)
+        inst = SdpInstance(a=a, b=np.zeros(3), c=SymMat.identity(4))
+        assert inst.stack is a and inst.a[2].a.base is a
+
+    @pytest.mark.parametrize("case", ["writable", "view", "list"])
+    def test_other_inputs_are_copied(self, case):
+        a = _frozen_stack(np.random.default_rng(11), 3, 4)
+        x = {"writable": lambda: a[1:].copy(), "view": lambda: a[1:],
+             "list": lambda: [SymMat(ai) for ai in a[1:]]}[case]()
+        inst = SdpInstance(a=x, b=np.zeros(2), c=SymMat.identity(4))
+        assert inst.stack.flags.owndata and not inst.stack.flags.writeable
+        assert not np.shares_memory(inst.stack, a)
+        assert inst.stack.tobytes() == a[-2:].tobytes()
+
+    @pytest.mark.parametrize("other", [1.0, 0.0], ids=["value", "signed-zero"])
+    def test_an_array_that_is_not_bitwise_symmetric_is_refused(self, other):
+        a = np.zeros((2, 3, 3))
+        a[1, 0, 2], a[1, 2, 0] = -0.0, other
+        with pytest.raises(ValueError, match="A_2 is not bitwise symmetric"):
+            SdpInstance(a=a, b=np.zeros(2), c=SymMat.identity(3))
+
+    @pytest.mark.parametrize("change", ["order", "m", "b", "c", "a"])
+    def test_instances_close_tells_each_part(self, change):
+        inst = random_instance(np.random.default_rng(13), 3, 2)
+        a, b, c = inst.stack, inst.b, inst.c
+        bump = np.zeros((3, 3))
+        bump[1, 1] = 1e-6
+        other = {
+            "order": lambda: random_instance(np.random.default_rng(13), 4, 2),
+            "m": lambda: SdpInstance(a=a[:1], b=b[:1], c=c),
+            "b": lambda: SdpInstance(a=a, b=b + [0.0, 1e-6], c=c),
+            "c": lambda: SdpInstance(a=a, b=b, c=c + SymMat(bump)),
+            "a": lambda: SdpInstance(a=a + [np.zeros((3, 3)), bump], b=b, c=c),
+        }[change]()
+        assert instances_close(inst, SdpInstance(a=a, b=b, c=c), tol=0.0)
+        assert not instances_close(inst, other)
+
+
 # (id, call, message): one row per shape refusal of model.py.  Each call
 # gets data of the right kind but of one wrong size.
 SHAPE_ROWS = [
@@ -306,6 +408,8 @@ SHAPE_ROWS = [
      "len(A) must equal len(b)"),
     ("a-order", lambda: SdpInstance(a=(SymMat.identity(3),), b=np.zeros(1), c=SymMat.identity(2)),
      "A_1 has order 3, expected 2"),
+    ("a-stack-shape", lambda: SdpInstance(a=np.zeros((1, 3, 3)), b=np.zeros(1), c=SymMat.identity(2)),
+     "A has shape (1, 3, 3), expected (m, 2, 2)"),
     ("y-length", lambda: apply_at(inst_unattained(), [1.0, 2.0]),
      "y has length 2, instance has m = 3"),
     ("m-shape", lambda: reformulate(inst_unattained(), Reformulation(np.eye(2), np.eye(3))),

@@ -203,10 +203,19 @@ def _frozen(entries, dtype=float) -> np.ndarray:
     return a
 
 
+def _frozen_view(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, which stays writable."""
+    v = a[:]
+    v.flags.writeable = False
+    return v
+
+
 class TestStorage:
-    """A SymMat holds a read-only, owned, bitwise-symmetric float64 array
-    within ±DBL_MAX/2 as it is; it copies and averages every other input
-    as (A + Aᵀ)/2 in float64, halving first where A + Aᵀ would overflow."""
+    """A SymMat holds a read-only, C-contiguous, bitwise-symmetric float64
+    array within ±DBL_MAX/2 that owns its data, or is a view of a
+    read-only array that does, as it is; it copies and averages every
+    other input as (A + Aᵀ)/2 in float64, halving first where A + Aᵀ would
+    overflow."""
 
     def test_frozen_symmetric_array_is_held(self):
         rng = np.random.default_rng(37)
@@ -220,8 +229,16 @@ class TestStorage:
         assert s.a is a and SymMat(s.a).a is a
         assert s.a.tobytes() == ((a + a.T) / 2.0).tobytes()
 
+    def test_view_of_a_frozen_array_is_held(self):
+        g = np.random.default_rng(41).standard_normal((4, 4))
+        owner = _frozen(np.stack([g + g.T, np.eye(4)]))
+        for x in (owner[0], owner[:][1]):
+            s = SymMat(x)
+            assert s.a is x and s.a.base is owner
+
     @pytest.mark.parametrize(
-        "case", ["writable", "view", "float32", "nonsymmetric", "above_half_max", "list"]
+        "case", ["writable", "view_of_writable", "strided_view", "float32", "nonsymmetric",
+                 "above_half_max", "list"]
     )
     def test_other_inputs_are_copied_and_averaged(self, case):
         rng = np.random.default_rng(41)
@@ -230,7 +247,8 @@ class TestStorage:
         big = np.nextafter(np.finfo(float).max / 2.0, np.inf)
         x = {
             "writable": lambda: sym.copy(),
-            "view": lambda: _frozen(sym)[:],
+            "view_of_writable": lambda: _frozen_view(sym.copy()),
+            "strided_view": lambda: _frozen(np.stack([sym, sym], axis=1))[:, 0],
             "float32": lambda: _frozen(sym, np.float32),
             "nonsymmetric": lambda: _frozen(g),
             "above_half_max": lambda: _frozen(np.diag([big, 1.0, 2.0, 3.0])),
@@ -255,6 +273,16 @@ class TestStorage:
     def test_refuses_entries_of_the_wrong_shape(self, entries, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SymMat(entries)
+
+    @pytest.mark.parametrize("name", ["_a", "a", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        s = SymMat.identity(2)
+        with pytest.raises(AttributeError, match="SymMat is immutable"):
+            setattr(s, name, np.zeros((2, 2)))
+        assert s.a.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_repr_names_the_order(self):
+        assert repr(SymMat.zero(3)) == "SymMat(n=3)"
 
     def test_writing_to_the_input_leaves_the_matrix(self):
         x = np.array([[1.0, 2.0], [2.0, 3.0]])
