@@ -51,6 +51,8 @@ from .model import (
     constraint_stack,
     finite_stack,
     reformulate,
+    smat,
+    svec,
 )
 from .subsolver import IterationLimitError, svd_rank
 from .symmat import EPS_PSD, SymMat, classify_psd, eig
@@ -606,15 +608,29 @@ def _replace_and_swap(m_total: np.ndarray, s: int, y_red: np.ndarray) -> np.ndar
 
 def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
     """Strictly feasible point of the reduced instance, its trace-penalised
-    center (subsolver.face_center), embedded at order n."""
+    center X' (subsolver.face_center), embedded at order n.
+
+    X' is its own witness of the feasible answer: with d the least-norm
+    solution of rows·d = rows·svec(X') - b', X' - smat(d) is on the exact
+    face, and positive definite when λ_min(X') > ‖smat(d)‖₂.  A center
+    without that margin is refused.
+    """
     n = cur.n
     if p == n:
         return SymMat.zero(n)
     red = _reduced_instance(cur, p, s)
-    x_red = subsolver.face_center(constraint_stack(red), red.b, red.n)
+    rows = constraint_stack(red)
+    x_red = subsolver.face_center(rows, red.b, red.n)
     if x_red is None:
         raise SubsolverFailureError(
             "reduced instance reported strictly feasible but no interior point was found"
+        )
+    d, *_ = np.linalg.lstsq(rows, rows @ svec(x_red) - red.b, rcond=None)
+    lam, off = float(np.linalg.eigvalsh(x_red)[0]), float(np.linalg.norm(smat(d, red.n).a, 2))
+    if not lam > off:
+        raise SubsolverFailureError(
+            f"the reduced instance's center is not interior to its face: λ_min {lam:.3e}"
+            f" is not above the norm {off:.3e} of its move onto the face"
         )
     return SymMat(x_red).embed(n, p)
 

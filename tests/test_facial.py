@@ -701,6 +701,19 @@ class TestCertificateStrength:
         rr = build_rr_form(SdpInstance.from_arrays(a, b, inst.c.a))
         assert (rr.status, rr.r, rr.k) == (STATUS_FEASIBLE, (2, 1, 1, 2), 4)
 
+    @pytest.mark.parametrize("seed, scale", [(28, 1e-5), (0, 1e-8)])
+    def test_a_center_off_its_face_is_refused(self, seed, scale):
+        # Row 0 and b_0 times a small f: the λ_min search finds no
+        # certificate, and the answer would be feasible with r = (), short of
+        # the planted (2, 1, 1, 2).  The center it would stand on is not
+        # positive definite, so no interior point backs that answer.
+        rng = np.random.default_rng(seed)
+        inst, _, _ = random_degenerate_instance(rng, 7, 6, (2, 1, 1, 2))
+        a, b = [x.a for x in inst.a], inst.b.copy()
+        a[0], b[0] = scale * a[0], scale * b[0]
+        with pytest.raises(SubsolverFailureError, match="center is not interior to its face"):
+            build_rr_form(SdpInstance.from_arrays(a, b, inst.c.a))
+
     def test_rank_one_certificate_beside_a_large_row(self):
         # diag(1, 0) with b = 0 is a rank-one certificate, whatever the
         # scale of the other row.
