@@ -15,11 +15,14 @@ wrong.  ``--shape N,M,B1,B2,...`` probes
 which has no M), for example the thin-face shapes 7,5,2,2,2 /
 12,7,2,2,2,2,3 / 5,4,2,2 / 8,8,1,1,1,1,1,1.
 
-    python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--shape N,M,B1,...] [--out FILE]
+    python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--shape N,M,B1,...]
+                                   [--out FILE] [--compare FILE]
 
 N defaults to 1,000 (about 90 s in either mode on a 2-core Xeon).
-``--out`` writes the per-seed answers as JSON, so two runs can be compared
-seed by seed.  Not a test: pytest collects only ``tests`` and ``bench``.
+``--out`` writes the per-seed answers as JSON.  ``--compare`` diffs this
+run against such a file and prints each seed whose answer moved, with the
+old and the new answer, so a digest that changes points at its seeds.
+Not a test: pytest collects only ``tests`` and ``bench``.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ def probe(seed: int, infeasible: bool, shape=SHAPE) -> tuple[list, bool]:
     return answer, rr.status != "feasible" or sum(rr.r) != rank_sum
 
 
+def compare(new: list, old: list) -> list[str]:
+    """``seed: old -> new`` for each seed that both runs probed and whose
+    answer differs."""
+    return [f"{seed}: {b} -> {a}" for seed, (a, b) in enumerate(zip(new, old)) if a != b]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=1000, help="probe seeds 0..N-1")
@@ -75,6 +84,7 @@ def main(argv=None) -> int:
     ap.add_argument("--shape", type=parse_shape, default=SHAPE, metavar="N,M,B1,B2,...",
                     help="order, rows and planted blocks (default 7,6,2,1,1,2)")
     ap.add_argument("--out", help="write the per-seed answers to this JSON file")
+    ap.add_argument("--compare", metavar="FILE", help="diff against a file written by --out")
     args = ap.parse_args(argv)
     answers, refused, wrong = [], [], []
     for seed in range(args.seeds):
@@ -91,7 +101,18 @@ def main(argv=None) -> int:
     print(f"refused {len(refused)} of {args.seeds}: {refused}")
     print(f"wrong {len(wrong)}: {wrong}")
     print(f"sha256 {digest}")
-    return 1 if wrong else 0
+    status = 1 if wrong else 0
+    if args.compare:
+        with open(args.compare) as fh:
+            old = json.load(fh)
+        moved = compare(answers, old)
+        both = min(len(answers), len(old))
+        print(f"answers that differ from {args.compare} on the {both} seeds both probed: "
+              f"{len(moved)}")
+        for line in moved:
+            print(f"  {line}")
+        status = status or (1 if moved else 0)
+    return status
 
 
 if __name__ == "__main__":
