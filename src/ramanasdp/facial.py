@@ -608,13 +608,9 @@ def _replace_and_swap(m_total: np.ndarray, s: int, y_red: np.ndarray) -> np.ndar
 
 def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
     """Strictly feasible point of the reduced instance, its trace-penalised
-    center X' (subsolver.face_center), embedded at order n.
-
-    X' is its own witness of the feasible answer: with d the least-norm
-    solution of rows·d = rows·svec(X') - b', X' - smat(d) is on the exact
-    face, and positive definite when λ_min(X') > ‖smat(d)‖₂.  A center
-    without that margin is refused.
-    """
+    center X' (subsolver.face_center), embedded at order n.  With d the
+    least-norm solution of rows·d = rows·svec(X') - b', X' - smat(d) is on
+    the exact face, and interior to it if λ_min(X') > ‖smat(d)‖₂; else X' is refused."""
     n = cur.n
     if p == n:
         return SymMat.zero(n)
@@ -628,10 +624,8 @@ def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
     d, *_ = np.linalg.lstsq(rows, rows @ svec(x_red) - red.b, rcond=None)
     lam, off = float(np.linalg.eigvalsh(x_red)[0]), float(np.linalg.norm(smat(d, red.n).a, 2))
     if not lam > off:
-        raise SubsolverFailureError(
-            f"the reduced instance's center is not interior to its face: λ_min {lam:.3e}"
-            f" is not above the norm {off:.3e} of its move onto the face"
-        )
+        raise SubsolverFailureError(f"center is not interior to its face: λ_min {lam:.3e}"
+                                    f" is not above ‖smat(d)‖₂ = {off:.3e}")
     return SymMat(x_red).embed(n, p)
 
 

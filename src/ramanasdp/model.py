@@ -15,7 +15,7 @@ and y ↦ M⁻ᵀy on the dual side.
 
 An instance holds its A_i once, as one read-only (m, n, n) stack; each
 A_i in ``a`` is a SymMat viewing one matrix of it.  The operators read the
-stack, and sum over i in order from +0.0, so no bit depends on the layout.
+stack and sum over i in order from +0.0, as a loop over the A_i would.
 
 classical_dual_instance rewrites the dual in equality form over its
 slack Z as one more instance: its A_j are an orthonormal basis D_1..D_ℓ
@@ -101,10 +101,11 @@ def smat(v: np.ndarray, n: int) -> SymMat:
 class SdpInstance:
     """Immutable instance data (A_1..A_m, b, C) on S^n.
 
-    ``a`` is a sequence of SymMats or one (m, n, n) array of bitwise
-    symmetric matrices.  The A_i are held once, in ``stack``: an owned,
-    read-only, C-contiguous float64 input array as it is, any other input
-    copied.  ``a`` then holds a SymMat viewing each matrix of ``stack``.
+    ``a`` is given as a sequence of SymMats or as one (m, n, n) array of
+    bitwise symmetric matrices.  The instance holds the A_i once, in
+    ``stack``: an owned, read-only, C-contiguous float64 array as it is,
+    any other input copied.  ``a`` is then the tuple of SymMats that view
+    the matrices of ``stack``.
     """
 
     a: tuple[SymMat, ...]
@@ -139,8 +140,11 @@ class SdpInstance:
         bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
         if bad.size:
             raise ValueError(f"A_{bad[0] + 1} has a non-finite entry")
-        a = tuple(SymMat(ai) for ai in stack)  # views, but of asymmetric or huge entries
-        bad = [i for i, ai in enumerate(a) if ai.a.tobytes() != stack[i].tobytes()]
+        # A SymMat views its matrix, or copies one that is not bitwise
+        # symmetric or has an entry beyond ±DBL_MAX/2.
+        a = tuple(SymMat(ai) for ai in stack)
+        bad = [i for i, ai in enumerate(a)
+               if ai.a.base is not stack and ai.a.tobytes() != stack[i].tobytes()]
         if bad:
             raise ValueError(f"A_{bad[0] + 1} is not bitwise symmetric")
         object.__setattr__(self, "stack", stack)
@@ -169,10 +173,17 @@ class SdpInstance:
         by <A, X> with symmetric X); the ``symmetrized`` flag records
         that an adjustment happened.
         """
-        raw = [np.array(x, dtype=float) for x in (*a_list, c)]
-        adjusted = not all(np.array_equal(x, x.T) for x in raw)
-        return SdpInstance(a=tuple(SymMat(x) for x in raw[:-1]), b=np.asarray(b, dtype=float),
-                           c=SymMat(raw[-1]), symmetrized=adjusted)
+        adjusted = False
+        mats = []
+        for raw in a_list:
+            arr = np.array(raw, dtype=float)
+            if not np.array_equal(arr, arr.T):
+                adjusted = True
+            mats.append(SymMat(arr))
+        c_arr = np.array(c, dtype=float)
+        if not np.array_equal(c_arr, c_arr.T):
+            adjusted = True
+        return SdpInstance(a=tuple(mats), b=np.asarray(b, dtype=float), c=SymMat(c_arr), symmetrized=adjusted)
 
 
 def apply_a(inst: SdpInstance, x: SymMat) -> np.ndarray:
@@ -183,10 +194,12 @@ def apply_a(inst: SdpInstance, x: SymMat) -> np.ndarray:
 
 
 def combine(w: np.ndarray, mats: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Σ_j w_ij·mats[j] for each row i of w, as one (len(w), n, n) stack, in
-    apply_at's order of j from +0.0 (an einsum over j sums in another order
-    at n = 1, tensordot at any n).  Each term is an einsum outer product,
-    which allocates no buffer for its operands, as broadcasting would."""
+    """Σ_j w_ij·mats[j] for each row i of w, as one (len(w), n, n) stack.
+
+    The sum runs over j in order from +0.0, as apply_at's does, so it keeps
+    apply_at's bits: an einsum over j sums in another order when n = 1,
+    and tensordot in another at every n.  Each term is an einsum outer
+    product, which, unlike a broadcast product, buffers no operand."""
     out = np.zeros((len(w), n, n))
     for wj, aj in zip(w.T, mats):
         out += np.einsum("i,kl->ikl", wj, aj)
@@ -279,12 +292,10 @@ def reformulate(inst: SdpInstance, ref: Reformulation) -> SdpInstance:
         raise DimensionMismatchError("M must be m×m")
     if ref.q.shape != (inst.n, inst.n):
         raise DimensionMismatchError("Q must be n×n")
-    # Rotated one at a time: no rotated copy of the stack is held.
-    rotated = (SymMat(ref.q.T @ aj @ ref.q).a for aj in inst.stack)
+    rotated = (SymMat(ref.q.T @ aj @ ref.q).a for aj in inst.stack)  # no rotated stack is held
     new_a = combine(ref.m_rows, rotated, inst.n)
     new_a.flags.writeable = False
-    new_c = SymMat(ref.q.T @ inst.c.a @ ref.q)
-    return SdpInstance(a=new_a, b=ref.m_rows @ inst.b, c=new_c)
+    return SdpInstance(a=new_a, b=ref.m_rows @ inst.b, c=SymMat(ref.q.T @ inst.c.a @ ref.q))
 
 
 def instances_close(i1: SdpInstance, i2: SdpInstance, tol: float = RECON_TOL) -> bool:
