@@ -610,7 +610,8 @@ def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
     """Strictly feasible point of the reduced instance, its trace-penalised
     center X' (subsolver.face_center), embedded at order n.  With d the
     least-norm solution of rows·d = rows·svec(X') - b', X' - smat(d) is on
-    the exact face, and interior to it if λ_min(X') > ‖smat(d)‖₂; else X' is refused."""
+    the exact face, and interior to it if λ_min(X') > ‖smat(d)‖₂; a center
+    without that margin is refused."""
     n = cur.n
     if p == n:
         return SymMat.zero(n)
@@ -751,11 +752,11 @@ def build_rr_form(inst: SdpInstance, eps: float = EPS_PSD) -> RrForm:
 def _pd_combination(mats: np.ndarray, ranks: Sequence[int], eps: float) -> np.ndarray:
     """Positive weights making Σ w_i Y_i positive definite.
 
-    Requires a regular facial reduction sequence whose block orders sum
-    to the full order, as one (k, n, n) stack.  Recursion from the back: combine the trailing
-    sub-sequence first, then one Schur-complement bound gives the weight
-    of the leading member (smallest power of two exceeding the bound,
-    escalated under classify_psd verification).
+    Requires a regular facial reduction sequence, as one (k, n, n) stack,
+    whose block orders sum to the full order.  Recursion from the back:
+    combine the trailing sub-sequence first, then one Schur-complement
+    bound gives the weight of the leading member (smallest power of two
+    exceeding the bound, escalated under classify_psd verification).
     """
     k, n = mats.shape[:2]
     if k == 1:

@@ -74,9 +74,9 @@ def _as_square_array(entries) -> np.ndarray:
 def _shareable(a) -> bool:
     """Whether ``a`` can be held as it is: a float64 ndarray that no one
     can write through (read-only, C-contiguous, owning its data or viewing
-    a read-only array that does), square
-    of order at least 1, bitwise symmetric, with every entry within
-    ±DBL_MAX/2, so that (a + aᵀ)/2 would return its own bits."""
+    a read-only array that does), square of order at least 1, bitwise
+    symmetric, with every entry within ±DBL_MAX/2, so that (a + aᵀ)/2
+    would return its own bits."""
     return (
         type(a) is np.ndarray
         and a.dtype == np.float64
@@ -112,11 +112,10 @@ class SymMat:
     already is such an array, read-only and owned or viewing a read-only
     owner, bitwise symmetric and within ±DBL_MAX/2, is shared, since
     (A + Aᵀ)/2 would return its own bits.  Any other input (a writable
-    array, a view of a writable array, another dtype, a
-    nested list, a nonsymmetric array, or one with a larger entry) is
-    copied and averaged with its transpose, halving first where the sum
-    would overflow, so writing to the input afterwards leaves the SymMat
-    as it is.
+    array, a view of a writable array, another dtype, a nested list, a
+    nonsymmetric array, or one with a larger entry) is copied and averaged
+    with its transpose, halving first where the sum would overflow, so
+    writing to the input afterwards leaves the SymMat as it is.
     """
 
     __slots__ = ("_a",)
