@@ -42,7 +42,6 @@ from .model import (  # noqa: F401
 from .facial import (  # noqa: F401
     AltCertificateRaw,
     AltResult,
-    FrSequence,
     FrsValidation,
     NumericalRankAmbiguityError,
     RrForm,

@@ -123,8 +123,8 @@ def number_digest(inst: SdpInstance) -> str:
     Each matrix is hashed on its own, so no copy of them all is made."""
     digest = hashlib.sha256(np.array([inst.n, inst.m], dtype="<i8"))
     digest.update(np.ascontiguousarray(inst.b, dtype="<f8"))
-    for mat in (inst.c, *inst.a):
-        digest.update((mat.a + 0.0).astype("<f8", copy=False))
+    for mat in (inst.c.a, *inst.stack):
+        digest.update((mat + 0.0).astype("<f8", copy=False))
     return digest.hexdigest()
 
 

@@ -48,7 +48,6 @@ from .model import (
     apply_a,
     apply_at,
     combine,
-    constraint_stack,
     finite_stack,
     reformulate,
     smat,
@@ -95,17 +94,11 @@ class SubsolverFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FrSequence:
-    """A validated regular facial reduction sequence with block orders r."""
-
-    mats: tuple[SymMat, ...]
-    r: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FrsValidation:
+    """validate_frs's verdict: the block orders r if valid, else the reason."""
+
     valid: bool
-    seq: Optional[FrSequence] = None
+    r: Optional[tuple[int, ...]] = None
     reason: Optional[str] = None
 
 
@@ -159,12 +152,8 @@ def validate_frs(mats: Sequence[SymMat], eps: float = EPS_PSD) -> FrsValidation:
     (it need not be diagonal).
     """
     mats = tuple(mats)
-    if not mats:
-        return FrsValidation(valid=True, seq=FrSequence(mats=(), r=()))
-    n = mats[0].n
-    for y in mats:
-        if y.n != n:
-            return FrsValidation(valid=False, reason="members have mixed orders")
+    if len({y.n for y in mats}) > 1:
+        return FrsValidation(valid=False, reason="members have mixed orders")
     p = 0
     ranks: list[int] = []
     for idx, y in enumerate(mats):
@@ -193,7 +182,7 @@ def validate_frs(mats: Sequence[SymMat], eps: float = EPS_PSD) -> FrsValidation:
             # an entry of such a row.
         ranks.append(r_i)
         p += r_i  # at most n: r_i counts rows of the order-(n - p) block
-    return FrsValidation(valid=True, seq=FrSequence(mats=mats, r=tuple(ranks)))
+    return FrsValidation(valid=True, r=tuple(ranks))
 
 
 def is_rr_form(
@@ -210,7 +199,7 @@ def is_rr_form(
     b_scale = 1.0 + float(np.linalg.norm(inst.b))
     if k and np.max(np.abs(inst.b[:k])) > eps * b_scale:
         return False
-    p = sum(val.seq.r)
+    p = sum(val.r)
     x = x_witness.a
     x_scale = x_witness.scale_factor()
     if p and np.max(np.abs(x[:p, :])) > eps * x_scale:
@@ -518,7 +507,7 @@ def solve_alternative(
     # The combination is rescaled, so its matrix must be revalidated at the
     # final size: an approximately-null direction blown up by 1/<b, v> can
     # otherwise smuggle in a large matrix.
-    stack = constraint_stack(inst)
+    stack = svec(inst.stack)
     gram = stack @ stack.T
     w_eig, w_vec = np.linalg.eigh(gram)
     null_mask = w_eig < max(1.0, float(w_eig[-1])) * GRAM_NULL_CUT
@@ -596,8 +585,6 @@ def _replace_and_swap(m_total: np.ndarray, s: int, y_red: np.ndarray) -> np.ndar
     swap it into position s.  The pivot is the largest |y_j|."""
     m = m_total.shape[0]
     j_star = int(np.argmax(np.abs(y_red)))
-    if abs(y_red[j_star]) == 0.0:
-        raise SubsolverFailureError("certificate vector is identically zero")
     e = np.eye(m)
     e[s + j_star, s:] = y_red
     perm = np.eye(m)
@@ -616,7 +603,7 @@ def _interior_of_reduced(cur: SdpInstance, p: int, s: int) -> SymMat:
     if p == n:
         return SymMat.zero(n)
     red = _reduced_instance(cur, p, s)
-    rows = constraint_stack(red)
+    rows = svec(red.stack)
     x_red = subsolver.face_center(rows, red.b, red.n)
     if x_red is None:
         raise SubsolverFailureError(
@@ -812,7 +799,7 @@ def primal_optimal_value(
     if p == n:
         return 0.0
     red = _reduced_instance(cur, p, rr.k)
-    sol = subsolver.face_solve(red.c.a, constraint_stack(red), red.b, rr.maxrank_x.a[p:, p:])
+    sol = subsolver.face_solve(red.c.a, svec(red.stack), red.b, rr.maxrank_x.a[p:, p:])
     if not sol.error <= subsolver.FACE_TOL:
         raise SubsolverFailureError(
             f"face solve stopped at error {sol.error:.3e} after {sol.iterations} iterations"

@@ -13,9 +13,9 @@ A reformulation is an invertible recombination of the equality rows
 one orthonormal Q; it maps feasible sets by X ↦ QᵀXQ on the primal side
 and y ↦ M⁻ᵀy on the dual side.
 
-An instance holds its A_i once, as one read-only (m, n, n) stack; each
-A_i in ``a`` is a SymMat viewing one matrix of it.  The operators read the
-stack and sum over i in order from +0.0, as a loop over the A_i would.
+An instance holds its A_i once, as one read-only (m, n, n) stack; ``a``
+makes them as SymMats when it is read.  The operators read the stack and
+sum over i in order from +0.0, as a loop over the A_i would.
 
 classical_dual_instance rewrites the dual in equality form over its
 slack Z as one more instance: its A_j are an orthonormal basis D_1..D_ℓ
@@ -97,28 +97,25 @@ def smat(v: np.ndarray, n: int) -> SymMat:
     return SymMat(smat_stack(np.reshape(v, (-1, 1)), n)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SdpInstance:
     """Immutable instance data (A_1..A_m, b, C) on S^n.
 
     ``a`` is given as a sequence of SymMats or as one (m, n, n) array of
     bitwise symmetric matrices.  The instance holds the A_i once, in
     ``stack``: an owned, read-only, C-contiguous float64 array as it is,
-    any other input copied.  ``a`` is then the tuple of SymMats that view
-    the matrices of ``stack``.
+    any other input copied.
     """
 
-    a: tuple[SymMat, ...]
+    stack: np.ndarray
     b: np.ndarray
     c: SymMat
     symmetrized: bool = field(default=False, compare=False)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+    def __init__(self, a, b, c: SymMat, symmetrized: bool = False):
+        b = np.asarray(b, dtype=float).reshape(-1)
         b.flags.writeable = False
-        object.__setattr__(self, "b", b)
-        n, stack = self.c.n, self.a
+        n, stack = c.n, a
         if not isinstance(stack, np.ndarray):
             stack = tuple(stack)
             for i, ai in enumerate(stack):
@@ -135,20 +132,22 @@ class SdpInstance:
             raise DimensionMismatchError("len(A) must equal len(b)")
         if not np.all(np.isfinite(b)):
             raise ValueError("b has a non-finite entry")
-        if not np.all(np.isfinite(self.c.a)):
+        if not np.all(np.isfinite(c.a)):
             raise ValueError("C has a non-finite entry")
         bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
         if bad.size:
             raise ValueError(f"A_{bad[0] + 1} has a non-finite entry")
-        # A SymMat views its matrix, or copies one that is not bitwise
-        # symmetric or has an entry beyond ±DBL_MAX/2.
-        a = tuple(SymMat(ai) for ai in stack)
-        bad = [i for i, ai in enumerate(a)
-               if ai.a.base is not stack and ai.a.tobytes() != stack[i].tobytes()]
-        if bad:
+        bits = stack.view(np.uint64)
+        bad = np.flatnonzero((bits != bits.transpose(0, 2, 1)).any(axis=(1, 2)))
+        if bad.size:
             raise ValueError(f"A_{bad[0] + 1} is not bitwise symmetric")
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "a", a)
+        for name, value in (("stack", stack), ("b", b), ("c", c), ("symmetrized", symmetrized)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def a(self) -> tuple[SymMat, ...]:
+        """The A_i as SymMats, made when read: bit-identical copies of ``stack``."""
+        return tuple(SymMat(ai) for ai in self.stack)
 
     @property
     def n(self) -> int:
@@ -307,17 +306,13 @@ def instances_close(i1: SdpInstance, i2: SdpInstance, tol: float = RECON_TOL) ->
     return all(np.max(np.abs(x - y)) <= tol * scale for x, y in pairs)
 
 
-def constraint_stack(inst: SdpInstance) -> np.ndarray:
-    """m × n(n+1)/2 matrix whose rows are svec(A_i), on one svec_index."""
-    return svec(inst.stack)
-
-
 def finite_stack(inst: SdpInstance) -> np.ndarray:
-    """constraint_stack(inst), refused with ValueError unless it is finite.
+    """svec(inst.stack), the m × n(n+1)/2 matrix whose rows are svec(A_i),
+    refused with ValueError unless it is finite.
     svec scales the off-diagonal entries by √2, so a finite entry above
     DBL_MAX/√2 ≈ 1.27e308 overflows in the stack."""
     with np.errstate(over="ignore"):
-        stack = constraint_stack(inst)
+        stack = svec(inst.stack)
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
     if bad.size:
         raise ValueError(f"svec(A_{bad[0] + 1}) overflows: an off-diagonal entry of "

@@ -28,10 +28,9 @@ All decisions are tolerance-based; the tolerance is a parameter on every
 public operation and scales with 1 + Frobenius norm of the input.
 
 A SymMat holds one read-only array.  It shares its input when that is
-already such an array, one that owns its data or views a read-only array
-that does, and that averaging with its transpose would give back bit for
-bit (a parsed certificate record, another SymMat's ``.a``, one matrix of
-an instance's stack); it copies any other input (see SymMat).
+already such an array, one that owns its data and that averaging with its
+transpose would give back bit for bit (a parsed certificate record,
+another SymMat's ``.a``); it copies any other input (see SymMat).
 """
 
 from __future__ import annotations
@@ -73,16 +72,14 @@ def _as_square_array(entries) -> np.ndarray:
 
 def _shareable(a) -> bool:
     """Whether ``a`` can be held as it is: a float64 ndarray that no one
-    can write through (read-only, C-contiguous, owning its data or viewing
-    a read-only array that does), square of order at least 1, bitwise
-    symmetric, with every entry within ±DBL_MAX/2, so that (a + aᵀ)/2
-    would return its own bits."""
+    can write through (read-only, owning its data, C-contiguous), square
+    of order at least 1, bitwise symmetric, with every entry within
+    ±DBL_MAX/2, so that (a + aᵀ)/2 would return its own bits."""
     return (
         type(a) is np.ndarray
         and a.dtype == np.float64
         and not a.flags.writeable
-        and (a.flags.owndata or (type(a.base) is np.ndarray
-                                 and not a.base.flags.writeable and a.base.flags.owndata))
+        and a.flags.owndata
         and a.flags.c_contiguous
         and a.ndim == 2
         and a.shape[0] == a.shape[1] >= 1
@@ -109,13 +106,13 @@ class SymMat:
 
     Symmetry is storage-enforced: entries[i][j] and entries[j][i] are
     bitwise equal, and the underlying array is read-only.  An input that
-    already is such an array, read-only and owned or viewing a read-only
-    owner, bitwise symmetric and within ±DBL_MAX/2, is shared, since
-    (A + Aᵀ)/2 would return its own bits.  Any other input (a writable
-    array, a view of a writable array, another dtype, a nested list, a
-    nonsymmetric array, or one with a larger entry) is copied and averaged
-    with its transpose, halving first where the sum would overflow, so
-    writing to the input afterwards leaves the SymMat as it is.
+    already is such an array, owned and read-only, bitwise symmetric and
+    within ±DBL_MAX/2, is shared, since (A + Aᵀ)/2 would return its own
+    bits.  Any other input (a writable array, a view, another dtype, a
+    nested list, a nonsymmetric array, or one with a larger entry) is
+    copied and averaged with its transpose, halving first where the sum
+    would overflow, so writing to the input afterwards leaves the SymMat
+    as it is.
     """
 
     __slots__ = ("_a",)

@@ -272,55 +272,56 @@ def _value_warnings(cert: RamanaCertificate, value: float, eps: float) -> tuple[
     return (f"claimed value {cert.claimed_value} differs from computed {value}",)
 
 
+def _verify_ladder(
+    inst: SdpInstance, cert: RamanaCertificate, system: str, eps: float
+) -> VerifyOutcome:
+    """_check_ladder, then the head: Z ∈ S₊ + tan(U_{n-1}) for Z = C - 𝒜*y
+    (dram), 𝒜*y (altram) or X after its 𝒜X = b check (pram); then altram's
+    <b, y> = -1 check, or the value and its warnings."""
+    last_u = _check_ladder(inst, cert, system, eps)
+    if isinstance(last_u, VerifyOutcome):
+        return last_u
+    if system == SYSTEM_DRAM:
+        z, violation = dual_slack(inst, cert.y), "head: C - 𝒜*y not in S₊ + tan(U_{n-1})"
+    elif system == SYSTEM_ALTRAM:
+        z, violation = apply_at(inst, cert.y), "head: 𝒜*y not in S₊ + tan(U_{n-1})"
+    else:
+        ares = float(np.max(np.abs(apply_a(inst, cert.x) - inst.b))) if inst.m else 0.0
+        scale = inst.scale_factor() * (1.0 + cert.x.norm())
+        if ares > eps * scale:
+            return _fail("head: 𝒜X != b", ares)
+        z, violation = cert.x, "head: X not in S₊ + tan(U_{n-1})"
+    ok, lam_min = psd_plus_tan_contains(last_u, z, eps)
+    if not ok:
+        return _fail(violation, -lam_min)
+    value = inst.c.inner(cert.x) if system == SYSTEM_PRAM else float(inst.b @ cert.y)
+    if system != SYSTEM_ALTRAM:
+        return VerifyOutcome(ok=True, value=value, warnings=_value_warnings(cert, value, eps))
+    scale = (1.0 + float(np.linalg.norm(inst.b))) * (1.0 + float(np.linalg.norm(cert.y)))
+    if abs(value + 1.0) > eps * scale:
+        return _fail("head: <b, y> != -1", abs(value + 1.0))
+    return VerifyOutcome(ok=True, value=value)
+
+
 def verify_dram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact dual; Feasible reports <b, y>."""
-    last_u = _check_ladder(inst, cert, SYSTEM_DRAM, eps)
-    if isinstance(last_u, VerifyOutcome):
-        return last_u
-    slack = dual_slack(inst, cert.y)
-    ok, lam_min = psd_plus_tan_contains(last_u, slack, eps)
-    if not ok:
-        return _fail("head: C - 𝒜*y not in S₊ + tan(U_{n-1})", -lam_min)
-    value = float(inst.b @ cert.y)
-    return VerifyOutcome(ok=True, value=value, warnings=_value_warnings(cert, value, eps))
+    return _verify_ladder(inst, cert, SYSTEM_DRAM, eps)
 
 
 def verify_alt_ram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact alternative system (Valid/Invalid)."""
-    last_u = _check_ladder(inst, cert, SYSTEM_ALTRAM, eps)
-    if isinstance(last_u, VerifyOutcome):
-        return last_u
-    z = apply_at(inst, cert.y)
-    ok, lam_min = psd_plus_tan_contains(last_u, z, eps)
-    if not ok:
-        return _fail("head: 𝒜*y not in S₊ + tan(U_{n-1})", -lam_min)
-    bval = float(inst.b @ cert.y)
-    scale = (1.0 + float(np.linalg.norm(inst.b))) * (1.0 + float(np.linalg.norm(cert.y)))
-    if abs(bval + 1.0) > eps * scale:
-        return _fail("head: <b, y> != -1", abs(bval + 1.0))
-    return VerifyOutcome(ok=True, value=bval)
+    return _verify_ladder(inst, cert, SYSTEM_ALTRAM, eps)
 
 
 def verify_pram(
     inst: SdpInstance, cert: RamanaCertificate, eps: float = EPS_PSD
 ) -> VerifyOutcome:
     """Check a certificate of the exact primal; Feasible reports <C, X>."""
-    last_u = _check_ladder(inst, cert, SYSTEM_PRAM, eps)
-    if isinstance(last_u, VerifyOutcome):
-        return last_u
-    ares = float(np.max(np.abs(apply_a(inst, cert.x) - inst.b))) if inst.m else 0.0
-    scale = inst.scale_factor() * (1.0 + cert.x.norm())
-    if ares > eps * scale:
-        return _fail("head: 𝒜X != b", ares)
-    ok, lam_min = psd_plus_tan_contains(last_u, cert.x, eps)
-    if not ok:
-        return _fail("head: X not in S₊ + tan(U_{n-1})", -lam_min)
-    value = inst.c.inner(cert.x)
-    return VerifyOutcome(ok=True, value=value, warnings=_value_warnings(cert, value, eps))
+    return _verify_ladder(inst, cert, SYSTEM_PRAM, eps)
 
 
 def verify_strong(
@@ -345,14 +346,8 @@ def verify_strong(
         if y.shape != (inst.m,):
             raise ShapeMismatchError("y must be an m-vector")
         _require_finite("y", y)
-        slack = dual_slack(inst, y)
-        rot = spec.q.T @ slack.a @ spec.q
-        if r:
-            cls = classify_psd(SymMat(rot[n - r :, n - r :]), eps)
-            if not cls.is_psd:
-                return _fail("trailing slack block not PSD", -cls.evidence)
-        return VerifyOutcome(ok=True, value=float(inst.b @ y))
-    if side == SIDE_PRIMAL:
+        mat, block, violation = dual_slack(inst, y), slice(n - r, n), "trailing slack block not PSD"
+    elif side == SIDE_PRIMAL:
         x = point if isinstance(point, SymMat) else SymMat(point)
         if x.n != n:
             raise ShapeMismatchError("X must have order n")
@@ -360,13 +355,15 @@ def verify_strong(
         ares = float(np.max(np.abs(apply_a(inst, x) - inst.b))) if inst.m else 0.0
         if ares > eps * inst.scale_factor() * (1.0 + x.norm()):
             return _fail("𝒜X != b", ares)
-        rot = spec.q.T @ x.a @ spec.q
-        if r:
-            cls = classify_psd(SymMat(rot[:r, :r]), eps)
-            if not cls.is_psd:
-                return _fail("leading X block not PSD", -cls.evidence)
-        return VerifyOutcome(ok=True, value=inst.c.inner(x))
-    raise ValueError(f"unknown side {side!r}")
+        mat, block, violation = x, slice(0, r), "leading X block not PSD"
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    if r:
+        rot = spec.q.T @ mat.a @ spec.q
+        cls = classify_psd(SymMat(rot[block, block]), eps)
+        if not cls.is_psd:
+            return _fail(violation, -cls.evidence)
+    return VerifyOutcome(ok=True, value=float(inst.b @ y) if side == SIDE_DUAL else inst.c.inner(x))
 
 
 def verify_certificate(
@@ -463,12 +460,10 @@ def _rungs_from_rr(inst: SdpInstance, rr: RrForm, count: int) -> tuple[LadderRun
     prefix = 0
     for j in range(count):
         r_j = rr.r[j]
-        a_ref = rr.reformulated.a[j]
+        block = slice(prefix, prefix + r_j)
         u_ref = np.zeros((n, n))
         u_ref[:prefix, :prefix] = np.eye(prefix)
-        u_ref[prefix : prefix + r_j, prefix : prefix + r_j] = a_ref.a[
-            prefix : prefix + r_j, prefix : prefix + r_j
-        ]
+        u_ref[block, block] = rr.reformulated.stack[j, block, block]
         u = SymMat(q @ u_ref @ q.T)
         y_j = rr.ref.m_rows[j].copy()
         v = apply_at(inst, y_j) - u

@@ -18,7 +18,7 @@ from ramanasdp import (
 )
 from ramanasdp.builders import StandardFormSdp
 from ramanasdp.facial import STATUS_FEASIBLE, RrForm, _reduced_instance, null_basis
-from ramanasdp.model import constraint_stack, smat, svec_index
+from ramanasdp.model import smat, svec, svec_index
 from ramanasdp.certfile import (
     certificate_to_text,
     check_instance_binding,
@@ -282,7 +282,7 @@ def sample_feasible(
     if p == n or count <= 1:
         return out[:count]
     red = _reduced_instance(cur, p, rr.k)
-    null = null_basis(constraint_stack(red))
+    null = null_basis(svec(red.stack))
     x_red = center.a[p:, p:]
     lam_min = float(np.linalg.eigvalsh(x_red)[0])
     rng = np.random.default_rng(seed)

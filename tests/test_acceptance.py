@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ramanasdp import (
+    SdpInstance,
     StrongDualSpec,
     SymMat,
     build_alt_ram,
@@ -301,3 +302,10 @@ def test_registry_golden_checks_all_pass():
         rep = run_entry(eid)
         bad = [c for c in rep.checks if not c.ok]
         assert not bad, f"{eid}: {[(c.name, c.detail) for c in bad]}"
+
+
+def test_classical_dual_value_of_an_infeasible_dual_is_minus_infinity():
+    # sup y s.t. y·diag(1, 0) ⪯ diag(0, -1): the slack's (2, 2) entry is -1
+    # for every y, so the dual is infeasible and its value is -∞.
+    inst = SdpInstance.from_arrays([np.diag([1.0, 0.0])], [1.0], np.diag([0.0, -1.0]))
+    assert classical_dual_value(inst) == float("-inf")

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, JSON stability."""
 
 import json
+import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +318,17 @@ class TestExamples:
         second = capsys.readouterr().out
         assert first == second
         json.loads(first)
+
+
+class TestModuleEntry:
+    def test_run_as_a_module_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        # python -m ramanasdp.cli, run in this process so that its guard is traced.
+        monkeypatch.setattr(sys, "argv", ["ramanasdp", "examples", "list"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+            warnings.simplefilter("ignore", RuntimeWarning)  # ramanasdp.cli is imported already
+            runpy.run_module("ramanasdp.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert "example-2.3-gap" in capsys.readouterr().out
 
 
 class TestEpsFlag:

@@ -43,7 +43,7 @@ from ramanasdp.facial import (
     _reduced_instance,
     classical_alternative_feasible,
 )
-from ramanasdp.model import constraint_stack, smat, smat_stack
+from ramanasdp.model import smat, smat_stack, svec
 from ramanasdp.subsolver import face_solve
 
 from helpers import (
@@ -68,16 +68,16 @@ class TestValidateFrs:
     def test_order3_pair_valid(self):
         inst = inst_unattained()
         val = validate_frs(inst.a[:2])
-        assert val.valid and val.seq.r == (1, 1)
+        assert val.valid and val.r == (1, 1)
 
     def test_rr_pair_valid(self):
         inst = inst_gap_rr()
         val = validate_frs(inst.a[:2])
-        assert val.valid and val.seq.r == (1, 1)
+        assert val.valid and val.r == (1, 1)
 
     def test_zero_member(self):
         val = validate_frs([SymMat.zero(3)])
-        assert val.valid and val.seq.r == (0,)
+        assert val.valid and val.r == (0,)
 
     def test_mixed_orders_invalid(self):
         val = validate_frs([SymMat.diag([1.0, 0, 0]), SymMat.zero(2)])
@@ -101,7 +101,7 @@ class TestValidateFrs:
     ], ids=["non-diagonal-block", "past-the-full-order"])
     def test_inferred_ranks(self, members, r):
         val = validate_frs([SymMat(y) for y in members])
-        assert val.valid and val.seq.r == r
+        assert val.valid and val.r == r
 
     def test_block_permutation_invariance(self):
         # Rotating within a diagonal PD block keeps the sequence valid.
@@ -778,7 +778,7 @@ class TestSolveWorkloadDecisions:
             assert value == pytest.approx(SEED_101_VALUES[op.name], rel=1e-7)
             p = sum(rr.r)
             red = _reduced_instance(rr.reformulated, p, rr.k)
-            sol = face_solve(red.c.a, constraint_stack(red), red.b, rr.maxrank_x.a[p:, p:])
+            sol = face_solve(red.c.a, svec(red.stack), red.b, rr.maxrank_x.a[p:, p:])
             assert sol.value == value
             slack = red.c.a - apply_at(red, sol.y).a
             assert np.linalg.eigvalsh(slack)[0] >= -1e-9 * red.c.norm()
@@ -795,6 +795,37 @@ class TestSolveWorkloadDecisions:
         result = op.run()
         op.check(result)
         assert (result[0].status, result[0].r) == (STATUS_FEASIBLE, (2, 2, 2, 2))
+
+
+@pytest.fixture(scope="module")
+def cascade_probe():
+    spec = importlib.util.spec_from_file_location(
+        "cascade_probe", Path(__file__).resolve().parents[1] / "tools" / "cascade_probe.py"
+    )
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+class TestCascadeProbeDecisions:
+    """tools/cascade_probe.py on seeds 0-49: the digest of every seed's
+    (status, r, k) or refusal, on the feasible and the infeasible deep
+    cascades of shape (7, 6, (2, 1, 1, 2))."""
+
+    @pytest.mark.parametrize("infeasible, refused, want", [
+        (False, 0, "896aa635bbf01cf2b4e92885f724f1376e542dfc21a6a473351103525a8e30cb"),
+        (True, 24, "80f5ab257ed38348a80ea9b9993a7548d086bfe9a00da8d69c0efd440931095b"),
+    ], ids=["feasible", "infeasible"])
+    def test_seeds_0_to_49_are_pinned(self, cascade_probe, infeasible, refused, want):
+        answers, refused_seeds, wrong = cascade_probe.run(range(50), infeasible)
+        assert wrong == [] and len(refused_seeds) == refused
+        assert cascade_probe.digest(answers) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mixed_rows_give_the_same_answer_or_a_refusal(self, cascade_probe, seed):
+        # Row operations of condition 1e4 and a rotation keep (status, Σr).
+        _, wrong = cascade_probe.probe(seed, False, mix=1e4)
+        assert not wrong
 
 
 # primal_optimal_value on the feasible solve ops of seed 101, as the

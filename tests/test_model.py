@@ -25,7 +25,7 @@ from ramanasdp import (
     weak_duality_gap,
 )
 
-from ramanasdp.model import constraint_stack
+from ramanasdp.model import svec
 
 from helpers import (
     inst_gap_raw,
@@ -341,7 +341,7 @@ class TestOneStack:
         x = random_sym(rng, n)
         assert apply_at(inst, y).a.tobytes() == loop_apply_at(inst, y).a.tobytes()
         assert apply_a(inst, x).tobytes() == loop_apply_a(inst, x).tobytes()
-        assert constraint_stack(inst).tobytes() == loop_constraint_stack(inst).tobytes()
+        assert svec(inst.stack).tobytes() == loop_constraint_stack(inst).tobytes()
         m_rows = _with_zeros(rng, (m, m)) + 4.0 * np.eye(m)
         q = random_orthonormal(rng, n)
         got = reformulate(inst, Reformulation(m_rows, q))
@@ -350,10 +350,17 @@ class TestOneStack:
         assert got.b.tobytes() == want.b.tobytes()
         assert got.c.a.tobytes() == want.c.a.tobytes()
 
-    def test_each_a_i_is_a_view_of_the_stack(self):
+    def test_a_is_made_when_read(self):
+        # The stack is the only stored form; each read of ``a`` makes new
+        # SymMats that own their data and keep the stack's bits.
         inst = random_instance(np.random.default_rng(3), 4, 3)
         assert inst.stack.shape == (3, 4, 4) and inst.stack.flags.owndata
-        assert all(ai.a.base is inst.stack for ai in inst.a)
+        assert set(vars(inst)) == {"stack", "b", "c", "symmetrized"}
+        a = inst.a
+        assert a[0] is not inst.a[0]
+        for ai, si in zip(a, inst.stack):
+            assert ai.a.flags.owndata and not np.shares_memory(ai.a, inst.stack)
+            assert ai.a.tobytes() == si.tobytes()
 
     @pytest.mark.parametrize("target", ["stack", "a_i"])
     def test_writing_to_the_stack_is_refused(self, target):
@@ -365,7 +372,7 @@ class TestOneStack:
     def test_an_owned_frozen_array_is_held(self):
         a = _frozen_stack(np.random.default_rng(7), 3, 4)
         inst = SdpInstance(a=a, b=np.zeros(3), c=SymMat.identity(4))
-        assert inst.stack is a and inst.a[2].a.base is a
+        assert inst.stack is a and inst.a[2].a.tobytes() == a[2].tobytes()
 
     @pytest.mark.parametrize("case", ["writable", "view", "list"])
     def test_other_inputs_are_copied(self, case):
@@ -383,6 +390,12 @@ class TestOneStack:
         a[1, 0, 2], a[1, 2, 0] = -0.0, other
         with pytest.raises(ValueError, match="A_2 is not bitwise symmetric"):
             SdpInstance(a=a, b=np.zeros(2), c=SymMat.identity(3))
+
+    def test_the_first_matrix_not_bitwise_symmetric_is_named(self):
+        a = np.zeros((3, 2, 2))
+        a[1, 0, 1] = a[2, 1, 0] = 1.0
+        with pytest.raises(ValueError, match="A_2 is not bitwise symmetric"):
+            SdpInstance(a=a, b=np.zeros(3), c=SymMat.identity(2))
 
     @pytest.mark.parametrize("change", ["order", "m", "b", "c", "a"])
     def test_instances_close_tells_each_part(self, change):

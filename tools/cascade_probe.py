@@ -13,10 +13,15 @@ wrong.  ``--shape N,M,B1,B2,...`` probes
 ``random_degenerate_instance(rng, N, M, (B1, B2, ...))`` instead (with
 ``--infeasible``: ``planted(rng, N, (B1, B2, ...), 2, infeasible=True)``,
 which has no M), for example the thin-face shapes 7,5,2,2,2 /
-12,7,2,2,2,2,3 / 5,4,2,2 / 8,8,1,1,1,1,1,1.
+12,7,2,2,2,2,3 / 5,4,2,2 / 8,8,1,1,1,1,1,1.  ``--mix KAPPA`` is the
+mixed-row probe: it answers each instance after the paper's operations,
+row operations M = U·diag(logspace(0, log₁₀ κ, m))·Vᵀ and a rotation Q,
+with U, V and Q random orthogonal from ``default_rng(10_000 + seed)``, and
+reports each seed's (status, Σr) against the unmixed answer as same,
+refused (either run refused) or wrong.
 
     python3 tools/cascade_probe.py [--seeds N] [--infeasible] [--shape N,M,B1,...]
-                                   [--out FILE] [--compare FILE]
+                                   [--mix KAPPA] [--out FILE] [--compare FILE]
 
 N defaults to 1,000 (about 90 s in either mode on a 2-core Xeon).
 ``--out`` writes the per-seed answers as JSON.  ``--compare`` diffs this
@@ -40,7 +45,7 @@ import numpy as np  # noqa: E402
 
 import ramanasdp as rs  # noqa: E402
 from gen import planted  # noqa: E402
-from helpers import random_degenerate_instance  # noqa: E402
+from helpers import random_degenerate_instance, random_orthonormal  # noqa: E402
 
 REFUSALS = (rs.NumericalRankAmbiguityError, rs.SubsolverFailureError, rs.IterationLimitError)
 SHAPE = (7, 6, (2, 1, 1, 2))
@@ -53,21 +58,63 @@ def parse_shape(text: str) -> tuple[int, int, tuple[int, ...]]:
     return n, m, tuple(blocks)
 
 
-def probe(seed: int, infeasible: bool, shape=SHAPE) -> tuple[list, bool]:
-    """(status, r, k) or ("refused", error name), and whether it is wrong."""
+def answer(inst: rs.SdpInstance) -> list:
+    """(status, r, k) of build_rr_form, or ("refused", error name)."""
+    try:
+        rr = rs.build_rr_form(inst)
+    except REFUSALS as exc:
+        return ["refused", type(exc).__name__]
+    return [rr.status, list(rr.r), rr.k]
+
+
+def mixed(inst: rs.SdpInstance, seed: int, kappa: float) -> rs.SdpInstance:
+    """``inst`` under M = U·diag(logspace(0, log₁₀ κ, m))·Vᵀ and rotation Q,
+    with U, V and Q random orthogonal from default_rng(10_000 + seed)."""
+    rng = np.random.default_rng(10_000 + seed)
+    u, v = random_orthonormal(rng, inst.m), random_orthonormal(rng, inst.m)
+    q = random_orthonormal(rng, inst.n)
+    m_rows = u @ np.diag(np.logspace(0.0, np.log10(kappa), inst.m)) @ v.T
+    return rs.reformulate(inst, rs.Reformulation(m_rows, q))
+
+
+def probe(seed: int, infeasible: bool, shape=SHAPE, mix=None) -> tuple[list, bool]:
+    """The answer and whether it is wrong.  With ``mix`` (κ) the answer is
+    the mixed instance's, wrong when its (status, Σr) differs from the
+    unmixed answer's, and ("refused", "unmixed " + error name) when the
+    unmixed instance is refused."""
     rng = np.random.default_rng(seed)
     if infeasible:
         inst = planted(rng, shape[0], shape[2], 2, infeasible=True).inst
     else:
         inst, _, rank_sum = random_degenerate_instance(rng, *shape)
-    try:
-        rr = rs.build_rr_form(inst)
-    except REFUSALS as exc:
-        return ["refused", type(exc).__name__], False
-    answer = [rr.status, list(rr.r), rr.k]
+    if mix is not None:
+        got, ref = answer(mixed(inst, seed, mix)), answer(inst)
+        if ref[0] == "refused":
+            return ["refused", "unmixed " + ref[1]], False
+        return got, got[0] != "refused" and (got[0], sum(got[1])) != (ref[0], sum(ref[1]))
+    got = answer(inst)
+    if got[0] == "refused":
+        return got, False
     if infeasible:
-        return answer, rr.status != "infeasible"
-    return answer, rr.status != "feasible" or sum(rr.r) != rank_sum
+        return got, got[0] != "infeasible"
+    return got, got[0] != "feasible" or sum(got[1]) != rank_sum
+
+
+def run(seeds: range, infeasible: bool = False, shape=SHAPE, mix=None):
+    """The answers of ``seeds`` and the refused and the wrong seeds among them."""
+    answers, refused, wrong = [], [], []
+    for seed in seeds:
+        got, bad = probe(seed, infeasible, shape, mix)
+        answers.append(got)
+        if got[0] == "refused":
+            refused.append(seed)
+        if bad:
+            wrong.append(seed)
+    return answers, refused, wrong
+
+
+def digest(answers: list) -> str:
+    return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
 
 
 def compare(new: list, old: list) -> list[str]:
@@ -83,24 +130,20 @@ def main(argv=None) -> int:
                     help="probe planted infeasible instances of the same shape")
     ap.add_argument("--shape", type=parse_shape, default=SHAPE, metavar="N,M,B1,B2,...",
                     help="order, rows and planted blocks (default 7,6,2,1,1,2)")
+    ap.add_argument("--mix", type=float, metavar="KAPPA",
+                    help="answer under row operations of condition KAPPA and a rotation")
     ap.add_argument("--out", help="write the per-seed answers to this JSON file")
     ap.add_argument("--compare", metavar="FILE", help="diff against a file written by --out")
     args = ap.parse_args(argv)
-    answers, refused, wrong = [], [], []
-    for seed in range(args.seeds):
-        answer, bad = probe(seed, args.infeasible, args.shape)
-        answers.append(answer)
-        if answer[0] == "refused":
-            refused.append(seed)
-        if bad:
-            wrong.append(seed)
-    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    answers, refused, wrong = run(range(args.seeds), args.infeasible, args.shape, args.mix)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(answers, fh)
     print(f"refused {len(refused)} of {args.seeds}: {refused}")
     print(f"wrong {len(wrong)}: {wrong}")
-    print(f"sha256 {digest}")
+    if args.mix is not None:
+        print(f"same {args.seeds - len(refused) - len(wrong)}")
+    print(f"sha256 {digest(answers)}")
     status = 1 if wrong else 0
     if args.compare:
         with open(args.compare) as fh:

@@ -5,9 +5,10 @@ Runs pytest on ``tests`` and ``bench`` in this process, under
 and records each line executed there.  Then it prints, per module, every
 executable line that no test ran, with its text, and the total.  A line
 is executable when an instruction starts on it, as the code objects'
-``co_lines`` say.  A test that fails under tracing (a test that bounds
-the memory it holds can, as tracing adds to it) is reported by pytest,
-and the walk goes on.
+``co_lines`` say.  The trace functions are made once, not per call: a
+closure per call that returns itself is a reference cycle, garbage that
+a test bounding the memory it holds would count until the collector
+runs.  A test that fails is reported by pytest, and the walk goes on.
 
     python3 tools/unreached.py
 
@@ -48,17 +49,15 @@ def run_traced() -> tuple[int, dict[str, set[int]]]:
     ran: dict[str, set[int]] = defaultdict(set)
     prefix = str(PACKAGE) + os.sep
 
+    def on_line(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return on_line
+
     def on_call(frame, event, arg):
         if not frame.f_code.co_filename.startswith(prefix):
             return None
-        lines = ran[frame.f_code.co_filename]
-        lines.add(frame.f_lineno)
-
-        def on_line(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return on_line
-
+        ran[frame.f_code.co_filename].add(frame.f_lineno)
         return on_line
 
     threading.settrace(on_call)
