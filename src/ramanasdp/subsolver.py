@@ -200,10 +200,8 @@ def _certificate(
     f_up = float(s0.ravel() @ x.ravel())
     # f(w) exactly: lambda_min(S(w)) = t + lambda_min(G).
     f_lo = t + float(np.linalg.eigvalsh(g)[0]) - 0.5 * reg * ww
-    rho = 0.0
-    if d:
-        f_up += float(a @ a) / (2.0 * reg)
-        rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
+    f_up += float(a @ a) / (2.0 * reg)
+    rho = math.sqrt(2.0 * max(f_up - f_lo, 0.0) / reg)
     bound = f_up + 0.5 * reg * (math.sqrt(ww) + rho) ** 2
     lam = math.sqrt(lam2)
     delta = lam / (1.0 - lam)
@@ -227,7 +225,9 @@ def maximize_lambda_min(
     ridged optimum w* = argmax lambda_min(S(w)) - (reg/2)‖w‖², which needs
     reg > 0 or an empty family.  An exited run's ``value`` is then less
     accurate, and ``below`` is set.  Only w* is certified: a run that has
-    not exited ends near w*, not at it.
+    not exited ends near w*, not at it.  An empty family takes no path and
+    no Newton step: ``value`` is lambda_min(S0), and so is ``upper`` when
+    ``stop_below`` is given.
 
     The path (see the module docstring) starts at w = 0,
     t = lambda_min(S0) - max(1, 0.1‖S0‖_F) and runs mu from _LAMBDA_MIN_MU
@@ -246,10 +246,20 @@ def maximize_lambda_min(
     assembled.
     """
     d, n = len(mats), s0.shape[0]
+    if d == 0:
+        # No path: lambda_min(S0) is the optimum, read at S0 + 0.0, the sum
+        # S0 + Σ w_i S_i the path forms (a -0.0 entry of S0 becomes +0.0).
+        if not np.isfinite(s0).all():
+            raise IterationLimitError("barrier iterate diverged (objective unbounded?)")
+        value = float(np.linalg.eigvalsh(s0 + 0.0)[0])
+        if stop_below is None:
+            return LambdaMinResult(w=np.zeros(0), value=value, upper=np.inf, newton_steps=0)
+        below = value < stop_below * max(1.0, float(np.linalg.norm(s0)))
+        return LambdaMinResult(w=np.zeros(0), value=value, upper=value, newton_steps=0, below=below)
     k = d + 1
     fam = np.concatenate([np.reshape(mats, (d, n, n)), np.diag(np.full(n, -1.0))[None]])
     flat = fam.reshape(k, n * n)
-    certify = stop_below is not None and (reg > 0.0 or d == 0)
+    certify = stop_below is not None and reg > 0.0
     upper, below = np.inf, False
     t0 = float(np.linalg.eigvalsh(s0)[0]) - max(1.0, 0.1 * float(np.linalg.norm(s0)))
     ridge, wt = np.append(np.full(d, reg), 0.0), np.append(np.zeros(d), t0)

@@ -36,6 +36,7 @@ another SymMat's ``.a``); it copies any other input (see SymMat).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,6 +50,8 @@ ORTH_TOL = 1e-10
 # Eigenvalues closer than EIG_CLUSTER_TOL·(1+‖A‖) share one eigenspace in eig;
 # also the tie tolerance of the pivot that picks that eigenspace's basis.
 EIG_CLUSTER_TOL = 1e-12
+# Held while SpectralDecomp.q makes a basis canonical.
+_BASIS_LOCK = threading.Lock()
 # Above this magnitude x + x overflows, so (A + Aᵀ)/2 is not A's own bits.
 _HALF_MAX = np.finfo(float).max / 2.0
 
@@ -195,12 +198,34 @@ class SymMat:
         return f"SymMat(n={self.n})"
 
 
-@dataclass(frozen=True)
 class SpectralDecomp:
-    """Eigendecomposition A = Q diag(lam) Qᵀ with lam sorted descending."""
+    """Immutable eigendecomposition A = Q diag(lam) Qᵀ, lam sorted descending.
 
-    q: np.ndarray
-    lam: np.ndarray
+    ``q`` is held as given, except from eig: there the first read of ``q``
+    makes the held ``eigh`` basis canonical in place (see eig)."""
+
+    __slots__ = ("_q", "lam", "_cuts")
+
+    def __init__(self, q: np.ndarray, lam: np.ndarray):
+        for name, value in (("_q", q), ("lam", lam), ("_cuts", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpectralDecomp is immutable")
+
+    @property
+    def q(self) -> np.ndarray:
+        with _BASIS_LOCK:  # one thread makes q, the others wait to read it
+            if self._cuts is not None:
+                q, cuts = self._q, self._cuts
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    if hi - lo > 1:
+                        q[:, lo:hi] = _canonical_basis(q[:, lo:hi])
+                lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+                q[:, q[lead, np.arange(q.shape[1])] < 0] *= -1.0
+                q.flags.writeable = False
+                object.__setattr__(self, "_cuts", None)
+        return self._q
 
 
 def _canonical_basis(v: np.ndarray) -> np.ndarray:
@@ -233,7 +258,9 @@ def eig(a: SymMat) -> SpectralDecomp:
     basis does not depend on the solver's path and diagonal input gives
     Q = I.  Each eigenvector is then sign-fixed so that its first
     coordinate above 1e-12 in magnitude is positive (a unit vector always
-    has one).  Raises ValueError on a non-finite entry.
+    has one).  The bases and the sign fix wait for the first read of ``q``:
+    a decision that reads only ``lam`` builds none.  Raises ValueError on a
+    non-finite entry.
 
     The zero matrix (every entry +0.0, as in the zero rungs of a padded
     ladder) is one cluster filling the whole space, so it gives (0, I)
@@ -245,20 +272,17 @@ def eig(a: SymMat) -> SpectralDecomp:
     # A bit test, not a.a.any(): eigh gives -0.0 eigenvalues for a matrix
     # of -0.0 entries, and those bits must reach the caller unchanged.
     if not a.a.view(np.uint64).any():
-        lam, q = np.zeros(a.n), np.eye(a.n)
+        lam, q, cuts = np.zeros(a.n), np.eye(a.n), None
+        q.flags.writeable = False
     else:
         lam, v = np.linalg.eigh(a.a)
         lam, q = lam[::-1].copy(), v[:, ::-1].copy()
         gaps = lam[:-1] - lam[1:]
         cuts = [0, *(np.flatnonzero(gaps >= EIG_CLUSTER_TOL * a.scale_factor()) + 1), a.n]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo > 1:
-                q[:, lo:hi] = _canonical_basis(q[:, lo:hi])
-        lead = np.argmax(np.abs(q) > 1e-12, axis=0)
-        q[:, q[lead, np.arange(a.n)] < 0] *= -1.0
     lam.flags.writeable = False
-    q.flags.writeable = False
-    return SpectralDecomp(q=q, lam=lam)
+    dec = SpectralDecomp(q=q, lam=lam)
+    object.__setattr__(dec, "_cuts", cuts)
+    return dec
 
 
 class PsdTag:

@@ -14,6 +14,7 @@ from ramanasdp import (
     SymMat,
     apply_a,
     normalize_ladder,
+    symmat,
     verify_certificate,
 )
 from ramanasdp.builders import StandardFormSdp
@@ -94,6 +95,24 @@ def canonical_basis_reference(v: np.ndarray) -> np.ndarray:
         out[:, j] = p[:, k] / np.sqrt(norms_sq[k])
         p = p - np.outer(out[:, j], out[:, j])
     return out
+
+
+def eager_eig_reference(a: SymMat) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, Q) of symmat.eig computed eagerly, every cluster's canonical
+    basis built and the signs fixed before returning: the reference that
+    eig's basis, made on the first read of ``q``, must match bit for bit."""
+    if not a.a.view(np.uint64).any():
+        return np.zeros(a.n), np.eye(a.n)
+    lam, v = np.linalg.eigh(a.a)
+    lam, q = lam[::-1].copy(), v[:, ::-1].copy()
+    gaps = lam[:-1] - lam[1:]
+    cuts = [0, *(np.flatnonzero(gaps >= EIG_CLUSTER_TOL * a.scale_factor()) + 1), a.n]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo > 1:
+            q[:, lo:hi] = symmat._canonical_basis(q[:, lo:hi])
+    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+    q[:, q[lead, np.arange(a.n)] < 0] *= -1.0
+    return lam, q
 
 
 # Per-matrix loops over the A_i as SymMats: the references that the model's

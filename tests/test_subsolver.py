@@ -507,6 +507,22 @@ def test_non_finite_start_is_refused(s0, mats):
         maximize_lambda_min(s0, mats)
 
 
+@pytest.mark.parametrize("stop_below", [None, -1e-2, -1.0])
+def test_empty_family_takes_no_path(stop_below):
+    # λ_min(S0) is the optimum of an empty family: the bits of eigvalsh at
+    # S0 + 0.0, as the path's S(w) was, where a -0.0 entry becomes +0.0.
+    s0 = np.array([[1.0, -0.0, 0.0], [-0.0, 0.25, 0.5], [0.0, 0.5, -0.75]])
+    res = maximize_lambda_min(s0, [], stop_below=stop_below)
+    value = float(np.linalg.eigvalsh(s0 + 0.0)[0])
+    assert res.value.hex() == value.hex() and res.w.shape == (0,) and res.newton_steps == 0
+    if stop_below is None:
+        assert res.upper == np.inf and not res.below
+    else:
+        assert res.upper == value
+        assert res.below == (value < stop_below * max(1.0, float(np.linalg.norm(s0))))
+    assert maximize_lambda_min(np.diag([-0.0, 1.0]), []).value.hex() == (0.0).hex()
+
+
 # The same families by value, recorded with full centering at every mu:
 # lmin cases (value, below, upper, value of the run without a stop level),
 # face cases the minimum, interior cases None.

@@ -2,6 +2,9 @@
 
 import hashlib
 import re
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from ramanasdp import (
     NonOrthonormalError,
     NotPsdInputError,
     PsdTag,
+    SpectralDecomp,
     SymMat,
     classify_psd,
     eig,
+    facial,
     psd_plus_tan_contains,
     registry,
     rotate,
@@ -22,7 +27,13 @@ from ramanasdp import (
     tangent_witness,
 )
 
-from helpers import canonical_basis_reference, random_orthonormal, random_psd, random_sym
+from helpers import (
+    canonical_basis_reference,
+    eager_eig_reference,
+    random_orthonormal,
+    random_psd,
+    random_sym,
+)
 
 
 def char_poly_roots(a: np.ndarray) -> np.ndarray:
@@ -178,6 +189,7 @@ class TestEig:
             raise AssertionError("canonical basis built for the zero matrix")
 
         general = eig(SymMat(np.full((n, n), -0.0)))
+        general.q  # made on first read, so before _canonical_basis refuses
         monkeypatch.setattr(symmat, "_canonical_basis", refuse)
         dec = eig(SymMat.zero(n))
         assert dec.lam.tobytes() == np.zeros(n).tobytes()
@@ -194,6 +206,129 @@ class TestEig:
                 classify_psd(a)
             with pytest.raises(ValueError, match="non-finite"):
                 tan_contains(a, SymMat.zero(a.n))
+
+
+def _planted_clusters() -> list[SymMat]:
+    """The planted-cluster families of TestEig: repeated eigenvalues on
+    coordinate and on rotated eigenspaces, the sign-convention family, and
+    the all-zero, all -0.0, identity and random matrices."""
+    rng = np.random.default_rng(5)
+    b = random_sym(rng, 3).a
+    b = b @ b.T + np.eye(3)
+    coord = np.zeros((6, 6))
+    coord[:3, :3] = b
+    mid = coord.copy()
+    lam_b = np.linalg.eigvalsh(b)
+    mid[3:5, 3:5] = float(lam_b[2] + lam_b[1]) / 2.0 * np.eye(2)
+    rng = np.random.default_rng(17)
+    u = random_orthonormal(rng, 5)
+    u2 = u.copy()
+    u2[:, 1:3] = u[:, 1:3] @ np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    lam = np.diag([4.0, 1.5, 1.5, 1.5, -2.0])
+    mats = [SymMat(coord), SymMat(mid), SymMat(u @ lam @ u.T), SymMat(u2 @ lam @ u2.T)]
+    rng = np.random.default_rng(11)
+    for n in range(1, 10):
+        basis = np.eye(n)
+        if n > 1:
+            basis[1:, 1:] = random_orthonormal(rng, n - 1)
+        lam = rng.permutation(np.arange(1.0, n + 1.0)) * rng.choice([-1.0, 1.0], n)
+        mats.append(SymMat(basis @ np.diag(lam) @ basis.T))
+        mats.append(SymMat(basis @ np.diag(np.repeat(lam[:1], n)) @ basis.T))
+        mats.append(random_psd(rng, n, rank=n // 2))
+    mats += [SymMat.zero(4), SymMat(np.full((4, 4), -0.0)), SymMat.identity(4)]
+    return mats + [random_sym(rng, n) for n in (1, 2, 7, 24)]
+
+
+def _assert_eager_bits(a: SymMat) -> None:
+    lam, q = eager_eig_reference(a)
+    dec = eig(a)
+    assert dec.lam.tobytes() == lam.tobytes()
+    assert dec.q.tobytes() == q.tobytes()
+
+
+class TestLazyBasis:
+    """eig cuts the clusters; the first read of ``q`` builds their bases
+    and fixes the signs, bit for bit what the eager eig returned."""
+
+    def test_a_decision_builds_no_basis(self, monkeypatch):
+        # Rank 2 of order 5: a zero eigenvalue of multiplicity 3 on a
+        # rotated eigenspace, whose basis a read of q would build.
+        a = random_psd(np.random.default_rng(3), 5, rank=2)
+
+        def refuse(v):
+            raise AssertionError("canonical basis built for a decision")
+
+        monkeypatch.setattr(symmat, "_canonical_basis", refuse)
+        cls = classify_psd(a)
+        assert (cls.tag, cls.rank) == (PsdTag.PSD_RANK_DEFICIENT, 2)
+        assert abs(cls.evidence) <= 1e-12 * a.scale_factor()
+        assert np.allclose(cls.dec.lam[2:], 0.0, atol=1e-12 * a.scale_factor())
+        monkeypatch.undo()
+        assert cls.dec.q.tobytes() == eager_eig_reference(a)[1].tobytes()
+
+    @pytest.mark.parametrize("a", _planted_clusters())
+    def test_q_is_the_eager_basis(self, a):
+        _assert_eager_bits(a)
+
+    def test_q_of_a_verify_op_is_the_eager_basis(self, tmp_path, monkeypatch):
+        # Every matrix that one op of the benchmark's verify workload
+        # decomposes: the rungs, their trailing blocks and the head.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        op = next(op for op in workloads.setup_verify(107, str(tmp_path))
+                  if op.name == "07-normalize-valid-n22")
+        seen, real = [], symmat.eig
+
+        def recording(a):
+            seen.append(a)
+            return real(a)
+
+        monkeypatch.setattr(symmat, "eig", recording)
+        monkeypatch.setattr(facial, "eig", recording)
+        op.check(op.run())
+        monkeypatch.undo()
+        assert len(seen) > 10
+        for a in seen:
+            _assert_eager_bits(a)
+
+    def test_two_reads_give_one_read_only_array(self):
+        dec = eig(random_psd(np.random.default_rng(3), 5, rank=2))
+        q = dec.q
+        assert dec.q is q and not q.flags.writeable and not dec.lam.flags.writeable
+        with pytest.raises(AttributeError, match="SpectralDecomp is immutable"):
+            dec.lam = dec.lam
+
+    def test_a_given_basis_is_held(self):
+        q, lam = np.eye(3), np.array([2.0, 1.0, 0.0])
+        dec = SpectralDecomp(q=q, lam=lam)
+        assert dec.q is q and dec.lam is lam and q.flags.writeable
+
+    def test_threads_reading_q_at_once_get_the_eager_basis(self):
+        # Four threads read the q of the same fresh decompositions,
+        # switching often: each read must wait for the thread that makes
+        # the basis, not make it a second time in place.
+        mats = [m for m in _planted_clusters() if m.n > 3]
+        want = [eager_eig_reference(a)[1].tobytes() for a in mats]
+        decs = [eig(a) for a in mats]
+        start, got = threading.Barrier(4, timeout=10), [[] for _ in range(4)]
+
+        def read(out):
+            start.wait()
+            out.extend(dec.q.tobytes() for dec in decs)
+
+        threads = [threading.Thread(target=read, args=(out,)) for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
 
 
 def _frozen(entries, dtype=float) -> np.ndarray:

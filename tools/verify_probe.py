@@ -16,7 +16,8 @@ three stages:
 It prints, per op, the median over the repeats of each stage in ms, then
 the batch totals (the sum over the ops of those medians) with each
 stage's share; the records parsed in a batch, how many of them are all
-zero, and the bytes parsed, counted over one more, untimed run; the
+zero, the bytes parsed, the ``symmat.eig`` calls and the canonical bases
+of eigenvalue clusters built, counted over one more, untimed run; the
 tracemalloc peak of each stage of the workload's peak op (the op whose
 ``peak_mb`` ``bench/run.py`` reports), from one more untimed run, each
 stage's peak counting what the stages before it still hold; and the
@@ -24,16 +25,20 @@ set-up time: the whole ``setup_verify`` and the part of it spent in
 ``certfile.certificate_to_text`` writing the 35 texts.  The stages are
 timed and traced by wrapping the two ``certfile`` functions, which the
 ops look up on the module at call time; each wrapper runs once an op.
+The counts wrap ``eig`` where the library binds it and
+``symmat._canonical_basis``, which makes one cluster's basis.
 
     python3 tools/verify_probe.py [--seed S] [--repeats R] [--ops]
 
 The seed defaults to 107 and the repeats to 5.  On a 2-core Xeon shared
-with other jobs, three runs at seed 107 read a batch of 0.068-0.118 s:
-parse 35-38%, bind 2%, check 61-63%, over 341 records (none all zero)
-and 1,355,332 bytes.  The peak op, ``08-dram-valid-n24``, peaks at
-0.1089 MB in parse, 0.0666 MB in bind and 0.1090 MB in check.  When
-each SymMat copied its parsed record and each tangent test built a
-witness, three runs alternated with those read 0.082-0.124 s with parse
+with other jobs, three runs at seed 107 read a batch of 0.068-0.116 s:
+parse 37-39%, bind 2%, check 59-61%, over 341 records (none all zero)
+and 1,355,332 bytes, with 187 eig calls and 112 canonical bases built.
+The peak op, ``08-dram-valid-n24``, peaks at 0.1088 MB in parse,
+0.0675 MB in bind and 0.1044 MB in check.  When eig built every basis
+before it returned, the untimed run built 164 bases, and the check
+peaked at 0.1089 MB.  When each SymMat copied its parsed record and each
+tangent test built a witness, three runs alternated with those read 0.082-0.124 s with parse
 32-35% and check 63-67%, and the check peaked at 0.1837 MB (parse
 0.1081 MB, bind 0.0656 MB).  When the files held the ladders' leading zero
 rungs, three runs alternated with those read 0.153-0.175 s with the same
@@ -60,7 +65,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
-from ramanasdp import certfile  # noqa: E402
+from ramanasdp import certfile, facial, symmat  # noqa: E402
 
 import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
@@ -96,9 +101,14 @@ def timed(spent: dict[str, float]):
 
 def record_counts(ops) -> dict[str, int]:
     """Records parsed, how many of them are all zero, and bytes parsed,
-    over one untimed run of the batch."""
-    counts = {"records": 0, "zero": 0, "bytes": 0}
+    then the ``symmat.eig`` calls and the canonical bases of eigenvalue
+    clusters built (``symmat._canonical_basis`` calls), over one untimed
+    run of the batch."""
+    counts = {"records": 0, "zero": 0, "bytes": 0, "eig": 0, "bases": 0}
     real = certfile.parse_certificate_text
+    real_eig, real_basis = symmat.eig, symmat._canonical_basis
+    # eig is bound by name in the modules that import it.
+    eig_holders = [m for m in (symmat, facial) if getattr(m, "eig", None) is real_eig]
 
     def counting(text):
         cf = real(text)
@@ -108,12 +118,24 @@ def record_counts(ops) -> dict[str, int]:
         counts["bytes"] += len(text)
         return cf
 
+    def counted(key, fn):
+        def inner(*args):
+            counts[key] += 1
+            return fn(*args)
+        return inner
+
     certfile.parse_certificate_text = counting
+    for m in eig_holders:
+        m.eig = counted("eig", real_eig)
+    symmat._canonical_basis = counted("bases", real_basis)
     try:
         for op in ops:
             op.check(op.run())
     finally:
         certfile.parse_certificate_text = real
+        for m in eig_holders:
+            m.eig = real_eig
+        symmat._canonical_basis = real_basis
     return counts
 
 
@@ -206,6 +228,10 @@ def main(argv=None) -> int:
     print(
         f"parsed per batch: {parsed['records']} records, {parsed['zero']} of them all zero "
         f"({parsed['zero'] / parsed['records']:.0%}), {parsed['bytes']} bytes"
+    )
+    print(
+        f"untimed run: {parsed['eig']} eig calls, {parsed['bases']} canonical bases "
+        "of eigenvalue clusters built"
     )
     print(
         f"peak op {row['peak_op']}, tracemalloc peak by stage: "
